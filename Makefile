@@ -5,7 +5,15 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-record bench-check verify-bench experiments quick-experiments fuzz fmt clean verify
+# The checked-in micro-benchmark baseline that bench-record writes and
+# bench-check / verify-bench compare against.
+BENCH_BASELINE ?= BENCH_PR10.json
+# The baseline's names carry no -N GOMAXPROCS suffix (benchrecord keeps the
+# suffix as part of the name), so the benchmarks it is compared with run at
+# -cpu 1 whatever the host has; otherwise every one reads as missing.
+BENCH_RUN = $(GO) test -run='^$$' -bench=. -benchmem -cpu 1 ./internal/...
+
+.PHONY: all build vet test race bench bench-record bench-check verify-bench loc experiments quick-experiments fuzz fmt clean verify
 
 all: build vet test
 
@@ -33,11 +41,11 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Record the substrate + experiment benchmarks as JSON for cross-PR
-# comparison (BENCH_PR10.json is the baseline this PR ships). The root
+# comparison ($(BENCH_BASELINE) is the checked-in baseline). The root
 # E1-E30 suite is excluded: it takes minutes and its tables live in
 # EXPERIMENTS.md already.
 bench-record:
-	$(GO) test -run='^$$' -bench=. -benchmem ./internal/... | $(GO) run ./cmd/benchrecord -out BENCH_PR10.json
+	$(BENCH_RUN) | $(GO) run ./cmd/benchrecord -out $(BENCH_BASELINE)
 
 # Diff fresh benchmark numbers against the checked-in baseline; fails on
 # any benchmark whose ns/op regressed more than 20% or whose allocs/op
@@ -46,14 +54,19 @@ bench-record:
 # benchmark that did not run at all also fails (benchrecord
 # -allow-missing overrides when a deletion is deliberate).
 bench-check:
-	$(GO) test -run='^$$' -bench=. -benchmem ./internal/... | $(GO) run ./cmd/benchrecord -compare BENCH_PR10.json
+	$(BENCH_RUN) | $(GO) run ./cmd/benchrecord -compare $(BENCH_BASELINE)
 
 # The tier-1 flavor of bench-check: the ns/op tolerance is opened to
 # 100% so a loaded CI host cannot flake verify, while the two
 # deterministic regressions it exists to catch still fail hard —
 # allocation growth, and baseline benchmarks that silently stop running.
 verify-bench:
-	$(GO) test -run='^$$' -bench=. -benchmem ./internal/... | $(GO) run ./cmd/benchrecord -compare BENCH_PR10.json -tolerance 1.0
+	$(BENCH_RUN) | $(GO) run ./cmd/benchrecord -compare $(BENCH_BASELINE) -tolerance 1.0
+
+# The size ROADMAP aim 2 fences: non-test Go lines under internal/ and
+# cmd/ (22 597 before PR 13).
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 
 # Regenerate every table in EXPERIMENTS.md (several minutes).
 experiments:

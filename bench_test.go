@@ -1,8 +1,8 @@
 package repro_test
 
-// One benchmark per experiment in the DESIGN.md index (E1-E25, plus
-// E28/E29 engine-scale cells; the E26/E27 layer benches live next to
-// their layers under internal/), each executing a single representative cell
+// One benchmark per experiment in the DESIGN.md index (E1-E25 and
+// E28-E30; the E26/E27 layer benches live next to their layers under
+// internal/), each executing a single representative cell
 // of that experiment so that `go test -bench=. -benchmem` regenerates
 // the cost profile of the whole suite. The full tables themselves are
 // produced by cmd/otqbench.

@@ -88,42 +88,49 @@ func main() {
 	)
 	flag.Parse()
 
+	switch {
+	case *n < 1:
+		reject(fmt.Sprintf("-n %d: the founding population needs at least 1 entity (it hosts the querier and the register writer)", *n))
+	case *horizon < 1:
+		reject(fmt.Sprintf("-horizon %d: the run needs a positive horizon", *horizon))
+	case *overlayName == "random-k" && *k < 1 && !*pexOn:
+		reject(fmt.Sprintf("-k %d: the random-k overlay needs at least 1 neighbor", *k))
+	case *arrival > 0 && *session <= 0:
+		reject(fmt.Sprintf("-session %v: arrivals need a positive mean session length", *session))
+	}
 	overlay, err := overlayBuilder(*overlayName, *k)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ddsim:", err)
-		os.Exit(2)
+		reject(err)
 	}
 	var pexCfg pex.Config
 	if *pexOn {
 		policy, err := pex.ParsePolicy(*pexPolicy)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ddsim:", err)
-			os.Exit(2)
+			reject(err)
 		}
 		pexCfg = pex.Config{Enabled: true, ViewSize: *pexView, Policy: policy}
 		// The membership layer needs link control: views drive the edges,
 		// so the self-maintaining overlays would fight it.
 		overlay = func(uint64) topology.Overlay { return topology.NewManual() }
 	} else if *poisonSpec != "" {
-		fmt.Fprintln(os.Stderr, "ddsim: -poison requires -pex (there is no view traffic to poison)")
-		os.Exit(2)
+		reject("-poison requires -pex (there is no view traffic to poison)")
 	}
 	proto, protoID, err := protocolBuilder(*protoName, *ttl)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ddsim:", err)
-		os.Exit(2)
+		reject(err)
 	}
-	if proto == nil {
+	switch {
+	case proto == nil:
 		// Protocol-less run: no query launches, so the query-at default is
 		// meaningless rather than wrong — zero it instead of erroring.
 		*queryAt = 0
 		if *streamCheck {
-			fmt.Fprintln(os.Stderr, "ddsim: -stream-check without a query protocol has nothing to judge; drop it or pick a -protocol")
-			os.Exit(2)
+			reject("-stream-check without a query protocol has nothing to judge; drop it or pick a -protocol")
 		}
-	} else if *liteTrace && !*streamCheck {
-		fmt.Fprintln(os.Stderr, "ddsim: -lite-trace discards the events the batch OTQ checker reads; add -stream-check or use -protocol none")
-		os.Exit(2)
+	case *liteTrace && !*streamCheck:
+		reject("-lite-trace discards the events the batch OTQ checker reads; add -stream-check or use -protocol none")
+	case *queryAt < 0 || *queryAt > *horizon:
+		reject(fmt.Sprintf("-query-at %d: the query must launch inside the run, in [0, -horizon %d]", *queryAt, *horizon))
 	}
 
 	var tqc *tq.Client
@@ -132,95 +139,40 @@ func main() {
 	if *tqOn || *dynOn {
 		switch {
 		case *tqOn && *dynOn:
-			fmt.Fprintln(os.Stderr, "ddsim: -tq and -dynreg are mutually exclusive — one world hosts one register")
-			os.Exit(2)
+			reject("-tq and -dynreg are mutually exclusive — one world hosts one register")
 		case proto != nil:
-			fmt.Fprintln(os.Stderr, "ddsim: the register workloads replace the query; run with -protocol none")
-			os.Exit(2)
+			reject("the register workloads replace the query; run with -protocol none")
 		case *dynOn && *liteTrace:
-			fmt.Fprintln(os.Stderr, "ddsim: -dynreg is judged by a batch trace scan, which -lite-trace discards; drop -lite-trace or use -tq (streaming checker)")
-			os.Exit(2)
+			reject("-dynreg is judged by a batch trace scan, which -lite-trace discards; drop -lite-trace or use -tq (streaming checker)")
 		case *writeEvery < 1 || *readEvery < 1:
-			fmt.Fprintln(os.Stderr, "ddsim: -write-every and -read-every must be positive")
-			os.Exit(2)
+			reject("-write-every and -read-every must be positive")
 		}
 		if *tqOn {
 			tcfg := tq.Config{QuorumCoeff: *tqCoeff, WalkTTL: *tqTTL,
 				Lease: sim.Time(*tqLease), Seed: *seed}
 			if err := tcfg.Validate(); err != nil {
-				fmt.Fprintln(os.Stderr, "ddsim:", err)
-				os.Exit(2)
+				reject(err)
 			}
 			tqc = tq.NewClient(tcfg)
 			tqsc = tq.NewStreamChecker()
 		} else {
 			reg = &dynreg.Register{SpreadInterval: sim.Time(*spread), WriteWindow: sim.Time(*writeWindow)}
 			if err := reg.Validate(); err != nil {
-				fmt.Fprintln(os.Stderr, "ddsim:", err)
-				os.Exit(2)
+				reject(err)
 			}
 		}
 	}
 
-	var plan *fault.Plan
-	if *faultsSpec != "" {
-		plan, err = fault.Parse(*faultsSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ddsim:", err)
-			os.Exit(2)
-		}
-	}
+	plan := addClauses(nil, "", *faultsSpec)
 	if *byzantine != "" && *byzantine != "none" {
 		if !slices.Contains(exp.ByzLevels, *byzantine) {
-			fmt.Fprintf(os.Stderr, "ddsim: unknown -byzantine level %q (want one of %v)\n", *byzantine, exp.ByzLevels)
-			os.Exit(2)
+			reject(fmt.Sprintf("unknown -byzantine level %q (want one of %v)", *byzantine, exp.ByzLevels))
 		}
-		byz := exp.ByzPlan(*byzantine, *seed)
-		if plan == nil {
-			plan = byz
-		} else {
-			plan.Clauses = append(plan.Clauses, byz.Clauses...)
-		}
+		plan = mergePlans(plan, exp.ByzPlan(*byzantine, *seed))
 	}
-
-	if *rejoinSpec != "" {
-		re, err := fault.Parse("rejoin:" + *rejoinSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ddsim:", err)
-			os.Exit(2)
-		}
-		if plan == nil {
-			plan = re
-		} else {
-			plan.Clauses = append(plan.Clauses, re.Clauses...)
-		}
-	}
-
-	if *reconfSpec != "" {
-		rc, err := fault.Parse("reconfig:" + *reconfSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ddsim:", err)
-			os.Exit(2)
-		}
-		if plan == nil {
-			plan = rc
-		} else {
-			plan.Clauses = append(plan.Clauses, rc.Clauses...)
-		}
-	}
-
-	if *poisonSpec != "" {
-		po, err := fault.Parse("poison:" + *poisonSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ddsim:", err)
-			os.Exit(2)
-		}
-		if plan == nil {
-			plan = po
-		} else {
-			plan.Clauses = append(plan.Clauses, po.Clauses...)
-		}
-	}
+	plan = addClauses(plan, "rejoin:", *rejoinSpec)
+	plan = addClauses(plan, "reconfig:", *reconfSpec)
+	plan = addClauses(plan, "poison:", *poisonSpec)
 
 	cc := churn.Config{InitialPopulation: *n, Immortal: true}
 	if *arrival > 0 {
@@ -238,8 +190,7 @@ func main() {
 		pexCfg.Audit = pex.ViewAuditConfig{Enabled: authCfg.Enabled, KeySeed: *seed}
 	}
 	if err := (node.Config{MinLatency: 1, MaxLatency: 2, Reliable: relCfg, Auth: authCfg, Audit: auditCfg, Identity: identCfg, Reconfig: reconfCfg, Pex: pexCfg}).Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "ddsim:", err)
-		os.Exit(2)
+		reject(err)
 	}
 	scen := exp.Scenario{
 		Seed:        *seed,
@@ -453,6 +404,36 @@ func main() {
 	}
 }
 
+// reject refuses the command line: one "ddsim: ..." line on stderr, exit
+// status 2.
+func reject(why any) {
+	fmt.Fprintln(os.Stderr, "ddsim:", why)
+	os.Exit(2)
+}
+
+// mergePlans appends extra's clauses to plan; a nil plan becomes extra.
+func mergePlans(plan, extra *fault.Plan) *fault.Plan {
+	if plan == nil {
+		return extra
+	}
+	plan.Clauses = append(plan.Clauses, extra.Clauses...)
+	return plan
+}
+
+// addClauses parses the fault DSL text kind+spec (kind is "" for a whole
+// plan, or one clause's "name:" prefix for a flag that carries only the
+// clause body) and merges it into plan. An empty spec adds nothing.
+func addClauses(plan *fault.Plan, kind, spec string) *fault.Plan {
+	if spec == "" {
+		return plan
+	}
+	extra, err := fault.Parse(kind + spec)
+	if err != nil {
+		reject(err)
+	}
+	return mergePlans(plan, extra)
+}
+
 func overlayBuilder(name string, k int) (func(uint64) topology.Overlay, error) {
 	switch name {
 	case "mesh":
@@ -473,6 +454,9 @@ func overlayBuilder(name string, k int) (func(uint64) topology.Overlay, error) {
 }
 
 func protocolBuilder(name string, ttl int) (func() otq.Protocol, core.ProtocolID, error) {
+	if ttl < 1 && (name == "flood-ttl" || name == "flood-repeat") {
+		return nil, "", fmt.Errorf("-ttl %d: %s needs a positive TTL", ttl, name)
+	}
 	switch name {
 	case "none":
 		// Protocol-less world: membership and throughput only, no query,

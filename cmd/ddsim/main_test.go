@@ -1,10 +1,76 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 )
+
+// TestMain lets the test binary stand in for ddsim: re-executed with
+// DDSIM_AS_MAIN set it runs main on its arguments, so tests observe the
+// real exit status and stderr.
+func TestMain(m *testing.M) {
+	if os.Getenv("DDSIM_AS_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestRejectedFlags pins every command line ddsim refuses: exit status 2
+// and exactly one "ddsim: ..." line on stderr — never a Go panic, which
+// also exits 2 but prints a stack.
+func TestRejectedFlags(t *testing.T) {
+	cases := []struct{ args, want string }{
+		{"-n 0", "-n 0: the founding population needs at least 1 entity (it hosts the querier and the register writer)"},
+		{"-n 0 -protocol none -pex -tq", "-n 0: the founding population needs at least 1 entity (it hosts the querier and the register writer)"},
+		{"-n 0 -protocol none -dynreg", "-n 0: the founding population needs at least 1 entity (it hosts the querier and the register writer)"},
+		{"-horizon 0", "-horizon 0: the run needs a positive horizon"},
+		{"-overlay random-k -k 0", "-k 0: the random-k overlay needs at least 1 neighbor"},
+		{"-arrival 0.1 -session 0", "-session 0: arrivals need a positive mean session length"},
+		{"-query-at 5000 -horizon 100", "-query-at 5000: the query must launch inside the run, in [0, -horizon 100]"},
+		{"-query-at -5", "-query-at -5: the query must launch inside the run, in [0, -horizon 2000]"},
+		{"-protocol flood-ttl -ttl 0", "-ttl 0: flood-ttl needs a positive TTL"},
+		{"-protocol flood-repeat -ttl 0", "-ttl 0: flood-repeat needs a positive TTL"},
+		{"-overlay nope", `unknown overlay "nope"`},
+		{"-protocol nope", `unknown protocol "nope"`},
+		{"-pex -pex-policy nope", `pex: unknown policy "nope" (want rand, head, tail, or pushpull)`},
+		{"-pex -pex-view -3", "pex: ViewSize -3 below the 1-record minimum"},
+		{"-poison nodes=4", "-poison requires -pex (there is no view traffic to poison)"},
+		{"-protocol none -stream-check", "-stream-check without a query protocol has nothing to judge; drop it or pick a -protocol"},
+		{"-lite-trace", "-lite-trace discards the events the batch OTQ checker reads; add -stream-check or use -protocol none"},
+		{"-tq -dynreg", "-tq and -dynreg are mutually exclusive — one world hosts one register"},
+		{"-tq", "the register workloads replace the query; run with -protocol none"},
+		{"-protocol none -dynreg -lite-trace", "-dynreg is judged by a batch trace scan, which -lite-trace discards; drop -lite-trace or use -tq (streaming checker)"},
+		{"-protocol none -tq -write-every 0", "-write-every and -read-every must be positive"},
+		{"-protocol none -tq -tq-coeff -1", "tq: QuorumCoeff -1 must be a positive finite number"},
+		{"-protocol none -dynreg -spread -1", "dynreg: SpreadInterval -1 must be non-negative (0 = default 4)"},
+		{"-faults bogus", `clause 0: fault: unknown clause kind "bogus"`},
+		{"-byzantine nope", `unknown -byzantine level "nope" (want one of [none corrupt replay+forge byz-storm equiv])`},
+		{"-rejoin bogus", `fault: parameter "bogus" in "rejoin:bogus" is not key=value`},
+		{"-reconfig bogus=1", `fault: parameter "bogus" not valid for "reconfig" clauses in "reconfig:bogus=1"`},
+		{"-pex -poison bogus", `fault: parameter "bogus" in "poison:bogus" is not key=value`},
+		{"-auth -parole -5", "node: negative auth Parole -5"},
+	}
+	for _, tc := range cases {
+		cmd := exec.Command(os.Args[0], strings.Fields(tc.args)...)
+		cmd.Env = append(os.Environ(), "DDSIM_AS_MAIN=1")
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("ddsim %s: err = %v, want exit status 2", tc.args, err)
+		}
+		if got, want := stderr.String(), "ddsim: "+tc.want+"\n"; got != want {
+			t.Errorf("ddsim %s: stderr = %q, want %q", tc.args, got, want)
+		}
+	}
+}
 
 func TestOverlayBuilder(t *testing.T) {
 	for _, name := range []string{"mesh", "star", "ring", "random-k", "growing-path", "fragile"} {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 )
@@ -52,43 +53,67 @@ func CheckClass(tr *Trace, c Class) CheckReport {
 	}
 
 	rep.checkSize(tr, c)
-	rep.checkGeo(tr, c)
+	tr.eachSnapshot(func(t Time, g *graph.Graph) { rep.checkSnapshot(g, t, c) })
 
-	if c.EventuallyStable {
-		end := tr.End()
-		quiet := end - rep.QuiescentFrom
-		if end > 0 && quiet < end/stabilityDenominator {
-			rep.add(rep.QuiescentFrom, fmt.Sprintf(
-				"eventual stability not witnessed: last topology change at %d, run ends at %d (quiescent suffix %d < %d)",
-				rep.QuiescentFrom, end, quiet, end/stabilityDenominator))
-		}
+	if end := tr.End(); c.EventuallyStable && !witnessesStability(end, rep.QuiescentFrom) {
+		rep.add(rep.QuiescentFrom, fmt.Sprintf(
+			"eventual stability not witnessed: last topology change at %d, run ends at %d (quiescent suffix %d < %d)",
+			rep.QuiescentFrom, end, end-rep.QuiescentFrom, end/stabilityDenominator))
 	}
 	return rep
+}
+
+// witnessesStability applies the stabilityDenominator convention to a run
+// ending at end whose topology last changed at quiescentFrom.
+func witnessesStability(end, quiescentFrom Time) bool {
+	return end == 0 || end-quiescentFrom >= end/stabilityDenominator
 }
 
 func (r *CheckReport) add(at Time, msg string) {
 	r.Violations = append(r.Violations, Violation{At: at, Msg: msg})
 }
 
+// unstaticEvents calls visit for every membership event a static system
+// cannot contain — a join after the run's first tick, or any leave — and
+// returns that first tick and the number of joins.
+func (tr *Trace) unstaticEvents(visit func(ev *TraceEvent)) (start Time, joins int) {
+	if len(tr.events) > 0 {
+		start = tr.events[0].At
+	}
+	for i := range tr.events {
+		ev := &tr.events[i]
+		if ev.Kind == TJoin {
+			joins++
+		}
+		if ev.Kind == TLeave || (ev.Kind == TJoin && ev.At != start) {
+			visit(ev)
+		}
+	}
+	return start, joins
+}
+
+// eachSnapshot calls visit on the graph of every stable period of the run
+// that holds at least two entities (empty and singleton snapshots satisfy
+// every geography), in time order. g is the replay's working graph: read
+// it, do not keep it.
+func (tr *Trace) eachSnapshot(visit func(t Time, g *graph.Graph)) {
+	tr.Temporal().Replay(math.MinInt64, math.MaxInt64, func(t Time, g *graph.Graph) {
+		if g.NumNodes() > 1 {
+			visit(t, g)
+		}
+	})
+}
+
 func (r *CheckReport) checkSize(tr *Trace, c Class) {
 	switch c.Size {
 	case SizeStatic:
-		var start Time
-		if evs := tr.Events(); len(evs) > 0 {
-			start = evs[0].At
-		}
-		joins := 0
-		for _, ev := range tr.Events() {
-			switch ev.Kind {
-			case TJoin:
-				joins++
-				if ev.At != start {
-					r.add(ev.At, fmt.Sprintf("entity %d joined mid-run in a static class", ev.P))
-				}
-			case TLeave:
+		start, joins := tr.unstaticEvents(func(ev *TraceEvent) {
+			if ev.Kind == TJoin {
+				r.add(ev.At, fmt.Sprintf("entity %d joined mid-run in a static class", ev.P))
+			} else {
 				r.add(ev.At, fmt.Sprintf("entity %d left in a static class", ev.P))
 			}
-		}
+		})
 		if c.B > 0 && joins != c.B {
 			r.add(start, fmt.Sprintf("static class declares n=%d but %d entities joined", c.B, joins))
 		}
@@ -102,66 +127,38 @@ func (r *CheckReport) checkSize(tr *Trace, c Class) {
 	}
 }
 
-func (r *CheckReport) checkGeo(tr *Trace, c Class) {
-	g := graph.New()
-	evs := tr.Events()
-	i := 0
-	for i < len(evs) {
-		t := evs[i].At
-		changed := false
-		for i < len(evs) && evs[i].At == t {
-			switch evs[i].Kind {
-			case TJoin:
-				g.AddNode(evs[i].P)
-				changed = true
-			case TLeave:
-				g.RemoveNode(evs[i].P)
-				changed = true
-			case TEdgeUp:
-				g.AddEdge(evs[i].P, evs[i].Q)
-				changed = true
-			case TEdgeDown:
-				g.RemoveEdge(evs[i].P, evs[i].Q)
-				changed = true
-			}
-			i++
-		}
-		if !changed {
-			continue
-		}
-		r.checkSnapshot(g, t, c)
+// observeDiameter folds one snapshot's diameter into the report; ok is
+// false on a partitioned snapshot, whose diameter is undefined.
+func (r *CheckReport) observeDiameter(g *graph.Graph) (d int, ok bool) {
+	d, ok = g.Diameter()
+	if !ok {
+		r.DiameterDefined = false
+	} else if d > r.ObservedDiameter {
+		r.ObservedDiameter = d
 	}
+	return d, ok
+}
+
+func complete(g *graph.Graph) bool {
+	n := g.NumNodes()
+	return g.NumEdges() == n*(n-1)/2
 }
 
 func (r *CheckReport) checkSnapshot(g *graph.Graph, t Time, c Class) {
-	n := g.NumNodes()
-	if n <= 1 {
-		return // empty and singleton snapshots satisfy every geography
-	}
 	switch c.Geo {
 	case GeoComplete:
-		if g.NumEdges() != n*(n-1)/2 {
-			r.add(t, fmt.Sprintf("snapshot not complete: %d nodes, %d edges", n, g.NumEdges()))
+		if !complete(g) {
+			r.add(t, fmt.Sprintf("snapshot not complete: %d nodes, %d edges", g.NumNodes(), g.NumEdges()))
 		}
 	case GeoDiameterKnown, GeoDiameterBounded:
-		d, ok := g.Diameter()
+		d, ok := r.observeDiameter(g)
 		if !ok {
-			r.DiameterDefined = false
 			r.add(t, "snapshot disconnected in an always-connected class")
-			return
-		}
-		if d > r.ObservedDiameter {
-			r.ObservedDiameter = d
-		}
-		if c.Geo == GeoDiameterKnown && c.D > 0 && d > c.D {
+		} else if c.Geo == GeoDiameterKnown && c.D > 0 && d > c.D {
 			r.add(t, fmt.Sprintf("snapshot diameter %d exceeds declared bound D=%d", d, c.D))
 		}
 	case GeoUnconstrained:
-		if d, ok := g.Diameter(); ok && d > r.ObservedDiameter {
-			r.ObservedDiameter = d
-		} else if !ok {
-			r.DiameterDefined = false
-		}
+		r.observeDiameter(g)
 	}
 }
 
@@ -176,16 +173,7 @@ func InferClass(tr *Trace) Class {
 	c := Class{}
 
 	static := true
-	var start Time
-	if evs := tr.Events(); len(evs) > 0 {
-		start = evs[0].At
-	}
-	for _, ev := range tr.Events() {
-		if ev.Kind == TLeave || (ev.Kind == TJoin && ev.At != start) {
-			static = false
-			break
-		}
-	}
+	tr.unstaticEvents(func(*TraceEvent) { static = false })
 	if static {
 		c.Size = SizeStatic
 		c.B = len(tr.Entities())
@@ -194,59 +182,22 @@ func InferClass(tr *Trace) Class {
 		c.B = tr.MaxConcurrency()
 	}
 
-	// Geography: replay snapshots.
-	complete, connected := true, true
-	maxDiam := 0
-	g := graph.New()
-	evs := tr.Events()
-	i := 0
-	for i < len(evs) {
-		t := evs[i].At
-		changed := false
-		for i < len(evs) && evs[i].At == t {
-			switch evs[i].Kind {
-			case TJoin:
-				g.AddNode(evs[i].P)
-				changed = true
-			case TLeave:
-				g.RemoveNode(evs[i].P)
-				changed = true
-			case TEdgeUp:
-				g.AddEdge(evs[i].P, evs[i].Q)
-				changed = true
-			case TEdgeDown:
-				g.RemoveEdge(evs[i].P, evs[i].Q)
-				changed = true
-			}
-			i++
-		}
-		if !changed || g.NumNodes() <= 1 {
-			continue
-		}
-		n := g.NumNodes()
-		if g.NumEdges() != n*(n-1)/2 {
-			complete = false
-		}
-		if d, ok := g.Diameter(); ok {
-			if d > maxDiam {
-				maxDiam = d
-			}
-		} else {
-			connected = false
-		}
-	}
+	allComplete := true
+	seen := CheckReport{DiameterDefined: true}
+	tr.eachSnapshot(func(_ Time, g *graph.Graph) {
+		allComplete = allComplete && complete(g)
+		seen.observeDiameter(g)
+	})
 	switch {
-	case complete:
+	case allComplete:
 		c.Geo = GeoComplete
-	case connected:
+	case seen.DiameterDefined:
 		c.Geo = GeoDiameterKnown
-		c.D = maxDiam
+		c.D = seen.ObservedDiameter
 	default:
 		c.Geo = GeoUnconstrained
 	}
 
-	end := tr.End()
-	quiet := end - tr.LastTopologyChange()
-	c.EventuallyStable = end == 0 || quiet >= end/stabilityDenominator
+	c.EventuallyStable = witnessesStability(tr.End(), tr.LastTopologyChange())
 	return c
 }

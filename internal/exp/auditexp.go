@@ -47,11 +47,7 @@ func e23Plan(level string, seed uint64) *fault.Plan {
 	default:
 		panic("exp: unknown E23 audit level " + level)
 	}
-	pl, err := fault.Parse(fmt.Sprintf("%s;seed=%d", spec, seed^0x23))
-	if err != nil {
-		panic(err.Error())
-	}
-	return pl
+	return mustPlan(fmt.Sprintf("%s;seed=%d", spec, seed^0x23))
 }
 
 // e23Offenders is the ground-truth compromised set per level — what a
@@ -107,7 +103,6 @@ type e23Result struct {
 // window's release — the property the experiment is measuring the price
 // of.
 func e23Run(cfg Config, proto otq.Protocol, level string, seed uint64, audit bool) e23Result {
-	engine := sim.New()
 	ncfg := node.Config{
 		MinLatency: 1, MaxLatency: 2, Seed: seed,
 		Reliable: e21Reliable,
@@ -117,21 +112,13 @@ func e23Run(cfg Config, proto otq.Protocol, level string, seed uint64, audit boo
 		ncfg.Auth.Parole = e23Parole
 		ncfg.Audit = node.AuditConfig{Enabled: true, GossipBudget: 32}
 	}
-	w := node.NewWorld(engine, manualOverlay(seed), proto.Factory(), ncfg)
-	var stop func()
-	if pl := e23Plan(level, seed); pl != nil {
-		stop = pl.Attach(w)
-	}
-	chordScript(16)(w, engine)
-	engine.RunUntil(25)
-	r := proto.Launch(w, 1)
-	engine.RunUntil(cfg.horizon(3000))
-	if stop != nil {
-		stop()
-	}
-	w.Close()
+	return e23Gather(stormCell(ncfg, chordScript(16), e23Plan(level, seed), proto, cfg.horizon(3000), otq.CheckOptions{}, nil))
+}
+
+// e23Gather gathers what E23 and E24 measure from a finished cell.
+func e23Gather(w *node.World, r *otq.Run, out otq.Outcome) e23Result {
 	return e23Result{
-		out:     otq.CheckWith(w.Trace, r, nil, otq.CheckOptions{}),
+		out:     out,
 		run:     r,
 		tr:      w.Trace,
 		msgs:    w.Trace.Messages(""),

@@ -67,11 +67,7 @@ func e25Plan(seed uint64, arm e25Arm) *fault.Plan {
 		e25Byz, e25LeaveAt,
 		e25Byz, e25Down, variant, e25LeaveAt,
 		e25Down, e25LeaveAt, seed^0x25)
-	pl, err := fault.Parse(spec)
-	if err != nil {
-		panic(err.Error())
-	}
-	return pl
+	return mustPlan(spec)
 }
 
 // e25Arm is one row of the E25 sweep.
@@ -120,7 +116,6 @@ type e25Result struct {
 // churn variant. Parole is off (the default), so any quarantine missing
 // at the horizon was laundered, not paroled.
 func e25Run(cfg Config, proto otq.Protocol, seed uint64, arm e25Arm) e25Result {
-	engine := sim.New()
 	ncfg := node.Config{
 		MinLatency: 1, MaxLatency: 2, Seed: seed,
 		Reliable: e21Reliable,
@@ -128,14 +123,8 @@ func e25Run(cfg Config, proto otq.Protocol, seed uint64, arm e25Arm) e25Result {
 		Audit:    node.AuditConfig{Enabled: true, GossipInterval: 4, GossipBudget: 32, HoldFor: 40},
 		Identity: node.IdentityConfig{Durable: arm.durable},
 	}
-	w := node.NewWorld(engine, manualOverlay(seed), proto.Factory(), ncfg)
-	stop := e25Plan(seed, arm).Attach(w)
-	chordScript(16)(w, engine)
-	engine.RunUntil(25)
-	r := proto.Launch(w, 1)
-	engine.RunUntil(e25Horizon(cfg))
-	stop()
-	w.Close()
+	w, _, out := stormCell(ncfg, chordScript(16), e25Plan(seed, arm), proto, e25Horizon(cfg),
+		otq.CheckOptions{BridgeRejoins: true}, nil)
 	kept := 0
 	for i := 1; i <= 16; i++ {
 		if w.Quarantined(graph.NodeID(i), e25Byz) {
@@ -150,7 +139,7 @@ func e25Run(cfg Config, proto otq.Protocol, seed uint64, arm e25Arm) e25Result {
 		}
 	}
 	return e25Result{
-		out:      otq.CheckWith(w.Trace, r, nil, otq.CheckOptions{BridgeRejoins: true}),
+		out:      out,
 		tr:       w.Trace,
 		msgs:     w.Trace.Messages(""),
 		ident:    w.IdentityTotals(),

@@ -8,7 +8,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/node"
 	"repro/internal/otq"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -44,11 +43,7 @@ func e22Plan(level string, seed uint64) *fault.Plan {
 	default:
 		panic("exp: unknown E22 byzantine level " + level)
 	}
-	pl, err := fault.Parse(fmt.Sprintf("%s;seed=%d", spec, seed^0x22))
-	if err != nil {
-		panic(err.Error())
-	}
-	return pl
+	return mustPlan(fmt.Sprintf("%s;seed=%d", spec, seed^0x22))
 }
 
 // e22Offenders is the ground-truth compromised set of each level — what a
@@ -70,25 +65,11 @@ func e22Offenders(level string) map[graph.NodeID]bool {
 // comparison isolates authentication, not retransmission — so a rejected
 // copy goes unacked and the sender's retry delivers a clean one.
 func e22Run(cfg Config, proto otq.Protocol, level string, seed uint64, auth bool) (otq.Outcome, *otq.Run, *core.Trace, core.MessageStats, node.AuthCounters) {
-	engine := sim.New()
 	ncfg := node.Config{MinLatency: 1, MaxLatency: 2, Seed: seed, Reliable: e21Reliable}
 	if auth {
 		ncfg.Auth = node.AuthConfig{Enabled: true}
 	}
-	w := node.NewWorld(engine, manualOverlay(seed), proto.Factory(), ncfg)
-	var stop func()
-	if pl := e22Plan(level, seed); pl != nil {
-		stop = pl.Attach(w)
-	}
-	cycleScript(16)(w, engine)
-	engine.RunUntil(25)
-	r := proto.Launch(w, 1)
-	engine.RunUntil(cfg.horizon(3000))
-	if stop != nil {
-		stop()
-	}
-	w.Close()
-	out := otq.CheckWith(w.Trace, r, nil, otq.CheckOptions{})
+	w, r, out := stormCell(ncfg, cycleScript(16), e22Plan(level, seed), proto, cfg.horizon(3000), otq.CheckOptions{}, nil)
 	return out, r, w.Trace, w.Trace.Messages(""), w.AuthTotals()
 }
 

@@ -73,11 +73,7 @@ func e24Plan(seed uint64, chaff, droppull bool) *fault.Plan {
 			"collude:nodes=7,peers=5+9,groups=2,p=1%[1]s;"+
 			"collude:nodes=11,peers=9+13,groups=2,p=1%[1]s;seed=%d",
 		extra, seed^0x24)
-	pl, err := fault.Parse(spec)
-	if err != nil {
-		panic(err.Error())
-	}
-	return pl
+	return mustPlan(spec)
 }
 
 // e24Arm is one row of the E24 sweep.
@@ -153,31 +149,14 @@ func e24Horizon(cfg Config) sim.Time {
 // under the colluding storm, reliable + authenticated + audited, with
 // the arm's pull and retention settings.
 func e24Run(cfg Config, proto otq.Protocol, seed uint64, arm e24Arm) e23Result {
-	engine := sim.New()
 	ncfg := node.Config{
 		MinLatency: 1, MaxLatency: 2, Seed: seed,
 		Reliable: e21Reliable,
 		Auth:     node.AuthConfig{Enabled: true},
 		Audit:    e24AuditConfig(arm),
 	}
-	w := node.NewWorld(engine, manualOverlay(seed), proto.Factory(), ncfg)
-	stop := e24Plan(seed, arm.chaff, arm.droppull).Attach(w)
-	chordScript(16)(w, engine)
-	engine.RunUntil(25)
-	r := proto.Launch(w, 1)
-	engine.RunUntil(e24Horizon(cfg))
-	stop()
-	w.Close()
-	return e23Result{
-		out:     otq.CheckWith(w.Trace, r, nil, otq.CheckOptions{}),
-		run:     r,
-		tr:      w.Trace,
-		msgs:    w.Trace.Messages(""),
-		audit:   w.AuditTotals(),
-		summary: w.AuditSummary(),
-		quars:   w.QuarantineEvents(),
-		paroles: w.ParoleEvents(),
-	}
+	return e23Gather(stormCell(ncfg, chordScript(16), e24Plan(seed, arm.chaff, arm.droppull), proto,
+		e24Horizon(cfg), otq.CheckOptions{}, nil))
 }
 
 // E24 — colluding equivocators versus receipt pull anti-entropy. The

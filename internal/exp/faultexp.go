@@ -48,7 +48,13 @@ func e21Plan(level string, seed uint64) *fault.Plan {
 	default:
 		panic("exp: unknown E21 storm level " + level)
 	}
-	pl, err := fault.Parse(fmt.Sprintf("%s;seed=%d", spec, seed^0x21))
+	return mustPlan(fmt.Sprintf("%s;seed=%d", spec, seed^0x21))
+}
+
+// mustPlan parses an experiment's own fault plan; a spec that does not
+// parse is a bug in the experiment, not an input condition.
+func mustPlan(spec string) *fault.Plan {
+	pl, err := fault.Parse(spec)
 	if err != nil {
 		panic(err.Error())
 	}
@@ -58,25 +64,37 @@ func e21Plan(level string, seed uint64) *fault.Plan {
 // e21Run executes one E21 cell: the protocol on a 16-cycle under the
 // level's fault plan, over raw or reliable channels.
 func e21Run(cfg Config, proto otq.Protocol, level string, seed uint64, rc node.ReliableConfig) (otq.Outcome, *otq.Run, core.MessageStats, node.ReliableCounters) {
-	engine := sim.New()
 	ncfg := node.Config{MinLatency: 1, MaxLatency: 2, Seed: seed, Reliable: rc}
-	w := node.NewWorld(engine, manualOverlay(seed), proto.Factory(), ncfg)
-	var stop func()
-	if pl := e21Plan(level, seed); pl != nil {
+	w, r, out := stormCell(ncfg, cycleScript(16), e21Plan(level, seed), proto, cfg.horizon(3000),
+		otq.CheckOptions{BridgeRecoveries: strings.Contains(level, "crash")}, nil)
+	return out, r, w.Trace.Messages(""), w.ReliableTotals()
+}
+
+// stormCell runs one cell of the fault-storm experiments (E21–E26), which
+// all share this skeleton: a world on a manual overlay with pl (nil = no
+// faults) attached before script populates it, the query launched at
+// entity 1 at t=25, the run taken to horizon and judged under opts. mid,
+// when non-nil, is called between the launch and the final stretch to take
+// the run to an intermediate instant and read the world there. The closed
+// world comes back for the cell's own counters.
+func stormCell(ncfg node.Config, script func(*node.World, *sim.Engine), pl *fault.Plan, proto otq.Protocol,
+	horizon sim.Time, opts otq.CheckOptions, mid func(*node.World, *sim.Engine)) (*node.World, *otq.Run, otq.Outcome) {
+	engine := sim.New()
+	w := node.NewWorld(engine, manualOverlay(ncfg.Seed), proto.Factory(), ncfg)
+	stop := func() {}
+	if pl != nil {
 		stop = pl.Attach(w)
 	}
-	cycleScript(16)(w, engine)
+	script(w, engine)
 	engine.RunUntil(25)
 	r := proto.Launch(w, 1)
-	engine.RunUntil(cfg.horizon(3000))
-	if stop != nil {
-		stop()
+	if mid != nil {
+		mid(w, engine)
 	}
+	engine.RunUntil(horizon)
+	stop()
 	w.Close()
-	out := otq.CheckWith(w.Trace, r, nil, otq.CheckOptions{
-		BridgeRecoveries: strings.Contains(level, "crash"),
-	})
-	return out, r, w.Trace.Messages(""), w.ReliableTotals()
+	return w, r, otq.CheckWith(w.Trace, r, nil, opts)
 }
 
 // sketchCountError is the sketch answer's relative count error against

@@ -75,11 +75,7 @@ func e27Plan(seed uint64, arm e27Arm) *fault.Plan {
 	}
 	spec += fmt.Sprintf("rejoin:nodes=%d+%d,down=%d@%d;seed=%d",
 		e27Churners[0], e27Churners[1], e27Down, e27ChurnAt, seed^0x27)
-	pl, err := fault.Parse(spec)
-	if err != nil {
-		panic(err.Error())
-	}
-	return pl
+	return mustPlan(spec)
 }
 
 func e27Horizon(cfg Config) sim.Time {

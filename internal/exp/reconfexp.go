@@ -102,11 +102,7 @@ func e26Plan(seed uint64, arm e26Arm, horizon sim.Time) *fault.Plan {
 			e26StormEvery, e26StormRounds, e26StormRetain, e26StormFrom)
 	}
 	spec += fmt.Sprintf(";seed=%d", seed^0x26)
-	pl, err := fault.Parse(spec)
-	if err != nil {
-		panic(err.Error())
-	}
-	return pl
+	return mustPlan(spec)
 }
 
 // e26Result carries everything one E26 cell measures.
@@ -128,7 +124,6 @@ type e26Result struct {
 // counters one tick before the flip point, so the A/B split is measured
 // at the same instant whether or not a flip happens.
 func e26Run(cfg Config, proto otq.Protocol, seed uint64, arm e26Arm) e26Result {
-	engine := sim.New()
 	horizon := e26Horizon(cfg)
 	rcfg := e21Reliable
 	rcfg.Adaptive = arm.adaptive
@@ -140,16 +135,12 @@ func e26Run(cfg Config, proto otq.Protocol, seed uint64, arm e26Arm) e26Result {
 		Identity: node.IdentityConfig{Durable: true},
 		Reconfig: node.ReconfigConfig{Enabled: arm.flip || arm.storm},
 	}
-	w := node.NewWorld(engine, manualOverlay(seed), proto.Factory(), ncfg)
-	stop := e26Plan(seed, arm, horizon).Attach(w)
-	chordScript(16)(w, engine)
-	engine.RunUntil(25)
-	r := proto.Launch(w, 1)
-	engine.RunUntil(e26FlipAt(horizon) - 1)
-	relHalf := w.ReliableTotals()
-	engine.RunUntil(horizon)
-	stop()
-	w.Close()
+	var relHalf node.ReliableCounters
+	w, _, out := stormCell(ncfg, chordScript(16), e26Plan(seed, arm, horizon), proto, horizon,
+		otq.CheckOptions{BridgeRejoins: true}, func(w *node.World, engine *sim.Engine) {
+			engine.RunUntil(e26FlipAt(horizon) - 1)
+			relHalf = w.ReliableTotals()
+		})
 	kept := 0
 	for i := 1; i <= 16; i++ {
 		if w.Quarantined(graph.NodeID(i), e26Byz) {
@@ -157,7 +148,7 @@ func e26Run(cfg Config, proto otq.Protocol, seed uint64, arm e26Arm) e26Result {
 		}
 	}
 	return e26Result{
-		out:      otq.CheckWith(w.Trace, r, nil, otq.CheckOptions{BridgeRejoins: true}),
+		out:      out,
 		tr:       w.Trace,
 		msgs:     w.Trace.Messages(""),
 		rel:      w.ReliableTotals(),

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -100,18 +101,34 @@ func apply(g *Graph, ev TemporalEvent) {
 	}
 }
 
+// Replay walks the log one stable period at a time and returns the graph
+// it ends on. Events before from are applied unseen; visit then sees
+// (from, g), the graph entering the window, and after that (t, g) once per
+// distinct timestamp t in [from, to], with every event at t applied — the
+// graph that holds until the next timestamp. g is mutated between calls:
+// visitors read it, they do not keep it.
+func (tg *Temporal) Replay(from, to int64, visit func(t int64, g *Graph)) *Graph {
+	tg.ensureSorted()
+	g := New()
+	i := 0
+	for ; i < len(tg.events) && tg.events[i].At < from; i++ {
+		apply(g, tg.events[i])
+	}
+	visit(from, g)
+	for i < len(tg.events) && tg.events[i].At <= to {
+		t := tg.events[i].At
+		for ; i < len(tg.events) && tg.events[i].At == t; i++ {
+			apply(g, tg.events[i])
+		}
+		visit(t, g)
+	}
+	return g
+}
+
 // Snapshot returns the graph state immediately after all events with
 // time <= t have been applied.
 func (tg *Temporal) Snapshot(t int64) *Graph {
-	tg.ensureSorted()
-	g := New()
-	for _, ev := range tg.events {
-		if ev.At > t {
-			break
-		}
-		apply(g, ev)
-	}
-	return g
+	return tg.Replay(math.MinInt64, t, func(int64, *Graph) {})
 }
 
 // ReachableFrom computes the set of nodes temporally reachable from src in
@@ -127,74 +144,26 @@ func (tg *Temporal) Snapshot(t int64) *Graph {
 // be non-empty; if src is not in the graph at start, propagation begins
 // when it joins.
 func (tg *Temporal) ReachableFrom(src NodeID, start, end int64) map[NodeID]bool {
-	tg.ensureSorted()
-	reached := make(map[NodeID]bool)
-	g := New()
-	i := 0
-	// Bring the graph to its state at `start` (events at exactly start are
-	// part of the window's first stable period, handled below).
-	for ; i < len(tg.events) && tg.events[i].At < start; i++ {
-		apply(g, tg.events[i])
+	arrival := tg.EarliestArrival(src, start, end)
+	reached := make(map[NodeID]bool, len(arrival))
+	for v := range arrival {
+		reached[v] = true
 	}
-	spread := func() {
-		if !reached[src] && g.HasNode(src) {
-			reached[src] = true
-		}
-		// Flood from every reached node still present.
-		frontier := make([]NodeID, 0, len(reached))
-		for v := range reached {
-			if g.HasNode(v) {
-				frontier = append(frontier, v)
-			}
-		}
-		sort.Slice(frontier, func(a, b int) bool { return frontier[a] < frontier[b] })
-		for len(frontier) > 0 {
-			var next []NodeID
-			for _, v := range frontier {
-				for _, u := range g.Neighbors(v) {
-					if !reached[u] {
-						reached[u] = true
-						next = append(next, u)
-					}
-				}
-			}
-			frontier = next
-		}
-	}
-	// Information spreads during the initial stable period before the
-	// first in-window event.
-	spread()
-	for ; i < len(tg.events) && tg.events[i].At <= end; i++ {
-		// Apply all events that share this timestamp, then let information
-		// spread during the stable period that follows.
-		t := tg.events[i].At
-		for i < len(tg.events) && tg.events[i].At == t {
-			apply(g, tg.events[i])
-			i++
-		}
-		i--
-		spread()
-	}
-	spread()
 	return reached
 }
 
 // EarliestArrival computes, for every node temporally reachable from src
 // in [start, end], the earliest time information leaving src at start can
-// have reached it under the same propagation model as ReachableFrom
-// (spreading completes within each stable period). src maps to start.
+// have reached it under ReachableFrom's propagation model (spreading
+// completes within each stable period, the one entering the window
+// included). src maps to start, or to its join time if it joins later.
 func (tg *Temporal) EarliestArrival(src NodeID, start, end int64) map[NodeID]int64 {
-	tg.ensureSorted()
 	arrival := make(map[NodeID]int64)
-	g := New()
-	i := 0
-	for ; i < len(tg.events) && tg.events[i].At < start; i++ {
-		apply(g, tg.events[i])
-	}
-	spread := func(now int64) {
+	tg.Replay(start, end, func(now int64, g *Graph) {
 		if _, ok := arrival[src]; !ok && g.HasNode(src) {
 			arrival[src] = now
 		}
+		// Flood from every reached node still present.
 		frontier := make([]NodeID, 0, len(arrival))
 		for v := range arrival {
 			if g.HasNode(v) {
@@ -214,44 +183,24 @@ func (tg *Temporal) EarliestArrival(src NodeID, start, end int64) map[NodeID]int
 			}
 			frontier = next
 		}
-	}
-	spread(start)
-	for ; i < len(tg.events) && tg.events[i].At <= end; i++ {
-		t := tg.events[i].At
-		for i < len(tg.events) && tg.events[i].At == t {
-			apply(g, tg.events[i])
-			i++
-		}
-		i--
-		spread(t)
-	}
+	})
 	return arrival
 }
 
 // ReachabilityFraction returns, averaged over all nodes ever present in
 // [start, end], the fraction of ever-present nodes each node can
-// temporally reach. 1.0 means every member could in principle learn about
-// the whole system; low values witness the paper's point that a member of
-// a dynamic system may never be able to know the system it belongs to.
+// temporally reach. Present means in the graph during some stable period
+// of the window — exactly the nodes ReachableFrom can return. 1.0 means
+// every member could in principle learn about the whole system; low values
+// witness the paper's point that a member of a dynamic system may never be
+// able to know the system it belongs to.
 func (tg *Temporal) ReachabilityFraction(start, end int64) float64 {
-	tg.ensureSorted()
 	present := make(map[NodeID]bool)
-	g := tg.Snapshot(start - 1)
-	for _, v := range g.Nodes() {
-		present[v] = true
-	}
-	for _, ev := range tg.events {
-		if ev.At < start || ev.At > end {
-			continue
+	tg.Replay(start, end, func(_ int64, g *Graph) {
+		for v := range g.adj {
+			present[v] = true
 		}
-		if ev.Kind == NodeJoin {
-			present[ev.U] = true
-		}
-		if ev.Kind == EdgeUp {
-			present[ev.U] = true
-			present[ev.V] = true
-		}
-	}
+	})
 	if len(present) == 0 {
 		return 0
 	}
@@ -262,14 +211,7 @@ func (tg *Temporal) ReachabilityFraction(start, end int64) float64 {
 	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 	total := 0.0
 	for _, v := range ids {
-		reach := tg.ReachableFrom(v, start, end)
-		n := 0
-		for u := range reach {
-			if present[u] {
-				n++
-			}
-		}
-		total += float64(n) / float64(len(present))
+		total += float64(len(tg.ReachableFrom(v, start, end))) / float64(len(present))
 	}
 	return total / float64(len(present))
 }

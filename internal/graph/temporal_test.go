@@ -1,6 +1,11 @@
 package graph
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/rng"
+)
 
 func TestTemporalSnapshot(t *testing.T) {
 	tg := NewTemporal()
@@ -226,5 +231,117 @@ func BenchmarkTemporalReach(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tg.ReachableFrom(0, 0, 200)
+	}
+}
+
+// randomTemporal builds a seeded evolving graph over a small ID space:
+// joins, leaves, edge flips, several events per timestamp and gaps
+// between timestamps.
+func randomTemporal(r *rng.Rand) *Temporal {
+	tg := NewTemporal()
+	at := int64(0)
+	for i, n := 0, 5+r.Intn(40); i < n; i++ {
+		if r.Bool(0.6) {
+			at += int64(r.Intn(4))
+		}
+		u, v := NodeID(r.Intn(8)), NodeID(r.Intn(8))
+		kind := EventKind(r.Intn(4))
+		if (kind == EdgeUp || kind == EdgeDown) && u == v {
+			kind = NodeJoin
+		}
+		tg.Record(TemporalEvent{At: at, Kind: kind, U: u, V: v})
+	}
+	return tg
+}
+
+// snapshotByHand applies every event up to t to a fresh graph, one by one,
+// without the replay.
+func snapshotByHand(tg *Temporal, t int64) *Graph {
+	g := New()
+	for _, ev := range tg.Events() {
+		if ev.At <= t {
+			apply(g, ev)
+		}
+	}
+	return g
+}
+
+func sameGraph(a, b *Graph) bool {
+	if !reflect.DeepEqual(a.Nodes(), b.Nodes()) {
+		return false
+	}
+	for _, v := range a.Nodes() {
+		if !reflect.DeepEqual(a.Neighbors(v), b.Neighbors(v)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestReplayRandomized pins what Snapshot, ReachableFrom and
+// EarliestArrival owe the one replay, on a few hundred random evolving
+// graphs: a snapshot is the graph the visitor last saw, both equal the
+// log applied by hand, reachability is the key set of earliest arrival,
+// and earliest arrival is a flood over hand-built snapshots.
+func TestReplayRandomized(t *testing.T) {
+	for seed := uint64(1); seed <= 300; seed++ {
+		r := rng.New(seed)
+		tg := randomTemporal(r)
+		start, end := int64(r.Intn(10)), int64(10+r.Intn(40))
+		src := NodeID(r.Intn(8))
+
+		// The stable periods of the window, as the visitor sees them.
+		var times []int64
+		var seen []*Graph
+		tg.Replay(start, end, func(at int64, g *Graph) {
+			times = append(times, at)
+			seen = append(seen, g.Clone())
+		})
+		if times[0] != start || !sameGraph(seen[0], snapshotByHand(tg, start-1)) {
+			t.Fatalf("seed %d: replay does not enter the window on the graph before %d", seed, start)
+		}
+		for q := start; q <= end; q++ {
+			last := 0
+			for i, at := range times {
+				if i > 0 && at <= q {
+					last = i
+				}
+			}
+			snap := tg.Snapshot(q)
+			if !sameGraph(snap, seen[last]) || !sameGraph(snap, snapshotByHand(tg, q)) {
+				t.Fatalf("seed %d: Snapshot(%d) differs from the visitor's graph or the hand-applied log", seed, q)
+			}
+		}
+
+		want := make(map[NodeID]int64)
+		for i, at := range times {
+			g := seen[i]
+			if _, ok := want[src]; !ok && g.HasNode(src) {
+				want[src] = at
+			}
+			for grew := true; grew; {
+				grew = false
+				for v := range want {
+					for u := range g.BFS(v) {
+						if _, ok := want[u]; !ok {
+							want[u], grew = at, true
+						}
+					}
+				}
+			}
+		}
+		arrival := tg.EarliestArrival(src, start, end)
+		if !reflect.DeepEqual(arrival, want) {
+			t.Fatalf("seed %d: EarliestArrival(%d, %d, %d) = %v, want %v", seed, src, start, end, arrival, want)
+		}
+		reach := tg.ReachableFrom(src, start, end)
+		if len(reach) != len(arrival) {
+			t.Fatalf("seed %d: ReachableFrom has %d nodes, EarliestArrival %d", seed, len(reach), len(arrival))
+		}
+		for v := range arrival {
+			if !reach[v] {
+				t.Fatalf("seed %d: %d has an arrival time but is not reachable", seed, v)
+			}
+		}
 	}
 }

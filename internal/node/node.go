@@ -392,7 +392,6 @@ func (w *World) Join(id graph.NodeID) *Proc {
 		panic(fmt.Sprintf("node: entity %d joined twice", id))
 	}
 	now := int64(w.Engine.Now())
-	w.turnJoins++
 	rejoin := w.seen[id]
 	w.seen[id] = true
 	if rejoin {
@@ -400,6 +399,33 @@ func (w *World) Join(id graph.NodeID) *Proc {
 	}
 	w.Trace.Join(now, id)
 	w.recordChanges(now, w.Overlay.AddNode(id))
+	return w.bringUp(id, func(p *Proc) {
+		// Identity keying is an epoch-governed knob: a joiner operates under
+		// the latest committed stack, so ITS durability — not the frozen
+		// genesis config — decides whether this join restores or resets.
+		durable := w.cfg.Identity.Durable
+		if w.reconfig != nil {
+			durable = w.reconfig.stackOf(id).Durable
+		}
+		if w.auth != nil || w.audit != nil {
+			if durable {
+				w.identRestoreOnJoin(id)
+			} else if rejoin {
+				w.identResetOnRejoin(id)
+			}
+		}
+		p.behavior.Init(p)
+	})
+}
+
+// bringUp is the half of an arrival that Join and Recover share, run once
+// the arrival is on the trace and in the overlay: the entity becomes a
+// running Proc at the latest committed stack epoch (a recoverer missed any
+// commits while down, like a joiner), start initializes or restores its
+// behaviour and identity, and only then do the audit and pex sublayers
+// begin working for it.
+func (w *World) bringUp(id graph.NodeID, start func(p *Proc)) *Proc {
+	w.turnJoins++
 	p := &Proc{
 		ID:       id,
 		Value:    w.cfg.ValueOf(id),
@@ -408,22 +434,10 @@ func (w *World) Join(id graph.NodeID) *Proc {
 		alive:    true,
 	}
 	w.procs[id] = p
-	// Identity keying is an epoch-governed knob: a joiner operates under
-	// the latest committed stack, so ITS durability — not the frozen
-	// genesis config — decides whether this join restores or resets.
-	durable := w.cfg.Identity.Durable
 	if w.reconfig != nil {
 		w.reconfig.onJoin(id)
-		durable = w.reconfig.stackOf(id).Durable
 	}
-	if w.auth != nil || w.audit != nil {
-		if durable {
-			w.identRestoreOnJoin(id)
-		} else if rejoin {
-			w.identResetOnRejoin(id)
-		}
-	}
-	p.behavior.Init(p)
+	start(p)
 	if w.audit != nil {
 		w.audit.start(p)
 	}
@@ -431,6 +445,27 @@ func (w *World) Join(id graph.NodeID) *Proc {
 		w.pex.onJoin(w, p)
 	}
 	return p
+}
+
+// tearDown is the half of a departure that Leave and Crash share: the
+// trace records it, the entity's timers die with it and it stops being a
+// Proc. Its pex view is soft state and dies with the session either way
+// (a recovery re-bootstraps), as does its reconfiguration handshake state.
+func (w *World) tearDown(p *Proc, now core.Time) {
+	w.turnLeaves++
+	w.Trace.Leave(now, p.ID)
+	for _, t := range p.timers {
+		t.ev.Cancel()
+	}
+	p.timers = nil
+	p.alive = false
+	delete(w.procs, p.ID)
+	if w.pex != nil {
+		w.pex.onLeave(p.ID)
+	}
+	if w.reconfig != nil {
+		w.reconfig.onLeave(p.ID)
+	}
 }
 
 // Leave removes a present entity now: its timers die with it, in-flight
@@ -441,7 +476,6 @@ func (w *World) Leave(id graph.NodeID) {
 	if !ok {
 		return
 	}
-	w.turnLeaves++
 	now := int64(w.Engine.Now())
 	// Resolve the departing entity's durability under ITS current epoch
 	// before the handshake session state is torn down.
@@ -450,19 +484,7 @@ func (w *World) Leave(id graph.NodeID) {
 		durable = w.reconfig.stackOf(id).Durable
 	}
 	w.recordChanges(now, w.Overlay.RemoveNode(id))
-	w.Trace.Leave(now, id)
-	for _, t := range p.timers {
-		t.ev.Cancel()
-	}
-	p.timers = nil
-	p.alive = false
-	delete(w.procs, id)
-	if w.pex != nil {
-		w.pex.onLeave(id)
-	}
-	if w.reconfig != nil {
-		w.reconfig.onLeave(id)
-	}
+	w.tearDown(p, now)
 	if w.auth != nil || w.audit != nil {
 		if durable {
 			// The identity persists: write its sublayer state to the stable
@@ -504,7 +526,6 @@ func (w *World) Crash(id graph.NodeID) {
 	if !ok {
 		return
 	}
-	w.turnLeaves++
 	snap := durableSnapshot{}
 	if rec, ok := p.behavior.(Recoverable); ok {
 		snap.behavior, snap.hasBehavior = rec.Snapshot(), true
@@ -525,21 +546,7 @@ func (w *World) Crash(id graph.NodeID) {
 	}
 	now := int64(w.Engine.Now())
 	w.Trace.Mark(now, id, core.MarkCrash)
-	w.Trace.Leave(now, id)
-	for _, t := range p.timers {
-		t.ev.Cancel()
-	}
-	p.timers = nil
-	p.alive = false
-	delete(w.procs, id)
-	if w.pex != nil {
-		// The view is soft state and dies with the session; recovery
-		// re-bootstraps. (The overlay edges linger, as crashes leave them.)
-		w.pex.onLeave(id)
-	}
-	if w.reconfig != nil {
-		w.reconfig.onLeave(id)
-	}
+	w.tearDown(p, now)
 }
 
 // Recover brings a crashed entity back: it resumes executing under its
@@ -554,7 +561,6 @@ func (w *World) Recover(id graph.NodeID) *Proc {
 		panic(fmt.Sprintf("node: entity %d recovered while present", id))
 	}
 	now := int64(w.Engine.Now())
-	w.turnJoins++
 	w.seen[id] = true
 	w.Trace.Mark(now, id, core.MarkRecover)
 	w.Trace.Join(now, id)
@@ -572,56 +578,32 @@ func (w *World) Recover(id graph.NodeID) *Proc {
 			}
 		}
 	}
-	p := &Proc{
-		ID:       id,
-		Value:    w.cfg.ValueOf(id),
-		world:    w,
-		behavior: w.factory(id),
-		alive:    true,
-	}
-	w.procs[id] = p
-	if w.reconfig != nil {
-		// The recoverer missed any commits while down; it resumes at the
-		// latest committed epoch, like a joiner.
-		w.reconfig.onJoin(id)
-	}
-	if raw, ok := w.store.Load(id); ok {
-		// Stores written before the durable wrapper existed (or by tests
-		// seeding snapshots directly) hold the bare behavior snapshot.
-		snap, wrapped := raw.(durableSnapshot)
-		if !wrapped {
-			snap = durableSnapshot{behavior: raw, hasBehavior: true}
-		}
-		if snap.ident != nil && (w.auth != nil || w.audit != nil) {
-			rec, err := DecodeIdentity(snap.ident)
-			if err != nil {
-				// The store only ever holds records this process encoded; a
-				// decode failure is a bug, not an input condition.
-				panic(err.Error())
+	return w.bringUp(id, func(p *Proc) {
+		if raw, ok := w.store.Load(id); ok {
+			// Stores written before the durable wrapper existed (or by tests
+			// seeding snapshots directly) hold the bare behavior snapshot.
+			snap, wrapped := raw.(durableSnapshot)
+			if !wrapped {
+				snap = durableSnapshot{behavior: raw, hasBehavior: true}
 			}
-			w.restoreIdentityState(id, rec)
-		}
-		if snap.hasBehavior {
-			if rec, ok := p.behavior.(Recoverable); ok {
-				rec.Restore(p, snap.behavior)
-				if w.audit != nil {
-					w.audit.start(p)
+			if snap.ident != nil && (w.auth != nil || w.audit != nil) {
+				rec, err := DecodeIdentity(snap.ident)
+				if err != nil {
+					// The store only ever holds records this process encoded; a
+					// decode failure is a bug, not an input condition.
+					panic(err.Error())
 				}
-				if w.pex != nil {
-					w.pex.onJoin(w, p)
+				w.restoreIdentityState(id, rec)
+			}
+			if snap.hasBehavior {
+				if rec, ok := p.behavior.(Recoverable); ok {
+					rec.Restore(p, snap.behavior)
+					return
 				}
-				return p
 			}
 		}
-	}
-	p.behavior.Init(p)
-	if w.audit != nil {
-		w.audit.start(p)
-	}
-	if w.pex != nil {
-		w.pex.onJoin(w, p)
-	}
-	return p
+		p.behavior.Init(p)
+	})
 }
 
 func (w *World) recordChanges(now core.Time, chs []topology.Change) {
