@@ -110,10 +110,11 @@ func e27IsPoisoner(id graph.NodeID) bool {
 	return false
 }
 
-// e27Run executes one cell: n members on a manual overlay, views seeded
-// from the n-ring, the dead pool stocked by entity n's departure at tick
-// 10, the arm's fault schedule attached for the whole run.
-func e27Run(cfg Config, seed uint64, n int, arm e27Arm) e27Result {
+// e27World runs one cell's world to its horizon: n members on a manual
+// overlay, views seeded from the n-ring, the dead pool stocked by entity
+// n's departure at tick 10, the arm's fault schedule attached for the
+// whole run.
+func e27World(cfg Config, seed uint64, n int, arm e27Arm) *node.World {
 	engine := sim.New()
 	ncfg := node.Config{
 		MinLatency: 1, MaxLatency: 2, Seed: seed,
@@ -133,7 +134,12 @@ func e27Run(cfg Config, seed uint64, n int, arm e27Arm) e27Result {
 	engine.RunUntil(e27Horizon(cfg))
 	stop()
 	w.Close()
+	return w
+}
 
+// e27Run executes one cell and gathers what E27 measures from it.
+func e27Run(cfg Config, seed uint64, n int, arm e27Arm) e27Result {
+	w := e27World(cfg, seed, n, arm)
 	res := e27Result{
 		convergedAt: w.PexConvergedAt(),
 		pex:         w.PexTotals(),

@@ -1,0 +1,128 @@
+package exp
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"os"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/node"
+	"repro/internal/otq"
+)
+
+// updateDigests re-pins testdata/trace_digests.json from this code:
+//
+//	go test ./internal/exp -run TestTraceDigests -update
+var updateDigests = flag.Bool("update", false, "re-pin testdata/trace_digests.json from this code")
+
+const traceDigestPath = "testdata/trace_digests.json"
+
+// traceDigestCells is one quick cell (seed 1) per sublayer experiment,
+// picked so every sublayer's lifecycle path runs: retransmission with the
+// adaptive estimator through crashes (E21), budget quarantines (E22),
+// proof quarantines with parole and pardon (E23), pull, pins and eviction
+// (E24), session-keyed and durable rejoins (E25), epoch switches over
+// durable churn (E26), pex with the view audit (E27) — plus two cells no
+// experiment has: crash–recovery under the security stack, and a
+// durable-identity rejoin whose parole deadline expires while the holder
+// is away. In that last cell every rejoining holder has quarantined only
+// entity 3, so no two expired paroles of one holder re-arm at one tick.
+var traceDigestCells = []struct {
+	name string
+	run  func(cfg Config) *core.Trace
+}{
+	{"E21 storm+crash adaptive", func(cfg Config) *core.Trace {
+		ncfg := node.Config{MinLatency: 1, MaxLatency: 2, Seed: 1, Reliable: e21Adaptive}
+		w, _, _ := stormCell(ncfg, cycleScript(16), e21Plan("storm+crash", 1), digestEcho(), cfg.horizon(3000),
+			otq.CheckOptions{BridgeRecoveries: true}, nil)
+		return w.Trace
+	}},
+	{"E22 byz-storm auth", func(cfg Config) *core.Trace {
+		_, _, tr, _, _ := e22Run(cfg, digestEcho(), "byz-storm", 1, true)
+		return tr
+	}},
+	{"E23 equiv+forge audit", func(cfg Config) *core.Trace {
+		return e23Run(cfg, digestEcho(), "equiv+forge", 1, true).tr
+	}},
+	{"E24 pull ttl=2", func(cfg Config) *core.Trace { return e24Run(cfg, e24Wave(), 1, e24Arms[2]).tr }},
+	{"E24 chaff pinned r=12", func(cfg Config) *core.Trace { return e24Run(cfg, e24Wave(), 1, e24Arms[5]).tr }},
+	{"E25 session", func(cfg Config) *core.Trace { return e25Run(cfg, e24Wave(), 1, e25Arms[0]).tr }},
+	{"E25 durable reset", func(cfg Config) *core.Trace { return e25Run(cfg, e24Wave(), 1, e25Arms[2]).tr }},
+	{"E26 flip-mid-run", func(cfg Config) *core.Trace { return e26Run(cfg, e24Wave(), 1, e26Arms[2]).tr }},
+	{"E26 reconfig-storm", func(cfg Config) *core.Trace { return e26Run(cfg, e24Wave(), 1, e26Arms[3]).tr }},
+	{"E27 defended n=64", func(cfg Config) *core.Trace { return e27World(cfg, 1, 64, e27Arms[2]).Trace }},
+	{"crash under auth+audit", func(cfg Config) *core.Trace {
+		ncfg := node.Config{
+			MinLatency: 1, MaxLatency: 2, Seed: 1,
+			Reliable: e21Reliable,
+			Auth:     node.AuthConfig{Enabled: true, Parole: e23Parole},
+			Audit:    node.AuditConfig{Enabled: true, GossipBudget: 32, Pull: true},
+		}
+		pl := mustPlan("equiv:nodes=3,peers=2+4,p=1;corrupt:nodes=7,p=0.25;crash:nodes=4+12,recover=50@60;seed=9")
+		w, _, _ := stormCell(ncfg, chordScript(16), pl, digestEcho(), cfg.horizon(3000),
+			otq.CheckOptions{BridgeRecoveries: true}, nil)
+		return w.Trace
+	}},
+	{"durable rejoin past parole", func(cfg Config) *core.Trace {
+		ncfg := node.Config{
+			MinLatency: 1, MaxLatency: 2, Seed: 1,
+			Reliable: e21Reliable,
+			Auth:     node.AuthConfig{Enabled: true, Parole: 150},
+			Audit:    node.AuditConfig{Enabled: true, GossipInterval: 4, GossipBudget: 32, HoldFor: 40},
+			Identity: node.IdentityConfig{Durable: true},
+		}
+		w, _, _ := stormCell(ncfg, chordScript(16), e25Plan(1, e25Arms[1]), e24Wave(), e25Horizon(cfg),
+			otq.CheckOptions{BridgeRejoins: true}, nil)
+		return w.Trace
+	}},
+}
+
+func digestEcho() otq.Protocol {
+	return &otq.EchoWave{RescanInterval: 3, QuietFor: 60, MaxRescans: 3000}
+}
+
+// TestTraceDigests pins the sha256 of the WHOLE encoded trace of each
+// cell — every mark, send, drop and delivery in order. bench/golden.json
+// hashes counters only; this is what notices a sublayer refactor that
+// keeps the totals and reorders the events.
+func TestTraceDigests(t *testing.T) {
+	got := make(map[string]string, len(traceDigestCells))
+	for _, c := range traceDigestCells {
+		var buf bytes.Buffer
+		if err := core.EncodeTrace(&buf, c.run(Config{Quick: true})); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		got[c.name] = hex.EncodeToString(sum[:])
+	}
+	if *updateDigests {
+		out, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(traceDigestPath, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(traceDigestPath)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	want := map[string]string{}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Errorf("%s pins %d cells, the table has %d", traceDigestPath, len(want), len(got))
+	}
+	for _, c := range traceDigestCells {
+		if got[c.name] != want[c.name] {
+			t.Errorf("%s: trace digest %s, pinned %s", c.name, got[c.name], want[c.name])
+		}
+	}
+}

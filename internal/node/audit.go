@@ -371,7 +371,8 @@ func SignReceipt(sigSeed uint64, sender graph.NodeID, bseq, fp uint64) Receipt {
 	return Receipt{Sender: sender, BSeq: bseq, FP: fp, Sig: sigOver(sigSeed, sender, bseq, fp)}
 }
 
-// AuditCounters are one entity's audit-sublayer statistics.
+// AuditCounters are the audit sublayer's statistics, summed over every
+// entity of the run.
 type AuditCounters struct {
 	// ReceiptsSent counts receipt-gossip messages this entity sent.
 	ReceiptsSent int
@@ -419,12 +420,11 @@ type AuditSummary struct {
 	Holders map[graph.NodeID]int
 }
 
-// bcastKey identifies one logical broadcast on the sender side: the same
-// (tag, honest payload) gets the same bseq toward every neighbor.
+// bcastKey identifies one logical broadcast of a sender: the same (tag,
+// honest payload) gets the same bseq toward every neighbor.
 type bcastKey struct {
-	from graph.NodeID
-	tag  string
-	fp   uint64
+	tag string
+	fp  uint64
 }
 
 // rkey identifies the subject of a receipt.
@@ -433,42 +433,85 @@ type rkey struct {
 	bseq   uint64
 }
 
-type auditLayer struct {
-	cfg AuditConfig
-	// bseqNext and bseqOf are sender-side: the per-sender broadcast
-	// counter and the bseq memo per (tag, honest fingerprint). The counter
-	// lives with the signing key on stable storage: Crash (and a durable-
-	// identity Leave) persists it in the identity record and restores it,
-	// while a session-keyed departure loses it — the next session numbers
-	// from 1 as a fresh principal.
-	bseqNext map[graph.NodeID]uint64
+// observer is one entity's whole audit ledger. A session-keyed departure
+// deletes it; a durable-identity departure and a crash keep the receiver
+// side across the absence (the store rides the identity) and reset only
+// the sender side, whose counter travels in the identity record.
+type observer struct {
+	// bseqNext and bseqOf are the sender side: the broadcast counter and
+	// the bseq memo per (tag, honest fingerprint). The counter lives with
+	// the signing key on stable storage: Crash (and a durable-identity
+	// Leave) persists it in the identity record and restores it, while a
+	// session-keyed departure loses it — the next session numbers from 1
+	// as a fresh principal.
+	bseqNext uint64
 	bseqOf   map[bcastKey]uint64
-	// receipts, order and pending are receiver-side, per observer: the
-	// retained receipt per (sender, bseq), the retention order, and the
+	// receipts, order and pending are the receiver side: the retained
+	// receipt per (sender, bseq), the retention order, and the
 	// own-observed receipts not yet gossiped.
-	receipts map[graph.NodeID]map[rkey]Receipt
-	order    map[graph.NodeID][]rkey
-	pending  map[graph.NodeID][]Receipt
-	// pinned and pinOrder are the retention policy's evidence pins, per
-	// observer: keys with a known-divergent fingerprint that eviction must
-	// not touch, bounded to Retain/2 FIFO.
-	pinned   map[graph.NodeID]map[rkey]bool
-	pinOrder map[graph.NodeID][]rkey
-	// advertised marks, per observer, the held keys whose fingerprint has
-	// appeared in at least one outgoing pull digest — the pinned policy's
+	receipts map[rkey]Receipt
+	order    []rkey
+	pending  []Receipt
+	// pinned and pinOrder are the retention policy's evidence pins: keys
+	// with a known-divergent fingerprint that eviction must not touch,
+	// bounded to Retain/2 FIFO.
+	pinned   map[rkey]bool
+	pinOrder []rkey
+	// advertised marks the held keys whose fingerprint has appeared in at
+	// least one outgoing pull digest — the pinned policy's
 	// advertise-before-evict ordering reads it. Entries are cleared on
 	// eviction, so the map is bounded by the store.
-	advertised map[graph.NodeID]map[rkey]bool
+	advertised map[rkey]bool
 	// pullRound and pullCursor drive the pull anti-entropy rotation: which
 	// neighbor subset the next request targets and where in the retention
 	// order the next digest starts.
-	pullRound  map[graph.NodeID]uint64
-	pullCursor map[graph.NodeID]int
-	// proven and proofs are per (observer, offender): the standing
-	// conviction and the receipt pair behind it. everProven survives
-	// parole, for propagation accounting.
-	proven     map[[2]graph.NodeID]bool
-	proofs     map[[2]graph.NodeID][2]Receipt
+	pullRound  uint64
+	pullCursor int
+	// proven holds the standing conviction per offender, as the receipt
+	// pair behind it.
+	proven map[graph.NodeID][2]Receipt
+}
+
+// forget drops everything the observer stores about one sender — held
+// and pending receipts, advertisement marks, pins — keeping the retention
+// and pin orders of the rest.
+func (o *observer) forget(sender graph.NodeID) {
+	order := o.order[:0]
+	for _, k := range o.order {
+		if k.sender == sender {
+			delete(o.receipts, k)
+			delete(o.advertised, k)
+		} else {
+			order = append(order, k)
+		}
+	}
+	o.order = order
+	pending := o.pending[:0]
+	for _, r := range o.pending {
+		if r.Sender != sender {
+			pending = append(pending, r)
+		}
+	}
+	o.pending = pending
+	pins := o.pinOrder[:0]
+	for _, k := range o.pinOrder {
+		if k.sender == sender {
+			delete(o.pinned, k)
+		} else {
+			pins = append(pins, k)
+		}
+	}
+	o.pinOrder = pins
+}
+
+type auditLayer struct {
+	cfg AuditConfig
+	// observers holds one ledger per entity with audit state in memory.
+	// Running entities reach theirs through Proc.audit.
+	observers map[graph.NodeID]*observer
+	// everProven marks every (observer, offender) conviction ever reached.
+	// It is world-level accounting, not observer state: it survives parole
+	// and the observer's departure, for the propagation count.
 	everProven map[[2]graph.NodeID]bool
 	// truthFP tracks, per broadcast, every fingerprint DELIVERED anywhere
 	// — the world-held ground truth. provenB marks broadcasts proven.
@@ -479,38 +522,29 @@ type auditLayer struct {
 	truthFP     map[rkey]map[uint64]bool
 	truthSingle []rkey
 	provenB     map[rkey]bool
-	stats       map[graph.NodeID]*AuditCounters
+	totals      AuditCounters
 }
 
 func newAuditLayer(cfg AuditConfig) *auditLayer {
 	return &auditLayer{
 		cfg:        cfg,
-		bseqNext:   make(map[graph.NodeID]uint64),
-		bseqOf:     make(map[bcastKey]uint64),
-		receipts:   make(map[graph.NodeID]map[rkey]Receipt),
-		order:      make(map[graph.NodeID][]rkey),
-		pending:    make(map[graph.NodeID][]Receipt),
-		pinned:     make(map[graph.NodeID]map[rkey]bool),
-		pinOrder:   make(map[graph.NodeID][]rkey),
-		advertised: make(map[graph.NodeID]map[rkey]bool),
-		pullRound:  make(map[graph.NodeID]uint64),
-		pullCursor: make(map[graph.NodeID]int),
-		proven:     make(map[[2]graph.NodeID]bool),
-		proofs:     make(map[[2]graph.NodeID][2]Receipt),
+		observers:  make(map[graph.NodeID]*observer),
 		everProven: make(map[[2]graph.NodeID]bool),
 		truthFP:    make(map[rkey]map[uint64]bool),
 		provenB:    make(map[rkey]bool),
-		stats:      make(map[graph.NodeID]*AuditCounters),
 	}
 }
 
-func (au *auditLayer) counters(id graph.NodeID) *AuditCounters {
-	c := au.stats[id]
-	if c == nil {
-		c = &AuditCounters{}
-		au.stats[id] = c
+// observer returns an entity's ledger, creating it on first use.
+func (au *auditLayer) observer(id graph.NodeID) *observer {
+	o := au.observers[id]
+	if o == nil {
+		// pinned, advertised and proven wait for their first entry: most
+		// observers never meet a divergence.
+		o = &observer{bseqOf: make(map[bcastKey]uint64), receipts: make(map[rkey]Receipt)}
+		au.observers[id] = o
 	}
-	return c
+	return o
 }
 
 // stamps reports whether outgoing messages with this tag get a broadcast
@@ -529,18 +563,18 @@ func (au *auditLayer) stamps(tag string) bool {
 }
 
 // bseqFor assigns (or recalls) the broadcast sequence number of one
-// logical broadcast: per-neighbor copies of the same honest (tag,
+// logical broadcast of p: per-neighbor copies of the same honest (tag,
 // payload) share it. Called BEFORE the sender hook can replace the
 // payload — the number binds to what the sender was supposed to say.
-func (au *auditLayer) bseqFor(from graph.NodeID, tag string, payload any) uint64 {
-	key := bcastKey{from: from, tag: tag, fp: fingerprint(payload)}
-	if b, ok := au.bseqOf[key]; ok {
+func (au *auditLayer) bseqFor(p *Proc, tag string, payload any) uint64 {
+	o := p.audit
+	key := bcastKey{tag: tag, fp: fingerprint(payload)}
+	if b, ok := o.bseqOf[key]; ok {
 		return b
 	}
-	au.bseqNext[from]++
-	b := au.bseqNext[from]
-	au.bseqOf[key] = b
-	return b
+	o.bseqNext++
+	o.bseqOf[key] = o.bseqNext
+	return o.bseqNext
 }
 
 // sign computes the sender's transferable signature over the FINAL
@@ -552,13 +586,13 @@ func (au *auditLayer) sign(from graph.NodeID, bseq uint64, payload any) uint64 {
 }
 
 // observe distills an accepted protocol delivery into a receipt at the
-// receiver, feeding both the gossip queue and the world-held ground
+// receiver q, feeding both the gossip queue and the world-held ground
 // truth.
-func (au *auditLayer) observe(w *World, m Message) {
+func (au *auditLayer) observe(w *World, q *Proc, m Message) {
 	fp := fingerprint(m.Payload)
 	r := Receipt{Sender: m.From, BSeq: m.bseq, FP: fp, Sig: m.sig}
 	if !VerifyReceipt(au.cfg.SigSeed, r) {
-		au.counters(m.To).BadSig++
+		au.totals.BadSig++
 		return
 	}
 	k := rkey{sender: m.From, bseq: m.bseq}
@@ -570,7 +604,7 @@ func (au *auditLayer) observe(w *World, m Message) {
 		au.pruneTruth()
 	}
 	fps[fp] = true
-	au.record(w, m.To, r, true)
+	au.record(w, q, r, true)
 }
 
 // pruneTruth bounds the ground-truth map: entries still holding a single
@@ -588,35 +622,29 @@ func (au *auditLayer) pruneTruth() {
 	}
 }
 
-// record stores one verified receipt at an observer. A conflicting
+// record stores one verified receipt at the observer p. A conflicting
 // receipt already on file for the same (sender, bseq) triggers the
 // conviction; own observations (not gossiped-in ones) additionally queue
 // for the next gossip round.
-func (au *auditLayer) record(w *World, at graph.NodeID, r Receipt, own bool) {
-	st := au.receipts[at]
-	if st == nil {
-		st = make(map[rkey]Receipt)
-		au.receipts[at] = st
-	}
+func (au *auditLayer) record(w *World, p *Proc, r Receipt, own bool) {
+	o := p.audit
 	k := rkey{sender: r.Sender, bseq: r.BSeq}
-	if prev, ok := st[k]; ok {
+	if prev, ok := o.receipts[k]; ok {
 		if prev.FP != r.FP {
-			au.pin(at, k)
-			au.prove(w, at, r.Sender, prev, r)
+			au.pin(o, k)
+			au.prove(w, p, r.Sender, prev, r)
 		}
 		return
 	}
-	st[k] = r
-	au.order[at] = append(au.order[at], k)
-	au.enforceRetain(w, at)
+	o.receipts[k] = r
+	o.order = append(o.order, k)
+	au.enforceRetain(w, p)
 	if own {
-		au.pending[at] = append(au.pending[at], r)
-		if au.cfg.GossipInterval <= 0 {
+		o.pending = append(o.pending, r)
+		if au.cfg.GossipInterval <= 0 && p.alive {
 			// No gossip loop is running to drain pending — flush inline so
 			// the queue cannot grow without bound.
-			if p := w.procs[at]; p != nil && p.alive {
-				au.flush(p)
-			}
+			au.flush(p)
 		}
 	}
 }
@@ -625,44 +653,35 @@ func (au *auditLayer) record(w *World, at graph.NodeID, r Receipt, own bool) {
 // fingerprint for its (sender, bseq) is known to diverge somewhere. Pins
 // are themselves bounded to half the store, oldest unpinned first, so a
 // flood of divergence cannot freeze retention solid.
-func (au *auditLayer) pin(at graph.NodeID, k rkey) {
-	if _, held := au.receipts[at][k]; !held {
-		return
-	}
-	pins := au.pinned[at]
-	if pins == nil {
-		pins = make(map[rkey]bool)
-		au.pinned[at] = pins
-	}
-	if pins[k] {
+func (au *auditLayer) pin(o *observer, k rkey) {
+	if _, held := o.receipts[k]; !held || o.pinned[k] {
 		return
 	}
 	limit := au.cfg.Retain / 2
 	if limit < 1 {
 		limit = 1
 	}
-	for len(au.pinOrder[at]) >= limit {
-		old := au.pinOrder[at][0]
-		au.pinOrder[at] = au.pinOrder[at][1:]
-		delete(pins, old)
+	for len(o.pinOrder) >= limit {
+		delete(o.pinned, o.pinOrder[0])
+		o.pinOrder = o.pinOrder[1:]
 	}
-	pins[k] = true
-	au.pinOrder[at] = append(au.pinOrder[at], k)
-	au.counters(at).Pinned++
+	lazySet(&o.pinned, k, true)
+	o.pinOrder = append(o.pinOrder, k)
+	au.totals.Pinned++
 }
 
-// enforceRetain holds the store to the exact Retain cap. Under
+// enforceRetain holds p's store to the exact Retain cap. Under
 // reconfiguration both the cap and the eviction policy are those of the
 // observer's CURRENT epoch — an epoch switch that tightens Retain calls
 // this to shrink the store immediately, under the new policy.
-func (au *auditLayer) enforceRetain(w *World, at graph.NodeID) {
+func (au *auditLayer) enforceRetain(w *World, p *Proc) {
 	retain, retention := au.cfg.Retain, au.cfg.Retention
 	if w.reconfig != nil {
-		st := w.reconfig.stackOf(at)
+		st := w.reconfig.stackFor(p.reconf.epoch)
 		retain, retention = st.Retain, st.Retention
 	}
-	for len(au.order[at]) > retain {
-		au.evictOne(at, retention)
+	for len(p.audit.order) > retain {
+		au.evictOne(p.audit, retention)
 	}
 }
 
@@ -677,18 +696,16 @@ func (au *auditLayer) enforceRetain(w *World, at graph.NodeID) {
 // is left waiting for its digest turn. The store falls back to the
 // oldest unpinned outright, and to the oldest of all only when
 // everything is pinned.
-func (au *auditLayer) evictOne(at graph.NodeID, retention string) {
-	ord := au.order[at]
+func (au *auditLayer) evictOne(o *observer, retention string) {
+	ord := o.order
 	if len(ord) == 0 {
 		return
 	}
 	idx := 0
 	if retention != RetentionFIFO {
 		idx = -1
-		pins := au.pinned[at]
-		adv := au.advertised[at]
 		for i := range ord {
-			if adv[ord[i]] && !pins[ord[i]] {
+			if o.advertised[ord[i]] && !o.pinned[ord[i]] {
 				idx = i
 				break
 			}
@@ -701,7 +718,7 @@ func (au *auditLayer) evictOne(at graph.NodeID, retention string) {
 			// simply immortal, which is what the push-path eviction attack
 			// needs defeated.
 			for i := len(ord) / 2; i < len(ord); i++ {
-				if !pins[ord[i]] {
+				if !o.pinned[ord[i]] {
 					idx = i
 					break
 				}
@@ -709,7 +726,7 @@ func (au *auditLayer) evictOne(at graph.NodeID, retention string) {
 		}
 		if idx < 0 {
 			for i := range ord {
-				if !pins[ord[i]] {
+				if !o.pinned[ord[i]] {
 					idx = i
 					break
 				}
@@ -720,28 +737,29 @@ func (au *auditLayer) evictOne(at graph.NodeID, retention string) {
 		}
 	}
 	evict := ord[idx]
-	au.order[at] = append(ord[:idx], ord[idx+1:]...)
-	delete(au.receipts[at], evict)
-	delete(au.advertised[at], evict)
-	if pins := au.pinned[at]; pins[evict] {
-		delete(pins, evict)
-		for i, k := range au.pinOrder[at] {
+	o.order = append(ord[:idx], ord[idx+1:]...)
+	delete(o.receipts, evict)
+	delete(o.advertised, evict)
+	if o.pinned[evict] {
+		delete(o.pinned, evict)
+		for i, k := range o.pinOrder {
 			if k == evict {
-				au.pinOrder[at] = append(au.pinOrder[at][:i], au.pinOrder[at][i+1:]...)
+				o.pinOrder = append(o.pinOrder[:i], o.pinOrder[i+1:]...)
 				break
 			}
 		}
 	}
-	au.counters(at).Evicted++
+	au.totals.Evicted++
 }
 
-// prove convicts: `by` now holds two of offender's signatures on
-// divergent payloads under one broadcast number. The link quarantines
-// through the auth sublayer (parole applies there uniformly), the
-// conviction is marked at the offender for trace checkers, and the
-// receipt pair is forwarded so every neighbor can convict independently
-// — transitive propagation with no trust in the forwarder.
-func (au *auditLayer) prove(w *World, by, offender graph.NodeID, a, b Receipt) {
+// prove convicts: p now holds two of offender's signatures on divergent
+// payloads under one broadcast number. The link quarantines through the
+// auth sublayer (parole applies there uniformly), the conviction is
+// marked at the offender for trace checkers, and the receipt pair is
+// forwarded so every neighbor can convict independently — transitive
+// propagation with no trust in the forwarder.
+func (au *auditLayer) prove(w *World, p *Proc, offender graph.NodeID, a, b Receipt) {
+	by := p.ID
 	if by == offender {
 		// The evidence reached the offender itself (gossip is undirected);
 		// an entity neither convicts nor quarantines its own link.
@@ -750,40 +768,35 @@ func (au *auditLayer) prove(w *World, by, offender graph.NodeID, a, b Receipt) {
 	// The BROADCAST is proven regardless of whether this observer already
 	// convicted the sender over earlier evidence.
 	au.provenB[rkey{sender: a.Sender, bseq: a.BSeq}] = true
-	pair := [2]graph.NodeID{by, offender}
-	if au.proven[pair] {
+	if _, standing := p.audit.proven[offender]; standing {
 		return
 	}
-	au.proven[pair] = true
-	au.proofs[pair] = [2]Receipt{a, b}
-	if !au.everProven[pair] {
+	proof := [2]Receipt{a, b}
+	lazySet(&p.audit.proven, offender, proof)
+	if pair := [2]graph.NodeID{by, offender}; !au.everProven[pair] {
 		au.everProven[pair] = true
-		au.counters(by).ProofsHeld++
+		au.totals.ProofsHeld++
 	}
 	now := int64(w.Engine.Now())
 	w.Trace.Mark(now, offender, core.MarkProvenEquivocator)
 	w.auth.quarantine(w, by, offender)
-	p := w.procs[by]
-	if p == nil || !p.alive {
+	if !p.alive {
 		return
 	}
-	proof := [2]Receipt{a, b}
 	for _, u := range p.Neighbors() {
 		if u == offender {
 			continue
 		}
 		p.Send(u, AuditProofTag, proof)
-		au.counters(by).ProofsForwarded++
+		au.totals.ProofsForwarded++
 	}
 }
 
 // digest assembles up to PullBudget digest entries from the store,
 // starting at a rotating cursor so a store larger than the budget is
 // advertised incrementally across rounds.
-func (au *auditLayer) digest(at graph.NodeID) []DigestEntry {
-	ord := au.order[at]
-	st := au.receipts[at]
-	n := len(ord)
+func (au *auditLayer) digest(o *observer) []DigestEntry {
+	n := len(o.order)
 	if n == 0 {
 		return nil
 	}
@@ -791,23 +804,18 @@ func (au *auditLayer) digest(at graph.NodeID) []DigestEntry {
 	if budget > n {
 		budget = n
 	}
-	adv := au.advertised[at]
-	if adv == nil {
-		adv = make(map[rkey]bool)
-		au.advertised[at] = adv
-	}
 	out := make([]DigestEntry, 0, budget)
-	start := au.pullCursor[at] % n
+	start := o.pullCursor % n
 	for i := 0; i < n && len(out) < budget; i++ {
-		k := ord[(start+i)%n]
-		r, ok := st[k]
+		k := o.order[(start+i)%n]
+		r, ok := o.receipts[k]
 		if !ok {
 			continue
 		}
-		adv[k] = true
+		lazySet(&o.advertised, k, true)
 		out = append(out, DigestEntry{Sender: k.sender, BSeq: k.bseq, FP: r.FP})
 	}
-	au.pullCursor[at] = (start + len(out)) % n
+	o.pullCursor = (start + len(out)) % n
 	return out
 }
 
@@ -825,7 +833,7 @@ func (au *auditLayer) pullTargets(p *Proc, round uint64, excluded func(graph.Nod
 	}
 	fanout := au.cfg.PullFanout
 	if w := p.world; w.reconfig != nil {
-		fanout = w.reconfig.stackOf(p.ID).PullFanout
+		fanout = w.reconfig.stackFor(p.reconf.epoch).PullFanout
 	}
 	f := fanout
 	if f > len(cand) {
@@ -842,56 +850,52 @@ func (au *auditLayer) pullTargets(p *Proc, round uint64, excluded func(graph.Nod
 // pullTick originates one pull round: digest the store, send it to this
 // round's targets with the full TTL budget, reschedule.
 func (au *auditLayer) pullTick(p *Proc) {
-	if d := au.digest(p.ID); len(d) > 0 {
-		round := au.pullRound[p.ID]
-		au.pullRound[p.ID]++
+	if d := au.digest(p.audit); len(d) > 0 {
+		round := p.audit.pullRound
+		p.audit.pullRound++
 		req := PullRequest{
 			Origin: p.ID,
 			TTL:    au.cfg.PullTTL - 1,
 			Path:   []graph.NodeID{p.ID},
 			Digest: d,
 		}
-		c := au.counters(p.ID)
 		for _, u := range au.pullTargets(p, round, func(id graph.NodeID) bool { return id == p.ID }) {
 			p.Send(u, AuditPullTag, req)
-			c.PullsSent++
+			au.totals.PullsSent++
 		}
 	}
 	p.After(au.cfg.PullInterval, func() { au.pullTick(p) })
 }
 
-// onPull answers a digest and forwards it while TTL remains. Any held
-// receipt whose fingerprint diverges from a digest entry goes back
+// onPull answers a digest at p and forwards it while TTL remains. Any
+// held receipt whose fingerprint diverges from a digest entry goes back
 // toward the origin along the recorded path — and is pinned locally,
 // since it is now known to be one half of a conviction. Malformed
 // requests (broken path, over-budget digest, loops) are dropped; a lying
 // relay can at worst waste its own neighborhood's messages, never frame
 // anyone, because convictions still re-verify both signatures.
-func (au *auditLayer) onPull(w *World, m Message, req PullRequest) {
-	at := m.To
+func (au *auditLayer) onPull(p *Proc, m Message, req PullRequest) {
+	at, o := p.ID, p.audit
 	if len(req.Path) == 0 || req.Path[0] != req.Origin ||
 		req.Path[len(req.Path)-1] != m.From || containsID(req.Path, at) ||
 		req.TTL < 0 || req.TTL > maxPullTTL || len(req.Digest) > au.cfg.PullBudget {
-		au.counters(at).BadSig++
+		au.totals.BadSig++
 		return
 	}
-	st := au.receipts[at]
 	var div []Receipt
 	for _, e := range req.Digest {
 		k := rkey{sender: e.Sender, bseq: e.BSeq}
-		if r, held := st[k]; held && r.FP != e.FP {
-			au.pin(at, k)
+		if r, held := o.receipts[k]; held && r.FP != e.FP {
+			au.pin(o, k)
 			div = append(div, r)
 		}
 	}
-	p := w.procs[at]
-	if p == nil || !p.alive {
+	if !p.alive {
 		return
 	}
-	c := au.counters(at)
 	if len(div) > 0 {
 		p.Send(m.From, AuditPullRespTag, PullResponse{Path: req.Path, Receipts: div})
-		c.PullReplies++
+		au.totals.PullReplies++
 	}
 	if req.TTL > 0 {
 		fwd := PullRequest{
@@ -900,40 +904,41 @@ func (au *auditLayer) onPull(w *World, m Message, req PullRequest) {
 			Path:   append(append([]graph.NodeID{}, req.Path...), at),
 			Digest: req.Digest,
 		}
-		for _, u := range au.pullTargets(p, au.pullRound[at], func(id graph.NodeID) bool {
+		for _, u := range au.pullTargets(p, o.pullRound, func(id graph.NodeID) bool {
 			return id == at || containsID(fwd.Path, id)
 		}) {
 			p.Send(u, AuditPullTag, fwd)
-			c.PullsRelayed++
+			au.totals.PullsRelayed++
 		}
 	}
 }
 
-// onPullResp records a response's receipts (convicting on conflict with
-// the local store, exactly as for pushed gossip) and unwinds it one hop
-// closer to the origin.
-func (au *auditLayer) onPullResp(w *World, m Message, resp PullResponse) {
-	at := m.To
-	if len(resp.Path) == 0 || resp.Path[len(resp.Path)-1] != at {
-		au.counters(at).BadSig++
+// onPullResp records a response's receipts at p (convicting on conflict
+// with the local store, exactly as for pushed gossip) and unwinds it one
+// hop closer to the origin.
+func (au *auditLayer) onPullResp(w *World, p *Proc, resp PullResponse) {
+	if len(resp.Path) == 0 || resp.Path[len(resp.Path)-1] != p.ID {
+		au.totals.BadSig++
 		return
 	}
-	for _, r := range resp.Receipts {
-		if !VerifyReceipt(au.cfg.SigSeed, r) {
-			au.counters(at).BadSig++
-			continue
-		}
-		au.record(w, at, r, false)
-	}
+	au.recordAll(w, p, resp.Receipts)
 	rest := resp.Path[:len(resp.Path)-1]
-	if len(rest) == 0 {
-		return
-	}
-	p := w.procs[at]
-	if p == nil || !p.alive {
+	if len(rest) == 0 || !p.alive {
 		return
 	}
 	p.Send(rest[len(rest)-1], AuditPullRespTag, PullResponse{Path: rest, Receipts: resp.Receipts})
+}
+
+// recordAll merges gossiped-in receipts into p's store, skipping (and
+// counting) any whose signature does not verify.
+func (au *auditLayer) recordAll(w *World, p *Proc, rs []Receipt) {
+	for _, r := range rs {
+		if !VerifyReceipt(au.cfg.SigSeed, r) {
+			au.totals.BadSig++
+			continue
+		}
+		au.record(w, p, r, false)
+	}
 }
 
 func containsID(ids []graph.NodeID, id graph.NodeID) bool {
@@ -945,36 +950,27 @@ func containsID(ids []graph.NodeID, id graph.NodeID) bool {
 	return false
 }
 
-// onAudit handles the sublayer's own traffic at the receiver: receipt
+// onAudit handles the sublayer's own traffic at the receiver p: receipt
 // batches merge into the local store (convicting on conflict), proof
 // pairs are re-verified from scratch — the pair convicts by its
 // signatures alone, so a lying forwarder can frame nobody — and pull
 // requests/responses run the anti-entropy walk.
-func (au *auditLayer) onAudit(w *World, m Message) {
+func (au *auditLayer) onAudit(w *World, p *Proc, m Message) {
 	switch pl := m.Payload.(type) {
 	case PullRequest:
-		au.onPull(w, m, pl)
+		au.onPull(p, m, pl)
 	case PullResponse:
-		au.onPullResp(w, m, pl)
+		au.onPullResp(w, p, pl)
 	case []Receipt:
-		for _, r := range pl {
-			if !VerifyReceipt(au.cfg.SigSeed, r) {
-				au.counters(m.To).BadSig++
-				continue
-			}
-			au.record(w, m.To, r, false)
-		}
+		au.recordAll(w, p, pl)
 	case [2]Receipt:
 		a, b := pl[0], pl[1]
-		if a.Sender != b.Sender || a.BSeq != b.BSeq || a.FP == b.FP {
-			au.counters(m.To).BadSig++
+		if a.Sender != b.Sender || a.BSeq != b.BSeq || a.FP == b.FP ||
+			!VerifyReceipt(au.cfg.SigSeed, a) || !VerifyReceipt(au.cfg.SigSeed, b) {
+			au.totals.BadSig++
 			return
 		}
-		if !VerifyReceipt(au.cfg.SigSeed, a) || !VerifyReceipt(au.cfg.SigSeed, b) {
-			au.counters(m.To).BadSig++
-			return
-		}
-		au.prove(w, m.To, a.Sender, a, b)
+		au.prove(w, p, a.Sender, a, b)
 	}
 }
 
@@ -995,16 +991,14 @@ func fireHeldDelivery(arg any) {
 	w, m := env.w, env.m
 	env.m = Message{}
 	w.envFree = append(w.envFree, env)
-	au := w.audit
 	now := int64(w.Engine.Now())
 	q, ok := w.procs[m.To]
 	if !ok {
 		w.Trace.Drop(now, m.From, m.To, m.Tag)
 		return
 	}
-	pair := [2]graph.NodeID{m.To, m.From}
-	if au.proven[pair] || (w.auth != nil && w.auth.quarantined[pair]) {
-		au.counters(m.To).HeldDropped++
+	if _, proven := q.audit.proven[m.From]; proven || q.auth.quarantined(m.From) {
+		w.audit.totals.HeldDropped++
 		w.Trace.Mark(now, m.To, MarkAuditHeldDrop)
 		w.Trace.Drop(now, m.From, m.To, m.Tag)
 		return
@@ -1035,7 +1029,7 @@ func (au *auditLayer) gossipTick(p *Proc) {
 // flush gossips up to GossipBudget pending receipts to every neighbor;
 // the rest wait for the next round.
 func (au *auditLayer) flush(p *Proc) {
-	q := au.pending[p.ID]
+	q := p.audit.pending
 	if len(q) == 0 {
 		return
 	}
@@ -1045,99 +1039,49 @@ func (au *auditLayer) flush(p *Proc) {
 	}
 	batch := make([]Receipt, n)
 	copy(batch, q[:n])
-	au.pending[p.ID] = q[n:]
-	c := au.counters(p.ID)
+	p.audit.pending = q[n:]
 	for _, u := range p.Neighbors() {
 		p.Send(u, AuditReceiptTag, batch)
-		c.ReceiptsSent++
-		c.ReceiptsCarried += n
+		au.totals.ReceiptsSent++
+		au.totals.ReceiptsCarried += n
 	}
 }
 
 // dropSenderBSeq forgets an entity's sender-side audit state: the
 // broadcast counter and the bseq memo of its logical broadcasts. A
-// session-keyed departure loses them outright (the next session numbers
-// from 1 in a world that also forgot the old receipts); a durable-
-// identity departure or crash persists the counter in the identity
-// record first, so the rejoiner resumes its sequence space.
+// session-keyed departure loses them with the whole ledger (the next
+// session numbers from 1 in a world that also forgot the old receipts); a
+// durable-identity departure or crash persists the counter in the
+// identity record first, so the rejoiner resumes its sequence space.
 func (au *auditLayer) dropSenderBSeq(id graph.NodeID) {
-	delete(au.bseqNext, id)
-	for k := range au.bseqOf {
-		if k.from == id {
-			delete(au.bseqOf, k)
-		}
+	if o := au.observers[id]; o != nil {
+		o.bseqNext = 0
+		clear(o.bseqOf)
 	}
 }
 
-// purgeObserver wipes an entity's own receiver-side audit state — its
-// receipt store, gossip queue, pins, advertisement and pull bookkeeping,
-// and the convictions IT holds against others. A session-keyed departure
-// calls it: the departing session's memory dies with it.
-func (au *auditLayer) purgeObserver(id graph.NodeID) {
-	delete(au.receipts, id)
-	delete(au.order, id)
-	delete(au.pending, id)
-	delete(au.pinned, id)
-	delete(au.pinOrder, id)
-	delete(au.advertised, id)
-	delete(au.pullRound, id)
-	delete(au.pullCursor, id)
-	for pair := range au.proven {
-		if pair[0] == id {
-			delete(au.proven, pair)
-			delete(au.proofs, pair)
-		}
-	}
-}
+// purgeObserver wipes an entity's audit ledger — its receipt store,
+// gossip queue, pins, advertisement and pull bookkeeping, and the
+// convictions IT holds against others. A session-keyed departure calls
+// it: the departing session's memory dies with it.
+func (au *auditLayer) purgeObserver(id graph.NodeID) { delete(au.observers, id) }
 
-// purgeAbout wipes every observer's audit state ABOUT one identity: the
-// stored and pending receipts naming it as sender, its pins, and the
-// standing convictions against it. This is the session-keyed rejoin's
-// forgetting — a fresh principal arrives with no record — and the
-// returned count of erased convictions is the laundering measurement.
-// everProven survives as accounting, and the world-held ground truth
-// (truthFP/provenB) is untouched: the old session's equivocations really
-// happened.
+// purgeAbout wipes every observer's audit state ABOUT one identity, in
+// one pass over the ledgers: the stored and pending receipts naming it as
+// sender, its pins, and the standing convictions against it. This is the
+// session-keyed rejoin's forgetting — a fresh principal arrives with no
+// record — and the returned count of erased convictions is the
+// laundering measurement. everProven survives as accounting, and the
+// world-held ground truth (truthFP/provenB) is untouched: the old
+// session's equivocations really happened.
 func (au *auditLayer) purgeAbout(id graph.NodeID) int {
-	for at, st := range au.receipts {
-		kept := au.order[at][:0]
-		for _, k := range au.order[at] {
-			if k.sender == id {
-				delete(st, k)
-				delete(au.advertised[at], k)
-			} else {
-				kept = append(kept, k)
-			}
-		}
-		au.order[at] = kept
-	}
-	for at, q := range au.pending {
-		kept := q[:0]
-		for _, r := range q {
-			if r.Sender != id {
-				kept = append(kept, r)
-			}
-		}
-		au.pending[at] = kept
-	}
-	for at, pins := range au.pinned {
-		kept := au.pinOrder[at][:0]
-		for _, k := range au.pinOrder[at] {
-			if k.sender == id {
-				delete(pins, k)
-			} else {
-				kept = append(kept, k)
-			}
-		}
-		au.pinOrder[at] = kept
-	}
 	wiped := 0
-	for pair := range au.proven {
-		if pair[1] == id {
-			delete(au.proven, pair)
-			delete(au.proofs, pair)
+	for _, o := range au.observers {
+		if _, ok := o.proven[id]; ok {
+			delete(o.proven, id)
 			wiped++
 		}
+		o.forget(id)
 	}
 	return wiped
 }
@@ -1146,77 +1090,19 @@ func (au *auditLayer) purgeAbout(id graph.NodeID) int {
 // offender's stored and pending receipts at that observer: re-conviction
 // requires FRESH conflicting evidence, not a replay of the old pair.
 func (au *auditLayer) pardon(by, offender graph.NodeID) {
-	pair := [2]graph.NodeID{by, offender}
-	delete(au.proven, pair)
-	delete(au.proofs, pair)
-	if st := au.receipts[by]; st != nil {
-		kept := au.order[by][:0]
-		for _, k := range au.order[by] {
-			if k.sender == offender {
-				delete(st, k)
-				delete(au.advertised[by], k)
-			} else {
-				kept = append(kept, k)
-			}
-		}
-		au.order[by] = kept
+	if o := au.observers[by]; o != nil {
+		delete(o.proven, offender)
+		o.forget(offender)
 	}
-	if q := au.pending[by]; len(q) > 0 {
-		kept := q[:0]
-		for _, r := range q {
-			if r.Sender != offender {
-				kept = append(kept, r)
-			}
-		}
-		au.pending[by] = kept
-	}
-	if pins := au.pinned[by]; len(pins) > 0 {
-		kept := au.pinOrder[by][:0]
-		for _, k := range au.pinOrder[by] {
-			if k.sender == offender {
-				delete(pins, k)
-			} else {
-				kept = append(kept, k)
-			}
-		}
-		au.pinOrder[by] = kept
-	}
-}
-
-// AuditStats returns a copy of the per-entity audit counters, or nil when
-// the sublayer is disabled.
-func (w *World) AuditStats() map[graph.NodeID]AuditCounters {
-	if w.audit == nil {
-		return nil
-	}
-	out := make(map[graph.NodeID]AuditCounters, len(w.audit.stats))
-	for id, c := range w.audit.stats {
-		out[id] = *c
-	}
-	return out
 }
 
 // AuditTotals sums the audit sublayer's counters over every entity (the
 // zero value when the sublayer is disabled).
 func (w *World) AuditTotals() AuditCounters {
-	var total AuditCounters
 	if w.audit == nil {
-		return total
+		return AuditCounters{}
 	}
-	for _, c := range w.audit.stats {
-		total.ReceiptsSent += c.ReceiptsSent
-		total.ReceiptsCarried += c.ReceiptsCarried
-		total.ProofsForwarded += c.ProofsForwarded
-		total.ProofsHeld += c.ProofsHeld
-		total.BadSig += c.BadSig
-		total.HeldDropped += c.HeldDropped
-		total.PullsSent += c.PullsSent
-		total.PullsRelayed += c.PullsRelayed
-		total.PullReplies += c.PullReplies
-		total.Pinned += c.Pinned
-		total.Evicted += c.Evicted
-	}
-	return total
+	return w.audit.totals
 }
 
 // AuditSummary reports the run's equivocation ground truth against what

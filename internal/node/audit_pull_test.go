@@ -191,13 +191,13 @@ func TestAuditRetentionEvictionAttack(t *testing.T) {
 	run := func(retention string) *World {
 		w, au := seedWorld(t, retention, retain)
 		rA := SignReceipt(0xfeed, 1, 42, 1111)
-		au.record(w, 2, rA, false)
+		au.record(w, w.Proc(2), rA, false)
 		for i := 0; i < retain+3; i++ {
 			chaff := SignReceipt(0xfeed, 1, uint64(1000+i), uint64(5000+i))
-			au.record(w, 2, chaff, false)
+			au.record(w, w.Proc(2), chaff, false)
 		}
 		rB := SignReceipt(0xfeed, 1, 42, 2222)
-		au.record(w, 2, rB, false)
+		au.record(w, w.Proc(2), rB, false)
 		w.Close()
 		return w
 	}
@@ -216,19 +216,19 @@ func TestAuditRetainExactCap(t *testing.T) {
 	for _, retention := range []string{RetentionFIFO, RetentionPinned} {
 		w, au := seedWorld(t, retention, retain)
 		for i := 0; i <= retain; i++ {
-			au.record(w, 2, SignReceipt(0xfeed, 1, uint64(i), uint64(100+i)), false)
+			au.record(w, w.Proc(2), SignReceipt(0xfeed, 1, uint64(i), uint64(100+i)), false)
 			want := i + 1
 			if want > retain {
 				want = retain
 			}
-			if got := len(au.order[2]); got != want {
+			if got := len(au.observers[2].order); got != want {
 				t.Fatalf("%s: after %d records store holds %d, want %d", retention, i+1, got, want)
 			}
-			if got := len(au.receipts[2]); got != len(au.order[2]) {
-				t.Fatalf("%s: order and store diverge: %d vs %d", retention, len(au.order[2]), got)
+			if got := len(au.observers[2].receipts); got != len(au.observers[2].order) {
+				t.Fatalf("%s: order and store diverge: %d vs %d", retention, len(au.observers[2].order), got)
 			}
 		}
-		if ev := au.counters(2).Evicted; ev != 1 {
+		if ev := au.totals.Evicted; ev != 1 {
 			t.Fatalf("%s: evicted %d, want exactly 1 past the cap", retention, ev)
 		}
 		w.Close()
@@ -261,7 +261,7 @@ func TestAuditInlineFlushWithoutGossipLoop(t *testing.T) {
 	}
 	e.RunUntil(200)
 	w.Close()
-	if q := len(w.audit.pending[2]); q != 0 {
+	if q := len(w.audit.observers[2].pending); q != 0 {
 		t.Fatalf("pending queue holds %d receipts with no gossip loop to drain it", q)
 	}
 	if w.AuditTotals().ReceiptsSent == 0 {
@@ -320,7 +320,7 @@ func TestAuditTruthBounded(t *testing.T) {
 		t.Fatalf("the divergent ground-truth entry was pruned (%d kept)", divergent)
 	}
 	for id := 1; id <= 3; id++ {
-		if got := len(au.order[graph.NodeID(id)]); got > au.cfg.Retain {
+		if got := len(au.observers[graph.NodeID(id)].order); got > au.cfg.Retain {
 			t.Fatalf("store at %d holds %d receipts past Retain %d", id, got, au.cfg.Retain)
 		}
 	}

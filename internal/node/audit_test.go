@@ -174,8 +174,7 @@ func TestParoleHalvesBudget(t *testing.T) {
 		Seed: 31,
 		Auth: AuthConfig{Enabled: true, Budget: 3, Parole: 50},
 	})
-	pair := [2]graph.NodeID{2, 1}
-	if got := w.auth.budget(pair); got != 3 {
+	if got := w.auth.budget(w.auth.linkOf(2, 1)); got != 3 {
 		t.Fatalf("initial budget %d, want 3", got)
 	}
 
@@ -187,13 +186,13 @@ func TestParoleHalvesBudget(t *testing.T) {
 	if w.Quarantined(2, 1) {
 		t.Fatal("parole did not reinstate the link")
 	}
-	if got := w.auth.budget(pair); got != 1 {
+	if got := w.auth.budget(w.auth.linkOf(2, 1)); got != 1 {
 		t.Fatalf("budget after first parole %d, want 1 (halved from 3)", got)
 	}
 
 	w.auth.quarantine(w, 2, 1)
 	e.RunUntil(120)
-	if got := w.auth.budget(pair); got != 0 {
+	if got := w.auth.budget(w.auth.linkOf(2, 1)); got != 0 {
 		t.Fatalf("budget after second parole %d, want 0", got)
 	}
 
@@ -247,12 +246,8 @@ func TestParolePardonClearsProof(t *testing.T) {
 		t.Fatal("parole never reinstated the equivocator's links")
 	}
 	for _, by := range []graph.NodeID{2, 3} {
-		pair := [2]graph.NodeID{by, 1}
-		if w.audit.proven[pair] {
-			t.Fatalf("observer %d still holds a standing conviction after parole", by)
-		}
-		if _, ok := w.audit.proofs[pair]; ok {
-			t.Fatalf("observer %d still stores the proof pair after pardon", by)
+		if _, ok := w.audit.observers[by].proven[1]; ok {
+			t.Fatalf("observer %d still holds a standing conviction (and its proof pair) after parole", by)
 		}
 	}
 	// Propagation accounting survives the pardon: the offender stays in

@@ -108,7 +108,8 @@ func (ac AuthConfig) Validate() error {
 	return nil
 }
 
-// AuthCounters are one entity's receiver-side authentication statistics.
+// AuthCounters are the receiver-side authentication statistics, summed
+// over every entity of the run.
 type AuthCounters struct {
 	// Accepted counts copies that passed both checks.
 	Accepted int
@@ -178,54 +179,90 @@ type pairKeyID struct {
 	ke   uint64
 }
 
-type authLayer struct {
-	cfg AuthConfig
-	// nextSeq is the sender-side per-directed-pair sequence counter. It
-	// is deliberately NOT per key epoch: the aseq space survives key
-	// rotation, so peers' anti-replay windows stay valid across it.
-	nextSeq map[[2]graph.NodeID]uint64
-	// keys caches the derived per-pair keys by (pair, key epoch).
-	keys map[pairKeyID]uint64
-	// windows, strikes and quarantined are receiver-side, keyed
-	// (receiver, claimed sender).
-	windows     map[[2]graph.NodeID]*replayWindow
-	strikes     map[[2]graph.NodeID]int
-	quarantined map[[2]graph.NodeID]bool
-	// budgets overrides cfg.Budget per link once parole has halved it;
-	// absent means the configured budget still applies.
-	budgets map[[2]graph.NodeID]int
-	// paroleAt is the absolute parole deadline of each quarantined link
-	// with parole configured (absent = permanent). Parole timers check it
-	// on firing, so a stale timer — one whose link's state was dropped by
+// authLink is what one receiver holds about one claimed sender: the
+// anti-replay window, the misbehavior ledger and the quarantine verdict.
+// The identity codec distinguishes "no entry" from a zero value, so the
+// two counters carry explicit presence flags.
+type authLink struct {
+	window replayWindow
+	// strikes is meaningful once struck: a strike or a parole wrote it (a
+	// count of 0 after parole is still an entry).
+	strikes int
+	struck  bool
+	// budget overrides cfg.Budget once parole has halved it.
+	budget      int
+	halved      bool
+	quarantined bool
+	// paroleAt is the absolute parole deadline of a quarantined link with
+	// parole configured (0 = permanent, or not quarantined). Parole timers
+	// check it on firing, so a stale timer — one whose link was dropped by
 	// a crash or departure and possibly restored since — is a no-op, and
 	// recovery re-arms the REMAINING time instead of restarting the clock.
-	paroleAt map[[2]graph.NodeID]int64
-	stats    map[graph.NodeID]*AuthCounters
-	events   []QuarantineEvent
-	paroles  []QuarantineEvent
+	paroleAt int64
+}
+
+// authPeer is one entity's whole auth ledger, the unit a departure drops
+// and the identity record persists: its send counters per destination —
+// deliberately NOT per key epoch, the aseq space survives key rotation so
+// peers' anti-replay windows stay valid across it — and the link it keeps
+// about each claimed sender it has heard from.
+type authPeer struct {
+	sendSeq map[graph.NodeID]uint64
+	links   map[graph.NodeID]*authLink
+}
+
+// link returns the ledger entry about one claimed sender, creating it.
+func (ap *authPeer) link(about graph.NodeID) *authLink {
+	l := ap.links[about]
+	if l == nil {
+		l = &authLink{}
+		ap.links[about] = l
+	}
+	return l
+}
+
+func (ap *authPeer) quarantined(about graph.NodeID) bool {
+	l := ap.links[about]
+	return l != nil && l.quarantined
+}
+
+type authLayer struct {
+	cfg AuthConfig
+	// keys caches the derived per-pair keys by (pair, key epoch).
+	keys map[pairKeyID]uint64
+	// peers holds one ledger per entity with auth state in memory. Running
+	// entities reach theirs through Proc.auth.
+	peers   map[graph.NodeID]*authPeer
+	totals  AuthCounters
+	events  []QuarantineEvent
+	paroles []QuarantineEvent
 }
 
 func newAuthLayer(cfg AuthConfig) *authLayer {
 	return &authLayer{
-		cfg:         cfg,
-		nextSeq:     make(map[[2]graph.NodeID]uint64),
-		keys:        make(map[pairKeyID]uint64),
-		windows:     make(map[[2]graph.NodeID]*replayWindow),
-		strikes:     make(map[[2]graph.NodeID]int),
-		quarantined: make(map[[2]graph.NodeID]bool),
-		budgets:     make(map[[2]graph.NodeID]int),
-		paroleAt:    make(map[[2]graph.NodeID]int64),
-		stats:       make(map[graph.NodeID]*AuthCounters),
+		cfg:   cfg,
+		keys:  make(map[pairKeyID]uint64),
+		peers: make(map[graph.NodeID]*authPeer),
 	}
 }
 
-func (al *authLayer) counters(id graph.NodeID) *AuthCounters {
-	c := al.stats[id]
-	if c == nil {
-		c = &AuthCounters{}
-		al.stats[id] = c
+// peer returns an entity's ledger, creating it on first use.
+func (al *authLayer) peer(id graph.NodeID) *authPeer {
+	ap := al.peers[id]
+	if ap == nil {
+		ap = &authPeer{sendSeq: make(map[graph.NodeID]uint64), links: make(map[graph.NodeID]*authLink)}
+		al.peers[id] = ap
 	}
-	return c
+	return ap
+}
+
+// linkOf looks up what by holds about one claimed sender without creating
+// anything (nil when by has no ledger, or none about that sender).
+func (al *authLayer) linkOf(by, about graph.NodeID) *authLink {
+	if ap := al.peers[by]; ap != nil {
+		return ap.links[about]
+	}
+	return nil
 }
 
 // pairKey derives the shared key of the directed pair (from, to) at key
@@ -283,13 +320,12 @@ func (al *authLayer) macFor(ke uint64, from, to graph.NodeID, aseq uint64, tag s
 	return h ^ (h >> 31)
 }
 
-// tag authenticates an outgoing message in place: next per-pair sequence
-// number, authenticator over everything the receiver will check, under
-// the key generation of the message's (already stamped) stack epoch.
-func (al *authLayer) tag(w *World, m *Message) {
-	pair := [2]graph.NodeID{m.From, m.To}
-	al.nextSeq[pair]++
-	m.aseq = al.nextSeq[pair]
+// tag authenticates an outgoing message of p in place: next per-pair
+// sequence number, authenticator over everything the receiver will check,
+// under the key generation of the message's (already stamped) stack epoch.
+func (al *authLayer) tag(w *World, p *Proc, m *Message) {
+	p.auth.sendSeq[m.To]++
+	m.aseq = p.auth.sendSeq[m.To]
 	m.mac = al.macFor(w.keyEpochFor(m.epoch), m.From, m.To, m.aseq, m.Tag, m.bseq, m.sig, m.epoch, m.Payload)
 }
 
@@ -302,151 +338,90 @@ func (al *authLayer) tag(w *World, m *Message) {
 // layer.
 func (al *authLayer) identitySnapshot(id graph.NodeID) IdentityRecord {
 	var rec IdentityRecord
-	for pair, seq := range al.nextSeq {
-		if pair[0] != id {
-			continue
-		}
-		if rec.SendSeq == nil {
-			rec.SendSeq = make(map[graph.NodeID]uint64)
-		}
-		rec.SendSeq[pair[1]] = seq
+	ap := al.peers[id]
+	if ap == nil {
+		return rec
 	}
-	for pair, rw := range al.windows {
-		if pair[0] != id || !rw.inited {
-			continue
-		}
-		if rec.Windows == nil {
-			rec.Windows = make(map[graph.NodeID]ReplayState)
-		}
-		rec.Windows[pair[1]] = ReplayState{Hi: rw.hi, Bits: rw.bits}
+	for to, seq := range ap.sendSeq {
+		lazySet(&rec.SendSeq, to, seq)
 	}
-	for pair, n := range al.strikes {
-		if pair[0] != id {
-			continue
+	for peer, l := range ap.links {
+		if l.window.inited {
+			lazySet(&rec.Windows, peer, ReplayState{Hi: l.window.hi, Bits: l.window.bits})
 		}
-		if rec.Strikes == nil {
-			rec.Strikes = make(map[graph.NodeID]int)
+		if l.struck {
+			lazySet(&rec.Strikes, peer, l.strikes)
 		}
-		rec.Strikes[pair[1]] = n
-	}
-	for pair, b := range al.budgets {
-		if pair[0] != id {
-			continue
+		if l.halved {
+			lazySet(&rec.Budgets, peer, l.budget)
 		}
-		if rec.Budgets == nil {
-			rec.Budgets = make(map[graph.NodeID]int)
+		if l.quarantined {
+			lazySet(&rec.Quarantined, peer, l.paroleAt)
 		}
-		rec.Budgets[pair[1]] = b
-	}
-	for pair := range al.quarantined {
-		if pair[0] != id {
-			continue
-		}
-		if rec.Quarantined == nil {
-			rec.Quarantined = make(map[graph.NodeID]int64)
-		}
-		rec.Quarantined[pair[1]] = al.paroleAt[pair]
 	}
 	return rec
 }
 
 // dropIdentity forgets an entity's in-memory auth state, sender and
 // receiver side — what a crash or departure does to state that was only
-// in memory. Clearing paroleAt also retires any pending parole timers for
-// the entity's quarantines: they check the deadline on firing and find it
-// gone (or replaced by a restore, which re-arms its own).
-func (al *authLayer) dropIdentity(id graph.NodeID) {
-	for pair := range al.nextSeq {
-		if pair[0] == id {
-			delete(al.nextSeq, pair)
-		}
-	}
-	for pair := range al.windows {
-		if pair[0] == id {
-			delete(al.windows, pair)
-		}
-	}
-	for pair := range al.strikes {
-		if pair[0] == id {
-			delete(al.strikes, pair)
-		}
-	}
-	for pair := range al.budgets {
-		if pair[0] == id {
-			delete(al.budgets, pair)
-		}
-	}
-	for pair := range al.quarantined {
-		if pair[0] == id {
-			delete(al.quarantined, pair)
-			delete(al.paroleAt, pair)
-		}
-	}
-}
+// in memory. Pending parole timers for the entity's quarantines retire
+// with it: they look the link up on firing and find it gone (or replaced
+// by a restore, which re-arms its own).
+func (al *authLayer) dropIdentity(id graph.NodeID) { delete(al.peers, id) }
 
 // restoreIdentity reinstates a persisted identity record on recovery or
 // durable-identity rejoin. Quarantines come back with their parole timers
 // re-armed for the time REMAINING to the original absolute deadline — a
 // deadline that passed while the entity was down paroles immediately —
 // so a crash mid-parole neither restarts the clock nor forgets the
-// halved budget.
+// halved budget. Timers are armed in ascending offender order: deadlines
+// that expired during the absence all fire at this tick, in arming order.
 func (al *authLayer) restoreIdentity(w *World, id graph.NodeID, rec IdentityRecord) {
+	ap := al.peer(id)
 	for to, seq := range rec.SendSeq {
-		al.nextSeq[[2]graph.NodeID{id, to}] = seq
+		ap.sendSeq[to] = seq
 	}
 	for from, ws := range rec.Windows {
-		al.windows[[2]graph.NodeID{id, from}] = &replayWindow{inited: true, hi: ws.Hi, bits: ws.Bits}
+		ap.link(from).window = replayWindow{inited: true, hi: ws.Hi, bits: ws.Bits}
 	}
 	for peer, n := range rec.Strikes {
-		al.strikes[[2]graph.NodeID{id, peer}] = n
+		l := ap.link(peer)
+		l.strikes, l.struck = n, true
 	}
 	for peer, b := range rec.Budgets {
-		al.budgets[[2]graph.NodeID{id, peer}] = b
+		l := ap.link(peer)
+		l.budget, l.halved = b, true
 	}
 	now := int64(w.Engine.Now())
-	for offender, deadline := range rec.Quarantined {
-		pair := [2]graph.NodeID{id, offender}
-		al.quarantined[pair] = true
+	for _, offender := range sortedIDs(rec.Quarantined) {
+		l := ap.link(offender)
+		l.quarantined = true
+		deadline := rec.Quarantined[offender]
 		if deadline == 0 {
 			continue // permanent (no parole configured at quarantine time)
 		}
-		al.paroleAt[pair] = deadline
+		l.paroleAt = deadline
 		remaining := deadline - now
 		if remaining < 0 {
 			remaining = 0
 		}
-		al.scheduleParole(w, pair[0], pair[1], deadline, sim.Time(remaining))
+		al.scheduleParole(w, id, offender, deadline, sim.Time(remaining))
 	}
 }
 
 // purgeAbout wipes every OTHER entity's receiver-side auth state about
-// one identity — windows, strikes, budgets, quarantines. This is what a
-// session-keyed rejoin does (the new session is a fresh principal, so
-// peers re-establish everything from scratch), and the returned count of
-// standing quarantines it erased is the laundering measurement.
+// one identity — windows, strikes, budgets, quarantines — in one pass
+// over the ledgers. This is what a session-keyed rejoin does (the new
+// session is a fresh principal, so peers re-establish everything from
+// scratch), and the returned count of standing quarantines it erased is
+// the laundering measurement.
 func (al *authLayer) purgeAbout(id graph.NodeID) int {
-	for pair := range al.windows {
-		if pair[1] == id {
-			delete(al.windows, pair)
-		}
-	}
-	for pair := range al.strikes {
-		if pair[1] == id {
-			delete(al.strikes, pair)
-		}
-	}
-	for pair := range al.budgets {
-		if pair[1] == id {
-			delete(al.budgets, pair)
-		}
-	}
 	wiped := 0
-	for pair := range al.quarantined {
-		if pair[1] == id {
-			delete(al.quarantined, pair)
-			delete(al.paroleAt, pair)
+	for _, ap := range al.peers {
+		if ap.quarantined(id) {
 			wiped++
 		}
+		delete(ap.links, id)
 	}
 	return wiped
 }
@@ -454,16 +429,15 @@ func (al *authLayer) purgeAbout(id graph.NodeID) int {
 // admit is the receiver's first gate: quarantine filter, then
 // authenticator verification. It records drops and marks itself; a false
 // return means the copy must not proceed.
-func (al *authLayer) admit(w *World, m Message) bool {
+func (al *authLayer) admit(w *World, q *Proc, m Message) bool {
 	now := int64(w.Engine.Now())
-	pair := [2]graph.NodeID{m.To, m.From}
-	if al.quarantined[pair] {
-		al.counters(m.To).DroppedQuarantined++
+	if q.auth.quarantined(m.From) {
+		al.totals.DroppedQuarantined++
 		w.Trace.Drop(now, m.From, m.To, m.Tag)
 		return false
 	}
 	if m.aseq == 0 || m.mac != al.macFor(w.keyEpochFor(m.epoch), m.From, m.To, m.aseq, m.Tag, m.bseq, m.sig, m.epoch, m.Payload) {
-		al.counters(m.To).RejectedCorrupt++
+		al.totals.RejectedCorrupt++
 		w.Trace.Mark(now, m.To, MarkAuthRejectCorrupt)
 		w.Trace.Drop(now, m.From, m.To, m.Tag)
 		al.strike(w, m.To, m.From)
@@ -476,30 +450,24 @@ func (al *authLayer) admit(w *World, m Message) bool {
 // after the reliable sublayer's duplicate suppression, so benign
 // retransmissions never reach it — whatever it rejects was replayed by the
 // channel, not retried by a well-behaved sender.
-func (al *authLayer) admitSeq(w *World, m Message) bool {
-	now := int64(w.Engine.Now())
-	pair := [2]graph.NodeID{m.To, m.From}
-	rw := al.windows[pair]
-	if rw == nil {
-		rw = &replayWindow{}
-		al.windows[pair] = rw
-	}
-	if !rw.accept(m.aseq, al.cfg.ReplayWindow) {
-		al.counters(m.To).RejectedReplay++
+func (al *authLayer) admitSeq(w *World, q *Proc, m Message) bool {
+	if !q.auth.link(m.From).window.accept(m.aseq, al.cfg.ReplayWindow) {
+		now := int64(w.Engine.Now())
+		al.totals.RejectedReplay++
 		w.Trace.Mark(now, m.To, MarkAuthRejectReplay)
 		w.Trace.Drop(now, m.From, m.To, m.Tag)
 		al.strike(w, m.To, m.From)
 		return false
 	}
-	al.counters(m.To).Accepted++
+	al.totals.Accepted++
 	return true
 }
 
-// budget returns the link's current misbehavior budget: the configured one
-// until parole has halved it.
-func (al *authLayer) budget(pair [2]graph.NodeID) int {
-	if b, ok := al.budgets[pair]; ok {
-		return b
+// budget returns a link's current misbehavior budget: the configured one
+// until parole has halved it (and for a link with no ledger entry yet).
+func (al *authLayer) budget(l *authLink) int {
+	if l != nil && l.halved {
+		return l.budget
 	}
 	return al.cfg.Budget
 }
@@ -507,9 +475,10 @@ func (al *authLayer) budget(pair [2]graph.NodeID) int {
 // strike charges one misbehavior to the (receiver, claimed sender) budget
 // and quarantines the link when it runs out.
 func (al *authLayer) strike(w *World, by, offender graph.NodeID) {
-	pair := [2]graph.NodeID{by, offender}
-	al.strikes[pair]++
-	if al.strikes[pair] <= al.budget(pair) || al.quarantined[pair] {
+	l := al.peer(by).link(offender)
+	l.strikes++
+	l.struck = true
+	if l.strikes <= al.budget(l) || l.quarantined {
 		return
 	}
 	al.quarantine(w, by, offender)
@@ -520,13 +489,13 @@ func (al *authLayer) strike(w *World, by, offender graph.NodeID) {
 // audit sublayer's proof path converge here so parole governs every kind
 // of quarantine uniformly.
 func (al *authLayer) quarantine(w *World, by, offender graph.NodeID) {
-	pair := [2]graph.NodeID{by, offender}
-	if al.quarantined[pair] {
+	l := al.peer(by).link(offender)
+	if l.quarantined {
 		return
 	}
-	al.quarantined[pair] = true
+	l.quarantined = true
 	now := int64(w.Engine.Now())
-	al.counters(by).Quarantines++
+	al.totals.Quarantines++
 	w.Trace.Mark(now, offender, MarkAuthQuarantine)
 	al.events = append(al.events, QuarantineEvent{At: now, By: by, Offender: offender})
 	if w.pex != nil {
@@ -535,9 +504,8 @@ func (al *authLayer) quarantine(w *World, by, offender graph.NodeID) {
 		w.pex.onQuarantine(w, by, offender)
 	}
 	if al.cfg.Parole > 0 {
-		deadline := now + al.cfg.Parole
-		al.paroleAt[pair] = deadline
-		al.scheduleParole(w, by, offender, deadline, sim.Time(al.cfg.Parole))
+		l.paroleAt = now + al.cfg.Parole
+		al.scheduleParole(w, by, offender, l.paroleAt, sim.Time(al.cfg.Parole))
 	}
 }
 
@@ -545,12 +513,10 @@ func (al *authLayer) quarantine(w *World, by, offender graph.NodeID) {
 // deadline check on firing makes timers from superseded quarantine state
 // (dropped by a crash or departure, re-armed by a restore) no-ops.
 func (al *authLayer) scheduleParole(w *World, by, offender graph.NodeID, deadline int64, in sim.Time) {
-	pair := [2]graph.NodeID{by, offender}
 	w.Engine.After(in, func() {
-		if al.paroleAt[pair] != deadline {
-			return
+		if l := al.linkOf(by, offender); l != nil && l.paroleAt == deadline {
+			al.parole(w, by, offender, l)
 		}
-		al.parole(w, by, offender)
 	})
 }
 
@@ -560,15 +526,10 @@ func (al *authLayer) scheduleParole(w *World, by, offender graph.NodeID, deadlin
 // first further rejection — the geometric squeeze on repeat offenders.
 // Proof state the audit sublayer holds against the offender is cleared
 // too; re-conviction requires fresh conflicting receipts.
-func (al *authLayer) parole(w *World, by, offender graph.NodeID) {
-	pair := [2]graph.NodeID{by, offender}
-	if !al.quarantined[pair] {
-		return
-	}
-	delete(al.quarantined, pair)
-	delete(al.paroleAt, pair)
-	al.strikes[pair] = 0
-	al.budgets[pair] = al.budget(pair) / 2
+func (al *authLayer) parole(w *World, by, offender graph.NodeID, l *authLink) {
+	l.budget, l.halved = al.budget(l)/2, true
+	l.strikes, l.struck = 0, true
+	l.quarantined, l.paroleAt = false, 0
 	now := int64(w.Engine.Now())
 	w.Trace.Mark(now, offender, MarkAuthParole)
 	al.paroles = append(al.paroles, QuarantineEvent{At: now, By: by, Offender: offender})
@@ -580,34 +541,13 @@ func (al *authLayer) parole(w *World, by, offender graph.NodeID) {
 	}
 }
 
-// AuthStats returns a copy of the per-entity receiver-side counters of the
-// authentication sublayer, or nil when the sublayer is disabled.
-func (w *World) AuthStats() map[graph.NodeID]AuthCounters {
-	if w.auth == nil {
-		return nil
-	}
-	out := make(map[graph.NodeID]AuthCounters, len(w.auth.stats))
-	for id, c := range w.auth.stats {
-		out[id] = *c
-	}
-	return out
-}
-
 // AuthTotals sums the authentication sublayer's counters over every entity
 // (the zero value when the sublayer is disabled).
 func (w *World) AuthTotals() AuthCounters {
-	var total AuthCounters
 	if w.auth == nil {
-		return total
+		return AuthCounters{}
 	}
-	for _, c := range w.auth.stats {
-		total.Accepted += c.Accepted
-		total.RejectedCorrupt += c.RejectedCorrupt
-		total.RejectedReplay += c.RejectedReplay
-		total.Quarantines += c.Quarantines
-		total.DroppedQuarantined += c.DroppedQuarantined
-	}
-	return total
+	return w.auth.totals
 }
 
 // QuarantineEvents returns the quarantine decisions of the run, in time
@@ -634,5 +574,9 @@ func (w *World) ParoleEvents() []QuarantineEvent {
 
 // Quarantined reports whether the (by, offender) link is currently cut.
 func (w *World) Quarantined(by, offender graph.NodeID) bool {
-	return w.auth != nil && w.auth.quarantined[[2]graph.NodeID{by, offender}]
+	if w.auth == nil {
+		return false
+	}
+	l := w.auth.linkOf(by, offender)
+	return l != nil && l.quarantined
 }

@@ -188,6 +188,18 @@ func sortedIDs[V any](m map[graph.NodeID]V) []graph.NodeID {
 	return ids
 }
 
+// lazySet stores one entry in a map that is allocated on its first entry.
+// Identity record sections need it — an empty section stays nil, which is
+// what Empty and the codec's round trip compare against — and the
+// per-entity sublayer records use it for the maps most entities never
+// fill.
+func lazySet[K comparable, V any](m *map[K]V, k K, v V) {
+	if *m == nil {
+		*m = make(map[K]V)
+	}
+	(*m)[k] = v
+}
+
 // EncodeIdentity renders an identity record in its canonical wire form:
 // the broadcast counter, then five sections (send counters, windows,
 // strikes, budgets, quarantines), each a 4-byte count followed by
@@ -309,50 +321,33 @@ func DecodeIdentity(b []byte) (IdentityRecord, error) {
 		return int(v), nil
 	}
 	section(func(id graph.NodeID) error {
-		if rec.SendSeq == nil {
-			rec.SendSeq = make(map[graph.NodeID]uint64)
-		}
-		rec.SendSeq[id] = r.u64()
+		lazySet(&rec.SendSeq, id, r.u64())
 		return nil
 	})
 	section(func(id graph.NodeID) error {
-		if rec.Windows == nil {
-			rec.Windows = make(map[graph.NodeID]ReplayState)
-		}
-		rec.Windows[id] = ReplayState{Hi: r.u64(), Bits: r.u64()}
+		lazySet(&rec.Windows, id, ReplayState{Hi: r.u64(), Bits: r.u64()})
 		return nil
 	})
 	section(func(id graph.NodeID) error {
 		v, err := counter("strike count", r.u64())
-		if err != nil {
-			return err
+		if err == nil {
+			lazySet(&rec.Strikes, id, v)
 		}
-		if rec.Strikes == nil {
-			rec.Strikes = make(map[graph.NodeID]int)
-		}
-		rec.Strikes[id] = v
-		return nil
+		return err
 	})
 	section(func(id graph.NodeID) error {
 		v, err := counter("budget", r.u64())
-		if err != nil {
-			return err
+		if err == nil {
+			lazySet(&rec.Budgets, id, v)
 		}
-		if rec.Budgets == nil {
-			rec.Budgets = make(map[graph.NodeID]int)
-		}
-		rec.Budgets[id] = v
-		return nil
+		return err
 	})
 	section(func(id graph.NodeID) error {
 		v := r.u64()
 		if int64(v) < 0 {
 			return fmt.Errorf("node: identity record parole deadline %d is negative", int64(v))
 		}
-		if rec.Quarantined == nil {
-			rec.Quarantined = make(map[graph.NodeID]int64)
-		}
-		rec.Quarantined[id] = int64(v)
+		lazySet(&rec.Quarantined, id, int64(v))
 		return nil
 	})
 	if r.err != nil {
@@ -372,7 +367,9 @@ func (w *World) identityRecord(id graph.NodeID) IdentityRecord {
 		rec = w.auth.identitySnapshot(id)
 	}
 	if w.audit != nil {
-		rec.BSeqNext = w.audit.bseqNext[id]
+		if o := w.audit.observers[id]; o != nil {
+			rec.BSeqNext = o.bseqNext
+		}
 	}
 	return rec
 }
@@ -397,7 +394,7 @@ func (w *World) restoreIdentityState(id graph.NodeID, rec IdentityRecord) {
 		w.auth.restoreIdentity(w, id, rec)
 	}
 	if w.audit != nil && rec.BSeqNext > 0 {
-		w.audit.bseqNext[id] = rec.BSeqNext
+		w.audit.observer(id).bseqNext = rec.BSeqNext
 	}
 }
 
@@ -526,6 +523,12 @@ func (w *World) retainDeparted(id graph.NodeID, convicting bool) {
 		delete(w.departedSet, old)
 		delete(w.departedPinned, old)
 		w.store.Delete(old)
+		if w.audit != nil {
+			// The identity starts fresh if it ever returns, so the receipt
+			// store a durable Leave kept for it goes with the record: the
+			// ledgers of the departed stay within the same cap.
+			w.audit.purgeObserver(old)
+		}
 		w.identStats.RecordsEvicted++
 	}
 }

@@ -228,7 +228,7 @@ func TestCrashMidParoleKeepsDeadline(t *testing.T) {
 	if got := countMarks(w.Trace, MarkAuthParole); got != 1 {
 		t.Fatalf("%d parole marks, want 1 (stale timer must no-op)", got)
 	}
-	if got := w.auth.budget([2]graph.NodeID{2, 1}); got != 1 {
+	if got := w.auth.budget(w.auth.linkOf(2, 1)); got != 1 {
 		t.Fatalf("post-parole budget %d, want 1 (halved from 3 across the crash)", got)
 	}
 }

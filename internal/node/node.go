@@ -91,12 +91,9 @@ type Config struct {
 	// [1, 1] when both are zero.
 	MinLatency, MaxLatency sim.Time
 	// LossRate drops each message independently with this probability.
+	// Jittered latency may reorder a directed pair's messages: that is the
+	// weaker (and more adversarial) channel the paper's model permits.
 	LossRate float64
-	// FIFO forces per-(sender, receiver) channel order: a message never
-	// overtakes an earlier one on the same directed pair. Off by default —
-	// jittered latency may reorder, which is the weaker (and more
-	// adversarial) channel the paper's model permits.
-	FIFO bool
 	// Reliable enables the ack/retransmit channel sublayer (see
 	// ReliableConfig). Protocol code is unchanged: Send is tracked, the
 	// receiver acks, lost messages are retransmitted with exponential
@@ -195,6 +192,16 @@ type Proc struct {
 	behavior Behavior
 	timers   []*procTimer
 	alive    bool
+	// The entity's record in each enabled sublayer (nil when the layer is
+	// off), cached at bringUp so the per-message paths skip the
+	// identity-keyed lookup. The layers' maps stay the owners: a record's
+	// lifetime is its identity's, not this session's (see DESIGN.md,
+	// sublayer state model).
+	rel    *relSender
+	auth   *authPeer
+	audit  *observer
+	reconf *reconfigNode
+	pex    *pexPeer
 }
 
 // procTimer is one slot in an entity's timer registry. Fired and
@@ -262,9 +269,6 @@ type World struct {
 	r       *rng.Rand
 	factory BehaviorFactory
 	procs   map[graph.NodeID]*Proc
-	// lastDelivery tracks, per directed pair, the latest scheduled
-	// delivery time (FIFO enforcement).
-	lastDelivery map[[2]graph.NodeID]sim.Time
 	// envFree is the in-flight delivery envelope pool. Delivery events
 	// are never canceled, so an envelope is always handed back exactly
 	// once, at the top of its firing; the world is single-threaded, so a
@@ -315,16 +319,15 @@ func NewWorld(engine *sim.Engine, overlay topology.Overlay, factory BehaviorFact
 	}
 	cfg.Identity = cfg.Identity.withDefaults()
 	w := &World{
-		Engine:       engine,
-		Overlay:      overlay,
-		Trace:        &core.Trace{},
-		cfg:          cfg,
-		r:            rng.New(cfg.Seed),
-		factory:      factory,
-		procs:        make(map[graph.NodeID]*Proc),
-		lastDelivery: make(map[[2]graph.NodeID]sim.Time),
-		store:        cfg.Store,
-		seen:         make(map[graph.NodeID]bool),
+		Engine:  engine,
+		Overlay: overlay,
+		Trace:   &core.Trace{},
+		cfg:     cfg,
+		r:       rng.New(cfg.Seed),
+		factory: factory,
+		procs:   make(map[graph.NodeID]*Proc),
+		store:   cfg.Store,
+		seen:    make(map[graph.NodeID]bool),
 	}
 	if cfg.Reliable.Enabled {
 		w.rel = newReliableLayer(cfg.Reliable.withDefaults())
@@ -344,12 +347,8 @@ func NewWorld(engine *sim.Engine, overlay topology.Overlay, factory BehaviorFact
 	}
 	if cfg.Reconfig.Enabled {
 		w.reconfig = newReconfigLayer(w.genesisStack())
-		if w.rel != nil && w.rel.rtt == nil {
-			// A later epoch may flip Adaptive on; collect RTT samples from
-			// the start so the estimator is warm when it does. (Sampling
-			// consumes no rng draws, so a never-reconfigured run is
-			// bit-identical either way.)
-			w.rel.rtt = make(map[[2]graph.NodeID]*rttEstimator)
+		if w.rel != nil {
+			w.rel.sampleRTT = true
 		}
 	}
 	return w
@@ -434,8 +433,17 @@ func (w *World) bringUp(id graph.NodeID, start func(p *Proc)) *Proc {
 		alive:    true,
 	}
 	w.procs[id] = p
+	if w.rel != nil {
+		p.rel = w.rel.sender(id)
+	}
+	if w.auth != nil {
+		p.auth = w.auth.peer(id)
+	}
+	if w.audit != nil {
+		p.audit = w.audit.observer(id)
+	}
 	if w.reconfig != nil {
-		w.reconfig.onJoin(id)
+		p.reconf = w.reconfig.onJoin(id)
 	}
 	start(p)
 	if w.audit != nil {
@@ -688,7 +696,7 @@ func (p *Proc) Send(to graph.NodeID, tag string, payload any) {
 	// exactly what makes the receipt pair a transferable proof against it.
 	var bseq uint64
 	if w.audit != nil && w.audit.stamps(tag) {
-		bseq = w.audit.bseqFor(p.ID, tag, payload)
+		bseq = w.audit.bseqFor(p, tag, payload)
 	}
 	if w.sendHook != nil {
 		if rep, ok := w.sendHook(w.Engine.Now(), p.ID, to, tag, bseq, payload); ok {
@@ -705,20 +713,20 @@ func (p *Proc) Send(to graph.NodeID, tag string, payload any) {
 		// the MAC covers it, so the copy is forever bound to the rules it
 		// was sent under — retransmissions reuse these wire bytes and
 		// still verify after a key rotation.
-		m.epoch = w.reconfig.nodeEpoch[p.ID]
+		m.epoch = p.reconf.epoch
 	}
 	if w.auth != nil {
-		w.auth.tag(w, &m)
+		w.auth.tag(w, p, &m)
 	}
 	if w.rel != nil {
-		w.rel.send(w, m)
+		w.rel.send(w, p, m)
 		return
 	}
 	w.transmit(m)
 }
 
 // transmit pushes one copy of m into the channel: loss coin, fault hook,
-// latency draw, FIFO adjustment, scheduled delivery. The edge is
+// latency draw, scheduled delivery. The edge is
 // re-checked here because retransmissions happen after the original Send
 // and a link that has since gone down must not carry the copy (it may
 // heal before the next retry).
@@ -768,16 +776,7 @@ func (w *World) transmit(m Message) {
 		if span := w.cfg.MaxLatency - w.cfg.MinLatency; span > 0 {
 			delay += sim.Time(w.r.Intn(int(span) + 1))
 		}
-		delay += fl.ExtraDelay
-		if w.cfg.FIFO {
-			pair := [2]graph.NodeID{m.From, m.To}
-			at := w.Engine.Now() + delay
-			if last := w.lastDelivery[pair]; at < last {
-				delay = last - w.Engine.Now()
-			}
-			w.lastDelivery[pair] = w.Engine.Now() + delay
-		}
-		w.scheduleDelivery(delay, m)
+		w.scheduleDelivery(delay+fl.ExtraDelay, m)
 	}
 }
 
@@ -845,10 +844,10 @@ func (w *World) deliver(m Message) {
 	// behind the receiver is dropped without a strike (it needs no key to
 	// judge, and fencing first means a straggler — or a forged stamp —
 	// can never charge an honest sender's budget).
-	if w.reconfig != nil && !w.reconfig.admitEpoch(w, m) {
+	if w.reconfig != nil && !w.reconfig.admitEpoch(w, q, m) {
 		return
 	}
-	if w.auth != nil && !w.auth.admit(w, m) {
+	if w.auth != nil && !w.auth.admit(w, q, m) {
 		return
 	}
 	if m.seq != 0 && w.rel != nil {
@@ -861,17 +860,17 @@ func (w *World) deliver(m Message) {
 		}
 		w.rel.delivered[m.seq] = true
 	}
-	if w.auth != nil && !w.auth.admitSeq(w, m) {
+	if w.auth != nil && !w.auth.admitSeq(w, q, m) {
 		return
 	}
 	if w.reconfig != nil {
 		// The copy is fully verified; a newer committed epoch stamped on
 		// it pulls the receiver forward (catch-up), and handshake traffic
 		// terminates here like acks and audit gossip.
-		w.reconfig.observeEpoch(w, m)
+		w.reconfig.observeEpoch(w, q, m)
 		if isReconfigTag(m.Tag) {
 			w.Trace.Deliver(now, m.To, m.From, m.Tag)
-			w.reconfig.onReconfig(w, m)
+			w.reconfig.onReconfig(w, q, m)
 			return
 		}
 	}
@@ -880,7 +879,7 @@ func (w *World) deliver(m Message) {
 		// outside the audit hold (its records carry their own signatures
 		// and freshness, judged by the view-audit defense).
 		w.Trace.Deliver(now, m.To, m.From, m.Tag)
-		w.pex.onMessage(w, m)
+		w.pex.onMessage(w, q, m)
 		return
 	}
 	if w.audit != nil {
@@ -890,7 +889,7 @@ func (w *World) deliver(m Message) {
 		if m.Tag == AuditReceiptTag || m.Tag == AuditProofTag ||
 			m.Tag == AuditPullTag || m.Tag == AuditPullRespTag {
 			w.Trace.Deliver(now, m.To, m.From, m.Tag)
-			w.audit.onAudit(w, m)
+			w.audit.onAudit(w, q, m)
 			return
 		}
 		// Record the receipt at arrival, then HOLD the delivery for the
@@ -899,7 +898,7 @@ func (w *World) deliver(m Message) {
 		// before the behavior ever folds it in. Honest traffic pays the
 		// hold as uniform extra latency.
 		if m.bseq != 0 {
-			w.audit.observe(w, m)
+			w.audit.observe(w, q, m)
 		}
 		if w.audit.cfg.HoldFor > 0 {
 			w.audit.hold(w, m)

@@ -300,7 +300,7 @@ func TestDeterministicWorldReplay(t *testing.T) {
 	}
 }
 
-func fifoFixture(t *testing.T, fifo bool) []int {
+func reorderFixture(t *testing.T) []int {
 	t.Helper()
 	var order []int
 	factory := func(id graph.NodeID) Behavior {
@@ -308,7 +308,7 @@ func fifoFixture(t *testing.T, fifo bool) []int {
 			order = append(order, m.Payload.(int))
 		})
 	}
-	w, e := meshWorld(factory, Config{MinLatency: 1, MaxLatency: 10, Seed: 4, FIFO: fifo})
+	w, e := meshWorld(factory, Config{MinLatency: 1, MaxLatency: 10, Seed: 4})
 	w.Join(1)
 	w.Join(2)
 	for i := 0; i < 40; i++ {
@@ -323,7 +323,7 @@ func fifoFixture(t *testing.T, fifo bool) []int {
 }
 
 func TestChannelReorderingWithoutFIFO(t *testing.T) {
-	order := fifoFixture(t, false)
+	order := reorderFixture(t)
 	inOrder := true
 	for i := 1; i < len(order); i++ {
 		if order[i] < order[i-1] {
@@ -332,15 +332,6 @@ func TestChannelReorderingWithoutFIFO(t *testing.T) {
 	}
 	if inOrder {
 		t.Fatal("fixture too weak: jittered latency never reordered 40 messages")
-	}
-}
-
-func TestFIFOPreservesPairOrder(t *testing.T) {
-	order := fifoFixture(t, true)
-	for i := 1; i < len(order); i++ {
-		if order[i] < order[i-1] {
-			t.Fatalf("FIFO channel reordered: %d after %d", order[i], order[i-1])
-		}
 	}
 }
 

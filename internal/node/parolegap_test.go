@@ -8,7 +8,6 @@ package node
 import (
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/sim"
 )
 
@@ -50,7 +49,7 @@ func TestParoleGapRejoinBeforeDeadline(t *testing.T) {
 	if got := countMarks(w.Trace, MarkAuthParole); got != 1 {
 		t.Fatalf("%d parole marks, want 1 (stale timers must no-op)", got)
 	}
-	if got := w.auth.budget([2]graph.NodeID{2, 1}); got != 1 {
+	if got := w.auth.budget(w.auth.linkOf(2, 1)); got != 1 {
 		t.Fatalf("post-parole budget %d, want 1 (halved from 3 across the gap)", got)
 	}
 }
@@ -79,7 +78,7 @@ func TestParoleGapRejoinAfterDeadline(t *testing.T) {
 	if got := countMarks(w.Trace, MarkAuthParole); got != 1 {
 		t.Fatalf("%d parole marks, want 1", got)
 	}
-	if got := w.auth.budget([2]graph.NodeID{2, 1}); got != 1 {
+	if got := w.auth.budget(w.auth.linkOf(2, 1)); got != 1 {
 		t.Fatalf("post-parole budget %d, want 1", got)
 	}
 }

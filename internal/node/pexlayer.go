@@ -125,28 +125,45 @@ type PexSample struct {
 	MaxInView  int
 }
 
+// pexPeer is one entity's membership record. The view and round count
+// are soft state of the running session and die with it (a rejoiner
+// re-bootstraps); the injection ledger — strikes charged and peers
+// blocked — is identity memory that survives both sides' churn and
+// clears on auth parole, so the record outlives the session while it
+// holds any.
+type pexPeer struct {
+	// view is the bounded partial view (nil while the entity is absent).
+	view *pex.View
+	// rounds counts completed cadence rounds this session, pacing the
+	// periodic bootstrap refresh.
+	rounds int
+	// strikes is the injection budget charged to each offender.
+	strikes map[graph.NodeID]int
+	// blocked maps every peer blocked in EITHER direction to which side
+	// blacklisted which (blockedOut, blockedIn, or both). The two ends of
+	// a pair mirror each other, so one lookup answers "never link, never
+	// exchange" and the key set is the exclusion list candidate sampling
+	// needs.
+	blocked map[graph.NodeID]uint8
+}
+
+// Directions of a blocked pair, from the record holder's side.
+const (
+	blockedOut uint8 = 1 << iota // the holder blacklisted the peer
+	blockedIn                    // the peer blacklisted the holder
+)
+
 type pexLayer struct {
 	cfg pex.Config
 	r   *rng.Rand
-	// views holds one bounded view per PRESENT entity.
-	views map[graph.NodeID]*pex.View
-	// strikes and blacklist are the per-(receiver, offender) injection
-	// ledger. Blacklist entries survive the offender's churn (identity
-	// memory) and clear on auth parole.
-	strikes   map[[2]graph.NodeID]int
-	blacklist map[[2]graph.NodeID]bool
+	// peers holds one record per present entity, plus the absent ones
+	// that still carry injection-ledger entries. Running entities reach
+	// theirs through Proc.pex.
+	peers map[graph.NodeID]*pexPeer
 	// idx is the order-statistic index over live entities, maintained by
 	// onJoin/onLeave; bootstrap and refresh sample candidates from it in
 	// O(k log n) instead of scanning the present set.
-	idx *presentIndex
-	// blockedAdj is the blacklist's symmetric adjacency: for each entity,
-	// the peers blocked in EITHER direction, refcounted per directed
-	// entry (1 or 2). It turns the pair-keyed blacklist into the per-
-	// entity exclusion list candidate sampling needs.
-	blockedAdj map[graph.NodeID]map[graph.NodeID]int
-	// rounds counts each entity's completed cadence rounds this session,
-	// pacing its periodic bootstrap refresh.
-	rounds  map[graph.NodeID]int
+	idx     *presentIndex
 	events  []QuarantineEvent
 	samples []PexSample
 	// convergedAt is the first sampled tick the overlay was connected
@@ -159,47 +176,59 @@ func newPexLayer(cfg pex.Config, seed uint64) *pexLayer {
 	return &pexLayer{
 		cfg:         cfg,
 		r:           rng.New(seed ^ 0x9e97c3a5f0e1d2b4),
-		views:       make(map[graph.NodeID]*pex.View),
-		strikes:     make(map[[2]graph.NodeID]int),
-		blacklist:   make(map[[2]graph.NodeID]bool),
+		peers:       make(map[graph.NodeID]*pexPeer),
 		idx:         newPresentIndex(),
-		blockedAdj:  make(map[graph.NodeID]map[graph.NodeID]int),
-		rounds:      make(map[graph.NodeID]int),
 		convergedAt: -1,
 	}
 }
 
-// blocked reports whether either side of the pair has blacklisted the
-// other — a blocked pair is never linked and never exchanged with.
-func (px *pexLayer) blocked(a, b graph.NodeID) bool {
-	return px.blacklist[[2]graph.NodeID{a, b}] || px.blacklist[[2]graph.NodeID{b, a}]
+// peer returns an entity's record, creating it on first use.
+func (px *pexLayer) peer(id graph.NodeID) *pexPeer {
+	pp := px.peers[id]
+	if pp == nil {
+		pp = &pexPeer{}
+		px.peers[id] = pp
+	}
+	return pp
 }
 
-// blockAdj/unblockAdj keep blockedAdj in lockstep with the directed
-// blacklist: one increment per blacklist entry created, one decrement
-// per entry removed, in both orientations. Every blacklist mutation
-// funnels through onQuarantine and pardon, so these are the only
-// callers.
-func (px *pexLayer) blockAdj(a, b graph.NodeID) {
-	for _, pr := range [2][2]graph.NodeID{{a, b}, {b, a}} {
-		m := px.blockedAdj[pr[0]]
-		if m == nil {
-			m = make(map[graph.NodeID]int)
-			px.blockedAdj[pr[0]] = m
-		}
-		m[pr[1]]++
+// viewOf returns an entity's current view (nil while it is absent).
+func (px *pexLayer) viewOf(id graph.NodeID) *pex.View {
+	if pp := px.peers[id]; pp != nil {
+		return pp.view
+	}
+	return nil
+}
+
+// blacklisted reports whether by has blacklisted offender's records.
+func (px *pexLayer) blacklisted(by, offender graph.NodeID) bool {
+	pp := px.peers[by]
+	return pp != nil && pp.blocked[offender]&blockedOut != 0
+}
+
+// setBlocked creates or removes the directed blacklist entry (by,
+// offender), at both ends of the pair. Every blacklist mutation funnels
+// through onQuarantine and pardon, so these are the only callers.
+func (px *pexLayer) setBlocked(by, offender graph.NodeID, on bool) {
+	px.mark(by, offender, blockedOut, on)
+	px.mark(offender, by, blockedIn, on)
+}
+
+func (px *pexLayer) mark(id, peer graph.NodeID, dir uint8, on bool) {
+	pp := px.peer(id)
+	if on {
+		lazySet(&pp.blocked, peer, pp.blocked[peer]|dir)
+	} else if pp.blocked[peer] &^= dir; pp.blocked[peer] == 0 {
+		delete(pp.blocked, peer)
+		px.release(id)
 	}
 }
 
-func (px *pexLayer) unblockAdj(a, b graph.NodeID) {
-	for _, pr := range [2][2]graph.NodeID{{a, b}, {b, a}} {
-		m := px.blockedAdj[pr[0]]
-		if m[pr[1]]--; m[pr[1]] <= 0 {
-			delete(m, pr[1])
-			if len(m) == 0 {
-				delete(px.blockedAdj, pr[0])
-			}
-		}
+// release deletes the record of an ABSENT entity once its injection
+// ledger is empty — the record then holds nothing.
+func (px *pexLayer) release(id graph.NodeID) {
+	if pp := px.peers[id]; pp != nil && pp.view == nil && len(pp.strikes) == 0 && len(pp.blocked) == 0 {
+		delete(px.peers, id)
 	}
 }
 
@@ -227,8 +256,10 @@ func (px *pexLayer) candidates(self graph.NodeID, v *pex.View) pexCandidates {
 		}
 	}
 	add(self)
-	for q := range px.blockedAdj[self] {
-		add(q)
+	if pp := px.peers[self]; pp != nil {
+		for q := range pp.blocked {
+			add(q)
+		}
 	}
 	if v != nil {
 		for _, u := range v.Members() {
@@ -269,8 +300,9 @@ func (cs pexCandidates) at(j int) graph.NodeID {
 // the experiment setup — never burns bootstrap introductions.
 func (px *pexLayer) onJoin(w *World, p *Proc) {
 	px.idx.Add(p.ID)
-	if px.views[p.ID] == nil {
-		px.views[p.ID] = pex.NewView(px.cfg.ViewSize)
+	p.pex = px.peer(p.ID)
+	if p.pex.view == nil {
+		p.pex.view = pex.NewView(px.cfg.ViewSize)
 	}
 	px.start(w, p)
 }
@@ -319,8 +351,8 @@ func (px *pexLayer) bootstrap(w *World, p *Proc) {
 		}
 	}
 	for _, c := range picks {
-		px.views[p.ID].Merge(pex.Entry{Rec: pex.SignRecord(px.cfg.Audit.KeySeed, c, now)})
-		if cv := px.views[c]; cv != nil {
+		p.pex.view.Merge(pex.Entry{Rec: pex.SignRecord(px.cfg.Audit.KeySeed, c, now)})
+		if cv := px.viewOf(c); cv != nil {
 			cv.Merge(pex.Entry{Rec: pex.SignRecord(px.cfg.Audit.KeySeed, p.ID, now)})
 		}
 		if !w.Overlay.Graph().HasEdge(p.ID, c) {
@@ -340,7 +372,7 @@ func (px *pexLayer) bootstrap(w *World, p *Proc) {
 // introduction per RefreshEvery rounds bounds the damage at negligible
 // steady-state cost.
 func (px *pexLayer) refresh(w *World, p *Proc) {
-	v := px.views[p.ID]
+	v := p.pex.view
 	now := int64(w.Engine.Now())
 	cs := px.candidates(p.ID, v)
 	m := cs.count()
@@ -376,21 +408,22 @@ func (px *pexLayer) start(w *World, p *Proc) {
 // round is one cadence step: age the view, reconcile links, pick a
 // partner under the policy, ship records.
 func (px *pexLayer) round(w *World, p *Proc) {
-	v := px.views[p.ID]
+	pp := p.pex
+	v := pp.view
 	if v == nil {
 		return
 	}
 	if v.Len() == 0 {
 		px.bootstrap(w, p)
 	}
-	px.rounds[p.ID]++
-	if px.rounds[p.ID]%px.cfg.RefreshEvery == 0 {
+	pp.rounds++
+	if pp.rounds%px.cfg.RefreshEvery == 0 {
 		px.refresh(w, p)
 	}
 	px.totals.Decayed += len(v.Age(px.cfg.MaxHop))
-	px.reconcile(w, p.ID)
+	px.reconcile(w, p.ID, pp)
 	partner, ok := v.SelectPartner(px.r, px.cfg.Policy, func(id graph.NodeID) bool {
-		return w.procs[id] != nil && !px.blocked(p.ID, id)
+		return w.procs[id] != nil && pp.blocked[id] == 0
 	})
 	if !ok {
 		px.totals.RoundsIdle++
@@ -406,7 +439,7 @@ func (px *pexLayer) round(w *World, p *Proc) {
 func (px *pexLayer) ship(w *World, p *Proc, to graph.NodeID, tag string, pull bool) {
 	now := int64(w.Engine.Now())
 	buf := []pex.Record{pex.SignRecord(px.cfg.Audit.KeySeed, p.ID, now)}
-	buf = append(buf, px.views[p.ID].SelectRecords(px.r, px.cfg.Policy, px.cfg.Fanout-1, px.cfg.MaxHop, to)...)
+	buf = append(buf, p.pex.view.SelectRecords(px.r, px.cfg.Policy, px.cfg.Fanout-1, px.cfg.MaxHop, to)...)
 	px.totals.RecordsShipped += len(buf)
 	p.Send(to, tag, pex.Exchange{Pull: pull, Wire: pex.EncodeRecords(buf)})
 }
@@ -415,25 +448,22 @@ func (px *pexLayer) ship(w *World, p *Proc, to graph.NodeID, tag string, pull bo
 // present, unblocked view member is linked; an existing edge survives
 // only while SOME side's view still wants it (the self-healing — a
 // record decays out of both views, the link follows).
-func (px *pexLayer) reconcile(w *World, id graph.NodeID) {
-	v := px.views[id]
-	if v == nil {
-		return
-	}
+func (px *pexLayer) reconcile(w *World, id graph.NodeID, pp *pexPeer) {
+	v := pp.view
 	g := w.Overlay.Graph()
 	for _, u := range v.Members() {
-		if w.procs[u] != nil && !px.blocked(id, u) && !g.HasEdge(id, u) {
+		if w.procs[u] != nil && pp.blocked[u] == 0 && !g.HasEdge(id, u) {
 			w.SetLink(id, u, true)
 			px.totals.Links++
 		}
 	}
 	for _, u := range g.Neighbors(id) {
-		if px.blocked(id, u) {
+		if pp.blocked[u] != 0 {
 			w.SetLink(id, u, false)
 			px.totals.Unlinks++
 			continue
 		}
-		uv := px.views[u]
+		uv := px.viewOf(u)
 		if v.Contains(u) || (uv != nil && uv.Contains(id)) {
 			continue
 		}
@@ -445,14 +475,14 @@ func (px *pexLayer) reconcile(w *World, id graph.NodeID) {
 // onMessage handles exchange traffic after the auth sublayer admitted it:
 // decode, gate every record through the view-audit defense, merge,
 // reconcile, and answer a pull.
-func (px *pexLayer) onMessage(w *World, m Message) {
+func (px *pexLayer) onMessage(w *World, q *Proc, m Message) {
 	now := int64(w.Engine.Now())
-	q := w.procs[m.To]
-	v := px.views[m.To]
-	if q == nil || v == nil {
+	pp := q.pex
+	v := pp.view
+	if v == nil {
 		return
 	}
-	if px.blacklist[[2]graph.NodeID{m.To, m.From}] {
+	if pp.blocked[m.From]&blockedOut != 0 {
 		px.totals.RejectedBlacklisted++
 		return
 	}
@@ -482,7 +512,7 @@ func (px *pexLayer) onMessage(w *World, m Message) {
 			continue
 		}
 		seen[rec.ID] = true
-		if px.blacklist[[2]graph.NodeID{m.To, rec.ID}] {
+		if pp.blocked[rec.ID]&blockedOut != 0 {
 			// Never re-admit a subject this entity has convicted, whoever
 			// forwards it (no strike: the forwarder may be honest).
 			px.totals.RejectedBlacklisted++
@@ -513,8 +543,8 @@ func (px *pexLayer) onMessage(w *World, m Message) {
 			px.totals.RecordsMerged++
 		}
 	}
-	px.reconcile(w, m.To)
-	if m.Tag == PexExchangeTag && ex.Pull && w.procs[m.From] != nil && !px.blocked(m.To, m.From) {
+	px.reconcile(w, m.To, pp)
+	if m.Tag == PexExchangeTag && ex.Pull && w.procs[m.From] != nil && pp.blocked[m.From] == 0 {
 		px.totals.Replies++
 		px.ship(w, q, m.From, PexReplyTag, false)
 	}
@@ -532,9 +562,9 @@ func (px *pexLayer) reject(w *World, by, offender graph.NodeID, counter *int) {
 		return
 	}
 	px.totals.Strikes++
-	pair := [2]graph.NodeID{by, offender}
-	px.strikes[pair]++
-	if px.strikes[pair] <= px.cfg.Audit.Budget || px.blacklist[pair] {
+	pp := px.peer(by)
+	lazySet(&pp.strikes, offender, pp.strikes[offender]+1)
+	if pp.strikes[offender] <= px.cfg.Audit.Budget || pp.blocked[offender]&blockedOut != 0 {
 		return
 	}
 	w.Trace.Mark(now, offender, MarkPexQuarantine)
@@ -553,15 +583,13 @@ func (px *pexLayer) reject(w *World, by, offender graph.NodeID, counter *int) {
 // link. Both the pex injection budget and every other auth/audit
 // conviction path funnel through here.
 func (px *pexLayer) onQuarantine(w *World, by, offender graph.NodeID) {
-	pair := [2]graph.NodeID{by, offender}
-	if px.blacklist[pair] {
+	if px.blacklisted(by, offender) {
 		return
 	}
-	px.blacklist[pair] = true
-	px.blockAdj(by, offender)
+	px.setBlocked(by, offender, true)
 	px.totals.ViewQuarantines++
 	px.events = append(px.events, QuarantineEvent{At: int64(w.Engine.Now()), By: by, Offender: offender})
-	if v := px.views[by]; v != nil {
+	if v := px.viewOf(by); v != nil {
 		px.totals.ConvictEvictions += len(v.RemoveVia(offender))
 	}
 	if w.Overlay.Graph().HasEdge(by, offender) {
@@ -574,21 +602,24 @@ func (px *pexLayer) onQuarantine(w *World, by, offender graph.NodeID) {
 // paroles the quarantine; the next offense re-earns it under the auth
 // layer's halved budget.
 func (px *pexLayer) pardon(by, offender graph.NodeID) {
-	pair := [2]graph.NodeID{by, offender}
-	if px.blacklist[pair] {
-		px.unblockAdj(by, offender)
+	if px.blacklisted(by, offender) {
+		px.setBlocked(by, offender, false)
 	}
-	delete(px.blacklist, pair)
-	delete(px.strikes, pair)
+	if pp := px.peers[by]; pp != nil {
+		delete(pp.strikes, offender)
+		px.release(by)
+	}
 }
 
 // onLeave drops the departing entity's view (soft state dies with the
-// session; a rejoiner re-bootstraps). The blacklist ledger is identity
-// memory and survives.
+// session; a rejoiner re-bootstraps) and, unless the injection ledger —
+// identity memory, which survives — still holds entries, the record.
 func (px *pexLayer) onLeave(id graph.NodeID) {
 	px.idx.Remove(id)
-	delete(px.views, id)
-	delete(px.rounds, id)
+	if pp := px.peers[id]; pp != nil {
+		pp.view, pp.rounds = nil, 0
+		px.release(id)
+	}
 }
 
 // sample records one tick of overlay metrics and marks first convergence.
@@ -614,15 +645,14 @@ func (px *pexLayer) sample(w *World) {
 		}
 		sort.Slice(s.OutsideMain, func(i, j int) bool { return s.OutsideMain[i] < s.OutsideMain[j] })
 	}
-	ids := make([]graph.NodeID, 0, len(px.views))
-	for id := range px.views {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	inView := make(map[graph.NodeID]int)
 	hops := 0
-	for _, id := range ids {
-		for _, e := range px.views[id].Entries() {
+	// Integer tallies only, so the walk order over the records is free.
+	for _, pp := range px.peers {
+		if pp.view == nil {
+			continue
+		}
+		for _, e := range pp.view.Entries() {
 			s.Entries++
 			hops += e.Rec.Hop
 			inView[e.Rec.ID]++
@@ -671,7 +701,7 @@ func (w *World) PexSeedViews(g *graph.Graph) {
 			}
 			v.Merge(pex.Entry{Rec: pex.SignRecord(w.pex.cfg.Audit.KeySeed, u, now)})
 		}
-		w.pex.views[id] = v
+		w.pex.peer(id).view = v
 		for _, u := range g.Neighbors(id) {
 			if w.procs[u] != nil && !w.Overlay.Graph().HasEdge(id, u) {
 				w.SetLink(id, u, true)
@@ -684,22 +714,25 @@ func (w *World) PexSeedViews(g *graph.Graph) {
 // PexView returns a copy of an entity's current view records (nil for
 // absent entities or without the sublayer).
 func (w *World) PexView(id graph.NodeID) []pex.Record {
-	if w.pex == nil || w.pex.views[id] == nil {
-		return nil
+	if w.pex != nil {
+		if v := w.pex.viewOf(id); v != nil {
+			return v.Records()
+		}
 	}
-	return w.pex.views[id].Records()
+	return nil
 }
 
 // PexRecordOf returns the record of subject held in holder's view. The
 // poison clause uses it to replay genuine records the poisoner already
 // holds (the hub-bias injection).
 func (w *World) PexRecordOf(holder, subject graph.NodeID) (pex.Record, bool) {
-	if w.pex == nil || w.pex.views[holder] == nil {
-		return pex.Record{}, false
-	}
-	for _, e := range w.pex.views[holder].Entries() {
-		if e.Rec.ID == subject {
-			return e.Rec, true
+	if w.pex != nil {
+		if v := w.pex.viewOf(holder); v != nil {
+			for _, e := range v.Entries() {
+				if e.Rec.ID == subject {
+					return e.Rec, true
+				}
+			}
 		}
 	}
 	return pex.Record{}, false
@@ -740,7 +773,7 @@ func (w *World) PexQuarantineEvents() []QuarantineEvent {
 
 // PexBlacklisted reports whether by has blacklisted offender's records.
 func (w *World) PexBlacklisted(by, offender graph.NodeID) bool {
-	return w.pex != nil && w.pex.blacklist[[2]graph.NodeID{by, offender}]
+	return w.pex != nil && w.pex.blacklisted(by, offender)
 }
 
 // DepartedEntities returns every identity that has joined at some point

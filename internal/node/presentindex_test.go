@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"testing"
 
@@ -98,8 +99,22 @@ func TestPresentIndexEdgeCases(t *testing.T) {
 func scanCandidates(w *World, self graph.NodeID, v *pex.View) []graph.NodeID {
 	var out []graph.NodeID
 	for _, id := range w.Present() {
-		if id != self && w.procs[id] != nil && !w.pex.blocked(self, id) && (v == nil || !v.Contains(id)) {
+		if id != self && w.procs[id] != nil && w.pex.peers[self].blocked[id] == 0 && (v == nil || !v.Contains(id)) {
 			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// blacklistPairs lists the directed (by, offender) blacklist entries the
+// per-entity records hold.
+func blacklistPairs(px *pexLayer) [][2]graph.NodeID {
+	var out [][2]graph.NodeID
+	for by, pp := range px.peers {
+		for offender, dirs := range pp.blocked {
+			if dirs&blockedOut != 0 {
+				out = append(out, [2]graph.NodeID{by, offender})
+			}
 		}
 	}
 	return out
@@ -109,7 +124,8 @@ func scanCandidates(w *World, self graph.NodeID, v *pex.View) []graph.NodeID {
 // indexed candidate population against the reference scan at EVERY
 // index, for both the bootstrap and the refresh population — plus the
 // structural invariants: the present index holds exactly the live
-// procs, and blockedAdj mirrors the directed blacklist.
+// procs, and each record's blocked set mirrors the directed blacklist
+// from both ends.
 func checkSamplerConsistency(t *testing.T, w *World, tag string) {
 	t.Helper()
 	px := w.pex
@@ -127,7 +143,7 @@ func checkSamplerConsistency(t *testing.T, w *World, tag string) {
 		}
 	}
 	adj := map[graph.NodeID]map[graph.NodeID]int{}
-	for pair := range px.blacklist {
+	for _, pair := range blacklistPairs(px) {
 		for _, pr := range [2][2]graph.NodeID{{pair[0], pair[1]}, {pair[1], pair[0]}} {
 			if adj[pr[0]] == nil {
 				adj[pr[0]] = map[graph.NodeID]int{}
@@ -135,18 +151,24 @@ func checkSamplerConsistency(t *testing.T, w *World, tag string) {
 			adj[pr[0]][pr[1]]++
 		}
 	}
-	if len(adj) != len(px.blockedAdj) {
-		t.Fatalf("%s: blockedAdj has %d entities, blacklist implies %d", tag, len(px.blockedAdj), len(adj))
+	blocking := 0
+	for _, pp := range px.peers {
+		if len(pp.blocked) > 0 {
+			blocking++
+		}
+	}
+	if len(adj) != blocking {
+		t.Fatalf("%s: %d entities hold blocked peers, blacklist implies %d", tag, blocking, len(adj))
 	}
 	for id, m := range adj {
 		for q, n := range m {
-			if px.blockedAdj[id][q] != n {
-				t.Fatalf("%s: blockedAdj[%d][%d] = %d, want %d", tag, id, q, px.blockedAdj[id][q], n)
+			if got := bits.OnesCount8(px.peers[id].blocked[q]); got != n {
+				t.Fatalf("%s: blocked[%d][%d] holds %d directions, want %d", tag, id, q, got, n)
 			}
 		}
 	}
 	for _, id := range live {
-		for _, v := range []*pex.View{nil, px.views[id]} {
+		for _, v := range []*pex.View{nil, px.viewOf(id)} {
 			want := scanCandidates(w, id, v)
 			cs := px.candidates(id, v)
 			if cs.count() != len(want) {
@@ -208,8 +230,8 @@ func TestPexSamplerMatchesScan(t *testing.T) {
 				if other != id {
 					w.pex.onQuarantine(w, id, other)
 				}
-			case op == 5 && len(w.pex.blacklist) > 0:
-				for pair := range w.pex.blacklist {
+			case op == 5:
+				for _, pair := range blacklistPairs(w.pex) {
 					w.pex.pardon(pair[0], pair[1])
 					break
 				}
@@ -239,7 +261,7 @@ func TestPexRefreshPickMatchesScan(t *testing.T) {
 		if w.procs[self] == nil {
 			continue
 		}
-		v := w.pex.views[self]
+		v := w.pex.viewOf(self)
 		want := scanCandidates(w, self, v)
 		cs := w.pex.candidates(self, v)
 		if cs.count() != len(want) {
@@ -271,7 +293,7 @@ func BenchmarkPexRefreshSample(b *testing.B) {
 			w.PexSeedViews(topology.BuildRing(n))
 			px := w.pex
 			self := graph.NodeID(1)
-			v := px.views[self]
+			v := px.viewOf(self)
 			r := rng.New(42)
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -355,6 +355,27 @@ type reconfigAckKey struct {
 	acker graph.NodeID
 }
 
+// reconfigNode is one present node's handshake session state: its
+// current epoch and the per-node dedup of the three floods. It is created
+// at the latest committed epoch when the node joins or recovers and
+// deleted when it departs.
+type reconfigNode struct {
+	epoch      uint64
+	prepSeen   map[uint64]bool
+	ackSeen    map[reconfigAckKey]bool
+	commitSeen map[uint64]bool
+}
+
+// firstSight records k in a flood's dedup set and reports whether it was
+// new there.
+func firstSight[K comparable](set *map[K]bool, k K) bool {
+	if (*set)[k] {
+		return false
+	}
+	lazySet(set, k, true)
+	return true
+}
+
 type reconfigLayer struct {
 	// epochs is the registry: epochs[e] is epoch e's resolved stack.
 	// committed, initiator and quorumBase parallel it. Epoch 0 (genesis)
@@ -366,15 +387,12 @@ type reconfigLayer struct {
 	// latest is the highest committed epoch — what joiners bootstrap to
 	// and catch-up advances toward.
 	latest uint64
-	// nodeEpoch is each present node's current epoch.
-	nodeEpoch map[graph.NodeID]uint64
-	// prepSeen/ackSeen/commitSeen dedup the floods per node; ackers
-	// tallies distinct ackers per epoch at the initiator.
-	prepSeen   map[graph.NodeID]map[uint64]bool
-	ackSeen    map[graph.NodeID]map[reconfigAckKey]bool
-	commitSeen map[graph.NodeID]map[uint64]bool
-	ackers     map[uint64]map[graph.NodeID]bool
-	counters   ReconfigCounters
+	// nodes holds one record per PRESENT node. Running entities reach
+	// theirs through Proc.reconf.
+	nodes map[graph.NodeID]*reconfigNode
+	// ackers tallies distinct ackers per epoch at the initiator.
+	ackers   map[uint64]map[graph.NodeID]bool
+	counters ReconfigCounters
 }
 
 func newReconfigLayer(genesis StackConfig) *reconfigLayer {
@@ -383,10 +401,7 @@ func newReconfigLayer(genesis StackConfig) *reconfigLayer {
 		committed:  []bool{true},
 		initiator:  []graph.NodeID{0},
 		quorumBase: []int{0},
-		nodeEpoch:  make(map[graph.NodeID]uint64),
-		prepSeen:   make(map[graph.NodeID]map[uint64]bool),
-		ackSeen:    make(map[graph.NodeID]map[reconfigAckKey]bool),
-		commitSeen: make(map[graph.NodeID]map[uint64]bool),
+		nodes:      make(map[graph.NodeID]*reconfigNode),
 		ackers:     make(map[uint64]map[graph.NodeID]bool),
 	}
 }
@@ -405,23 +420,28 @@ func (rc *reconfigLayer) stackFor(e uint64) StackConfig {
 	return rc.epochs[e]
 }
 
+// epochOf returns a node's current epoch (0 for an absent node).
+func (rc *reconfigLayer) epochOf(id graph.NodeID) uint64 {
+	if n := rc.nodes[id]; n != nil {
+		return n.epoch
+	}
+	return 0
+}
+
 // stackOf returns a present node's current stack.
 func (rc *reconfigLayer) stackOf(id graph.NodeID) StackConfig {
-	return rc.stackFor(rc.nodeEpoch[id])
+	return rc.stackFor(rc.epochOf(id))
 }
 
 // onJoin bootstraps a joining (or recovering) node at the latest
 // committed epoch; onLeave drops the node's handshake session state.
-func (rc *reconfigLayer) onJoin(id graph.NodeID) {
-	rc.nodeEpoch[id] = rc.latest
+func (rc *reconfigLayer) onJoin(id graph.NodeID) *reconfigNode {
+	n := &reconfigNode{epoch: rc.latest}
+	rc.nodes[id] = n
+	return n
 }
 
-func (rc *reconfigLayer) onLeave(id graph.NodeID) {
-	delete(rc.nodeEpoch, id)
-	delete(rc.prepSeen, id)
-	delete(rc.ackSeen, id)
-	delete(rc.commitSeen, id)
-}
+func (rc *reconfigLayer) onLeave(id graph.NodeID) { delete(rc.nodes, id) }
 
 // admitEpoch is the receiver-side epoch fence: a copy stamped more than
 // FenceDepth epochs behind the receiver's current epoch is dropped
@@ -429,8 +449,8 @@ func (rc *reconfigLayer) onLeave(id graph.NodeID) {
 // key, and fencing first means a straggler can never charge anyone's
 // budget, which is the property that keeps reconfig storms from framing
 // honest senders.
-func (rc *reconfigLayer) admitEpoch(w *World, m Message) bool {
-	cur := rc.nodeEpoch[m.To]
+func (rc *reconfigLayer) admitEpoch(w *World, q *Proc, m Message) bool {
+	cur := q.reconf.epoch
 	depth := uint64(rc.epochs[cur].FenceDepth)
 	if cur > m.epoch && cur-m.epoch > depth {
 		now := int64(w.Engine.Now())
@@ -445,31 +465,30 @@ func (rc *reconfigLayer) admitEpoch(w *World, m Message) bool {
 // observeEpoch is the catch-up path: a VERIFIED message stamped with a
 // newer committed epoch advances the receiver. It runs after the MAC
 // and anti-replay gates, so a forged stamp cannot drag anyone forward.
-func (rc *reconfigLayer) observeEpoch(w *World, m Message) {
-	cur := rc.nodeEpoch[m.To]
-	if m.epoch > cur && m.epoch < uint64(len(rc.epochs)) && rc.committed[m.epoch] {
-		rc.switchTo(w, m.To, m.epoch, true)
+func (rc *reconfigLayer) observeEpoch(w *World, q *Proc, m Message) {
+	if m.epoch > q.reconf.epoch && m.epoch < uint64(len(rc.epochs)) && rc.committed[m.epoch] {
+		rc.switchTo(w, q, m.epoch, true)
 	}
 }
 
 // switchTo moves a node to epoch e (monotone; backward moves are
 // no-ops), marks the switch for trace checkers, and applies the new
 // epoch's audit retention immediately.
-func (rc *reconfigLayer) switchTo(w *World, id graph.NodeID, e uint64, catchup bool) {
-	if e <= rc.nodeEpoch[id] || e >= uint64(len(rc.epochs)) {
+func (rc *reconfigLayer) switchTo(w *World, p *Proc, e uint64, catchup bool) {
+	if e <= p.reconf.epoch || e >= uint64(len(rc.epochs)) {
 		return
 	}
-	rc.nodeEpoch[id] = e
+	p.reconf.epoch = e
 	rc.counters.Switches++
 	if catchup {
 		rc.counters.CatchUps++
 	}
-	w.Trace.Mark(int64(w.Engine.Now()), id, core.MarkEpochSwitch)
+	w.Trace.Mark(int64(w.Engine.Now()), p.ID, core.MarkEpochSwitch)
 	if w.audit != nil {
 		// A tightened Retain takes effect now, under the new epoch's
 		// retention policy; pins survive, so no conviction evidence is
 		// laundered by the shrink.
-		w.audit.enforceRetain(w, id)
+		w.audit.enforceRetain(w, p)
 	}
 }
 
@@ -522,7 +541,7 @@ func (rc *reconfigLayer) recordAck(w *World, e uint64, acker graph.NodeID) {
 		// committed in the registry and propagates by catch-up only.
 		return
 	}
-	rc.switchTo(w, init, e, false)
+	rc.switchTo(w, p, e, false)
 	p.Broadcast(ReconfigCommitTag, reconfigCommit{Epoch: e})
 }
 
@@ -530,12 +549,12 @@ func (rc *reconfigLayer) recordAck(w *World, e uint64, acker graph.NodeID) {
 // messages stamped with an epoch older than e are still unacked.
 // Handshake traffic is excluded: a node's own flooded prepare under the
 // previous epoch must not deadlock its drain.
-func (rc *reconfigLayer) hasOldPending(w *World, id graph.NodeID, e uint64) bool {
-	if w.rel == nil {
+func (rc *reconfigLayer) hasOldPending(p *Proc, e uint64) bool {
+	if p.rel == nil {
 		return false
 	}
-	for _, pm := range w.rel.pending {
-		if pm.m.From == id && pm.m.epoch < e && !isReconfigTag(pm.m.Tag) {
+	for _, pm := range p.rel.unacked {
+		if pm.m.epoch < e && !isReconfigTag(pm.m.Tag) {
 			return true
 		}
 	}
@@ -555,7 +574,7 @@ func (rc *reconfigLayer) drainStep(w *World, p *Proc, e uint64, deadline sim.Tim
 	if !p.alive {
 		return
 	}
-	if !rc.hasOldPending(w, p.ID, e) {
+	if !rc.hasOldPending(p, e) {
 		rc.counters.Drains++
 		rc.sendAck(w, p, e)
 		return
@@ -572,16 +591,9 @@ func (rc *reconfigLayer) drainStep(w *World, p *Proc, e uint64, deadline sim.Tim
 // sendAck floods a node's drain-complete ack and tallies it locally if
 // the node is itself the initiator.
 func (rc *reconfigLayer) sendAck(w *World, p *Proc, e uint64) {
-	key := reconfigAckKey{epoch: e, acker: p.ID}
-	seen := rc.ackSeen[p.ID]
-	if seen == nil {
-		seen = make(map[reconfigAckKey]bool)
-		rc.ackSeen[p.ID] = seen
-	}
-	if seen[key] {
+	if !firstSight(&p.reconf.ackSeen, reconfigAckKey{epoch: e, acker: p.ID}) {
 		return
 	}
-	seen[key] = true
 	if rc.initiator[e] == p.ID {
 		rc.recordAck(w, e, p.ID)
 	}
@@ -602,15 +614,9 @@ func (rc *reconfigLayer) onPrepare(w *World, p *Proc, from graph.NodeID, pr reco
 		rc.counters.BadWire++
 		return
 	}
-	seen := rc.prepSeen[p.ID]
-	if seen == nil {
-		seen = make(map[uint64]bool)
-		rc.prepSeen[p.ID] = seen
-	}
-	if seen[e] {
+	if !firstSight(&p.reconf.prepSeen, e) {
 		return
 	}
-	seen[e] = true
 	rc.counters.Prepares++
 	for _, u := range p.Neighbors() {
 		if u != from {
@@ -620,12 +626,8 @@ func (rc *reconfigLayer) onPrepare(w *World, p *Proc, from graph.NodeID, pr reco
 	rc.drain(w, p, e)
 }
 
-// onReconfig terminates handshake traffic at the receiver.
-func (rc *reconfigLayer) onReconfig(w *World, m Message) {
-	p := w.procs[m.To]
-	if p == nil || !p.alive {
-		return
-	}
+// onReconfig terminates handshake traffic at the receiver p.
+func (rc *reconfigLayer) onReconfig(w *World, p *Proc, m Message) {
 	switch pl := m.Payload.(type) {
 	case reconfigPrepare:
 		rc.onPrepare(w, p, m.From, pl)
@@ -635,16 +637,9 @@ func (rc *reconfigLayer) onReconfig(w *World, m Message) {
 			rc.counters.BadWire++
 			return
 		}
-		key := reconfigAckKey{epoch: e, acker: pl.Acker}
-		seen := rc.ackSeen[p.ID]
-		if seen == nil {
-			seen = make(map[reconfigAckKey]bool)
-			rc.ackSeen[p.ID] = seen
-		}
-		if seen[key] {
+		if !firstSight(&p.reconf.ackSeen, reconfigAckKey{epoch: e, acker: pl.Acker}) {
 			return
 		}
-		seen[key] = true
 		rc.counters.Acks++
 		if rc.initiator[e] == p.ID {
 			rc.recordAck(w, e, pl.Acker)
@@ -660,18 +655,12 @@ func (rc *reconfigLayer) onReconfig(w *World, m Message) {
 			rc.counters.BadWire++
 			return
 		}
-		seen := rc.commitSeen[p.ID]
-		if seen == nil {
-			seen = make(map[uint64]bool)
-			rc.commitSeen[p.ID] = seen
-		}
-		if seen[e] {
+		if !firstSight(&p.reconf.commitSeen, e) {
 			return
 		}
-		seen[e] = true
 		rc.counters.Commits++
 		rc.recordCommit(e)
-		rc.switchTo(w, p.ID, e, false)
+		rc.switchTo(w, p, e, false)
 		for _, u := range p.Neighbors() {
 			if u != m.From {
 				p.Send(u, ReconfigCommitTag, pl)
@@ -717,12 +706,7 @@ func (w *World) Reconfigure(initiator graph.NodeID, target StackConfig) uint64 {
 	rc.initiator = append(rc.initiator, initiator)
 	rc.quorumBase = append(rc.quorumBase, len(w.Present()))
 	rc.counters.Initiated++
-	seen := rc.prepSeen[initiator]
-	if seen == nil {
-		seen = make(map[uint64]bool)
-		rc.prepSeen[initiator] = seen
-	}
-	seen[e] = true
+	firstSight(&p.reconf.prepSeen, e)
 	pr := reconfigPrepare{Epoch: e, Wire: EncodeStackConfig(target)}
 	p.Broadcast(ReconfigPrepareTag, pr)
 	rc.drain(w, p, e)
@@ -779,7 +763,7 @@ func (w *World) EpochOf(id graph.NodeID) uint64 {
 	if w.reconfig == nil {
 		return 0
 	}
-	return w.reconfig.nodeEpoch[id]
+	return w.reconfig.epochOf(id)
 }
 
 // LatestEpoch returns the highest committed epoch (0 when disabled).

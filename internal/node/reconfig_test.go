@@ -291,12 +291,12 @@ func TestReconfigEpochFenceNoStrike(t *testing.T) {
 		rc.quorumBase = append(rc.quorumBase, 2)
 	}
 	rc.latest = 3
-	rc.nodeEpoch[2] = 3
+	w.Proc(2).reconf.epoch = 3
 
-	if rc.admitEpoch(w, Message{From: 1, To: 2, Tag: "data", epoch: 0}) {
+	if rc.admitEpoch(w, w.Proc(2), Message{From: 1, To: 2, Tag: "data", epoch: 0}) {
 		t.Fatal("copy 3 epochs stale passed a fence of depth 2")
 	}
-	if !rc.admitEpoch(w, Message{From: 1, To: 2, Tag: "data", epoch: 1}) {
+	if !rc.admitEpoch(w, w.Proc(2), Message{From: 1, To: 2, Tag: "data", epoch: 1}) {
 		t.Fatal("copy exactly at the fence depth was dropped")
 	}
 	if got := rc.counters.StaleEpochDrops; got != 1 {
@@ -305,7 +305,15 @@ func TestReconfigEpochFenceNoStrike(t *testing.T) {
 	if got := countMarks(w.Trace, MarkEpochFenced); got != 1 {
 		t.Fatalf("%d fence marks, want 1", got)
 	}
-	if got := len(w.auth.strikes); got != 0 {
+	got := 0
+	for _, ap := range w.auth.peers {
+		for _, l := range ap.links {
+			if l.struck {
+				got++
+			}
+		}
+	}
+	if got != 0 {
 		t.Fatalf("the fence charged %d strikes; stale honest stragglers must never strike", got)
 	}
 	w.Close()

@@ -11,7 +11,6 @@ package node
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/sim"
@@ -120,8 +119,11 @@ type ackMsg struct {
 }
 
 type pendingMsg struct {
-	m        Message
-	w        *World
+	m Message
+	w *World
+	// from is the sender's record: its counters, RTT table and unacked set
+	// outlive the Proc that sent m.
+	from     *relSender
 	attempts int
 	timeout  sim.Time
 	timer    *sim.Event
@@ -155,6 +157,20 @@ func (e *rttEstimator) sample(rtt float64) {
 
 func (e *rttEstimator) rto() float64 { return e.srtt + 4*e.rttvar }
 
+// relSender is one entity's sender-side record. It is identity-keyed and
+// never dropped: the counters are cumulative, and a rejoiner's first
+// timeout toward a peer starts from the estimate its last session left.
+type relSender struct {
+	ReliableCounters
+	// rtt holds the adaptive estimator per destination (allocated by the
+	// first sample).
+	rtt map[graph.NodeID]*rttEstimator
+	// unacked is this sender's share of reliableLayer.pending, so a
+	// quiescence drain asks about its own traffic without scanning the
+	// world's.
+	unacked map[uint64]*pendingMsg
+}
+
 type reliableLayer struct {
 	cfg ReliableConfig
 	seq uint64
@@ -163,32 +179,44 @@ type reliableLayer struct {
 	// delivered remembers which sequence numbers reached a behavior
 	// (receiver side), so retransmitted copies are acked but not replayed.
 	delivered map[uint64]bool
-	stats     map[graph.NodeID]*ReliableCounters
-	// rtt holds the adaptive estimator per directed pair (Adaptive only).
-	rtt map[[2]graph.NodeID]*rttEstimator
+	// senders holds one record per entity that ever ran here. Running
+	// entities reach theirs through Proc.rel.
+	senders map[graph.NodeID]*relSender
+	// sampleRTT feeds the estimators from acks: on under Adaptive, and
+	// under reconfiguration (a later epoch may flip Adaptive on, so the
+	// estimators are kept warm — sampling consumes no rng draws, so a
+	// never-reconfigured run is bit-identical either way).
+	sampleRTT bool
 }
 
 func newReliableLayer(cfg ReliableConfig) *reliableLayer {
-	rl := &reliableLayer{
+	return &reliableLayer{
 		cfg:       cfg,
 		pending:   make(map[uint64]*pendingMsg),
 		delivered: make(map[uint64]bool),
-		stats:     make(map[graph.NodeID]*ReliableCounters),
+		senders:   make(map[graph.NodeID]*relSender),
+		sampleRTT: cfg.Adaptive,
 	}
-	if cfg.Adaptive {
-		rl.rtt = make(map[[2]graph.NodeID]*rttEstimator)
-	}
-	return rl
 }
 
-// rtoFor is the first timeout of a fresh message toward to: the clamped
-// adaptive estimate when the governing policy is adaptive and one
+// sender returns an entity's record, creating it on first use.
+func (rl *reliableLayer) sender(id graph.NodeID) *relSender {
+	s := rl.senders[id]
+	if s == nil {
+		s = &relSender{unacked: make(map[uint64]*pendingMsg)}
+		rl.senders[id] = s
+	}
+	return s
+}
+
+// rtoFor is the first timeout of a fresh message from s toward to: the
+// clamped adaptive estimate when the governing policy is adaptive and one
 // exists, the fixed schedule otherwise. The policy is passed in because
 // it is epoch-governed under reconfiguration (rl.cfg.Adaptive otherwise);
-// the estimator map may be warm while the policy says fixed.
-func (rl *reliableLayer) rtoFor(adaptive bool, from, to graph.NodeID) sim.Time {
-	if adaptive && rl.rtt != nil {
-		if e := rl.rtt[[2]graph.NodeID{from, to}]; e != nil && e.inited {
+// the estimators may be warm while the policy says fixed.
+func (rl *reliableLayer) rtoFor(adaptive bool, s *relSender, to graph.NodeID) sim.Time {
+	if adaptive {
+		if e := s.rtt[to]; e != nil && e.inited {
 			rto := sim.Time(e.rto() + 0.5)
 			if rto < rl.cfg.MinRTO {
 				rto = rl.cfg.MinRTO
@@ -202,17 +230,8 @@ func (rl *reliableLayer) rtoFor(adaptive bool, from, to graph.NodeID) sim.Time {
 	return rl.cfg.RetransmitAfter
 }
 
-func (rl *reliableLayer) counters(id graph.NodeID) *ReliableCounters {
-	c := rl.stats[id]
-	if c == nil {
-		c = &ReliableCounters{}
-		rl.stats[id] = c
-	}
-	return c
-}
-
-// send tracks m and pushes its first copy into the channel.
-func (rl *reliableLayer) send(w *World, m Message) {
+// send tracks p's message m and pushes its first copy into the channel.
+func (rl *reliableLayer) send(w *World, p *Proc, m Message) {
 	rl.seq++
 	m.seq = rl.seq
 	adaptive := rl.cfg.Adaptive
@@ -222,10 +241,17 @@ func (rl *reliableLayer) send(w *World, m Message) {
 		// switch lands mid-flight.
 		adaptive = w.reconfig.stackFor(m.epoch).Adaptive
 	}
-	pm := &pendingMsg{m: m, timeout: rl.rtoFor(adaptive, m.From, m.To), sentAt: w.Engine.Now()}
+	pm := &pendingMsg{m: m, from: p.rel, timeout: rl.rtoFor(adaptive, p.rel, m.To), sentAt: w.Engine.Now()}
 	rl.pending[m.seq] = pm
+	p.rel.unacked[m.seq] = pm
 	w.transmit(m)
 	rl.scheduleRetry(w, pm)
+}
+
+// settle stops tracking a message: acked, abandoned, or orphaned.
+func (rl *reliableLayer) settle(pm *pendingMsg) {
+	delete(rl.pending, pm.m.seq)
+	delete(pm.from.unacked, pm.m.seq)
 }
 
 func (rl *reliableLayer) scheduleRetry(w *World, pm *pendingMsg) {
@@ -251,18 +277,18 @@ func fireRetry(arg any) {
 	now := int64(w.Engine.Now())
 	if _, alive := w.procs[pm.m.From]; !alive {
 		// The sender is gone; its channel-layer buffer died with it.
-		delete(rl.pending, pm.m.seq)
+		rl.settle(pm)
 		return
 	}
 	if pm.attempts >= rl.cfg.MaxRetries {
-		rl.counters(pm.m.From).GiveUps++
+		pm.from.GiveUps++
 		w.Trace.Mark(now, pm.m.From, MarkGiveUp)
-		delete(rl.pending, pm.m.seq)
+		rl.settle(pm)
 		return
 	}
 	pm.attempts++
 	pm.retransmitted = true
-	rl.counters(pm.m.From).Retries++
+	pm.from.Retries++
 	w.Trace.Mark(now, pm.m.From, MarkRetry)
 	w.transmit(pm.m)
 	pm.timeout = sim.Time(float64(pm.timeout) * rl.cfg.Backoff)
@@ -282,31 +308,33 @@ func (rl *reliableLayer) onAck(w *World, m Message) {
 	if !ok {
 		return // duplicate ack, or the sender already gave up
 	}
-	delete(rl.pending, seq)
+	rl.settle(pm)
 	if pm.timer != nil {
 		pm.timer.Cancel()
 	}
-	rl.counters(pm.m.From).Acked++
-	if rl.rtt != nil && !pm.retransmitted {
-		pair := [2]graph.NodeID{pm.m.From, pm.m.To}
-		e := rl.rtt[pair]
+	pm.from.Acked++
+	if rl.sampleRTT && !pm.retransmitted {
+		e := pm.from.rtt[pm.m.To]
 		if e == nil {
 			e = &rttEstimator{}
-			rl.rtt[pair] = e
+			lazySet(&pm.from.rtt, pm.m.To, e)
 		}
 		e.sample(float64(w.Engine.Now() - pm.sentAt))
 	}
 }
 
 // ReliableStats returns a copy of the per-entity sender-side counters of
-// the reliable sublayer. It returns nil when the sublayer is disabled.
+// the reliable sublayer, for the entities that have any. It returns nil
+// when the sublayer is disabled.
 func (w *World) ReliableStats() map[graph.NodeID]ReliableCounters {
 	if w.rel == nil {
 		return nil
 	}
-	out := make(map[graph.NodeID]ReliableCounters, len(w.rel.stats))
-	for id, c := range w.rel.stats {
-		out[id] = *c
+	out := make(map[graph.NodeID]ReliableCounters)
+	for id, s := range w.rel.senders {
+		if s.ReliableCounters != (ReliableCounters{}) {
+			out[id] = s.ReliableCounters
+		}
 	}
 	return out
 }
@@ -318,16 +346,10 @@ func (w *World) ReliableTotals() ReliableCounters {
 	if w.rel == nil {
 		return total
 	}
-	ids := make([]graph.NodeID, 0, len(w.rel.stats))
-	for id := range w.rel.stats {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		c := w.rel.stats[id]
-		total.Acked += c.Acked
-		total.Retries += c.Retries
-		total.GiveUps += c.GiveUps
+	for _, s := range w.rel.senders {
+		total.Acked += s.Acked
+		total.Retries += s.Retries
+		total.GiveUps += s.GiveUps
 	}
 	return total
 }
