@@ -13,14 +13,14 @@ BENCH_BASELINE ?= BENCH_PR10.json
 # -cpu 1 whatever the host has; otherwise every one reads as missing.
 BENCH_RUN = $(GO) test -run='^$$' -bench=. -benchmem -cpu 1 ./internal/...
 
-.PHONY: all build vet test race bench bench-record bench-check verify-bench loc experiments quick-experiments fuzz fmt clean verify
+.PHONY: all build vet test race bench bench-record bench-check verify-bench loc experiments quick-experiments fuzz fmt fmt-check clean verify
 
 all: build vet test
 
 # Tier-1 verification: what CI and the ROADMAP hold every PR to. The
 # bench gate runs loose (see verify-bench) so host noise cannot flake
 # tier-1; the sharp 20% gate stays in bench-check for deliberate runs.
-verify: build vet test race verify-bench
+verify: build vet fmt-check test race verify-bench
 
 build:
 	$(GO) build ./...
@@ -64,8 +64,9 @@ verify-bench:
 	$(BENCH_RUN) | $(GO) run ./cmd/benchrecord -compare $(BENCH_BASELINE) -tolerance 1.0
 
 # The size ROADMAP aim 2 fences: non-test Go lines under internal/ and
-# cmd/ (22 597 before PR 13, 22 304 before PR 14). PKG narrows the count
-# to one directory tree: `make loc PKG=internal/node` (5 572 before PR 14).
+# cmd/ (22 597 before PR 13, 22 304 before PR 14, 22 181 before PR 16).
+# PKG narrows the count to one directory tree: `make loc PKG=internal/node`
+# (5 572 before PR 14), `make loc PKG=internal/otq` (2 399 before PR 16).
 PKG ?= internal cmd
 loc:
 	@find $(PKG) -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
@@ -95,6 +96,10 @@ fuzz:
 
 fmt:
 	gofmt -w .
+
+# Fails, naming the files, if anything is unformatted; `make fmt` fixes.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l (run 'make fmt'):"; echo "$$out"; exit 1; fi
 
 clean:
 	$(GO) clean ./...

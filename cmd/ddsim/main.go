@@ -95,6 +95,8 @@ func main() {
 		reject(fmt.Sprintf("-horizon %d: the run needs a positive horizon", *horizon))
 	case *overlayName == "random-k" && *k < 1 && !*pexOn:
 		reject(fmt.Sprintf("-k %d: the random-k overlay needs at least 1 neighbor", *k))
+	case *arrival < 0:
+		reject(fmt.Sprintf("-arrival %v: the arrival rate cannot be negative (0 = no churn)", *arrival))
 	case *arrival > 0 && *session <= 0:
 		reject(fmt.Sprintf("-session %v: arrivals need a positive mean session length", *session))
 	}
@@ -146,6 +148,8 @@ func main() {
 			reject("-dynreg is judged by a batch trace scan, which -lite-trace discards; drop -lite-trace or use -tq (streaming checker)")
 		case *writeEvery < 1 || *readEvery < 1:
 			reject("-write-every and -read-every must be positive")
+		case *opsAt < 0 || *opsAt >= *horizon:
+			reject(fmt.Sprintf("-ops-at %d: the first register operation must fall inside the run, in [0, -horizon %d) (0 = horizon/5)", *opsAt, *horizon))
 		}
 		if *tqOn {
 			tcfg := tq.Config{QuorumCoeff: *tqCoeff, WalkTTL: *tqTTL,
@@ -215,7 +219,7 @@ func main() {
 	regWrites, regReads := 0, 0
 	if tqc != nil || reg != nil {
 		start := sim.Time(*opsAt)
-		if start <= 0 {
+		if start == 0 {
 			start = sim.Time(*horizon / 5)
 		}
 		if tqc != nil {

@@ -32,6 +32,7 @@ func TestRejectedFlags(t *testing.T) {
 		{"-horizon 0", "-horizon 0: the run needs a positive horizon"},
 		{"-overlay random-k -k 0", "-k 0: the random-k overlay needs at least 1 neighbor"},
 		{"-arrival 0.1 -session 0", "-session 0: arrivals need a positive mean session length"},
+		{"-arrival -0.5", "-arrival -0.5: the arrival rate cannot be negative (0 = no churn)"},
 		{"-query-at 5000 -horizon 100", "-query-at 5000: the query must launch inside the run, in [0, -horizon 100]"},
 		{"-query-at -5", "-query-at -5: the query must launch inside the run, in [0, -horizon 2000]"},
 		{"-protocol flood-ttl -ttl 0", "-ttl 0: flood-ttl needs a positive TTL"},
@@ -47,6 +48,9 @@ func TestRejectedFlags(t *testing.T) {
 		{"-tq", "the register workloads replace the query; run with -protocol none"},
 		{"-protocol none -dynreg -lite-trace", "-dynreg is judged by a batch trace scan, which -lite-trace discards; drop -lite-trace or use -tq (streaming checker)"},
 		{"-protocol none -tq -write-every 0", "-write-every and -read-every must be positive"},
+		{"-n 8 -protocol none -dynreg -horizon 100 -ops-at 200", "-ops-at 200: the first register operation must fall inside the run, in [0, -horizon 100) (0 = horizon/5)"},
+		{"-n 8 -protocol none -pex -tq -horizon 100 -ops-at 100", "-ops-at 100: the first register operation must fall inside the run, in [0, -horizon 100) (0 = horizon/5)"},
+		{"-protocol none -dynreg -ops-at -1", "-ops-at -1: the first register operation must fall inside the run, in [0, -horizon 2000) (0 = horizon/5)"},
 		{"-protocol none -tq -tq-coeff -1", "tq: QuorumCoeff -1 must be a positive finite number"},
 		{"-protocol none -dynreg -spread -1", "dynreg: SpreadInterval -1 must be non-negative (0 = default 4)"},
 		{"-faults bogus", `clause 0: fault: unknown clause kind "bogus"`},

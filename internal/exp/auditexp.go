@@ -12,14 +12,8 @@ import (
 	"repro/internal/stats"
 )
 
-// AuditLevels are the canned adversary levels E23 sweeps, exposed so that
-// cmd/ddsim's flags offer exactly the suite's adversaries.
+// AuditLevels are the canned adversary levels E23 sweeps.
 var AuditLevels = []string{"equiv", "equiv+forge", "equiv-storm"}
-
-// AuditPlan builds the canned plan of one E23 level for ad-hoc runs; it
-// panics on an unknown level, so flag handlers should check against
-// AuditLevels first.
-func AuditPlan(level string, seed uint64) *fault.Plan { return e23Plan(level, seed) }
 
 // e23Parole is the parole interval of E23's audit arm: long enough that a
 // reinstated link is meaningful, short against the 3000-tick horizon so a

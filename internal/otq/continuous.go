@@ -67,33 +67,11 @@ func (*ContinuousFlood) Name() string { return "continuous-flood" }
 
 // Factory returns the member behaviour (the shared multi-query flood
 // logic).
-func (*ContinuousFlood) Factory() node.BehaviorFactory {
-	return func(graph.NodeID) node.Behavior { return &floodBehavior{} }
-}
+func (*ContinuousFlood) Factory() node.BehaviorFactory { return floodFactory }
 
-func (cf *ContinuousFlood) slack() sim.Time {
-	if cf.Slack > 0 {
-		return cf.Slack
-	}
-	return 2
-}
-
-func (cf *ContinuousFlood) deadline() sim.Time {
-	return 2*sim.Time(cf.TTL)*cf.MaxLatency + cf.slack()
-}
-
+// epoch is the re-evaluation period: by default the flood deadline + 10.
 func (cf *ContinuousFlood) epoch() sim.Time {
-	if cf.Epoch > 0 {
-		return cf.Epoch
-	}
-	return cf.deadline() + 10
-}
-
-func (cf *ContinuousFlood) maxEpochs() int {
-	if cf.MaxEpochs > 0 {
-		return cf.MaxEpochs
-	}
-	return 50
+	return orDefault(cf.Epoch, roundTrip(cf.TTL, cf.MaxLatency, cf.Slack)+10)
 }
 
 // Launch starts the standing query at the given present entity.
@@ -101,43 +79,30 @@ func (cf *ContinuousFlood) Launch(w *node.World, querier graph.NodeID) *Continuo
 	if cf.TTL <= 0 || cf.MaxLatency <= 0 {
 		panic("otq: ContinuousFlood needs positive TTL and MaxLatency")
 	}
-	if cf.epoch() < cf.deadline() {
+	if cf.epoch() < roundTrip(cf.TTL, cf.MaxLatency, cf.Slack) {
 		panic("otq: ContinuousFlood epoch shorter than its flood deadline")
 	}
-	if cf.run != nil {
-		panic("otq: ContinuousFlood launched twice")
-	}
-	p := w.Proc(querier)
-	if p == nil {
-		panic(fmt.Sprintf("otq: querier %d not present", querier))
-	}
-	b, ok := node.FindBehavior[*floodBehavior](p.Behavior())
-	if !ok {
-		panic("otq: world was not built with this protocol's factory")
-	}
+	p, b, _ := launchAt[*floodBehavior]("ContinuousFlood", cf.run != nil, w, querier)
 	cf.run = &ContinuousRun{Querier: querier}
-	b.acc = newAccumulator(p.Now)
-	b.core.parent = make(map[int]graph.NodeID)
+	b.asQuerier()
 	cf.epochRound(p, b, 1)
 	return cf.run
 }
 
+// epochRound floods epoch's wave (its query ID), answers at the wave's
+// deadline whatever came home, and re-arms one Epoch later.
 func (cf *ContinuousFlood) epochRound(p *node.Proc, b *floodBehavior, epoch int) {
-	if !p.Alive() || cf.run.stopped || epoch > cf.maxEpochs() {
+	if !p.Alive() || cf.run.stopped || epoch > orDefault(cf.MaxEpochs, 50) {
 		return
 	}
-	qid := epoch
 	started := int64(p.Now())
-	b.core.parent[qid] = p.ID
-	b.acc.absorb(qid, map[graph.NodeID]float64{p.ID: p.Value})
-	p.Broadcast(tagQuery, queryMsg{QID: qid, TTL: cf.TTL - 1})
-	p.After(cf.deadline(), func() {
+	p.After(b.flood(p, epoch, cf.TTL, cf.MaxLatency, cf.Slack), func() {
 		p.Mark(fmt.Sprintf("otq.epoch-answer:%d", epoch))
 		cf.run.answers = append(cf.run.answers, EpochAnswer{
 			Epoch:        epoch,
 			StartedAt:    started,
 			At:           int64(p.Now()),
-			Contributors: copyContrib(b.acc.get(qid)),
+			Contributors: copyContrib(b.acc[epoch]),
 		})
 	})
 	p.After(cf.epoch(), func() { cf.epochRound(p, b, epoch+1) })

@@ -1,8 +1,7 @@
 package otq
 
 import (
-	"fmt"
-
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/node"
 	"repro/internal/sim"
@@ -57,46 +56,22 @@ func (e *EchoWave) MaxPayload() int64 { return e.maxPayload }
 // Name implements Protocol.
 func (*EchoWave) Name() string { return "echo-wave" }
 
+// echoWaveBehavior dissipates the contributor set itself: its version is
+// the set's size, so Restore's fresh watermarks put every neighbor behind.
 type echoWaveBehavior struct {
-	proto   *EchoWave
-	active  bool
-	known   map[graph.NodeID]float64
-	sentLen map[graph.NodeID]int // per neighbor: len(known) at last push
-	rescans int
-
-	// Querier-only state.
-	isQuerier bool
-	lastNew   sim.Time
-	started   sim.Time
+	wave
+	proto *EchoWave
+	known map[graph.NodeID]float64
 }
 
 // Factory implements Protocol.
 func (e *EchoWave) Factory() node.BehaviorFactory {
-	return func(graph.NodeID) node.Behavior { return &echoWaveBehavior{proto: e} }
-}
-
-func (e *EchoWave) rescanInterval() sim.Time {
-	if e.RescanInterval > 0 {
-		return e.RescanInterval
+	return func(graph.NodeID) node.Behavior {
+		b := &echoWaveBehavior{proto: e}
+		b.state = b
+		return b
 	}
-	return 5
 }
-
-func (e *EchoWave) quietFor() sim.Time {
-	if e.QuietFor > 0 {
-		return e.QuietFor
-	}
-	return 60
-}
-
-func (e *EchoWave) maxRescans() int {
-	if e.MaxRescans > 0 {
-		return e.MaxRescans
-	}
-	return 1000
-}
-
-func (b *echoWaveBehavior) Init(*node.Proc) {}
 
 func (b *echoWaveBehavior) Receive(p *node.Proc, m node.Message) {
 	if m.Tag != tagEchoSet {
@@ -112,44 +87,24 @@ func (b *echoWaveBehavior) Receive(p *node.Proc, m node.Message) {
 	}
 }
 
-// activate starts participating: seed the set with my own value and begin
-// anti-entropy ticks.
-func (b *echoWaveBehavior) activate(p *node.Proc) {
-	if b.active {
-		return
-	}
-	b.active = true
-	b.known = map[graph.NodeID]float64{p.ID: p.Value}
-	b.sentLen = make(map[graph.NodeID]int)
-	b.lastNew = p.Now()
-	b.tick(p)
+func (b *echoWaveBehavior) tuning() (sim.Time, sim.Time, int, *Run) {
+	return b.proto.RescanInterval, b.proto.QuietFor, b.proto.MaxRescans, b.proto.run
 }
 
-func (b *echoWaveBehavior) tick(p *node.Proc) {
-	for _, u := range p.Neighbors() {
-		if b.sentLen[u] < len(b.known) {
-			p.Send(u, tagEchoSet, echoSetMsg{Contrib: copyContrib(b.known)})
-			b.proto.payloadEntries += int64(len(b.known))
-			if n := int64(len(b.known)); n > b.proto.maxPayload {
-				b.proto.maxPayload = n
-			}
-			b.sentLen[u] = len(b.known)
-		}
+func (b *echoWaveBehavior) seed(p *node.Proc) { b.known = map[graph.NodeID]float64{p.ID: p.Value} }
+
+func (b *echoWaveBehavior) version() int { return len(b.known) }
+
+func (b *echoWaveBehavior) push(p *node.Proc, to graph.NodeID) {
+	p.Send(to, tagEchoSet, echoSetMsg{Contrib: copyContrib(b.known)})
+	n := int64(len(b.known))
+	b.proto.payloadEntries += n
+	if n > b.proto.maxPayload {
+		b.proto.maxPayload = n
 	}
-	if b.isQuerier && b.proto.run.Answer() == nil {
-		now := p.Now()
-		if now-b.lastNew >= b.proto.quietFor() && now-b.started >= b.proto.quietFor() {
-			p.Mark("otq.answer")
-			b.proto.run.resolve(int64(now), b.known)
-			return
-		}
-	}
-	b.rescans++
-	if b.rescans >= b.proto.maxRescans() {
-		return
-	}
-	p.After(b.proto.rescanInterval(), func() { b.tick(p) })
 }
+
+func (b *echoWaveBehavior) answer(run *Run, at core.Time) { run.resolve(at, b.known) }
 
 // echoSnapshot is the crash-survivable state of an echo-wave entity.
 type echoSnapshot struct {
@@ -191,27 +146,15 @@ func (b *echoWaveBehavior) Restore(p *node.Proc, snap any) {
 	b.lastNew = s.lastNew
 	b.started = s.started
 	if b.active {
-		b.sentLen = make(map[graph.NodeID]int)
+		b.sent = make(map[graph.NodeID]int)
 		b.tick(p)
 	}
 }
 
 // Launch implements Protocol.
 func (e *EchoWave) Launch(w *node.World, querier graph.NodeID) *Run {
-	if e.run != nil {
-		panic("otq: EchoWave launched twice")
-	}
-	p := w.Proc(querier)
-	if p == nil {
-		panic(fmt.Sprintf("otq: querier %d not present", querier))
-	}
-	b, ok := node.FindBehavior[*echoWaveBehavior](p.Behavior())
-	if !ok {
-		panic("otq: world was not built with this protocol's factory")
-	}
-	e.run = &Run{Querier: querier, Started: int64(p.Now())}
-	b.isQuerier = true
-	b.started = p.Now()
-	b.activate(p)
-	return e.run
+	p, b, run := launchAt[*echoWaveBehavior]("EchoWave", e.run != nil, w, querier)
+	e.run = run
+	b.launch(p)
+	return run
 }

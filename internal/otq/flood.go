@@ -1,8 +1,6 @@
 package otq
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
 	"repro/internal/node"
 	"repro/internal/sim"
@@ -24,53 +22,59 @@ type reportMsg struct {
 	Contrib map[graph.NodeID]float64
 }
 
-// floodCore is the member-side logic shared by FloodTTL and ExpandingRing:
-// forward a TTL-bounded query wave outward, relay contributions back along
-// the parent pointers. It supports multiple query IDs (expanding ring
-// issues one per round).
-type floodCore struct {
+// floodBehavior is the member-side logic every flooding-family protocol
+// shares: forward a TTL-bounded query wave outward, relay contributions
+// back along the parent pointers. It supports multiple query IDs (the
+// repeating protocols issue one per round).
+type floodBehavior struct {
 	parent map[int]graph.NodeID // per QID: who I first heard it from
+	acc    accumulator          // non-nil at the querier
 }
 
-func (f *floodCore) seen(qid int) bool {
-	_, ok := f.parent[qid]
-	return ok
-}
+func (b *floodBehavior) Init(*node.Proc) {}
 
-// onQuery handles a query wave arrival; sink is non-nil at the querier.
-func (f *floodCore) onQuery(p *node.Proc, m node.Message, sink *accumulator) {
-	q := m.Payload.(queryMsg)
-	if f.parent == nil {
-		f.parent = make(map[int]graph.NodeID)
+func (b *floodBehavior) Receive(p *node.Proc, m node.Message) {
+	switch m.Tag {
+	case tagQuery:
+		b.onQuery(p, m.From, m.Payload.(queryMsg))
+	case tagReport:
+		r := m.Payload.(reportMsg)
+		b.sendUp(p, r.QID, r.Contrib)
 	}
-	if f.seen(q.QID) {
+}
+
+// floodFactory is every flooding-family protocol's Factory: only the
+// querier, which Launch picks, behaves differently.
+func floodFactory(graph.NodeID) node.Behavior { return &floodBehavior{} }
+
+// onQuery handles a query wave arrival.
+func (b *floodBehavior) onQuery(p *node.Proc, from graph.NodeID, q queryMsg) {
+	if b.parent == nil {
+		b.parent = make(map[int]graph.NodeID)
+	}
+	if _, seen := b.parent[q.QID]; seen {
 		return
 	}
-	f.parent[q.QID] = m.From
+	b.parent[q.QID] = from
 	// Contribute my own value upstream.
-	f.sendUp(p, q.QID, map[graph.NodeID]float64{p.ID: p.Value}, sink)
+	b.sendUp(p, q.QID, map[graph.NodeID]float64{p.ID: p.Value})
 	if q.TTL > 0 {
 		fwd := queryMsg{QID: q.QID, TTL: q.TTL - 1}
 		for _, u := range p.Neighbors() {
-			if u != m.From {
+			if u != from {
 				p.Send(u, tagQuery, fwd)
 			}
 		}
 	}
 }
 
-// onReport relays a contribution bundle toward the querier.
-func (f *floodCore) onReport(p *node.Proc, m node.Message, sink *accumulator) {
-	r := m.Payload.(reportMsg)
-	f.sendUp(p, r.QID, r.Contrib, sink)
-}
-
-func (f *floodCore) sendUp(p *node.Proc, qid int, contrib map[graph.NodeID]float64, sink *accumulator) {
-	if sink != nil {
-		sink.absorb(qid, contrib)
+// sendUp relays a contribution bundle toward the querier, which absorbs it.
+func (b *floodBehavior) sendUp(p *node.Proc, qid int, contrib map[graph.NodeID]float64) {
+	if b.acc != nil {
+		b.acc.absorb(qid, contrib)
 		return
 	}
-	parent, ok := f.parent[qid]
+	parent, ok := b.parent[qid]
 	if !ok {
 		// A report for a wave I never saw (e.g. I joined mid-query and a
 		// straggler reply reached me): nowhere to route it.
@@ -80,31 +84,80 @@ func (f *floodCore) sendUp(p *node.Proc, qid int, contrib map[graph.NodeID]float
 }
 
 // accumulator gathers contributions at the querier, per query ID.
-type accumulator struct {
-	byQID   map[int]map[graph.NodeID]float64
-	lastNew sim.Time
-	now     func() sim.Time
-}
+type accumulator map[int]map[graph.NodeID]float64
 
-func newAccumulator(now func() sim.Time) *accumulator {
-	return &accumulator{byQID: make(map[int]map[graph.NodeID]float64), now: now}
-}
-
-func (a *accumulator) absorb(qid int, contrib map[graph.NodeID]float64) {
-	m := a.byQID[qid]
+func (a accumulator) absorb(qid int, contrib map[graph.NodeID]float64) {
+	m := a[qid]
 	if m == nil {
 		m = make(map[graph.NodeID]float64)
-		a.byQID[qid] = m
+		a[qid] = m
 	}
 	for id, v := range contrib {
 		if _, dup := m[id]; !dup {
 			m[id] = v
-			a.lastNew = a.now()
 		}
 	}
 }
 
-func (a *accumulator) get(qid int) map[graph.NodeID]float64 { return a.byQID[qid] }
+// floodSnapshot is the crash-survivable state of a flood-family entity:
+// the parent pointers that route reports upstream and, at the querier,
+// the contributions gathered so far.
+type floodSnapshot struct {
+	parent map[int]graph.NodeID
+	byQID  accumulator // non-nil at the querier
+}
+
+// Snapshot implements node.Recoverable.
+func (b *floodBehavior) Snapshot() any {
+	var s floodSnapshot
+	if b.parent != nil {
+		s.parent = make(map[int]graph.NodeID, len(b.parent))
+		for qid, parent := range b.parent {
+			s.parent[qid] = parent
+		}
+	}
+	if b.acc != nil {
+		s.byQID = make(accumulator, len(b.acc))
+		for qid, m := range b.acc {
+			s.byQID[qid] = copyContrib(m)
+		}
+	}
+	return s
+}
+
+// Restore implements node.Recoverable. A recovered relay keeps routing
+// reports for waves it had joined; a recovered querier keeps the
+// contributions it had absorbed (though its answer deadline, a timer,
+// died with the crash — the query resolves only if it was already
+// resolved or a driver re-arms it).
+func (b *floodBehavior) Restore(_ *node.Proc, snap any) {
+	s := snap.(floodSnapshot)
+	b.parent, b.acc = s.parent, s.byQID
+}
+
+// asQuerier makes this entity the sink of the waves it is about to flood.
+func (b *floodBehavior) asQuerier() {
+	b.acc = make(accumulator)
+	b.parent = make(map[int]graph.NodeID)
+}
+
+// roundTrip is how long a wave of radius ttl needs to come home: out in
+// <= ttl hops, back in <= ttl hops, each at most perHop, plus slack (a
+// scheduling margin; default 2).
+func roundTrip(ttl int, perHop, slack sim.Time) sim.Time {
+	return 2*sim.Time(ttl)*perHop + orDefault(slack, 2)
+}
+
+// flood is the querier's side of one round, whatever rule decides when
+// rounds stop: own wave qid, contribute my value, broadcast the query at
+// radius ttl. It returns the round trip after which everything within
+// ttl hops that could answer has.
+func (b *floodBehavior) flood(p *node.Proc, qid, ttl int, perHop, slack sim.Time) sim.Time {
+	b.parent[qid] = p.ID
+	b.acc.absorb(qid, map[graph.NodeID]float64{p.ID: p.Value})
+	p.Broadcast(tagQuery, queryMsg{QID: qid, TTL: ttl - 1})
+	return roundTrip(ttl, perHop, slack)
+}
 
 // FloodTTL is the protocol that solves OTQ when a diameter bound is known
 // (claim C1): the querier floods a TTL-bounded wave, members relay
@@ -123,109 +176,29 @@ type FloodTTL struct {
 	// Slack pads the deadline (scheduling margin). Default 2.
 	Slack sim.Time
 
-	run     *Run
-	querier graph.NodeID
+	run *Run
 }
 
 // Name implements Protocol.
 func (*FloodTTL) Name() string { return "flood-ttl" }
 
-type floodBehavior struct {
-	proto *FloodTTL
-	core  floodCore
-	acc   *accumulator // non-nil at the querier
-}
-
-func (b *floodBehavior) Init(*node.Proc) {}
-
-func (b *floodBehavior) Receive(p *node.Proc, m node.Message) {
-	switch m.Tag {
-	case tagQuery:
-		b.core.onQuery(p, m, b.acc)
-	case tagReport:
-		b.core.onReport(p, m, b.acc)
-	}
-}
-
 // Factory implements Protocol.
-func (f *FloodTTL) Factory() node.BehaviorFactory {
-	return func(graph.NodeID) node.Behavior { return &floodBehavior{proto: f} }
-}
-
-// floodSnapshot is the crash-survivable state of a flood-family entity:
-// the parent pointers that route reports upstream and, at the querier,
-// the contributions gathered so far.
-type floodSnapshot struct {
-	parent map[int]graph.NodeID
-	byQID  map[int]map[graph.NodeID]float64 // non-nil at the querier
-}
-
-// Snapshot implements node.Recoverable.
-func (b *floodBehavior) Snapshot() any {
-	var s floodSnapshot
-	if b.core.parent != nil {
-		s.parent = make(map[int]graph.NodeID, len(b.core.parent))
-		for qid, parent := range b.core.parent {
-			s.parent[qid] = parent
-		}
-	}
-	if b.acc != nil {
-		s.byQID = make(map[int]map[graph.NodeID]float64, len(b.acc.byQID))
-		for qid, m := range b.acc.byQID {
-			s.byQID[qid] = copyContrib(m)
-		}
-	}
-	return s
-}
-
-// Restore implements node.Recoverable. A recovered relay keeps routing
-// reports for waves it had joined; a recovered querier keeps the
-// contributions it had absorbed (though its answer deadline, a timer,
-// died with the crash — the query resolves only if it was already
-// resolved or a driver re-arms it).
-func (b *floodBehavior) Restore(p *node.Proc, snap any) {
-	s := snap.(floodSnapshot)
-	b.core.parent = s.parent
-	if s.byQID != nil {
-		b.acc = newAccumulator(p.Now)
-		b.acc.byQID = s.byQID
-	}
-}
+func (*FloodTTL) Factory() node.BehaviorFactory { return floodFactory }
 
 // Launch implements Protocol. It panics if the querier is absent, the
 // behaviour factory was not this protocol's, or parameters are unset.
+// One round: the known bound makes its deadline the sound moment to answer.
 func (f *FloodTTL) Launch(w *node.World, querier graph.NodeID) *Run {
 	if f.TTL <= 0 || f.MaxLatency <= 0 {
 		panic("otq: FloodTTL needs positive TTL and MaxLatency")
 	}
-	if f.run != nil {
-		panic("otq: FloodTTL launched twice")
-	}
-	p := w.Proc(querier)
-	if p == nil {
-		panic(fmt.Sprintf("otq: querier %d not present", querier))
-	}
-	b, ok := node.FindBehavior[*floodBehavior](p.Behavior())
-	if !ok {
-		panic("otq: world was not built with this protocol's factory")
-	}
-	slack := f.Slack
-	if slack == 0 {
-		slack = 2
-	}
-	f.querier = querier
-	f.run = &Run{Querier: querier, Started: int64(p.Now())}
-	b.acc = newAccumulator(p.Now)
+	p, b, run := launchAt[*floodBehavior]("FloodTTL", f.run != nil, w, querier)
+	f.run = run
+	b.asQuerier()
 	const qid = 1
-	b.core.parent = map[int]graph.NodeID{qid: querier}
-	b.acc.absorb(qid, map[graph.NodeID]float64{querier: p.Value})
-	p.Broadcast(tagQuery, queryMsg{QID: qid, TTL: f.TTL - 1})
-	// Out in <= TTL hops, back in <= TTL hops, each at most MaxLatency.
-	deadline := 2*sim.Time(f.TTL)*f.MaxLatency + slack
-	run := f.run
-	p.After(deadline, func() {
+	p.After(b.flood(p, qid, f.TTL, f.MaxLatency, f.Slack), func() {
 		p.Mark("otq.answer")
-		run.resolve(int64(p.Now()), b.acc.get(qid))
+		run.resolve(int64(p.Now()), b.acc[qid])
 	})
-	return f.run
+	return run
 }

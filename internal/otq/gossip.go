@@ -1,8 +1,6 @@
 package otq
 
 import (
-	"fmt"
-
 	"repro/internal/agg"
 	"repro/internal/graph"
 	"repro/internal/node"
@@ -65,27 +63,6 @@ func (g *GossipPushSum) Factory() node.BehaviorFactory {
 	}
 }
 
-func (g *GossipPushSum) roundInterval() sim.Time {
-	if g.RoundInterval > 0 {
-		return g.RoundInterval
-	}
-	return 2
-}
-
-func (g *GossipPushSum) rounds() int {
-	if g.Rounds > 0 {
-		return g.Rounds
-	}
-	return 50
-}
-
-func (g *GossipPushSum) maxTicks() int {
-	if g.MaxTicks > 0 {
-		return g.MaxTicks
-	}
-	return 5000
-}
-
 func (b *gossipBehavior) Init(p *node.Proc) {
 	b.s, b.w = p.Value, 1
 	b.schedule(p)
@@ -93,10 +70,10 @@ func (b *gossipBehavior) Init(p *node.Proc) {
 
 func (b *gossipBehavior) schedule(p *node.Proc) {
 	b.ticks++
-	if b.ticks > b.proto.maxTicks() {
+	if b.ticks > orDefault(b.proto.MaxTicks, 5000) {
 		return
 	}
-	p.After(b.proto.roundInterval(), func() { b.tick(p) })
+	p.After(orDefault(b.proto.RoundInterval, 2), func() { b.tick(p) })
 }
 
 func (b *gossipBehavior) tick(p *node.Proc) {
@@ -124,26 +101,15 @@ func (b *gossipBehavior) Estimate() float64 { return b.s / b.w }
 
 // Launch implements Protocol.
 func (g *GossipPushSum) Launch(w *node.World, querier graph.NodeID) *Run {
-	if g.run != nil {
-		panic("otq: GossipPushSum launched twice")
-	}
-	p := w.Proc(querier)
-	if p == nil {
-		panic(fmt.Sprintf("otq: querier %d not present", querier))
-	}
-	b, ok := node.FindBehavior[*gossipBehavior](p.Behavior())
-	if !ok {
-		panic("otq: world was not built with this protocol's factory")
-	}
-	g.run = &Run{Querier: querier, Started: int64(p.Now())}
-	wait := sim.Time(g.rounds()) * g.roundInterval()
-	run := g.run
+	p, b, run := launchAt[*gossipBehavior]("GossipPushSum", g.run != nil, w, querier)
+	g.run = run
+	wait := sim.Time(orDefault(g.Rounds, 50)) * orDefault(g.RoundInterval, 2)
 	p.After(wait, func() {
 		p.Mark("otq.answer")
 		// Encode the estimate so that State.Result(agg.Mean) reads s/w.
 		run.resolveState(int64(p.Now()), agg.State{Count: b.w, Sum: b.s})
 	})
-	return g.run
+	return run
 }
 
 // gossipSnapshot is the crash-survivable state of a push-sum member: its

@@ -32,6 +32,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/node"
+	"repro/internal/sim"
 )
 
 // Answer is what a query returns: the merged aggregation state and, for
@@ -91,6 +92,35 @@ type Protocol interface {
 	// Launch starts a query at the given present entity, now. The
 	// returned Run resolves as the simulation advances.
 	Launch(w *node.World, querier graph.NodeID) *Run
+}
+
+// launchAt owns what every Launch must establish before a protocol acts
+// on its own assumption: a protocol value drives one query, the querier
+// is present, and the world was built with the protocol's own factory
+// (so the querier runs behaviour B, possibly composed beside others). It
+// returns the querier's process, that behaviour, and the Run to resolve.
+func launchAt[B node.Behavior](name string, launched bool, w *node.World, querier graph.NodeID) (*node.Proc, B, *Run) {
+	if launched {
+		panic("otq: " + name + " launched twice")
+	}
+	p := w.Proc(querier)
+	if p == nil {
+		panic(fmt.Sprintf("otq: querier %d not present", querier))
+	}
+	b, ok := node.FindBehavior[B](p.Behavior())
+	if !ok {
+		panic("otq: world was not built with this protocol's factory")
+	}
+	return p, b, &Run{Querier: querier, Started: int64(p.Now())}
+}
+
+// orDefault reads a protocol tunable: a non-positive value means the
+// default its field documents.
+func orDefault[T int | sim.Time](v, def T) T {
+	if v > 0 {
+		return v
+	}
+	return def
 }
 
 // Outcome is the specification checker's judgment of one Run.

@@ -1,8 +1,6 @@
 package otq
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
 	"repro/internal/node"
 	"repro/internal/sim"
@@ -40,53 +38,18 @@ type RepeatedFlood struct {
 func (*RepeatedFlood) Name() string { return "flood-repeat" }
 
 // Factory implements Protocol: members run the shared flood logic.
-func (*RepeatedFlood) Factory() node.BehaviorFactory {
-	return func(graph.NodeID) node.Behavior { return &floodBehavior{} }
-}
-
-func (rf *RepeatedFlood) slack() sim.Time {
-	if rf.Slack > 0 {
-		return rf.Slack
-	}
-	return 2
-}
-
-func (rf *RepeatedFlood) maxRounds() int {
-	if rf.MaxRounds > 0 {
-		return rf.MaxRounds
-	}
-	return 8
-}
-
-func (rf *RepeatedFlood) quietRounds() int {
-	if rf.QuietRounds > 0 {
-		return rf.QuietRounds
-	}
-	return 2
-}
+func (*RepeatedFlood) Factory() node.BehaviorFactory { return floodFactory }
 
 // Launch implements Protocol.
 func (rf *RepeatedFlood) Launch(w *node.World, querier graph.NodeID) *Run {
 	if rf.TTL <= 0 || rf.MaxLatency <= 0 {
 		panic("otq: RepeatedFlood needs positive TTL and MaxLatency")
 	}
-	if rf.run != nil {
-		panic("otq: RepeatedFlood launched twice")
-	}
-	p := w.Proc(querier)
-	if p == nil {
-		panic(fmt.Sprintf("otq: querier %d not present", querier))
-	}
-	b, ok := node.FindBehavior[*floodBehavior](p.Behavior())
-	if !ok {
-		panic("otq: world was not built with this protocol's factory")
-	}
-	rf.run = &Run{Querier: querier, Started: int64(p.Now())}
-	b.acc = newAccumulator(p.Now)
-	b.core.parent = make(map[int]graph.NodeID)
-	union := map[graph.NodeID]float64{}
-	rf.round(p, b, 1, 0, union)
-	return rf.run
+	p, b, run := launchAt[*floodBehavior]("RepeatedFlood", rf.run != nil, w, querier)
+	rf.run = run
+	b.asQuerier()
+	rf.round(p, b, 1, 0, map[graph.NodeID]float64{})
+	return run
 }
 
 // round floods once more; quiet counts consecutive rounds that added no
@@ -97,13 +60,9 @@ func (rf *RepeatedFlood) round(p *node.Proc, b *floodBehavior, qid, quiet int, u
 	if !p.Alive() {
 		return // querier left; the query dies unanswered
 	}
-	b.core.parent[qid] = p.ID
-	b.acc.absorb(qid, map[graph.NodeID]float64{p.ID: p.Value})
-	p.Broadcast(tagQuery, queryMsg{QID: qid, TTL: rf.TTL - 1})
-	deadline := 2*sim.Time(rf.TTL)*rf.MaxLatency + rf.slack()
-	p.After(deadline, func() {
+	p.After(b.flood(p, qid, rf.TTL, rf.MaxLatency, rf.Slack), func() {
 		grew := false
-		for id, v := range b.acc.get(qid) {
+		for id, v := range b.acc[qid] {
 			if _, ok := union[id]; !ok {
 				union[id] = v
 				grew = true
@@ -114,7 +73,7 @@ func (rf *RepeatedFlood) round(p *node.Proc, b *floodBehavior, qid, quiet int, u
 		} else {
 			quiet++
 		}
-		if quiet >= rf.quietRounds() || qid >= rf.maxRounds() {
+		if quiet >= orDefault(rf.QuietRounds, 2) || qid >= orDefault(rf.MaxRounds, 8) {
 			p.Mark("otq.answer")
 			rf.run.resolve(int64(p.Now()), union)
 			return

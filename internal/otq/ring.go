@@ -1,8 +1,6 @@
 package otq
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
 	"repro/internal/node"
 	"repro/internal/sim"
@@ -38,38 +36,18 @@ func (*ExpandingRing) Name() string { return "expanding-ring" }
 
 // Factory implements Protocol. Members run the same flood logic as
 // FloodTTL; only the querier differs.
-func (*ExpandingRing) Factory() node.BehaviorFactory {
-	return func(graph.NodeID) node.Behavior { return &floodBehavior{} }
-}
-
-func (e *ExpandingRing) slack() sim.Time {
-	if e.Slack > 0 {
-		return e.Slack
-	}
-	return 2
-}
+func (*ExpandingRing) Factory() node.BehaviorFactory { return floodFactory }
 
 // Launch implements Protocol.
 func (e *ExpandingRing) Launch(w *node.World, querier graph.NodeID) *Run {
 	if e.MaxLatency <= 0 || e.MaxTTL <= 0 {
 		panic("otq: ExpandingRing needs positive MaxLatency and MaxTTL")
 	}
-	if e.run != nil {
-		panic("otq: ExpandingRing launched twice")
-	}
-	p := w.Proc(querier)
-	if p == nil {
-		panic(fmt.Sprintf("otq: querier %d not present", querier))
-	}
-	b, ok := node.FindBehavior[*floodBehavior](p.Behavior())
-	if !ok {
-		panic("otq: world was not built with this protocol's factory")
-	}
-	e.run = &Run{Querier: querier, Started: int64(p.Now())}
-	b.acc = newAccumulator(p.Now)
-	b.core.parent = make(map[int]graph.NodeID)
+	p, b, run := launchAt[*floodBehavior]("ExpandingRing", e.run != nil, w, querier)
+	e.run = run
+	b.asQuerier()
 	e.round(p, b, 1, 1, nil)
-	return e.run
+	return run
 }
 
 // round floods at radius ttl under query ID qid and, at the deadline,
@@ -78,12 +56,8 @@ func (e *ExpandingRing) round(p *node.Proc, b *floodBehavior, ttl, qid int, prev
 	if !p.Alive() {
 		return // querier left; the query dies unanswered
 	}
-	b.core.parent[qid] = p.ID
-	b.acc.absorb(qid, map[graph.NodeID]float64{p.ID: p.Value})
-	p.Broadcast(tagQuery, queryMsg{QID: qid, TTL: ttl - 1})
-	deadline := 2*sim.Time(ttl)*e.MaxLatency + e.slack()
-	p.After(deadline, func() {
-		cur := b.acc.get(qid)
+	p.After(b.flood(p, qid, ttl, e.MaxLatency, e.Slack), func() {
+		cur := b.acc[qid]
 		if (prev != nil && sameContributors(prev, cur)) || ttl >= e.MaxTTL {
 			p.Mark("otq.answer")
 			e.run.resolve(int64(p.Now()), cur)

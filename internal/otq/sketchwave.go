@@ -1,9 +1,8 @@
 package otq
 
 import (
-	"fmt"
-
 	"repro/internal/agg"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/node"
 	"repro/internal/sim"
@@ -52,53 +51,24 @@ func (*SketchWave) Name() string { return "sketch-wave" }
 // PayloadWords returns the total sketch payload shipped, in 64-bit words.
 func (sw *SketchWave) PayloadWords() int64 { return sw.payloadWords }
 
-func (sw *SketchWave) rows() int {
-	if sw.Rows > 0 {
-		return sw.Rows
-	}
-	return 64
-}
-
-func (sw *SketchWave) rescanInterval() sim.Time {
-	if sw.RescanInterval > 0 {
-		return sw.RescanInterval
-	}
-	return 5
-}
-
-func (sw *SketchWave) quietFor() sim.Time {
-	if sw.QuietFor > 0 {
-		return sw.QuietFor
-	}
-	return 60
-}
-
-func (sw *SketchWave) maxRescans() int {
-	if sw.MaxRescans > 0 {
-		return sw.MaxRescans
-	}
-	return 1000
-}
-
+// sketchWaveBehavior dissipates the sketch. It has no Snapshot/Restore: a
+// recovered entity restarts through Init and re-seeds when the wave next
+// reaches it (merging is idempotent, so nothing is double-counted).
 type sketchWaveBehavior struct {
-	proto   *SketchWave
-	active  bool
-	sk      *sketch.FM
-	version int // bumps whenever the local sketch changes
-	sentVer map[graph.NodeID]int
-	rescans int
-
-	isQuerier bool
-	lastNew   sim.Time
-	started   sim.Time
+	wave
+	proto *SketchWave
+	sk    *sketch.FM
+	ver   int // bumps whenever the local sketch changes
 }
 
 // Factory implements Protocol.
 func (sw *SketchWave) Factory() node.BehaviorFactory {
-	return func(graph.NodeID) node.Behavior { return &sketchWaveBehavior{proto: sw} }
+	return func(graph.NodeID) node.Behavior {
+		b := &sketchWaveBehavior{proto: sw}
+		b.state = b
+		return b
+	}
 }
-
-func (b *sketchWaveBehavior) Init(*node.Proc) {}
 
 func (b *sketchWaveBehavior) Receive(p *node.Proc, m node.Message) {
 	if m.Tag != tagSketch {
@@ -109,63 +79,36 @@ func (b *sketchWaveBehavior) Receive(p *node.Proc, m node.Message) {
 	before := b.sk.Clone()
 	b.sk.Merge(incoming)
 	if !b.sk.Equal(before) {
-		b.version++
+		b.ver++
 		b.lastNew = p.Now()
 	}
 }
 
-func (b *sketchWaveBehavior) activate(p *node.Proc) {
-	if b.active {
-		return
-	}
-	b.active = true
-	b.sk = sketch.New(b.proto.rows())
-	b.sk.Add(uint64(p.ID))
-	b.version = 1
-	b.sentVer = make(map[graph.NodeID]int)
-	b.lastNew = p.Now()
-	b.tick(p)
+func (b *sketchWaveBehavior) tuning() (sim.Time, sim.Time, int, *Run) {
+	return b.proto.RescanInterval, b.proto.QuietFor, b.proto.MaxRescans, b.proto.run
 }
 
-func (b *sketchWaveBehavior) tick(p *node.Proc) {
-	for _, u := range p.Neighbors() {
-		if b.sentVer[u] < b.version {
-			p.Send(u, tagSketch, sketchMsg{SK: b.sk.Clone()})
-			b.proto.payloadWords += int64(b.sk.Words())
-			b.sentVer[u] = b.version
-		}
-	}
-	if b.isQuerier && b.proto.run.Answer() == nil {
-		now := p.Now()
-		if now-b.lastNew >= b.proto.quietFor() && now-b.started >= b.proto.quietFor() {
-			p.Mark("otq.answer")
-			b.proto.run.resolveState(int64(now), agg.State{Count: b.sk.Estimate()})
-			return
-		}
-	}
-	b.rescans++
-	if b.rescans >= b.proto.maxRescans() {
-		return
-	}
-	p.After(b.proto.rescanInterval(), func() { b.tick(p) })
+func (b *sketchWaveBehavior) seed(p *node.Proc) {
+	b.sk = sketch.New(orDefault(b.proto.Rows, 64))
+	b.sk.Add(uint64(p.ID))
+	b.ver = 1
+}
+
+func (b *sketchWaveBehavior) version() int { return b.ver }
+
+func (b *sketchWaveBehavior) push(p *node.Proc, to graph.NodeID) {
+	p.Send(to, tagSketch, sketchMsg{SK: b.sk.Clone()})
+	b.proto.payloadWords += int64(b.sk.Words())
+}
+
+func (b *sketchWaveBehavior) answer(run *Run, at core.Time) {
+	run.resolveState(at, agg.State{Count: b.sk.Estimate()})
 }
 
 // Launch implements Protocol.
 func (sw *SketchWave) Launch(w *node.World, querier graph.NodeID) *Run {
-	if sw.run != nil {
-		panic("otq: SketchWave launched twice")
-	}
-	p := w.Proc(querier)
-	if p == nil {
-		panic(fmt.Sprintf("otq: querier %d not present", querier))
-	}
-	b, ok := node.FindBehavior[*sketchWaveBehavior](p.Behavior())
-	if !ok {
-		panic("otq: world was not built with this protocol's factory")
-	}
-	sw.run = &Run{Querier: querier, Started: int64(p.Now())}
-	b.isQuerier = true
-	b.started = p.Now()
-	b.activate(p)
-	return sw.run
+	p, b, run := launchAt[*sketchWaveBehavior]("SketchWave", sw.run != nil, w, querier)
+	sw.run = run
+	b.launch(p)
+	return run
 }

@@ -1,8 +1,6 @@
 package otq
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
 	"repro/internal/node"
 	"repro/internal/sim"
@@ -70,20 +68,6 @@ type treeEchoBehavior struct {
 // Factory implements Protocol.
 func (te *TreeEcho) Factory() node.BehaviorFactory {
 	return func(graph.NodeID) node.Behavior { return &treeEchoBehavior{proto: te} }
-}
-
-func (te *TreeEcho) checkInterval() sim.Time {
-	if te.CheckInterval > 0 {
-		return te.CheckInterval
-	}
-	return 5
-}
-
-func (te *TreeEcho) maxChecks() int {
-	if te.MaxChecks > 0 {
-		return te.MaxChecks
-	}
-	return 1000
 }
 
 func (b *treeEchoBehavior) Init(*node.Proc) {}
@@ -154,10 +138,10 @@ func (b *treeEchoBehavior) maybeComplete(p *node.Proc) {
 
 func (b *treeEchoBehavior) scheduleCheck(p *node.Proc) {
 	b.checks++
-	if b.checks > b.proto.maxChecks() || b.echoed {
+	if b.checks > orDefault(b.proto.MaxChecks, 1000) || b.echoed {
 		return
 	}
-	p.After(b.proto.checkInterval(), func() {
+	p.After(orDefault(b.proto.CheckInterval, 5), func() {
 		if b.echoed {
 			return
 		}
@@ -180,20 +164,10 @@ func (b *treeEchoBehavior) scheduleCheck(p *node.Proc) {
 
 // Launch implements Protocol.
 func (te *TreeEcho) Launch(w *node.World, querier graph.NodeID) *Run {
-	if te.run != nil {
-		panic("otq: TreeEcho launched twice")
-	}
-	p := w.Proc(querier)
-	if p == nil {
-		panic(fmt.Sprintf("otq: querier %d not present", querier))
-	}
-	b, ok := node.FindBehavior[*treeEchoBehavior](p.Behavior())
-	if !ok {
-		panic("otq: world was not built with this protocol's factory")
-	}
-	te.run = &Run{Querier: querier, Started: int64(p.Now())}
+	p, b, run := launchAt[*treeEchoBehavior]("TreeEcho", te.run != nil, w, querier)
+	te.run = run
 	b.start(p, querier, true)
-	return te.run
+	return run
 }
 
 // treeEchoSnapshot is the crash-survivable state of a tree-echo entity.

@@ -30,9 +30,6 @@ func NewView(cap int) *View { return &View{cap: cap} }
 // Len returns the number of held records.
 func (v *View) Len() int { return len(v.entries) }
 
-// Cap returns the view bound.
-func (v *View) Cap() int { return v.cap }
-
 // Contains reports whether the view holds a record of id.
 func (v *View) Contains(id graph.NodeID) bool {
 	for _, e := range v.entries {
