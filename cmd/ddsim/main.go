@@ -20,12 +20,15 @@
 //	ddsim -n 64 -protocol none -pex -tq -tq-coeff 1.6 -tq-ttl 4 -arrival 1.3 -session 40 -horizon 600
 //	ddsim -n 1024 -protocol none -pex -tq -tq-coeff 1.6 -tq-ttl 4 -lite-trace -arrival 20 -session 40 -horizon 600
 //	ddsim -n 48 -protocol none -dynreg -write-window 96 -arrival 0.5 -session 60 -horizon 600
+//	ddsim -n 4000 -overlay random-k -k 4 -protocol flood-repeat -stream-check -lite-trace -horizon 300 -cpuprofile cpu.prof -memprofile mem.prof
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"slices"
 
 	"repro/internal/agg"
@@ -85,6 +88,8 @@ func main() {
 		writeEvery  = flag.Int64("write-every", 16, "register workloads: write period of the single immortal writer")
 		readEvery   = flag.Int64("read-every", 7, "register workloads: read period (reads rotate over present members)")
 		opsAt       = flag.Int64("ops-at", 0, "register workloads: first-operation tick (0 = horizon/5)")
+		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run (set-up, simulation and judgment) to this file")
+		memProfile  = flag.String("memprofile", "", "write a heap profile, taken after the run, to this file")
 	)
 	flag.Parse()
 
@@ -265,7 +270,9 @@ func main() {
 			})
 		}
 	}
+	stopProfiles := startProfiles(*cpuProfile, *memProfile)
 	res := exp.Execute(scen)
+	stopProfiles()
 	if plan != nil {
 		fmt.Printf("faults: %s (%s)\n", plan.Summary(), plan)
 	}
@@ -413,6 +420,46 @@ func main() {
 func reject(why any) {
 	fmt.Fprintln(os.Stderr, "ddsim:", why)
 	os.Exit(2)
+}
+
+// startProfiles opens the -cpuprofile and -memprofile files (an empty
+// path turns that profile off) and starts the CPU profile; an unwritable
+// path is rejected before the run. The returned func stops the CPU
+// profile and writes the heap profile once the run is over.
+func startProfiles(cpuPath, memPath string) (stop func()) {
+	create := func(name, path string) *os.File {
+		if path == "" {
+			return nil
+		}
+		f, err := os.Create(path)
+		if err != nil {
+			reject(fmt.Sprintf("-%s: %v", name, err))
+		}
+		return f
+	}
+	cpu, mem := create("cpuprofile", cpuPath), create("memprofile", memPath)
+	if cpu != nil {
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			reject(fmt.Sprintf("-cpuprofile: %v", err))
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				reject(fmt.Sprintf("-cpuprofile: %v", err))
+			}
+		}
+		if mem != nil {
+			runtime.GC() // settle the heap so the profile shows what the run left live
+			if err := pprof.WriteHeapProfile(mem); err != nil {
+				reject(fmt.Sprintf("-memprofile: %v", err))
+			}
+			if err := mem.Close(); err != nil {
+				reject(fmt.Sprintf("-memprofile: %v", err))
+			}
+		}
+	}
 }
 
 // mergePlans appends extra's clauses to plan; a nil plan becomes extra.

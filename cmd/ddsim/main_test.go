@@ -59,6 +59,8 @@ func TestRejectedFlags(t *testing.T) {
 		{"-reconfig bogus=1", `fault: parameter "bogus" not valid for "reconfig" clauses in "reconfig:bogus=1"`},
 		{"-pex -poison bogus", `fault: parameter "bogus" in "poison:bogus" is not key=value`},
 		{"-auth -parole -5", "node: negative auth Parole -5"},
+		{"-cpuprofile /nonexistent/cpu.prof", "-cpuprofile: open /nonexistent/cpu.prof: no such file or directory"},
+		{"-memprofile /nonexistent/mem.prof", "-memprofile: open /nonexistent/mem.prof: no such file or directory"},
 	}
 	for _, tc := range cases {
 		cmd := exec.Command(os.Args[0], strings.Fields(tc.args)...)
@@ -72,6 +74,32 @@ func TestRejectedFlags(t *testing.T) {
 		}
 		if got, want := stderr.String(), "ddsim: "+tc.want+"\n"; got != want {
 			t.Errorf("ddsim %s: stderr = %q, want %q", tc.args, got, want)
+		}
+	}
+}
+
+// TestProfileFlags runs one small world with and without -cpuprofile and
+// -memprofile: both files are written and stdout is byte-identical.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	run := func(extra ...string) string {
+		args := append([]string{"-n", "12", "-protocol", "flood-repeat", "-query-at", "10", "-horizon", "80"}, extra...)
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "DDSIM_AS_MAIN=1")
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("ddsim %v: %v", args, err)
+		}
+		return string(out)
+	}
+	cpu, mem := dir+"/cpu.prof", dir+"/mem.prof"
+	plain, profiled := run(), run("-cpuprofile", cpu, "-memprofile", mem)
+	if plain != profiled {
+		t.Errorf("stdout changed under the profile flags:\nwithout:\n%s\nwith:\n%s", plain, profiled)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: not written (err %v)", path, err)
 		}
 	}
 }

@@ -10,7 +10,10 @@
 // deterministic (sorted by node ID) so that simulations replay exactly.
 package graph
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // NodeID identifies a process/entity. IDs are assigned by the arrival
 // model and never reused within a run.
@@ -20,10 +23,10 @@ type NodeID int64
 // construct with New. Self-loops are rejected.
 type Graph struct {
 	adj map[NodeID]map[NodeID]bool
-	// sorted caches the ascending node list between membership changes;
-	// overlay layers (pex bootstrap/refresh, samplers) call Nodes far
-	// more often than the node set changes, and re-sorting a 100k-member
-	// world on every call dominated their cost.
+	// sorted is the ascending node list, built by the first Nodes or
+	// AppendNodes call and from then on kept current by binary-search
+	// insert and delete: overlays read it on every join, so a membership
+	// change costs an O(n) memmove, never a sort.
 	sorted      []NodeID
 	sortedValid bool
 }
@@ -35,7 +38,10 @@ func New() *Graph { return &Graph{adj: make(map[NodeID]map[NodeID]bool)} }
 func (g *Graph) AddNode(v NodeID) {
 	if _, ok := g.adj[v]; !ok {
 		g.adj[v] = make(map[NodeID]bool)
-		g.sortedValid = false
+		if g.sortedValid {
+			i, _ := slices.BinarySearch(g.sorted, v)
+			g.sorted = slices.Insert(g.sorted, i, v)
+		}
 	}
 }
 
@@ -49,7 +55,10 @@ func (g *Graph) RemoveNode(v NodeID) {
 		delete(g.adj[u], v)
 	}
 	delete(g.adj, v)
-	g.sortedValid = false
+	if g.sortedValid {
+		i, _ := slices.BinarySearch(g.sorted, v)
+		g.sorted = slices.Delete(g.sorted, i, i+1)
+	}
 }
 
 // AddEdge inserts the undirected edge {u, v}, adding missing endpoints.
@@ -104,17 +113,22 @@ func (g *Graph) Degree(v NodeID) int { return len(g.adj[v]) }
 // Nodes returns all node IDs in ascending order. The caller owns the
 // returned slice.
 func (g *Graph) Nodes() []NodeID {
+	return g.AppendNodes(make([]NodeID, 0, len(g.adj)))
+}
+
+// AppendNodes appends all node IDs in ascending order to dst and returns
+// the extended slice, so a hot caller can reuse one buffer across calls.
+// The caller owns the result.
+func (g *Graph) AppendNodes(dst []NodeID) []NodeID {
 	if !g.sortedValid {
 		g.sorted = g.sorted[:0]
 		for v := range g.adj {
 			g.sorted = append(g.sorted, v)
 		}
-		sort.Slice(g.sorted, func(i, j int) bool { return g.sorted[i] < g.sorted[j] })
+		slices.Sort(g.sorted)
 		g.sortedValid = true
 	}
-	out := make([]NodeID, len(g.sorted))
-	copy(out, g.sorted)
-	return out
+	return append(dst, g.sorted...)
 }
 
 // Neighbors returns the neighbors of v in ascending order.
@@ -124,7 +138,7 @@ func (g *Graph) Neighbors(v NodeID) []NodeID {
 	for u := range nbrs {
 		out = append(out, u)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -24,6 +24,7 @@ package node
 // local view.
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -266,7 +267,7 @@ func (px *pexLayer) candidates(self graph.NodeID, v *pex.View) pexCandidates {
 			add(u)
 		}
 	}
-	sort.Slice(cs.excl, func(i, j int) bool { return cs.excl[i] < cs.excl[j] })
+	slices.Sort(cs.excl)
 	// Dedupe: a blocked peer can also sit in the view (records merged
 	// before the conviction, via third parties, survive eviction).
 	out := cs.excl[:0]

@@ -177,6 +177,8 @@ type StreamChecker struct {
 	everTickDone bool
 
 	reached map[graph.NodeID]bool
+	// seeds and next are spread's frontier buffers, reused across ticks.
+	seeds, next []graph.NodeID
 
 	// Run-wide mark sets (the batch checker collects them over the whole
 	// trace, not just the query window).
@@ -226,21 +228,14 @@ func (c *StreamChecker) poll() {
 	}
 }
 
-// spread replicates the batch ReachableFrom propagation step: the querier
-// seeds the set while present, and information floods from every reached
-// node still present through the current graph.
-func (c *StreamChecker) spread() {
-	if !c.reached[c.querier] && c.g.HasNode(c.querier) {
-		c.reached[c.querier] = true
-	}
-	frontier := make([]graph.NodeID, 0, len(c.reached))
-	for v := range c.reached {
-		if c.g.HasNode(v) {
-			frontier = append(frontier, v)
-		}
-	}
+// spread replicates the batch ReachableFrom propagation step
+// incrementally: information floods from seeds — reached nodes still
+// present — through the current graph. The caller keeps the reached set
+// closed (every present reached node's neighbors are reached), so only
+// nodes whose neighborhood grew since the last spread need seeding.
+func (c *StreamChecker) spread(frontier []graph.NodeID) {
+	next := c.next[:0]
 	for len(frontier) > 0 {
-		var next []graph.NodeID
 		for _, v := range frontier {
 			for _, u := range c.g.Neighbors(v) {
 				if !c.reached[u] {
@@ -249,8 +244,9 @@ func (c *StreamChecker) spread() {
 				}
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier[:0]
 	}
+	c.seeds, c.next = frontier[:0], next[:0]
 }
 
 func applyTopo(g *graph.Graph, ev core.TraceEvent) {
@@ -268,6 +264,11 @@ func applyTopo(g *graph.Graph, ev core.TraceEvent) {
 
 // flush applies the buffered topology batch (all events at curT) and, if
 // the batch falls inside the query window, lets information spread.
+// Joins add isolated nodes and leaves and edge-downs only remove edges,
+// so the batch can break the reached set's closure only through its
+// edge-ups: the spread starts from their reached, present endpoints. A
+// querier absent until now is marked reached first; every edge it has
+// came in this batch's edge-ups, which then seed it.
 func (c *StreamChecker) flush() {
 	if len(c.pending) == 0 {
 		return
@@ -275,10 +276,24 @@ func (c *StreamChecker) flush() {
 	for _, ev := range c.pending {
 		applyTopo(c.g, ev)
 	}
-	c.pending = c.pending[:0]
 	if c.armed && !c.frozen && c.curT >= c.started {
-		c.spread()
+		if c.g.HasNode(c.querier) {
+			c.reached[c.querier] = true
+		}
+		seeds := c.seeds[:0]
+		for _, ev := range c.pending {
+			if ev.Kind != core.TEdgeUp {
+				continue
+			}
+			for _, v := range [2]graph.NodeID{ev.P, ev.Q} {
+				if c.reached[v] && c.g.HasNode(v) {
+					seeds = append(seeds, v)
+				}
+			}
+		}
+		c.spread(seeds)
 	}
+	c.pending = c.pending[:0]
 }
 
 // advance moves the clock to t: the old tick's topology batch is applied
@@ -415,8 +430,19 @@ func (c *StreamChecker) Arm(r *Run) {
 		c.everPending[p] = true
 	}
 	// Initial spread over the graph as of the window's opening (the
-	// arm tick's own events are still pending and spread when it ends).
-	c.spread()
+	// arm tick's own events are still pending and spread when it ends):
+	// seeded from every present reached node, it leaves the reached set
+	// closed, which each later flush preserves.
+	if c.g.HasNode(c.querier) {
+		c.reached[c.querier] = true
+	}
+	seeds := c.seeds[:0]
+	for v := range c.reached {
+		if c.g.HasNode(v) {
+			seeds = append(seeds, v)
+		}
+	}
+	c.spread(seeds)
 }
 
 // sortedIDs renders a set exactly like the batch checker's accumulating

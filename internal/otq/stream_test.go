@@ -8,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/node"
 	"repro/internal/rng"
+	"repro/internal/topology"
 )
 
 // The streaming checker's contract is bit-for-bit equality with the batch
@@ -283,6 +284,94 @@ func TestStreamCheckerScriptedEdgeCases(t *testing.T) {
 				{mark(11, 1, core.MarkEpochSwitch), false, false},
 			},
 		},
+		// The incremental spread seeds only from the endpoints of a tick's
+		// edge-ups (and the querier when it first appears); these rows
+		// put each kind of seed, and each non-seed, in a tick of its own.
+		"edge up from a reached to an unreached node": {
+			querier: 1, started: 5, ansAt: 9,
+			contribs: map[graph.NodeID]float64{1: 3, 2: 6},
+			horizon:  12,
+			steps: []scriptStep{
+				{ev: ev(0, core.TJoin, 1)},
+				{ev: ev(0, core.TJoin, 2)},
+				{ev: ev(0, core.TJoin, 3)},
+				{ev: edge(1, core.TEdgeUp, 1, 2)},
+				{arm: true},
+				{ev: edge(7, core.TEdgeUp, 3, 2)},
+				{resolve: true},
+			},
+		},
+		"reached node leaves, rejoins and relinks": {
+			// Entity 2 is reached, leaves, rejoins isolated (still
+			// reached), and reach then flows through it to 3 and on to 4.
+			querier: 1, started: 5, ansAt: 11,
+			contribs: map[graph.NodeID]float64{1: 3},
+			horizon:  14,
+			steps: []scriptStep{
+				{ev: ev(0, core.TJoin, 1)},
+				{ev: ev(0, core.TJoin, 2)},
+				{ev: ev(0, core.TJoin, 3)},
+				{ev: ev(0, core.TJoin, 4)},
+				{ev: edge(1, core.TEdgeUp, 1, 2)},
+				{ev: edge(1, core.TEdgeUp, 3, 4)},
+				{arm: true},
+				{ev: ev(6, core.TLeave, 2)},
+				{ev: ev(7, core.TJoin, 2)},
+				{ev: edge(8, core.TEdgeUp, 2, 3)},
+				{resolve: true},
+			},
+		},
+		"edge up and down within one tick": {
+			// The batch applies the whole tick before spreading: the edge
+			// is gone by then and nothing crosses it.
+			querier: 1, started: 5, ansAt: 9,
+			contribs: map[graph.NodeID]float64{1: 3},
+			horizon:  12,
+			steps: []scriptStep{
+				{ev: ev(0, core.TJoin, 1)},
+				{ev: ev(0, core.TJoin, 2)},
+				{arm: true},
+				{ev: edge(6, core.TEdgeUp, 1, 2)},
+				{ev: edge(6, core.TEdgeDown, 1, 2)},
+				{resolve: true},
+			},
+		},
+		"querier absent at arm joins later": {
+			// Nothing is reached at the arm; the querier's join seeds the
+			// spread over the component it joins into (2 and 3), and a
+			// later edge-up extends it to 4.
+			querier: 1, started: 5, ansAt: 10,
+			contribs: map[graph.NodeID]float64{1: 3},
+			horizon:  12,
+			steps: []scriptStep{
+				{ev: ev(0, core.TJoin, 2)},
+				{ev: ev(0, core.TJoin, 3)},
+				{ev: ev(0, core.TJoin, 4)},
+				{ev: edge(1, core.TEdgeUp, 2, 3)},
+				{arm: true},
+				{ev: ev(6, core.TJoin, 1)},
+				{ev: edge(6, core.TEdgeUp, 1, 2)},
+				{ev: edge(8, core.TEdgeUp, 4, 3)},
+				{resolve: true},
+			},
+		},
+		"edge between unreached nodes, one reached later": {
+			// 3-4 links while neither is reached (no seed); when 1-3
+			// links later, the spread from 1 must carry on through the
+			// older edge to 4.
+			querier: 1, started: 5, ansAt: 10,
+			contribs: map[graph.NodeID]float64{1: 3},
+			horizon:  12,
+			steps: []scriptStep{
+				{ev: ev(0, core.TJoin, 1)},
+				{ev: ev(0, core.TJoin, 3)},
+				{ev: ev(0, core.TJoin, 4)},
+				{arm: true},
+				{ev: edge(6, core.TEdgeUp, 3, 4)},
+				{ev: edge(8, core.TEdgeUp, 1, 3)},
+				{resolve: true},
+			},
+		},
 	}
 	// The "improper join" script needs arm/resolve placed explicitly.
 	improper := scripts["improper join discards the suspended interval"]
@@ -413,5 +502,74 @@ func TestStreamCheckerRandomDifferential(t *testing.T) {
 		if t.Failed() {
 			t.Fatalf("seed %d diverged", seed)
 		}
+	}
+}
+
+// TestStreamCheckerObserveAllocsScaleWithChange bounds the per-tick cost
+// of an armed window over a 2000-entity random-k(4) world under churn
+// (one leave and one join a tick, never answered). The reached set spans
+// the world, so re-flooding it on every tick would allocate thousands of
+// times per tick; spreading from the tick's new edges allocates for the
+// handful of nodes whose neighborhood changed.
+func TestStreamCheckerObserveAllocsScaleWithChange(t *testing.T) {
+	const n, ticks = 2000, 300
+	ov := topology.NewRandomK(7, 4)
+	r := rng.New(7)
+	var present []graph.NodeID
+	next := graph.NodeID(0)
+	tickEvents := make([][]core.TraceEvent, ticks)
+	emit := func(at core.Time, kind core.TraceEventKind, p, q graph.NodeID) {
+		tickEvents[at] = append(tickEvents[at], core.TraceEvent{At: at, Kind: kind, P: p, Q: q})
+	}
+	edges := func(at core.Time, chs []topology.Change) {
+		for _, c := range chs {
+			kind := core.TEdgeDown
+			if c.Up {
+				kind = core.TEdgeUp
+			}
+			emit(at, kind, c.U, c.V)
+		}
+	}
+	join := func(at core.Time) {
+		next++
+		present = append(present, next)
+		emit(at, core.TJoin, next, 0)
+		edges(at, ov.AddNode(next))
+	}
+	for i := 0; i < n; i++ {
+		join(0)
+	}
+	for at := core.Time(1); at < ticks; at++ {
+		i := 1 + r.Intn(len(present)-1) // the querier, entity 1, stays
+		p := present[i]
+		present = append(present[:i], present[i+1:]...)
+		emit(at, core.TLeave, p, 0)
+		edges(at, ov.RemoveNode(p))
+		join(at)
+	}
+
+	c := NewStreamChecker(CheckOptions{})
+	const armAt = 10
+	for at := 0; at < armAt; at++ {
+		for _, e := range tickEvents[at] {
+			c.Observe(e)
+		}
+	}
+	c.Arm(&Run{Querier: 1, Started: armAt})
+	at := armAt
+	feed := func() {
+		for _, e := range tickEvents[at] {
+			c.Observe(e)
+		}
+		at++
+	}
+	feed() // the arm tick, which the first flush spreads
+	runs := ticks - at - 1
+	perTick := testing.AllocsPerRun(runs, feed)
+	if len(c.reached) < n/2 {
+		t.Fatalf("only %d entities reached: the window does not exercise a world-sized reached set", len(c.reached))
+	}
+	if perTick > 60 {
+		t.Errorf("Observe over one churned tick: %.0f allocs, want <= 60 (proportional to the change, not to the %d reached)", perTick, len(c.reached))
 	}
 }

@@ -1,6 +1,8 @@
 package pex
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -59,17 +61,16 @@ func (v *View) Members() []graph.NodeID {
 	for i, e := range v.entries {
 		out[i] = e.Rec.ID
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 func (v *View) resort() {
-	sort.Slice(v.entries, func(i, j int) bool {
-		a, b := v.entries[i].Rec, v.entries[j].Rec
-		if a.Hop != b.Hop {
-			return a.Hop < b.Hop
+	slices.SortFunc(v.entries, func(a, b Entry) int {
+		if c := cmp.Compare(a.Rec.Hop, b.Rec.Hop); c != 0 {
+			return c
 		}
-		return a.ID < b.ID
+		return cmp.Compare(a.Rec.ID, b.Rec.ID)
 	})
 }
 

@@ -229,6 +229,9 @@ type RandomK struct {
 	base
 	r *rng.Rand
 	k int
+	// buf is pick's candidate scratch, reused so that a join copies the
+	// member list but allocates nothing proportional to it.
+	buf []graph.NodeID
 }
 
 // NewRandomK returns an empty k-random overlay. k must be positive.
@@ -242,10 +245,14 @@ func NewRandomK(seed uint64, k int) *RandomK {
 // Name implements Overlay.
 func (rk *RandomK) Name() string { return fmt.Sprintf("random-%d", rk.k) }
 
-// pick returns up to k distinct members other than p, uniformly.
+// pick returns up to k distinct members other than p, uniformly: the
+// ascending members minus p, shuffled, first k. The result is a prefix
+// of rk's scratch buffer, valid until the next pick; both callers only
+// range over it before picking again.
 func (rk *RandomK) pick(p graph.NodeID, k int) []graph.NodeID {
-	candidates := make([]graph.NodeID, 0, rk.g.NumNodes())
-	for _, v := range rk.g.Nodes() {
+	rk.buf = rk.g.AppendNodes(rk.buf[:0])
+	candidates := rk.buf[:0]
+	for _, v := range rk.buf {
 		if v != p {
 			candidates = append(candidates, v)
 		}
@@ -263,7 +270,7 @@ func (rk *RandomK) pick(p graph.NodeID, k int) []graph.NodeID {
 func (rk *RandomK) AddNode(p graph.NodeID) []Change {
 	targets := rk.pick(p, rk.k)
 	rk.g.AddNode(p)
-	var ch []Change
+	ch := make([]Change, 0, len(targets))
 	for _, u := range targets {
 		ch = rk.addEdge(ch, p, u)
 	}
