@@ -7,7 +7,7 @@ GO ?= go
 
 # The checked-in micro-benchmark baseline that bench-record writes and
 # bench-check / verify-bench compare against.
-BENCH_BASELINE ?= BENCH_PR20.json
+BENCH_BASELINE ?= BENCH_PR21.json
 # The baseline's names carry no -N GOMAXPROCS suffix (benchrecord keeps the
 # suffix as part of the name), so the benchmarks it is compared with run at
 # -cpu 1 whatever the host has; otherwise every one reads as missing.
@@ -48,18 +48,18 @@ bench-record:
 	$(BENCH_RUN) | $(GO) run ./cmd/benchrecord -out $(BENCH_BASELINE)
 
 # Diff fresh benchmark numbers against the checked-in baseline; fails on
-# any benchmark whose ns/op regressed more than 20% or whose allocs/op
-# grew more than 25% (allocation counts are deterministic — that gate
-# catches pooled paths that silently start allocating again). A baseline
-# benchmark that did not run at all also fails (benchrecord
+# any benchmark whose ns/op regressed more than 20% or whose allocs/op or
+# B/op grew more than 25% (allocation counts and sizes are deterministic —
+# those gates catch pooled paths that silently start allocating again). A
+# baseline benchmark that did not run at all also fails (benchrecord
 # -allow-missing overrides when a deletion is deliberate).
 bench-check:
 	$(BENCH_RUN) | $(GO) run ./cmd/benchrecord -compare $(BENCH_BASELINE)
 
 # The tier-1 flavor of bench-check: the ns/op tolerance is opened to
-# 100% so a loaded CI host cannot flake verify, while the two
-# deterministic regressions it exists to catch still fail hard —
-# allocation growth, and baseline benchmarks that silently stop running.
+# 100% so a loaded CI host cannot flake verify, while the deterministic
+# regressions it exists to catch still fail hard — allocation count or
+# size growth, and baseline benchmarks that silently stop running.
 verify-bench:
 	$(BENCH_RUN) | $(GO) run ./cmd/benchrecord -compare $(BENCH_BASELINE) -tolerance 1.0
 

@@ -5,18 +5,18 @@
 //
 // With -compare the fresh results are additionally diffed against a
 // checked-in baseline: any benchmark whose ns/op regressed past the
-// tolerance (default 20%), or whose allocs/op grew past -alloc-tolerance
-// (default 25%), is reported and the exit status is non-zero (see `make
-// bench-check`). Benchmarks new to this run are noted but never fail;
-// baseline entries MISSING from the run fail the check unless
-// -allow-missing is set — a benchmark that silently stops running is a
-// gate that silently stops gating, which is exactly how a suite rots.
+// tolerance (default 20%), or whose allocs/op or B/op grew past
+// -alloc-tolerance (default 25%), is reported and the exit status is non-zero (see `make bench-check`).
+// Benchmarks new to this run are noted but never fail; baseline entries
+// MISSING from the run fail the check unless -allow-missing is set — a
+// benchmark that silently stops running is a gate that silently stops
+// gating, which is exactly how a suite rots.
 // Virtual-time simulations are deterministic but the host is not, so the
 // ns/op tolerance is deliberately generous; the gate exists to catch
 // order-of-magnitude accidents, not noise.
-// Allocation counts ARE deterministic, so the allocs gate catches the
-// quieter regression class: a pooled path that silently starts
-// allocating again.
+// Allocation counts and sizes ARE deterministic, so the allocs and bytes
+// gates catch the quieter regression class: a pooled path that silently
+// starts allocating again, or allocates the same number of larger objects.
 //
 // Only the standard benchmark line shape is recognized:
 //
@@ -47,9 +47,9 @@ type Result struct {
 
 func main() {
 	out := flag.String("out", "", "output file (default stdout)")
-	compare := flag.String("compare", "", "baseline JSON to diff against; exit non-zero on ns/op or allocs/op regressions past tolerance")
+	compare := flag.String("compare", "", "baseline JSON to diff against; exit non-zero on ns/op, allocs/op or B/op regressions past tolerance")
 	tolerance := flag.Float64("tolerance", 0.20, "allowed fractional ns/op growth over the -compare baseline")
-	allocTol := flag.Float64("alloc-tolerance", 0.25, "allowed fractional allocs/op growth over the -compare baseline")
+	allocTol := flag.Float64("alloc-tolerance", 0.25, "allowed fractional allocs/op and B/op growth over the -compare baseline")
 	allowMissing := flag.Bool("allow-missing", false, "tolerate baseline benchmarks missing from this run instead of failing")
 	flag.Parse()
 
@@ -106,9 +106,9 @@ func main() {
 }
 
 // check diffs fresh results against the baseline file; it reports every
-// benchmark and returns false when any ns/op or allocs/op regressed past
-// its tolerance, or (without allowMissing) when a baseline entry did not
-// run at all.
+// benchmark and returns false when any ns/op regressed past tolerance,
+// any allocs/op or B/op grew past allocTol, or (without allowMissing)
+// when a baseline entry did not run at all.
 func check(results []Result, baselineFile string, tolerance, allocTol float64, allowMissing bool) bool {
 	data, err := os.ReadFile(baselineFile)
 	if err != nil {
@@ -152,6 +152,14 @@ func check(results []Result, baselineFile string, tolerance, allocTol float64, a
 					r.Name, b.AllocsPerOp, r.AllocsPerOp)
 				ok = false
 			}
+			// The same gate on bytes, with an absolute slack of 256 B/op
+			// for the runtime's own bookkeeping in place of the 1 alloc.
+			if grew := r.BytesPerOp - b.BytesPerOp; grew > 256 &&
+				float64(r.BytesPerOp) > float64(b.BytesPerOp)*(1+allocTol) {
+				fmt.Printf("  BYTES    %-60s %12d -> %12d B/op\n",
+					r.Name, b.BytesPerOp, r.BytesPerOp)
+				ok = false
+			}
 		}
 	}
 	missing := 0
@@ -166,7 +174,7 @@ func check(results []Result, baselineFile string, tolerance, allocTol float64, a
 		fmt.Fprintf(os.Stderr, "benchrecord: %d baseline benchmark(s) did not run; pass -allow-missing if that is intended\n", missing)
 	}
 	if !ok {
-		fmt.Fprintf(os.Stderr, "benchrecord: ns/op regressions past %.0f%% or allocs/op past %.0f%% vs %s\n",
+		fmt.Fprintf(os.Stderr, "benchrecord: ns/op regressions past %.0f%% or allocs/op or B/op past %.0f%% vs %s\n",
 			tolerance*100, allocTol*100, baselineFile)
 	}
 	return ok

@@ -85,3 +85,22 @@ func TestCheckToleratesNewBenchmarks(t *testing.T) {
 		t.Fatal("a new benchmark failed the check")
 	}
 }
+
+func TestCheckFailsOnBytesGrowth(t *testing.T) {
+	base := writeBaseline(t, []Result{{Name: "p.BenchmarkA-8", NsPerOp: 100, BytesPerOp: 4096, AllocsPerOp: 10}})
+	run := []Result{{Name: "p.BenchmarkA-8", NsPerOp: 100, BytesPerOp: 8192, AllocsPerOp: 10}}
+	if check(run, base, 0.20, 0.25, false) {
+		t.Fatal("B/op doubling at an unchanged allocs/op passed a 25% bytes gate")
+	}
+}
+
+// Small baselines grow by a few words when the runtime's bookkeeping
+// moves; growth within the absolute slack of 256 B/op never fails, even
+// where it is a large fraction.
+func TestCheckToleratesBytesWithinSlack(t *testing.T) {
+	base := writeBaseline(t, []Result{{Name: "p.BenchmarkA-8", NsPerOp: 100, BytesPerOp: 64}})
+	run := []Result{{Name: "p.BenchmarkA-8", NsPerOp: 100, BytesPerOp: 320}}
+	if !check(run, base, 0.20, 0.25, false) {
+		t.Fatal("growth of 256 B/op, within the absolute slack, failed the check")
+	}
+}

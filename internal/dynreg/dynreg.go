@@ -18,12 +18,14 @@ package dynreg
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/node"
+	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -45,6 +47,12 @@ const (
 type copyMsg struct {
 	Seq uint64
 	Val float64
+}
+
+// Fingerprint implements node.Fingerprinter.
+func (m copyMsg) Fingerprint() uint64 {
+	const fpCopy = 0x6fd5ca040ad67e73
+	return rng.Mix64(rng.Mix64(fpCopy^m.Seq) ^ math.Float64bits(m.Val))
 }
 
 // Register configures the replicated register and drives it from the

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/node"
+	"repro/internal/rng"
 	"repro/internal/topology"
 )
 
@@ -30,6 +31,15 @@ type lookupMsg struct {
 	Hops    int
 	Budget  int
 	Querier graph.NodeID
+}
+
+// Fingerprint implements node.Fingerprinter.
+func (m lookupMsg) Fingerprint() uint64 {
+	const fpLookup = 0xfed0c435ff602bdb
+	h := rng.Mix64(fpLookup ^ m.Key)
+	h = rng.Mix64(h ^ uint64(m.Hops))
+	h = rng.Mix64(h ^ uint64(m.Budget))
+	return rng.Mix64(h ^ uint64(m.Querier))
 }
 
 // Result is a completed lookup.

@@ -286,6 +286,21 @@ type PullResponse struct {
 	Receipts []Receipt
 }
 
+// Fingerprint implements Fingerprinter.
+func (m PullRequest) Fingerprint() uint64 {
+	h := foldIDs(fold(fold(fpPullRequest, uint64(m.Origin)), uint64(m.TTL)), m.Path)
+	h = fold(h, uint64(len(m.Digest)))
+	for _, e := range m.Digest {
+		h = fold(fold(fold(h, uint64(e.Sender)), e.BSeq), e.FP)
+	}
+	return h
+}
+
+// Fingerprint implements Fingerprinter.
+func (m PullResponse) Fingerprint() uint64 {
+	return foldReceipts(foldIDs(fpPullResp, m.Path), m.Receipts)
+}
+
 // Pull digest wire form: a 12-byte header (origin, ttl, entry count)
 // followed by 24 bytes per entry.
 const (
@@ -351,10 +366,7 @@ func sigKey(sigSeed uint64, sender graph.NodeID) uint64 {
 
 // sigOver computes the transferable signature of (sender, bseq, fp).
 func sigOver(sigSeed uint64, sender graph.NodeID, bseq, fp uint64) uint64 {
-	h := sigKey(sigSeed, sender) ^ bseq*0x9fb21c651e98df25 ^ fp*0xd1b54a32d192ed03
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	return h ^ (h >> 31)
+	return rng.Mix64(sigKey(sigSeed, sender) ^ bseq*0x9fb21c651e98df25 ^ fp*0xd1b54a32d192ed03)
 }
 
 // VerifyReceipt checks a receipt's signature against the sender's derived

@@ -31,9 +31,12 @@ package node
 // multi-path dissemination routes around the false quarantine.
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
+	"repro/internal/pex"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
@@ -291,12 +294,90 @@ func fnv1a(s string) uint64 {
 	return h
 }
 
-// fingerprint reduces a payload to a deterministic digest. fmt renders map
-// keys in sorted order, so the common contribution-map payloads fingerprint
-// stably; pointer-carrying payloads fingerprint by identity, which is the
-// right notion in-process (a tampered copy is a different object).
+// fingerprint reduces a payload to a deterministic digest. Digests are
+// only compared, never recorded, so the contract is an equality relation:
+// two payloads digest alike exactly when fnv1a(fmt.Sprintf("%T|%v")), the
+// digest this replaced, printed them alike (up to 64-bit collisions). A
+// Fingerprinter digests its own fields, node's unnamed wire types and the
+// pex exchange it carries are folded here, and any other payload falls
+// back to the fmt digest, under which a pointer-carrying payload digests
+// by identity (a tampered copy is a different object). DESIGN.md, payload fingerprints, has the rules.
 func fingerprint(payload any) uint64 {
+	switch p := payload.(type) {
+	case Fingerprinter:
+		return p.Fingerprint()
+	case []Receipt:
+		return foldReceipts(fpReceipts, p)
+	case [2]Receipt:
+		return foldReceipts(fpReceiptPair, p[:])
+	case []byte:
+		return foldBytes(fpBytes, p)
+	case pex.Exchange:
+		h := uint64(fpExchange)
+		if p.Pull {
+			h = ^h
+		}
+		return foldBytes(h, p.Wire)
+	case float64:
+		return fold(fpFloat64, math.Float64bits(p))
+	case nil:
+		return fpNil
+	}
 	return fnv1a(fmt.Sprintf("%T|%v", payload, payload))
+}
+
+// Per-type fingerprint seeds: arbitrary distinct constants that do what
+// %T did in the fmt digest, so equal fields under two types digest apart.
+const (
+	fpNil         = 0x6b01a1c12a3a2107
+	fpFloat64     = 0x6b0404f2b09490b9
+	fpBytes       = 0x48007596a28f5b37
+	fpReceipts    = 0xd7e11b1b7aa6540d
+	fpReceiptPair = 0xfd5e5ee3374cb757
+	fpExchange    = 0xeeca8c285efcea77
+	fpAck         = 0x79827b7acaea0519
+	fpPrepare     = 0xf69542b8cecf8a17
+	fpReconfigAck = 0x2eff2f128330550f
+	fpCommit      = 0x870d6796814d31e9
+	fpPullRequest = 0xc9d4d0203c6e3097
+	fpPullResp    = 0x039d74ed00d0722d
+)
+
+// fold absorbs one word into a running fingerprint.
+func fold(h, x uint64) uint64 { return rng.Mix64(h ^ x) }
+
+// foldBytes absorbs a length-prefixed byte string, eight bytes a word.
+func foldBytes(h uint64, b []byte) uint64 {
+	h = fold(h, uint64(len(b)))
+	for ; len(b) >= 8; b = b[8:] {
+		h = fold(h, binary.LittleEndian.Uint64(b))
+	}
+	if len(b) > 0 {
+		var tail uint64
+		for i, c := range b {
+			tail |= uint64(c) << (8 * i)
+		}
+		h = fold(h, tail)
+	}
+	return h
+}
+
+// foldIDs absorbs a length-prefixed id list.
+func foldIDs(h uint64, ids []graph.NodeID) uint64 {
+	h = fold(h, uint64(len(ids)))
+	for _, id := range ids {
+		h = fold(h, uint64(id))
+	}
+	return h
+}
+
+// foldReceipts absorbs a length-prefixed receipt list.
+func foldReceipts(h uint64, rs []Receipt) uint64 {
+	h = fold(h, uint64(len(rs)))
+	for _, r := range rs {
+		h = fold(fold(fold(fold(h, uint64(r.Sender)), r.BSeq), r.FP), r.Sig)
+	}
+	return h
 }
 
 // macFor computes the HMAC-style authenticator of one message under the
@@ -315,9 +396,7 @@ func (al *authLayer) macFor(ke uint64, from, to graph.NodeID, aseq uint64, tag s
 	h ^= sig * 0xe7037ed1a0b428db
 	h ^= epoch * 0x2545f4914f6cdd1d
 	// One splitmix64 round so related inputs do not produce related tags.
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	return h ^ (h >> 31)
+	return rng.Mix64(h)
 }
 
 // tag authenticates an outgoing message of p in place: next per-pair

@@ -63,6 +63,17 @@ type Tamperable interface {
 	Tamper(r *rng.Rand) any
 }
 
+// Fingerprinter payloads digest themselves for the auth and audit
+// sublayers' MACs, signatures and receipts, instead of through fmt.
+// Fingerprint must be a pure function of the payload's fields that
+// splits payloads exactly where fmt's "%T|%v" rendering does: fold a
+// constant of its own for the type, float fields as math.Float64bits,
+// every slice length-prefixed (nil and empty alike), and map entries
+// order-independently (a sum of mixed key-value pairs, plus the length).
+type Fingerprinter interface {
+	Fingerprint() uint64
+}
+
 // Behavior is the per-entity protocol logic. Each entity gets its own
 // Behavior instance, created by the factory passed to NewWorld.
 type Behavior interface {

@@ -350,6 +350,17 @@ type reconfigCommit struct {
 	Epoch uint64
 }
 
+// Fingerprint implements Fingerprinter.
+func (m reconfigPrepare) Fingerprint() uint64 { return foldBytes(fold(fpPrepare, m.Epoch), m.Wire) }
+
+// Fingerprint implements Fingerprinter.
+func (m reconfigAck) Fingerprint() uint64 {
+	return fold(fold(fpReconfigAck, m.Epoch), uint64(m.Acker))
+}
+
+// Fingerprint implements Fingerprinter.
+func (m reconfigCommit) Fingerprint() uint64 { return fold(fpCommit, m.Epoch) }
+
 type reconfigAckKey struct {
 	epoch uint64
 	acker graph.NodeID

@@ -118,6 +118,9 @@ type ackMsg struct {
 	Seq uint64
 }
 
+// Fingerprint implements Fingerprinter.
+func (m ackMsg) Fingerprint() uint64 { return fold(fpAck, m.Seq) }
+
 type pendingMsg struct {
 	m Message
 	w *World

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/node"
+	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -26,6 +27,17 @@ const TagDigest = "omega.digest"
 
 type digestMsg struct {
 	LastSeen map[graph.NodeID]sim.Time
+}
+
+// Fingerprint implements node.Fingerprinter: the entry count, then the
+// sum of one mixed word per entry, so map order cannot matter.
+func (m digestMsg) Fingerprint() uint64 {
+	const fpDigest = 0xc54cb0e4bd1aa3f1
+	var sum uint64
+	for id, t := range m.LastSeen {
+		sum += rng.Mix64(rng.Mix64(uint64(id)) + uint64(t))
+	}
+	return rng.Mix64(rng.Mix64(fpDigest^uint64(len(m.LastSeen))) ^ sum)
 }
 
 // Elector is the factory-level configuration.

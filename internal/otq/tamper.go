@@ -13,8 +13,15 @@ package otq
 // allocates) and a corrupted value for one existing entity (WrongValue);
 // gossip messages inflate their mass (wrong average); sketches absorb
 // phantom items (inflated count); flood queries lose TTL (coverage).
+//
+// The same payloads digest themselves (node.Fingerprinter) for the auth
+// and audit sublayers, which must tell every tampered copy from its
+// original. sketchMsg does not: it carries a pointer, which the fmt
+// fallback digests by identity, and a content digest would let a clone
+// whose phantom items all hit already-set bits pass as honest.
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/graph"
@@ -47,6 +54,50 @@ func tamperContrib(m map[graph.NodeID]float64, r *rng.Rand) map[graph.NodeID]flo
 	fake := graph.NodeID(fabricatedBase + r.Intn(1000))
 	out[fake] = float64(fake)
 	return out
+}
+
+// digestContrib folds a contribution map into a running fingerprint
+// order-independently: the entry count, then the sum of one mixed word
+// per (id, value) entry. Insertion order cannot matter, and nil and empty
+// maps digest alike (fmt printed both as map[]).
+func digestContrib(h uint64, m map[graph.NodeID]float64) uint64 {
+	var sum uint64
+	for k, v := range m {
+		sum += rng.Mix64(rng.Mix64(uint64(k)) + math.Float64bits(v))
+	}
+	return rng.Mix64(rng.Mix64(h^uint64(len(m))) ^ sum)
+}
+
+// Per-type fingerprint seeds: arbitrary distinct constants that keep
+// equal fields under two types apart, as %T did in the fmt digest.
+const (
+	fpEchoSet  = 0x6d9deeee95da5109
+	fpTreeEcho = 0x25199d6011bb55f9
+	fpReport   = 0xc056855fcb33444b
+	fpQuery    = 0xebe718df3b74e9fb
+	fpGossip   = 0xb1a4a4f93b91e573
+)
+
+// Fingerprint implements node.Fingerprinter.
+func (m echoSetMsg) Fingerprint() uint64 { return digestContrib(fpEchoSet, m.Contrib) }
+
+// Fingerprint implements node.Fingerprinter.
+func (m treeEchoMsg) Fingerprint() uint64 { return digestContrib(fpTreeEcho, m.Contrib) }
+
+// Fingerprint implements node.Fingerprinter.
+func (m reportMsg) Fingerprint() uint64 {
+	return digestContrib(rng.Mix64(fpReport^uint64(m.QID)), m.Contrib)
+}
+
+// Fingerprint implements node.Fingerprinter.
+func (m queryMsg) Fingerprint() uint64 {
+	return rng.Mix64(rng.Mix64(fpQuery^uint64(m.QID)) ^ uint64(m.TTL))
+}
+
+// Fingerprint implements node.Fingerprinter. Floats fold as their bits,
+// which keeps +0 and -0 apart as fmt did.
+func (m gossipMsg) Fingerprint() uint64 {
+	return rng.Mix64(rng.Mix64(fpGossip^math.Float64bits(m.S)) ^ math.Float64bits(m.W))
 }
 
 // Tamper implements node.Tamperable.

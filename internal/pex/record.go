@@ -33,10 +33,7 @@ func keyOf(keySeed uint64, id graph.NodeID) uint64 {
 
 // sigOver computes the signature of (id, epoch) under the subject's key.
 func sigOver(keySeed uint64, id graph.NodeID, epoch int64) uint64 {
-	h := keyOf(keySeed, id) ^ uint64(epoch)*0x9fb21c651e98df25
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	return h ^ (h >> 31)
+	return rng.Mix64(keyOf(keySeed, id) ^ uint64(epoch)*0x9fb21c651e98df25)
 }
 
 // SignRecord mints the subject's honestly-signed view record at the given

@@ -25,12 +25,18 @@ func New(seed uint64) *Rand {
 	sm := seed
 	for i := range r.s {
 		sm += 0x9e3779b97f4a7c15
-		z := sm
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		r.s[i] = z ^ (z >> 31)
+		r.s[i] = Mix64(sm)
 	}
 	return r
+}
+
+// Mix64 is the splitmix64 finalizer: a bijection on uint64 whose output
+// bits each depend on every input bit. It is the one mixing step the
+// simulator's hashes, signatures and authenticators share.
+func Mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 // Split derives an independent generator stream. The derived stream is a

@@ -241,3 +241,18 @@ func BenchmarkIntn(b *testing.B) {
 		r.Intn(1000)
 	}
 }
+
+// TestMix64 pins the finalizer to the published splitmix64 stream: seeded
+// with 0, the generator's k-th output is Mix64(k * 0x9e3779b97f4a7c15).
+func TestMix64(t *testing.T) {
+	if got := Mix64(0); got != 0 {
+		t.Errorf("Mix64(0) = %#x, want 0", got)
+	}
+	var sm uint64
+	for k, want := range []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f, 0xf88bb8a8724c81ec} {
+		sm += 0x9e3779b97f4a7c15
+		if got := Mix64(sm); got != want {
+			t.Errorf("output %d: Mix64(%#x) = %#x, want %#x", k+1, sm, got, want)
+		}
+	}
+}

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"repro/internal/rng"
 )
 
 // phi is the Flajolet-Martin correction constant.
@@ -39,10 +41,7 @@ func (s *FM) Rows() int { return len(s.rows) }
 
 // hash mixes an item identity with a row index (splitmix64 finalizer).
 func hash(item uint64, row int) uint64 {
-	z := item ^ (uint64(row)+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return rng.Mix64(item ^ (uint64(row)+1)*0x9e3779b97f4a7c15)
 }
 
 // Add records an item. Adding the same item again never changes the

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/graph"
+	"repro/internal/rng"
 )
 
 // FingerRing is a structured overlay in the spirit of Chord: members are
@@ -38,10 +39,7 @@ func (*FingerRing) Name() string { return "finger-ring" }
 // It is the position function shared by the finger-ring overlay and the
 // greedy key-lookup protocol (internal/lookup).
 func HashPos(id graph.NodeID) uint64 {
-	z := uint64(id) + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return rng.Mix64(uint64(id) + 0x9e3779b97f4a7c15)
 }
 
 func (fr *FingerRing) less(a, b graph.NodeID) bool {
