@@ -9,9 +9,13 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/churn"
 	"repro/internal/core"
 	"repro/internal/node"
 	"repro/internal/otq"
+	"repro/internal/pex"
+	"repro/internal/sim"
+	"repro/internal/topology"
 )
 
 // updateDigests re-pins testdata/trace_digests.json from this code:
@@ -26,11 +30,13 @@ const traceDigestPath = "testdata/trace_digests.json"
 // adaptive estimator through crashes (E21), budget quarantines (E22),
 // proof quarantines with parole and pardon (E23), pull, pins and eviction
 // (E24), session-keyed and durable rejoins (E25), epoch switches over
-// durable churn (E26), pex with the view audit (E27) — plus two cells no
-// experiment has: crash–recovery under the security stack, and a
+// durable churn (E26), pex with the view audit (E27) — plus three cells no
+// experiment has: crash–recovery under the security stack, a
 // durable-identity rejoin whose parole deadline expires while the holder
-// is away. In that last cell every rejoining holder has quarantined only
-// entity 3, so no two expired paroles of one holder re-arm at one tick.
+// is away, and E28's undefended pex world under rejoining churn (joiners
+// bootstrap, leavers' links decay, refreshes fire) shrunk to 64 founders.
+// In the parole cell every rejoining holder has quarantined only entity 3,
+// so no two expired paroles of one holder re-arm at one tick.
 var traceDigestCells = []struct {
 	name string
 	run  func(cfg Config) *core.Trace
@@ -78,6 +84,27 @@ var traceDigestCells = []struct {
 		w, _, _ := stormCell(ncfg, chordScript(16), e25Plan(1, e25Arms[1]), e24Wave(), e25Horizon(cfg),
 			otq.CheckOptions{BridgeRejoins: true}, nil)
 		return w.Trace
+	}},
+	{"E28 pex churn n=64", func(Config) *core.Trace {
+		const n = 64
+		return Execute(Scenario{
+			Seed:    1,
+			Overlay: func(uint64) topology.Overlay { return topology.NewManual() },
+			Churn: churn.Config{
+				InitialPopulation: n,
+				Immortal:          true,
+				ArrivalRate:       0.5,
+				Session:           churn.ExpSessions(40),
+				RejoinProb:        0.3,
+				Downtime:          churn.FixedSessions(8),
+			},
+			Script: func(w *node.World, e *sim.Engine) {
+				e.At(1, func() { w.PexSeedViews(topology.BuildRing(n)) })
+			},
+			MinLatency: 1, MaxLatency: 2,
+			Pex:     pex.Config{Enabled: true, SampleEvery: 40},
+			Horizon: 160,
+		}).Trace
 	}},
 }
 

@@ -1,0 +1,217 @@
+package graph
+
+import (
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+
+	"repro/internal/rng"
+)
+
+// refGraph is the map-of-maps adjacency the sorted neighbour lists
+// replaced, kept (its methods verbatim) as the reference they must agree
+// with.
+type refGraph struct {
+	adj map[NodeID]map[NodeID]bool
+}
+
+func newRef() *refGraph { return &refGraph{adj: make(map[NodeID]map[NodeID]bool)} }
+
+func (g *refGraph) AddNode(v NodeID) {
+	if _, ok := g.adj[v]; !ok {
+		g.adj[v] = make(map[NodeID]bool)
+	}
+}
+
+func (g *refGraph) RemoveNode(v NodeID) {
+	if _, ok := g.adj[v]; !ok {
+		return
+	}
+	for u := range g.adj[v] {
+		delete(g.adj[u], v)
+	}
+	delete(g.adj, v)
+}
+
+func (g *refGraph) AddEdge(u, v NodeID) {
+	if u == v {
+		panic("graph: self-loop")
+	}
+	g.AddNode(u)
+	g.AddNode(v)
+	g.adj[u][v] = true
+	g.adj[v][u] = true
+}
+
+func (g *refGraph) RemoveEdge(u, v NodeID) {
+	if _, ok := g.adj[u]; ok {
+		delete(g.adj[u], v)
+	}
+	if _, ok := g.adj[v]; ok {
+		delete(g.adj[v], u)
+	}
+}
+
+func (g *refGraph) HasEdge(u, v NodeID) bool {
+	return g.adj[u][v]
+}
+
+func (g *refGraph) NumEdges() int {
+	total := 0
+	for _, nbrs := range g.adj {
+		total += len(nbrs)
+	}
+	return total / 2
+}
+
+func (g *refGraph) Degree(v NodeID) int { return len(g.adj[v]) }
+
+func (g *refGraph) Nodes() []NodeID {
+	out := make([]NodeID, 0, len(g.adj))
+	for v := range g.adj {
+		out = append(out, v)
+	}
+	slices.Sort(out)
+	return out
+}
+
+func (g *refGraph) Neighbors(v NodeID) []NodeID {
+	nbrs := g.adj[v]
+	out := make([]NodeID, 0, len(nbrs))
+	for u := range nbrs {
+		out = append(out, u)
+	}
+	slices.Sort(out)
+	return out
+}
+
+func (g *refGraph) BFS(src NodeID) map[NodeID]int {
+	dist := make(map[NodeID]int)
+	if _, ok := g.adj[src]; !ok {
+		return dist
+	}
+	dist[src] = 0
+	frontier := []NodeID{src}
+	for len(frontier) > 0 {
+		var next []NodeID
+		for _, v := range frontier {
+			for u := range g.adj[v] {
+				if _, seen := dist[u]; !seen {
+					dist[u] = dist[v] + 1
+					next = append(next, u)
+				}
+			}
+		}
+		frontier = next
+	}
+	return dist
+}
+
+func (g *refGraph) Components() [][]NodeID {
+	seen := make(map[NodeID]bool)
+	var comps [][]NodeID
+	for _, v := range g.Nodes() {
+		if seen[v] {
+			continue
+		}
+		var comp []NodeID
+		for u := range g.BFS(v) {
+			seen[u] = true
+			comp = append(comp, u)
+		}
+		sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
+		comps = append(comps, comp)
+	}
+	return comps
+}
+
+// agree fails unless g answers every adjacency query exactly as ref does:
+// per node (and for one absent id) Neighbors, AppendNeighbors onto a
+// non-empty dst, Degree and HasEdge against every id, then NumEdges and
+// Components. BFS, the costly one, is compared from bfsFrom only, or from
+// every id when bfsFrom is negative.
+func agree(t *testing.T, where string, g *Graph, ref *refGraph, ids int, bfsFrom NodeID) {
+	t.Helper()
+	if got, want := g.Nodes(), ref.Nodes(); !slices.Equal(got, want) {
+		t.Fatalf("%s: Nodes = %v, want %v", where, got, want)
+	}
+	prefix := []NodeID{-7, -3}
+	for v := NodeID(0); v <= NodeID(ids); v++ { // ids itself is never a node
+		want := ref.Neighbors(v)
+		if got := g.Neighbors(v); !slices.Equal(got, want) {
+			t.Fatalf("%s: Neighbors(%d) = %v, want %v", where, v, got, want)
+		}
+		dst := slices.Clip(slices.Clone(prefix))
+		if got := g.AppendNeighbors(dst, v); !slices.Equal(got, append(slices.Clone(prefix), want...)) {
+			t.Fatalf("%s: AppendNeighbors(%v, %d) = %v, want the prefix then %v", where, prefix, v, got, want)
+		}
+		if got, want := g.Degree(v), ref.Degree(v); got != want {
+			t.Fatalf("%s: Degree(%d) = %d, want %d", where, v, got, want)
+		}
+		for u := NodeID(0); u <= NodeID(ids); u++ {
+			if got, want := g.HasEdge(v, u), ref.HasEdge(v, u); got != want {
+				t.Fatalf("%s: HasEdge(%d, %d) = %v, want %v", where, v, u, got, want)
+			}
+		}
+		if bfsFrom < 0 || v == bfsFrom {
+			if got, want := g.BFS(v), ref.BFS(v); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: BFS(%d) = %v, want %v", where, v, got, want)
+			}
+		}
+	}
+	if got, want := g.NumEdges(), ref.NumEdges(); got != want {
+		t.Fatalf("%s: NumEdges = %d, want %d", where, got, want)
+	}
+	if got, want := g.Components(), ref.Components(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Components = %v, want %v", where, got, want)
+	}
+}
+
+// TestAdjacencyMatchesReference drives the graph and the map-of-maps
+// reference through the same seeded random node and edge changes over
+// 2..40 ids — repeated adds and removes of present and absent nodes and
+// edges included — and requires them to agree after every one, BFS from
+// one id in turn. Every tenth step BFS must agree from every id, and a
+// Clone must agree too and stay independent: changing the clone leaves
+// the original as it was.
+func TestAdjacencyMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 300; seed++ {
+		r := rng.New(seed)
+		ids := 2 + int(seed%39)
+		g, ref := New(), newRef()
+		for step := 0; step < 200; step++ {
+			switch r.Intn(8) {
+			case 0:
+				v := NodeID(r.Intn(ids))
+				g.AddNode(v)
+				ref.AddNode(v)
+			case 1:
+				v := NodeID(r.Intn(ids))
+				g.RemoveNode(v)
+				ref.RemoveNode(v)
+			case 2, 3, 4, 5:
+				if u, v := NodeID(r.Intn(ids)), NodeID(r.Intn(ids)); u != v {
+					g.AddEdge(u, v)
+					ref.AddEdge(u, v)
+				}
+			case 6, 7:
+				u, v := NodeID(r.Intn(ids)), NodeID(r.Intn(ids))
+				g.RemoveEdge(u, v)
+				ref.RemoveEdge(u, v)
+			}
+			if step%10 != 0 {
+				agree(t, "graph", g, ref, ids, NodeID(step%(ids+1)))
+				continue
+			}
+			agree(t, "graph", g, ref, ids, -1)
+			c := g.Clone()
+			agree(t, "clone", c, ref, ids, -1)
+			for _, v := range c.Nodes() {
+				c.RemoveNode(v)
+			}
+			c.AddEdge(0, 1)
+			agree(t, "original after changing its clone", g, ref, ids, 0)
+		}
+	}
+}

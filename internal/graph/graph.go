@@ -26,7 +26,10 @@ type NodeID int64
 // AppendNodes fill the node cache, and Connected, Eccentricity and
 // Diameter also rebuild the dense view they traverse.
 type Graph struct {
-	adj map[NodeID]map[NodeID]bool
+	// adj maps every node to its neighbours, ascending: a membership test
+	// is a binary search, and every walk of a node's neighbourhood —
+	// Neighbors, the dense view, BFS — is in ID order without a sort.
+	adj map[NodeID][]NodeID
 	// sorted is the ascending node list, built by the first Nodes or
 	// AppendNodes call and from then on kept current by binary-search
 	// insert and delete: overlays read it on every join, so a membership
@@ -39,12 +42,14 @@ type Graph struct {
 }
 
 // New returns an empty graph.
-func New() *Graph { return &Graph{adj: make(map[NodeID]map[NodeID]bool)} }
+func New() *Graph { return &Graph{adj: make(map[NodeID][]NodeID)} }
 
 // AddNode inserts an isolated node. Adding an existing node is a no-op.
 func (g *Graph) AddNode(v NodeID) {
 	if _, ok := g.adj[v]; !ok {
-		g.adj[v] = make(map[NodeID]bool)
+		// Room for a typical overlay degree, so a joiner's first links
+		// do not regrow the list one by one.
+		g.adj[v] = make([]NodeID, 0, 4)
 		if g.sortedValid {
 			i, _ := slices.BinarySearch(g.sorted, v)
 			g.sorted = slices.Insert(g.sorted, i, v)
@@ -58,8 +63,8 @@ func (g *Graph) RemoveNode(v NodeID) {
 	if _, ok := g.adj[v]; !ok {
 		return
 	}
-	for u := range g.adj[v] {
-		delete(g.adj[u], v)
+	for _, u := range g.adj[v] {
+		g.adj[u] = remove(g.adj[u], v)
 	}
 	delete(g.adj, v)
 	if g.sortedValid {
@@ -77,18 +82,36 @@ func (g *Graph) AddEdge(u, v NodeID) {
 	}
 	g.AddNode(u)
 	g.AddNode(v)
-	g.adj[u][v] = true
-	g.adj[v][u] = true
+	g.adj[u] = insert(g.adj[u], v)
+	g.adj[v] = insert(g.adj[v], u)
 }
 
 // RemoveEdge deletes the undirected edge {u, v} if present.
 func (g *Graph) RemoveEdge(u, v NodeID) {
-	if _, ok := g.adj[u]; ok {
-		delete(g.adj[u], v)
+	if nbrs, ok := g.adj[u]; ok {
+		g.adj[u] = remove(nbrs, v)
 	}
-	if _, ok := g.adj[v]; ok {
-		delete(g.adj[v], u)
+	if nbrs, ok := g.adj[v]; ok {
+		g.adj[v] = remove(nbrs, u)
 	}
+}
+
+// insert adds v to the ascending list nbrs unless it is already there.
+func insert(nbrs []NodeID, v NodeID) []NodeID {
+	i, found := slices.BinarySearch(nbrs, v)
+	if found {
+		return nbrs
+	}
+	return slices.Insert(nbrs, i, v)
+}
+
+// remove drops v from the ascending list nbrs if it is there.
+func remove(nbrs []NodeID, v NodeID) []NodeID {
+	i, found := slices.BinarySearch(nbrs, v)
+	if !found {
+		return nbrs
+	}
+	return slices.Delete(nbrs, i, i+1)
 }
 
 // HasNode reports whether v is in the graph.
@@ -99,7 +122,8 @@ func (g *Graph) HasNode(v NodeID) bool {
 
 // HasEdge reports whether the undirected edge {u, v} is in the graph.
 func (g *Graph) HasEdge(u, v NodeID) bool {
-	return g.adj[u][v]
+	_, found := slices.BinarySearch(g.adj[u], v)
+	return found
 }
 
 // NumNodes returns the number of nodes.
@@ -138,25 +162,24 @@ func (g *Graph) AppendNodes(dst []NodeID) []NodeID {
 	return append(dst, g.sorted...)
 }
 
-// Neighbors returns the neighbors of v in ascending order.
+// Neighbors returns the neighbors of v in ascending order. The caller
+// owns the returned slice.
 func (g *Graph) Neighbors(v NodeID) []NodeID {
-	nbrs := g.adj[v]
-	out := make([]NodeID, 0, len(nbrs))
-	for u := range nbrs {
-		out = append(out, u)
-	}
-	slices.Sort(out)
-	return out
+	return g.AppendNeighbors(make([]NodeID, 0, len(g.adj[v])), v)
+}
+
+// AppendNeighbors appends the neighbors of v in ascending order to dst and
+// returns the extended slice, so a hot caller can reuse one buffer across
+// calls. The caller owns the result.
+func (g *Graph) AppendNeighbors(dst []NodeID, v NodeID) []NodeID {
+	return append(dst, g.adj[v]...)
 }
 
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
-	c := New()
+	c := &Graph{adj: make(map[NodeID][]NodeID, len(g.adj))}
 	for v, nbrs := range g.adj {
-		c.AddNode(v)
-		for u := range nbrs {
-			c.adj[v][u] = true
-		}
+		c.adj[v] = slices.Clone(nbrs)
 	}
 	return c
 }
@@ -173,10 +196,7 @@ func (g *Graph) BFS(src NodeID) map[NodeID]int {
 	for len(frontier) > 0 {
 		var next []NodeID
 		for _, v := range frontier {
-			// Adjacency is walked unsorted: the resulting distance map is
-			// identical regardless of visit order, and skipping the
-			// per-node sort matters on 100k-member connectivity sweeps.
-			for u := range g.adj[v] {
+			for _, u := range g.adj[v] {
 				if _, seen := dist[u]; !seen {
 					dist[u] = dist[v] + 1
 					next = append(next, u)

@@ -645,9 +645,11 @@ func (w *World) SetLink(u, v graph.NodeID, up bool) {
 	}
 	now := int64(w.Engine.Now())
 	if up {
-		w.recordChanges(now, lc.Link(u, v))
-	} else {
-		w.recordChanges(now, lc.Unlink(u, v))
+		if lc.Link(u, v) {
+			w.Trace.EdgeUp(now, u, v)
+		}
+	} else if lc.Unlink(u, v) {
+		w.Trace.EdgeDown(now, u, v)
 	}
 }
 

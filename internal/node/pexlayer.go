@@ -171,6 +171,15 @@ type pexLayer struct {
 	// (-1 until then).
 	convergedAt int64
 	totals      PexCounters
+	// Scratch buffers reused across calls, so an exchange allocates
+	// little beyond its wire bytes. Deliveries always go through the
+	// engine, so none of these users is ever re-entered while its buffer
+	// is live.
+	nbrs    []graph.NodeID // reconcile: the entity's neighbours
+	missing []graph.NodeID // reconcile: view members to link
+	excl    []graph.NodeID // candidates: the exclusion list
+	shipBuf []pex.Record   // ship: the outgoing batch, before encoding
+	recvBuf []pex.Record   // onMessage: the decoded incoming batch
 }
 
 func newPexLayer(cfg pex.Config, seed uint64) *pexLayer {
@@ -248,9 +257,10 @@ type pexCandidates struct {
 }
 
 // candidates assembles the population for one sampling call by self.
-// Pass the view to exclude its members (refresh); nil for bootstrap.
+// Pass the view to exclude its members (refresh); nil for bootstrap. The
+// result shares a buffer with the next call's.
 func (px *pexLayer) candidates(self graph.NodeID, v *pex.View) pexCandidates {
-	cs := pexCandidates{idx: px.idx}
+	cs := pexCandidates{idx: px.idx, excl: px.excl[:0]}
 	add := func(id graph.NodeID) {
 		if px.idx.Contains(id) {
 			cs.excl = append(cs.excl, id)
@@ -263,8 +273,8 @@ func (px *pexLayer) candidates(self graph.NodeID, v *pex.View) pexCandidates {
 		}
 	}
 	if v != nil {
-		for _, u := range v.Members() {
-			add(u)
+		for _, e := range v.Entries() {
+			add(e.Rec.ID)
 		}
 	}
 	slices.Sort(cs.excl)
@@ -277,6 +287,7 @@ func (px *pexLayer) candidates(self graph.NodeID, v *pex.View) pexCandidates {
 		}
 	}
 	cs.excl = out
+	px.excl = out
 	return cs
 }
 
@@ -439,8 +450,9 @@ func (px *pexLayer) round(w *World, p *Proc) {
 // increment.
 func (px *pexLayer) ship(w *World, p *Proc, to graph.NodeID, tag string, pull bool) {
 	now := int64(w.Engine.Now())
-	buf := []pex.Record{pex.SignRecord(px.cfg.Audit.KeySeed, p.ID, now)}
-	buf = append(buf, p.pex.view.SelectRecords(px.r, px.cfg.Policy, px.cfg.Fanout-1, px.cfg.MaxHop, to)...)
+	buf := append(px.shipBuf[:0], pex.SignRecord(px.cfg.Audit.KeySeed, p.ID, now))
+	buf = p.pex.view.AppendRecords(buf, px.r, px.cfg.Policy, px.cfg.Fanout-1, px.cfg.MaxHop, to)
+	px.shipBuf = buf
 	px.totals.RecordsShipped += len(buf)
 	p.Send(to, tag, pex.Exchange{Pull: pull, Wire: pex.EncodeRecords(buf)})
 }
@@ -449,24 +461,38 @@ func (px *pexLayer) ship(w *World, p *Proc, to graph.NodeID, tag string, pull bo
 // present, unblocked view member is linked; an existing edge survives
 // only while SOME side's view still wants it (the self-healing — a
 // record decays out of both views, the link follows).
+//
+// The adjacency is read once, before any flip. Links go up in ascending
+// ID order, then links go down in ascending ID order. Walking the
+// pre-link neighbours in the second pass is exact: every edge the first
+// pass adds goes to a view member, which the second pass would keep, and
+// no flip changes a view, a block or presence. Each condition tests its
+// cheapest lookup first; all of them are pure.
 func (px *pexLayer) reconcile(w *World, id graph.NodeID, pp *pexPeer) {
 	v := pp.view
-	g := w.Overlay.Graph()
-	for _, u := range v.Members() {
-		if w.procs[u] != nil && pp.blocked[u] == 0 && !g.HasEdge(id, u) {
-			w.SetLink(id, u, true)
-			px.totals.Links++
+	nbrs := w.Overlay.Graph().AppendNeighbors(px.nbrs[:0], id)
+	px.nbrs = nbrs
+	missing := px.missing[:0]
+	for _, e := range v.Entries() {
+		u := e.Rec.ID
+		if _, linked := slices.BinarySearch(nbrs, u); !linked && pp.blocked[u] == 0 && w.procs[u] != nil {
+			missing = append(missing, u)
 		}
 	}
-	for _, u := range g.Neighbors(id) {
-		if pp.blocked[u] != 0 {
-			w.SetLink(id, u, false)
-			px.totals.Unlinks++
-			continue
-		}
-		uv := px.viewOf(u)
-		if v.Contains(u) || (uv != nil && uv.Contains(id)) {
-			continue
+	slices.Sort(missing)
+	px.missing = missing
+	for _, u := range missing {
+		w.SetLink(id, u, true)
+		px.totals.Links++
+	}
+	for _, u := range nbrs {
+		if pp.blocked[u] == 0 {
+			if v.Contains(u) {
+				continue
+			}
+			if uv := px.viewOf(u); uv != nil && uv.Contains(id) {
+				continue
+			}
 		}
 		w.SetLink(id, u, false)
 		px.totals.Unlinks++
@@ -492,7 +518,8 @@ func (px *pexLayer) onMessage(w *World, q *Proc, m Message) {
 		px.reject(w, m.To, m.From, &px.totals.RejectedBad)
 		return
 	}
-	recs, err := pex.DecodeRecords(ex.Wire)
+	recs, err := pex.AppendDecodedRecords(px.recvBuf[:0], ex.Wire)
+	px.recvBuf = recs
 	if err != nil {
 		px.reject(w, m.To, m.From, &px.totals.RejectedBad)
 		return

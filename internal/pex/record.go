@@ -3,6 +3,7 @@ package pex
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -93,31 +94,35 @@ func EncodeRecords(recs []Record) []byte {
 // mismatches. It never panics on adversarial input (FuzzViewRecord holds
 // it to that), and Encode(Decode(b)) == b for every accepted b.
 func DecodeRecords(b []byte) ([]Record, error) {
+	return AppendDecodedRecords(nil, b)
+}
+
+// AppendDecodedRecords is DecodeRecords appending to dst, so a hot caller
+// can reuse one buffer across calls. On error dst comes back unchanged.
+func AppendDecodedRecords(dst []Record, b []byte) ([]Record, error) {
 	if len(b) < 3 {
-		return nil, fmt.Errorf("pex: record batch truncated at %d bytes", len(b))
+		return dst, fmt.Errorf("pex: record batch truncated at %d bytes", len(b))
 	}
 	if b[0] != recordWireVersion {
-		return nil, fmt.Errorf("pex: unknown record wire version %d", b[0])
+		return dst, fmt.Errorf("pex: unknown record wire version %d", b[0])
 	}
 	n := int(binary.LittleEndian.Uint16(b[1:]))
 	if n > MaxWireRecords {
-		return nil, fmt.Errorf("pex: record count %d exceeds the wire cap %d", n, MaxWireRecords)
+		return dst, fmt.Errorf("pex: record count %d exceeds the wire cap %d", n, MaxWireRecords)
 	}
 	if len(b) != 3+n*recordWireSize {
-		return nil, fmt.Errorf("pex: record batch of %d is %d bytes, want %d", n, len(b), 3+n*recordWireSize)
+		return dst, fmt.Errorf("pex: record batch of %d is %d bytes, want %d", n, len(b), 3+n*recordWireSize)
 	}
-	recs := make([]Record, n)
-	off := 3
-	for i := range recs {
-		recs[i] = Record{
+	dst = slices.Grow(dst, n)
+	for off := 3; off < len(b); off += recordWireSize {
+		dst = append(dst, Record{
 			ID:    graph.NodeID(binary.LittleEndian.Uint64(b[off:])),
 			Hop:   int(binary.LittleEndian.Uint16(b[off+8:])),
 			Epoch: int64(binary.LittleEndian.Uint64(b[off+10:])),
 			Sig:   binary.LittleEndian.Uint64(b[off+18:]),
-		}
-		off += recordWireSize
+		})
 	}
-	return recs, nil
+	return dst, nil
 }
 
 // Exchange is the payload of one pex message: a push of wire-encoded

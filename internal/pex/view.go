@@ -1,9 +1,7 @@
 package pex
 
 import (
-	"cmp"
 	"slices"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -24,6 +22,9 @@ type Entry struct {
 type View struct {
 	cap     int
 	entries []Entry
+	// evicted holds the record the last evicting Merge dropped; Merge
+	// hands out a pointer to it rather than to a fresh copy.
+	evicted Record
 }
 
 // NewView returns an empty view bounded at cap entries.
@@ -65,13 +66,25 @@ func (v *View) Members() []graph.NodeID {
 	return out
 }
 
-func (v *View) resort() {
-	slices.SortFunc(v.entries, func(a, b Entry) int {
-		if c := cmp.Compare(a.Rec.Hop, b.Rec.Hop); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Rec.ID, b.Rec.ID)
-	})
+// before reports whether a sorts before b in (hop, ID) order — a strict
+// total order over a view's entries, whose IDs are unique.
+func before(a, b Record) bool {
+	return a.Hop < b.Hop || (a.Hop == b.Hop && a.ID < b.ID)
+}
+
+// place moves entries[i], the one entry whose record just changed, to its
+// (hop, ID) position; every other entry is already in order, so one
+// insertion pass restores exactly the order a full sort would.
+func (v *View) place(i int) {
+	es := v.entries
+	e := es[i]
+	for ; i > 0 && before(e.Rec, es[i-1].Rec); i-- {
+		es[i] = es[i-1]
+	}
+	for ; i < len(es)-1 && before(es[i+1].Rec, e.Rec); i++ {
+		es[i] = es[i+1]
+	}
+	es[i] = e
 }
 
 // Age increments every record's hop count (one cadence round passed) and
@@ -99,7 +112,8 @@ func (v *View) Age(maxHop int) []Record {
 // entry (highest hop, then highest ID) is evicted to make room — unless
 // the newcomer is itself the oldest, in which case it is the one dropped.
 // It reports whether the entry was folded in, and returns the evicted
-// record, if any.
+// record, if any; the record it points at stays valid until the next
+// Merge.
 func (v *View) Merge(e Entry) (merged bool, evicted *Record) {
 	for i := range v.entries {
 		if v.entries[i].Rec.ID != e.Rec.ID {
@@ -108,25 +122,26 @@ func (v *View) Merge(e Entry) (merged bool, evicted *Record) {
 		old := v.entries[i].Rec
 		if e.Rec.Epoch > old.Epoch || (e.Rec.Epoch == old.Epoch && e.Rec.Hop < old.Hop) {
 			v.entries[i] = e
-			v.resort()
+			v.place(i)
 			return true, nil
 		}
 		return false, nil
 	}
 	if len(v.entries) < v.cap {
 		v.entries = append(v.entries, e)
-		v.resort()
+		v.place(len(v.entries) - 1)
 		return true, nil
 	}
 	// Full: evict oldest-first. Entries are sorted, so the victim is the
 	// last one — unless the newcomer is older still.
-	last := v.entries[len(v.entries)-1].Rec
-	if e.Rec.Hop > last.Hop || (e.Rec.Hop == last.Hop && e.Rec.ID >= last.ID) {
+	last := len(v.entries) - 1
+	if !before(e.Rec, v.entries[last].Rec) {
 		return false, nil
 	}
-	v.entries[len(v.entries)-1] = e
-	v.resort()
-	return true, &last
+	v.evicted = v.entries[last].Rec
+	v.entries[last] = e
+	v.place(last)
+	return true, &v.evicted
 }
 
 // Remove drops the record of id, reporting whether one was held.
@@ -162,10 +177,11 @@ func (v *View) RemoveVia(peer graph.NodeID) []Record {
 // head, oldest-first for tail. It returns false when no held subject is
 // eligible.
 func (v *View) SelectPartner(r *rng.Rand, policy Policy, eligible func(graph.NodeID) bool) (graph.NodeID, bool) {
-	var pool []Entry
+	var stack [32]graph.NodeID // views this size or smaller pool on the stack
+	pool := stack[:0]
 	for _, e := range v.entries {
 		if eligible == nil || eligible(e.Rec.ID) {
-			pool = append(pool, e)
+			pool = append(pool, e.Rec.ID)
 		}
 	}
 	if len(pool) == 0 {
@@ -173,11 +189,11 @@ func (v *View) SelectPartner(r *rng.Rand, policy Policy, eligible func(graph.Nod
 	}
 	switch policy {
 	case PolicyHead:
-		return pool[0].Rec.ID, true
+		return pool[0], true
 	case PolicyTail:
-		return pool[len(pool)-1].Rec.ID, true
+		return pool[len(pool)-1], true
 	default: // rand, pushpull
-		return pool[r.Intn(len(pool))].Rec.ID, true
+		return pool[r.Intn(len(pool))], true
 	}
 }
 
@@ -185,29 +201,42 @@ func (v *View) SelectPartner(r *rng.Rand, policy Policy, eligible func(graph.Nod
 // hop < maxHop (so the transfer increment keeps them within the decay
 // horizon) and a subject other than skip (shipping the partner its own
 // record is dead weight). Rand/pushpull draw a uniform subset; head takes
-// the freshest, tail the oldest.
+// the freshest, tail the oldest. Picks keep the view's (hop, ID) order.
 func (v *View) SelectRecords(r *rng.Rand, policy Policy, fanout, maxHop int, skip graph.NodeID) []Record {
-	var pool []Record
+	return v.AppendRecords(nil, r, policy, fanout, maxHop, skip)
+}
+
+// AppendRecords appends SelectRecords' picks to dst, making the same rng
+// draws, and returns the extended slice — so a hot caller can reuse one
+// buffer across calls. The eligible records are gathered after dst's
+// existing elements, then the picks are compacted to the start of that
+// run.
+func (v *View) AppendRecords(dst []Record, r *rng.Rand, policy Policy, fanout, maxHop int, skip graph.NodeID) []Record {
+	base := len(dst)
 	for _, e := range v.entries {
 		if e.Rec.Hop < maxHop && e.Rec.ID != skip {
-			pool = append(pool, e.Rec)
+			dst = append(dst, e.Rec)
 		}
 	}
+	pool := dst[base:]
 	if fanout >= len(pool) {
-		return pool
+		return dst
 	}
 	switch policy {
-	case PolicyHead:
-		return pool[:fanout]
+	case PolicyHead: // the freshest already lead the pool
 	case PolicyTail:
-		return pool[len(pool)-fanout:]
+		copy(pool, pool[len(pool)-fanout:])
 	default: // rand, pushpull
-		idx := r.Perm(len(pool))[:fanout]
-		sort.Ints(idx)
-		out := make([]Record, fanout)
+		var stack [32]int // pools this size or smaller permute on the stack
+		perm := slices.Grow(stack[:0], len(pool))[:len(pool)]
+		r.PermInto(perm)
+		idx := perm[:fanout]
+		slices.Sort(idx)
+		// idx ascends, so idx[i] >= i: each pick is read before any
+		// earlier pick can overwrite its slot.
 		for i, j := range idx {
-			out[i] = pool[j]
+			pool[i] = pool[j]
 		}
-		return out
 	}
+	return dst[:base+fanout]
 }

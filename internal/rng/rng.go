@@ -132,12 +132,19 @@ func (r *Rand) Norm(mean, stddev float64) float64 {
 // Perm returns a uniformly random permutation of [0, n).
 func (r *Rand) Perm(n int) []int {
 	p := make([]int, n)
+	r.PermInto(p)
+	return p
+}
+
+// PermInto fills p with a uniformly random permutation of [0, len(p)),
+// making exactly the draws Perm(len(p)) makes, so a hot caller can reuse
+// one buffer across calls.
+func (r *Rand) PermInto(p []int) {
 	for i := range p {
 		j := r.Intn(i + 1)
 		p[i] = p[j]
 		p[j] = i
 	}
-	return p
 }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.

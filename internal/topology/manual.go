@@ -8,11 +8,11 @@ import "repro/internal/graph"
 // impossibility arguments.
 type LinkController interface {
 	// Link brings edge {u, v} up (no-op if present or an endpoint is
-	// absent) and returns the changes performed.
-	Link(u, v graph.NodeID) []Change
-	// Unlink takes edge {u, v} down (no-op if absent) and returns the
-	// changes performed.
-	Unlink(u, v graph.NodeID) []Change
+	// absent) and reports whether it did.
+	Link(u, v graph.NodeID) bool
+	// Unlink takes edge {u, v} down (no-op if absent) and reports whether
+	// it did.
+	Unlink(u, v graph.NodeID) bool
 }
 
 // Manual is an overlay with no maintenance policy at all: joiners arrive
@@ -38,20 +38,21 @@ func (m *Manual) RemoveNode(p graph.NodeID) []Change {
 }
 
 // Link implements LinkController.
-func (m *Manual) Link(u, v graph.NodeID) []Change {
-	if !m.g.HasNode(u) || !m.g.HasNode(v) {
-		return nil
+func (m *Manual) Link(u, v graph.NodeID) bool {
+	if u == v || !m.g.HasNode(u) || !m.g.HasNode(v) || m.g.HasEdge(u, v) {
+		return false
 	}
-	return m.addEdge(nil, u, v)
+	m.g.AddEdge(u, v)
+	return true
 }
 
 // Unlink implements LinkController.
-func (m *Manual) Unlink(u, v graph.NodeID) []Change {
+func (m *Manual) Unlink(u, v graph.NodeID) bool {
 	if !m.g.HasEdge(u, v) {
-		return nil
+		return false
 	}
 	m.g.RemoveEdge(u, v)
-	return []Change{{Up: false, U: u, V: v}}
+	return true
 }
 
 var _ LinkController = (*Manual)(nil)
