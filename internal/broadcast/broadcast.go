@@ -202,9 +202,9 @@ func (r Report) LatencyP(p float64) core.Time {
 func Check(tr *core.Trace) Report {
 	rep := Report{SentAt: -1}
 	deliveredAt := make(map[graph.NodeID]core.Time)
-	for _, ev := range tr.Events() {
+	tr.Each(func(ev *core.TraceEvent) {
 		if ev.Kind != core.TMark {
-			continue
+			return
 		}
 		switch {
 		case ev.Tag == markSend:
@@ -214,11 +214,11 @@ func Check(tr *core.Trace) Report {
 		case strings.HasPrefix(ev.Tag, markDeliver):
 			if _, dup := deliveredAt[ev.P]; dup {
 				rep.Duplicates++
-				continue
+				return
 			}
 			deliveredAt[ev.P] = ev.At
 		}
-	}
+	})
 	if rep.SentAt < 0 {
 		return rep
 	}

@@ -77,18 +77,17 @@ func (r *CheckReport) add(at Time, msg string) {
 // cannot contain — a join after the run's first tick, or any leave — and
 // returns that first tick and the number of joins.
 func (tr *Trace) unstaticEvents(visit func(ev *TraceEvent)) (start Time, joins int) {
-	if len(tr.events) > 0 {
-		start = tr.events[0].At
+	if tr.log.n > 0 {
+		start = tr.log.chunks[0][0].At
 	}
-	for i := range tr.events {
-		ev := &tr.events[i]
+	tr.log.each(func(ev *TraceEvent) {
 		if ev.Kind == TJoin {
 			joins++
 		}
 		if ev.Kind == TLeave || (ev.Kind == TJoin && ev.At != start) {
 			visit(ev)
 		}
-	}
+	})
 	return start, joins
 }
 

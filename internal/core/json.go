@@ -30,9 +30,9 @@ func DecodeTrace(r io.Reader) (*Trace, error) {
 	}
 	tr := &Trace{}
 	for i, ev := range tj.Events {
-		if n := len(tr.events); n > 0 && ev.At < tr.events[n-1].At {
+		if last := tr.log.last(); last != nil && ev.At < last.At {
 			return nil, fmt.Errorf("core: trace event %d out of order (t=%d after t=%d)",
-				i, ev.At, tr.events[n-1].At)
+				i, ev.At, last.At)
 		}
 		if ev.Kind > TMark {
 			return nil, fmt.Errorf("core: trace event %d has unknown kind %d", i, ev.Kind)

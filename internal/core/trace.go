@@ -86,7 +86,7 @@ type TraceEvent struct {
 //
 // The zero value is an empty, usable trace.
 type Trace struct {
-	events []TraceEvent
+	log    eventLog
 	end    Time
 	closed bool
 
@@ -123,7 +123,7 @@ func (tr *Trace) Stream(fn func(TraceEvent)) {
 // ever read; judged runs must keep the default full retention. Must be
 // called before the first Record.
 func (tr *Trace) SetCountOnly(on bool) {
-	if len(tr.events) > 0 || tr.count > 0 {
+	if tr.log.n > 0 || tr.count > 0 {
 		panic("core: SetCountOnly on a trace that already holds events")
 	}
 	tr.countOnly = on
@@ -174,13 +174,13 @@ func (tr *Trace) Record(ev TraceEvent) {
 		}
 		return
 	}
-	if n := len(tr.events); n > 0 && ev.At < tr.events[n-1].At {
-		panic(fmt.Sprintf("core: trace event at %d after event at %d", ev.At, tr.events[n-1].At))
+	if last := tr.log.last(); last != nil && ev.At < last.At {
+		panic(fmt.Sprintf("core: trace event at %d after event at %d", ev.At, last.At))
 	}
 	for _, fn := range tr.sinks {
 		fn(ev)
 	}
-	tr.events = append(tr.events, ev)
+	tr.log.append(ev)
 	if ev.At > tr.end {
 		tr.end = ev.At
 	}
@@ -255,29 +255,29 @@ func (tr *Trace) Len() int {
 	if tr.countOnly {
 		return tr.count
 	}
-	return len(tr.events)
+	return tr.log.n
 }
 
-// Events returns a copy of the recorded events.
+// Events returns a copy of the recorded events. Readers that only walk
+// the log use Each, which copies nothing.
 func (tr *Trace) Events() []TraceEvent {
-	out := make([]TraceEvent, len(tr.events))
-	copy(out, tr.events)
-	return out
+	return tr.log.appendFrom(make([]TraceEvent, 0, tr.log.n), 0)
 }
+
+// Each calls visit on every recorded event, in record order, without
+// copying the log. visit must not modify *ev, and must not Record into
+// the trace. Under count-only retention it visits nothing.
+func (tr *Trace) Each(visit func(ev *TraceEvent)) { tr.log.each(visit) }
 
 // EventsSince returns a copy of the events recorded from index start on
 // (incremental consumers keep a cursor instead of re-copying the whole
 // trace). A start beyond the log returns nil.
 func (tr *Trace) EventsSince(start int) []TraceEvent {
-	if start < 0 {
-		start = 0
-	}
-	if start >= len(tr.events) {
+	start = max(start, 0)
+	if start >= tr.log.n {
 		return nil
 	}
-	out := make([]TraceEvent, len(tr.events)-start)
-	copy(out, tr.events[start:])
-	return out
+	return tr.log.appendFrom(make([]TraceEvent, 0, tr.log.n-start), start)
 }
 
 // Interval is a half-open presence interval [From, To). To is the trace
@@ -316,12 +316,11 @@ func (tr *Trace) sessions(b bridging) map[graph.NodeID][]Interval {
 	}
 	states := make(map[graph.NodeID]*state)
 	out := make(map[graph.NodeID][]Interval)
-	for i := range tr.events {
-		ev := &tr.events[i]
+	tr.log.each(func(ev *TraceEvent) {
 		crash := ev.Kind == TMark && ev.Tag == MarkCrash
 		returns := ev.Kind == TMark && (ev.Tag == MarkRecover || (ev.Tag == MarkRejoin && b == bridgeRejoin))
 		if ev.Kind != TJoin && ev.Kind != TLeave && !crash && !returns {
-			continue
+			return
 		}
 		st := states[ev.P]
 		if st == nil {
@@ -346,7 +345,7 @@ func (tr *Trace) sessions(b bridging) map[graph.NodeID][]Interval {
 				out[ev.P] = append(out[ev.P], Interval{From: st.from, To: ev.At})
 			}
 		}
-	}
+	})
 	for p, st := range states {
 		switch {
 		case st.open:
@@ -435,12 +434,12 @@ func (tr *Trace) StableBetweenBridged(t1, t2 Time) []graph.NodeID {
 func (tr *Trace) subjects(match func(ev *TraceEvent) bool) []graph.NodeID {
 	seen := make(map[graph.NodeID]bool)
 	var out []graph.NodeID
-	for i := range tr.events {
-		if ev := &tr.events[i]; match(ev) && !seen[ev.P] {
+	tr.log.each(func(ev *TraceEvent) {
+		if match(ev) && !seen[ev.P] {
 			seen[ev.P] = true
 			out = append(out, ev.P)
 		}
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
@@ -460,19 +459,17 @@ func (tr *Trace) MaxConcurrency() int {
 	if tr.countOnly {
 		return tr.peak
 	}
-	cur, max := 0, 0
-	for _, ev := range tr.events {
+	cur, peak := 0, 0
+	tr.log.each(func(ev *TraceEvent) {
 		switch ev.Kind {
 		case TJoin:
 			cur++
-			if cur > max {
-				max = cur
-			}
+			peak = max(peak, cur)
 		case TLeave:
 			cur--
 		}
-	}
-	return max
+	})
+	return peak
 }
 
 // StableBetween returns the entities present during the whole closed
@@ -498,11 +495,11 @@ var temporalKind = [...]graph.EventKind{
 // Temporal converts the trace's topology events into an evolving graph.
 func (tr *Trace) Temporal() *graph.Temporal {
 	tg := graph.NewTemporal()
-	for i := range tr.events {
-		if ev := &tr.events[i]; int(ev.Kind) < len(temporalKind) {
+	tr.log.each(func(ev *TraceEvent) {
+		if int(ev.Kind) < len(temporalKind) {
 			tg.Record(graph.TemporalEvent{At: ev.At, Kind: temporalKind[ev.Kind], U: ev.P, V: ev.Q})
 		}
-	}
+	})
 	return tg
 }
 
@@ -510,11 +507,11 @@ func (tr *Trace) Temporal() *graph.Temporal {
 // or 0 if there is none.
 func (tr *Trace) LastTopologyChange() Time {
 	last := Time(0)
-	for i := range tr.events {
-		if ev := &tr.events[i]; int(ev.Kind) < len(temporalKind) && ev.At > last {
+	tr.log.each(func(ev *TraceEvent) {
+		if int(ev.Kind) < len(temporalKind) && ev.At > last {
 			last = ev.At
 		}
-	}
+	})
 	return last
 }
 
@@ -537,11 +534,11 @@ type SessionStats struct {
 func (tr *Trace) SessionStatistics() SessionStats {
 	var st SessionStats
 	events := 0
-	for _, ev := range tr.events {
+	tr.log.each(func(ev *TraceEvent) {
 		if ev.Kind == TJoin || ev.Kind == TLeave {
 			events++
 		}
-	}
+	})
 	var sum Time
 	for _, ivs := range tr.Sessions() {
 		for _, iv := range ivs {
@@ -582,12 +579,11 @@ func (tr *Trace) Messages(tag string) MessageStats {
 		return MessageStats{}
 	}
 	var ms MessageStats
-	for _, ev := range tr.events {
-		if tag != "" && ev.Tag != tag {
-			continue
+	tr.log.each(func(ev *TraceEvent) {
+		if tag == "" || ev.Tag == tag {
+			tr.countMessage(&ms, ev.Kind)
 		}
-		tr.countMessage(&ms, ev.Kind)
-	}
+	})
 	return ms
 }
 
@@ -616,9 +612,11 @@ func (tr *Trace) FirstMark(tag string) (Time, bool) {
 		at, ok := tr.firstMark[tag]
 		return at, ok
 	}
-	for _, ev := range tr.events {
-		if ev.Kind == TMark && ev.Tag == tag {
-			return ev.At, true
+	for _, c := range tr.log.chunks {
+		for i := range c {
+			if ev := &c[i]; ev.Kind == TMark && ev.Tag == tag {
+				return ev.At, true
+			}
 		}
 	}
 	return 0, false

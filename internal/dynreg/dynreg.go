@@ -293,9 +293,9 @@ func Check(tr *core.Trace) Report {
 	var rep Report
 	lastCompleted := uint64(0)
 	maxStarted := uint64(0)
-	for _, ev := range tr.Events() {
+	tr.Each(func(ev *core.TraceEvent) {
 		if ev.Kind != core.TMark {
-			continue
+			return
 		}
 		switch {
 		case strings.HasPrefix(ev.Tag, markWriteStart+":"):
@@ -311,7 +311,7 @@ func Check(tr *core.Trace) Report {
 		case strings.HasPrefix(ev.Tag, markRead+":"):
 			seq, ok := parseSeq(ev.Tag, 1)
 			if !ok {
-				continue
+				return
 			}
 			rep.Reads++
 			switch {
@@ -324,7 +324,7 @@ func Check(tr *core.Trace) Report {
 				}
 			}
 		}
-	}
+	})
 	return rep
 }
 

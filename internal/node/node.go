@@ -218,7 +218,8 @@ type Proc struct {
 // procTimer is one slot in an entity's timer registry. Fired and
 // canceled timers are swap-removed immediately (see Proc.After), so the
 // registry length tracks the number of armed timers instead of every
-// timer the entity ever set.
+// timer the entity ever set. Fired timers are recycled through the
+// world's free list.
 type procTimer struct {
 	p    *Proc
 	f    func()
@@ -308,6 +309,11 @@ type World struct {
 	departed       []graph.NodeID
 	departedSet    map[graph.NodeID]bool
 	departedPinned map[graph.NodeID]bool
+
+	// timerFree is the fired-timer pool (see fireProcTimer). Only fired
+	// timers return to it: a canceled one may still be named by its
+	// canceled *sim.Event, so it is left to the garbage collector.
+	timerFree []*procTimer
 }
 
 // NewWorld assembles a runtime over the given engine and overlay. The
@@ -689,6 +695,16 @@ func (p *Proc) Neighbors() []graph.NodeID {
 	return p.world.Overlay.Graph().Neighbors(p.ID)
 }
 
+// AppendNeighbors appends the entity's current neighbors, ascending, to
+// dst and returns the extended slice: Neighbors for a caller that reuses
+// one buffer. A departed entity appends nothing.
+func (p *Proc) AppendNeighbors(dst []graph.NodeID) []graph.NodeID {
+	if !p.alive {
+		return dst
+	}
+	return p.world.Overlay.Graph().AppendNeighbors(dst, p.ID)
+}
+
 // Send transmits a message to a current neighbor. Sending to a non-
 // neighbor (stale knowledge) or from a departed entity records a drop.
 // Delivery is delayed by a random latency; the message is dropped if the
@@ -934,16 +950,30 @@ func (p *Proc) Broadcast(tag string, payload any) {
 // removed the moment the timer fires, so long-lived entities with
 // self-rescheduling tickers hold O(armed timers), not O(timers ever set).
 func (p *Proc) After(d sim.Time, f func()) {
-	t := &procTimer{p: p, f: f, slot: len(p.timers)}
-	t.ev = p.world.Engine.AfterCall(d, fireProcTimer, t)
+	w := p.world
+	var t *procTimer
+	if n := len(w.timerFree); n > 0 {
+		t = w.timerFree[n-1]
+		w.timerFree = w.timerFree[:n-1]
+	} else {
+		t = new(procTimer)
+	}
+	t.p, t.f, t.slot = p, f, len(p.timers)
+	t.ev = w.Engine.AfterCall(d, fireProcTimer, t)
 	p.timers = append(p.timers, t)
 }
 
+// fireProcTimer runs a timer's callback. The timer is unregistered,
+// cleared and back on the free list before f runs, so a timer f arms may
+// be this very object.
 func fireProcTimer(arg any) {
 	t := arg.(*procTimer)
-	t.p.unregister(t)
-	if t.p.alive {
-		t.f()
+	p, f := t.p, t.f
+	p.unregister(t)
+	*t = procTimer{slot: -1}
+	p.world.timerFree = append(p.world.timerFree, t)
+	if p.alive {
+		f()
 	}
 }
 

@@ -62,6 +62,12 @@ type echoWaveBehavior struct {
 	wave
 	proto *EchoWave
 	known map[graph.NodeID]float64
+	// shipped is the copy of known that every push ships until known
+	// grows: one copy per version, not per neighbour. Sharing it is sound
+	// because nothing writes a received Contrib (receivers read it,
+	// Tamper copies it) and known only grows between seeds, so equal
+	// lengths mean equal sets.
+	shipped map[graph.NodeID]float64
 }
 
 // Factory implements Protocol.
@@ -91,12 +97,18 @@ func (b *echoWaveBehavior) tuning() (sim.Time, sim.Time, int, *Run) {
 	return b.proto.RescanInterval, b.proto.QuietFor, b.proto.MaxRescans, b.proto.run
 }
 
-func (b *echoWaveBehavior) seed(p *node.Proc) { b.known = map[graph.NodeID]float64{p.ID: p.Value} }
+func (b *echoWaveBehavior) seed(p *node.Proc) {
+	b.known = map[graph.NodeID]float64{p.ID: p.Value}
+	b.shipped = nil
+}
 
 func (b *echoWaveBehavior) version() int { return len(b.known) }
 
 func (b *echoWaveBehavior) push(p *node.Proc, to graph.NodeID) {
-	p.Send(to, tagEchoSet, echoSetMsg{Contrib: copyContrib(b.known)})
+	if b.shipped == nil || len(b.shipped) != len(b.known) {
+		b.shipped = copyContrib(b.known)
+	}
+	p.Send(to, tagEchoSet, echoSetMsg{Contrib: b.shipped})
 	n := int64(len(b.known))
 	b.proto.payloadEntries += n
 	if n > b.proto.maxPayload {
@@ -140,7 +152,7 @@ func (b *echoWaveBehavior) Snapshot() any {
 func (b *echoWaveBehavior) Restore(p *node.Proc, snap any) {
 	s := snap.(echoSnapshot)
 	b.active = s.active
-	b.known = s.known
+	b.known, b.shipped = s.known, nil
 	b.rescans = s.rescans
 	b.isQuerier = s.isQuerier
 	b.lastNew = s.lastNew

@@ -29,6 +29,7 @@ type reportMsg struct {
 type floodBehavior struct {
 	parent map[int]graph.NodeID // per QID: who I first heard it from
 	acc    accumulator          // non-nil at the querier
+	nbrs   []graph.NodeID       // onQuery's neighbour buffer
 }
 
 func (b *floodBehavior) Init(*node.Proc) {}
@@ -60,7 +61,8 @@ func (b *floodBehavior) onQuery(p *node.Proc, from graph.NodeID, q queryMsg) {
 	b.sendUp(p, q.QID, map[graph.NodeID]float64{p.ID: p.Value})
 	if q.TTL > 0 {
 		fwd := queryMsg{QID: q.QID, TTL: q.TTL - 1}
-		for _, u := range p.Neighbors() {
+		b.nbrs = p.AppendNeighbors(b.nbrs[:0])
+		for _, u := range b.nbrs {
 			if u != from {
 				p.Send(u, tagQuery, fwd)
 			}
@@ -69,6 +71,9 @@ func (b *floodBehavior) onQuery(p *node.Proc, from graph.NodeID, q queryMsg) {
 }
 
 // sendUp relays a contribution bundle toward the querier, which absorbs it.
+// The bundle travels as it is, uncopied: it is either the entity's own
+// fresh one-entry map or a received report's, and no one writes either
+// (the querier absorbs into its own maps, Tamper copies).
 func (b *floodBehavior) sendUp(p *node.Proc, qid int, contrib map[graph.NodeID]float64) {
 	if b.acc != nil {
 		b.acc.absorb(qid, contrib)
@@ -80,7 +85,7 @@ func (b *floodBehavior) sendUp(p *node.Proc, qid int, contrib map[graph.NodeID]f
 		// straggler reply reached me): nowhere to route it.
 		return
 	}
-	p.Send(parent, tagReport, reportMsg{QID: qid, Contrib: copyContrib(contrib)})
+	p.Send(parent, tagReport, reportMsg{QID: qid, Contrib: contrib})
 }
 
 // accumulator gathers contributions at the querier, per query ID.

@@ -50,6 +50,12 @@ type gossipBehavior struct {
 	r     *rng.Rand
 	s, w  float64
 	ticks int
+
+	// nbrs is tick's neighbour buffer; next is the re-arming closure,
+	// built once per Proc (Restore may hand in a new one).
+	nbrs  []graph.NodeID
+	nextP *node.Proc
+	next  func()
 }
 
 // Factory implements Protocol. Every member gossips from the moment it
@@ -73,13 +79,16 @@ func (b *gossipBehavior) schedule(p *node.Proc) {
 	if b.ticks > orDefault(b.proto.MaxTicks, 5000) {
 		return
 	}
-	p.After(orDefault(b.proto.RoundInterval, 2), func() { b.tick(p) })
+	if b.nextP != p {
+		b.nextP, b.next = p, func() { b.tick(p) }
+	}
+	p.After(orDefault(b.proto.RoundInterval, 2), b.next)
 }
 
 func (b *gossipBehavior) tick(p *node.Proc) {
-	nbrs := p.Neighbors()
-	if len(nbrs) > 0 {
-		u := nbrs[b.r.Intn(len(nbrs))]
+	b.nbrs = p.AppendNeighbors(b.nbrs[:0])
+	if len(b.nbrs) > 0 {
+		u := b.nbrs[b.r.Intn(len(b.nbrs))]
 		b.s /= 2
 		b.w /= 2
 		p.Send(u, tagGossip, gossipMsg{S: b.s, W: b.w})

@@ -42,6 +42,12 @@ type wave struct {
 	isQuerier bool
 	lastNew   sim.Time
 	started   sim.Time
+
+	// nbrs is tick's neighbour buffer; next is the re-arming closure,
+	// built once per Proc (Restore may hand in a new one).
+	nbrs  []graph.NodeID
+	nextP *node.Proc
+	next  func()
 }
 
 func (*wave) Init(*node.Proc) {}
@@ -69,7 +75,8 @@ func (w *wave) activate(p *node.Proc) {
 func (w *wave) tick(p *node.Proc) {
 	rescan, quietFor, maxRescans, run := w.state.tuning()
 	v := w.state.version()
-	for _, u := range p.Neighbors() {
+	w.nbrs = p.AppendNeighbors(w.nbrs[:0])
+	for _, u := range w.nbrs {
 		if w.sent[u] < v {
 			w.state.push(p, u)
 			w.sent[u] = v
@@ -87,5 +94,8 @@ func (w *wave) tick(p *node.Proc) {
 	if w.rescans >= orDefault(maxRescans, 1000) {
 		return
 	}
-	p.After(orDefault(rescan, 5), func() { w.tick(p) })
+	if w.nextP != p {
+		w.nextP, w.next = p, func() { w.tick(p) }
+	}
+	p.After(orDefault(rescan, 5), w.next)
 }

@@ -209,9 +209,7 @@ func (sc *StreamChecker) Finish() Report {
 // construction (and differentially tested live-sink vs post-hoc).
 func Check(tr *core.Trace) Report {
 	sc := NewStreamChecker()
-	for _, ev := range tr.Events() {
-		sc.Observe(ev)
-	}
+	tr.Each(func(ev *core.TraceEvent) { sc.Observe(*ev) })
 	return sc.Finish()
 }
 
