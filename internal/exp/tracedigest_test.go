@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"testing"
 
@@ -30,11 +31,13 @@ const traceDigestPath = "testdata/trace_digests.json"
 // adaptive estimator through crashes (E21), budget quarantines (E22),
 // proof quarantines with parole and pardon (E23), pull, pins and eviction
 // (E24), session-keyed and durable rejoins (E25), epoch switches over
-// durable churn (E26), pex with the view audit (E27) — plus three cells no
+// durable churn (E26), pex with the view audit (E27) — plus four cells no
 // experiment has: crash–recovery under the security stack, a
 // durable-identity rejoin whose parole deadline expires while the holder
-// is away, and E28's undefended pex world under rejoining churn (joiners
-// bootstrap, leavers' links decay, refreshes fire) shrunk to 64 founders.
+// is away, one reconfiguration round that flips every epoch-governed knob
+// (allKnobsCell), and E28's undefended pex world under rejoining churn
+// (joiners bootstrap, leavers' links decay, refreshes fire) shrunk to 64
+// founders.
 // In the parole cell every rejoining holder has quarantined only entity 3,
 // so no two expired paroles of one holder re-arm at one tick.
 var traceDigestCells = []struct {
@@ -85,6 +88,7 @@ var traceDigestCells = []struct {
 			otq.CheckOptions{BridgeRejoins: true}, nil)
 		return w.Trace
 	}},
+	{"all stack knobs in one round", func(cfg Config) *core.Trace { return allKnobsCell(cfg).Trace }},
 	{"E28 pex churn n=64", func(Config) *core.Trace {
 		const n = 64
 		return Execute(Scenario{
@@ -106,6 +110,48 @@ var traceDigestCells = []struct {
 			Horizon: 160,
 		}).Trace
 	}},
+}
+
+// allKnobsCell is E26's chordal 16-ring under audit pull, the
+// equivocator and the shared rejoin schedule, with one reconfiguration
+// round at t=150 — before the departures at 200 — that flips every
+// epoch-governed knob at once: it rotates the keys, turns on the adaptive
+// RTO and durable identity, tightens Retain to 12 and raises the pull
+// fanout to 3. The departures then save identity records and the
+// rejoins restore them under the new epoch's durability alone (genesis
+// is session-keyed).
+func allKnobsCell(cfg Config) *node.World {
+	ncfg := node.Config{
+		MinLatency: 1, MaxLatency: 2, LossRate: 0.02, Seed: 1,
+		Reliable: e21Reliable,
+		Auth:     node.AuthConfig{Enabled: true},
+		Audit:    node.AuditConfig{Enabled: true, GossipInterval: 4, GossipBudget: 32, HoldFor: 40, Pull: true},
+		Reconfig: node.ReconfigConfig{Enabled: true},
+	}
+	pl := mustPlan(fmt.Sprintf("equiv:nodes=%d,peers=2+4,p=1@0-%d;rejoin:nodes=%d+%d+%d,down=%d@%d;"+
+		"reconfig:nodes=1,count=1,rotate=1,adaptive=1,durable=1,retain=12,fanout=3@150;seed=%d",
+		e26Byz, e26LeaveAt, e26Byz, e26Honest[0], e26Honest[1], e26Down, e26LeaveAt, 1^0x26))
+	w, _, _ := stormCell(ncfg, chordScript(16), pl, digestEcho(), e26Horizon(cfg),
+		otq.CheckOptions{BridgeRejoins: true}, nil)
+	return w
+}
+
+// TestAllKnobsCellReachesEveryRead: the all-knobs digest cell pins the
+// per-epoch reads only if the run actually takes them — the round
+// commits, durable departures save and rejoins restore, pull digests go
+// out and the tightened cap evicts.
+func TestAllKnobsCellReachesEveryRead(t *testing.T) {
+	w := allKnobsCell(Config{Quick: true})
+	rc, id, au := w.ReconfigTotals(), w.IdentityTotals(), w.AuditTotals()
+	if rc.Committed < 1 {
+		t.Errorf("reconfig totals %+v: the round never committed", rc)
+	}
+	if id.Saves == 0 || id.Restores == 0 {
+		t.Errorf("identity totals %+v: want durable saves and restores", id)
+	}
+	if au.PullsSent == 0 || au.Evicted == 0 {
+		t.Errorf("audit totals: %d pulls sent, %d evicted; want both > 0", au.PullsSent, au.Evicted)
+	}
 }
 
 func digestEcho() otq.Protocol {

@@ -149,6 +149,14 @@ const (
 	RetentionFIFO = "fifo"
 )
 
+// The audit defaults that are also epoch-governed knobs: AuditConfig and
+// StackConfig resolve their zero fields to the same values.
+const (
+	defaultRetain     = 256
+	defaultPullFanout = 2
+	defaultRetention  = RetentionPinned
+)
+
 // maxPullTTL bounds the digest walk length representable on the wire.
 const maxPullTTL = 16
 
@@ -160,7 +168,7 @@ func (ac AuditConfig) withDefaults() AuditConfig {
 		ac.GossipBudget = 8
 	}
 	if ac.Retain == 0 {
-		ac.Retain = 256
+		ac.Retain = defaultRetain
 	}
 	if ac.HoldFor == 0 {
 		ac.HoldFor = 2 * ac.GossipInterval
@@ -172,13 +180,13 @@ func (ac AuditConfig) withDefaults() AuditConfig {
 		ac.PullTTL = 2
 	}
 	if ac.PullFanout == 0 {
-		ac.PullFanout = 2
+		ac.PullFanout = defaultPullFanout
 	}
 	if ac.PullBudget == 0 {
 		ac.PullBudget = 64
 	}
 	if ac.Retention == "" {
-		ac.Retention = RetentionPinned
+		ac.Retention = defaultRetention
 	}
 	return ac
 }
@@ -682,18 +690,14 @@ func (au *auditLayer) pin(o *observer, k rkey) {
 	au.totals.Pinned++
 }
 
-// enforceRetain holds p's store to the exact Retain cap. Under
-// reconfiguration both the cap and the eviction policy are those of the
-// observer's CURRENT epoch — an epoch switch that tightens Retain calls
-// this to shrink the store immediately, under the new policy.
+// enforceRetain holds p's store to the exact Retain cap. Both the cap and
+// the eviction policy are those of the observer's CURRENT epoch — an
+// epoch switch that tightens Retain calls this to shrink the store
+// immediately, under the new policy.
 func (au *auditLayer) enforceRetain(w *World, p *Proc) {
-	retain, retention := au.cfg.Retain, au.cfg.Retention
-	if w.reconfig != nil {
-		st := w.reconfig.stackFor(p.reconf.epoch)
-		retain, retention = st.Retain, st.Retention
-	}
-	for len(p.audit.order) > retain {
-		au.evictOne(p.audit, retention)
+	st := w.stack(p.epoch)
+	for len(p.audit.order) > st.Retain {
+		au.evictOne(p.audit, st.Retention)
 	}
 }
 
@@ -843,14 +847,8 @@ func (au *auditLayer) pullTargets(p *Proc, round uint64, excluded func(graph.Nod
 	if len(cand) == 0 {
 		return nil
 	}
-	fanout := au.cfg.PullFanout
-	if w := p.world; w.reconfig != nil {
-		fanout = w.reconfig.stackFor(p.reconf.epoch).PullFanout
-	}
-	f := fanout
-	if f > len(cand) {
-		f = len(cand)
-	}
+	fanout := p.world.stack(p.epoch).PullFanout
+	f := min(fanout, len(cand))
 	start := int(round*uint64(fanout)) % len(cand)
 	out := make([]graph.NodeID, 0, f)
 	for i := 0; i < f; i++ {
@@ -1027,7 +1025,7 @@ func (au *auditLayer) start(p *Proc) {
 		offset := 1 + sim.Time(uint64(p.ID)%uint64(au.cfg.GossipInterval))
 		p.After(offset, func() { au.gossipTick(p) })
 	}
-	if au.cfg.Pull && au.cfg.PullInterval > 0 && au.cfg.PullTTL > 0 && au.cfg.PullFanout > 0 {
+	if au.cfg.Pull && au.cfg.PullInterval > 0 && au.cfg.PullTTL > 0 {
 		offset := 1 + sim.Time((uint64(p.ID)*7)%uint64(au.cfg.PullInterval))
 		p.After(offset, func() { au.pullTick(p) })
 	}

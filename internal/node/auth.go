@@ -405,7 +405,7 @@ func (al *authLayer) macFor(ke uint64, from, to graph.NodeID, aseq uint64, tag s
 func (al *authLayer) tag(w *World, p *Proc, m *Message) {
 	p.auth.sendSeq[m.To]++
 	m.aseq = p.auth.sendSeq[m.To]
-	m.mac = al.macFor(w.keyEpochFor(m.epoch), m.From, m.To, m.aseq, m.Tag, m.bseq, m.sig, m.epoch, m.Payload)
+	m.mac = al.macFor(w.stack(m.epoch).KeyEpoch, m.From, m.To, m.aseq, m.Tag, m.bseq, m.sig, m.epoch, m.Payload)
 }
 
 // identitySnapshot extracts the identity-keyed auth state of one entity —
@@ -515,7 +515,7 @@ func (al *authLayer) admit(w *World, q *Proc, m Message) bool {
 		w.Trace.Drop(now, m.From, m.To, m.Tag)
 		return false
 	}
-	if m.aseq == 0 || m.mac != al.macFor(w.keyEpochFor(m.epoch), m.From, m.To, m.aseq, m.Tag, m.bseq, m.sig, m.epoch, m.Payload) {
+	if m.aseq == 0 || m.mac != al.macFor(w.stack(m.epoch).KeyEpoch, m.From, m.To, m.aseq, m.Tag, m.bseq, m.sig, m.epoch, m.Payload) {
 		al.totals.RejectedCorrupt++
 		w.Trace.Mark(now, m.To, MarkAuthRejectCorrupt)
 		w.Trace.Drop(now, m.From, m.To, m.Tag)

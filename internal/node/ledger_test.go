@@ -92,14 +92,15 @@ func TestIdentityRecordBytesPinned(t *testing.T) {
 	}
 }
 
-// chatter broadcasts a fresh payload every three ticks, so every sublayer
-// of a running entity accumulates state about its neighbors.
+// chatter broadcasts a fresh (tamperable) payload every three ticks, so
+// every sublayer of a running entity accumulates state about its
+// neighbors.
 type chatter struct{ n int }
 
 func (c *chatter) Init(p *Proc) { c.tick(p) }
 func (c *chatter) tick(p *Proc) {
 	c.n++
-	p.Broadcast("chat", c.n)
+	p.Broadcast("chat", tamperInt{V: c.n})
 	p.After(3, func() { c.tick(p) })
 }
 func (c *chatter) Receive(*Proc, Message) {}
@@ -163,8 +164,14 @@ func TestSublayerRecordsBoundedByTheLiving(t *testing.T) {
 		if got := len(w.audit.observers); got > present+kept {
 			t.Errorf("durable=%v: %d audit ledgers for %d present entities (+%d retained)", durable, got, present, kept)
 		}
-		if got := len(w.reconfig.nodes); got != present {
-			t.Errorf("durable=%v: %d reconfig records for %d present entities", durable, got, present)
+		held := 0
+		for _, p := range w.procs {
+			if p.reconf != nil {
+				held++
+			}
+		}
+		if held != present {
+			t.Errorf("durable=%v: %d reconfig records for %d present entities", durable, held, present)
 		}
 		if got := len(w.departed); got > kept {
 			t.Errorf("durable=%v: %d departed identities tracked, cap %d", durable, got, kept)

@@ -203,11 +203,16 @@ type Proc struct {
 	behavior Behavior
 	timers   []*procTimer
 	alive    bool
+	// epoch is the stack epoch the entity operates under (World.stacks
+	// index): the latest committed one at bringUp, advanced only by the
+	// reconfiguration handshake, so 0 for life when that layer is off.
+	epoch uint64
 	// The entity's record in each enabled sublayer (nil when the layer is
 	// off), cached at bringUp so the per-message paths skip the
 	// identity-keyed lookup. The layers' maps stay the owners: a record's
 	// lifetime is its identity's, not this session's (see DESIGN.md,
-	// sublayer state model).
+	// sublayer state model). The exception is reconf, the handshake's
+	// flood dedup: its lifetime is the session's, so the Proc owns it.
 	rel    *relSender
 	auth   *authPeer
 	audit  *observer
@@ -285,7 +290,12 @@ type World struct {
 	// are never canceled, so an envelope is always handed back exactly
 	// once, at the top of its firing; the world is single-threaded, so a
 	// plain freelist suffices and stays deterministic.
-	envFree  []*deliveryEnv
+	envFree []*deliveryEnv
+	// stacks is the stack registry: stacks[e] is epoch e's resolved
+	// stack. Epoch 0 (genesis) is built from the sublayer configs in every
+	// world; only the reconfiguration layer appends. Knobs are read
+	// through World.stack.
+	stacks   []StackConfig
 	hook     ChannelHook
 	sendHook SenderHook
 	rel      *reliableLayer
@@ -347,7 +357,7 @@ func NewWorld(engine *sim.Engine, overlay topology.Overlay, factory BehaviorFact
 		seen:    make(map[graph.NodeID]bool),
 	}
 	if cfg.Reliable.Enabled {
-		w.rel = newReliableLayer(cfg.Reliable.withDefaults())
+		w.rel = newReliableLayer(cfg.Reliable.withDefaults(), cfg.Reconfig.Enabled)
 	}
 	if cfg.Auth.Enabled {
 		w.auth = newAuthLayer(cfg.Auth.withDefaults())
@@ -362,11 +372,9 @@ func NewWorld(engine *sim.Engine, overlay topology.Overlay, factory BehaviorFact
 		w.pex = newPexLayer(cfg.Pex.WithDefaults(), cfg.Seed)
 		engine.Every(w.pex.cfg.SampleEvery, func() { w.pex.sample(w) })
 	}
+	w.stacks = []StackConfig{w.genesisStack()}
 	if cfg.Reconfig.Enabled {
-		w.reconfig = newReconfigLayer(w.genesisStack())
-		if w.rel != nil {
-			w.rel.sampleRTT = true
-		}
+		w.reconfig = newReconfigLayer()
 	}
 	return w
 }
@@ -419,12 +427,8 @@ func (w *World) Join(id graph.NodeID) *Proc {
 		// Identity keying is an epoch-governed knob: a joiner operates under
 		// the latest committed stack, so ITS durability — not the frozen
 		// genesis config — decides whether this join restores or resets.
-		durable := w.cfg.Identity.Durable
-		if w.reconfig != nil {
-			durable = w.reconfig.stackOf(id).Durable
-		}
-		if w.auth != nil || w.audit != nil {
-			if durable {
+		if w.auth != nil {
+			if w.stack(p.epoch).Durable {
 				w.identRestoreOnJoin(id)
 			} else if rejoin {
 				w.identResetOnRejoin(id)
@@ -460,7 +464,8 @@ func (w *World) bringUp(id graph.NodeID, start func(p *Proc)) *Proc {
 		p.audit = w.audit.observer(id)
 	}
 	if w.reconfig != nil {
-		p.reconf = w.reconfig.onJoin(id)
+		p.epoch = w.reconfig.latest
+		p.reconf = &reconfigNode{}
 	}
 	start(p)
 	if w.audit != nil {
@@ -475,7 +480,8 @@ func (w *World) bringUp(id graph.NodeID, start func(p *Proc)) *Proc {
 // tearDown is the half of a departure that Leave and Crash share: the
 // trace records it, the entity's timers die with it and it stops being a
 // Proc. Its pex view is soft state and dies with the session either way
-// (a recovery re-bootstraps), as does its reconfiguration handshake state.
+// (a recovery re-bootstraps), as does its reconfiguration handshake state
+// (Proc.reconf).
 func (w *World) tearDown(p *Proc, now core.Time) {
 	w.turnLeaves++
 	w.Trace.Leave(now, p.ID)
@@ -488,9 +494,6 @@ func (w *World) tearDown(p *Proc, now core.Time) {
 	if w.pex != nil {
 		w.pex.onLeave(p.ID)
 	}
-	if w.reconfig != nil {
-		w.reconfig.onLeave(p.ID)
-	}
 }
 
 // Leave removes a present entity now: its timers die with it, in-flight
@@ -502,16 +505,11 @@ func (w *World) Leave(id graph.NodeID) {
 		return
 	}
 	now := int64(w.Engine.Now())
-	// Resolve the departing entity's durability under ITS current epoch
-	// before the handshake session state is torn down.
-	durable := w.cfg.Identity.Durable
-	if w.reconfig != nil {
-		durable = w.reconfig.stackOf(id).Durable
-	}
 	w.recordChanges(now, w.Overlay.RemoveNode(id))
 	w.tearDown(p, now)
-	if w.auth != nil || w.audit != nil {
-		if durable {
+	if w.auth != nil {
+		// The departing entity's durability is that of ITS current epoch.
+		if w.stack(p.epoch).Durable {
 			// The identity persists: write its sublayer state to the stable
 			// store so a rejoin resumes the same principal.
 			w.identSaveOnLeave(id)
@@ -555,7 +553,7 @@ func (w *World) Crash(id graph.NodeID) {
 	if rec, ok := p.behavior.(Recoverable); ok {
 		snap.behavior, snap.hasBehavior = rec.Snapshot(), true
 	}
-	if w.auth != nil || w.audit != nil {
+	if w.auth != nil {
 		rec := w.identityRecord(id)
 		w.dropIdentityState(id)
 		if !rec.Empty() {
@@ -611,7 +609,7 @@ func (w *World) Recover(id graph.NodeID) *Proc {
 			if !wrapped {
 				snap = durableSnapshot{behavior: raw, hasBehavior: true}
 			}
-			if snap.ident != nil && (w.auth != nil || w.audit != nil) {
+			if snap.ident != nil && w.auth != nil {
 				rec, err := DecodeIdentity(snap.ident)
 				if err != nil {
 					// The store only ever holds records this process encoded; a
@@ -737,13 +735,11 @@ func (p *Proc) Send(to graph.NodeID, tag string, payload any) {
 		m.bseq = bseq
 		m.sig = w.audit.sign(p.ID, bseq, payload)
 	}
-	if w.reconfig != nil {
-		// Stamp the sender's current stack epoch BEFORE authentication:
-		// the MAC covers it, so the copy is forever bound to the rules it
-		// was sent under — retransmissions reuse these wire bytes and
-		// still verify after a key rotation.
-		m.epoch = p.reconf.epoch
-	}
+	// Stamp the sender's current stack epoch BEFORE authentication:
+	// the MAC covers it, so the copy is forever bound to the rules it
+	// was sent under — retransmissions reuse these wire bytes and
+	// still verify after a key rotation.
+	m.epoch = p.epoch
 	if w.auth != nil {
 		w.auth.tag(w, p, &m)
 	}

@@ -11,8 +11,12 @@ package node
 // The moving parts:
 //
 //   - StackConfig is the reconfigurable slice of the stack, versioned by
-//     EPOCH. Epoch 0 is the genesis stack derived from the static
-//     sublayer configs; each successful reconfiguration appends one.
+//     EPOCH. Every world holds the registry (World.stacks): epoch 0 is the
+//     genesis stack derived from the static sublayer configs, and each
+//     successful reconfiguration appends one. Each running entity's
+//     current epoch is Proc.epoch, 0 for life when this layer is off, and
+//     every per-entity or per-message read of a knob goes through
+//     World.stack — no sublayer asks whether this layer exists.
 //   - Every wire message is stamped with its sender's current epoch, and
 //     the stamp is folded into the auth MAC, so a channel adversary
 //     cannot migrate a message between epochs. A message sent under
@@ -42,6 +46,11 @@ package node
 //   - Nodes that miss the commit (absent, partitioned) CATCH UP: any
 //     verified message stamped with a newer committed epoch advances the
 //     receiver, and a joiner bootstraps at the latest committed epoch.
+//
+// What this layer itself holds is only the handshake: one epochRound per
+// registered epoch, the latest committed epoch and the counters. Each
+// running entity's flood dedup (reconfigNode) lives on its Proc and dies
+// with the session.
 //
 // What reconfiguration deliberately does NOT do: it never clears
 // quarantines, convictions, strikes, anti-replay windows, receipt pins
@@ -133,13 +142,13 @@ type StackConfig struct {
 
 func (sc StackConfig) withDefaults() StackConfig {
 	if sc.Retain == 0 {
-		sc.Retain = 256
+		sc.Retain = defaultRetain
 	}
 	if sc.PullFanout == 0 {
-		sc.PullFanout = 2
+		sc.PullFanout = defaultPullFanout
 	}
 	if sc.Retention == "" {
-		sc.Retention = RetentionPinned
+		sc.Retention = defaultRetention
 	}
 	if sc.FenceDepth == 0 {
 		sc.FenceDepth = 2
@@ -288,9 +297,9 @@ func DecodeStackConfig(b []byte) (StackConfig, error) {
 // ReconfigConfig parameterizes the reconfiguration layer.
 type ReconfigConfig struct {
 	// Enabled turns the layer on. Off (the default), the stack is frozen
-	// at NewWorld exactly as before and no epoch machinery exists — the
-	// wire format, MAC inputs and rng draw sequence are bit-identical to
-	// a build without this file.
+	// at NewWorld and no handshake machinery exists: every entity stays at
+	// the genesis epoch 0, so the wire format, MAC inputs and rng draw
+	// sequence are bit-identical to a build without this file.
 	Enabled bool
 	// Stack overrides the genesis epoch's HANDSHAKE knobs (FenceDepth,
 	// DrainTimeout, PrepareQuorum). The genesis values of the sublayer
@@ -366,12 +375,10 @@ type reconfigAckKey struct {
 	acker graph.NodeID
 }
 
-// reconfigNode is one present node's handshake session state: its
-// current epoch and the per-node dedup of the three floods. It is created
-// at the latest committed epoch when the node joins or recovers and
-// deleted when it departs.
+// reconfigNode is one running entity's handshake session state: the
+// per-session dedup of the three floods. bringUp allocates it on the Proc
+// when the layer is on, and it dies with the session.
 type reconfigNode struct {
-	epoch      uint64
 	prepSeen   map[uint64]bool
 	ackSeen    map[reconfigAckKey]bool
 	commitSeen map[uint64]bool
@@ -387,72 +394,46 @@ func firstSight[K comparable](set *map[K]bool, k K) bool {
 	return true
 }
 
+// epochRound is the handshake's record of one registered epoch, whose
+// stack is World.stacks at the same index: whether it committed, which
+// entity initiated it, how many entities were present at prepare time,
+// and the distinct ackers tallied at the initiator.
+type epochRound struct {
+	committed  bool
+	initiator  graph.NodeID
+	quorumBase int
+	ackers     map[graph.NodeID]bool
+}
+
 type reconfigLayer struct {
-	// epochs is the registry: epochs[e] is epoch e's resolved stack.
-	// committed, initiator and quorumBase parallel it. Epoch 0 (genesis)
-	// is committed from birth.
-	epochs     []StackConfig
-	committed  []bool
-	initiator  []graph.NodeID
-	quorumBase []int
+	// rounds parallels World.stacks. Epoch 0 (genesis) is committed from
+	// birth.
+	rounds []epochRound
 	// latest is the highest committed epoch — what joiners bootstrap to
 	// and catch-up advances toward.
-	latest uint64
-	// nodes holds one record per PRESENT node. Running entities reach
-	// theirs through Proc.reconf.
-	nodes map[graph.NodeID]*reconfigNode
-	// ackers tallies distinct ackers per epoch at the initiator.
-	ackers   map[uint64]map[graph.NodeID]bool
+	latest   uint64
 	counters ReconfigCounters
 }
 
-func newReconfigLayer(genesis StackConfig) *reconfigLayer {
-	return &reconfigLayer{
-		epochs:     []StackConfig{genesis},
-		committed:  []bool{true},
-		initiator:  []graph.NodeID{0},
-		quorumBase: []int{0},
-		nodes:      make(map[graph.NodeID]*reconfigNode),
-		ackers:     make(map[uint64]map[graph.NodeID]bool),
-	}
+func newReconfigLayer() *reconfigLayer {
+	return &reconfigLayer{rounds: []epochRound{{committed: true}}}
 }
 
 func isReconfigTag(tag string) bool {
 	return tag == ReconfigPrepareTag || tag == ReconfigAckTag || tag == ReconfigCommitTag
 }
 
-// stackFor returns epoch e's stack, clamped to the registry (a stamped
-// epoch beyond the registry can only be a mutation, which the MAC check
-// rejects anyway; clamping keeps the lookup total).
-func (rc *reconfigLayer) stackFor(e uint64) StackConfig {
-	if e >= uint64(len(rc.epochs)) {
-		e = uint64(len(rc.epochs) - 1)
+// stack returns epoch e's resolved stack: the one read path of every
+// epoch-governed knob. The registry is clamped (a stamped epoch beyond it
+// can only be a mutation, which the MAC check rejects anyway; clamping
+// keeps the lookup total). It returns a copy, never a pointer that
+// Reconfigure's append could leave stale.
+func (w *World) stack(e uint64) StackConfig {
+	if e >= uint64(len(w.stacks)) {
+		e = uint64(len(w.stacks) - 1)
 	}
-	return rc.epochs[e]
+	return w.stacks[e]
 }
-
-// epochOf returns a node's current epoch (0 for an absent node).
-func (rc *reconfigLayer) epochOf(id graph.NodeID) uint64 {
-	if n := rc.nodes[id]; n != nil {
-		return n.epoch
-	}
-	return 0
-}
-
-// stackOf returns a present node's current stack.
-func (rc *reconfigLayer) stackOf(id graph.NodeID) StackConfig {
-	return rc.stackFor(rc.epochOf(id))
-}
-
-// onJoin bootstraps a joining (or recovering) node at the latest
-// committed epoch; onLeave drops the node's handshake session state.
-func (rc *reconfigLayer) onJoin(id graph.NodeID) *reconfigNode {
-	n := &reconfigNode{epoch: rc.latest}
-	rc.nodes[id] = n
-	return n
-}
-
-func (rc *reconfigLayer) onLeave(id graph.NodeID) { delete(rc.nodes, id) }
 
 // admitEpoch is the receiver-side epoch fence: a copy stamped more than
 // FenceDepth epochs behind the receiver's current epoch is dropped
@@ -461,8 +442,8 @@ func (rc *reconfigLayer) onLeave(id graph.NodeID) { delete(rc.nodes, id) }
 // budget, which is the property that keeps reconfig storms from framing
 // honest senders.
 func (rc *reconfigLayer) admitEpoch(w *World, q *Proc, m Message) bool {
-	cur := q.reconf.epoch
-	depth := uint64(rc.epochs[cur].FenceDepth)
+	cur := q.epoch
+	depth := uint64(w.stack(cur).FenceDepth)
 	if cur > m.epoch && cur-m.epoch > depth {
 		now := int64(w.Engine.Now())
 		rc.counters.StaleEpochDrops++
@@ -477,7 +458,7 @@ func (rc *reconfigLayer) admitEpoch(w *World, q *Proc, m Message) bool {
 // newer committed epoch advances the receiver. It runs after the MAC
 // and anti-replay gates, so a forged stamp cannot drag anyone forward.
 func (rc *reconfigLayer) observeEpoch(w *World, q *Proc, m Message) {
-	if m.epoch > q.reconf.epoch && m.epoch < uint64(len(rc.epochs)) && rc.committed[m.epoch] {
+	if m.epoch > q.epoch && m.epoch < uint64(len(rc.rounds)) && rc.rounds[m.epoch].committed {
 		rc.switchTo(w, q, m.epoch, true)
 	}
 }
@@ -486,10 +467,10 @@ func (rc *reconfigLayer) observeEpoch(w *World, q *Proc, m Message) {
 // no-ops), marks the switch for trace checkers, and applies the new
 // epoch's audit retention immediately.
 func (rc *reconfigLayer) switchTo(w *World, p *Proc, e uint64, catchup bool) {
-	if e <= p.reconf.epoch || e >= uint64(len(rc.epochs)) {
+	if e <= p.epoch || e >= uint64(len(rc.rounds)) {
 		return
 	}
-	p.reconf.epoch = e
+	p.epoch = e
 	rc.counters.Switches++
 	if catchup {
 		rc.counters.CatchUps++
@@ -506,10 +487,10 @@ func (rc *reconfigLayer) switchTo(w *World, p *Proc, e uint64, catchup bool) {
 // recordCommit marks an epoch committed (idempotent) and advances the
 // joiner bootstrap point.
 func (rc *reconfigLayer) recordCommit(e uint64) {
-	if e >= uint64(len(rc.committed)) || rc.committed[e] {
+	if e >= uint64(len(rc.rounds)) || rc.rounds[e].committed {
 		return
 	}
-	rc.committed[e] = true
+	rc.rounds[e].committed = true
 	rc.counters.Committed++
 	if e > rc.latest {
 		rc.latest = e
@@ -519,10 +500,8 @@ func (rc *reconfigLayer) recordCommit(e uint64) {
 // quorumNeeded is the ack count epoch e's commit requires: the target
 // epoch's PrepareQuorum fraction of the entities present at prepare
 // time, rounded up, at least 1.
-func (rc *reconfigLayer) quorumNeeded(e uint64) int {
-	q := rc.epochs[e].PrepareQuorum
-	base := rc.quorumBase[e]
-	n := int(math.Ceil(q * float64(base)))
+func (rc *reconfigLayer) quorumNeeded(w *World, e uint64) int {
+	n := int(math.Ceil(w.stack(e).PrepareQuorum * float64(rc.rounds[e].quorumBase)))
 	if n < 1 {
 		n = 1
 	}
@@ -532,21 +511,12 @@ func (rc *reconfigLayer) quorumNeeded(e uint64) int {
 // recordAck tallies one distinct acker for epoch e at the initiator and
 // commits when the quorum lands.
 func (rc *reconfigLayer) recordAck(w *World, e uint64, acker graph.NodeID) {
-	set := rc.ackers[e]
-	if set == nil {
-		set = make(map[graph.NodeID]bool)
-		rc.ackers[e] = set
-	}
-	if set[acker] {
-		return
-	}
-	set[acker] = true
-	if rc.committed[e] || len(set) < rc.quorumNeeded(e) {
+	r := &rc.rounds[e]
+	if !firstSight(&r.ackers, acker) || r.committed || len(r.ackers) < rc.quorumNeeded(w, e) {
 		return
 	}
 	rc.recordCommit(e)
-	init := rc.initiator[e]
-	p := w.procs[init]
+	p := w.procs[r.initiator]
 	if p == nil || !p.alive {
 		// The initiator left between prepare and quorum; the epoch is
 		// committed in the registry and propagates by catch-up only.
@@ -577,7 +547,7 @@ func (rc *reconfigLayer) hasOldPending(p *Proc, e uint64) bool {
 // deadline passes (ack anyway, counted and marked — the fence and the
 // per-epoch MAC keep the stragglers correct, so liveness wins).
 func (rc *reconfigLayer) drain(w *World, p *Proc, e uint64) {
-	deadline := w.Engine.Now() + rc.epochs[e].DrainTimeout
+	deadline := w.Engine.Now() + w.stack(e).DrainTimeout
 	rc.drainStep(w, p, e, deadline)
 }
 
@@ -605,7 +575,7 @@ func (rc *reconfigLayer) sendAck(w *World, p *Proc, e uint64) {
 	if !firstSight(&p.reconf.ackSeen, reconfigAckKey{epoch: e, acker: p.ID}) {
 		return
 	}
-	if rc.initiator[e] == p.ID {
+	if rc.rounds[e].initiator == p.ID {
 		rc.recordAck(w, e, p.ID)
 	}
 	p.Broadcast(ReconfigAckTag, reconfigAck{Epoch: e, Acker: p.ID})
@@ -616,12 +586,12 @@ func (rc *reconfigLayer) sendAck(w *World, p *Proc, e uint64) {
 // epoch-split attempt — is dropped and counted), re-flood, drain.
 func (rc *reconfigLayer) onPrepare(w *World, p *Proc, from graph.NodeID, pr reconfigPrepare) {
 	e := pr.Epoch
-	if e == 0 || e >= uint64(len(rc.epochs)) {
+	if e == 0 || e >= uint64(len(rc.rounds)) {
 		rc.counters.BadWire++
 		return
 	}
 	dec, err := DecodeStackConfig(pr.Wire)
-	if err != nil || dec != rc.epochs[e] {
+	if err != nil || dec != w.stack(e) {
 		rc.counters.BadWire++
 		return
 	}
@@ -644,7 +614,7 @@ func (rc *reconfigLayer) onReconfig(w *World, p *Proc, m Message) {
 		rc.onPrepare(w, p, m.From, pl)
 	case reconfigAck:
 		e := pl.Epoch
-		if e == 0 || e >= uint64(len(rc.epochs)) {
+		if e == 0 || e >= uint64(len(rc.rounds)) {
 			rc.counters.BadWire++
 			return
 		}
@@ -652,7 +622,7 @@ func (rc *reconfigLayer) onReconfig(w *World, p *Proc, m Message) {
 			return
 		}
 		rc.counters.Acks++
-		if rc.initiator[e] == p.ID {
+		if rc.rounds[e].initiator == p.ID {
 			rc.recordAck(w, e, pl.Acker)
 		}
 		for _, u := range p.Neighbors() {
@@ -662,7 +632,7 @@ func (rc *reconfigLayer) onReconfig(w *World, p *Proc, m Message) {
 		}
 	case reconfigCommit:
 		e := pl.Epoch
-		if e == 0 || e >= uint64(len(rc.epochs)) {
+		if e == 0 || e >= uint64(len(rc.rounds)) {
 			rc.counters.BadWire++
 			return
 		}
@@ -680,17 +650,6 @@ func (rc *reconfigLayer) onReconfig(w *World, p *Proc, m Message) {
 	default:
 		rc.counters.BadWire++
 	}
-}
-
-// keyEpochFor resolves the auth key generation a message stamped with
-// stack epoch e verifies under (0 — the genesis generation — when the
-// layer is disabled, leaving the MAC inputs bit-identical to a
-// reconfig-free build).
-func (w *World) keyEpochFor(e uint64) uint64 {
-	if w.reconfig == nil {
-		return 0
-	}
-	return w.reconfig.stackFor(e).KeyEpoch
 }
 
 // Reconfigure registers a target stack as the next epoch, floods the
@@ -711,11 +670,9 @@ func (w *World) Reconfigure(initiator graph.NodeID, target StackConfig) uint64 {
 	}
 	target = target.withDefaults()
 	rc := w.reconfig
-	e := uint64(len(rc.epochs))
-	rc.epochs = append(rc.epochs, target)
-	rc.committed = append(rc.committed, false)
-	rc.initiator = append(rc.initiator, initiator)
-	rc.quorumBase = append(rc.quorumBase, len(w.Present()))
+	e := uint64(len(w.stacks))
+	w.stacks = append(w.stacks, target)
+	rc.rounds = append(rc.rounds, epochRound{initiator: initiator, quorumBase: len(w.Present())})
 	rc.counters.Initiated++
 	firstSight(&p.reconf.prepSeen, e)
 	pr := reconfigPrepare{Epoch: e, Wire: EncodeStackConfig(target)}
@@ -728,15 +685,10 @@ func (w *World) Reconfigure(initiator graph.NodeID, target StackConfig) uint64 {
 func (w *World) ReconfigEnabled() bool { return w.reconfig != nil }
 
 // GenesisStack returns epoch 0's resolved stack — the sublayer configs'
-// view of the world as built. With the layer disabled it synthesizes
-// the same snapshot from the static configs, so callers (fault clauses
-// flipping knobs relative to genesis) need not special-case.
-func (w *World) GenesisStack() StackConfig {
-	if w.reconfig != nil {
-		return w.reconfig.epochs[0]
-	}
-	return w.genesisStack()
-}
+// view of the world as built, whether or not the layer is enabled, so
+// callers (fault clauses flipping knobs relative to genesis) need not
+// special-case.
+func (w *World) GenesisStack() StackConfig { return w.stacks[0] }
 
 // genesisStack derives epoch 0 from the resolved sublayer configs plus
 // the reconfig config's handshake knobs.
@@ -761,20 +713,15 @@ func (w *World) genesisStack() StackConfig {
 
 // StackOf returns the stack an entity currently operates under (the
 // genesis stack when the layer is disabled or the entity is absent).
-func (w *World) StackOf(id graph.NodeID) StackConfig {
-	if w.reconfig == nil {
-		return w.GenesisStack()
-	}
-	return w.reconfig.stackOf(id)
-}
+func (w *World) StackOf(id graph.NodeID) StackConfig { return w.stack(w.EpochOf(id)) }
 
 // EpochOf returns an entity's current stack epoch (0 when the layer is
 // disabled or the entity is absent).
 func (w *World) EpochOf(id graph.NodeID) uint64 {
-	if w.reconfig == nil {
-		return 0
+	if p := w.procs[id]; p != nil {
+		return p.epoch
 	}
-	return w.reconfig.epochOf(id)
+	return 0
 }
 
 // LatestEpoch returns the highest committed epoch (0 when disabled).

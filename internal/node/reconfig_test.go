@@ -1,10 +1,12 @@
 package node
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -285,13 +287,11 @@ func TestReconfigEpochFenceNoStrike(t *testing.T) {
 	rc := w.reconfig
 	g := w.GenesisStack() // FenceDepth 2 by default
 	for i := 0; i < 3; i++ {
-		rc.epochs = append(rc.epochs, g)
-		rc.committed = append(rc.committed, true)
-		rc.initiator = append(rc.initiator, 1)
-		rc.quorumBase = append(rc.quorumBase, 2)
+		w.stacks = append(w.stacks, g)
+		rc.rounds = append(rc.rounds, epochRound{committed: true, initiator: 1, quorumBase: 2})
 	}
 	rc.latest = 3
-	w.Proc(2).reconf.epoch = 3
+	w.Proc(2).epoch = 3
 
 	if rc.admitEpoch(w, w.Proc(2), Message{From: 1, To: 2, Tag: "data", epoch: 0}) {
 		t.Fatal("copy 3 epochs stale passed a fence of depth 2")
@@ -344,5 +344,72 @@ func TestReconfigDisabledIsInvisible(t *testing.T) {
 	g := w.GenesisStack()
 	if g.Retain != 256 || g.PullFanout != 2 || g.Retention != RetentionPinned {
 		t.Fatalf("synthesized genesis stack %+v diverges from the audit defaults", g)
+	}
+}
+
+// TestIdleReconfigLayerIsInvisible: a world with the reconfiguration
+// layer on but never reconfigured runs exactly like one without it — the
+// same event sequence and the same sublayer totals — under non-default
+// genesis knobs (adaptive RTO, a small FIFO receipt store, pull fanout 3,
+// durable identity) and a corrupt/replay/crash/rejoin storm, so every
+// per-epoch read takes its genesis value either way.
+func TestIdleReconfigLayerIsInvisible(t *testing.T) {
+	type run struct {
+		trace []byte
+		rel   ReliableCounters
+		auth  AuthCounters
+		audit AuditCounters
+		ident IdentityCounters
+	}
+	exec := func(enabled bool) run {
+		e := sim.New()
+		w := NewWorld(e, topology.NewRandomK(5, 3), func(graph.NodeID) Behavior { return &chatter{} }, Config{
+			MinLatency: 1, MaxLatency: 3, LossRate: 0.05, Seed: 21,
+			Reliable: ReliableConfig{Enabled: true, Adaptive: true},
+			Auth:     AuthConfig{Enabled: true, Parole: 60},
+			Audit:    AuditConfig{Enabled: true, Retain: 8, Retention: RetentionFIFO, Pull: true, PullFanout: 3},
+			Identity: IdentityConfig{Durable: true},
+			Reconfig: ReconfigConfig{Enabled: enabled},
+		})
+		r := rng.New(9)
+		w.SetChannelHook(func(_ sim.Time, _, _ graph.NodeID, tag string) ChannelFault {
+			if tag != "chat" {
+				return ChannelFault{}
+			}
+			var f ChannelFault
+			if r.Bool(0.1) {
+				f.Corrupt = func(p any) (any, bool) { return p.(Tamperable).Tamper(r), true }
+			}
+			if r.Bool(0.05) {
+				f.ReplayAfter = 7
+			}
+			return f
+		})
+		for id := graph.NodeID(1); id <= 10; id++ {
+			w.Join(id)
+		}
+		e.At(60, func() { w.Crash(4) })
+		e.At(80, func() { w.Leave(5); w.Leave(7) })
+		e.At(110, func() { w.Recover(4) })
+		e.At(130, func() { w.Join(5); w.Join(7) })
+		e.RunUntil(300)
+		w.Close()
+		var buf bytes.Buffer
+		if err := core.EncodeTrace(&buf, w.Trace); err != nil {
+			t.Fatal(err)
+		}
+		return run{buf.Bytes(), w.ReliableTotals(), w.AuthTotals(), w.AuditTotals(), w.IdentityTotals()}
+	}
+	off, idle := exec(false), exec(true)
+	if !bytes.Equal(off.trace, idle.trace) {
+		t.Error("an idle reconfiguration layer changed the event sequence")
+	}
+	if off.rel != idle.rel || off.auth != idle.auth || off.audit != idle.audit || off.ident != idle.ident {
+		t.Errorf("an idle reconfiguration layer changed the totals:\noff  %+v %+v %+v %+v\nidle %+v %+v %+v %+v",
+			off.rel, off.auth, off.audit, off.ident, idle.rel, idle.auth, idle.audit, idle.ident)
+	}
+	if off.rel.Retries == 0 || off.auth.RejectedCorrupt == 0 || off.auth.RejectedReplay == 0 || off.audit.Evicted == 0 || off.audit.PullsSent == 0 ||
+		off.ident.Saves == 0 || off.ident.Restores == 0 {
+		t.Fatalf("storm too tame to reach every knob: %+v %+v %+v %+v", off.rel, off.auth, off.audit, off.ident)
 	}
 }

@@ -192,13 +192,13 @@ type reliableLayer struct {
 	sampleRTT bool
 }
 
-func newReliableLayer(cfg ReliableConfig) *reliableLayer {
+func newReliableLayer(cfg ReliableConfig, reconfig bool) *reliableLayer {
 	return &reliableLayer{
 		cfg:       cfg,
 		pending:   make(map[uint64]*pendingMsg),
 		delivered: make(map[uint64]bool),
 		senders:   make(map[graph.NodeID]*relSender),
-		sampleRTT: cfg.Adaptive,
+		sampleRTT: cfg.Adaptive || reconfig,
 	}
 }
 
@@ -215,8 +215,8 @@ func (rl *reliableLayer) sender(id graph.NodeID) *relSender {
 // rtoFor is the first timeout of a fresh message from s toward to: the
 // clamped adaptive estimate when the governing policy is adaptive and one
 // exists, the fixed schedule otherwise. The policy is passed in because
-// it is epoch-governed under reconfiguration (rl.cfg.Adaptive otherwise);
-// the estimators may be warm while the policy says fixed.
+// it is epoch-governed (the message's stack decides it); the estimators
+// may be warm while the policy says fixed.
 func (rl *reliableLayer) rtoFor(adaptive bool, s *relSender, to graph.NodeID) sim.Time {
 	if adaptive {
 		if e := s.rtt[to]; e != nil && e.inited {
@@ -237,13 +237,10 @@ func (rl *reliableLayer) rtoFor(adaptive bool, s *relSender, to graph.NodeID) si
 func (rl *reliableLayer) send(w *World, p *Proc, m Message) {
 	rl.seq++
 	m.seq = rl.seq
-	adaptive := rl.cfg.Adaptive
-	if w.reconfig != nil {
-		// The RTO policy rides the message's stack epoch, fixed at send
-		// time: retries of this message keep its policy even if an epoch
-		// switch lands mid-flight.
-		adaptive = w.reconfig.stackFor(m.epoch).Adaptive
-	}
+	// The RTO policy rides the message's stack epoch, fixed at send time:
+	// retries of this message keep its policy even if an epoch switch
+	// lands mid-flight.
+	adaptive := w.stack(m.epoch).Adaptive
 	pm := &pendingMsg{m: m, from: p.rel, timeout: rl.rtoFor(adaptive, p.rel, m.To), sentAt: w.Engine.Now()}
 	rl.pending[m.seq] = pm
 	p.rel.unacked[m.seq] = pm
