@@ -106,9 +106,14 @@ func main() {
 			fatal(err)
 		}
 		if err := core.EncodeTrace(f, tr); err != nil {
-			fatal(err)
+			fatal(fmt.Errorf("-out: %v", err))
 		}
-		f.Close()
+		// Some write errors surface only at Close (a deferred flush on a
+		// network filesystem, a quota): the trace is written once Close
+		// succeeds, not before.
+		if err := f.Close(); err != nil {
+			fatal(fmt.Errorf("-out: %v", err))
+		}
 		fmt.Printf("trace written to %s\n", *out)
 	}
 

@@ -101,6 +101,50 @@ func TestDeclaredRun(t *testing.T) {
 	}
 }
 
+// TestDiameterViolationLines pins the violation lines of a declared
+// diameter bound below the run's: each prints its snapshot's exact
+// diameter, which falls back below the run's largest (6, at t=0) and
+// rises to it again.
+func TestDiameterViolationLines(t *testing.T) {
+	stdout, stderr, status := runClasscheck(t, "-n", "12", "-overlay", "ring", "-arrival", "0.1", "-session", "60", "-horizon", "200",
+		"-declare-size", "M^n", "-declare-geo", "diam-known", "-declare-d", "4")
+	if status != 1 || stderr != "" {
+		t.Fatalf("exit status %d, stderr %q; want 1 and nothing", status, stderr)
+	}
+	want := `declared class: (M^n, diam<=4 known)
+check: 32 violations
+  t=0: snapshot diameter 6 exceeds declared bound D=4
+  t=5: snapshot diameter 5 exceeds declared bound D=4
+  t=10: snapshot diameter 5 exceeds declared bound D=4
+  t=27: snapshot diameter 5 exceeds declared bound D=4
+  t=29: snapshot diameter 5 exceeds declared bound D=4
+  t=37: snapshot diameter 5 exceeds declared bound D=4
+  t=38: snapshot diameter 6 exceeds declared bound D=4
+  t=42: snapshot diameter 5 exceeds declared bound D=4
+  t=44: snapshot diameter 6 exceeds declared bound D=4
+  t=45: snapshot diameter 5 exceeds declared bound D=4
+  ... and 22 more
+`
+	if !strings.HasSuffix(stdout, want) {
+		t.Errorf("stdout does not end with the violation lines\n%s\ngot:\n%s", want, stdout)
+	}
+}
+
+// TestOutWriteFailure: a trace that cannot be written fails the run with
+// exit status 2 instead of reporting it written.
+func TestOutWriteFailure(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to fill")
+	}
+	stdout, stderr, status := runClasscheck(t, "-n", "8", "-horizon", "50", "-out", "/dev/full")
+	if status != 2 || !strings.HasPrefix(stderr, "classcheck: -out: ") {
+		t.Errorf("exit status %d, stderr %q; want 2 and a classcheck: -out: line", status, stderr)
+	}
+	if strings.Contains(stdout, "trace written") {
+		t.Errorf("stdout reports the trace written:\n%s", stdout)
+	}
+}
+
 func TestParseClass(t *testing.T) {
 	cases := []struct {
 		size, geo string

@@ -61,8 +61,8 @@ func churnedRing(n, ticks int, seed uint64) *Trace {
 }
 
 // BenchmarkInferClass infers the class of a 500-tick churned 64-ring:
-// nearly every tick is a stable period whose exact diameter the inference
-// computes, so the geography judge dominates.
+// nearly every tick is a stable period whose diameter the inference checks
+// against its running maximum, so the geography judge dominates.
 func BenchmarkInferClass(b *testing.B) {
 	tr := churnedRing(64, 500, 1)
 	if c := InferClass(tr); c.Geo != GeoDiameterKnown || c.D == 0 {

@@ -22,9 +22,10 @@ type CheckReport struct {
 	Violations []Violation
 	// ObservedConcurrency is the run's maximum simultaneous membership.
 	ObservedConcurrency int
-	// ObservedDiameter is the largest snapshot diameter seen, and
-	// DiameterDefined whether every non-trivial snapshot was connected
-	// (diameter undefined on a partitioned snapshot).
+	// ObservedDiameter is the exact largest diameter over the connected
+	// snapshots (a partitioned one has none, and those after it still
+	// count), and DiameterDefined whether every non-trivial snapshot was
+	// connected.
 	ObservedDiameter int
 	DiameterDefined  bool
 	// QuiescentFrom is the time of the last topology change.
@@ -127,9 +128,11 @@ func (r *CheckReport) checkSize(tr *Trace, c Class) {
 }
 
 // observeDiameter folds one snapshot's diameter into the report; ok is
-// false on a partitioned snapshot, whose diameter is undefined.
-func (r *CheckReport) observeDiameter(g *graph.Graph) (d int, ok bool) {
-	d, ok = g.Diameter()
+// false on a partitioned snapshot, whose diameter is undefined. d is
+// max(floor, diameter): a floor no larger than ObservedDiameter keeps the
+// running maximum exact while sparing the BFS runs that cannot raise it.
+func (r *CheckReport) observeDiameter(g *graph.Graph, floor int) (d int, ok bool) {
+	d, ok = g.DiameterAbove(floor)
 	if !ok {
 		r.DiameterDefined = false
 	} else if d > r.ObservedDiameter {
@@ -150,14 +153,21 @@ func (r *CheckReport) checkSnapshot(g *graph.Graph, t Time, c Class) {
 			r.add(t, fmt.Sprintf("snapshot not complete: %d nodes, %d edges", g.NumNodes(), g.NumEdges()))
 		}
 	case GeoDiameterKnown, GeoDiameterBounded:
-		d, ok := r.observeDiameter(g)
+		// Under a declared D the floor stays at or below D too, so a
+		// diameter that breaks the bound is computed exactly for the
+		// violation text.
+		floor := r.ObservedDiameter
+		if c.Geo == GeoDiameterKnown && c.D > 0 {
+			floor = min(floor, c.D)
+		}
+		d, ok := r.observeDiameter(g, floor)
 		if !ok {
 			r.add(t, "snapshot disconnected in an always-connected class")
 		} else if c.Geo == GeoDiameterKnown && c.D > 0 && d > c.D {
 			r.add(t, fmt.Sprintf("snapshot diameter %d exceeds declared bound D=%d", d, c.D))
 		}
 	case GeoUnconstrained:
-		r.observeDiameter(g)
+		r.observeDiameter(g, r.ObservedDiameter)
 	}
 }
 
@@ -185,7 +195,12 @@ func InferClass(tr *Trace) Class {
 	seen := CheckReport{DiameterDefined: true}
 	tr.eachSnapshot(func(_ Time, g *graph.Graph) {
 		allComplete = allComplete && complete(g)
-		seen.observeDiameter(g)
+		// Once a snapshot is partitioned the geography is decided (a
+		// partitioned snapshot is not complete either), so the remaining
+		// snapshots' diameters are not needed.
+		if seen.DiameterDefined {
+			seen.observeDiameter(g, seen.ObservedDiameter)
+		}
 	})
 	switch {
 	case allComplete:

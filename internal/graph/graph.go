@@ -23,8 +23,8 @@ type NodeID int64
 // construct with New. Self-loops are rejected.
 //
 // A Graph is not safe for concurrent use, even by readers only: Nodes and
-// AppendNodes fill the node cache, and Connected, Eccentricity and
-// Diameter also rebuild the dense view they traverse.
+// AppendNodes fill the node cache, and Connected, Eccentricity, Diameter
+// and DiameterAbove also rebuild the dense view they traverse.
 type Graph struct {
 	// adj maps every node to its neighbours, ascending: a membership test
 	// is a binary search, and every walk of a node's neighbourhood —
@@ -296,22 +296,20 @@ func (g *Graph) Eccentricity(v NodeID) (int, bool) {
 	return int(ecc), true
 }
 
-// Diameter returns the exact diameter (max eccentricity) via all-pairs
-// BFS, and false if the graph is disconnected or empty. The graph is
-// undirected, so the first BFS decides connectivity: when it reaches every
-// node, so does every other.
-func (g *Graph) Diameter() (int, bool) {
+// Diameter returns the exact diameter (max eccentricity), and false if
+// the graph is disconnected or empty. It is DiameterAbove(0): BFS runs
+// pruned by eccentricity bounds, as few as two on a star and all n on a
+// graph whose nodes share one eccentricity, such as a ring.
+func (g *Graph) Diameter() (int, bool) { return g.DiameterAbove(0) }
+
+// DiameterAbove returns max(floor, diameter) — the exact diameter whenever
+// it exceeds floor — and false if the graph is disconnected or empty. A
+// caller that needs only a running maximum passes it as the floor, and a
+// snapshot whose eccentricities provably do not exceed it costs as few as
+// one BFS run.
+func (g *Graph) DiameterAbove(floor int) (int, bool) {
 	if len(g.adj) == 0 {
 		return 0, false
 	}
-	d := g.view()
-	var diam int32
-	for src := range d.ids {
-		ecc, reached := d.bfs(int32(src))
-		if reached != len(d.ids) {
-			return 0, false
-		}
-		diam = max(diam, ecc)
-	}
-	return int(diam), true
+	return g.view().diameterAbove(floor)
 }

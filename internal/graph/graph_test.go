@@ -299,3 +299,19 @@ func BenchmarkDiameterRing64(b *testing.B) {
 		g.Diameter()
 	}
 }
+
+func BenchmarkDiameterStar64(b *testing.B) {
+	g := star(64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Diameter()
+	}
+}
+
+func BenchmarkDiameterRandomK64(b *testing.B) {
+	g := randomK(64, 3, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Diameter()
+	}
+}
