@@ -96,6 +96,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzPoisonClause -fuzztime=10s ./internal/fault/
 	$(GO) test -fuzz=FuzzTQWire -fuzztime=10s ./internal/tq/
 	$(GO) test -fuzz=FuzzDiameterBounds -fuzztime=10s ./internal/graph/
+	$(GO) test -fuzz=FuzzPexReconcile -fuzztime=10s ./internal/node/
 
 fmt:
 	gofmt -w .

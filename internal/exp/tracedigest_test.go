@@ -10,8 +10,10 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/adversary"
 	"repro/internal/churn"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/node"
 	"repro/internal/otq"
 	"repro/internal/pex"
@@ -37,7 +39,12 @@ const traceDigestPath = "testdata/trace_digests.json"
 // is away, one reconfiguration round that flips every epoch-governed knob
 // (allKnobsCell), and E28's undefended pex world under rejoining churn
 // (joiners bootstrap, leavers' links decay, refreshes fire) shrunk to 64
-// founders.
+// founders. Three more cells drive the pex reconciler through the ways an
+// edge stops being wanted that E27/E28 do not reach, one selection policy
+// each: the adversary's partitioner cutting and re-linking a victim (rand),
+// rejoin and crash faults whose rejoiners get their old neighbourhood back
+// by direct link control (tail), and one-record views with two bootstrap
+// contacts, which leave an edge that neither view wants (head).
 // In the parole cell every rejoining holder has quarantined only entity 3,
 // so no two expired paroles of one holder re-arm at one tick.
 var traceDigestCells = []struct {
@@ -110,6 +117,47 @@ var traceDigestCells = []struct {
 			Horizon: 160,
 		}).Trace
 	}},
+	{"pex partitioner rand", func(Config) *core.Trace {
+		adv := &adversary.Partitioner{Victim: 5, CutAt: 50, HealAt: 90}
+		return pexDigestCell(pex.Config{Policy: pex.PolicyRand}, nil, func(w *node.World) { adv.Attach(w) })
+	}},
+	{"pex rejoin+crash faults tail", func(Config) *core.Trace {
+		pl := mustPlan("rejoin:nodes=3+7+11+15+19,down=6@40;crash:nodes=9+23,recover=20@60;rejoin:nodes=2+5+8,down=3@110;seed=11")
+		return pexDigestCell(pex.Config{Policy: pex.PolicyTail}, pl, nil)
+	}},
+	{"pex view=1 contacts=2 head", func(Config) *core.Trace {
+		return pexDigestCell(pex.Config{Policy: pex.PolicyHead, ViewSize: 1, BootstrapContacts: 2}, nil, nil)
+	}},
+}
+
+// pexDigestCell is a 32-entity pex world on the manual overlay, views
+// seeded from the ring at t=1, under light rejoining churn plus the given
+// fault plan and script, run to t=160.
+func pexDigestCell(cfg pex.Config, pl *fault.Plan, script func(w *node.World)) *core.Trace {
+	const n = 32
+	cfg.Enabled, cfg.SampleEvery = true, 40
+	return Execute(Scenario{
+		Seed:    1,
+		Overlay: func(uint64) topology.Overlay { return topology.NewManual() },
+		Churn: churn.Config{
+			InitialPopulation: n,
+			Immortal:          true,
+			ArrivalRate:       0.3,
+			Session:           churn.ExpSessions(40),
+			RejoinProb:        0.3,
+			Downtime:          churn.FixedSessions(8),
+		},
+		Script: func(w *node.World, e *sim.Engine) {
+			e.At(1, func() { w.PexSeedViews(topology.BuildRing(n)) })
+			if script != nil {
+				script(w)
+			}
+		},
+		Faults:     pl,
+		MinLatency: 1, MaxLatency: 2,
+		Pex:     cfg,
+		Horizon: 160,
+	}).Trace
 }
 
 // allKnobsCell is E26's chordal 16-ring under audit pull, the

@@ -53,6 +53,26 @@ func (g *refGraph) RemoveEdge(u, v NodeID) {
 	}
 }
 
+// Link and Unlink are what topology.Manual's did before graph.Graph had
+// its own: presence, self-pair and adjacency checks, then the edge flip.
+func (g *refGraph) Link(u, v NodeID) bool {
+	_, hasU := g.adj[u]
+	_, hasV := g.adj[v]
+	if u == v || !hasU || !hasV || g.HasEdge(u, v) {
+		return false
+	}
+	g.AddEdge(u, v)
+	return true
+}
+
+func (g *refGraph) Unlink(u, v NodeID) bool {
+	if !g.HasEdge(u, v) {
+		return false
+	}
+	g.RemoveEdge(u, v)
+	return true
+}
+
 func (g *refGraph) HasEdge(u, v NodeID) bool {
 	return g.adj[u][v]
 }
@@ -171,7 +191,9 @@ func agree(t *testing.T, where string, g *Graph, ref *refGraph, ids int, bfsFrom
 // TestAdjacencyMatchesReference drives the graph and the map-of-maps
 // reference through the same seeded random node and edge changes over
 // 2..40 ids — repeated adds and removes of present and absent nodes and
-// edges included — and requires them to agree after every one, BFS from
+// edges included, and Link/Unlink flips whose pairs may be self pairs,
+// have absent endpoints or already be (non-)adjacent, with their reported
+// flags compared — and requires them to agree after every one, BFS from
 // one id in turn. Every tenth step BFS must agree from every id, and a
 // Clone must agree too and stay independent: changing the clone leaves
 // the original as it was.
@@ -181,7 +203,7 @@ func TestAdjacencyMatchesReference(t *testing.T) {
 		ids := 2 + int(seed%39)
 		g, ref := New(), newRef()
 		for step := 0; step < 200; step++ {
-			switch r.Intn(8) {
+			switch r.Intn(10) {
 			case 0:
 				v := NodeID(r.Intn(ids))
 				g.AddNode(v)
@@ -199,6 +221,16 @@ func TestAdjacencyMatchesReference(t *testing.T) {
 				u, v := NodeID(r.Intn(ids)), NodeID(r.Intn(ids))
 				g.RemoveEdge(u, v)
 				ref.RemoveEdge(u, v)
+			case 8:
+				u, v := NodeID(r.Intn(ids)), NodeID(r.Intn(ids))
+				if got, want := g.Link(u, v), ref.Link(u, v); got != want {
+					t.Fatalf("seed %d step %d: Link(%d, %d) = %v, want %v", seed, step, u, v, got, want)
+				}
+			case 9:
+				u, v := NodeID(r.Intn(ids)), NodeID(r.Intn(ids))
+				if got, want := g.Unlink(u, v), ref.Unlink(u, v); got != want {
+					t.Fatalf("seed %d step %d: Unlink(%d, %d) = %v, want %v", seed, step, u, v, got, want)
+				}
 			}
 			if step%10 != 0 {
 				agree(t, "graph", g, ref, ids, NodeID(step%(ids+1)))

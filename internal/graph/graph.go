@@ -96,6 +96,46 @@ func (g *Graph) RemoveEdge(u, v NodeID) {
 	}
 }
 
+// Link inserts the edge {u, v} when both endpoints are present, distinct
+// and not yet adjacent, and reports whether it did. Unlike AddEdge it never
+// adds a node, and it looks each adjacency list up once.
+func (g *Graph) Link(u, v NodeID) bool {
+	if u == v {
+		return false
+	}
+	nu, ok := g.adj[u]
+	if !ok {
+		return false
+	}
+	nv, ok := g.adj[v]
+	if !ok {
+		return false
+	}
+	i, found := slices.BinarySearch(nu, v)
+	if found {
+		return false
+	}
+	j, _ := slices.BinarySearch(nv, u)
+	g.adj[u] = slices.Insert(nu, i, v)
+	g.adj[v] = slices.Insert(nv, j, u)
+	return true
+}
+
+// Unlink deletes the edge {u, v} and reports whether it was present,
+// looking each adjacency list up once.
+func (g *Graph) Unlink(u, v NodeID) bool {
+	nu := g.adj[u]
+	i, found := slices.BinarySearch(nu, v)
+	if !found {
+		return false
+	}
+	nv := g.adj[v]
+	j, _ := slices.BinarySearch(nv, u)
+	g.adj[u] = slices.Delete(nu, i, i+1)
+	g.adj[v] = slices.Delete(nv, j, j+1)
+	return true
+}
+
 // insert adds v to the ascending list nbrs unless it is already there.
 func insert(nbrs []NodeID, v NodeID) []NodeID {
 	i, found := slices.BinarySearch(nbrs, v)

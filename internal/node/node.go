@@ -492,7 +492,7 @@ func (w *World) tearDown(p *Proc, now core.Time) {
 	p.alive = false
 	delete(w.procs, p.ID)
 	if w.pex != nil {
-		w.pex.onLeave(p.ID)
+		w.pex.onLeave(w, p.ID)
 	}
 }
 
@@ -643,18 +643,29 @@ func (w *World) recordChanges(now core.Time, chs []topology.Change) {
 // control (topology.LinkController) — the hook experiment scripts use to
 // stage partitions. It panics if the overlay does not support it.
 func (w *World) SetLink(u, v graph.NodeID, up bool) {
+	if w.flipLink(u, v, up) && up && w.pex != nil {
+		// An edge placed from outside the views may be one no view wants.
+		w.pex.touch(u, v)
+	}
+}
+
+// flipLink is SetLink without the pex sublayer's dirty marks, for the
+// reconciler's own flips. It reports whether the edge flipped.
+func (w *World) flipLink(u, v graph.NodeID, up bool) bool {
 	lc, ok := w.Overlay.(topology.LinkController)
 	if !ok {
 		panic(fmt.Sprintf("node: overlay %s does not support direct link control", w.Overlay.Name()))
 	}
 	now := int64(w.Engine.Now())
-	if up {
-		if lc.Link(u, v) {
-			w.Trace.EdgeUp(now, u, v)
-		}
-	} else if lc.Unlink(u, v) {
+	switch {
+	case up && lc.Link(u, v):
+		w.Trace.EdgeUp(now, u, v)
+	case !up && lc.Unlink(u, v):
 		w.Trace.EdgeDown(now, u, v)
+	default:
+		return false
 	}
+	return true
 }
 
 // ApplyChurn schedules a churn stream onto the engine, bounded by the

@@ -146,6 +146,11 @@ type pexPeer struct {
 	// exchange" and the key set is the exclusion list candidate sampling
 	// needs.
 	blocked map[graph.NodeID]uint8
+	// dirty lists the peers whose edge with this entity may have stopped
+	// being wanted since its last reconcile (see touch), duplicates
+	// allowed. While the entity is present, every unwanted edge it has
+	// lies on the list; reconcile re-examines exactly these and clears it.
+	dirty []graph.NodeID
 }
 
 // Directions of a blocked pair, from the record holder's side.
@@ -180,6 +185,10 @@ type pexLayer struct {
 	excl    []graph.NodeID // candidates: the exclusion list
 	shipBuf []pex.Record   // ship: the outgoing batch, before encoding
 	recvBuf []pex.Record   // onMessage: the decoded incoming batch
+	dropBuf []pex.Record   // round, onQuarantine: records a view let go
+	// spare holds the emptied dirty lists of released records, for the
+	// next joiners' records to reuse.
+	spare [][]graph.NodeID
 }
 
 func newPexLayer(cfg pex.Config, seed uint64) *pexLayer {
@@ -224,6 +233,32 @@ func (px *pexLayer) setBlocked(by, offender graph.NodeID, on bool) {
 	px.mark(offender, by, blockedIn, on)
 }
 
+// touch records that the edge {a, b} may have stopped being wanted, or
+// was born unwanted: each end goes on the other's dirty list, for its
+// next reconcile to re-examine. The edge is wanted while neither side has
+// blocked the other and b is in a's view or a in b's, so touch is called
+// wherever a view loses a member (aging, eviction, RemoveVia, a seeded
+// view replacing it, a crash dropping it) and for every edge World.SetLink
+// places, since those come from outside the views. A new block needs no
+// mark: onQuarantine cuts the pair's edge at once, and only SetLink can
+// bring it back. An absent end keeps no list: it has no edges (Leave), or
+// gets all of them listed when it recovers (onJoin).
+func (px *pexLayer) touch(a, b graph.NodeID) {
+	if pp := px.peers[a]; pp != nil && pp.view != nil {
+		pp.dirty = append(pp.dirty, b)
+	}
+	if pp := px.peers[b]; pp != nil && pp.view != nil {
+		pp.dirty = append(pp.dirty, a)
+	}
+}
+
+// touchAll touches the edge between id and the subject of every record.
+func (px *pexLayer) touchAll(id graph.NodeID, recs []pex.Record) {
+	for _, r := range recs {
+		px.touch(id, r.ID)
+	}
+}
+
 func (px *pexLayer) mark(id, peer graph.NodeID, dir uint8, on bool) {
 	pp := px.peer(id)
 	if on {
@@ -239,6 +274,9 @@ func (px *pexLayer) mark(id, peer graph.NodeID, dir uint8, on bool) {
 func (px *pexLayer) release(id graph.NodeID) {
 	if pp := px.peers[id]; pp != nil && pp.view == nil && len(pp.strikes) == 0 && len(pp.blocked) == 0 {
 		delete(px.peers, id)
+		if pp.dirty != nil {
+			px.spare = append(px.spare, pp.dirty[:0])
+		}
 	}
 }
 
@@ -316,6 +354,16 @@ func (px *pexLayer) onJoin(w *World, p *Proc) {
 	if p.pex.view == nil {
 		p.pex.view = pex.NewView(px.cfg.ViewSize)
 	}
+	if p.pex.dirty == nil {
+		if k := len(px.spare); k > 0 {
+			p.pex.dirty, px.spare = px.spare[k-1], px.spare[:k-1]
+		} else {
+			p.pex.dirty = make([]graph.NodeID, 0, 2*px.cfg.ViewSize)
+		}
+	}
+	// A recovering entity finds the edges its crash left in the overlay,
+	// and an empty view that wants none of them.
+	p.pex.dirty = w.Overlay.Graph().AppendNeighbors(p.pex.dirty, p.ID)
 	px.start(w, p)
 }
 
@@ -363,9 +411,14 @@ func (px *pexLayer) bootstrap(w *World, p *Proc) {
 		}
 	}
 	for _, c := range picks {
+		// The view starts empty and the contacts come ascending at hop 0,
+		// so this merge never evicts; a contact it rejects still gets its
+		// link, which SetLink marks.
 		p.pex.view.Merge(pex.Entry{Rec: pex.SignRecord(px.cfg.Audit.KeySeed, c, now)})
 		if cv := px.viewOf(c); cv != nil {
-			cv.Merge(pex.Entry{Rec: pex.SignRecord(px.cfg.Audit.KeySeed, p.ID, now)})
+			if _, ev := cv.Merge(pex.Entry{Rec: pex.SignRecord(px.cfg.Audit.KeySeed, p.ID, now)}); ev != nil {
+				px.touch(c, ev.ID)
+			}
 		}
 		if !w.Overlay.Graph().HasEdge(p.ID, c) {
 			w.SetLink(p.ID, c, true)
@@ -394,8 +447,12 @@ func (px *pexLayer) refresh(w *World, p *Proc) {
 	// One draw, one order-statistic lookup: the same Intn(m) the scan
 	// made, resolving to the same pick the materialized slice held.
 	c := cs.at(px.r.Intn(m))
-	if merged, _ := v.Merge(pex.Entry{Rec: pex.SignRecord(px.cfg.Audit.KeySeed, c, now)}); !merged {
+	merged, ev := v.Merge(pex.Entry{Rec: pex.SignRecord(px.cfg.Audit.KeySeed, c, now)})
+	if !merged {
 		return
+	}
+	if ev != nil {
+		px.touch(p.ID, ev.ID)
 	}
 	px.totals.Refreshes++
 	if !w.Overlay.Graph().HasEdge(p.ID, c) {
@@ -432,7 +489,9 @@ func (px *pexLayer) round(w *World, p *Proc) {
 	if pp.rounds%px.cfg.RefreshEvery == 0 {
 		px.refresh(w, p)
 	}
-	px.totals.Decayed += len(v.Age(px.cfg.MaxHop))
+	px.dropBuf = v.Age(px.dropBuf[:0], px.cfg.MaxHop)
+	px.totals.Decayed += len(px.dropBuf)
+	px.touchAll(p.ID, px.dropBuf)
 	px.reconcile(w, p.ID, pp)
 	partner, ok := v.SelectPartner(px.r, px.cfg.Policy, func(id graph.NodeID) bool {
 		return w.procs[id] != nil && pp.blocked[id] == 0
@@ -459,15 +518,16 @@ func (px *pexLayer) ship(w *World, p *Proc, to graph.NodeID, tag string, pull bo
 
 // reconcile aligns one entity's overlay edges with the views: every
 // present, unblocked view member is linked; an existing edge survives
-// only while SOME side's view still wants it (the self-healing — a
-// record decays out of both views, the link follows).
+// only while it is wanted — neither side has blocked the other and SOME
+// side's view still holds the other (the self-healing: a record decays
+// out of both views, the link follows).
 //
 // The adjacency is read once, before any flip. Links go up in ascending
-// ID order, then links go down in ascending ID order. Walking the
-// pre-link neighbours in the second pass is exact: every edge the first
-// pass adds goes to a view member, which the second pass would keep, and
-// no flip changes a view, a block or presence. Each condition tests its
-// cheapest lookup first; all of them are pure.
+// ID order, then links go down in ascending ID order. The second pass
+// visits only the pre-link neighbours on the dirty list, which holds
+// every unwanted one (see touch), so it cuts exactly the edges a walk of
+// all of them would, in the same order. Edges the first pass adds go to
+// view members, so they are wanted and go up unmarked.
 func (px *pexLayer) reconcile(w *World, id graph.NodeID, pp *pexPeer) {
 	v := pp.view
 	nbrs := w.Overlay.Graph().AppendNeighbors(px.nbrs[:0], id)
@@ -482,10 +542,18 @@ func (px *pexLayer) reconcile(w *World, id graph.NodeID, pp *pexPeer) {
 	slices.Sort(missing)
 	px.missing = missing
 	for _, u := range missing {
-		w.SetLink(id, u, true)
+		w.flipLink(id, u, true)
 		px.totals.Links++
 	}
-	for _, u := range nbrs {
+	dirty := pp.dirty
+	slices.Sort(dirty)
+	for i, u := range dirty {
+		if i > 0 && u == dirty[i-1] {
+			continue
+		}
+		if _, linked := slices.BinarySearch(nbrs, u); !linked {
+			continue
+		}
 		if pp.blocked[u] == 0 {
 			if v.Contains(u) {
 				continue
@@ -494,9 +562,10 @@ func (px *pexLayer) reconcile(w *World, id graph.NodeID, pp *pexPeer) {
 				continue
 			}
 		}
-		w.SetLink(id, u, false)
+		w.flipLink(id, u, false)
 		px.totals.Unlinks++
 	}
+	pp.dirty = dirty[:0]
 }
 
 // onMessage handles exchange traffic after the auth sublayer admitted it:
@@ -567,8 +636,11 @@ func (px *pexLayer) onMessage(w *World, q *Proc, m Message) {
 				continue
 			}
 		}
-		if merged, _ := v.Merge(pex.Entry{Rec: rec, Via: m.From}); merged {
+		if merged, ev := v.Merge(pex.Entry{Rec: rec, Via: m.From}); merged {
 			px.totals.RecordsMerged++
+			if ev != nil {
+				px.touch(m.To, ev.ID)
+			}
 		}
 	}
 	px.reconcile(w, m.To, pp)
@@ -618,7 +690,9 @@ func (px *pexLayer) onQuarantine(w *World, by, offender graph.NodeID) {
 	px.totals.ViewQuarantines++
 	px.events = append(px.events, QuarantineEvent{At: int64(w.Engine.Now()), By: by, Offender: offender})
 	if v := px.viewOf(by); v != nil {
-		px.totals.ConvictEvictions += len(v.RemoveVia(offender))
+		px.dropBuf = v.RemoveVia(px.dropBuf[:0], offender)
+		px.totals.ConvictEvictions += len(px.dropBuf)
+		px.touchAll(by, px.dropBuf)
 	}
 	if w.Overlay.Graph().HasEdge(by, offender) {
 		w.SetLink(by, offender, false)
@@ -641,11 +715,19 @@ func (px *pexLayer) pardon(by, offender graph.NodeID) {
 
 // onLeave drops the departing entity's view (soft state dies with the
 // session; a rejoiner re-bootstraps) and, unless the injection ledger —
-// identity memory, which survives — still holds entries, the record.
-func (px *pexLayer) onLeave(id graph.NodeID) {
+// identity memory, which survives — still holds entries, the record. A
+// crash leaves the entity's edges in the overlay, and the ones only its
+// view wanted stop being wanted.
+func (px *pexLayer) onLeave(w *World, id graph.NodeID) {
 	px.idx.Remove(id)
 	if pp := px.peers[id]; pp != nil {
-		pp.view, pp.rounds = nil, 0
+		v := pp.view
+		pp.view, pp.rounds, pp.dirty = nil, 0, pp.dirty[:0]
+		if v != nil && w.Overlay.Graph().HasNode(id) {
+			for _, e := range v.Entries() {
+				px.touch(id, e.Rec.ID)
+			}
+		}
 		px.release(id)
 	}
 }
@@ -729,7 +811,12 @@ func (w *World) PexSeedViews(g *graph.Graph) {
 			}
 			v.Merge(pex.Entry{Rec: pex.SignRecord(w.pex.cfg.Audit.KeySeed, u, now)})
 		}
-		w.pex.peer(id).view = v
+		pp := w.pex.peer(id)
+		old := pp.view
+		pp.view = v
+		for _, e := range old.Entries() {
+			w.pex.touch(id, e.Rec.ID)
+		}
 		for _, u := range g.Neighbors(id) {
 			if w.procs[u] != nil && !w.Overlay.Graph().HasEdge(id, u) {
 				w.SetLink(id, u, true)

@@ -2,6 +2,7 @@ package pex
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -178,6 +179,16 @@ func view(t *testing.T, cap int, recs ...Record) *View {
 	return v
 }
 
+// members returns a view's held subject IDs, ascending.
+func members(v *View) []graph.NodeID {
+	var out []graph.NodeID
+	for _, e := range v.Entries() {
+		out = append(out, e.Rec.ID)
+	}
+	slices.Sort(out)
+	return out
+}
+
 func TestViewMerge(t *testing.T) {
 	v := view(t, 3, Record{ID: 1, Hop: 2, Epoch: 10}, Record{ID: 2, Hop: 1, Epoch: 10})
 	// Same subject, fresher epoch: replace.
@@ -202,15 +213,16 @@ func TestViewMerge(t *testing.T) {
 	if ok, _ := v.Merge(Entry{Rec: Record{ID: 5, Hop: 99, Epoch: 1}}); ok {
 		t.Fatalf("full view accepted the oldest record")
 	}
-	if got := v.Members(); !reflect.DeepEqual(got, []graph.NodeID{1, 2, 4}) {
+	if got := members(v); !reflect.DeepEqual(got, []graph.NodeID{1, 2, 4}) {
 		t.Fatalf("members = %v", got)
 	}
 }
 
 func TestViewAgeDecay(t *testing.T) {
 	v := view(t, 4, Record{ID: 1, Hop: 0}, Record{ID: 2, Hop: 3})
-	if dropped := v.Age(3); len(dropped) != 1 || dropped[0].ID != 2 {
-		t.Fatalf("Age dropped %+v", dropped)
+	prefix := []Record{{ID: 77}}
+	if dropped := v.Age(prefix, 3); len(dropped) != 2 || dropped[0].ID != 77 || dropped[1].ID != 2 {
+		t.Fatalf("Age dropped %+v after the prefix", dropped)
 	}
 	if v.Len() != 1 || !v.Contains(1) || v.Entries()[0].Rec.Hop != 1 {
 		t.Fatalf("view after aging: %+v", v.Entries())
@@ -222,10 +234,10 @@ func TestViewRemoveVia(t *testing.T) {
 	v.Merge(Entry{Rec: Record{ID: 1}, Via: 9})
 	v.Merge(Entry{Rec: Record{ID: 2}, Via: 5})
 	v.Merge(Entry{Rec: Record{ID: 9, Hop: 1}, Via: 3})
-	dropped := v.RemoveVia(9)
+	dropped := v.RemoveVia(nil, 9)
 	// Both 9's contribution (record of 1) and 9's own record go.
 	if len(dropped) != 2 || v.Contains(1) || v.Contains(9) || !v.Contains(2) {
-		t.Fatalf("RemoveVia(9): dropped %+v, members %v", dropped, v.Members())
+		t.Fatalf("RemoveVia(9): dropped %+v, members %v", dropped, members(v))
 	}
 }
 

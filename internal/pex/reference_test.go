@@ -123,17 +123,23 @@ func TestViewMatchesReference(t *testing.T) {
 		v, ref := NewView(capacity), &refView{cap: capacity}
 		for step := 0; step < 150; step++ {
 			if r.Intn(10) == 0 {
-				v.Age(12)
+				got := v.Age(nil, 12)
 				for i := range ref.entries {
 					ref.entries[i].Rec.Hop++
 				}
+				var want []Record
 				kept := ref.entries[:0]
 				for _, e := range ref.entries {
 					if e.Rec.Hop <= 12 {
 						kept = append(kept, e)
+					} else {
+						want = append(want, e.Rec)
 					}
 				}
 				ref.entries = kept
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d: Age dropped %+v, want %+v", seed, step, got, want)
+				}
 			} else {
 				e := Entry{
 					Rec: Record{ID: graph.NodeID(1 + r.Intn(ids)), Hop: r.Intn(12), Epoch: int64(r.Intn(4))},

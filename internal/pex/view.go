@@ -56,16 +56,6 @@ func (v *View) Records() []Record {
 	return out
 }
 
-// Members returns the held subject IDs, ascending.
-func (v *View) Members() []graph.NodeID {
-	out := make([]graph.NodeID, len(v.entries))
-	for i, e := range v.entries {
-		out[i] = e.Rec.ID
-	}
-	slices.Sort(out)
-	return out
-}
-
 // before reports whether a sorts before b in (hop, ID) order — a strict
 // total order over a view's entries, whose IDs are unique.
 func before(a, b Record) bool {
@@ -88,22 +78,23 @@ func (v *View) place(i int) {
 }
 
 // Age increments every record's hop count (one cadence round passed) and
-// decays records past maxHop out of the view, returning the dropped
-// records — the oldest-first forgetting that clears departed members.
-func (v *View) Age(maxHop int) []Record {
-	var dropped []Record
+// decays records past maxHop out of the view, appending the dropped
+// records to dst and returning the extended slice — the oldest-first
+// forgetting that clears departed members. A hot caller reuses one
+// buffer across calls, as with AppendRecords.
+func (v *View) Age(dst []Record, maxHop int) []Record {
 	kept := v.entries[:0]
 	for i := range v.entries {
 		v.entries[i].Rec.Hop++
 		if v.entries[i].Rec.Hop > maxHop {
-			dropped = append(dropped, v.entries[i].Rec)
+			dst = append(dst, v.entries[i].Rec)
 		} else {
 			kept = append(kept, v.entries[i])
 		}
 	}
 	v.entries = kept
 	// Uniform increment preserves the (hop, ID) order; no resort needed.
-	return dropped
+	return dst
 }
 
 // Merge folds one accepted entry in. A record of a subject already held
@@ -144,32 +135,21 @@ func (v *View) Merge(e Entry) (merged bool, evicted *Record) {
 	return true, &v.evicted
 }
 
-// Remove drops the record of id, reporting whether one was held.
-func (v *View) Remove(id graph.NodeID) bool {
-	for i := range v.entries {
-		if v.entries[i].Rec.ID == id {
-			v.entries = append(v.entries[:i], v.entries[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
 // RemoveVia drops every entry learned from the given peer (and the
-// peer's own record, however it arrived), returning the dropped records —
-// the conviction-driven eviction of a poisoned source's contributions.
-func (v *View) RemoveVia(peer graph.NodeID) []Record {
-	var dropped []Record
+// peer's own record, however it arrived), appending the dropped records
+// to dst and returning the extended slice — the conviction-driven
+// eviction of a poisoned source's contributions.
+func (v *View) RemoveVia(dst []Record, peer graph.NodeID) []Record {
 	kept := v.entries[:0]
 	for _, e := range v.entries {
 		if e.Via == peer || e.Rec.ID == peer {
-			dropped = append(dropped, e.Rec)
+			dst = append(dst, e.Rec)
 		} else {
 			kept = append(kept, e)
 		}
 	}
 	v.entries = kept
-	return dropped
+	return dst
 }
 
 // SelectPartner picks this round's exchange partner among held subjects

@@ -38,21 +38,9 @@ func (m *Manual) RemoveNode(p graph.NodeID) []Change {
 }
 
 // Link implements LinkController.
-func (m *Manual) Link(u, v graph.NodeID) bool {
-	if u == v || !m.g.HasNode(u) || !m.g.HasNode(v) || m.g.HasEdge(u, v) {
-		return false
-	}
-	m.g.AddEdge(u, v)
-	return true
-}
+func (m *Manual) Link(u, v graph.NodeID) bool { return m.g.Link(u, v) }
 
 // Unlink implements LinkController.
-func (m *Manual) Unlink(u, v graph.NodeID) bool {
-	if !m.g.HasEdge(u, v) {
-		return false
-	}
-	m.g.RemoveEdge(u, v)
-	return true
-}
+func (m *Manual) Unlink(u, v graph.NodeID) bool { return m.g.Unlink(u, v) }
 
 var _ LinkController = (*Manual)(nil)
