@@ -44,7 +44,10 @@ const traceDigestPath = "testdata/trace_digests.json"
 // each: the adversary's partitioner cutting and re-linking a victim (rand),
 // rejoin and crash faults whose rejoiners get their old neighbourhood back
 // by direct link control (tail), and one-record views with two bootstrap
-// contacts, which leave an edge that neither view wants (head).
+// contacts, which leave an edge that neither view wants (head). Two
+// 1 000-entity random-k cells (k=1 and k=4) pin every draw of the
+// overlay's joins and leave-time rescues at a size where a join's
+// shuffle spans the whole member list.
 // In the parole cell every rejoining holder has quarantined only entity 3,
 // so no two expired paroles of one holder re-arm at one tick.
 var traceDigestCells = []struct {
@@ -128,6 +131,49 @@ var traceDigestCells = []struct {
 	{"pex view=1 contacts=2 head", func(Config) *core.Trace {
 		return pexDigestCell(pex.Config{Policy: pex.PolicyHead, ViewSize: 1, BootstrapContacts: 2}, nil, nil)
 	}},
+	{"random-k(1) churn n=1000", func(Config) *core.Trace { return randomKDigestCell(1) }},
+	{"random-k(4) churn n=1000", func(Config) *core.Trace { return randomKDigestCell(4) }},
+}
+
+// randomKDigestCell is a 1 000-entity random-k world with no query, run
+// to t=120 under churn that takes founders too: every join shuffles the
+// whole member list, and leavers isolate neighbours whose rescue runs
+// RemoveNode's one-target pick (TestRandomKDigestCellsRescue).
+func randomKDigestCell(k int) *core.Trace {
+	return Execute(Scenario{
+		Seed:    1,
+		Overlay: func(seed uint64) topology.Overlay { return topology.NewRandomK(seed, k) },
+		Churn: churn.Config{
+			InitialPopulation: 1000,
+			ArrivalRate:       4,
+			Session:           churn.ExpSessions(150),
+			RejoinProb:        0.3,
+			Downtime:          churn.FixedSessions(8),
+		},
+		MinLatency: 1, MaxLatency: 2,
+		Horizon: 120,
+	}).Trace
+}
+
+// TestRandomKDigestCellsRescue: the random-k digest cells pin the rescue
+// draws only if a leave actually isolates a neighbour. A rescue is the
+// one edge change that comes up right after a leaver's edges went down
+// (a join reports only ups).
+func TestRandomKDigestCellsRescue(t *testing.T) {
+	for _, k := range []int{1, 4} {
+		rescues := 0
+		var prev core.TraceEventKind
+		randomKDigestCell(k).Each(func(ev *core.TraceEvent) {
+			if ev.Kind == core.TEdgeUp && prev == core.TEdgeDown {
+				rescues++
+			}
+			prev = ev.Kind
+		})
+		if rescues == 0 {
+			t.Errorf("random-k(%d) cell: no leave isolated a neighbour", k)
+		}
+		t.Logf("random-k(%d) cell: %d rescues", k, rescues)
+	}
 }
 
 // pexDigestCell is a 32-entity pex world on the manual overlay, views

@@ -22,16 +22,17 @@ type NodeID int64
 // Graph is an undirected simple graph. The zero value is not usable;
 // construct with New. Self-loops are rejected.
 //
-// A Graph is not safe for concurrent use, even by readers only: Nodes and
-// AppendNodes fill the node cache, and Connected, Eccentricity, Diameter
-// and DiameterAbove also rebuild the dense view they traverse.
+// A Graph is not safe for concurrent use, even by readers only: Nodes,
+// AppendNodes and AppendNodesExcept fill the node cache, and Connected,
+// Eccentricity, Diameter and DiameterAbove also rebuild the dense view
+// they traverse.
 type Graph struct {
 	// adj maps every node to its neighbours, ascending: a membership test
 	// is a binary search, and every walk of a node's neighbourhood —
 	// Neighbors, the dense view, BFS — is in ID order without a sort.
 	adj map[NodeID][]NodeID
-	// sorted is the ascending node list, built by the first Nodes or
-	// AppendNodes call and from then on kept current by binary-search
+	// sorted is the ascending node list, built by the first call that
+	// reads it (nodeCache) and from then on kept current by binary-search
 	// insert and delete: overlays read it on every join, so a membership
 	// change costs an O(n) memmove, never a sort.
 	sorted      []NodeID
@@ -191,6 +192,26 @@ func (g *Graph) Nodes() []NodeID {
 // the extended slice, so a hot caller can reuse one buffer across calls.
 // The caller owns the result.
 func (g *Graph) AppendNodes(dst []NodeID) []NodeID {
+	return append(dst, g.nodeCache()...)
+}
+
+// AppendNodesExcept appends all node IDs but x in ascending order to dst
+// and returns the extended slice: AppendNodes without x, copied as the
+// two runs on either side of it. x need not be present. The caller owns
+// the result.
+func (g *Graph) AppendNodesExcept(dst []NodeID, x NodeID) []NodeID {
+	sorted := g.nodeCache()
+	i, found := slices.BinarySearch(sorted, x)
+	dst = append(dst, sorted[:i]...)
+	if found {
+		i++
+	}
+	return append(dst, sorted[i:]...)
+}
+
+// nodeCache returns the ascending node list, building it if it is not
+// valid. Callers must not modify it.
+func (g *Graph) nodeCache() []NodeID {
 	if !g.sortedValid {
 		g.sorted = g.sorted[:0]
 		for v := range g.adj {
@@ -199,7 +220,7 @@ func (g *Graph) AppendNodes(dst []NodeID) []NodeID {
 		slices.Sort(g.sorted)
 		g.sortedValid = true
 	}
-	return append(dst, g.sorted...)
+	return g.sorted
 }
 
 // Neighbors returns the neighbors of v in ascending order. The caller

@@ -18,10 +18,19 @@ func sortedKeys(g *Graph) []NodeID {
 	return out
 }
 
+// without is want minus x, computed without the cache.
+func without(want []NodeID, x NodeID) []NodeID {
+	return slices.DeleteFunc(slices.Clone(want), func(v NodeID) bool { return v == x })
+}
+
 // TestNodeCacheMatchesSortedKeys drives seeded random membership changes
 // through graphs whose ascending-node cache is maintained in place, and
-// requires every Nodes / AppendNodes call to equal the sorted key set.
+// requires every Nodes / AppendNodes / AppendNodesExcept call to equal
+// the sorted key set (minus the excepted node). AppendNodesExcept runs
+// first after each change, so it also meets the cache invalid (a fresh
+// graph, a clone) and the graph empty.
 func TestNodeCacheMatchesSortedKeys(t *testing.T) {
+	exceptCold, exceptEmpty := 0, 0
 	for seed := uint64(1); seed <= 60; seed++ {
 		r := rng.New(seed)
 		g := New()
@@ -52,6 +61,28 @@ func TestNodeCacheMatchesSortedKeys(t *testing.T) {
 				g.RemoveEdge(NodeID(r.Intn(64)), NodeID(r.Intn(80)))
 			}
 			want := sortedKeys(g)
+			// x: absent below every node, absent above, a random ID
+			// (present or absent), and the first and last nodes.
+			xs := []NodeID{-1 << 41, 1 << 41, NodeID(r.Intn(80))}
+			if len(want) > 0 {
+				xs = append(xs, want[0], want[len(want)-1])
+			} else {
+				exceptEmpty++
+			}
+			if !g.sortedValid {
+				exceptCold++
+			}
+			for _, x := range xs {
+				if app := g.AppendNodesExcept([]NodeID{7, 8}, x); !slices.Equal(app[:2], []NodeID{7, 8}) ||
+					!slices.Equal(app[2:], without(want, x)) {
+					t.Fatalf("seed %d step %d: AppendNodesExcept(x=%d) = %v, want [7 8] + %v",
+						seed, step, x, app, without(want, x))
+				}
+				if app := g.AppendNodesExcept(nil, x); !slices.Equal(app, without(want, x)) {
+					t.Fatalf("seed %d step %d: AppendNodesExcept(nil, x=%d) = %v, want %v",
+						seed, step, x, app, without(want, x))
+				}
+			}
 			got := g.Nodes()
 			if !slices.Equal(got, want) {
 				t.Fatalf("seed %d step %d: Nodes = %v, want %v", seed, step, got, want)
@@ -67,6 +98,10 @@ func TestNodeCacheMatchesSortedKeys(t *testing.T) {
 				t.Fatalf("seed %d step %d: Nodes after mutating a result = %v, want %v", seed, step, again, want)
 			}
 		}
+	}
+	if exceptCold == 0 || exceptEmpty == 0 {
+		t.Errorf("AppendNodesExcept met an invalid cache %d times and an empty graph %d times; want both > 0",
+			exceptCold, exceptEmpty)
 	}
 }
 

@@ -10,7 +10,10 @@
 // not perturb the stream seen by another.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Rand is a deterministic xoshiro256** generator. The zero value is not
 // usable; construct with New.
@@ -48,18 +51,34 @@ func (r *Rand) Split(label uint64) *Rand {
 
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
 
+// next is one xoshiro256** step over the state words passed by value, so
+// a loop that keeps them in locals (ShuffleSlice) and Uint64 share it.
+func next(s0, s1, s2, s3 uint64) (v, n0, n1, n2, n3 uint64) {
+	v = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return v, s0, s1, s2, rotl(s3, 45)
+}
+
 // Uint64 returns the next 64 uniformly random bits.
 func (r *Rand) Uint64() uint64 {
-	s := &r.s
-	result := rotl(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = rotl(s[3], 45)
-	return result
+	v, s0, s1, s2, s3 := next(r.s[0], r.s[1], r.s[2], r.s[3])
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return v
+}
+
+// bounded maps the draw v into [0, un) by Lemire's nearly-divisionless
+// method (Lemire, "Fast Random Integer Generation in an Interval", ACM
+// TOMACS 2019): the high word of v·un, unless the low word falls in the
+// biased sliver, in which case ok is false and the caller draws again.
+// The 128-bit product is one hardware multiply.
+func bounded(v, un uint64) (x uint64, ok bool) {
+	hi, lo := bits.Mul64(v, un)
+	return hi, lo >= un || lo >= -un%un
 }
 
 // Intn returns a uniformly random int in [0, n). It panics if n <= 0.
@@ -67,28 +86,12 @@ func (r *Rand) Intn(n int) int {
 	if n <= 0 {
 		panic("rng: Intn with non-positive n")
 	}
-	// Lemire's nearly-divisionless bounded rejection sampling.
 	un := uint64(n)
 	for {
-		v := r.Uint64()
-		hi, lo := mul64(v, un)
-		if lo >= un || lo >= -un%un {
-			return int(hi)
+		if x, ok := bounded(r.Uint64(), un); ok {
+			return int(x)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	x0, x1 := x&mask, x>>32
-	y0, y1 := y&mask, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t&mask + x0*y1
-	hi = x1*y1 + t>>32 + w1>>32
-	lo = x * y
-	return
 }
 
 // Float64 returns a uniformly random float64 in [0, 1).
@@ -147,11 +150,25 @@ func (r *Rand) PermInto(p []int) {
 	}
 }
 
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
+// ShuffleSlice pseudo-randomizes the order of s by a descending
+// Fisher–Yates: step i = len(s)-1 … 1 swaps s[i] with s[Intn(i+1)]. It
+// makes exactly those draws, but keeps r's state in locals for the whole
+// loop and writes it back once, so a long shuffle costs one xoshiro step,
+// one multiply and one swap per element.
+func ShuffleSlice[T any](r *Rand, s []T) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := len(s) - 1; i > 0; i-- {
+		un := uint64(i + 1)
+		for {
+			var v uint64
+			v, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+			if j, ok := bounded(v, un); ok {
+				s[i], s[j] = s[j], s[i]
+				break
+			}
+		}
 	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // Zipf samples ranks in [0, n) with probability proportional to

@@ -230,7 +230,7 @@ type RandomK struct {
 	r *rng.Rand
 	k int
 	// buf is pick's candidate scratch, reused so that a join copies the
-	// member list but allocates nothing proportional to it.
+	// member list once but allocates nothing proportional to it.
 	buf []graph.NodeID
 }
 
@@ -250,20 +250,12 @@ func (rk *RandomK) Name() string { return fmt.Sprintf("random-%d", rk.k) }
 // of rk's scratch buffer, valid until the next pick; both callers only
 // range over it before picking again.
 func (rk *RandomK) pick(p graph.NodeID, k int) []graph.NodeID {
-	rk.buf = rk.g.AppendNodes(rk.buf[:0])
-	candidates := rk.buf[:0]
-	for _, v := range rk.buf {
-		if v != p {
-			candidates = append(candidates, v)
-		}
+	rk.buf = rk.g.AppendNodesExcept(rk.buf[:0], p)
+	if len(rk.buf) <= k {
+		return rk.buf
 	}
-	if len(candidates) <= k {
-		return candidates
-	}
-	rk.r.Shuffle(len(candidates), func(i, j int) {
-		candidates[i], candidates[j] = candidates[j], candidates[i]
-	})
-	return candidates[:k]
+	rng.ShuffleSlice(rk.r, rk.buf)
+	return rk.buf[:k]
 }
 
 // AddNode connects p to up to K random members.
@@ -300,6 +292,8 @@ func (rk *RandomK) RemoveNode(p graph.NodeID) []Change {
 type Fragile struct {
 	base
 	r *rng.Rand
+	// buf is AddNode's reused copy of the member list.
+	buf []graph.NodeID
 }
 
 // NewFragile returns an empty fragile overlay.
@@ -311,12 +305,12 @@ func (*Fragile) Name() string { return "fragile" }
 // AddNode attaches p to one random existing member (or leaves it isolated
 // in an empty overlay).
 func (f *Fragile) AddNode(p graph.NodeID) []Change {
-	others := f.g.Nodes()
+	f.buf = f.g.AppendNodes(f.buf[:0])
 	f.g.AddNode(p)
-	if len(others) == 0 {
+	if len(f.buf) == 0 {
 		return nil
 	}
-	return f.addEdge(nil, p, others[f.r.Intn(len(others))])
+	return f.addEdge(nil, p, f.buf[f.r.Intn(len(f.buf))])
 }
 
 // RemoveNode drops p and its edges; nothing is repaired.

@@ -203,7 +203,7 @@ func TestRandomKNoIsolatedAfterLeave(t *testing.T) {
 	}
 	r := rng.New(3)
 	nodes := rk.Graph().Nodes()
-	r.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
+	rng.ShuffleSlice(r, nodes)
 	for _, v := range nodes[:15] {
 		rk.RemoveNode(v)
 		g := rk.Graph()

@@ -23,6 +23,7 @@ package tq
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/node"
@@ -223,6 +224,12 @@ type Client struct {
 	rateInit              bool
 	rate                  float64
 	lastJoins, lastLeaves int
+
+	// nbrs and perm are launch's scratch, shared by the world's replicas
+	// (one launch runs at a time): the first-hop candidates and their
+	// shuffled order.
+	nbrs []graph.NodeID
+	perm []int
 }
 
 // NewClient validates and defaults the configuration, panicking on
@@ -624,10 +631,11 @@ func (b *replica) launch(p *node.Proc, op *opState) {
 	// Walk fleets larger than the view share first hops round-robin:
 	// paths diverge from hop 2 on, so a high-degree view is not a
 	// prerequisite for assembling quorums past ~viewsize*TTL members.
-	nbrs := p.Neighbors()
-	if len(nbrs) > 0 {
+	c.nbrs = p.AppendNeighbors(c.nbrs[:0])
+	if n := len(c.nbrs); n > 0 {
 		k := c.walkers(op.q)
-		perm := b.r.Perm(len(nbrs))
+		c.perm = slices.Grow(c.perm[:0], n)[:n]
+		b.r.PermInto(c.perm)
 		for i := 0; i < k; i++ {
 			pr := Probe{
 				Op:      op.op,
@@ -639,7 +647,7 @@ func (b *replica) launch(p *node.Proc, op *opState) {
 			if op.kind == KindWrite {
 				pr.Tag, pr.Val, pr.Deadline = op.tag, op.val, int64(op.deadline)
 			}
-			p.Send(nbrs[perm[i%len(nbrs)]], TagProbe, EncodeProbe(pr))
+			p.Send(c.nbrs[c.perm[i%n]], TagProbe, EncodeProbe(pr))
 			c.counters.Walks++
 		}
 	}
