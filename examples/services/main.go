@@ -1,8 +1,8 @@
-// Services: three of the paper's follow-up problems living together in
+// Services: two of the paper's follow-up problems living together in
 // one churning system. Every entity simultaneously runs a replicated
-// register (epidemic dissemination + join protocol), an eventual leader
-// elector (heartbeat diffusion), and a failure detector — composed with
-// node.Compose, sharing one overlay, one churn process, one trace. The
+// register (epidemic dissemination + join protocol) and an eventual
+// leader elector (heartbeat diffusion) — composed with node.Compose,
+// sharing one overlay, one churn process, one trace. The
 // leader writes the register; everyone else reads it; the run's
 // regularity and the final election are judged from the ground truth.
 //
@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/churn"
 	"repro/internal/dynreg"
-	"repro/internal/fd"
 	"repro/internal/graph"
 	"repro/internal/node"
 	"repro/internal/omega"
@@ -26,14 +25,9 @@ func main() {
 	engine := sim.New()
 	reg := &dynreg.Register{SpreadInterval: 3, WriteWindow: 60}
 	elector := &omega.Elector{Beat: 5, Timeout: 150}
-	detector := &fd.Detector{HeartbeatEvery: 5, Timeout: 20}
 
 	factory := func(id graph.NodeID) node.Behavior {
-		return node.Compose(
-			reg.Factory()(id),
-			elector.Behavior(),
-			detector.Behavior(),
-		)
+		return node.Compose(reg.Factory()(id), elector.Behavior())
 	}
 	world := node.NewWorld(engine, topology.NewRing(42), factory, node.Config{
 		MinLatency: 1, MaxLatency: 2, Seed: 42,
@@ -41,7 +35,7 @@ func main() {
 
 	gen := churn.New(42, churn.Config{
 		InitialPopulation: 16,
-		Immortal:          true, // a stable core anchors all three services
+		Immortal:          true, // a stable core anchors both services
 		ArrivalRate:       0.06,
 		Session:           churn.ExpSessions(120),
 	})
@@ -80,6 +74,6 @@ func main() {
 	if finalOK {
 		fmt.Printf("final value at the leader: %v\n", finalVal)
 	}
-	fmt.Println("\nthree dynamic-system services, one overlay, one ground truth —")
+	fmt.Println("\ntwo dynamic-system services, one overlay, one ground truth —")
 	fmt.Println("composition is free once locality is the only interface.")
 }

@@ -307,21 +307,6 @@ func (g *Generator) popDeparture() departure {
 	return d
 }
 
-// Replay returns a generator that replays a fixed membership event
-// sequence — recorded traces or hand-written scripts driven through the
-// same ApplyChurn machinery as synthetic models. Events must be in
-// non-decreasing time order; Replay panics otherwise.
-func Replay(events []Event) *Generator {
-	for i := 1; i < len(events); i++ {
-		if events[i].At < events[i-1].At {
-			panic(fmt.Sprintf("churn: Replay events out of order at %d", i))
-		}
-	}
-	cp := make([]Event, len(events))
-	copy(cp, events)
-	return &Generator{pending: cp, nextArrival: -1}
-}
-
 // Collect drains events with At <= horizon into a slice. The generator
 // can be drained further afterwards.
 func (g *Generator) Collect(horizon Time) []Event {

@@ -238,47 +238,6 @@ func TestMeanConcurrencyTracksLittlesLaw(t *testing.T) {
 	}
 }
 
-func TestReplay(t *testing.T) {
-	script := []Event{
-		{At: 0, Join: true, Node: 1},
-		{At: 0, Join: true, Node: 2},
-		{At: 5, Join: false, Node: 1},
-		{At: 9, Join: true, Node: 3},
-	}
-	g := Replay(script)
-	got := drain(g, 100)
-	if len(got) != len(script) {
-		t.Fatalf("replayed %d events, want %d", len(got), len(script))
-	}
-	for i := range script {
-		if got[i] != script[i] {
-			t.Fatalf("event %d = %v, want %v", i, got[i], script[i])
-		}
-	}
-	if _, ok := g.Next(); ok {
-		t.Fatal("replay generator not exhausted")
-	}
-}
-
-func TestReplayRejectsOutOfOrder(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-order replay did not panic")
-		}
-	}()
-	Replay([]Event{{At: 5, Join: true, Node: 1}, {At: 3, Join: true, Node: 2}})
-}
-
-func TestReplayDoesNotAliasInput(t *testing.T) {
-	script := []Event{{At: 0, Join: true, Node: 1}}
-	g := Replay(script)
-	script[0].Node = 99
-	ev, ok := g.Next()
-	if !ok || ev.Node != 1 {
-		t.Fatalf("replay aliased caller's slice: %v", ev)
-	}
-}
-
 // Property: for arbitrary (seeded) configurations with a cap, observed
 // concurrency never exceeds the cap, events stay time-ordered, and every
 // leave matches an open join.

@@ -196,11 +196,20 @@ func chunkBoundaries(limit int) []int {
 }
 
 // randomEvent draws one event at or after t over a dozen entities, every
-// kind and every lifecycle mark in the mix.
-func randomEvent(r *rng.Rand, t Time) TraceEvent {
+// kind and every lifecycle mark in the mix. Membership stays one a run
+// could record (DecodeTrace rejects any other): a drawn Join of a
+// present entity becomes its Leave and a Leave of an absent one its Join.
+func randomEvent(r *rng.Rand, t Time, present map[graph.NodeID]bool) TraceEvent {
 	tags := []string{MarkCrash, MarkRecover, MarkRejoin, "a", "b", ""}
 	ev := TraceEvent{At: t + Time(r.Intn(2)), Kind: TraceEventKind(r.Intn(int(TMark) + 1)), P: graph.NodeID(1 + r.Intn(12))}
 	switch ev.Kind {
+	case TJoin, TLeave:
+		if present[ev.P] {
+			ev.Kind = TLeave
+		} else {
+			ev.Kind = TJoin
+		}
+		present[ev.P] = ev.Kind == TJoin
 	case TEdgeUp, TEdgeDown, TSend, TDeliver, TDrop:
 		ev.Q = graph.NodeID(1 + r.Intn(12))
 		if ev.Q == ev.P {
@@ -245,10 +254,11 @@ func TestEventLogMatchesSliceReference(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		r := rng.New(seed)
 		tr, ref := &Trace{}, &sliceTrace{}
+		present := make(map[graph.NodeID]bool)
 		var at Time
 		for n := 0; n <= limit; n++ {
 			if n > 0 {
-				ev := randomEvent(r, at)
+				ev := randomEvent(r, at, present)
 				at = ev.At
 				tr.Record(ev)
 				ref.events = append(ref.events, ev)

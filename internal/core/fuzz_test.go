@@ -10,7 +10,8 @@ import (
 // must either return an error or produce a trace whose analysis functions
 // do not panic.
 func FuzzDecodeTrace(f *testing.F) {
-	// Seed corpus: a valid trace, truncations, and corruptions.
+	// Seed corpus: a valid trace, truncations, corruptions, and the traces
+	// no run can record.
 	var buf bytes.Buffer
 	tr := &Trace{}
 	tr.Join(0, 1)
@@ -29,6 +30,9 @@ func FuzzDecodeTrace(f *testing.F) {
 	f.Add(`{}`)
 	f.Add(``)
 	f.Add(`[1,2,3]`)
+	for _, c := range impossibleTraces {
+		f.Add(c.in)
+	}
 
 	f.Fuzz(func(t *testing.T, in string) {
 		got, err := DecodeTrace(strings.NewReader(in))

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"repro/internal/graph"
 )
 
 // Trace serialization: a small JSON format so recorded runs can be saved,
@@ -20,8 +22,12 @@ func EncodeTrace(w io.Writer, tr *Trace) error {
 	return enc.Encode(traceJSON{End: tr.End(), Events: tr.Events()})
 }
 
-// DecodeTrace reads a JSON trace written by EncodeTrace. The events must
-// be in non-decreasing time order (Record enforces it).
+// DecodeTrace reads a JSON trace written by EncodeTrace. It accepts only
+// what a run can record: events at non-negative times in non-decreasing
+// order, a Join only of an absent entity, a Leave only of a present one,
+// and an end no earlier than the last event. Edge events may name an
+// absent endpoint: a crashed entity's edges linger in the overlay, so
+// later edge-downs still name it.
 func DecodeTrace(r io.Reader) (*Trace, error) {
 	var tj traceJSON
 	dec := json.NewDecoder(r)
@@ -29,7 +35,11 @@ func DecodeTrace(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("core: decoding trace: %w", err)
 	}
 	tr := &Trace{}
+	present := make(map[graph.NodeID]bool)
 	for i, ev := range tj.Events {
+		if ev.At < 0 {
+			return nil, fmt.Errorf("core: trace event %d at negative time %d", i, ev.At)
+		}
 		if last := tr.log.last(); last != nil && ev.At < last.At {
 			return nil, fmt.Errorf("core: trace event %d out of order (t=%d after t=%d)",
 				i, ev.At, last.At)
@@ -40,7 +50,23 @@ func DecodeTrace(r io.Reader) (*Trace, error) {
 		if (ev.Kind == TEdgeUp || ev.Kind == TEdgeDown) && ev.P == ev.Q {
 			return nil, fmt.Errorf("core: trace event %d is a self-loop edge on %d", i, ev.P)
 		}
+		switch ev.Kind {
+		case TJoin:
+			if present[ev.P] {
+				return nil, fmt.Errorf("core: trace event %d joins %d, which is already present", i, ev.P)
+			}
+			present[ev.P] = true
+		case TLeave:
+			if !present[ev.P] {
+				return nil, fmt.Errorf("core: trace event %d leaves %d, which is absent", i, ev.P)
+			}
+			delete(present, ev.P)
+		}
 		tr.Record(ev)
+	}
+	if n := len(tj.Events); n > 0 && tj.End < tj.Events[n-1].At {
+		return nil, fmt.Errorf("core: trace end %d precedes event %d at t=%d",
+			tj.End, n-1, tj.Events[n-1].At)
 	}
 	tr.Close(tj.End)
 	return tr, nil

@@ -50,6 +50,30 @@ func TestDecodeRejectsOutOfOrder(t *testing.T) {
 	}
 }
 
+// impossibleTraces are inputs no run can record, each with the text its
+// rejection must carry (every one names the offending event's index).
+var impossibleTraces = []struct{ name, in, want string }{
+	{"negative time", `{"end": 5, "events": [{"At": -3, "Kind": 0, "P": 1}]}`,
+		"event 0 at negative time -3"},
+	{"join of a present entity", `{"end": 5, "events": [
+		{"At": 0, "Kind": 0, "P": 1}, {"At": 2, "Kind": 0, "P": 1}]}`,
+		"event 1 joins 1, which is already present"},
+	{"leave of an absent entity", `{"end": 5, "events": [{"At": 0, "Kind": 1, "P": 1}]}`,
+		"event 0 leaves 1, which is absent"},
+	{"end before the last event", `{"end": 1, "events": [
+		{"At": 0, "Kind": 0, "P": 1}, {"At": 7, "Kind": 1, "P": 1}]}`,
+		"end 1 precedes event 1 at t=7"},
+}
+
+func TestDecodeRejectsImpossibleTraces(t *testing.T) {
+	for _, c := range impossibleTraces {
+		_, err := DecodeTrace(strings.NewReader(c.in))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+}
+
 func TestDecodeEmptyTrace(t *testing.T) {
 	tr, err := DecodeTrace(strings.NewReader(`{"end": 0, "events": []}`))
 	if err != nil {

@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -164,5 +166,46 @@ func TestColludeDropPullSilencesAntiEntropy(t *testing.T) {
 	}
 	if !convicted {
 		t.Fatal("droppull should not shield the colluder from direct-witness conviction")
+	}
+}
+
+// TestCrashRejoinTraceRoundTrip: a real run's trace under crash/recover
+// and rejoin faults survives EncodeTrace/DecodeTrace, including the
+// edge events that name a crashed entity whose edges linger.
+func TestCrashRejoinTraceRoundTrip(t *testing.T) {
+	pl := mustParse(t, "crash:nodes=4,recover=30@20;rejoin:nodes=3,down=30@40")
+	w, _ := runByzPlan(t, pl, node.Config{Seed: 9}, 150)
+	for _, mark := range []string{core.MarkCrash, core.MarkRecover, core.MarkRejoin} {
+		if _, ok := w.Trace.FirstMark(mark); !ok {
+			t.Fatalf("no %q mark: the plan did not fire", mark)
+		}
+	}
+	events := w.Trace.Events()
+	present, lingering := map[graph.NodeID]bool{}, 0
+	for _, ev := range events {
+		switch ev.Kind {
+		case core.TJoin:
+			present[ev.P] = true
+		case core.TLeave:
+			delete(present, ev.P)
+		case core.TEdgeUp, core.TEdgeDown:
+			if !present[ev.P] || !present[ev.Q] {
+				lingering++
+			}
+		}
+	}
+	if lingering == 0 {
+		t.Fatal("no edge event names an absent entity; the run does not exercise lingering edges")
+	}
+	var buf bytes.Buffer
+	if err := core.EncodeTrace(&buf, w.Trace); err != nil {
+		t.Fatal(err)
+	}
+	back, err := core.DecodeTrace(&buf)
+	if err != nil {
+		t.Fatalf("decoding a recorded run: %v", err)
+	}
+	if back.End() != w.Trace.End() || !slices.Equal(back.Events(), events) {
+		t.Fatal("round trip changed the trace")
 	}
 }

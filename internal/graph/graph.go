@@ -269,50 +269,6 @@ func (g *Graph) BFS(src NodeID) map[NodeID]int {
 	return dist
 }
 
-// ShortestPath returns one shortest path from src to dst (inclusive) and
-// true, or nil and false if dst is unreachable.
-func (g *Graph) ShortestPath(src, dst NodeID) ([]NodeID, bool) {
-	if !g.HasNode(src) || !g.HasNode(dst) {
-		return nil, false
-	}
-	if src == dst {
-		return []NodeID{src}, true
-	}
-	parent := map[NodeID]NodeID{src: src}
-	frontier := []NodeID{src}
-	found := false
-	for len(frontier) > 0 && !found {
-		var next []NodeID
-		for _, v := range frontier {
-			for _, u := range g.Neighbors(v) {
-				if _, seen := parent[u]; !seen {
-					parent[u] = v
-					if u == dst {
-						found = true
-					}
-					next = append(next, u)
-				}
-			}
-		}
-		frontier = next
-	}
-	if !found {
-		return nil, false
-	}
-	var rev []NodeID
-	for v := dst; ; v = parent[v] {
-		rev = append(rev, v)
-		if v == src {
-			break
-		}
-	}
-	path := make([]NodeID, len(rev))
-	for i, v := range rev {
-		path[len(rev)-1-i] = v
-	}
-	return path, true
-}
-
 // Connected reports whether the graph is connected. The empty graph and
 // singletons are connected by convention.
 func (g *Graph) Connected() bool {

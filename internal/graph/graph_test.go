@@ -129,42 +129,6 @@ func TestBFSAbsentSource(t *testing.T) {
 	}
 }
 
-func TestShortestPath(t *testing.T) {
-	g := ring(8)
-	p, ok := g.ShortestPath(0, 3)
-	if !ok || len(p) != 4 {
-		t.Fatalf("ShortestPath(0,3) on ring(8) = %v, %v", p, ok)
-	}
-	if p[0] != 0 || p[len(p)-1] != 3 {
-		t.Fatalf("path endpoints wrong: %v", p)
-	}
-	for i := 1; i < len(p); i++ {
-		if !g.HasEdge(p[i-1], p[i]) {
-			t.Fatalf("path %v uses missing edge %d-%d", p, p[i-1], p[i])
-		}
-	}
-}
-
-func TestShortestPathSelf(t *testing.T) {
-	g := ring(4)
-	p, ok := g.ShortestPath(2, 2)
-	if !ok || len(p) != 1 || p[0] != 2 {
-		t.Fatalf("ShortestPath(v,v) = %v, %v", p, ok)
-	}
-}
-
-func TestShortestPathUnreachable(t *testing.T) {
-	g := New()
-	g.AddNode(1)
-	g.AddNode(2)
-	if _, ok := g.ShortestPath(1, 2); ok {
-		t.Fatal("path found between isolated nodes")
-	}
-	if _, ok := g.ShortestPath(1, 99); ok {
-		t.Fatal("path found to absent node")
-	}
-}
-
 func TestConnected(t *testing.T) {
 	if !New().Connected() {
 		t.Error("empty graph should be connected by convention")

@@ -40,15 +40,6 @@ func (g *Graph) AvgClustering() float64 {
 	return sum / float64(len(nodes))
 }
 
-// DegreeHistogram returns how many nodes hold each degree.
-func (g *Graph) DegreeHistogram() map[int]int {
-	hist := make(map[int]int)
-	for _, v := range g.Nodes() {
-		hist[g.Degree(v)]++
-	}
-	return hist
-}
-
 // MaxDegree returns the largest degree in the graph (0 for an empty one).
 func (g *Graph) MaxDegree() int {
 	max := 0

@@ -2,8 +2,8 @@ package node
 
 // Behavior composition: several protocol modules sharing one entity.
 // Each part sees every delivered message and filters by tag, so modules
-// with disjoint tag spaces (a failure detector beside a query protocol)
-// compose without knowing about each other.
+// with disjoint tag spaces (a leader elector beside a register) compose
+// without knowing about each other.
 
 // Composite is a Behavior that fans Init and Receive out to its parts,
 // in order.

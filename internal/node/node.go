@@ -529,10 +529,11 @@ func (w *World) Leave(id graph.NodeID) {
 // Crash removes a present entity WITHOUT telling the overlay: the entity
 // stops executing (its timers die, messages to it are dropped) and the
 // ground-truth trace records its departure, but its edges linger in the
-// communication graph — neighbors keep stale knowledge until they detect
-// the silence themselves (see internal/fd). This models unannounced
-// failure as opposed to an (overlay-visible) leave. Crashing an absent
-// entity is a no-op.
+// communication graph — neighbors keep stale knowledge, so a protocol
+// waiting on the crashed entity waits out its own timeout, if it has one
+// (TreeEcho's departure detection never fires for it). This models
+// unannounced failure as opposed to an (overlay-visible) leave. Crashing
+// an absent entity is a no-op.
 //
 // If the entity's behavior implements Recoverable, its snapshot is saved
 // to the world's stable store so a later Recover can restore it: the

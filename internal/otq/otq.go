@@ -15,7 +15,7 @@
 // (both need a known diameter bound; repetition buys loss robustness), a
 // standing continuous-query flood, an adaptive echo wave with quiescence
 // detection (knowledge-free, exact under eventual stability), the
-// textbook tree echo (PIF, with optional departure/failure detection),
+// textbook tree echo (PIF, with optional departure detection),
 // expanding-ring probing (its fixed-point termination test is sound only
 // with bounded dynamics), gossip push-sum (approximate means), and a
 // duplicate-insensitive sketch wave (approximate counts at constant

@@ -29,19 +29,14 @@ type treeEchoMsg struct {
 // wave. DetectDepartures writes off pending children that are no longer
 // neighbors (the overlay's repair makes departures locally observable),
 // which restores Termination under churn at the price of Validity: the
-// written-off child's collected subtree is simply lost.
+// written-off child's collected subtree is simply lost. Only announced
+// leaves are observable that way: a child that CRASHED leaves its edges
+// stale, stays a neighbor, and still deadlocks the wave.
 //
 // A TreeEcho value drives a single world and a single query.
 type TreeEcho struct {
 	// DetectDepartures enables writing off pending children that left.
 	DetectDepartures bool
-	// SuspectChild, when set (with DetectDepartures), additionally writes
-	// off pending children it reports true for. Departure detection via
-	// the neighbor set only sees overlay-announced leaves; an entity that
-	// CRASHED leaves its edges stale, and only a message-level failure
-	// detector (internal/fd, composed beside this behaviour) can unblock
-	// the wave then.
-	SuspectChild func(p *node.Proc, child graph.NodeID) bool
 	// CheckInterval is how often pending children are re-examined when
 	// DetectDepartures is on. Default 5.
 	CheckInterval sim.Time
@@ -150,10 +145,9 @@ func (b *treeEchoBehavior) scheduleCheck(p *node.Proc) {
 			nbrs[u] = true
 		}
 		for child := range b.pending {
-			if !nbrs[child] || (b.proto.SuspectChild != nil && b.proto.SuspectChild(p, child)) {
-				// The child left (or is suspected crashed): its echo, and
-				// its whole collected subtree, are gone. Write it off so
-				// the wave collapses.
+			if !nbrs[child] {
+				// The child left: its echo, and its whole collected
+				// subtree, are gone. Write it off so the wave collapses.
 				delete(b.pending, child)
 			}
 		}

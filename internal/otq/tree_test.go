@@ -125,6 +125,31 @@ func TestTreeEchoDetectionRestoresTermination(t *testing.T) {
 	}
 }
 
+// A crash, unlike a leave, leaves the entity's edges stale: the crashed
+// child stays a neighbor, so DetectDepartures never writes it off and the
+// wave deadlocks. Without the crash the same world answers.
+func TestTreeEchoCrashStaleEdgesDeadlockWithoutFD(t *testing.T) {
+	for _, crash := range []bool{false, true} {
+		e := sim.New()
+		proto := &TreeEcho{DetectDepartures: true, CheckInterval: 4}
+		w := node.NewWorld(e, topology.NewMesh(), proto.Factory(), node.Config{
+			MinLatency: 3, MaxLatency: 4, Seed: 1,
+		})
+		for i := 1; i <= 4; i++ {
+			w.Join(graph.NodeID(i))
+		}
+		run := proto.Launch(w, 1)
+		if crash {
+			e.At(2, func() { w.Crash(3) }) // before the query reaches entity 3
+		}
+		e.RunUntil(2000)
+		w.Close()
+		if answered := run.Answer() != nil; answered == crash {
+			t.Fatalf("crash=%v: answered=%v", crash, answered)
+		}
+	}
+}
+
 func TestTreeEchoNonTreeEdgesReleased(t *testing.T) {
 	// A 4-clique has many non-tree edges; every one must be released by
 	// an immediate empty echo or the wave deadlocks.

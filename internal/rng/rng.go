@@ -170,42 +170,3 @@ func ShuffleSlice[T any](r *Rand, s []T) {
 	}
 	r.s = [4]uint64{s0, s1, s2, s3}
 }
-
-// Zipf samples ranks in [0, n) with probability proportional to
-// 1/(rank+1)^s, using inverse-CDF over a precomputed table.
-type Zipf struct {
-	r   *Rand
-	cdf []float64
-}
-
-// NewZipf builds a Zipf sampler over n ranks with exponent s > 0.
-func NewZipf(r *Rand, n int, s float64) *Zipf {
-	if n <= 0 || s <= 0 {
-		panic("rng: NewZipf with non-positive parameter")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), s)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{r: r, cdf: cdf}
-}
-
-// Next returns the next Zipf-distributed rank in [0, n).
-func (z *Zipf) Next() int {
-	u := z.r.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}

@@ -185,34 +185,6 @@ func TestShufflePreservesElements(t *testing.T) {
 	}
 }
 
-func TestZipfSkew(t *testing.T) {
-	r := New(31)
-	z := NewZipf(r, 100, 1.0)
-	counts := make([]int, 100)
-	for i := 0; i < 100000; i++ {
-		v := z.Next()
-		if v < 0 || v >= 100 {
-			t.Fatalf("Zipf rank %d out of range", v)
-		}
-		counts[v]++
-	}
-	if counts[0] <= counts[50] {
-		t.Errorf("Zipf not skewed: rank0=%d rank50=%d", counts[0], counts[50])
-	}
-	if counts[0] <= 5*counts[99] {
-		t.Errorf("Zipf tail too heavy: rank0=%d rank99=%d", counts[0], counts[99])
-	}
-}
-
-func TestZipfPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewZipf(r, 0, 1) did not panic")
-		}
-	}()
-	NewZipf(New(1), 0, 1)
-}
-
 func TestExpPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

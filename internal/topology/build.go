@@ -6,18 +6,6 @@ import "repro/internal/graph"
 // static baselines). Node IDs are 1..n to match the churn generator's
 // ID allocation convention.
 
-// BuildComplete returns the complete graph on n nodes.
-func BuildComplete(n int) *graph.Graph {
-	g := graph.New()
-	for i := 1; i <= n; i++ {
-		g.AddNode(graph.NodeID(i))
-		for j := 1; j < i; j++ {
-			g.AddEdge(graph.NodeID(j), graph.NodeID(i))
-		}
-	}
-	return g
-}
-
 // BuildRing returns the cycle on n nodes (diameter floor(n/2) for n >= 3).
 func BuildRing(n int) *graph.Graph {
 	g := graph.New()
@@ -26,54 +14,6 @@ func BuildRing(n int) *graph.Graph {
 	}
 	for i := 1; i <= n && n > 1; i++ {
 		g.AddEdge(graph.NodeID(i), graph.NodeID(i%n+1))
-	}
-	return g
-}
-
-// BuildPath returns the path on n nodes (diameter n-1).
-func BuildPath(n int) *graph.Graph {
-	g := graph.New()
-	for i := 1; i <= n; i++ {
-		g.AddNode(graph.NodeID(i))
-		if i > 1 {
-			g.AddEdge(graph.NodeID(i-1), graph.NodeID(i))
-		}
-	}
-	return g
-}
-
-// BuildGrid returns the w x h grid (diameter w+h-2).
-func BuildGrid(w, h int) *graph.Graph {
-	g := graph.New()
-	id := func(x, y int) graph.NodeID { return graph.NodeID(y*w + x + 1) }
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			g.AddNode(id(x, y))
-			if x > 0 {
-				g.AddEdge(id(x-1, y), id(x, y))
-			}
-			if y > 0 {
-				g.AddEdge(id(x, y-1), id(x, y))
-			}
-		}
-	}
-	return g
-}
-
-// BuildTorus returns the w x h torus (diameter floor(w/2)+floor(h/2) for
-// w, h >= 3).
-func BuildTorus(w, h int) *graph.Graph {
-	g := BuildGrid(w, h)
-	id := func(x, y int) graph.NodeID { return graph.NodeID(y*w + x + 1) }
-	if w > 2 {
-		for y := 0; y < h; y++ {
-			g.AddEdge(id(w-1, y), id(0, y))
-		}
-	}
-	if h > 2 {
-		for x := 0; x < w; x++ {
-			g.AddEdge(id(x, h-1), id(x, 0))
-		}
 	}
 	return g
 }

@@ -276,45 +276,6 @@ func TestBuildRing(t *testing.T) {
 	}
 }
 
-func TestBuildPath(t *testing.T) {
-	g := BuildPath(10)
-	if d, ok := g.Diameter(); !ok || d != 9 {
-		t.Fatalf("BuildPath(10) diameter = %d, %v", d, ok)
-	}
-}
-
-func TestBuildGrid(t *testing.T) {
-	g := BuildGrid(4, 3)
-	if g.NumNodes() != 12 {
-		t.Fatalf("grid nodes = %d", g.NumNodes())
-	}
-	if d, ok := g.Diameter(); !ok || d != 5 {
-		t.Fatalf("BuildGrid(4,3) diameter = %d, %v, want 5", d, ok)
-	}
-}
-
-func TestBuildTorus(t *testing.T) {
-	g := BuildTorus(4, 4)
-	if d, ok := g.Diameter(); !ok || d != 4 {
-		t.Fatalf("BuildTorus(4,4) diameter = %d, %v, want 4", d, ok)
-	}
-	for _, v := range g.Nodes() {
-		if g.Degree(v) != 4 {
-			t.Fatalf("torus node %d has degree %d", v, g.Degree(v))
-		}
-	}
-}
-
-func TestBuildComplete(t *testing.T) {
-	g := BuildComplete(6)
-	if g.NumEdges() != 15 {
-		t.Fatalf("BuildComplete(6) edges = %d", g.NumEdges())
-	}
-	if d, ok := g.Diameter(); !ok || d != 1 {
-		t.Fatalf("BuildComplete(6) diameter = %d, %v", d, ok)
-	}
-}
-
 func TestOverlayNames(t *testing.T) {
 	seen := map[string]bool{}
 	for _, ov := range overlays() {
