@@ -104,6 +104,10 @@ func main() {
 		reject(fmt.Sprintf("-arrival %v: the arrival rate cannot be negative (0 = no churn)", *arrival))
 	case *arrival > 0 && *session <= 0:
 		reject(fmt.Sprintf("-session %v: arrivals need a positive mean session length", *session))
+	case *doubleEvery < 0:
+		reject(fmt.Sprintf("-double-every %d: the doubling period cannot be negative (0 = a constant rate)", *doubleEvery))
+	case *quiesceAt < 0:
+		reject(fmt.Sprintf("-quiesce-at %d: the quiescence tick cannot be negative (0 = churn never stops)", *quiesceAt))
 	}
 	overlay, err := overlayBuilder(*overlayName, *k)
 	if err != nil {

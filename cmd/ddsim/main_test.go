@@ -33,6 +33,8 @@ func TestRejectedFlags(t *testing.T) {
 		{"-overlay random-k -k 0", "-k 0: the random-k overlay needs at least 1 neighbor"},
 		{"-arrival 0.1 -session 0", "-session 0: arrivals need a positive mean session length"},
 		{"-arrival -0.5", "-arrival -0.5: the arrival rate cannot be negative (0 = no churn)"},
+		{"-double-every -5 -arrival 0.1", "-double-every -5: the doubling period cannot be negative (0 = a constant rate)"},
+		{"-quiesce-at -3", "-quiesce-at -3: the quiescence tick cannot be negative (0 = churn never stops)"},
 		{"-query-at 5000 -horizon 100", "-query-at 5000: the query must launch inside the run, in [0, -horizon 100]"},
 		{"-query-at -5", "-query-at -5: the query must launch inside the run, in [0, -horizon 2000]"},
 		{"-protocol flood-ttl -ttl 0", "-ttl 0: flood-ttl needs a positive TTL"},

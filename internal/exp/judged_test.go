@@ -15,6 +15,22 @@ import (
 // the protocol's ticks and pushes, and both judges — under the
 // allocation gate.
 func BenchmarkJudgedEchoWave(b *testing.B) {
+	benchJudged(b, func() otq.Protocol {
+		return &otq.EchoWave{RescanInterval: 3, QuietFor: 60, MaxRescans: 5000}
+	})
+}
+
+// BenchmarkJudgedRepeatedFlood is the same judged world running the
+// repeated TTL flood, as judged-batch runs it: every round relays one
+// report per member back toward the querier, which puts the flood's
+// contribution bundles under the allocation gate.
+func BenchmarkJudgedRepeatedFlood(b *testing.B) {
+	benchJudged(b, func() otq.Protocol {
+		return &otq.RepeatedFlood{TTL: 8, MaxLatency: 2, MaxRounds: 10, QuietRounds: 2}
+	})
+}
+
+func benchJudged(b *testing.B, proto func() otq.Protocol) {
 	sc := Scenario{
 		Seed:    1,
 		Overlay: func(seed uint64) topology.Overlay { return topology.NewRandomK(seed, 3) },
@@ -24,9 +40,7 @@ func BenchmarkJudgedEchoWave(b *testing.B) {
 			ArrivalRate:       64.0 / 2000,
 			Session:           churn.ExpSessions(80),
 		},
-		Protocol: func() otq.Protocol {
-			return &otq.EchoWave{RescanInterval: 3, QuietFor: 60, MaxRescans: 5000}
-		},
+		Protocol:   proto,
 		MinLatency: 1, MaxLatency: 2,
 		QueryAt: 125,
 		Horizon: 500,

@@ -1,6 +1,7 @@
 package otq
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -72,5 +73,59 @@ func TestWaveTickAllocations(t *testing.T) {
 	if want := msgs + 2*grew + 2; perTick > want {
 		t.Errorf("%.1f allocs per tick for %.1f messages and %.1f set growths, want <= %.1f",
 			perTick, msgs, grew, want)
+	}
+}
+
+// TestFloodRelayAllocations: once a RepeatedFlood world is warm, a wave
+// of radius 2 from one relay allocates only its messages' payloads. The
+// relay and each neighbour it reaches send their own contribution up and
+// the relay forwards the neighbours' reports and the query; each message
+// boxes its payload once. No entity allocates for its own contribution, which it builds once and
+// reuses for every wave. The engine runs between waves, so delivered
+// envelopes return to their pool as they would in a running world, and
+// laps of the engine's wheel first size its buckets for the load. The
+// relay is no neighbour of the querier, whose accumulator allocates per
+// wave.
+func TestFloodRelayAllocations(t *testing.T) {
+	const n, runs = 64, 100
+	proto := &RepeatedFlood{TTL: 8, MaxLatency: 2}
+	e := sim.New()
+	w := node.NewWorld(e, topology.NewRandomK(1, 3), proto.Factory(), node.Config{MinLatency: 1, MaxLatency: 2, Seed: 1})
+	for i := 1; i <= n; i++ {
+		w.Join(graph.NodeID(i))
+	}
+	run := proto.Launch(w, 1)
+	e.RunUntil(400)
+	if run.Answer() == nil {
+		t.Fatal("the warm-up query never answered")
+	}
+	var p *node.Proc
+	for id := graph.NodeID(2); p == nil && id <= n; id++ {
+		if nb := w.Proc(id).Neighbors(); len(nb) >= 3 && !slices.Contains(nb, run.Querier) {
+			p = w.Proc(id)
+		}
+	}
+	if p == nil {
+		t.Fatal("every entity with three neighbours borders the querier")
+	}
+	relay := p.Behavior().(*floodBehavior)
+	from, qid := p.Neighbors()[0], 1000
+	wave := func() {
+		qid++
+		relay.onQuery(p, from, queryMsg{QID: qid, TTL: 1})
+		e.RunUntil(e.Now() + 5)
+	}
+	for i := 0; i < 256; i++ {
+		wave()
+	}
+	queries, reports := w.Trace.Messages(tagQuery).Sent, w.Trace.Messages(tagReport).Sent
+	perWave := testing.AllocsPerRun(runs, wave)
+	perQueries := float64(w.Trace.Messages(tagQuery).Sent-queries) / (runs + 1)
+	perReports := float64(w.Trace.Messages(tagReport).Sent-reports) / (runs + 1)
+	if perQueries < 2 || perReports < 2 {
+		t.Fatalf("%.1f queries and %.1f reports per wave: the relay did not both forward and relay", perQueries, perReports)
+	}
+	if want := perReports + perQueries; perWave > want {
+		t.Errorf("%.1f allocs per wave for %.1f reports and %.1f queries, want <= %.1f", perWave, perReports, perQueries, want)
 	}
 }

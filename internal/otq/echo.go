@@ -9,8 +9,19 @@ import (
 
 const tagEchoSet = "otq.echo-set"
 
+// echoSetMsg ships a contributor set behind one pointer, allocated once
+// per version and shared by all of that version's pushes; being
+// pointer-shaped, it boxes into a Message payload without allocating.
 type echoSetMsg struct {
-	Contrib map[graph.NodeID]float64
+	Contrib *[]contrib
+}
+
+// set is the shipped contributor set; a nil pointer reads as empty.
+func (m echoSetMsg) set() []contrib {
+	if m.Contrib == nil {
+		return nil
+	}
+	return *m.Contrib
 }
 
 // EchoWave is the knowledge-free wave protocol (claim C4): it needs no
@@ -40,14 +51,14 @@ type EchoWave struct {
 	MaxRescans int
 
 	run *Run
-	// payloadEntries accumulates the total contributor-map entries sent,
+	// payloadEntries accumulates the total contributor-set entries sent,
 	// and maxPayload the largest single message, for cost accounting
 	// against sketch-based aggregation (E16).
 	payloadEntries int64
 	maxPayload     int64
 }
 
-// PayloadEntries returns the total contributor-map entries shipped.
+// PayloadEntries returns the total contributor-set entries shipped.
 func (e *EchoWave) PayloadEntries() int64 { return e.payloadEntries }
 
 // MaxPayload returns the largest single message, in entries.
@@ -61,13 +72,14 @@ func (*EchoWave) Name() string { return "echo-wave" }
 type echoWaveBehavior struct {
 	wave
 	proto *EchoWave
-	known map[graph.NodeID]float64
-	// shipped is the copy of known that every push ships until known
-	// grows: one copy per version, not per neighbour. Sharing it is sound
-	// because nothing writes a received Contrib (receivers read it,
-	// Tamper copies it) and known only grows between seeds, so equal
-	// lengths mean equal sets.
-	shipped map[graph.NodeID]float64
+	// known is the contributor set, append-only between seeds: no entry
+	// below its length is ever rewritten. So every push of one version
+	// ships the same prefix known[:n:n] uncopied, and because that prefix
+	// has no spare capacity, no append through it reaches known's array.
+	known []contrib
+	has   idSet // the IDs in known
+	// shipped points at the prefix the current version's pushes share.
+	shipped *[]contrib
 }
 
 // Factory implements Protocol.
@@ -84,10 +96,9 @@ func (b *echoWaveBehavior) Receive(p *node.Proc, m node.Message) {
 		return
 	}
 	b.activate(p)
-	set := m.Payload.(echoSetMsg)
-	for id, v := range set.Contrib {
-		if _, ok := b.known[id]; !ok {
-			b.known[id] = v
+	for _, c := range m.Payload.(echoSetMsg).set() {
+		if b.has.add(c.ID) {
+			b.known = append(b.known, c)
 			b.lastNew = p.Now()
 		}
 	}
@@ -98,15 +109,18 @@ func (b *echoWaveBehavior) tuning() (sim.Time, sim.Time, int, *Run) {
 }
 
 func (b *echoWaveBehavior) seed(p *node.Proc) {
-	b.known = map[graph.NodeID]float64{p.ID: p.Value}
+	b.known = []contrib{{p.ID, p.Value}}
+	b.has = idSet{}
+	b.has.add(p.ID)
 	b.shipped = nil
 }
 
 func (b *echoWaveBehavior) version() int { return len(b.known) }
 
 func (b *echoWaveBehavior) push(p *node.Proc, to graph.NodeID) {
-	if b.shipped == nil || len(b.shipped) != len(b.known) {
-		b.shipped = copyContrib(b.known)
+	if b.shipped == nil || len(*b.shipped) != len(b.known) {
+		s := b.known[:len(b.known):len(b.known)]
+		b.shipped = &s
 	}
 	p.Send(to, tagEchoSet, echoSetMsg{Contrib: b.shipped})
 	n := int64(len(b.known))
@@ -116,12 +130,19 @@ func (b *echoWaveBehavior) push(p *node.Proc, to graph.NodeID) {
 	}
 }
 
-func (b *echoWaveBehavior) answer(run *Run, at core.Time) { run.resolve(at, b.known) }
+func (b *echoWaveBehavior) answer(run *Run, at core.Time) {
+	m := make(map[graph.NodeID]float64, len(b.known))
+	for _, c := range b.known {
+		m[c.ID] = c.V
+	}
+	run.resolve(at, m)
+}
 
-// echoSnapshot is the crash-survivable state of an echo-wave entity.
+// echoSnapshot is the crash-survivable state of an echo-wave entity. Its
+// known is a prefix of the entity's set, shared as the pushes share it.
 type echoSnapshot struct {
 	active    bool
-	known     map[graph.NodeID]float64
+	known     []contrib
 	rescans   int
 	isQuerier bool
 	lastNew   sim.Time
@@ -130,17 +151,14 @@ type echoSnapshot struct {
 
 // Snapshot implements node.Recoverable.
 func (b *echoWaveBehavior) Snapshot() any {
-	s := echoSnapshot{
+	return echoSnapshot{
 		active:    b.active,
+		known:     b.known[:len(b.known):len(b.known)],
 		rescans:   b.rescans,
 		isQuerier: b.isQuerier,
 		lastNew:   b.lastNew,
 		started:   b.started,
 	}
-	if b.known != nil {
-		s.known = copyContrib(b.known)
-	}
-	return s
 }
 
 // Restore implements node.Recoverable. The per-neighbor send watermarks
@@ -153,6 +171,10 @@ func (b *echoWaveBehavior) Restore(p *node.Proc, snap any) {
 	s := snap.(echoSnapshot)
 	b.active = s.active
 	b.known, b.shipped = s.known, nil
+	b.has = idSet{}
+	for _, c := range s.known {
+		b.has.add(c.ID)
+	}
 	b.rescans = s.rescans
 	b.isQuerier = s.isQuerier
 	b.lastNew = s.lastNew
@@ -169,4 +191,38 @@ func (e *EchoWave) Launch(w *node.World, querier graph.NodeID) *Run {
 	e.run = run
 	b.launch(p)
 	return run
+}
+
+// idSetBits bounds the IDs an idSet keeps as bits: at most 128 KiB.
+const idSetBits = 1 << 20
+
+// idSet is the membership test of a contributor set. Churn allocates IDs
+// densely from 1, so a bitset holds nearly all of them; any ID past
+// idSetBits (or negative) falls back to a map.
+type idSet struct {
+	bits []uint64
+	rest map[graph.NodeID]struct{}
+}
+
+// add inserts id and reports whether it was absent.
+func (s *idSet) add(id graph.NodeID) bool {
+	if uint64(id) >= idSetBits {
+		if _, ok := s.rest[id]; ok {
+			return false
+		}
+		if s.rest == nil {
+			s.rest = make(map[graph.NodeID]struct{})
+		}
+		s.rest[id] = struct{}{}
+		return true
+	}
+	w, bit := int(id>>6), uint64(1)<<(id&63)
+	if w >= len(s.bits) {
+		s.bits = append(s.bits, make([]uint64, w+1-len(s.bits))...)
+	}
+	if s.bits[w]&bit != 0 {
+		return false
+	}
+	s.bits[w] |= bit
+	return true
 }

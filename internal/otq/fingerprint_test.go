@@ -30,29 +30,75 @@ func fnv1a(s string) uint64 {
 }
 
 func refFingerprint(payload any) uint64 {
+	payload = refPayload(payload)
 	return fnv1a(fmt.Sprintf("%T|%v", payload, payload))
+}
+
+// The map-typed payloads the fmt digest rendered, kept as the reference
+// shape: fmt printed a map's entries sorted by key, so equal sets printed
+// alike whatever their order, and a nil map like an empty one.
+type (
+	refEchoSet  struct{ Contrib map[graph.NodeID]float64 }
+	refTreeEcho struct{ Contrib map[graph.NodeID]float64 }
+	refReport   struct {
+		QID     int
+		Contrib map[graph.NodeID]float64
+	}
+)
+
+func refMap(s []contrib) map[graph.NodeID]float64 {
+	if s == nil {
+		return nil
+	}
+	m := make(map[graph.NodeID]float64, len(s))
+	for _, c := range s {
+		m[c.ID] = c.V
+	}
+	return m
+}
+
+// refPayload renders a contribution payload through its map-typed
+// reference; other payloads are their own reference.
+func refPayload(payload any) any {
+	switch p := payload.(type) {
+	case echoSetMsg:
+		return refEchoSet{refMap(p.set())}
+	case treeEchoMsg:
+		return refTreeEcho{refMap(p.Contrib)}
+	case reportMsg:
+		return refReport{p.QID, refMap(p.Contrib)}
+	}
+	return payload
+}
+
+// echoSetOf ships s as an echo set; a nil s ships a nil pointer.
+func echoSetOf(s []contrib) echoSetMsg {
+	if s == nil {
+		return echoSetMsg{}
+	}
+	return echoSetMsg{Contrib: &s}
 }
 
 var fpFloats = []float64{0, math.Copysign(0, -1), 1, 2.5}
 
-// randContrib draws a contribution map (nil, empty, or up to four small
-// entries) and builds it twice in independently shuffled insertion
-// orders, so equal maps with different histories meet in the pool.
-func randContrib(r *rng.Rand) (a, b map[graph.NodeID]float64) {
+// randContrib draws a contribution set (nil, empty, or up to four small
+// entries) and builds it twice in independently shuffled orders, so equal
+// sets with different histories meet in the pool.
+func randContrib(r *rng.Rand) (a, b []contrib) {
 	if r.Intn(4) == 0 {
-		return nil, map[graph.NodeID]float64{}
+		return nil, []contrib{}
 	}
 	ids := r.Perm(5)[:r.Intn(5)]
 	vals := make([]float64, len(ids))
 	for i := range vals {
 		vals[i] = fpFloats[r.Intn(len(fpFloats))]
 	}
-	build := func() map[graph.NodeID]float64 {
-		m := make(map[graph.NodeID]float64)
+	build := func() []contrib {
+		s := make([]contrib, 0, len(ids))
 		for _, i := range r.Perm(len(ids)) {
-			m[graph.NodeID(ids[i])] = vals[i]
+			s = append(s, contrib{graph.NodeID(ids[i]), vals[i]})
 		}
-		return m
+		return s
 	}
 	return build(), build()
 }
@@ -60,9 +106,9 @@ func randContrib(r *rng.Rand) (a, b map[graph.NodeID]float64) {
 // TestFingerprintMatchesFmtDigest holds the protocols' payload digests
 // to the equality relation of the fmt digest they replaced: every pair of
 // seeded random payloads, their twins built in other insertion orders,
-// and their Tamper outputs digest alike exactly when fmt printed them
-// alike. The pool crosses nil with empty maps, +0 with -0, and the
-// echo-set and tree-echo types over equal maps.
+// and their Tamper outputs digest alike exactly when fmt printed their
+// map-typed references alike. The pool crosses nil with empty sets, +0
+// with -0, and the echo-set and tree-echo types over equal sets.
 func TestFingerprintMatchesFmtDigest(t *testing.T) {
 	r := rng.New(21)
 	var vals []any
@@ -72,9 +118,9 @@ func TestFingerprintMatchesFmtDigest(t *testing.T) {
 		var pair [2]node.Tamperable
 		switch r.Intn(5) {
 		case 0:
-			pair = [2]node.Tamperable{echoSetMsg{Contrib: a}, echoSetMsg{Contrib: b}}
+			pair = [2]node.Tamperable{echoSetOf(a), echoSetOf(b)}
 		case 1:
-			pair = [2]node.Tamperable{treeEchoMsg{Contrib: a}, echoSetMsg{Contrib: b}}
+			pair = [2]node.Tamperable{treeEchoMsg{Contrib: a}, echoSetOf(b)}
 		case 2:
 			pair = [2]node.Tamperable{reportMsg{QID: qid, Contrib: a}, reportMsg{QID: qid, Contrib: b}}
 		case 3:
@@ -101,8 +147,9 @@ func TestFingerprintMatchesFmtDigest(t *testing.T) {
 				equal++
 			}
 			if (got[i] == got[j]) != (ref[i] == ref[j]) {
+				vi, vj := refPayload(vals[i]), refPayload(vals[j])
 				t.Fatalf("%T %v vs %T %v: fingerprints equal %v, fmt digests equal %v",
-					vals[i], vals[i], vals[j], vals[j], got[i] == got[j], ref[i] == ref[j])
+					vi, vi, vj, vj, got[i] == got[j], ref[i] == ref[j])
 			}
 		}
 	}
@@ -121,11 +168,11 @@ func TestSketchMsgKeepsIdentityDigest(t *testing.T) {
 }
 
 func echoSet12() echoSetMsg {
-	m := make(map[graph.NodeID]float64, 12)
-	for i := 1; i <= 12; i++ {
-		m[graph.NodeID(i)] = float64(i) / 4
+	s := make([]contrib, 12)
+	for i := range s {
+		s[i] = contrib{graph.NodeID(i + 1), float64(i+1) / 4}
 	}
-	return echoSetMsg{Contrib: m}
+	return echoSetOf(s)
 }
 
 // TestFingerprintAllocs: digesting a 12-entry echo set allocates nothing.

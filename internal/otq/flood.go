@@ -19,7 +19,7 @@ type queryMsg struct {
 
 type reportMsg struct {
 	QID     int
-	Contrib map[graph.NodeID]float64
+	Contrib []contrib
 }
 
 // floodBehavior is the member-side logic every flooding-family protocol
@@ -30,6 +30,7 @@ type floodBehavior struct {
 	parent map[int]graph.NodeID // per QID: who I first heard it from
 	acc    accumulator          // non-nil at the querier
 	nbrs   []graph.NodeID       // onQuery's neighbour buffer
+	own    []contrib            // my one-entry contribution, built once
 }
 
 func (b *floodBehavior) Init(*node.Proc) {}
@@ -58,7 +59,7 @@ func (b *floodBehavior) onQuery(p *node.Proc, from graph.NodeID, q queryMsg) {
 	}
 	b.parent[q.QID] = from
 	// Contribute my own value upstream.
-	b.sendUp(p, q.QID, map[graph.NodeID]float64{p.ID: p.Value})
+	b.sendUp(p, q.QID, b.ownContrib(p))
 	if q.TTL > 0 {
 		fwd := queryMsg{QID: q.QID, TTL: q.TTL - 1}
 		b.nbrs = p.AppendNeighbors(b.nbrs[:0])
@@ -70,11 +71,20 @@ func (b *floodBehavior) onQuery(p *node.Proc, from graph.NodeID, q queryMsg) {
 	}
 }
 
+// ownContrib is this entity's contribution, one entry that every query
+// it answers shares: a Proc's ID and Value never change.
+func (b *floodBehavior) ownContrib(p *node.Proc) []contrib {
+	if b.own == nil {
+		b.own = []contrib{{p.ID, p.Value}}
+	}
+	return b.own
+}
+
 // sendUp relays a contribution bundle toward the querier, which absorbs it.
 // The bundle travels as it is, uncopied: it is either the entity's own
-// fresh one-entry map or a received report's, and no one writes either
-// (the querier absorbs into its own maps, Tamper copies).
-func (b *floodBehavior) sendUp(p *node.Proc, qid int, contrib map[graph.NodeID]float64) {
+// contribution or a received report's, and no one writes either (the
+// querier absorbs into its own maps, Tamper copies).
+func (b *floodBehavior) sendUp(p *node.Proc, qid int, contrib []contrib) {
 	if b.acc != nil {
 		b.acc.absorb(qid, contrib)
 		return
@@ -91,15 +101,15 @@ func (b *floodBehavior) sendUp(p *node.Proc, qid int, contrib map[graph.NodeID]f
 // accumulator gathers contributions at the querier, per query ID.
 type accumulator map[int]map[graph.NodeID]float64
 
-func (a accumulator) absorb(qid int, contrib map[graph.NodeID]float64) {
+func (a accumulator) absorb(qid int, contrib []contrib) {
 	m := a[qid]
 	if m == nil {
 		m = make(map[graph.NodeID]float64)
 		a[qid] = m
 	}
-	for id, v := range contrib {
-		if _, dup := m[id]; !dup {
-			m[id] = v
+	for _, c := range contrib {
+		if _, dup := m[c.ID]; !dup {
+			m[c.ID] = c.V
 		}
 	}
 }
@@ -159,7 +169,7 @@ func roundTrip(ttl int, perHop, slack sim.Time) sim.Time {
 // ttl hops that could answer has.
 func (b *floodBehavior) flood(p *node.Proc, qid, ttl int, perHop, slack sim.Time) sim.Time {
 	b.parent[qid] = p.ID
-	b.acc.absorb(qid, map[graph.NodeID]float64{p.ID: p.Value})
+	b.acc.absorb(qid, b.ownContrib(p))
 	p.Broadcast(tagQuery, queryMsg{QID: qid, TTL: ttl - 1})
 	return roundTrip(ttl, perHop, slack)
 }

@@ -330,8 +330,17 @@ func CheckWith(tr *core.Trace, r *Run, valueOf func(graph.NodeID) float64, opts 
 	return out
 }
 
-// contribution maps are the payloads relayed by the exact protocols.
-// copyContrib guards against aliasing across entities.
+// contrib is one entry of the contribution sets the exact protocols
+// relay: who contributed which value. A set never names an ID twice, and
+// no one writes a set once it is sent: receivers read it, relays forward
+// it as it is, Tamper builds a new one.
+type contrib struct {
+	ID graph.NodeID
+	V  float64
+}
+
+// copyContrib copies a contribution map, which the querier-side
+// accumulators keep, so answers and snapshots do not alias them.
 func copyContrib(m map[graph.NodeID]float64) map[graph.NodeID]float64 {
 	out := make(map[graph.NodeID]float64, len(m))
 	for k, v := range m {

@@ -1,21 +1,23 @@
 package otq
 
 import (
-	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/node"
+	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
 // TestEchoSnapshotsStayImmutable: an echo-wave entity ships one shared
-// contributor map per version instead of a copy per neighbour. Under
-// duplicated and corrupted delivery, every map shipped must still hold
-// at the end of the run exactly what it held when it was sent — no
-// receiver, duplicate or tampered copy may write through the sharing.
+// contributor set per version instead of a copy per neighbour, and every
+// version is a prefix of the entity's growing set. Under duplicated and
+// corrupted delivery, every set shipped must still hold at the end of the
+// run exactly what it held when it was sent — no receiver, duplicate,
+// tampered copy or later growth may write through the sharing.
 func TestEchoSnapshotsStayImmutable(t *testing.T) {
 	plan, err := fault.Parse("dup:p=0.4;corrupt:p=0.05;seed=7")
 	if err != nil {
@@ -29,13 +31,13 @@ func TestEchoSnapshotsStayImmutable(t *testing.T) {
 	}
 	plan.Attach(w)
 	type shipment struct {
-		contrib map[graph.NodeID]float64
-		digest  uint64
+		set  *[]contrib
+		then []contrib
 	}
 	var sent []shipment
 	w.SetSenderHook(func(_ sim.Time, _, _ graph.NodeID, _ string, _ uint64, payload any) (any, bool) {
 		if m, ok := payload.(echoSetMsg); ok {
-			sent = append(sent, shipment{m.Contrib, digestContrib(0, m.Contrib)})
+			sent = append(sent, shipment{m.Contrib, slices.Clone(m.set())})
 		}
 		return nil, false
 	})
@@ -43,19 +45,19 @@ func TestEchoSnapshotsStayImmutable(t *testing.T) {
 	e.RunUntil(300)
 	w.Close()
 
-	maps := map[uintptr]bool{}
+	sets := map[*[]contrib]bool{}
 	for i, s := range sent {
-		maps[reflect.ValueOf(s.contrib).Pointer()] = true
-		if got := digestContrib(0, s.contrib); got != s.digest {
-			t.Fatalf("push %d: its contributor map changed after it was sent (%d entries now)", i, len(s.contrib))
+		sets[s.set] = true
+		if !slices.Equal(*s.set, s.then) {
+			t.Fatalf("push %d: its contributor set changed after it was sent: %v then, %v now", i, s.then, *s.set)
 		}
 	}
-	if len(maps) >= len(sent) {
-		t.Fatalf("%d pushes shipped %d distinct maps: no push shared its version's snapshot", len(sent), len(maps))
+	if len(sets) >= len(sent) {
+		t.Fatalf("%d pushes shipped %d distinct sets: no push shared its version's snapshot", len(sent), len(sets))
 	}
 	fabricated := false
-	for id := range w.Proc(1).Behavior().(*echoWaveBehavior).known {
-		fabricated = fabricated || id >= fabricatedBase
+	for _, c := range w.Proc(1).Behavior().(*echoWaveBehavior).known {
+		fabricated = fabricated || c.ID >= fabricatedBase
 	}
 	if !fabricated {
 		t.Fatal("no corrupted copy reached the querier: the tamper path went unexercised")
@@ -81,5 +83,34 @@ func TestEchoPayloadAccountingUnchanged(t *testing.T) {
 			t.Errorf("n=%d: PayloadEntries %d, MaxPayload %d; want %d, %d",
 				c.n, echo.PayloadEntries(), echo.MaxPayload(), c.entries, c.maxes)
 		}
+	}
+}
+
+// TestIDSetMatchesMap: an echo-wave entity's membership test answers as
+// a map would, over dense small IDs, the fabricated range, IDs past the
+// bitset and negative ones.
+func TestIDSetMatchesMap(t *testing.T) {
+	r := rng.New(5)
+	var s idSet
+	ref := map[graph.NodeID]bool{}
+	for i := 0; i < 5000; i++ {
+		var id graph.NodeID
+		switch r.Intn(4) {
+		case 0:
+			id = graph.NodeID(r.Intn(200))
+		case 1:
+			id = graph.NodeID(fabricatedBase + r.Intn(1000))
+		case 2:
+			id = graph.NodeID(idSetBits - 100 + r.Intn(200))
+		default:
+			id = -graph.NodeID(r.Intn(200)) - 1
+		}
+		if got, want := s.add(id), !ref[id]; got != want {
+			t.Fatalf("add(%d) = %v after %d inserts, want %v", id, got, i, want)
+		}
+		ref[id] = true
+	}
+	if len(s.rest) == 0 || len(s.bits) == 0 {
+		t.Fatalf("bitset of %d words, %d IDs in the fallback map: a path went unexercised", len(s.bits), len(s.rest))
 	}
 }

@@ -9,7 +9,7 @@ package otq
 // identical corruption.
 //
 // The perturbations are chosen to attack exactly what the OTQ checker
-// judges: contribution maps gain a fabricated entity (an ID no real run
+// judges: contribution sets gain a fabricated entity (an ID no real run
 // allocates) and a corrupted value for one existing entity (WrongValue);
 // gossip messages inflate their mass (wrong average); sketches absorb
 // phantom items (inflated count); flood queries lose TTL (coverage).
@@ -21,8 +21,9 @@ package otq
 // whose phantom items all hit already-set bits pass as honest.
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -34,38 +35,38 @@ import (
 // attribute such contributors to fabrication rather than churn.
 const fabricatedBase = 9000
 
-// tamperContrib perturbs a contribution map: one existing entity's value
-// is shifted and one fabricated contributor is added. Keys are visited in
-// sorted order so the victim choice is deterministic.
-func tamperContrib(m map[graph.NodeID]float64, r *rng.Rand) map[graph.NodeID]float64 {
-	out := make(map[graph.NodeID]float64, len(m)+1)
-	for k, v := range m {
-		out[k] = v
-	}
+// tamperContrib perturbs a contribution set into a new one: one existing
+// entity's value is shifted and one fabricated contributor is added (or,
+// if its ID is already there, overwritten). The victim is drawn from the
+// entries sorted by ID so the choice is deterministic.
+func tamperContrib(s []contrib, r *rng.Rand) []contrib {
+	out := make([]contrib, len(s), len(s)+1)
+	copy(out, s)
+	byID := func(c contrib, id graph.NodeID) int { return cmp.Compare(c.ID, id) }
+	slices.SortFunc(out, func(a, b contrib) int { return byID(a, b.ID) })
 	if len(out) > 0 {
-		ids := make([]graph.NodeID, 0, len(out))
-		for k := range out {
-			ids = append(ids, k)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		victim := ids[r.Intn(len(ids))]
-		out[victim] += 100 + float64(r.Intn(900))
+		victim := r.Intn(len(out))
+		out[victim].V += 100 + float64(r.Intn(900))
 	}
 	fake := graph.NodeID(fabricatedBase + r.Intn(1000))
-	out[fake] = float64(fake)
+	if i, ok := slices.BinarySearchFunc(out, fake, byID); ok {
+		out[i].V = float64(fake)
+	} else {
+		out = append(out, contrib{fake, float64(fake)})
+	}
 	return out
 }
 
-// digestContrib folds a contribution map into a running fingerprint
+// digestContrib folds a contribution set into a running fingerprint
 // order-independently: the entry count, then the sum of one mixed word
-// per (id, value) entry. Insertion order cannot matter, and nil and empty
-// maps digest alike (fmt printed both as map[]).
-func digestContrib(h uint64, m map[graph.NodeID]float64) uint64 {
+// per (id, value) entry. Entry order cannot matter, and nil and empty
+// sets digest alike (fmt printed both maps they replaced as map[]).
+func digestContrib(h uint64, s []contrib) uint64 {
 	var sum uint64
-	for k, v := range m {
-		sum += rng.Mix64(rng.Mix64(uint64(k)) + math.Float64bits(v))
+	for _, c := range s {
+		sum += rng.Mix64(rng.Mix64(uint64(c.ID)) + math.Float64bits(c.V))
 	}
-	return rng.Mix64(rng.Mix64(h^uint64(len(m))) ^ sum)
+	return rng.Mix64(rng.Mix64(h^uint64(len(s))) ^ sum)
 }
 
 // Per-type fingerprint seeds: arbitrary distinct constants that keep
@@ -79,7 +80,7 @@ const (
 )
 
 // Fingerprint implements node.Fingerprinter.
-func (m echoSetMsg) Fingerprint() uint64 { return digestContrib(fpEchoSet, m.Contrib) }
+func (m echoSetMsg) Fingerprint() uint64 { return digestContrib(fpEchoSet, m.set()) }
 
 // Fingerprint implements node.Fingerprinter.
 func (m treeEchoMsg) Fingerprint() uint64 { return digestContrib(fpTreeEcho, m.Contrib) }
@@ -102,7 +103,8 @@ func (m gossipMsg) Fingerprint() uint64 {
 
 // Tamper implements node.Tamperable.
 func (m echoSetMsg) Tamper(r *rng.Rand) any {
-	return echoSetMsg{Contrib: tamperContrib(m.Contrib, r)}
+	out := tamperContrib(m.set(), r)
+	return echoSetMsg{Contrib: &out}
 }
 
 // Tamper implements node.Tamperable.

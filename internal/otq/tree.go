@@ -13,7 +13,7 @@ const (
 )
 
 type treeEchoMsg struct {
-	Contrib map[graph.NodeID]float64
+	Contrib []contrib
 }
 
 // TreeEcho is the textbook echo algorithm (propagation of information
@@ -112,8 +112,8 @@ func (b *treeEchoBehavior) onEcho(p *node.Proc, from graph.NodeID, msg treeEchoM
 		return // stray echo (e.g. from a wave I never joined)
 	}
 	delete(b.pending, from)
-	for id, v := range msg.Contrib {
-		b.collected[id] = v
+	for _, c := range msg.Contrib {
+		b.collected[c.ID] = c.V
 	}
 	b.maybeComplete(p)
 }
@@ -128,7 +128,11 @@ func (b *treeEchoBehavior) maybeComplete(p *node.Proc) {
 		b.proto.run.resolve(int64(p.Now()), b.collected)
 		return
 	}
-	p.Send(b.parent, tagTreeEcho, treeEchoMsg{Contrib: copyContrib(b.collected)})
+	echo := make([]contrib, 0, len(b.collected))
+	for id, v := range b.collected {
+		echo = append(echo, contrib{id, v})
+	}
+	p.Send(b.parent, tagTreeEcho, treeEchoMsg{Contrib: echo})
 }
 
 func (b *treeEchoBehavior) scheduleCheck(p *node.Proc) {
