@@ -7,7 +7,7 @@ GO ?= go
 
 # The checked-in micro-benchmark baseline that bench-record writes and
 # bench-check / verify-bench compare against.
-BENCH_BASELINE ?= BENCH_PR29.json
+BENCH_BASELINE ?= BENCH_PR30.json
 # The baseline's names carry no -N GOMAXPROCS suffix (benchrecord keeps the
 # suffix as part of the name), so the benchmarks it is compared with run at
 # -cpu 1 whatever the host has; otherwise every one reads as missing.

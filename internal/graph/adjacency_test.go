@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"sort"
@@ -149,15 +150,16 @@ func (g *refGraph) Components() [][]NodeID {
 // agree fails unless g answers every adjacency query exactly as ref does:
 // per node (and for one absent id) Neighbors, AppendNeighbors onto a
 // non-empty dst, Degree and HasEdge against every id, then NumEdges and
-// Components. BFS, the costly one, is compared from bfsFrom only, or from
-// every id when bfsFrom is negative.
-func agree(t *testing.T, where string, g *Graph, ref *refGraph, ids int, bfsFrom NodeID) {
+// Components. ids lists the ids the changes draw from, then one that is
+// never a node. BFS, the costly one, is compared from ids[bfsFrom] only,
+// or from every id when bfsFrom is negative.
+func agree(t *testing.T, where string, g *Graph, ref *refGraph, ids []NodeID, bfsFrom int) {
 	t.Helper()
 	if got, want := g.Nodes(), ref.Nodes(); !slices.Equal(got, want) {
 		t.Fatalf("%s: Nodes = %v, want %v", where, got, want)
 	}
 	prefix := []NodeID{-7, -3}
-	for v := NodeID(0); v <= NodeID(ids); v++ { // ids itself is never a node
+	for i, v := range ids {
 		want := ref.Neighbors(v)
 		if got := g.Neighbors(v); !slices.Equal(got, want) {
 			t.Fatalf("%s: Neighbors(%d) = %v, want %v", where, v, got, want)
@@ -169,12 +171,12 @@ func agree(t *testing.T, where string, g *Graph, ref *refGraph, ids int, bfsFrom
 		if got, want := g.Degree(v), ref.Degree(v); got != want {
 			t.Fatalf("%s: Degree(%d) = %d, want %d", where, v, got, want)
 		}
-		for u := NodeID(0); u <= NodeID(ids); u++ {
+		for _, u := range ids {
 			if got, want := g.HasEdge(v, u), ref.HasEdge(v, u); got != want {
 				t.Fatalf("%s: HasEdge(%d, %d) = %v, want %v", where, v, u, got, want)
 			}
 		}
-		if bfsFrom < 0 || v == bfsFrom {
+		if bfsFrom < 0 || i == bfsFrom {
 			if got, want := g.BFS(v), ref.BFS(v); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: BFS(%d) = %v, want %v", where, v, got, want)
 			}
@@ -196,44 +198,54 @@ func agree(t *testing.T, where string, g *Graph, ref *refGraph, ids int, bfsFrom
 // flags compared — and requires them to agree after every one, BFS from
 // one id in turn. Every tenth step BFS must agree from every id, and a
 // Clone must agree too and stay independent: changing the clone leaves
-// the original as it was.
+// the original as it was. Even seeds draw ids 0..n-1; odd seeds draw
+// them from spreadIDs, across the adjacency table's page boundaries and
+// its map fallback.
 func TestAdjacencyMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 300; seed++ {
 		r := rng.New(seed)
-		ids := 2 + int(seed%39)
+		n := 2 + int(seed%39)
+		ids := make([]NodeID, n+1) // ids[n] is never a node
+		for i := range ids {
+			ids[i] = NodeID(i)
+			if seed%2 == 1 {
+				ids[i] = spreadIDs[i]
+			}
+		}
+		id := func() NodeID { return ids[r.Intn(n)] }
 		g, ref := New(), newRef()
 		for step := 0; step < 200; step++ {
 			switch r.Intn(10) {
 			case 0:
-				v := NodeID(r.Intn(ids))
+				v := id()
 				g.AddNode(v)
 				ref.AddNode(v)
 			case 1:
-				v := NodeID(r.Intn(ids))
+				v := id()
 				g.RemoveNode(v)
 				ref.RemoveNode(v)
 			case 2, 3, 4, 5:
-				if u, v := NodeID(r.Intn(ids)), NodeID(r.Intn(ids)); u != v {
+				if u, v := id(), id(); u != v {
 					g.AddEdge(u, v)
 					ref.AddEdge(u, v)
 				}
 			case 6, 7:
-				u, v := NodeID(r.Intn(ids)), NodeID(r.Intn(ids))
+				u, v := id(), id()
 				g.RemoveEdge(u, v)
 				ref.RemoveEdge(u, v)
 			case 8:
-				u, v := NodeID(r.Intn(ids)), NodeID(r.Intn(ids))
+				u, v := id(), id()
 				if got, want := g.Link(u, v), ref.Link(u, v); got != want {
 					t.Fatalf("seed %d step %d: Link(%d, %d) = %v, want %v", seed, step, u, v, got, want)
 				}
 			case 9:
-				u, v := NodeID(r.Intn(ids)), NodeID(r.Intn(ids))
+				u, v := id(), id()
 				if got, want := g.Unlink(u, v), ref.Unlink(u, v); got != want {
 					t.Fatalf("seed %d step %d: Unlink(%d, %d) = %v, want %v", seed, step, u, v, got, want)
 				}
 			}
 			if step%10 != 0 {
-				agree(t, "graph", g, ref, ids, NodeID(step%(ids+1)))
+				agree(t, "graph", g, ref, ids, step%(n+1))
 				continue
 			}
 			agree(t, "graph", g, ref, ids, -1)
@@ -242,8 +254,20 @@ func TestAdjacencyMatchesReference(t *testing.T) {
 			for _, v := range c.Nodes() {
 				c.RemoveNode(v)
 			}
-			c.AddEdge(0, 1)
+			c.AddEdge(ids[0], ids[1])
 			agree(t, "original after changing its clone", g, ref, ids, 0)
 		}
 	}
+}
+
+// spreadIDs holds 41 distinct ids on both sides of the adjacency table's
+// page boundaries and of its map fallback (negative ids, and 2^31 and
+// above), the extremes included.
+var spreadIDs = []NodeID{
+	0, 1, pageSize - 1, pageSize, pageSize + 1, 2*pageSize - 1, 2 * pageSize, 5*pageSize + 7,
+	-1, -2, -pageSize, math.MinInt64, math.MinInt64 + 1,
+	denseIDs - 1, denseIDs - 2, denseIDs - pageSize, denseIDs, denseIDs + 1, denseIDs + pageSize,
+	math.MaxInt64, math.MaxInt64 - 1, math.MaxInt32 + 2, 1 << 40,
+	2, 3, 511, 512, 1000, 1500, 2047, 3000, 3071, 3072, 4095, 4096, 9999,
+	-3, -1000, -1 << 31, -1 << 40, math.MaxInt64 - pageSize,
 }

@@ -31,7 +31,7 @@ func (g *Graph) view() *dense {
 	d.off, d.nbr = d.off[:0], d.nbr[:0]
 	for _, v := range d.ids {
 		d.off = append(d.off, int32(len(d.nbr)))
-		for _, u := range g.adj[v] {
+		for _, u := range g.nbrs(v) {
 			d.nbr = append(d.nbr, d.index(u))
 		}
 	}

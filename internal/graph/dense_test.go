@@ -11,16 +11,16 @@ import (
 // (as functions of the graph) as the reference it must agree with.
 
 func refConnected(g *Graph) bool {
-	if len(g.adj) <= 1 {
+	if g.adj.Len() <= 1 {
 		return true
 	}
 	src := g.Nodes()[0]
-	return len(g.BFS(src)) == len(g.adj)
+	return len(g.BFS(src)) == g.adj.Len()
 }
 
 func refEccentricity(g *Graph, v NodeID) (int, bool) {
 	dist := g.BFS(v)
-	if len(dist) != len(g.adj) || len(dist) == 0 {
+	if len(dist) != g.adj.Len() || len(dist) == 0 {
 		return 0, false
 	}
 	ecc := 0
@@ -33,7 +33,7 @@ func refEccentricity(g *Graph, v NodeID) (int, bool) {
 }
 
 func refDiameter(g *Graph) (int, bool) {
-	if len(g.adj) == 0 {
+	if g.adj.Len() == 0 {
 		return 0, false
 	}
 	diam := 0

@@ -29,8 +29,9 @@ type NodeID int64
 type Graph struct {
 	// adj maps every node to its neighbours, ascending: a membership test
 	// is a binary search, and every walk of a node's neighbourhood —
-	// Neighbors, the dense view, BFS — is in ID order without a sort.
-	adj map[NodeID][]NodeID
+	// Neighbors, the dense view, BFS — is in ID order without a sort. It is
+	// a Table, so finding a node's list indexes a page instead of hashing.
+	adj Table[[]NodeID]
 	// sorted is the ascending node list, built by the first call that
 	// reads it (nodeCache) and from then on kept current by binary-search
 	// insert and delete: overlays read it on every join, so a membership
@@ -43,14 +44,14 @@ type Graph struct {
 }
 
 // New returns an empty graph.
-func New() *Graph { return &Graph{adj: make(map[NodeID][]NodeID)} }
+func New() *Graph { return &Graph{} }
 
 // AddNode inserts an isolated node. Adding an existing node is a no-op.
 func (g *Graph) AddNode(v NodeID) {
-	if _, ok := g.adj[v]; !ok {
+	if g.adj.Ref(v) == nil {
 		// Room for a typical overlay degree, so a joiner's first links
 		// do not regrow the list one by one.
-		g.adj[v] = make([]NodeID, 0, 4)
+		g.adj.Set(v, make([]NodeID, 0, 4))
 		if g.sortedValid {
 			i, _ := slices.BinarySearch(g.sorted, v)
 			g.sorted = slices.Insert(g.sorted, i, v)
@@ -61,13 +62,15 @@ func (g *Graph) AddNode(v NodeID) {
 // RemoveNode deletes a node and all incident edges. Removing an absent
 // node is a no-op.
 func (g *Graph) RemoveNode(v NodeID) {
-	if _, ok := g.adj[v]; !ok {
+	nv := g.adj.Ref(v)
+	if nv == nil {
 		return
 	}
-	for _, u := range g.adj[v] {
-		g.adj[u] = remove(g.adj[u], v)
+	for _, u := range *nv {
+		nu := g.adj.Ref(u)
+		*nu = remove(*nu, v)
 	}
-	delete(g.adj, v)
+	g.adj.Delete(v)
 	if g.sortedValid {
 		i, _ := slices.BinarySearch(g.sorted, v)
 		g.sorted = slices.Delete(g.sorted, i, i+1)
@@ -83,17 +86,18 @@ func (g *Graph) AddEdge(u, v NodeID) {
 	}
 	g.AddNode(u)
 	g.AddNode(v)
-	g.adj[u] = insert(g.adj[u], v)
-	g.adj[v] = insert(g.adj[v], u)
+	nu, nv := g.adj.Ref(u), g.adj.Ref(v)
+	*nu = insert(*nu, v)
+	*nv = insert(*nv, u)
 }
 
 // RemoveEdge deletes the undirected edge {u, v} if present.
 func (g *Graph) RemoveEdge(u, v NodeID) {
-	if nbrs, ok := g.adj[u]; ok {
-		g.adj[u] = remove(nbrs, v)
+	if nu := g.adj.Ref(u); nu != nil {
+		*nu = remove(*nu, v)
 	}
-	if nbrs, ok := g.adj[v]; ok {
-		g.adj[v] = remove(nbrs, u)
+	if nv := g.adj.Ref(v); nv != nil {
+		*nv = remove(*nv, u)
 	}
 }
 
@@ -104,36 +108,35 @@ func (g *Graph) Link(u, v NodeID) bool {
 	if u == v {
 		return false
 	}
-	nu, ok := g.adj[u]
-	if !ok {
+	nu, nv := g.adj.Ref(u), g.adj.Ref(v)
+	if nu == nil || nv == nil {
 		return false
 	}
-	nv, ok := g.adj[v]
-	if !ok {
-		return false
-	}
-	i, found := slices.BinarySearch(nu, v)
+	i, found := slices.BinarySearch(*nu, v)
 	if found {
 		return false
 	}
-	j, _ := slices.BinarySearch(nv, u)
-	g.adj[u] = slices.Insert(nu, i, v)
-	g.adj[v] = slices.Insert(nv, j, u)
+	j, _ := slices.BinarySearch(*nv, u)
+	*nu = slices.Insert(*nu, i, v)
+	*nv = slices.Insert(*nv, j, u)
 	return true
 }
 
 // Unlink deletes the edge {u, v} and reports whether it was present,
 // looking each adjacency list up once.
 func (g *Graph) Unlink(u, v NodeID) bool {
-	nu := g.adj[u]
-	i, found := slices.BinarySearch(nu, v)
+	nu := g.adj.Ref(u)
+	if nu == nil {
+		return false
+	}
+	i, found := slices.BinarySearch(*nu, v)
 	if !found {
 		return false
 	}
-	nv := g.adj[v]
-	j, _ := slices.BinarySearch(nv, u)
-	g.adj[u] = slices.Delete(nu, i, i+1)
-	g.adj[v] = slices.Delete(nv, j, j+1)
+	nv := g.adj.Ref(v)
+	j, _ := slices.BinarySearch(*nv, u)
+	*nu = slices.Delete(*nu, i, i+1)
+	*nv = slices.Delete(*nv, j, j+1)
 	return true
 }
 
@@ -156,36 +159,40 @@ func remove(nbrs []NodeID, v NodeID) []NodeID {
 }
 
 // HasNode reports whether v is in the graph.
-func (g *Graph) HasNode(v NodeID) bool {
-	_, ok := g.adj[v]
-	return ok
-}
+func (g *Graph) HasNode(v NodeID) bool { return g.adj.Ref(v) != nil }
 
 // HasEdge reports whether the undirected edge {u, v} is in the graph.
 func (g *Graph) HasEdge(u, v NodeID) bool {
-	_, found := slices.BinarySearch(g.adj[u], v)
+	_, found := slices.BinarySearch(g.nbrs(u), v)
 	return found
 }
 
+// nbrs returns v's ascending neighbour list (nil if v is absent), shared:
+// callers must not modify it.
+func (g *Graph) nbrs(v NodeID) []NodeID {
+	if nv := g.adj.Ref(v); nv != nil {
+		return *nv
+	}
+	return nil
+}
+
 // NumNodes returns the number of nodes.
-func (g *Graph) NumNodes() int { return len(g.adj) }
+func (g *Graph) NumNodes() int { return g.adj.Len() }
 
 // NumEdges returns the number of undirected edges.
 func (g *Graph) NumEdges() int {
 	total := 0
-	for _, nbrs := range g.adj {
-		total += len(nbrs)
-	}
+	g.adj.Each(func(_ NodeID, nbrs []NodeID) { total += len(nbrs) })
 	return total / 2
 }
 
 // Degree returns the number of neighbors of v (0 if absent).
-func (g *Graph) Degree(v NodeID) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v NodeID) int { return len(g.nbrs(v)) }
 
 // Nodes returns all node IDs in ascending order. The caller owns the
 // returned slice.
 func (g *Graph) Nodes() []NodeID {
-	return g.AppendNodes(make([]NodeID, 0, len(g.adj)))
+	return g.AppendNodes(make([]NodeID, 0, g.adj.Len()))
 }
 
 // AppendNodes appends all node IDs in ascending order to dst and returns
@@ -214,9 +221,7 @@ func (g *Graph) AppendNodesExcept(dst []NodeID, x NodeID) []NodeID {
 func (g *Graph) nodeCache() []NodeID {
 	if !g.sortedValid {
 		g.sorted = g.sorted[:0]
-		for v := range g.adj {
-			g.sorted = append(g.sorted, v)
-		}
+		g.adj.Each(func(v NodeID, _ []NodeID) { g.sorted = append(g.sorted, v) })
 		slices.Sort(g.sorted)
 		g.sortedValid = true
 	}
@@ -226,22 +231,20 @@ func (g *Graph) nodeCache() []NodeID {
 // Neighbors returns the neighbors of v in ascending order. The caller
 // owns the returned slice.
 func (g *Graph) Neighbors(v NodeID) []NodeID {
-	return g.AppendNeighbors(make([]NodeID, 0, len(g.adj[v])), v)
+	return g.AppendNeighbors(make([]NodeID, 0, g.Degree(v)), v)
 }
 
 // AppendNeighbors appends the neighbors of v in ascending order to dst and
 // returns the extended slice, so a hot caller can reuse one buffer across
 // calls. The caller owns the result.
 func (g *Graph) AppendNeighbors(dst []NodeID, v NodeID) []NodeID {
-	return append(dst, g.adj[v]...)
+	return append(dst, g.nbrs(v)...)
 }
 
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{adj: make(map[NodeID][]NodeID, len(g.adj))}
-	for v, nbrs := range g.adj {
-		c.adj[v] = slices.Clone(nbrs)
-	}
+	c := New()
+	g.adj.Each(func(v NodeID, nbrs []NodeID) { c.adj.Set(v, slices.Clone(nbrs)) })
 	return c
 }
 
@@ -257,7 +260,7 @@ func (g *Graph) BFS(src NodeID) map[NodeID]int {
 	for len(frontier) > 0 {
 		var next []NodeID
 		for _, v := range frontier {
-			for _, u := range g.adj[v] {
+			for _, u := range g.nbrs(v) {
 				if _, seen := dist[u]; !seen {
 					dist[u] = dist[v] + 1
 					next = append(next, u)
@@ -272,11 +275,11 @@ func (g *Graph) BFS(src NodeID) map[NodeID]int {
 // Connected reports whether the graph is connected. The empty graph and
 // singletons are connected by convention.
 func (g *Graph) Connected() bool {
-	if len(g.adj) <= 1 {
+	if g.adj.Len() <= 1 {
 		return true
 	}
 	_, reached := g.view().bfs(0)
-	return reached == len(g.adj)
+	return reached == g.adj.Len()
 }
 
 // Components returns the connected components, each sorted ascending,
@@ -307,7 +310,7 @@ func (g *Graph) Eccentricity(v NodeID) (int, bool) {
 	}
 	d := g.view()
 	ecc, reached := d.bfs(d.index(v))
-	if reached != len(g.adj) {
+	if reached != g.adj.Len() {
 		return 0, false
 	}
 	return int(ecc), true
@@ -325,7 +328,7 @@ func (g *Graph) Diameter() (int, bool) { return g.DiameterAbove(0) }
 // snapshot whose eccentricities provably do not exceed it costs as few as
 // one BFS run.
 func (g *Graph) DiameterAbove(floor int) (int, bool) {
-	if len(g.adj) == 0 {
+	if g.adj.Len() == 0 {
 		return 0, false
 	}
 	return g.view().diameterAbove(floor)

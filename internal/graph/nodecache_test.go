@@ -8,12 +8,10 @@ import (
 )
 
 // sortedKeys is the node set computed from scratch, independent of the
-// cache: the adjacency map's keys, ascending.
+// cache: the adjacency table's keys, ascending.
 func sortedKeys(g *Graph) []NodeID {
-	out := make([]NodeID, 0, len(g.adj))
-	for v := range g.adj {
-		out = append(out, v)
-	}
+	out := make([]NodeID, 0, g.adj.Len())
+	g.adj.Each(func(v NodeID, _ []NodeID) { out = append(out, v) })
 	slices.Sort(out)
 	return out
 }
@@ -51,7 +49,7 @@ func TestNodeCacheMatchesSortedKeys(t *testing.T) {
 					g.AddEdge(u, v)
 				}
 			case 6:
-				if len(g.adj) > 0 {
+				if g.adj.Len() > 0 {
 					ids := sortedKeys(g)
 					g.RemoveNode(ids[r.Intn(len(ids))])
 				}

@@ -197,9 +197,7 @@ func (tg *Temporal) EarliestArrival(src NodeID, start, end int64) map[NodeID]int
 func (tg *Temporal) ReachabilityFraction(start, end int64) float64 {
 	present := make(map[NodeID]bool)
 	tg.Replay(start, end, func(_ int64, g *Graph) {
-		for v := range g.adj {
-			present[v] = true
-		}
+		g.adj.Each(func(v NodeID, _ []NodeID) { present[v] = true })
 	})
 	if len(present) == 0 {
 		return 0

@@ -1002,7 +1002,7 @@ func fireHeldDelivery(arg any) {
 	env.m = Message{}
 	w.envFree = append(w.envFree, env)
 	now := int64(w.Engine.Now())
-	q, ok := w.procs[m.To]
+	q, ok := w.procs.Get(m.To)
 	if !ok {
 		w.Trace.Drop(now, m.From, m.To, m.Tag)
 		return

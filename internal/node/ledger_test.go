@@ -165,11 +165,11 @@ func TestSublayerRecordsBoundedByTheLiving(t *testing.T) {
 			t.Errorf("durable=%v: %d audit ledgers for %d present entities (+%d retained)", durable, got, present, kept)
 		}
 		held := 0
-		for _, p := range w.procs {
+		w.procs.Each(func(_ graph.NodeID, p *Proc) {
 			if p.reconf != nil {
 				held++
 			}
-		}
+		})
 		if held != present {
 			t.Errorf("durable=%v: %d reconfig records for %d present entities", durable, held, present)
 		}

@@ -285,7 +285,7 @@ type World struct {
 	cfg     Config
 	r       *rng.Rand
 	factory BehaviorFactory
-	procs   map[graph.NodeID]*Proc
+	procs   graph.Table[*Proc]
 	// envFree is the in-flight delivery envelope pool. Delivery events
 	// are never canceled, so an envelope is always handed back exactly
 	// once, at the top of its firing; the world is single-threaded, so a
@@ -352,7 +352,6 @@ func NewWorld(engine *sim.Engine, overlay topology.Overlay, factory BehaviorFact
 		cfg:     cfg,
 		r:       rng.New(cfg.Seed),
 		factory: factory,
-		procs:   make(map[graph.NodeID]*Proc),
 		store:   cfg.Store,
 		seen:    make(map[graph.NodeID]bool),
 	}
@@ -388,7 +387,10 @@ func (w *World) SetChannelHook(h ChannelHook) { w.hook = h }
 func (w *World) SetSenderHook(h SenderHook) { w.sendHook = h }
 
 // Proc returns the running entity with the given ID, or nil if absent.
-func (w *World) Proc(id graph.NodeID) *Proc { return w.procs[id] }
+func (w *World) Proc(id graph.NodeID) *Proc {
+	p, _ := w.procs.Get(id)
+	return p
+}
 
 // Present returns the IDs of currently present entities, ascending.
 func (w *World) Present() []graph.NodeID { return w.Overlay.Graph().Nodes() }
@@ -412,7 +414,7 @@ func (w *World) Turnover() (joins, leaves int) { return w.turnJoins, w.turnLeave
 // space, so verdicts stick and honest churners are not misread as
 // replay attackers.
 func (w *World) Join(id graph.NodeID) *Proc {
-	if _, ok := w.procs[id]; ok {
+	if w.Proc(id) != nil {
 		panic(fmt.Sprintf("node: entity %d joined twice", id))
 	}
 	now := int64(w.Engine.Now())
@@ -453,7 +455,7 @@ func (w *World) bringUp(id graph.NodeID, start func(p *Proc)) *Proc {
 		behavior: w.factory(id),
 		alive:    true,
 	}
-	w.procs[id] = p
+	w.procs.Set(id, p)
 	if w.rel != nil {
 		p.rel = w.rel.sender(id)
 	}
@@ -490,7 +492,7 @@ func (w *World) tearDown(p *Proc, now core.Time) {
 	}
 	p.timers = nil
 	p.alive = false
-	delete(w.procs, p.ID)
+	w.procs.Delete(p.ID)
 	if w.pex != nil {
 		w.pex.onLeave(w, p.ID)
 	}
@@ -500,12 +502,20 @@ func (w *World) tearDown(p *Proc, now core.Time) {
 // messages to it will be dropped on arrival. Leaving twice is a no-op
 // (the entity may have been removed by churn already).
 func (w *World) Leave(id graph.NodeID) {
-	p, ok := w.procs[id]
-	if !ok {
+	p := w.Proc(id)
+	if p == nil {
 		return
 	}
 	now := int64(w.Engine.Now())
-	w.recordChanges(now, w.Overlay.RemoveNode(id))
+	chs := w.Overlay.RemoveNode(id)
+	w.recordChanges(now, chs)
+	if w.pex != nil {
+		for _, c := range chs {
+			if !c.Up {
+				w.pex.unlinked(c.U, c.V)
+			}
+		}
+	}
 	w.tearDown(p, now)
 	if w.auth != nil {
 		// The departing entity's durability is that of ITS current epoch.
@@ -546,8 +556,8 @@ func (w *World) Leave(id graph.NodeID) {
 // windows and read as replays), and losing the quarantine ledger would
 // restart parole clocks from zero on recovery.
 func (w *World) Crash(id graph.NodeID) {
-	p, ok := w.procs[id]
-	if !ok {
+	p := w.Proc(id)
+	if p == nil {
 		return
 	}
 	snap := durableSnapshot{}
@@ -581,7 +591,7 @@ func (w *World) Crash(id graph.NodeID) {
 // are themselves still crashed are re-announced when those peers recover.
 // Recovering a present entity panics; use it only after Crash.
 func (w *World) Recover(id graph.NodeID) *Proc {
-	if _, ok := w.procs[id]; ok {
+	if w.Proc(id) != nil {
 		panic(fmt.Sprintf("node: entity %d recovered while present", id))
 	}
 	now := int64(w.Engine.Now())
@@ -597,7 +607,7 @@ func (w *World) Recover(id graph.NodeID) *Proc {
 		// temporal view while its edges stayed in the overlay; re-announce
 		// the live ones so the recorded graph matches reality again.
 		for _, u := range w.Overlay.Graph().Neighbors(id) {
-			if _, live := w.procs[u]; live {
+			if w.Proc(u) != nil {
 				w.Trace.EdgeUp(now, id, u)
 			}
 		}
@@ -644,13 +654,19 @@ func (w *World) recordChanges(now core.Time, chs []topology.Change) {
 // control (topology.LinkController) — the hook experiment scripts use to
 // stage partitions. It panics if the overlay does not support it.
 func (w *World) SetLink(u, v graph.NodeID, up bool) {
-	if w.flipLink(u, v, up) && up && w.pex != nil {
+	if !w.flipLink(u, v, up) || w.pex == nil {
+		return
+	}
+	if up {
 		// An edge placed from outside the views may be one no view wants.
 		w.pex.touch(u, v)
+	} else {
+		// One cut from outside may be one a view still wants.
+		w.pex.unlinked(u, v)
 	}
 }
 
-// flipLink is SetLink without the pex sublayer's dirty marks, for the
+// flipLink is SetLink without the pex sublayer's marks, for the
 // reconciler's own flips. It reports whether the edge flipped.
 func (w *World) flipLink(u, v graph.NodeID, up bool) bool {
 	lc, ok := w.Overlay.(topology.LinkController)
@@ -867,7 +883,7 @@ func fireDelivery(arg any) {
 // which the model counts as channel loss.
 func (w *World) deliver(m Message) {
 	now := int64(w.Engine.Now())
-	q, ok := w.procs[m.To]
+	q, ok := w.procs.Get(m.To)
 	if !ok {
 		w.Trace.Drop(now, m.From, m.To, m.Tag)
 		return

@@ -94,3 +94,44 @@ func TestPexExchangeAllocations(t *testing.T) {
 			perCadence, msgsPer, want, rejoinAllocs)
 	}
 }
+
+// BenchmarkPexChurn times one cadence of a 1 000-entity pushpull pex world
+// (ring-seeded, count-only trace, pex-churn's shape at a quarter of its
+// size) under rejoining churn: before each cadence, ten entities leave and
+// ten that left five cadences ago rejoin. Reconcile, merge, the exchange
+// codec and the entity and adjacency lookups on the exchange path all run
+// in it, so the allocation gate watches them.
+func BenchmarkPexChurn(b *testing.B) {
+	const n, batch, away = 1000, 10, 5
+	e := sim.New()
+	w := NewWorld(e, topology.NewManual(), nil, Config{
+		Seed: 1, MinLatency: 1, MaxLatency: 2,
+		Pex: pex.Config{Enabled: true, Policy: pex.PolicyPushPull, SampleEvery: 1 << 20},
+	})
+	w.Trace.SetCountOnly(true)
+	for i := 1; i <= n; i++ {
+		w.Join(graph.NodeID(i))
+	}
+	w.PexSeedViews(topology.BuildRing(n))
+	k := 0
+	cadence := func() {
+		for i := 0; i < batch; i++ {
+			k++
+			if id := graph.NodeID(1 + k%n); w.Proc(id) != nil {
+				w.Leave(id)
+			}
+			if back := graph.NodeID(1 + (k+n-away*batch)%n); w.Proc(back) == nil {
+				w.Join(back)
+			}
+		}
+		e.RunUntil(e.Now() + w.pex.cfg.Cadence)
+	}
+	for i := 0; i < 2*n/batch; i++ { // every entity has left and rejoined twice
+		cadence()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cadence()
+	}
+}

@@ -16,7 +16,7 @@ import (
 // edge {a, b} is wanted while neither side has blocked the other and b is
 // in a's view or a in b's.
 func pexWanted(px *pexLayer, a, b graph.NodeID) bool {
-	if pp := px.peers[a]; pp != nil && pp.blocked[b] != 0 {
+	if pp := px.find(a); pp != nil && pp.blocked[b] != 0 {
 		return false
 	}
 	if v := px.viewOf(a); v != nil && v.Contains(b) {
@@ -33,7 +33,7 @@ func pexWanted(px *pexLayer, a, b graph.NodeID) bool {
 func dirtyGap(w *World) string {
 	g := w.Overlay.Graph()
 	for _, id := range running(w) {
-		pp := w.pex.peers[id]
+		pp := w.pex.find(id)
 		for _, u := range g.Neighbors(id) {
 			if !pexWanted(w.pex, id, u) && !slices.Contains(pp.dirty, u) {
 				return fmt.Sprintf("edge {%d, %d} is unwanted but %d is not on %d's dirty list %v",
@@ -44,15 +44,35 @@ func dirtyGap(w *World) string {
 	return ""
 }
 
+// pendingGap returns the first unblocked view member of a running entity
+// that has no edge to it and is missing from its pending list, described,
+// or "" when every such member is listed — the invariant that lets
+// reconcile link from the pending list alone and still bring up every
+// link a walk of the whole view would.
+func pendingGap(w *World) string {
+	g := w.Overlay.Graph()
+	for _, id := range running(w) {
+		pp := w.pex.find(id)
+		for _, e := range pp.view.Entries() {
+			u := e.Rec.ID
+			if pp.blocked[u] == 0 && !g.HasEdge(id, u) && !slices.Contains(pp.pending, u) {
+				return fmt.Sprintf("%d is an unblocked, unlinked member of %d's view but not on its pending list %v",
+					u, id, pp.pending)
+			}
+		}
+	}
+	return ""
+}
+
 // running returns the entities running now, ascending: the overlay's
 // nodes less the crashed ones, whose edges outlive them.
 func running(w *World) []graph.NodeID {
-	return slices.DeleteFunc(w.Present(), func(id graph.NodeID) bool { return w.procs[id] == nil })
+	return slices.DeleteFunc(w.Present(), func(id graph.NodeID) bool { return w.Proc(id) == nil })
 }
 
 // dirtyDriver scripts a small pex world one operation at a time and
-// checks the dirty-list invariant after each one, and after every tick
-// of the time it lets pass. Operands pick among the present (or crashed,
+// checks the dirty-list and pending-list invariants after each one, and
+// after every tick of the time it lets pass. Operands pick among the present (or crashed,
 // or blacklisted) entities by index, so any byte is a valid operand.
 type dirtyDriver struct {
 	t       testing.TB
@@ -79,8 +99,10 @@ func newDirtyDriver(t testing.TB, cfg Config, n int) *dirtyDriver {
 
 func (d *dirtyDriver) check(what string) {
 	d.t.Helper()
-	if gap := dirtyGap(d.w); gap != "" {
-		d.t.Fatalf("%s, %s at t=%d: %s", d.where, what, d.e.Now(), gap)
+	for _, gap := range []string{dirtyGap(d.w), pendingGap(d.w)} {
+		if gap != "" {
+			d.t.Fatalf("%s, %s at t=%d: %s", d.where, what, d.e.Now(), gap)
+		}
 	}
 }
 
@@ -209,7 +231,8 @@ func dirtyConfig(seed uint64, policy pex.Policy, view, contacts, maxHop int, def
 // old links back by direct link control, quarantines, pardons, external
 // links and unlinks and mid-run reseeding. After every operation and
 // every tick, each unwanted edge of a present entity must be on that
-// entity's dirty list.
+// entity's dirty list, and each unblocked view member it has no edge to
+// on its pending list.
 func TestReconcileDirtyCoversUnwanted(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		for _, policy := range dirtyPolicies {
@@ -235,8 +258,8 @@ func TestReconcileDirtyCoversUnwanted(t *testing.T) {
 // FuzzPexReconcile drives a pex world through a byte-coded script — the
 // first bytes pick policy, view size, bootstrap contacts, hop horizon and
 // defense; every three bytes after that are one operation and its two
-// operands (see dirtyDriver.apply) — and checks the dirty-list invariant
-// after every operation and tick.
+// operands (see dirtyDriver.apply) — and checks the dirty-list and
+// pending-list invariants after every operation and tick.
 func FuzzPexReconcile(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 4, 0, 11, 3, 0, 7, 1, 2, 11, 9, 0})
 	f.Add([]byte{1, 0, 1, 5, 1, 10, 2, 3, 11, 7, 0, 5, 1, 4, 11, 5, 0})

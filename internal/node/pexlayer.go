@@ -146,11 +146,23 @@ type pexPeer struct {
 	// exchange" and the key set is the exclusion list candidate sampling
 	// needs.
 	blocked map[graph.NodeID]uint8
+	pexLists
+}
+
+// pexLists are the two work lists reconcile reads, both with duplicates
+// allowed and kept only while the entity runs; released records hand them
+// on to joiners through pexLayer.spare.
+type pexLists struct {
 	// dirty lists the peers whose edge with this entity may have stopped
-	// being wanted since its last reconcile (see touch), duplicates
-	// allowed. While the entity is present, every unwanted edge it has
-	// lies on the list; reconcile re-examines exactly these and clears it.
+	// being wanted since its last reconcile (see touch). While the entity
+	// is present, every unwanted edge it has lies on the list; reconcile
+	// re-examines exactly these and clears it.
 	dirty []graph.NodeID
+	// pending lists view members this entity may not be linked to (see
+	// unlinked). While the entity is present, every unblocked view member
+	// it has no edge to lies on the list; reconcile links the present ones
+	// and keeps only the absent ones, to link when they return.
+	pending []graph.NodeID
 }
 
 // Directions of a blocked pair, from the record holder's side.
@@ -165,7 +177,7 @@ type pexLayer struct {
 	// peers holds one record per present entity, plus the absent ones
 	// that still carry injection-ledger entries. Running entities reach
 	// theirs through Proc.pex.
-	peers map[graph.NodeID]*pexPeer
+	peers graph.Table[*pexPeer]
 	// idx is the order-statistic index over live entities, maintained by
 	// onJoin/onLeave; bootstrap and refresh sample candidates from it in
 	// O(k log n) instead of scanning the present set.
@@ -180,22 +192,19 @@ type pexLayer struct {
 	// little beyond its wire bytes. Deliveries always go through the
 	// engine, so none of these users is ever re-entered while its buffer
 	// is live.
-	nbrs    []graph.NodeID // reconcile: the entity's neighbours
-	missing []graph.NodeID // reconcile: view members to link
 	excl    []graph.NodeID // candidates: the exclusion list
 	shipBuf []pex.Record   // ship: the outgoing batch, before encoding
 	recvBuf []pex.Record   // onMessage: the decoded incoming batch
 	dropBuf []pex.Record   // round, onQuarantine: records a view let go
-	// spare holds the emptied dirty lists of released records, for the
+	// spare holds the emptied work lists of released records, for the
 	// next joiners' records to reuse.
-	spare [][]graph.NodeID
+	spare []pexLists
 }
 
 func newPexLayer(cfg pex.Config, seed uint64) *pexLayer {
 	return &pexLayer{
 		cfg:         cfg,
 		r:           rng.New(seed ^ 0x9e97c3a5f0e1d2b4),
-		peers:       make(map[graph.NodeID]*pexPeer),
 		idx:         newPresentIndex(),
 		convergedAt: -1,
 	}
@@ -203,17 +212,31 @@ func newPexLayer(cfg pex.Config, seed uint64) *pexLayer {
 
 // peer returns an entity's record, creating it on first use.
 func (px *pexLayer) peer(id graph.NodeID) *pexPeer {
-	pp := px.peers[id]
+	pp := px.find(id)
 	if pp == nil {
 		pp = &pexPeer{}
-		px.peers[id] = pp
+		px.peers.Set(id, pp)
 	}
 	return pp
 }
 
+// find returns an entity's record, or nil if it has none.
+func (px *pexLayer) find(id graph.NodeID) *pexPeer {
+	pp, _ := px.peers.Get(id)
+	return pp
+}
+
+// running returns the record of an entity that is present now, or nil.
+func (px *pexLayer) running(id graph.NodeID) *pexPeer {
+	if pp := px.find(id); pp != nil && pp.view != nil {
+		return pp
+	}
+	return nil
+}
+
 // viewOf returns an entity's current view (nil while it is absent).
 func (px *pexLayer) viewOf(id graph.NodeID) *pex.View {
-	if pp := px.peers[id]; pp != nil {
+	if pp := px.find(id); pp != nil {
 		return pp.view
 	}
 	return nil
@@ -221,7 +244,7 @@ func (px *pexLayer) viewOf(id graph.NodeID) *pex.View {
 
 // blacklisted reports whether by has blacklisted offender's records.
 func (px *pexLayer) blacklisted(by, offender graph.NodeID) bool {
-	pp := px.peers[by]
+	pp := px.find(by)
 	return pp != nil && pp.blocked[offender]&blockedOut != 0
 }
 
@@ -244,11 +267,29 @@ func (px *pexLayer) setBlocked(by, offender graph.NodeID, on bool) {
 // bring it back. An absent end keeps no list: it has no edges (Leave), or
 // gets all of them listed when it recovers (onJoin).
 func (px *pexLayer) touch(a, b graph.NodeID) {
-	if pp := px.peers[a]; pp != nil && pp.view != nil {
+	if pp := px.running(a); pp != nil {
 		pp.dirty = append(pp.dirty, b)
 	}
-	if pp := px.peers[b]; pp != nil && pp.view != nil {
+	if pp := px.running(b); pp != nil {
 		pp.dirty = append(pp.dirty, a)
+	}
+}
+
+// unlinked records that the edge {a, b} is down while either end may
+// still hold the other in its view: each end goes on the other's pending
+// list, for its next reconcile to link. An unblocked view member is
+// without an edge only where a view gains a subject (onMessage lists
+// those itself), where an edge is cut from outside the views — the edges
+// Leave removes, World.SetLink(…, false) — and where a block lifts
+// (pardon). Bootstrap, refresh and PexSeedViews link every subject they
+// add in the same call, and reconcile cuts only edges neither view
+// wants, so none of them needs a mark.
+func (px *pexLayer) unlinked(a, b graph.NodeID) {
+	if pp := px.running(a); pp != nil {
+		pp.pending = append(pp.pending, b)
+	}
+	if pp := px.running(b); pp != nil {
+		pp.pending = append(pp.pending, a)
 	}
 }
 
@@ -272,10 +313,10 @@ func (px *pexLayer) mark(id, peer graph.NodeID, dir uint8, on bool) {
 // release deletes the record of an ABSENT entity once its injection
 // ledger is empty — the record then holds nothing.
 func (px *pexLayer) release(id graph.NodeID) {
-	if pp := px.peers[id]; pp != nil && pp.view == nil && len(pp.strikes) == 0 && len(pp.blocked) == 0 {
-		delete(px.peers, id)
+	if pp := px.find(id); pp != nil && pp.view == nil && len(pp.strikes) == 0 && len(pp.blocked) == 0 {
+		px.peers.Delete(id)
 		if pp.dirty != nil {
-			px.spare = append(px.spare, pp.dirty[:0])
+			px.spare = append(px.spare, pexLists{pp.dirty[:0], pp.pending[:0]})
 		}
 	}
 }
@@ -305,7 +346,7 @@ func (px *pexLayer) candidates(self graph.NodeID, v *pex.View) pexCandidates {
 		}
 	}
 	add(self)
-	if pp := px.peers[self]; pp != nil {
+	if pp := px.find(self); pp != nil {
 		for q := range pp.blocked {
 			add(q)
 		}
@@ -356,9 +397,13 @@ func (px *pexLayer) onJoin(w *World, p *Proc) {
 	}
 	if p.pex.dirty == nil {
 		if k := len(px.spare); k > 0 {
-			p.pex.dirty, px.spare = px.spare[k-1], px.spare[:k-1]
+			p.pex.pexLists, px.spare = px.spare[k-1], px.spare[:k-1]
 		} else {
-			p.pex.dirty = make([]graph.NodeID, 0, 2*px.cfg.ViewSize)
+			// One allocation for both lists; the capacity bound keeps a
+			// growing dirty list off the pending half.
+			k := 2 * px.cfg.ViewSize
+			buf := make([]graph.NodeID, 2*k)
+			p.pex.pexLists = pexLists{dirty: buf[:0:k], pending: buf[k:k]}
 		}
 	}
 	// A recovering entity finds the edges its crash left in the overlay,
@@ -494,7 +539,7 @@ func (px *pexLayer) round(w *World, p *Proc) {
 	px.touchAll(p.ID, px.dropBuf)
 	px.reconcile(w, p.ID, pp)
 	partner, ok := v.SelectPartner(px.r, px.cfg.Policy, func(id graph.NodeID) bool {
-		return w.procs[id] != nil && pp.blocked[id] == 0
+		return w.Proc(id) != nil && pp.blocked[id] == 0
 	})
 	if !ok {
 		px.totals.RoundsIdle++
@@ -522,36 +567,32 @@ func (px *pexLayer) ship(w *World, p *Proc, to graph.NodeID, tag string, pull bo
 // side's view still holds the other (the self-healing: a record decays
 // out of both views, the link follows).
 //
-// The adjacency is read once, before any flip. Links go up in ascending
-// ID order, then links go down in ascending ID order. The second pass
-// visits only the pre-link neighbours on the dirty list, which holds
-// every unwanted one (see touch), so it cuts exactly the edges a walk of
-// all of them would, in the same order. Edges the first pass adds go to
+// Links go up in ascending ID order, then links go down in ascending ID
+// order. The first pass visits only the pending list, which holds every
+// unblocked view member without an edge (see unlinked), and the second
+// only the dirty list, which holds every unwanted neighbour (see touch),
+// so each flips exactly the edges a walk of the whole view, or of every
+// neighbour, would, in the same order. Edges the first pass adds go to
 // view members, so they are wanted and go up unmarked.
 func (px *pexLayer) reconcile(w *World, id graph.NodeID, pp *pexPeer) {
 	v := pp.view
-	nbrs := w.Overlay.Graph().AppendNeighbors(px.nbrs[:0], id)
-	px.nbrs = nbrs
-	missing := px.missing[:0]
-	for _, e := range v.Entries() {
-		u := e.Rec.ID
-		if _, linked := slices.BinarySearch(nbrs, u); !linked && pp.blocked[u] == 0 && w.procs[u] != nil {
-			missing = append(missing, u)
+	g := w.Overlay.Graph()
+	pending := sortedSet(pp.pending)
+	kept := pending[:0]
+	for _, u := range pending {
+		if pp.blocked[u] != 0 || g.HasEdge(id, u) || !v.Contains(u) {
+			continue
 		}
-	}
-	slices.Sort(missing)
-	px.missing = missing
-	for _, u := range missing {
+		if w.Proc(u) == nil {
+			kept = append(kept, u) // linked when it returns
+			continue
+		}
 		w.flipLink(id, u, true)
 		px.totals.Links++
 	}
-	dirty := pp.dirty
-	slices.Sort(dirty)
-	for i, u := range dirty {
-		if i > 0 && u == dirty[i-1] {
-			continue
-		}
-		if _, linked := slices.BinarySearch(nbrs, u); !linked {
+	pp.pending = kept
+	for _, u := range sortedSet(pp.dirty) {
+		if !g.HasEdge(id, u) {
 			continue
 		}
 		if pp.blocked[u] == 0 {
@@ -565,7 +606,14 @@ func (px *pexLayer) reconcile(w *World, id graph.NodeID, pp *pexPeer) {
 		w.flipLink(id, u, false)
 		px.totals.Unlinks++
 	}
-	pp.dirty = dirty[:0]
+	pp.dirty = pp.dirty[:0]
+}
+
+// sortedSet sorts ids in place and returns its distinct elements, a
+// prefix of the same array.
+func sortedSet(ids []graph.NodeID) []graph.NodeID {
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // onMessage handles exchange traffic after the auth sublayer admitted it:
@@ -594,13 +642,12 @@ func (px *pexLayer) onMessage(w *World, q *Proc, m Message) {
 		return
 	}
 	audit := px.cfg.Audit
-	seen := make(map[graph.NodeID]bool, len(recs))
-	for _, rec := range recs {
+	for i, rec := range recs {
 		rec.Hop++ // the transfer increment: one more exchange hop traveled
 		if rec.ID == m.To {
 			continue // its own record echoed back; harmless, useless
 		}
-		if seen[rec.ID] {
+		if repeats(recs[:i], rec.ID) {
 			// An honest buffer never repeats a subject (selection is a
 			// set); a duplicate is record stuffing.
 			if audit.Enabled {
@@ -608,7 +655,6 @@ func (px *pexLayer) onMessage(w *World, q *Proc, m Message) {
 			}
 			continue
 		}
-		seen[rec.ID] = true
 		if pp.blocked[rec.ID]&blockedOut != 0 {
 			// Never re-admit a subject this entity has convicted, whoever
 			// forwards it (no strike: the forwarder may be honest).
@@ -636,18 +682,34 @@ func (px *pexLayer) onMessage(w *World, q *Proc, m Message) {
 				continue
 			}
 		}
+		n := v.Len()
 		if merged, ev := v.Merge(pex.Entry{Rec: rec, Via: m.From}); merged {
 			px.totals.RecordsMerged++
 			if ev != nil {
 				px.touch(m.To, ev.ID)
 			}
+			if ev != nil || v.Len() > n {
+				// A new subject, for reconcile to link just below.
+				pp.pending = append(pp.pending, rec.ID)
+			}
 		}
 	}
 	px.reconcile(w, m.To, pp)
-	if m.Tag == PexExchangeTag && ex.Pull && w.procs[m.From] != nil && pp.blocked[m.From] == 0 {
+	if m.Tag == PexExchangeTag && ex.Pull && w.Proc(m.From) != nil && pp.blocked[m.From] == 0 {
 		px.totals.Replies++
 		px.ship(w, q, m.From, PexReplyTag, false)
 	}
+}
+
+// repeats reports whether a record of id is among recs. A batch holds at
+// most Fanout records, so a scan beats building a set per exchange.
+func repeats(recs []pex.Record, id graph.NodeID) bool {
+	for _, r := range recs {
+		if r.ID == id {
+			return true
+		}
+	}
+	return false
 }
 
 // reject charges one provably-bad record to the (receiver, sender)
@@ -706,8 +768,9 @@ func (px *pexLayer) onQuarantine(w *World, by, offender graph.NodeID) {
 func (px *pexLayer) pardon(by, offender graph.NodeID) {
 	if px.blacklisted(by, offender) {
 		px.setBlocked(by, offender, false)
+		px.unlinked(by, offender)
 	}
-	if pp := px.peers[by]; pp != nil {
+	if pp := px.find(by); pp != nil {
 		delete(pp.strikes, offender)
 		px.release(by)
 	}
@@ -720,9 +783,10 @@ func (px *pexLayer) pardon(by, offender graph.NodeID) {
 // view wanted stop being wanted.
 func (px *pexLayer) onLeave(w *World, id graph.NodeID) {
 	px.idx.Remove(id)
-	if pp := px.peers[id]; pp != nil {
+	if pp := px.find(id); pp != nil {
 		v := pp.view
-		pp.view, pp.rounds, pp.dirty = nil, 0, pp.dirty[:0]
+		pp.view, pp.rounds = nil, 0
+		pp.dirty, pp.pending = pp.dirty[:0], pp.pending[:0]
 		if v != nil && w.Overlay.Graph().HasNode(id) {
 			for _, e := range v.Entries() {
 				px.touch(id, e.Rec.ID)
@@ -758,9 +822,9 @@ func (px *pexLayer) sample(w *World) {
 	inView := make(map[graph.NodeID]int)
 	hops := 0
 	// Integer tallies only, so the walk order over the records is free.
-	for _, pp := range px.peers {
+	px.peers.Each(func(_ graph.NodeID, pp *pexPeer) {
 		if pp.view == nil {
-			continue
+			return
 		}
 		for _, e := range pp.view.Entries() {
 			s.Entries++
@@ -768,11 +832,11 @@ func (px *pexLayer) sample(w *World) {
 			inView[e.Rec.ID]++
 			if !w.seen[e.Rec.ID] {
 				s.SybilEntries++
-			} else if w.procs[e.Rec.ID] == nil {
+			} else if w.Proc(e.Rec.ID) == nil {
 				s.DeadEntries++
 			}
 		}
-	}
+	})
 	if s.Entries > 0 {
 		s.MeanHop = float64(hops) / float64(s.Entries)
 	}
@@ -801,12 +865,12 @@ func (w *World) PexSeedViews(g *graph.Graph) {
 	}
 	now := int64(w.Engine.Now())
 	for _, id := range g.Nodes() {
-		if w.procs[id] == nil {
+		if w.Proc(id) == nil {
 			continue
 		}
 		v := pex.NewView(w.pex.cfg.ViewSize)
 		for _, u := range g.Neighbors(id) {
-			if w.procs[u] == nil {
+			if w.Proc(u) == nil {
 				continue
 			}
 			v.Merge(pex.Entry{Rec: pex.SignRecord(w.pex.cfg.Audit.KeySeed, u, now)})
@@ -818,7 +882,7 @@ func (w *World) PexSeedViews(g *graph.Graph) {
 			w.pex.touch(id, e.Rec.ID)
 		}
 		for _, u := range g.Neighbors(id) {
-			if w.procs[u] != nil && !w.Overlay.Graph().HasEdge(id, u) {
+			if w.Proc(u) != nil && !w.Overlay.Graph().HasEdge(id, u) {
 				w.SetLink(id, u, true)
 				w.pex.totals.Links++
 			}
@@ -897,7 +961,7 @@ func (w *World) PexBlacklisted(by, offender graph.NodeID) bool {
 func (w *World) DepartedEntities() []graph.NodeID {
 	var out []graph.NodeID
 	for id := range w.seen {
-		if w.procs[id] == nil {
+		if w.Proc(id) == nil {
 			out = append(out, id)
 		}
 	}

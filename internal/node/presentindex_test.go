@@ -99,7 +99,7 @@ func TestPresentIndexEdgeCases(t *testing.T) {
 func scanCandidates(w *World, self graph.NodeID, v *pex.View) []graph.NodeID {
 	var out []graph.NodeID
 	for _, id := range w.Present() {
-		if id != self && w.procs[id] != nil && w.pex.peers[self].blocked[id] == 0 && (v == nil || !v.Contains(id)) {
+		if id != self && w.Proc(id) != nil && w.pex.find(self).blocked[id] == 0 && (v == nil || !v.Contains(id)) {
 			out = append(out, id)
 		}
 	}
@@ -110,13 +110,13 @@ func scanCandidates(w *World, self graph.NodeID, v *pex.View) []graph.NodeID {
 // per-entity records hold.
 func blacklistPairs(px *pexLayer) [][2]graph.NodeID {
 	var out [][2]graph.NodeID
-	for by, pp := range px.peers {
+	px.peers.Each(func(by graph.NodeID, pp *pexPeer) {
 		for offender, dirs := range pp.blocked {
 			if dirs&blockedOut != 0 {
 				out = append(out, [2]graph.NodeID{by, offender})
 			}
 		}
-	}
+	})
 	return out
 }
 
@@ -129,10 +129,8 @@ func blacklistPairs(px *pexLayer) [][2]graph.NodeID {
 func checkSamplerConsistency(t *testing.T, w *World, tag string) {
 	t.Helper()
 	px := w.pex
-	live := make([]graph.NodeID, 0, len(w.procs))
-	for id := range w.procs {
-		live = append(live, id)
-	}
+	live := make([]graph.NodeID, 0, w.procs.Len())
+	w.procs.Each(func(id graph.NodeID, _ *Proc) { live = append(live, id) })
 	sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
 	if px.idx.Len() != len(live) {
 		t.Fatalf("%s: index holds %d, %d procs live", tag, px.idx.Len(), len(live))
@@ -152,17 +150,17 @@ func checkSamplerConsistency(t *testing.T, w *World, tag string) {
 		}
 	}
 	blocking := 0
-	for _, pp := range px.peers {
+	px.peers.Each(func(_ graph.NodeID, pp *pexPeer) {
 		if len(pp.blocked) > 0 {
 			blocking++
 		}
-	}
+	})
 	if len(adj) != blocking {
 		t.Fatalf("%s: %d entities hold blocked peers, blacklist implies %d", tag, blocking, len(adj))
 	}
 	for id, m := range adj {
 		for q, n := range m {
-			if got := bits.OnesCount8(px.peers[id].blocked[q]); got != n {
+			if got := bits.OnesCount8(px.find(id).blocked[q]); got != n {
 				t.Fatalf("%s: blocked[%d][%d] holds %d directions, want %d", tag, id, q, got, n)
 			}
 		}
@@ -212,14 +210,14 @@ func TestPexSamplerMatchesScan(t *testing.T) {
 			case op == 0:
 				w.Join(next)
 				next++
-			case op == 1 && len(present) > 1 && w.procs[id] != nil:
+			case op == 1 && len(present) > 1 && w.Proc(id) != nil:
 				w.Leave(id)
-			case op == 2 && len(present) > 1 && w.procs[id] != nil:
+			case op == 2 && len(present) > 1 && w.Proc(id) != nil:
 				w.Crash(id)
 				crashed[id] = true
 			case op == 3 && len(crashed) > 0:
 				for cid := range crashed {
-					if w.procs[cid] == nil {
+					if w.Proc(cid) == nil {
 						w.Recover(cid)
 					}
 					delete(crashed, cid)
@@ -258,7 +256,7 @@ func TestPexRefreshPickMatchesScan(t *testing.T) {
 	r := rng.New(99)
 	for trial := 0; trial < 200; trial++ {
 		self := graph.NodeID(1 + r.Intn(40))
-		if w.procs[self] == nil {
+		if w.Proc(self) == nil {
 			continue
 		}
 		v := w.pex.viewOf(self)

@@ -516,7 +516,7 @@ func (rc *reconfigLayer) recordAck(w *World, e uint64, acker graph.NodeID) {
 		return
 	}
 	rc.recordCommit(e)
-	p := w.procs[r.initiator]
+	p := w.Proc(r.initiator)
 	if p == nil || !p.alive {
 		// The initiator left between prepare and quorum; the epoch is
 		// committed in the registry and propagates by catch-up only.
@@ -661,7 +661,7 @@ func (w *World) Reconfigure(initiator graph.NodeID, target StackConfig) uint64 {
 	if w.reconfig == nil {
 		panic("node: Reconfigure on a world without the reconfiguration layer (Config.Reconfig.Enabled)")
 	}
-	p := w.procs[initiator]
+	p := w.Proc(initiator)
 	if p == nil || !p.alive {
 		panic(fmt.Sprintf("node: reconfiguration initiator %d is not present", initiator))
 	}
@@ -718,7 +718,7 @@ func (w *World) StackOf(id graph.NodeID) StackConfig { return w.stack(w.EpochOf(
 // EpochOf returns an entity's current stack epoch (0 when the layer is
 // disabled or the entity is absent).
 func (w *World) EpochOf(id graph.NodeID) uint64 {
-	if p := w.procs[id]; p != nil {
+	if p := w.Proc(id); p != nil {
 		return p.epoch
 	}
 	return 0

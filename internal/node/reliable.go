@@ -275,7 +275,7 @@ func fireRetry(arg any) {
 		return
 	}
 	now := int64(w.Engine.Now())
-	if _, alive := w.procs[pm.m.From]; !alive {
+	if w.Proc(pm.m.From) == nil {
 		// The sender is gone; its channel-layer buffer died with it.
 		rl.settle(pm)
 		return

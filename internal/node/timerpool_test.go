@@ -3,6 +3,7 @@ package node
 import (
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -11,9 +12,7 @@ import (
 // entities: with no message in flight, exactly what the engine holds.
 func armedTimers(w *World) int {
 	n := 0
-	for _, p := range w.procs {
-		n += len(p.timers)
-	}
+	w.procs.Each(func(_ graph.NodeID, p *Proc) { n += len(p.timers) })
 	return n
 }
 

@@ -41,7 +41,12 @@ func (b *floodBehavior) Receive(p *node.Proc, m node.Message) {
 		b.onQuery(p, m.From, m.Payload.(queryMsg))
 	case tagReport:
 		r := m.Payload.(reportMsg)
-		b.sendUp(p, r.QID, r.Contrib)
+		if b.acc != nil {
+			b.acc.absorb(r.QID, r.Contrib)
+		} else if parent, ok := b.parent[r.QID]; ok {
+			// Relayed as it arrived: the payload is already boxed.
+			p.Send(parent, tagReport, m.Payload)
+		}
 	}
 }
 
@@ -61,7 +66,8 @@ func (b *floodBehavior) onQuery(p *node.Proc, from graph.NodeID, q queryMsg) {
 	// Contribute my own value upstream.
 	b.sendUp(p, q.QID, b.ownContrib(p))
 	if q.TTL > 0 {
-		fwd := queryMsg{QID: q.QID, TTL: q.TTL - 1}
+		// Boxed once for every neighbour, not once per send.
+		var fwd any = queryMsg{QID: q.QID, TTL: q.TTL - 1}
 		b.nbrs = p.AppendNeighbors(b.nbrs[:0])
 		for _, u := range b.nbrs {
 			if u != from {
@@ -80,10 +86,10 @@ func (b *floodBehavior) ownContrib(p *node.Proc) []contrib {
 	return b.own
 }
 
-// sendUp relays a contribution bundle toward the querier, which absorbs it.
-// The bundle travels as it is, uncopied: it is either the entity's own
-// contribution or a received report's, and no one writes either (the
-// querier absorbs into its own maps, Tamper copies).
+// sendUp sends the entity's own contribution toward the querier, which
+// absorbs it; Receive relays other entities' reports the same way. The
+// bundle travels as it is, uncopied: no one writes it (the querier
+// absorbs into its own maps, Tamper copies).
 func (b *floodBehavior) sendUp(p *node.Proc, qid int, contrib []contrib) {
 	if b.acc != nil {
 		b.acc.absorb(qid, contrib)

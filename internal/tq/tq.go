@@ -225,9 +225,9 @@ type Client struct {
 	rate                  float64
 	lastJoins, lastLeaves int
 
-	// nbrs and perm are launch's scratch, shared by the world's replicas
-	// (one launch runs at a time): the first-hop candidates and their
-	// shuffled order.
+	// nbrs and perm are launch's and pickNext's scratch, shared by the
+	// world's replicas (one of them runs at a time): the neighbours, then
+	// launch's shuffled order of them or pickNext's eligible ones.
 	nbrs []graph.NodeID
 	perm []int
 }
@@ -538,19 +538,12 @@ func (b *replica) onProbe(p *node.Proc, pr Probe) {
 
 // pickNext draws a uniform random neighbor outside the walk's path.
 func (b *replica) pickNext(p *node.Proc, path []graph.NodeID) (graph.NodeID, bool) {
-	var elig []graph.NodeID
-	for _, u := range p.Neighbors() {
-		if u == p.ID {
-			continue
-		}
-		onPath := false
-		for _, v := range path {
-			if v == u {
-				onPath = true
-				break
-			}
-		}
-		if !onPath {
+	c := b.client
+	c.nbrs = p.AppendNeighbors(c.nbrs[:0])
+	// Filtered in place: the eligible list never outruns the read.
+	elig := c.nbrs[:0]
+	for _, u := range c.nbrs {
+		if u != p.ID && !slices.Contains(path, u) {
 			elig = append(elig, u)
 		}
 	}
