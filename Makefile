@@ -7,7 +7,7 @@ GO ?= go
 
 # The checked-in micro-benchmark baseline that bench-record writes and
 # bench-check / verify-bench compare against.
-BENCH_BASELINE ?= BENCH_PR30.json
+BENCH_BASELINE ?= BENCH_PR31.json
 # The baseline's names carry no -N GOMAXPROCS suffix (benchrecord keeps the
 # suffix as part of the name), so the benchmarks it is compared with run at
 # -cpu 1 whatever the host has; otherwise every one reads as missing.
@@ -68,6 +68,8 @@ verify-bench:
 # 22 610 before PR 24).
 # 22 769 before the packages no command, benchmark or experiment reached
 # were deleted (21 950 after).
+# 22 293 before CheckWith became a replay through the stream checker and
+# the two session machines became one (22 189 after).
 # PKG narrows the count to one directory tree: `make loc PKG=internal/node`
 # (5 572 before PR 14, 5 619 before PR 24), `make loc PKG=internal/otq`
 # (2 399 before PR 16).

@@ -76,8 +76,8 @@ func main() {
 		pexPolicy   = flag.String("pex-policy", "pushpull", "pex exchange policy: rand, head, tail, pushpull")
 		pexView     = flag.Int("pex-view", 8, "pex partial-view size")
 		poisonSpec  = flag.String("poison", "", "poison clause body appended to -faults, e.g. 'nodes=4+9,rate=1,sybils=3,base=1000@24-' (requires -pex; see internal/fault)")
-		liteTrace   = flag.Bool("lite-trace", false, "count-only trace retention: exact message/concurrency counters, no stored events (requires -protocol none or -stream-check; keeps 100k-entity runs in memory)")
-		streamCheck = flag.Bool("stream-check", false, "judge the query with the streaming OTQ checker (verdict bit-identical to the batch checker; composes with -lite-trace so judged runs need no stored trace)")
+		liteTrace   = flag.Bool("lite-trace", false, "count-only trace retention: exact message/concurrency counters, no stored events (requires -protocol none or -stream-check, since a post-hoc OTQ replay reads stored events; keeps 100k-entity runs in memory)")
+		streamCheck = flag.Bool("stream-check", false, "feed the OTQ judge live from the event stream instead of replaying the stored trace after the run (same judge, same verdict; composes with -lite-trace so judged runs need no stored trace)")
 		tqOn        = flag.Bool("tq", false, "drive the timed-quorum replicated register workload, judged by its streaming regularity checker (requires -protocol none; pair with -pex for the dynamic-overlay setting; composes with -lite-trace)")
 		dynOn       = flag.Bool("dynreg", false, "drive the epidemic replicated register workload, judged by its batch regularity checker (requires -protocol none; the batch checker reads stored events, so -lite-trace is rejected)")
 		tqCoeff     = flag.Float64("tq-coeff", 0, "tq quorum coefficient: q = ceil(coeff*sqrt(N)) (0 = default 1.0)")
@@ -139,7 +139,7 @@ func main() {
 			reject("-stream-check without a query protocol has nothing to judge; drop it or pick a -protocol")
 		}
 	case *liteTrace && !*streamCheck:
-		reject("-lite-trace discards the events the batch OTQ checker reads; add -stream-check or use -protocol none")
+		reject("-lite-trace discards the events a post-hoc OTQ replay reads; add -stream-check or use -protocol none")
 	case *queryAt < 0 || *queryAt > *horizon:
 		reject(fmt.Sprintf("-query-at %d: the query must launch inside the run, in [0, -horizon %d]", *queryAt, *horizon))
 	}
@@ -388,7 +388,7 @@ func main() {
 		return
 	}
 	if *streamCheck {
-		fmt.Println("checker: streaming (verdict identical to the batch checker)")
+		fmt.Println("checker: live feed (verdict identical to a post-hoc replay)")
 	}
 	if *liteTrace {
 		fmt.Println("inferred class: n/a (count-only retention keeps no events to classify)")

@@ -45,7 +45,7 @@ func TestRejectedFlags(t *testing.T) {
 		{"-pex -pex-view -3", "pex: ViewSize -3 below the 1-record minimum"},
 		{"-poison nodes=4", "-poison requires -pex (there is no view traffic to poison)"},
 		{"-protocol none -stream-check", "-stream-check without a query protocol has nothing to judge; drop it or pick a -protocol"},
-		{"-lite-trace", "-lite-trace discards the events the batch OTQ checker reads; add -stream-check or use -protocol none"},
+		{"-lite-trace", "-lite-trace discards the events a post-hoc OTQ replay reads; add -stream-check or use -protocol none"},
 		{"-tq -dynreg", "-tq and -dynreg are mutually exclusive — one world hosts one register"},
 		{"-tq", "the register workloads replace the query; run with -protocol none"},
 		{"-protocol none -dynreg -lite-trace", "-dynreg is judged by a batch trace scan, which -lite-trace discards; drop -lite-trace or use -tq (streaming checker)"},

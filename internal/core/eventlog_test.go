@@ -39,7 +39,7 @@ func (tr *sliceTrace) EventsSince(start int) []TraceEvent {
 	return out
 }
 
-func (tr *sliceTrace) sessions(b bridging) map[graph.NodeID][]Interval {
+func (tr *sliceTrace) sessions(b Bridging) map[graph.NodeID][]Interval {
 	type state struct {
 		open, suspended     bool
 		from, leftAt        Time
@@ -50,7 +50,7 @@ func (tr *sliceTrace) sessions(b bridging) map[graph.NodeID][]Interval {
 	for i := range tr.events {
 		ev := &tr.events[i]
 		crash := ev.Kind == TMark && ev.Tag == MarkCrash
-		returns := ev.Kind == TMark && (ev.Tag == MarkRecover || (ev.Tag == MarkRejoin && b == bridgeRejoin))
+		returns := ev.Kind == TMark && (ev.Tag == MarkRecover || (ev.Tag == MarkRejoin && b == BridgeRejoin))
 		if ev.Kind != TJoin && ev.Kind != TLeave && !crash && !returns {
 			continue
 		}
@@ -71,7 +71,7 @@ func (tr *sliceTrace) sessions(b bridging) map[graph.NodeID][]Interval {
 			st.open, st.suspended, st.returning = true, false, false
 		case ev.Kind == TLeave && st.open:
 			st.open, st.leftAt = false, ev.At
-			st.suspended = b == bridgeRejoin || (b == bridgeRecovery && st.crashing)
+			st.suspended = b == BridgeRejoin || (b == BridgeRecovery && st.crashing)
 			st.crashing = false
 			if !st.suspended {
 				out[ev.P] = append(out[ev.P], Interval{From: st.from, To: ev.At})
@@ -134,7 +134,7 @@ func (tr *sliceTrace) SessionStatistics() SessionStats {
 		}
 	}
 	var sum Time
-	for _, ivs := range tr.sessions(bridgeNone) {
+	for _, ivs := range tr.sessions(BridgeNone) {
 		for _, iv := range ivs {
 			st.Sessions++
 			if iv.To <= tr.end {
@@ -319,9 +319,9 @@ func compareWithReference(t *testing.T, tr *Trace, ref *sliceTrace, every bool) 
 	}
 	check("LastTopologyChange", tr.LastTopologyChange(), ref.LastTopologyChange())
 	check("SessionStatistics", tr.SessionStatistics(), ref.SessionStatistics())
-	check("Sessions", tr.Sessions(), ref.sessions(bridgeNone))
-	check("SessionsBridgingRecovery", tr.SessionsBridgingRecovery(), ref.sessions(bridgeRecovery))
-	check("SessionsBridgingRejoin", tr.SessionsBridgingRejoin(), ref.sessions(bridgeRejoin))
+	check("Sessions", tr.Sessions(), ref.sessions(BridgeNone))
+	check("SessionsBridgingRecovery", tr.SessionsBridgingRecovery(), ref.sessions(BridgeRecovery))
+	check("SessionsBridgingRejoin", tr.SessionsBridgingRejoin(), ref.sessions(BridgeRejoin))
 	tg, rtg := tr.Temporal(), ref.Temporal()
 	check("Temporal events", tg.Events(), rtg.Events())
 	check("Temporal replay", replayDigest(tg), replayDigest(rtg))

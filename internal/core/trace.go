@@ -289,81 +289,34 @@ type Interval struct {
 // Covers reports whether the interval contains [t1, t2] entirely.
 func (iv Interval) Covers(t1, t2 Time) bool { return iv.From <= t1 && t2 < iv.To }
 
-// bridging selects which downtime gaps the session reconstruction closes:
-// which departures merely suspend a session, and which marks announce the
-// return that resumes it.
-type bridging uint8
-
-const (
-	bridgeNone     bridging = iota // every Leave ends the session
-	bridgeRecovery                 // MarkCrash+Leave suspends, MarkRecover+Join resumes
-	bridgeRejoin                   // every Leave suspends, MarkRecover or MarkRejoin + Join resumes
-)
-
-// sessions is the one reconstruction of presence intervals from the event
-// log; Sessions, SessionsBridgingRecovery and SessionsBridgingRejoin name
-// its three bridging notions. Per entity the intervals come out in time
-// order. Two quirks are shared with otq's stream checker and pinned by
-// tests, not fixed here: a Join that no mark announced DISCARDS the
-// suspended interval it follows (the earlier presence vanishes from the
-// bridged accounting), and a Leave of an entity with no open session is
-// ignored without consuming its pending crash mark.
-func (tr *Trace) sessions(b bridging) map[graph.NodeID][]Interval {
-	type state struct {
-		open, suspended     bool
-		from, leftAt        Time // session start; when the suspended session left
-		crashing, returning bool // a crash / return mark awaits its Leave / Join
-	}
-	states := make(map[graph.NodeID]*state)
+// sessions replays the event log through a SessionMachine under the
+// given bridging. Per entity the intervals come out in time order; a
+// session still open at the end runs to End()+1, and one still suspended
+// ends when it went silent.
+func (tr *Trace) sessions(b Bridging) map[graph.NodeID][]Interval {
+	m := NewSessionMachine(b)
 	out := make(map[graph.NodeID][]Interval)
 	tr.log.each(func(ev *TraceEvent) {
-		crash := ev.Kind == TMark && ev.Tag == MarkCrash
-		returns := ev.Kind == TMark && (ev.Tag == MarkRecover || (ev.Tag == MarkRejoin && b == bridgeRejoin))
-		if ev.Kind != TJoin && ev.Kind != TLeave && !crash && !returns {
-			return
-		}
-		st := states[ev.P]
-		if st == nil {
-			st = &state{}
-			states[ev.P] = st
-		}
-		switch {
-		case crash:
-			st.crashing = true
-		case returns:
-			st.returning = true
-		case ev.Kind == TJoin && !st.open:
-			if !(st.suspended && st.returning) {
-				st.from = ev.At
-			}
-			st.open, st.suspended, st.returning = true, false, false
-		case ev.Kind == TLeave && st.open:
-			st.open, st.leftAt = false, ev.At
-			st.suspended = b == bridgeRejoin || (b == bridgeRecovery && st.crashing)
-			st.crashing = false
-			if !st.suspended {
-				out[ev.P] = append(out[ev.P], Interval{From: st.from, To: ev.At})
-			}
+		if st := m.Observe(ev); st.Change == SessionClosed {
+			out[ev.P] = append(out[ev.P], Interval{From: st.From, To: st.To})
 		}
 	})
-	for p, st := range states {
-		switch {
-		case st.open:
-			out[p] = append(out[p], Interval{From: st.from, To: tr.end + 1})
-		case st.suspended:
-			// Suspended and never came back: the session ended when it left.
-			out[p] = append(out[p], Interval{From: st.from, To: st.leftAt})
+	m.Each(func(p graph.NodeID, s Session) {
+		to := tr.end + 1
+		if s.Suspended {
+			to = s.DownAt
 		}
-	}
+		out[p] = append(out[p], Interval{From: s.From, To: to})
+	})
 	return out
 }
 
-// members is the one interval query over reconstructed sessions: the
-// entities, ascending, with a session that contains [t1, t2] entirely
-// (whole) or meets it at all.
-func (tr *Trace) members(b bridging, t1, t2 Time, whole bool) []graph.NodeID {
+// members is the one interval query over plain sessions: the entities,
+// ascending, with a session that contains [t1, t2] entirely (whole) or
+// meets it at all.
+func (tr *Trace) members(t1, t2 Time, whole bool) []graph.NodeID {
 	var out []graph.NodeID
-	for p, ivs := range tr.sessions(b) {
+	for p, ivs := range tr.Sessions() {
 		for _, iv := range ivs {
 			match := iv.From <= t2 && t1 < iv.To
 			if whole {
@@ -382,7 +335,7 @@ func (tr *Trace) members(b bridging, t1, t2 Time, whole bool) []graph.NodeID {
 // Sessions returns, per entity, its presence intervals in time order.
 // A session open at the end of the trace is closed at End()+1 so that
 // Covers(t, End()) holds for entities present to the very end.
-func (tr *Trace) Sessions() map[graph.NodeID][]Interval { return tr.sessions(bridgeNone) }
+func (tr *Trace) Sessions() map[graph.NodeID][]Interval { return tr.sessions(BridgeNone) }
 
 // SessionsBridgingRecovery returns presence intervals like Sessions, but
 // with crash–recovery gaps bridged: a session that ended in a crash
@@ -394,7 +347,7 @@ func (tr *Trace) Sessions() map[graph.NodeID][]Interval { return tr.sessions(bri
 // A crash that never recovers closes its interval at the crash, exactly
 // like a leave.
 func (tr *Trace) SessionsBridgingRecovery() map[graph.NodeID][]Interval {
-	return tr.sessions(bridgeRecovery)
+	return tr.sessions(BridgeRecovery)
 }
 
 // SessionsBridgingRejoin returns presence intervals with BOTH kinds of
@@ -407,26 +360,7 @@ func (tr *Trace) SessionsBridgingRecovery() map[graph.NodeID][]Interval {
 // the same principal, it was merely absent for a while. A departure that
 // never returns closes its interval at the leave, exactly like Sessions.
 func (tr *Trace) SessionsBridgingRejoin() map[graph.NodeID][]Interval {
-	return tr.sessions(bridgeRejoin)
-}
-
-// StableBetweenRejoinBridged is StableBetween computed over rejoin-bridged
-// sessions (SessionsBridgingRejoin): a durable identity whose bridged
-// presence covers [t1, t2] counts as a stable participant even while it
-// was between sessions. This is the accounting a churn-storm experiment
-// holds a protocol to when identities persist across join/leave cycles.
-func (tr *Trace) StableBetweenRejoinBridged(t1, t2 Time) []graph.NodeID {
-	return tr.members(bridgeRejoin, t1, t2, true)
-}
-
-// StableBetweenBridged is StableBetween computed over recovery-bridged
-// sessions: a crash–recovery entity whose (bridged) presence covers
-// [t1, t2] counts as a stable participant even if it was silent for part
-// of the interval. This is the participation notion a robustness
-// experiment holds a protocol to when entities may crash and come back
-// with their state intact.
-func (tr *Trace) StableBetweenBridged(t1, t2 Time) []graph.NodeID {
-	return tr.members(bridgeRecovery, t1, t2, true)
+	return tr.sessions(BridgeRejoin)
 }
 
 // subjects returns the distinct subject entities of the events match
@@ -450,7 +384,7 @@ func (tr *Trace) Entities() []graph.NodeID {
 }
 
 // PresentAt returns the entities present at time t, ascending.
-func (tr *Trace) PresentAt(t Time) []graph.NodeID { return tr.members(bridgeNone, t, t, true) }
+func (tr *Trace) PresentAt(t Time) []graph.NodeID { return tr.members(t, t, true) }
 
 // MaxConcurrency returns the maximum number of simultaneously present
 // entities over the run — the observed concurrency level that places the
@@ -476,14 +410,14 @@ func (tr *Trace) MaxConcurrency() int {
 // interval [t1, t2]: exactly the processes whose values a valid One-Time
 // Query issued over that interval must account for.
 func (tr *Trace) StableBetween(t1, t2 Time) []graph.NodeID {
-	return tr.members(bridgeNone, t1, t2, true)
+	return tr.members(t1, t2, true)
 }
 
 // EverPresentBetween returns the entities present at any point of
 // [t1, t2]: the only processes whose values may legitimately appear in a
 // One-Time Query answer over that interval.
 func (tr *Trace) EverPresentBetween(t1, t2 Time) []graph.NodeID {
-	return tr.members(bridgeNone, t1, t2, false)
+	return tr.members(t1, t2, false)
 }
 
 // temporalKind maps the topology kinds of trace events onto the evolving

@@ -48,14 +48,14 @@ type Scenario struct {
 	// LiteTrace switches the trace to count-only retention (see
 	// core.Trace.SetCountOnly): message and concurrency counters stay
 	// exact but individual events are discarded, keeping 100k-entity
-	// runs in memory. Requires a nil Protocol (the batch checker reads
-	// events) unless StreamCheck is set.
+	// runs in memory. Requires a nil Protocol (a post-hoc replay of the
+	// OTQ judge reads events) unless StreamCheck is set.
 	LiteTrace bool
-	// StreamCheck judges the query with the incremental streaming checker
-	// (otq.StreamChecker) fed from the live event stream instead of the
-	// batch checker's post-hoc trace scan. The verdict is bit-identical;
-	// the point is composition with LiteTrace, which makes judged runs
-	// possible at populations whose full event logs would not fit in
+	// StreamCheck feeds the OTQ judge (otq.StreamChecker) from the live
+	// event stream instead of replaying the retained trace through it
+	// after the run (otq.CheckWith). The judge and the verdict are the
+	// same; the point is composition with LiteTrace, which makes judged
+	// runs possible at populations whose full event logs would not fit in
 	// memory. Requires a Protocol. Inferred stays zero under LiteTrace
 	// (class inference still reads events).
 	StreamCheck bool
@@ -157,7 +157,7 @@ func Execute(sc Scenario) RunResult {
 		panic("exp: StreamCheck without a Protocol has nothing to judge")
 	}
 	if sc.LiteTrace && proto != nil && !sc.StreamCheck {
-		panic("exp: LiteTrace discards the events the batch OTQ checker needs; add StreamCheck or use a nil Protocol")
+		panic("exp: LiteTrace discards the events a post-hoc OTQ replay needs; add StreamCheck or use a nil Protocol")
 	}
 	valueOf := sc.ValueOf
 	w := node.NewWorld(engine, sc.Overlay(sc.Seed), factory, node.Config{
@@ -176,12 +176,10 @@ func Execute(sc Scenario) RunResult {
 	if sc.LiteTrace {
 		w.Trace.SetCountOnly(true)
 	}
+	opts := otq.CheckOptions{BridgeRecoveries: sc.BridgeRecoveries, BridgeRejoins: sc.BridgeRejoins}
 	var checker *otq.StreamChecker
 	if sc.StreamCheck {
-		checker = otq.NewStreamChecker(otq.CheckOptions{
-			BridgeRecoveries: sc.BridgeRecoveries,
-			BridgeRejoins:    sc.BridgeRejoins,
-		})
+		checker = otq.NewStreamChecker(opts)
 		w.Trace.Stream(checker.Observe)
 	}
 	if sc.Faults != nil {
@@ -238,10 +236,7 @@ func Execute(sc Scenario) RunResult {
 		if checker != nil {
 			res.Outcome = checker.Finish(w.Trace.End(), valueOf)
 		} else {
-			res.Outcome = otq.CheckWith(w.Trace, run, valueOf, otq.CheckOptions{
-				BridgeRecoveries: sc.BridgeRecoveries,
-				BridgeRejoins:    sc.BridgeRejoins,
-			})
+			res.Outcome = otq.CheckWith(w.Trace, run, valueOf, opts)
 		}
 		if !sc.LiteTrace {
 			res.Inferred = core.InferClass(w.Trace)

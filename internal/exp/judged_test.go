@@ -10,8 +10,8 @@ import (
 
 // BenchmarkJudgedEchoWave is one judged world end to end: a 64-entity
 // random-k(3) overlay under churn running the echo wave to a 500-tick
-// horizon, recorded with a full trace, then judged by the batch OTQ
-// checker and class inference. It puts the judged path — the event log,
+// horizon, recorded with a full trace, then judged by a post-hoc replay
+// of the OTQ judge and class inference. It puts the judged path — the event log,
 // the protocol's ticks and pushes, and both judges — under the
 // allocation gate.
 func BenchmarkJudgedEchoWave(b *testing.B) {

@@ -15,14 +15,13 @@ import (
 
 // E29 restores judgment at scale: full OTQ verdicts over live full worlds
 // — pex membership gossip, Poisson churn with rejoins, a real query
-// protocol — at populations where the batch checker's full-trace
-// retention is the binding constraint. The streaming checker
-// (otq.StreamChecker) consumes the event stream at Record time and keeps
-// only open sessions and window participants, so it composes with
-// count-only retention: the n=10k row is a judged run whose trace holds
-// zero events. The n<=1k rows run BOTH checkers on a fully retained
-// trace and require their outcomes bit-identical — the experiment
-// carries its own differential guard.
+// protocol — at populations where full-trace retention is the binding
+// constraint. The OTQ judge (otq.StreamChecker) fed live consumes the
+// event stream at Record time and keeps only open sessions and window
+// participants, so it composes with count-only retention: the n=10k row
+// is a judged run whose trace holds zero events. The n<=1k rows judge a
+// fully retained trace BOTH ways — live, and by the post-hoc replay
+// (otq.CheckWith) — and require the outcomes bit-identical.
 
 // e29Cell is one sweep point.
 type e29Cell struct {
@@ -30,8 +29,8 @@ type e29Cell struct {
 	horizon sim.Time
 	queryAt sim.Time
 	seeds   int
-	// lite runs count-only retention + streaming checker only; otherwise
-	// the run keeps the full trace and judges with BOTH checkers.
+	// lite runs count-only retention + the live feed only; otherwise the
+	// run keeps the full trace and is judged live and by replay.
 	lite bool
 }
 
@@ -139,12 +138,12 @@ func E29(cfg Config) *Report {
 	return &Report{
 		ID:    "E29",
 		Title: "judged scale: streaming OTQ verdicts over live full worlds",
-		Claim: "the streaming checker returns the batch checker's exact verdicts — the n<=1k rows run both on fully retained traces and require bit-identical outcomes — while keeping only open sessions and window participants, so composed with count-only retention it judges a 10k-entity full world (live pex gossip, rejoining churn, TTL-flood query) whose trace retains zero events; PR 8 could run such worlds but not judge them, because full retention was the checkers' admission price",
+		Claim: "the OTQ judge fed live from the event stream returns the verdicts its post-hoc replay over the retained trace returns — the n<=1k rows run both feeds on fully retained traces and require bit-identical outcomes — while keeping only open sessions and window participants, so fed live under count-only retention it judges a 10k-entity full world (live pex gossip, rejoining churn, TTL-flood query) whose trace retains zero events; before the live feed such worlds could run but not be judged, because full retention was the judge's admission price",
 		Table: tb,
 		Notes: []string{
 			"world shape matches E28: manual overlay, ring-seeded pex views exchanging on the default cadence, initial population immortal, arrivals at rate n/10000 with ~horizon/3 sessions rejoining with p=0.3 after 8 ticks down",
 			"the query is a TTL-10 flood over the pex overlay launched mid-run at the lowest-numbered entity; coverage below 1.0 reflects overlay distance and churned arrivals, not checker error — the verdict columns themselves are the measurement",
-			"'=batch' compares the two checkers' full Outcome structs per seed; the count-only row reports n/a because the batch checker cannot run there at all — that impossibility is the experiment's point",
+			"'=batch' reads: post-hoc replay equals live feed — the two feeds' full Outcome structs per seed; the count-only row reports n/a because a replay needs the events count-only retention discards — that impossibility is the experiment's point",
 			"events counts RECORDED events (Trace.Len is exact under count-only retention even though the events are discarded)",
 		},
 	}

@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,13 +14,17 @@ import (
 	"repro/internal/otq"
 )
 
-// TestStreamCheckMatchesBatchScenarios pins the streaming checker against
-// the batch checker across the suite's scenario shapes: every protocol
-// family, churn, loss, crash/rejoin fault plans, both bridging notions,
-// and the auth sublayer's quarantine marks. Each scenario runs twice —
-// identical seed, StreamCheck off then on — and the full Outcome structs
-// must be bit-identical.
-func TestStreamCheckMatchesBatchScenarios(t *testing.T) {
+// streamOutcomesPath holds the full Outcome of every streamScenarios
+// cell at seeds 1 and 2, written once by the batch judge CheckWith ran
+// before it became a replay through otq.StreamChecker. It is read, never
+// re-pinned: it holds both feeds to verdicts an independent
+// implementation reached.
+const streamOutcomesPath = "testdata/stream_outcomes.json"
+
+// streamScenarios are the suite's scenario shapes for the checker
+// doubles: every protocol family, churn, loss, crash/rejoin fault plans,
+// both bridging notions, and the auth sublayer's quarantine marks.
+func streamScenarios(t *testing.T) map[string]func(seed uint64) Scenario {
 	mustPlan := func(s string) *fault.Plan {
 		plan, err := fault.Parse(s)
 		if err != nil {
@@ -25,7 +32,7 @@ func TestStreamCheckMatchesBatchScenarios(t *testing.T) {
 		}
 		return plan
 	}
-	scenarios := map[string]func(seed uint64) Scenario{
+	return map[string]func(seed uint64) Scenario{
 		"echo wave under churn": func(seed uint64) Scenario {
 			return Scenario{
 				Seed:    seed,
@@ -121,23 +128,48 @@ func TestStreamCheckMatchesBatchScenarios(t *testing.T) {
 			}
 		},
 	}
-	for name, mk := range scenarios {
+}
+
+// TestStreamCheckMatchesBatchScenarios runs each streamScenarios cell
+// twice — identical seed, judged by the post-hoc replay and then by the
+// live feed (StreamCheck) — and requires both full Outcome structs to
+// equal the frozen ones in streamOutcomesPath.
+func TestStreamCheckMatchesBatchScenarios(t *testing.T) {
+	raw, err := os.ReadFile(streamOutcomesPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]otq.Outcome
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	cells := 0
+	for name, mk := range streamScenarios(t) {
 		for seed := uint64(1); seed <= 2; seed++ {
-			batchSc := mk(seed)
-			streamSc := mk(seed)
-			streamSc.StreamCheck = true
-			batch := Execute(batchSc)
-			stream := Execute(streamSc)
-			if !reflect.DeepEqual(batch.Outcome, stream.Outcome) {
-				t.Errorf("%s seed %d: checkers diverged\nbatch:  %+v\nstream: %+v",
-					name, seed, batch.Outcome, stream.Outcome)
+			key := fmt.Sprintf("%s/seed %d", name, seed)
+			frozen, ok := want[key]
+			if !ok {
+				t.Errorf("%s: no frozen outcome in %s", key, streamOutcomesPath)
+				continue
+			}
+			cells++
+			for _, live := range []bool{false, true} {
+				sc := mk(seed)
+				sc.StreamCheck = live
+				if got := Execute(sc).Outcome; !reflect.DeepEqual(frozen, got) {
+					t.Errorf("%s (live feed %v): verdict differs from the frozen one\nfrozen: %+v\ngot:    %+v",
+						key, live, frozen, got)
+				}
 			}
 		}
+	}
+	if cells != len(want) {
+		t.Errorf("%s holds %d outcomes, the scenarios %d", streamOutcomesPath, len(want), cells)
 	}
 }
 
 // TestStreamCheckLiteTwin: the count-only + StreamCheck composition — the
-// configuration the batch checker cannot run at all — produces the same
+// configuration a post-hoc replay cannot run at all — produces the same
 // verdict as the fully retained twin of the run.
 func TestStreamCheckLiteTwin(t *testing.T) {
 	cell := e29Cell{n: 200, horizon: 96, queryAt: 48}

@@ -9,6 +9,7 @@ const (
 	pageSize  = 1 << pageBits
 	pageMask  = pageSize - 1
 	pageWords = pageSize / 64
+	minVals   = 64 // the fewest value slots a page holds
 	bookBits  = 10
 	bookMask  = 1<<bookBits - 1
 	denseIDs  = 1 << 31
@@ -18,11 +19,13 @@ const (
 // consecutive IDs, so a non-negative ID below 2^31 indexes a page of
 // 1 024 slots instead of being hashed: a lookup is a few dependent loads
 // and a bit test. A page is allocated when its first ID is set and freed
-// when its last one is deleted. Pages are found through books, lists of
-// up to 1 024 page pointers that run to their last allocated page, so
-// memory follows the pages with live IDs, not the largest ID ever seen.
-// Any other ID (negative, or 2^31 and above) goes to a map. The zero
-// value is an empty table ready to use.
+// when its last one is deleted; its values run to the smallest power of
+// two, at least 64, that covers its highest slot set so far, so a small
+// table does not pay for 1 024 slots. Pages are found through books,
+// lists of up to 1 024 page pointers that run to their last allocated
+// page, so memory follows the pages with live IDs, not the largest ID
+// ever seen. Any other ID (negative, or 2^31 and above) goes to a map.
+// The zero value is an empty table ready to use.
 type Table[V any] struct {
 	books [][]*tablePage[V] // books[b][i] pages IDs from (b<<bookBits|i)<<pageBits
 	far   map[NodeID]*V
@@ -30,7 +33,7 @@ type Table[V any] struct {
 }
 
 type tablePage[V any] struct {
-	vals [pageSize]V
+	vals []V               // doubled on demand up to pageSize slots
 	used [pageWords]uint64 // bit i set: vals[i] holds an entry
 	n    int
 }
@@ -50,7 +53,8 @@ func (t *Table[V]) page(id NodeID) *tablePage[V] {
 }
 
 // Ref returns a pointer to id's value, or nil when id has no entry. The
-// pointer stays valid until id is deleted.
+// pointer stays valid until the next Set of an ID without an entry (which
+// may grow the page) or the deletion of id.
 func (t *Table[V]) Ref(id NodeID) *V {
 	if uint64(id) >= denseIDs {
 		return t.far[id]
@@ -105,6 +109,11 @@ func (t *Table[V]) Set(id NodeID, v V) {
 		bk[i] = pg
 	}
 	j := id & pageMask
+	if int(j) >= len(pg.vals) {
+		vals := make([]V, max(minVals, 1<<bits.Len(uint(j))))
+		copy(vals, pg.vals)
+		pg.vals = vals
+	}
 	if w, bit := &pg.used[j>>6], uint64(1)<<(j&63); *w&bit == 0 {
 		*w |= bit
 		pg.n++

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -9,9 +10,10 @@ import (
 )
 
 // tableIDs are the IDs the differential draws from: both sides of page
-// and book boundaries and of the map fallback, and the extremes.
+// and book boundaries and of the map fallback, the extremes, and slots
+// that grow a page's values from 64 to 128 and to 256.
 var tableIDs = []NodeID{
-	-1, 0, 1, pageSize - 1, pageSize, pageSize + 1, 3*pageSize - 1, 3 * pageSize,
+	-1, 0, 1, minVals - 1, minVals, 200, pageSize - 1, pageSize, pageSize + 1, 3*pageSize - 1, 3 * pageSize,
 	1<<(pageBits+bookBits) - 1, 1 << (pageBits + bookBits),
 	denseIDs - 1, denseIDs, math.MaxInt64, math.MinInt64,
 }
@@ -94,7 +96,18 @@ func tableAgrees(t *testing.T, seed uint64, step int, tab *Table[int], ref map[N
 			}
 			if pg != nil {
 				pages++
+				if k := len(pg.vals); k < minVals || k > pageSize || k&(k-1) != 0 {
+					t.Fatalf("seed %d step %d: page %d holds %d value slots, want a power of two in [%d, %d]", seed, step, b<<bookBits|i, k, minVals, pageSize)
+				}
 			}
+		}
+	}
+	for id := range ref {
+		if id < 0 || id >= denseIDs {
+			continue
+		}
+		if pg := tab.page(id); int(id&pageMask) >= len(pg.vals) {
+			t.Fatalf("seed %d step %d: ID %d lies past its page's %d value slots", seed, step, id, len(pg.vals))
 		}
 	}
 	if pages != len(live) {
@@ -105,5 +118,20 @@ func tableAgrees(t *testing.T, seed uint64, step int, tab *Table[int], ref map[N
 	}
 	if len(tab.far) != len(far) {
 		t.Fatalf("seed %d step %d: the map holds %d IDs, want %d", seed, step, len(tab.far), len(far))
+	}
+}
+
+// TestSmallGraphBytes bounds what a 64-node ring allocates: its one page
+// holds 64 value slots, not 1 024 (about 25 KiB of adjacency headers).
+func TestSmallGraphBytes(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g := ring(64)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 6<<10 {
+		t.Errorf("a 64-node ring allocated %d bytes, want <= %d", got, 6<<10)
+	}
+	if got := len(g.adj.page(0).vals); got != minVals {
+		t.Errorf("its page holds %d value slots, want %d", got, minVals)
 	}
 }

@@ -26,7 +26,6 @@ package otq
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/agg"
 	"repro/internal/core"
@@ -235,19 +234,19 @@ func (o Outcome) String() string {
 // CheckOptions tunes the specification checker's participation notion.
 type CheckOptions struct {
 	// BridgeRecoveries judges stability over recovery-bridged sessions
-	// (core.StableBetweenBridged): an entity that crashed during the query
-	// and recovered with its state intact still counts as a stable
-	// participant, so a valid answer must account for its value. This is
-	// the contract crash–recovery experiments (E21) hold protocols to —
-	// reachable only by channels that keep retrying across the gap.
+	// (core.Trace.SessionsBridgingRecovery): an entity that crashed during
+	// the query and recovered with its state intact still counts as a
+	// stable participant, so a valid answer must account for its value.
+	// This is the contract crash–recovery experiments (E21) hold protocols
+	// to — reachable only by channels that keep retrying across the gap.
 	BridgeRecoveries bool
 	// BridgeRejoins judges stability over rejoin-bridged sessions
-	// (core.StableBetweenRejoinBridged): an entity that left and came back
-	// under the SAME identity during the query — flanked by the runtime's
-	// rejoin mark — still counts as one stable participant. This is the
-	// participation notion durable-identity experiments (E25) use: when
-	// security state persists across churn, a rejoined identity is the
-	// same principal, not a fresh arrival. Subsumes BridgeRecoveries
+	// (core.Trace.SessionsBridgingRejoin): an entity that left and came
+	// back under the SAME identity during the query — flanked by the
+	// runtime's rejoin mark — still counts as one stable participant. This
+	// is the participation notion durable-identity experiments (E25) use:
+	// when security state persists across churn, a rejoined identity is
+	// the same principal, not a fresh arrival. Subsumes BridgeRecoveries
 	// (crash–recovery gaps bridge too).
 	BridgeRejoins bool
 }
@@ -260,74 +259,24 @@ func Check(tr *core.Trace, r *Run, valueOf func(graph.NodeID) float64) Outcome {
 	return CheckWith(tr, r, valueOf, CheckOptions{})
 }
 
-// CheckWith is Check with an explicit participation notion.
+// CheckWith is Check with an explicit participation notion. It replays
+// the retained trace through a StreamChecker, armed before the first
+// event at or after r.Started, so a post-hoc check and a live one are the
+// same judge.
 func CheckWith(tr *core.Trace, r *Run, valueOf func(graph.NodeID) float64, opts CheckOptions) Outcome {
-	stableBetween := tr.StableBetween
-	if opts.BridgeRecoveries {
-		stableBetween = tr.StableBetweenBridged
-	}
-	if opts.BridgeRejoins {
-		stableBetween = tr.StableBetweenRejoinBridged
-	}
-	ans := r.Answer()
-	if ans == nil {
-		out := Outcome{StableCount: len(stableBetween(r.Started, tr.End()))}
-		for _, id := range tr.PresentAt(tr.End()) {
-			if id == r.Querier {
-				return out
-			}
+	c := NewStreamChecker(opts)
+	armed := false
+	tr.Each(func(ev *core.TraceEvent) {
+		if !armed && ev.At >= r.Started {
+			c.Arm(r)
+			armed = true
 		}
-		out.QuerierLeft = true
-		return out
+		c.Observe(*ev)
+	})
+	if !armed {
+		c.Arm(r)
 	}
-	out := Outcome{Terminated: true, Duration: ans.At - r.Started}
-	stable := stableBetween(r.Started, ans.At)
-	out.StableCount = len(stable)
-	out.Quarantined = tr.MarkedEntities(node.MarkAuthQuarantine)
-	quarantined := map[graph.NodeID]bool{}
-	for _, id := range out.Quarantined {
-		quarantined[id] = true
-	}
-	out.ProvenEquivocators = tr.ProvenEquivocators()
-	out.EpochSwitchers = tr.MarkedEntities(core.MarkEpochSwitch)
-	proven := map[graph.NodeID]bool{}
-	for _, id := range out.ProvenEquivocators {
-		proven[id] = true
-	}
-	everPresent := map[graph.NodeID]bool{}
-	for _, id := range tr.EverPresentBetween(r.Started, ans.At) {
-		everPresent[id] = true
-	}
-	reachable := tr.Temporal().ReachableFrom(r.Querier, r.Started, ans.At)
-	for _, id := range stable {
-		if _, ok := ans.Contributors[id]; ok {
-			out.CoveredStable++
-		} else {
-			out.MissedStable = append(out.MissedStable, id)
-			if reachable[id] {
-				out.MissedReachableStable = append(out.MissedReachableStable, id)
-			}
-			if quarantined[id] {
-				out.MissedQuarantined = append(out.MissedQuarantined, id)
-			}
-			if proven[id] {
-				out.MissedProven = append(out.MissedProven, id)
-			}
-		}
-	}
-	ids := make([]graph.NodeID, 0, len(ans.Contributors))
-	for id := range ans.Contributors {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if !everPresent[id] {
-			out.Fabricated = append(out.Fabricated, id)
-		} else if valueOf != nil && ans.Contributors[id] != valueOf(id) {
-			out.WrongValue = append(out.WrongValue, id)
-		}
-	}
-	return out
+	return c.Finish(tr.End(), valueOf)
 }
 
 // contrib is one entry of the contribution sets the exact protocols

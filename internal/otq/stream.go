@@ -8,120 +8,15 @@ import (
 	"repro/internal/node"
 )
 
-// This file implements the streaming OTQ checker: the batch CheckWith
-// judgment recomputed incrementally from the event stream, retaining
+// This file implements the one OTQ judge: the streaming checker, which
+// computes the Outcome incrementally from the event stream, retaining
 // state proportional to live sessions and window participants instead of
-// to the recorded event count. The differential tests in this package and
-// in internal/exp pin its verdicts bit-for-bit against CheckWith; any
-// divergence is a bug here, not a new participation notion.
-
-// sessMode selects which batch session reconstruction a streamSessions
-// machine mirrors.
-type sessMode int
-
-const (
-	sessPlain    sessMode = iota // core.Trace.Sessions
-	sessRecovery                 // core.Trace.SessionsBridgingRecovery
-	sessRejoin                   // core.Trace.SessionsBridgingRejoin
-)
-
-// sessEvent kinds: the transition one trace event caused in a session
-// machine.
-const (
-	sessNone      = iota
-	sessOpened    // a fresh session opened at `from`
-	sessClosed    // a session closed definitively: interval [from, to)
-	sessSuspended // a bridged session went silent at `to`; it may resume
-	sessResumed   // a suspended session resumed, keeping its original `from`
-)
-
-type sessEvent struct {
-	kind     int
-	from, to core.Time
-}
-
-// streamSessions replays one of the trace's session reconstructions
-// incrementally. It holds only open and suspended sessions — the batch
-// functions' loop state — never the emitted intervals.
-type streamSessions struct {
-	mode          sessMode
-	open          map[graph.NodeID]core.Time // session start, per open entity
-	suspended     map[graph.NodeID]core.Time // session start, per silent entity
-	lastDownAt    map[graph.NodeID]core.Time // when a suspended entity went silent
-	pendingCrash  map[graph.NodeID]bool
-	pendingReturn map[graph.NodeID]bool
-}
-
-func newStreamSessions(mode sessMode) *streamSessions {
-	return &streamSessions{
-		mode:          mode,
-		open:          map[graph.NodeID]core.Time{},
-		suspended:     map[graph.NodeID]core.Time{},
-		lastDownAt:    map[graph.NodeID]core.Time{},
-		pendingCrash:  map[graph.NodeID]bool{},
-		pendingReturn: map[graph.NodeID]bool{},
-	}
-}
-
-// observe advances the machine by one event and reports the transition it
-// caused. The branch structure tracks the batch reconstructions exactly,
-// including their quirks: a join without an announced return DISCARDS a
-// suspended interval, and a leave while closed is ignored.
-func (s *streamSessions) observe(ev core.TraceEvent) sessEvent {
-	switch ev.Kind {
-	case core.TMark:
-		switch s.mode {
-		case sessRecovery:
-			switch ev.Tag {
-			case core.MarkCrash:
-				s.pendingCrash[ev.P] = true
-			case core.MarkRecover:
-				s.pendingReturn[ev.P] = true
-			}
-		case sessRejoin:
-			if ev.Tag == core.MarkRecover || ev.Tag == core.MarkRejoin {
-				s.pendingReturn[ev.P] = true
-			}
-		}
-	case core.TJoin:
-		if _, isOpen := s.open[ev.P]; isOpen {
-			break
-		}
-		if s.mode == sessPlain {
-			s.open[ev.P] = ev.At
-			return sessEvent{kind: sessOpened, from: ev.At}
-		}
-		if from, was := s.suspended[ev.P]; was && s.pendingReturn[ev.P] {
-			s.open[ev.P] = from
-			delete(s.suspended, ev.P)
-			delete(s.pendingReturn, ev.P)
-			return sessEvent{kind: sessResumed, from: from}
-		}
-		delete(s.suspended, ev.P)
-		delete(s.pendingReturn, ev.P)
-		s.open[ev.P] = ev.At
-		return sessEvent{kind: sessOpened, from: ev.At}
-	case core.TLeave:
-		from, isOpen := s.open[ev.P]
-		if !isOpen {
-			break
-		}
-		delete(s.open, ev.P)
-		switch s.mode {
-		case sessPlain:
-			return sessEvent{kind: sessClosed, from: from, to: ev.At}
-		case sessRecovery:
-			if !s.pendingCrash[ev.P] {
-				return sessEvent{kind: sessClosed, from: from, to: ev.At}
-			}
-			delete(s.pendingCrash, ev.P)
-		}
-		s.suspended[ev.P] = from
-		s.lastDownAt[ev.P] = ev.At
-		return sessEvent{kind: sessSuspended, from: from, to: ev.At}
-	}
-	return sessEvent{}
-}
+// to the recorded event count. CheckWith replays a retained trace through
+// it, so a live feed and a post-hoc replay are one judge. Its referees are
+// test-local: refCheckWith in this package's tests (a batch judgment over
+// the whole trace, with its own stable-set, ever-present and temporal
+// reachability logic) referees both feeds, and internal/exp holds both to
+// frozen verdicts an independent batch judge produced.
 
 // StreamChecker judges a One-Time Query run from the live event stream.
 // Feed it every recorded event by registering Observe as a trace sink
@@ -133,17 +28,15 @@ func (s *streamSessions) observe(ev core.TraceEvent) sessEvent {
 // full event logs would not fit — the trace keeps exact counters, the
 // checker keeps the judgment, and nobody keeps the events.
 type StreamChecker struct {
-	opts CheckOptions
-
 	// Session machines: stable participation under the selected bridging
 	// notion, plus plain sessions — ever-presence and querier presence are
 	// always judged over plain sessions, whatever the bridging.
-	stableTr *streamSessions
-	plainTr  *streamSessions
+	stableTr *core.SessionMachine
+	plainTr  *core.SessionMachine
 
 	// Live overlay graph plus the still-unapplied batch of topology
-	// events sharing the current timestamp. The batch checker applies all
-	// events of one tick before spreading reachability; buffering one
+	// events sharing the current timestamp. Temporal reachability applies
+	// all events of one tick before spreading; buffering one
 	// tick reproduces that, and lets Arm (which fires mid-tick) see the
 	// pre-tick graph for its initial spread.
 	g       *graph.Graph
@@ -180,8 +73,8 @@ type StreamChecker struct {
 	// seeds and next are spread's frontier buffers, reused across ticks.
 	seeds, next []graph.NodeID
 
-	// Run-wide mark sets (the batch checker collects them over the whole
-	// trace, not just the query window).
+	// Run-wide mark sets (collected over the whole trace, not just the
+	// query window).
 	quarantined map[graph.NodeID]bool
 	proven      map[graph.NodeID]bool
 	epoch       map[graph.NodeID]bool
@@ -190,17 +83,16 @@ type StreamChecker struct {
 // NewStreamChecker returns a checker judging with the given participation
 // notion (the CheckOptions CheckWith takes).
 func NewStreamChecker(opts CheckOptions) *StreamChecker {
-	mode := sessPlain
+	mode := core.BridgeNone
 	if opts.BridgeRecoveries {
-		mode = sessRecovery
+		mode = core.BridgeRecovery
 	}
 	if opts.BridgeRejoins {
-		mode = sessRejoin
+		mode = core.BridgeRejoin
 	}
 	return &StreamChecker{
-		opts:        opts,
-		stableTr:    newStreamSessions(mode),
-		plainTr:     newStreamSessions(sessPlain),
+		stableTr:    core.NewSessionMachine(mode),
+		plainTr:     core.NewSessionMachine(core.BridgeNone),
 		g:           graph.New(),
 		cand:        map[graph.NodeID]bool{},
 		candDown:    map[graph.NodeID]core.Time{},
@@ -228,7 +120,7 @@ func (c *StreamChecker) poll() {
 	}
 }
 
-// spread replicates the batch ReachableFrom propagation step
+// spread replicates graph.Temporal.ReachableFrom's propagation step
 // incrementally: information floods from seeds — reached nodes still
 // present — through the current graph. The caller keeps the reached set
 // closed (every present reached node's neighbors are reached), so only
@@ -301,16 +193,7 @@ func (c *StreamChecker) flush() {
 // window freezes once t passes the answer.
 func (c *StreamChecker) advance(t core.Time) {
 	if c.armed && !c.everTickDone && t > c.started {
-		// Entities open when the clock leaves the arm tick have sessions
-		// outliving it (any future leave is at >= t > started), so they
-		// were present during the window.
-		for p := range c.everPending {
-			if _, open := c.plainTr.open[p]; open {
-				c.everPresent[p] = true
-			}
-		}
-		c.everPending = map[graph.NodeID]bool{}
-		c.everTickDone = true
+		c.settleArmTick()
 	}
 	c.flush()
 	if c.armed && c.answered && !c.frozen && t > c.ansAt {
@@ -320,36 +203,51 @@ func (c *StreamChecker) advance(t core.Time) {
 	c.curT, c.haveCur = t, true
 }
 
+// settleArmTick decides the ever-presence of the entities whose session
+// started at the arm tick, once the clock leaves that tick or at Finish:
+// one still open has a session outliving the tick (a later leave is past
+// started, and a session open at the end closes at end+1), so it was
+// present during the window.
+func (c *StreamChecker) settleArmTick() {
+	for p := range c.everPending {
+		if c.plainTr.Open(p) {
+			c.everPresent[p] = true
+		}
+	}
+	c.everPending = nil
+	c.everTickDone = true
+}
+
 // onStable updates stable candidacy from a transition of the bridged
 // session machine. Only meaningful once armed.
-func (c *StreamChecker) onStable(p graph.NodeID, se sessEvent) {
-	switch se.kind {
-	case sessOpened:
-		if se.from <= c.started {
+func (c *StreamChecker) onStable(p graph.NodeID, se core.SessionStep) {
+	switch se.Change {
+	case core.SessionOpened:
+		if se.From <= c.started {
 			// A session opening at the arm tick (post-arm events are never
 			// earlier) can still cover the window.
 			c.cand[p] = true
 			delete(c.candDown, p)
 		} else if c.cand[p] {
 			// The join discarded a suspended interval without an announced
-			// return; the batch reconstruction forgets that interval too.
+			// return; the session machine forgets that interval too.
 			delete(c.cand, p)
 			delete(c.candDown, p)
 		}
-	case sessClosed:
+	case core.SessionClosed:
 		if !c.cand[p] {
 			break
 		}
 		delete(c.cand, p)
 		delete(c.candDown, p)
-		if c.answered && se.to > c.ansAt {
+		if c.answered && se.To > c.ansAt {
 			c.confirmed[p] = true
 		}
-	case sessSuspended:
+	case core.SessionSuspended:
 		if c.cand[p] {
-			c.candDown[p] = se.to
+			c.candDown[p] = se.To
 		}
-	case sessResumed:
+	case core.SessionResumed:
 		if c.cand[p] {
 			delete(c.candDown, p)
 		}
@@ -357,19 +255,19 @@ func (c *StreamChecker) onStable(p graph.NodeID, se sessEvent) {
 }
 
 // onPlain updates ever-presence from a plain-session transition.
-func (c *StreamChecker) onPlain(p graph.NodeID, se sessEvent) {
+func (c *StreamChecker) onPlain(p graph.NodeID, se core.SessionStep) {
 	if !c.armed {
 		return
 	}
-	switch se.kind {
-	case sessOpened:
-		if se.from <= c.started {
+	switch se.Change {
+	case core.SessionOpened:
+		if se.From <= c.started {
 			c.everPending[p] = true
 		} else if !c.frozen {
 			c.everPresent[p] = true
 		}
-	case sessClosed:
-		if se.to <= c.started {
+	case core.SessionClosed:
+		if se.To <= c.started {
 			// The session died within the arm tick: [from, started) misses
 			// the window entirely.
 			delete(c.everPending, p)
@@ -399,12 +297,10 @@ func (c *StreamChecker) Observe(ev core.TraceEvent) {
 			c.epoch[ev.P] = true
 		}
 	}
-	se := c.stableTr.observe(ev)
-	if c.armed && se.kind != sessNone {
+	if se := c.stableTr.Observe(&ev); c.armed && se.Change != core.SessionUnchanged {
 		c.onStable(ev.P, se)
 	}
-	pe := c.plainTr.observe(ev)
-	if pe.kind != sessNone {
+	if pe := c.plainTr.Observe(&ev); pe.Change != core.SessionUnchanged {
 		c.onPlain(ev.P, pe)
 	}
 }
@@ -415,20 +311,17 @@ func (c *StreamChecker) Arm(r *Run) {
 	c.run, c.querier, c.started = r, r.Querier, r.Started
 	if c.haveCur && c.curT < c.started {
 		// Pre-window topology still buffered: apply it without spreading,
-		// like the batch checker's pre-start replay.
+		// like ReachableFrom's replay before the window opens.
 		c.flush()
 	}
 	c.armed = true
-	for p := range c.stableTr.open {
+	c.stableTr.Each(func(p graph.NodeID, s core.Session) {
 		c.cand[p] = true
-	}
-	for p := range c.stableTr.suspended {
-		c.cand[p] = true
-		c.candDown[p] = c.stableTr.lastDownAt[p]
-	}
-	for p := range c.plainTr.open {
-		c.everPending[p] = true
-	}
+		if s.Suspended {
+			c.candDown[p] = s.DownAt
+		}
+	})
+	c.plainTr.Each(func(p graph.NodeID, _ core.Session) { c.everPending[p] = true })
 	// Initial spread over the graph as of the window's opening (the
 	// arm tick's own events are still pending and spread when it ends):
 	// seeded from every present reached node, it leaves the reached set
@@ -445,8 +338,8 @@ func (c *StreamChecker) Arm(r *Run) {
 	c.spread(seeds)
 }
 
-// sortedIDs renders a set exactly like the batch checker's accumulating
-// loops: ascending, and nil — not empty — when the set is empty.
+// sortedIDs renders a set as Outcome's lists read: ascending, and nil —
+// not empty — when the set is empty.
 func sortedIDs(set map[graph.NodeID]bool) []graph.NodeID {
 	if len(set) == 0 {
 		return nil
@@ -461,21 +354,13 @@ func sortedIDs(set map[graph.NodeID]bool) []graph.NodeID {
 
 // Finish settles the judgment. end must be the trace's end time
 // (Trace.End() after Close); valueOf must be the world's assignment.
-// The Outcome is bit-identical to CheckWith over the full trace.
 func (c *StreamChecker) Finish(end core.Time, valueOf func(graph.NodeID) float64) Outcome {
 	c.poll()
 	if c.run == nil {
 		return Outcome{}
 	}
 	if c.armed && !c.everTickDone {
-		// The clock never left the arm tick (or nothing was recorded
-		// after it): sessions still open close at end+1 > started.
-		for p := range c.everPending {
-			if _, open := c.plainTr.open[p]; open {
-				c.everPresent[p] = true
-			}
-		}
-		c.everTickDone = true
+		c.settleArmTick()
 	}
 	c.flush()
 
@@ -490,22 +375,14 @@ func (c *StreamChecker) Finish(end core.Time, valueOf func(graph.NodeID) float64
 		stable = append(stable, p)
 	}
 	for p := range c.cand {
-		if down, susp := c.candDown[p]; susp {
-			if down > E {
-				stable = append(stable, p)
-			}
-		} else {
+		if down, susp := c.candDown[p]; !susp || down > E {
 			stable = append(stable, p)
 		}
 	}
 	sort.Slice(stable, func(i, j int) bool { return stable[i] < stable[j] })
 
 	if ans == nil {
-		out := Outcome{StableCount: len(stable)}
-		if _, present := c.plainTr.open[c.querier]; !present {
-			out.QuerierLeft = true
-		}
-		return out
+		return Outcome{StableCount: len(stable), QuerierLeft: !c.plainTr.Open(c.querier)}
 	}
 	out := Outcome{Terminated: true, Duration: c.ansAt - c.started, StableCount: len(stable)}
 	out.Quarantined = sortedIDs(c.quarantined)

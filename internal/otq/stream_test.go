@@ -2,6 +2,8 @@ package otq
 
 import (
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -11,10 +13,98 @@ import (
 	"repro/internal/topology"
 )
 
-// The streaming checker's contract is bit-for-bit equality with the batch
-// checker. These tests replay scripted and randomized event streams
-// through both — and through a count-only twin of the trace, proving the
-// stream verdict never depended on retained events.
+// The one OTQ judge is the streaming checker; CheckWith replays a retained
+// trace through it. These tests replay scripted and randomized event
+// streams through the live feed, through a count-only twin of the trace
+// (proving the verdict never depended on retained events) and through
+// the replay, and hold all three to refCheckWith.
+
+// refCheckWith is the batch judgment CheckWith made before it became a
+// replay, kept as the independent oracle for the streaming checker: it
+// derives the stable set from the reconstructed sessions, ever-presence
+// from EverPresentBetween and reachability from the trace's evolving
+// graph, each over the whole retained trace.
+func refCheckWith(tr *core.Trace, r *Run, valueOf func(graph.NodeID) float64, opts CheckOptions) Outcome {
+	sessions := tr.Sessions
+	if opts.BridgeRecoveries {
+		sessions = tr.SessionsBridgingRecovery
+	}
+	if opts.BridgeRejoins {
+		sessions = tr.SessionsBridgingRejoin
+	}
+	stableBetween := func(t1, t2 core.Time) []graph.NodeID {
+		var out []graph.NodeID
+		for p, ivs := range sessions() {
+			for _, iv := range ivs {
+				if iv.Covers(t1, t2) {
+					out = append(out, p)
+					break
+				}
+			}
+		}
+		slices.Sort(out)
+		return out
+	}
+	ans := r.Answer()
+	if ans == nil {
+		out := Outcome{StableCount: len(stableBetween(r.Started, tr.End()))}
+		for _, id := range tr.PresentAt(tr.End()) {
+			if id == r.Querier {
+				return out
+			}
+		}
+		out.QuerierLeft = true
+		return out
+	}
+	out := Outcome{Terminated: true, Duration: ans.At - r.Started}
+	stable := stableBetween(r.Started, ans.At)
+	out.StableCount = len(stable)
+	out.Quarantined = tr.MarkedEntities(node.MarkAuthQuarantine)
+	quarantined := map[graph.NodeID]bool{}
+	for _, id := range out.Quarantined {
+		quarantined[id] = true
+	}
+	out.ProvenEquivocators = tr.ProvenEquivocators()
+	out.EpochSwitchers = tr.MarkedEntities(core.MarkEpochSwitch)
+	proven := map[graph.NodeID]bool{}
+	for _, id := range out.ProvenEquivocators {
+		proven[id] = true
+	}
+	everPresent := map[graph.NodeID]bool{}
+	for _, id := range tr.EverPresentBetween(r.Started, ans.At) {
+		everPresent[id] = true
+	}
+	reachable := tr.Temporal().ReachableFrom(r.Querier, r.Started, ans.At)
+	for _, id := range stable {
+		if _, ok := ans.Contributors[id]; ok {
+			out.CoveredStable++
+		} else {
+			out.MissedStable = append(out.MissedStable, id)
+			if reachable[id] {
+				out.MissedReachableStable = append(out.MissedReachableStable, id)
+			}
+			if quarantined[id] {
+				out.MissedQuarantined = append(out.MissedQuarantined, id)
+			}
+			if proven[id] {
+				out.MissedProven = append(out.MissedProven, id)
+			}
+		}
+	}
+	ids := make([]graph.NodeID, 0, len(ans.Contributors))
+	for id := range ans.Contributors {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		if !everPresent[id] {
+			out.Fabricated = append(out.Fabricated, id)
+		} else if valueOf != nil && ans.Contributors[id] != valueOf(id) {
+			out.WrongValue = append(out.WrongValue, id)
+		}
+	}
+	return out
+}
 
 type scriptStep struct {
 	ev      *core.TraceEvent
@@ -33,9 +123,9 @@ type checkScript struct {
 
 func testValueOf(id graph.NodeID) float64 { return float64(id) * 3 }
 
-// runScript replays one script through the batch checker, the streaming
-// checker on the same full trace, and a streaming checker on a count-only
-// trace, and requires all three outcomes identical.
+// runScript replays one script through the live feed on a full trace, the
+// live feed on a count-only trace and the post-hoc replay (CheckWith), and
+// requires all three outcomes to equal refCheckWith's.
 func runScript(t *testing.T, name string, sc checkScript, opts CheckOptions) {
 	t.Helper()
 	tr := &core.Trace{}
@@ -66,14 +156,18 @@ func runScript(t *testing.T, name string, sc checkScript, opts CheckOptions) {
 	tr.Close(sc.horizon)
 	trLite.Close(sc.horizon)
 
-	want := CheckWith(tr, run, testValueOf, opts)
-	got := c.Finish(tr.End(), testValueOf)
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("%s (opts %+v): stream verdict diverged\nbatch:  %+v\nstream: %+v", name, opts, want, got)
-	}
-	gotLite := cLite.Finish(trLite.End(), testValueOf)
-	if !reflect.DeepEqual(want, gotLite) {
-		t.Errorf("%s (opts %+v): count-only stream verdict diverged\nbatch: %+v\nlite:  %+v", name, opts, want, gotLite)
+	want := refCheckWith(tr, run, testValueOf, opts)
+	for _, v := range []struct {
+		feed string
+		got  Outcome
+	}{
+		{"live", c.Finish(tr.End(), testValueOf)},
+		{"count-only live", cLite.Finish(trLite.End(), testValueOf)},
+		{"replay", CheckWith(tr, run, testValueOf, opts)},
+	} {
+		if !reflect.DeepEqual(want, v.got) {
+			t.Errorf("%s (opts %+v): %s verdict diverged\nreference: %+v\n%s: %+v", name, opts, v.feed, want, v.feed, v.got)
+		}
 	}
 }
 
@@ -184,7 +278,7 @@ func TestStreamCheckerScriptedEdgeCases(t *testing.T) {
 		},
 		"improper join discards the suspended interval": {
 			// Entity 2 crashes, then joins WITHOUT a recover mark: the
-			// batch reconstruction forgets the suspended interval and the
+			// session reconstruction forgets the suspended interval and the
 			// new session starts too late to be stable.
 			querier: 1, started: 5, ansAt: 10,
 			contribs: map[graph.NodeID]float64{1: 3},
@@ -284,6 +378,36 @@ func TestStreamCheckerScriptedEdgeCases(t *testing.T) {
 				{mark(11, 1, core.MarkEpochSwitch), false, false},
 			},
 		},
+		// The replay arms before the first event at or after Started, or
+		// after the last event when there is none; these rows put that
+		// arm point at each end of the trace.
+		"no event at or after the start": {
+			querier: 1, started: 20, ansAt: 22,
+			contribs: map[graph.NodeID]float64{1: 3, 2: 6},
+			horizon:  25,
+			steps: []scriptStep{
+				{ev: ev(0, core.TJoin, 1)},
+				{ev: ev(0, core.TJoin, 2)},
+				{ev: ev(0, core.TJoin, 3)},
+				{ev: edge(4, core.TEdgeUp, 1, 2)},
+				{ev: ev(10, core.TLeave, 3)},
+				{arm: true},
+				{resolve: true},
+			},
+		},
+		"start earlier than the first event": {
+			querier: 1, started: 2, ansAt: 6,
+			contribs: map[graph.NodeID]float64{1: 3},
+			horizon:  9,
+			steps: []scriptStep{
+				{arm: true},
+				{ev: ev(3, core.TJoin, 1)},
+				{ev: ev(3, core.TJoin, 2)},
+				{ev: edge(4, core.TEdgeUp, 1, 2)},
+				{resolve: true},
+				{ev: ev(8, core.TLeave, 2)},
+			},
+		},
 		// The incremental spread seeds only from the endpoints of a tick's
 		// edge-ups (and the querier when it first appears); these rows
 		// put each kind of seed, and each non-seed, in a tick of its own.
@@ -322,7 +446,7 @@ func TestStreamCheckerScriptedEdgeCases(t *testing.T) {
 			},
 		},
 		"edge up and down within one tick": {
-			// The batch applies the whole tick before spreading: the edge
+			// Reachability applies the whole tick before spreading: the edge
 			// is gone by then and nothing crosses it.
 			querier: 1, started: 5, ansAt: 9,
 			contribs: map[graph.NodeID]float64{1: 3},
@@ -395,7 +519,7 @@ func TestStreamCheckerScriptedEdgeCases(t *testing.T) {
 
 // Randomized differential: arbitrary monotone event streams with churn,
 // link flaps, lifecycle marks, mid-tick arms and resolutions. Any
-// divergence between the batch and streaming checkers fails.
+// divergence of a feed from refCheckWith fails.
 func TestStreamCheckerRandomDifferential(t *testing.T) {
 	const entities = 6
 	for seed := uint64(1); seed <= 400; seed++ {
