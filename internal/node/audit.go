@@ -799,13 +799,7 @@ func (au *auditLayer) prove(w *World, p *Proc, offender graph.NodeID, a, b Recei
 	if !p.alive {
 		return
 	}
-	for _, u := range p.Neighbors() {
-		if u == offender {
-			continue
-		}
-		p.Send(u, AuditProofTag, proof)
-		au.totals.ProofsForwarded++
-	}
+	au.totals.ProofsForwarded += p.sendAllBut(offender, AuditProofTag, proof)
 }
 
 // digest assembles up to PullBudget digest entries from the store,
@@ -835,26 +829,29 @@ func (au *auditLayer) digest(o *observer) []DigestEntry {
 	return out
 }
 
-// pullTargets picks this round's PullFanout targets by rotating through
-// the (sorted, hence deterministic) neighbor list, skipping excluded ids.
-func (au *auditLayer) pullTargets(p *Proc, round uint64, excluded func(graph.NodeID) bool) []graph.NodeID {
-	var cand []graph.NodeID
-	for _, u := range p.Neighbors() {
-		if !excluded(u) {
+// pullTo sends req, boxed once, to this round's PullFanout targets,
+// picked by rotating through the (sorted, hence deterministic) neighbor
+// list minus the ids on path, and returns how many it sent.
+func (au *auditLayer) pullTo(p *Proc, round uint64, path []graph.NodeID, req any) int {
+	w := p.world
+	nbrs := w.borrowNeighbors(p)
+	cand := nbrs[:0]
+	for _, u := range nbrs {
+		if !containsID(path, u) {
 			cand = append(cand, u)
 		}
 	}
-	if len(cand) == 0 {
-		return nil
+	f := 0
+	if len(cand) > 0 {
+		fanout := w.stack(p.epoch).PullFanout
+		f = min(fanout, len(cand))
+		start := int(round*uint64(fanout)) % len(cand)
+		for i := 0; i < f; i++ {
+			p.Send(cand[(start+i)%len(cand)], AuditPullTag, req)
+		}
 	}
-	fanout := p.world.stack(p.epoch).PullFanout
-	f := min(fanout, len(cand))
-	start := int(round*uint64(fanout)) % len(cand)
-	out := make([]graph.NodeID, 0, f)
-	for i := 0; i < f; i++ {
-		out = append(out, cand[(start+i)%len(cand)])
-	}
-	return out
+	w.returnNeighbors(nbrs)
+	return f
 }
 
 // pullTick originates one pull round: digest the store, send it to this
@@ -869,10 +866,7 @@ func (au *auditLayer) pullTick(p *Proc) {
 			Path:   []graph.NodeID{p.ID},
 			Digest: d,
 		}
-		for _, u := range au.pullTargets(p, round, func(id graph.NodeID) bool { return id == p.ID }) {
-			p.Send(u, AuditPullTag, req)
-			au.totals.PullsSent++
-		}
+		au.totals.PullsSent += au.pullTo(p, round, req.Path, req)
 	}
 	p.After(au.cfg.PullInterval, func() { au.pullTick(p) })
 }
@@ -914,12 +908,7 @@ func (au *auditLayer) onPull(p *Proc, m Message, req PullRequest) {
 			Path:   append(append([]graph.NodeID{}, req.Path...), at),
 			Digest: req.Digest,
 		}
-		for _, u := range au.pullTargets(p, o.pullRound, func(id graph.NodeID) bool {
-			return id == at || containsID(fwd.Path, id)
-		}) {
-			p.Send(u, AuditPullTag, fwd)
-			au.totals.PullsRelayed++
-		}
+		au.totals.PullsRelayed += au.pullTo(p, o.pullRound, fwd.Path, fwd)
 	}
 }
 
@@ -1050,11 +1039,9 @@ func (au *auditLayer) flush(p *Proc) {
 	batch := make([]Receipt, n)
 	copy(batch, q[:n])
 	p.audit.pending = q[n:]
-	for _, u := range p.Neighbors() {
-		p.Send(u, AuditReceiptTag, batch)
-		au.totals.ReceiptsSent++
-		au.totals.ReceiptsCarried += n
-	}
+	sent := p.sendAllBut(p.ID, AuditReceiptTag, batch)
+	au.totals.ReceiptsSent += sent
+	au.totals.ReceiptsCarried += sent * n
 }
 
 // dropSenderBSeq forgets an entity's sender-side audit state: the

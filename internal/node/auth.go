@@ -173,15 +173,6 @@ func (rw *replayWindow) accept(seq uint64, width int) bool {
 	return true
 }
 
-// pairKeyID caches one derived pair key per (directed pair, key epoch):
-// the reconfiguration layer rotates keys by bumping the stack's KeyEpoch,
-// and in-flight copies still verify under the generation they were
-// stamped with. Without reconfiguration ke is always 0.
-type pairKeyID struct {
-	pair [2]graph.NodeID
-	ke   uint64
-}
-
 // authLink is what one receiver holds about one claimed sender: the
 // anti-replay window, the misbehavior ledger and the quarantine verdict.
 // The identity codec distinguishes "no entry" from a zero value, so the
@@ -231,8 +222,6 @@ func (ap *authPeer) quarantined(about graph.NodeID) bool {
 
 type authLayer struct {
 	cfg AuthConfig
-	// keys caches the derived per-pair keys by (pair, key epoch).
-	keys map[pairKeyID]uint64
 	// peers holds one ledger per entity with auth state in memory. Running
 	// entities reach theirs through Proc.auth.
 	peers   map[graph.NodeID]*authPeer
@@ -244,7 +233,6 @@ type authLayer struct {
 func newAuthLayer(cfg AuthConfig) *authLayer {
 	return &authLayer{
 		cfg:   cfg,
-		keys:  make(map[pairKeyID]uint64),
 		peers: make(map[graph.NodeID]*authPeer),
 	}
 }
@@ -272,16 +260,14 @@ func (al *authLayer) linkOf(by, about graph.NodeID) *authLink {
 // epoch ke. The derivation stands in for a key agreement run at link
 // establishment (and re-run at each rotation); what matters to the model
 // is that both endpoints of a link hold it and nobody else can produce
-// it. The ke fold is an exact identity at 0, so a world that never
-// rotates derives the same keys it always did.
+// it. The reconfiguration layer rotates keys by bumping the stack's
+// KeyEpoch, and in-flight copies still verify under the generation they
+// were stamped with; the ke fold is an exact identity at 0, so a world
+// that never rotates derives the same keys it always did. The key is
+// derived on every call rather than cached: the derivation (four Mix64
+// and one generator step, on the stack) costs less than a map probe.
 func (al *authLayer) pairKey(from, to graph.NodeID, ke uint64) uint64 {
-	id := pairKeyID{pair: [2]graph.NodeID{from, to}, ke: ke}
-	if k, ok := al.keys[id]; ok {
-		return k
-	}
-	k := rng.New(al.cfg.KeySeed ^ uint64(from)*0x9e3779b97f4a7c15 ^ uint64(to)*0xc2b2ae3d27d4eb4f ^ ke*0x9e6c63d0876a9a47).Uint64()
-	al.keys[id] = k
-	return k
+	return rng.New(al.cfg.KeySeed ^ uint64(from)*0x9e3779b97f4a7c15 ^ uint64(to)*0xc2b2ae3d27d4eb4f ^ ke*0x9e6c63d0876a9a47).Uint64()
 }
 
 // fnv1a is the 64-bit FNV-1a hash.

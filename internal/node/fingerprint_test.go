@@ -114,7 +114,7 @@ func randNodePayload(r *rng.Rand) any {
 	case 4:
 		return [2]Receipt{randReceipt(r), randReceipt(r)}
 	case 5:
-		return ackMsg{Seq: small()}
+		return ackMsg{}
 	case 6:
 		return reconfigPrepare{Epoch: small(), Wire: randBytes(r)}
 	case 7:
@@ -153,7 +153,7 @@ func TestFingerprintMatchesFmtDigest(t *testing.T) {
 		[]Receipt(nil), []Receipt{}, []byte(nil), []byte{},
 		0.0, math.Copysign(0, -1),
 		[]Receipt{a, b}, [2]Receipt{a, b},
-		ackMsg{Seq: 7}, reconfigCommit{Epoch: 7},
+		ackMsg{}, reconfigCommit{Epoch: 7},
 		reconfigPrepare{Epoch: 1}, reconfigPrepare{Epoch: 1, Wire: []byte{}},
 		pex.Exchange{Wire: []byte{1}}, reconfigPrepare{Epoch: 0, Wire: []byte{1}},
 		PullRequest{Path: []graph.NodeID{}, Digest: []DigestEntry{}}, PullRequest{},

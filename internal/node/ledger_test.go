@@ -111,14 +111,18 @@ func (c *chatter) Receive(*Proc, Message) {}
 // sublayer's record map holds at most one record per PRESENT entity —
 // under durable identity, plus at most RetainDeparted audit ledgers kept
 // for the departed — and a departed sender's bseq memo is gone with its
-// ledger.
+// ledger. Then the founders leave too and the world quiesces: the
+// reliable window and every sender's list of live messages must be
+// empty, and the free list of recycled records no longer than the peak
+// number of messages ever in flight at once.
 //
 // What it does not assert, because it still grows with history (ROADMAP
-// item 4): a living entity's links, receipts and RTT estimators about
-// identities that never return; reliableLayer.delivered; the reliable
-// sender records themselves (cumulative counters and RTT history, never
-// dropped); pex ledger entries about blacklisted absentees; and whatever
-// a crash that never recovers leaves behind.
+// item 5): a living entity's links, receipts and RTT estimators about
+// identities that never return; reliableLayer.delivered, one bit per
+// sequence number ever handed out; the reliable sender records
+// themselves (cumulative counters and RTT history, never dropped); pex
+// ledger entries about blacklisted absentees; and whatever a crash that
+// never recovers leaves behind.
 func TestSublayerRecordsBoundedByTheLiving(t *testing.T) {
 	const founders, retain = 6, 4
 	for _, durable := range []bool{false, true} {
@@ -130,6 +134,19 @@ func TestSublayerRecordsBoundedByTheLiving(t *testing.T) {
 			Audit:    AuditConfig{Enabled: true, Pull: true},
 			Identity: IdentityConfig{Durable: durable, RetainDeparted: retain},
 			Reconfig: ReconfigConfig{Enabled: true},
+		})
+		// Every message's first copy is transmitted right after it enters
+		// the window, so sampling there sees the peak in flight.
+		peak := 0
+		w.SetChannelHook(func(sim.Time, graph.NodeID, graph.NodeID, string) ChannelFault {
+			live := 0
+			for _, pm := range w.rel.window[w.rel.head:] {
+				if pm != nil {
+					live++
+				}
+			}
+			peak = max(peak, live)
+			return ChannelFault{}
 		})
 		w.ApplyChurn(churn.New(12, churn.Config{
 			InitialPopulation: founders, Immortal: true,
@@ -148,7 +165,6 @@ func TestSublayerRecordsBoundedByTheLiving(t *testing.T) {
 			}
 		}
 		e.RunUntil(600)
-		w.Close()
 
 		present := len(w.Present())
 		if present != founders {
@@ -183,6 +199,26 @@ func TestSublayerRecordsBoundedByTheLiving(t *testing.T) {
 			if !durable && w.audit.observers[id] != nil {
 				t.Errorf("session-keyed departed entity %d still holds an audit ledger", id)
 			}
+		}
+
+		for _, id := range w.Present() {
+			w.Leave(id)
+		}
+		e.Run()
+		w.Close()
+		if e.Pending() != 0 {
+			t.Fatalf("durable=%v: %d events still pending after the run", durable, e.Pending())
+		}
+		if live := len(w.rel.window) - w.rel.head; live != 0 {
+			t.Errorf("durable=%v: quiesced reliable window spans %d sequence numbers", durable, live)
+		}
+		for id, s := range w.rel.senders {
+			if s.unacked != nil {
+				t.Errorf("durable=%v: quiesced sender %d still lists seq %d as live", durable, id, s.unacked.m.seq)
+			}
+		}
+		if n := len(w.rel.free); n == 0 || n > peak {
+			t.Errorf("durable=%v: %d recycled records for a peak of %d messages in flight", durable, n, peak)
 		}
 	}
 }

@@ -324,6 +324,9 @@ type World struct {
 	// timers return to it: a canceled one may still be named by its
 	// canceled *sim.Event, so it is left to the garbage collector.
 	timerFree []*procTimer
+	// nbrBuf is the neighbor buffer the sublayers' fan-outs reuse (see
+	// borrowNeighbors).
+	nbrBuf []graph.NodeID
 }
 
 // NewWorld assembles a runtime over the given engine and overlay. The
@@ -731,6 +734,38 @@ func (p *Proc) AppendNeighbors(dst []graph.NodeID) []graph.NodeID {
 	return p.world.Overlay.Graph().AppendNeighbors(dst, p.ID)
 }
 
+// borrowNeighbors returns p's current neighbors, ascending, in the
+// world's reused buffer; the caller hands the slice back with
+// returnNeighbors once it is done sending. A borrow nested inside another
+// (no send delivers synchronously, so none happens today) would get a
+// fresh slice rather than clobber the outer one.
+func (w *World) borrowNeighbors(p *Proc) []graph.NodeID {
+	nbrs := p.AppendNeighbors(w.nbrBuf[:0])
+	w.nbrBuf = nil
+	return nbrs
+}
+
+func (w *World) returnNeighbors(nbrs []graph.NodeID) { w.nbrBuf = nbrs[:0] }
+
+// sendAllBut sends payload to every current neighbor of p except skip
+// (p.ID skips none) and returns how many copies it sent. The payload is
+// boxed once by the call, not once per neighbor, and the neighbor list is
+// read into the world's reused buffer: the sublayers' fan-outs allocate
+// nothing of their own.
+func (p *Proc) sendAllBut(skip graph.NodeID, tag string, payload any) int {
+	w := p.world
+	nbrs := w.borrowNeighbors(p)
+	sent := 0
+	for _, u := range nbrs {
+		if u != skip {
+			p.Send(u, tag, payload)
+			sent++
+		}
+	}
+	w.returnNeighbors(nbrs)
+	return sent
+}
+
 // Send transmits a message to a current neighbor. Sending to a non-
 // neighbor (stale knowledge) or from a departed entity records a drop.
 // Delivery is delayed by a random latency; the message is dropped if the
@@ -907,11 +942,10 @@ func (w *World) deliver(m Message) {
 		// Ack every arriving copy (the previous ack may have been lost),
 		// but deliver the payload to the behavior only once.
 		w.rel.ackBack(w, m)
-		if w.rel.delivered[m.seq] {
+		if !w.rel.firstDelivery(m.seq) {
 			w.Trace.Mark(now, m.To, MarkDupSuppressed)
 			return
 		}
-		w.rel.delivered[m.seq] = true
 	}
 	if w.auth != nil && !w.auth.admitSeq(w, q, m) {
 		return

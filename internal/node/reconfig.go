@@ -523,23 +523,7 @@ func (rc *reconfigLayer) recordAck(w *World, e uint64, acker graph.NodeID) {
 		return
 	}
 	rc.switchTo(w, p, e, false)
-	p.Broadcast(ReconfigCommitTag, reconfigCommit{Epoch: e})
-}
-
-// hasOldPending reports whether any of the node's own reliable-layer
-// messages stamped with an epoch older than e are still unacked.
-// Handshake traffic is excluded: a node's own flooded prepare under the
-// previous epoch must not deadlock its drain.
-func (rc *reconfigLayer) hasOldPending(p *Proc, e uint64) bool {
-	if p.rel == nil {
-		return false
-	}
-	for _, pm := range p.rel.unacked {
-		if pm.m.epoch < e && !isReconfigTag(pm.m.Tag) {
-			return true
-		}
-	}
-	return false
+	p.sendAllBut(p.ID, ReconfigCommitTag, reconfigCommit{Epoch: e})
 }
 
 // drain runs a node's quiescence wait for epoch e: poll once per tick
@@ -555,7 +539,7 @@ func (rc *reconfigLayer) drainStep(w *World, p *Proc, e uint64, deadline sim.Tim
 	if !p.alive {
 		return
 	}
-	if !rc.hasOldPending(p, e) {
+	if p.rel == nil || !p.rel.hasOldPending(e) {
 		rc.counters.Drains++
 		rc.sendAck(w, p, e)
 		return
@@ -578,13 +562,14 @@ func (rc *reconfigLayer) sendAck(w *World, p *Proc, e uint64) {
 	if rc.rounds[e].initiator == p.ID {
 		rc.recordAck(w, e, p.ID)
 	}
-	p.Broadcast(ReconfigAckTag, reconfigAck{Epoch: e, Acker: p.ID})
+	p.sendAllBut(p.ID, ReconfigAckTag, reconfigAck{Epoch: e, Acker: p.ID})
 }
 
 // onPrepare handles a prepare's first sight at a node: check the carried
 // wire bytes against the registered epoch (a divergent prepare — an
-// epoch-split attempt — is dropped and counted), re-flood, drain.
-func (rc *reconfigLayer) onPrepare(w *World, p *Proc, from graph.NodeID, pr reconfigPrepare) {
+// epoch-split attempt — is dropped and counted), re-flood m's payload,
+// drain.
+func (rc *reconfigLayer) onPrepare(w *World, p *Proc, m Message, pr reconfigPrepare) {
 	e := pr.Epoch
 	if e == 0 || e >= uint64(len(rc.rounds)) {
 		rc.counters.BadWire++
@@ -599,11 +584,7 @@ func (rc *reconfigLayer) onPrepare(w *World, p *Proc, from graph.NodeID, pr reco
 		return
 	}
 	rc.counters.Prepares++
-	for _, u := range p.Neighbors() {
-		if u != from {
-			p.Send(u, ReconfigPrepareTag, pr)
-		}
-	}
+	p.sendAllBut(m.From, ReconfigPrepareTag, m.Payload)
 	rc.drain(w, p, e)
 }
 
@@ -611,7 +592,7 @@ func (rc *reconfigLayer) onPrepare(w *World, p *Proc, from graph.NodeID, pr reco
 func (rc *reconfigLayer) onReconfig(w *World, p *Proc, m Message) {
 	switch pl := m.Payload.(type) {
 	case reconfigPrepare:
-		rc.onPrepare(w, p, m.From, pl)
+		rc.onPrepare(w, p, m, pl)
 	case reconfigAck:
 		e := pl.Epoch
 		if e == 0 || e >= uint64(len(rc.rounds)) {
@@ -625,11 +606,7 @@ func (rc *reconfigLayer) onReconfig(w *World, p *Proc, m Message) {
 		if rc.rounds[e].initiator == p.ID {
 			rc.recordAck(w, e, pl.Acker)
 		}
-		for _, u := range p.Neighbors() {
-			if u != m.From {
-				p.Send(u, ReconfigAckTag, pl)
-			}
-		}
+		p.sendAllBut(m.From, ReconfigAckTag, m.Payload)
 	case reconfigCommit:
 		e := pl.Epoch
 		if e == 0 || e >= uint64(len(rc.rounds)) {
@@ -642,11 +619,7 @@ func (rc *reconfigLayer) onReconfig(w *World, p *Proc, m Message) {
 		rc.counters.Commits++
 		rc.recordCommit(e)
 		rc.switchTo(w, p, e, false)
-		for _, u := range p.Neighbors() {
-			if u != m.From {
-				p.Send(u, ReconfigCommitTag, pl)
-			}
-		}
+		p.sendAllBut(m.From, ReconfigCommitTag, m.Payload)
 	default:
 		rc.counters.BadWire++
 	}
@@ -676,7 +649,7 @@ func (w *World) Reconfigure(initiator graph.NodeID, target StackConfig) uint64 {
 	rc.counters.Initiated++
 	firstSight(&p.reconf.prepSeen, e)
 	pr := reconfigPrepare{Epoch: e, Wire: EncodeStackConfig(target)}
-	p.Broadcast(ReconfigPrepareTag, pr)
+	p.sendAllBut(p.ID, ReconfigPrepareTag, pr)
 	rc.drain(w, p, e)
 	return e
 }

@@ -8,6 +8,16 @@ package node
 // receiver acks every arriving copy (acks may be lost too) and suppresses
 // duplicate deliveries to the behavior. A bounded retry budget keeps a
 // permanently departed receiver from pinning the sender forever.
+//
+// Sequence numbers are world-global and dense (1, 2, 3, …), so the
+// bookkeeping indexes instead of hashing. The tracked messages sit in a
+// window indexed by seq − base whose base advances past settled heads,
+// and each sender threads its own live messages on an intrusive list (a
+// quiescence drain walks only those). Settled records are cleared and
+// recycled through a free list. The receiver's dedup memory is one bit
+// per sequence number. An ack carries the acknowledged number in the
+// header's seq word, so its payload is the zero-size ackMsg{} and boxing
+// it allocates nothing.
 
 import (
 	"fmt"
@@ -114,27 +124,34 @@ type ReliableCounters struct {
 	GiveUps int
 }
 
-type ackMsg struct {
-	Seq uint64
-}
+// ackMsg is the payload of an ack. The acknowledged sequence number rides
+// the ack's own Message.seq word, so the payload carries nothing: boxing
+// a zero-size value allocates nothing. It is not Tamperable, so an
+// in-flight corruption mangles an ack beyond parsing (a drop).
+type ackMsg struct{}
 
 // Fingerprint implements Fingerprinter.
-func (m ackMsg) Fingerprint() uint64 { return fold(fpAck, m.Seq) }
+func (ackMsg) Fingerprint() uint64 { return fpAck }
 
 type pendingMsg struct {
 	m Message
 	w *World
-	// from is the sender's record: its counters, RTT table and unacked set
-	// outlive the Proc that sent m.
-	from     *relSender
-	attempts int
-	timeout  sim.Time
-	timer    *sim.Event
+	// from is the sender's record: its counters, RTT table and unacked
+	// list outlive the Proc that sent m.
+	from *relSender
+	// prev and next thread from's list of live messages.
+	prev, next *pendingMsg
+	attempts   int
+	timeout    sim.Time
+	timer      *sim.Event
 	// sentAt and retransmitted implement Karn's rule for the adaptive
 	// estimator: only messages acked without any retransmission produce an
 	// RTT sample (a retransmitted message's ack is ambiguous).
 	sentAt        sim.Time
 	retransmitted bool
+	// live is true from send until settle; a settled record sits on the
+	// free list, cleared.
+	live bool
 }
 
 // rttEstimator is the Jacobson/Karels smoothed RTT tracker of one
@@ -168,20 +185,41 @@ type relSender struct {
 	// rtt holds the adaptive estimator per destination (allocated by the
 	// first sample).
 	rtt map[graph.NodeID]*rttEstimator
-	// unacked is this sender's share of reliableLayer.pending, so a
+	// unacked heads the list of this sender's live messages, so a
 	// quiescence drain asks about its own traffic without scanning the
 	// world's.
-	unacked map[uint64]*pendingMsg
+	unacked *pendingMsg
+}
+
+// hasOldPending reports whether any of the sender's live messages stamped
+// with an epoch older than e is not handshake traffic: a node's own
+// flooded prepare under the previous epoch must not deadlock its drain.
+func (s *relSender) hasOldPending(e uint64) bool {
+	for pm := s.unacked; pm != nil; pm = pm.next {
+		if pm.m.epoch < e && !isReconfigTag(pm.m.Tag) {
+			return true
+		}
+	}
+	return false
 }
 
 type reliableLayer struct {
 	cfg ReliableConfig
+	// seq is the last sequence number handed out (world-global, from 1).
 	seq uint64
-	// pending tracks unacked messages by sequence number (sender side).
-	pending map[uint64]*pendingMsg
-	// delivered remembers which sequence numbers reached a behavior
-	// (receiver side), so retransmitted copies are acked but not replayed.
-	delivered map[uint64]bool
+	// window[head:] holds the tracked messages by sequence number, sender
+	// side: window[head+i] is seq base+i, nil once settled. The base
+	// advances past settled heads, so the window spans the oldest live
+	// message to the newest; base+len(window)-head is always seq+1.
+	window []*pendingMsg
+	head   int
+	base   uint64
+	// free holds settled records for reuse.
+	free []*pendingMsg
+	// delivered has bit seq set once that sequence number reached a
+	// behavior (receiver side), so retransmitted copies are acked but not
+	// replayed. send grows it as it hands numbers out.
+	delivered []uint64
 	// senders holds one record per entity that ever ran here. Running
 	// entities reach theirs through Proc.rel.
 	senders map[graph.NodeID]*relSender
@@ -195,8 +233,7 @@ type reliableLayer struct {
 func newReliableLayer(cfg ReliableConfig, reconfig bool) *reliableLayer {
 	return &reliableLayer{
 		cfg:       cfg,
-		pending:   make(map[uint64]*pendingMsg),
-		delivered: make(map[uint64]bool),
+		base:      1,
 		senders:   make(map[graph.NodeID]*relSender),
 		sampleRTT: cfg.Adaptive || reconfig,
 	}
@@ -206,10 +243,29 @@ func newReliableLayer(cfg ReliableConfig, reconfig bool) *reliableLayer {
 func (rl *reliableLayer) sender(id graph.NodeID) *relSender {
 	s := rl.senders[id]
 	if s == nil {
-		s = &relSender{unacked: make(map[uint64]*pendingMsg)}
+		s = &relSender{}
 		rl.senders[id] = s
 	}
 	return s
+}
+
+// tracked returns the live message with sequence number seq, or nil.
+func (rl *reliableLayer) tracked(seq uint64) *pendingMsg {
+	if seq < rl.base || seq-rl.base >= uint64(len(rl.window)-rl.head) {
+		return nil
+	}
+	return rl.window[rl.head+int(seq-rl.base)]
+}
+
+// firstDelivery records that seq, a number send handed out, reached a
+// behavior and reports whether it had not before.
+func (rl *reliableLayer) firstDelivery(seq uint64) bool {
+	word, bit := &rl.delivered[seq>>6], uint64(1)<<(seq&63)
+	if *word&bit != 0 {
+		return false
+	}
+	*word |= bit
+	return true
 }
 
 // rtoFor is the first timeout of a fresh message from s toward to: the
@@ -237,21 +293,73 @@ func (rl *reliableLayer) rtoFor(adaptive bool, s *relSender, to graph.NodeID) si
 func (rl *reliableLayer) send(w *World, p *Proc, m Message) {
 	rl.seq++
 	m.seq = rl.seq
+	if int(m.seq>>6) == len(rl.delivered) {
+		rl.delivered = append(rl.delivered, 0) // the dedup bit of m.seq
+	}
 	// The RTO policy rides the message's stack epoch, fixed at send time:
 	// retries of this message keep its policy even if an epoch switch
 	// lands mid-flight.
 	adaptive := w.stack(m.epoch).Adaptive
-	pm := &pendingMsg{m: m, from: p.rel, timeout: rl.rtoFor(adaptive, p.rel, m.To), sentAt: w.Engine.Now()}
-	rl.pending[m.seq] = pm
-	p.rel.unacked[m.seq] = pm
+	var pm *pendingMsg
+	if n := len(rl.free); n > 0 {
+		pm = rl.free[n-1]
+		rl.free[n-1] = nil
+		rl.free = rl.free[:n-1]
+	} else {
+		pm = new(pendingMsg)
+	}
+	s := p.rel
+	pm.m, pm.from, pm.live = m, s, true
+	pm.timeout, pm.sentAt = rl.rtoFor(adaptive, s, m.To), w.Engine.Now()
+	pm.next = s.unacked
+	if s.unacked != nil {
+		s.unacked.prev = pm
+	}
+	s.unacked = pm
+	rl.push(pm)
 	w.transmit(m)
 	rl.scheduleRetry(w, pm)
 }
 
-// settle stops tracking a message: acked, abandoned, or orphaned.
+// push appends the newest message to the window. A full buffer whose
+// settled prefix is at least half of it is compacted in place instead of
+// grown, so a window sliding at a steady width stops allocating.
+func (rl *reliableLayer) push(pm *pendingMsg) {
+	if len(rl.window) == cap(rl.window) && rl.head > 0 && 2*rl.head >= len(rl.window) {
+		n := copy(rl.window, rl.window[rl.head:])
+		clear(rl.window[n:])
+		rl.window, rl.head = rl.window[:n], 0
+	}
+	rl.window = append(rl.window, pm)
+}
+
+// settle stops tracking a message: acked, abandoned, or orphaned. The
+// record stays readable until the caller recycles it.
 func (rl *reliableLayer) settle(pm *pendingMsg) {
-	delete(rl.pending, pm.m.seq)
-	delete(pm.from.unacked, pm.m.seq)
+	pm.live = false
+	rl.window[rl.head+int(pm.m.seq-rl.base)] = nil
+	for rl.head < len(rl.window) && rl.window[rl.head] == nil {
+		rl.head++
+		rl.base++
+	}
+	if rl.head == len(rl.window) {
+		rl.window, rl.head = rl.window[:0], 0
+	}
+	s := pm.from
+	if pm.prev != nil {
+		pm.prev.next = pm.next
+	} else {
+		s.unacked = pm.next
+	}
+	if pm.next != nil {
+		pm.next.prev = pm.prev
+	}
+}
+
+// recycle clears a settled record, payload included, onto the free list.
+func (rl *reliableLayer) recycle(pm *pendingMsg) {
+	*pm = pendingMsg{}
+	rl.free = append(rl.free, pm)
 }
 
 func (rl *reliableLayer) scheduleRetry(w *World, pm *pendingMsg) {
@@ -266,24 +374,27 @@ func (rl *reliableLayer) scheduleRetry(w *World, pm *pendingMsg) {
 // fireRetry is the retransmission timeout of one tracked message. It is
 // a shared function (the pendingMsg rides sim.Event.arg) so arming a
 // retry allocates no closure; acked messages cancel the timer eagerly
-// and the event never fires.
+// and the event never fires. A record is recycled only after its timer
+// fired or was canceled, so the live test is a guard, not a path.
 func fireRetry(arg any) {
 	pm := arg.(*pendingMsg)
-	w := pm.w
-	rl := w.rel
-	if _, unacked := rl.pending[pm.m.seq]; !unacked {
+	if !pm.live {
 		return
 	}
+	w := pm.w
+	rl := w.rel
 	now := int64(w.Engine.Now())
 	if w.Proc(pm.m.From) == nil {
 		// The sender is gone; its channel-layer buffer died with it.
 		rl.settle(pm)
+		rl.recycle(pm)
 		return
 	}
 	if pm.attempts >= rl.cfg.MaxRetries {
 		pm.from.GiveUps++
 		w.Trace.Mark(now, pm.m.From, MarkGiveUp)
 		rl.settle(pm)
+		rl.recycle(pm)
 		return
 	}
 	pm.attempts++
@@ -296,16 +407,16 @@ func fireRetry(arg any) {
 }
 
 // ackBack sends an acknowledgment for the arriving copy toward its
-// sender, over the same impaired channel.
+// sender, over the same impaired channel. The acknowledged sequence
+// number rides the ack's header.
 func (rl *reliableLayer) ackBack(w *World, m Message) {
-	w.transmit(Message{From: m.To, To: m.From, Tag: AckTag, Payload: ackMsg{Seq: m.seq}})
+	w.transmit(Message{From: m.To, To: m.From, Tag: AckTag, Payload: ackMsg{}, seq: m.seq})
 }
 
 // onAck settles the acked message: cancel its retry timer, count it.
 func (rl *reliableLayer) onAck(w *World, m Message) {
-	seq := m.Payload.(ackMsg).Seq
-	pm, ok := rl.pending[seq]
-	if !ok {
+	pm := rl.tracked(m.seq)
+	if pm == nil {
 		return // duplicate ack, or the sender already gave up
 	}
 	rl.settle(pm)
@@ -321,6 +432,7 @@ func (rl *reliableLayer) onAck(w *World, m Message) {
 		}
 		e.sample(float64(w.Engine.Now() - pm.sentAt))
 	}
+	rl.recycle(pm)
 }
 
 // ReliableStats returns a copy of the per-entity sender-side counters of
