@@ -80,6 +80,26 @@ func TestRejectedFlags(t *testing.T) {
 	}
 }
 
+// TestRegistersThroughCrashes runs both register workloads while two
+// entities are crashed: a crashed reader must not be picked (its edges
+// linger in the overlay, but it runs no behaviour), so each run exits 0
+// with a verdict.
+func TestRegistersThroughCrashes(t *testing.T) {
+	for _, reg := range []string{"-tq", "-dynreg"} {
+		args := []string{"-n", "16", "-protocol", "none", reg, "-faults", "crash:nodes=3+5,recover=80@60", "-read-every", "1", "-horizon", "300"}
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "DDSIM_AS_MAIN=1")
+		out, err := cmd.Output()
+		if err != nil {
+			t.Errorf("ddsim %v: %v", args, err)
+			continue
+		}
+		if !strings.Contains(string(out), "\nverdict: ") {
+			t.Errorf("ddsim %v printed no verdict:\n%s", args, out)
+		}
+	}
+}
+
 // TestProfileFlags runs one small world with and without -cpuprofile and
 // -memprofile: both files are written and stdout is byte-identical.
 func TestProfileFlags(t *testing.T) {

@@ -135,9 +135,7 @@ func (r *Register) Factory() node.BehaviorFactory {
 }
 
 func (b *regBehavior) Init(p *node.Proc) {
-	for _, u := range p.Neighbors() {
-		p.Send(u, tagStateReq, nil)
-	}
+	p.Broadcast(tagStateReq, nil)
 	b.startTicking(p)
 }
 

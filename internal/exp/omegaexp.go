@@ -54,11 +54,7 @@ func E19(cfg Config) *Report {
 			present.AddBool(w.Proc(leader) != nil)
 			total, members := 0, 0
 			for _, id := range w.Present() {
-				p := w.Proc(id)
-				if p == nil {
-					continue
-				}
-				if m, ok := node.FindBehavior[*omega.Member](p.Behavior()); ok {
+				if m, ok := node.FindBehavior[*omega.Member](w.Proc(id).Behavior()); ok {
 					total += m.Demotions()
 					members++
 				}

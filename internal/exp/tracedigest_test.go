@@ -47,7 +47,9 @@ const traceDigestPath = "testdata/trace_digests.json"
 // contacts, which leave an edge that neither view wants (head). Two
 // 1 000-entity random-k cells (k=1 and k=4) pin every draw of the
 // overlay's joins and leave-time rescues at a size where a join's
-// shuffle spans the whole member list.
+// shuffle spans the whole member list. The last two run the inbound stage
+// lists no experiment runs: auth+audit over a raw channel, and all six
+// sublayers stacked on pex (rawAuditCell, sixLayerCell).
 // In the parole cell every rejoining holder has quarantined only entity 3,
 // so no two expired paroles of one holder re-arm at one tick.
 var traceDigestCells = []struct {
@@ -133,6 +135,87 @@ var traceDigestCells = []struct {
 	}},
 	{"random-k(1) churn n=1000", func(Config) *core.Trace { return randomKDigestCell(1) }},
 	{"random-k(4) churn n=1000", func(Config) *core.Trace { return randomKDigestCell(4) }},
+	{"auth+audit raw channel", func(cfg Config) *core.Trace { return rawAuditCell(cfg).Trace }},
+	{"six layers on pex", func(Config) *core.Trace { return sixLayerCell().Trace }},
+}
+
+// rawAuditCell is the chordal 16-ring under auth and audit (40-tick hold)
+// WITHOUT the reliable sublayer, an equivocator and a corrupting sender:
+// every other security cell runs over reliable, so this is the one inbound
+// path with no ack or dedup stage, where the anti-replay window is the
+// only duplicate filter and a rejected copy is never retransmitted.
+func rawAuditCell(cfg Config) *node.World {
+	ncfg := node.Config{
+		MinLatency: 1, MaxLatency: 2, Seed: 1,
+		Auth:  node.AuthConfig{Enabled: true, Parole: e23Parole},
+		Audit: node.AuditConfig{Enabled: true, GossipInterval: 4, GossipBudget: 32, HoldFor: 40},
+	}
+	pl := mustPlan("equiv:nodes=3,peers=2+4,p=1;corrupt:nodes=7,p=0.25;seed=9")
+	w, _, _ := stormCell(ncfg, chordScript(16), pl, digestEcho(), cfg.horizon(3000), otq.CheckOptions{}, nil)
+	return w
+}
+
+// sixLayerCell stacks every sublayer in one world — reliable, auth, audit
+// with its hold, durable identity, reconfiguration and pex with the view
+// audit — on a manual overlay whose views are seeded from a ring, under
+// rejoining churn, a corrupting sender and one reconfiguration round, with
+// the echo wave running over the links pex maintains. No other cell runs
+// pex under the security layers' stages.
+func sixLayerCell() RunResult {
+	const n = 24
+	return Execute(Scenario{
+		Seed:    1,
+		Overlay: func(uint64) topology.Overlay { return topology.NewManual() },
+		Churn: churn.Config{
+			InitialPopulation: n,
+			Immortal:          true,
+			ArrivalRate:       0.2,
+			Session:           churn.ExpSessions(40),
+			RejoinProb:        0.5,
+			Downtime:          churn.FixedSessions(8),
+		},
+		Script: func(w *node.World, e *sim.Engine) {
+			e.At(1, func() { w.PexSeedViews(topology.BuildRing(n)) })
+		},
+		Protocol:   func() otq.Protocol { return digestEcho() },
+		QueryAt:    25,
+		Faults:     mustPlan("corrupt:nodes=5,p=0.25;reconfig:nodes=1,rotate=1,retain=12@80;seed=33"),
+		MinLatency: 1, MaxLatency: 2,
+		Reliable: e21Reliable,
+		Auth:     node.AuthConfig{Enabled: true},
+		Audit:    node.AuditConfig{Enabled: true, GossipInterval: 4, GossipBudget: 32, HoldFor: 40},
+		Identity: node.IdentityConfig{Durable: true},
+		Reconfig: node.ReconfigConfig{Enabled: true},
+		Pex:      pex.Config{Enabled: true, SampleEvery: 40, Audit: pex.ViewAuditConfig{Enabled: true, KeySeed: 0x27}},
+		Horizon:  300,
+	})
+}
+
+// TestStackCellsDoWork: the raw-channel and six-layer digest cells pin
+// their stage lists only if every layer in them actually handles traffic.
+func TestStackCellsDoWork(t *testing.T) {
+	w := rawAuditCell(Config{Quick: true})
+	if au, ad := w.AuthTotals(), w.AuditTotals(); au.Accepted == 0 || au.RejectedCorrupt == 0 || ad.ReceiptsSent == 0 {
+		t.Errorf("raw-channel cell: auth %+v, audit %+v; want accepted, rejected-corrupt and receipts > 0", au, ad)
+	}
+	if rel := w.ReliableTotals(); rel != (node.ReliableCounters{}) {
+		t.Errorf("raw-channel cell: reliable totals %+v, want none", rel)
+	}
+	res := sixLayerCell()
+	switch {
+	case res.Reliable.Acked == 0:
+		t.Errorf("six-layer cell: reliable %+v, want acks", res.Reliable)
+	case res.Auth.Accepted == 0 || res.Auth.RejectedCorrupt == 0:
+		t.Errorf("six-layer cell: auth %+v, want accepted and rejected-corrupt copies", res.Auth)
+	case res.Audit.ReceiptsSent == 0:
+		t.Errorf("six-layer cell: audit %+v, want receipts", res.Audit)
+	case res.Reconfig.Committed == 0:
+		t.Errorf("six-layer cell: reconfig %+v, want a commit", res.Reconfig)
+	case res.Pex.Exchanges == 0:
+		t.Errorf("six-layer cell: pex %+v, want exchanges", res.Pex)
+	case res.Identity.Saves == 0:
+		t.Errorf("six-layer cell: identity %+v, want durable saves", res.Identity)
+	}
 }
 
 // randomKDigestCell is a 1 000-entity random-k world with no query, run

@@ -577,9 +577,11 @@ func (au *auditLayer) observer(id graph.NodeID) *observer {
 // Pex exchange traffic is also unstamped: its records carry their own
 // per-subject signatures, judged by the view-audit defense.
 func (au *auditLayer) stamps(tag string) bool {
-	return tag != AuditReceiptTag && tag != AuditProofTag &&
-		tag != AuditPullTag && tag != AuditPullRespTag &&
-		!isReconfigTag(tag) && !isPexTag(tag)
+	return !isAuditTag(tag) && !isReconfigTag(tag) && !isPexTag(tag)
+}
+
+func isAuditTag(tag string) bool {
+	return tag == AuditReceiptTag || tag == AuditProofTag || tag == AuditPullTag || tag == AuditPullRespTag
 }
 
 // bseqFor assigns (or recalls) the broadcast sequence number of one
@@ -854,8 +856,8 @@ func (au *auditLayer) pullTo(p *Proc, round uint64, path []graph.NodeID, req any
 	return f
 }
 
-// pullTick originates one pull round: digest the store, send it to this
-// round's targets with the full TTL budget, reschedule.
+// pullTick originates one pull round: digest the store and send it to
+// this round's targets with the full TTL budget.
 func (au *auditLayer) pullTick(p *Proc) {
 	if d := au.digest(p.audit); len(d) > 0 {
 		round := p.audit.pullRound
@@ -868,7 +870,6 @@ func (au *auditLayer) pullTick(p *Proc) {
 		}
 		au.totals.PullsSent += au.pullTo(p, round, req.Path, req)
 	}
-	p.After(au.cfg.PullInterval, func() { au.pullTick(p) })
 }
 
 // onPull answers a digest at p and forwards it while TTL remains. Any
@@ -973,56 +974,60 @@ func (au *auditLayer) onAudit(w *World, p *Proc, m Message) {
 	}
 }
 
-// hold defers an accepted delivery for the audit window. At release the
-// copy is dropped if its sender has been proven (or otherwise
-// quarantined) at this receiver in the meantime — the proof beat the
-// poison — and delivered normally otherwise.
-func (au *auditLayer) hold(w *World, m Message) {
-	env := w.acquireEnv()
-	env.m = m
-	w.Engine.AfterCall(au.cfg.HoldFor, fireHeldDelivery, env)
+func (au *auditLayer) terminate(w *World, q *Proc, m Message) bool {
+	return !isAuditTag(m.Tag) || w.terminate(q, m, au.onAudit)
 }
 
-// fireHeldDelivery releases one audit-held copy, sharing the world's
-// delivery envelope pool so holding a message costs no closure.
-func fireHeldDelivery(arg any) {
-	env := arg.(*deliveryEnv)
-	w, m := env.w, env.m
-	env.m = Message{}
-	w.envFree = append(w.envFree, env)
+// hold is the audit.hold stage: it records a stamped copy's receipt at
+// arrival, then holds the delivery for the audit window while receipts
+// gossip. Honest traffic pays the hold as uniform extra latency.
+func (au *auditLayer) hold(w *World, q *Proc, m Message) bool {
+	if m.bseq != 0 {
+		au.observe(w, q, m)
+	}
+	if au.cfg.HoldFor <= 0 {
+		return true
+	}
+	w.schedule(au.cfg.HoldFor, m, &heldRelease)
+	return false
+}
+
+var heldRelease = []stage{{name: "audit.release", run: releaseHeld}}
+
+// releaseHeld drops a held copy whose sender has been proven (or
+// otherwise quarantined) at this receiver in the meantime: the proof beat
+// the poison.
+func releaseHeld(w *World, q *Proc, m Message) bool {
+	if _, proven := q.audit.proven[m.From]; !proven && !q.auth.quarantined(m.From) {
+		return true
+	}
 	now := int64(w.Engine.Now())
-	q, ok := w.procs.Get(m.To)
-	if !ok {
-		w.Trace.Drop(now, m.From, m.To, m.Tag)
-		return
-	}
-	if _, proven := q.audit.proven[m.From]; proven || q.auth.quarantined(m.From) {
-		w.audit.totals.HeldDropped++
-		w.Trace.Mark(now, m.To, MarkAuditHeldDrop)
-		w.Trace.Drop(now, m.From, m.To, m.Tag)
-		return
-	}
-	w.Trace.Deliver(now, m.To, m.From, m.Tag)
-	q.behavior.Receive(q, m)
+	w.audit.totals.HeldDropped++
+	w.Trace.Mark(now, m.To, MarkAuditHeldDrop)
+	w.Trace.Drop(now, m.From, m.To, m.Tag)
+	return false
 }
 
 // start schedules an entity's receipt-gossip and pull loops, offset by
-// identity so rounds desynchronize. The timers die with the entity
-// (Proc.After).
+// identity so rounds desynchronize, each re-arming one closure per entity.
+// The timers die with the entity (Proc.After).
 func (au *auditLayer) start(p *Proc) {
 	if au.cfg.GossipInterval > 0 {
-		offset := 1 + sim.Time(uint64(p.ID)%uint64(au.cfg.GossipInterval))
-		p.After(offset, func() { au.gossipTick(p) })
+		var gossip func()
+		gossip = func() {
+			au.flush(p)
+			p.After(au.cfg.GossipInterval, gossip)
+		}
+		p.After(1+sim.Time(uint64(p.ID)%uint64(au.cfg.GossipInterval)), gossip)
 	}
 	if au.cfg.Pull && au.cfg.PullInterval > 0 && au.cfg.PullTTL > 0 {
-		offset := 1 + sim.Time((uint64(p.ID)*7)%uint64(au.cfg.PullInterval))
-		p.After(offset, func() { au.pullTick(p) })
+		var pull func()
+		pull = func() {
+			au.pullTick(p)
+			p.After(au.cfg.PullInterval, pull)
+		}
+		p.After(1+sim.Time((uint64(p.ID)*7)%uint64(au.cfg.PullInterval)), pull)
 	}
-}
-
-func (au *auditLayer) gossipTick(p *Proc) {
-	au.flush(p)
-	p.After(au.cfg.GossipInterval, func() { au.gossipTick(p) })
 }
 
 // flush gossips up to GossipBudget pending receipts to every neighbor;
@@ -1044,34 +1049,48 @@ func (au *auditLayer) flush(p *Proc) {
 	au.totals.ReceiptsCarried += sent * n
 }
 
-// dropSenderBSeq forgets an entity's sender-side audit state: the
-// broadcast counter and the bseq memo of its logical broadcasts. A
-// session-keyed departure loses them with the whole ledger (the next
-// session numbers from 1 in a world that also forgot the old receipts); a
-// durable-identity departure or crash persists the counter in the
-// identity record first, so the rejoiner resumes its sequence space.
-func (au *auditLayer) dropSenderBSeq(id graph.NodeID) {
+func (au *auditLayer) snapshotIdentity(id graph.NodeID, rec *IdentityRecord) {
+	if o := au.observers[id]; o != nil {
+		rec.BSeqNext = o.bseqNext
+	}
+}
+
+// dropIdentity forgets an entity's sender-side audit state: the broadcast
+// counter and the bseq memo of its logical broadcasts. A session-keyed
+// departure loses them with the whole ledger (the next session numbers
+// from 1 in a world that also forgot the old receipts); a durable-identity
+// departure or crash persists the counter in the identity record first,
+// so the rejoiner resumes its sequence space.
+func (au *auditLayer) dropIdentity(id graph.NodeID) {
 	if o := au.observers[id]; o != nil {
 		o.bseqNext = 0
 		clear(o.bseqOf)
 	}
 }
 
-// purgeObserver wipes an entity's audit ledger — its receipt store,
-// gossip queue, pins, advertisement and pull bookkeeping, and the
-// convictions IT holds against others. A session-keyed departure calls
-// it: the departing session's memory dies with it.
-func (au *auditLayer) purgeObserver(id graph.NodeID) { delete(au.observers, id) }
+func (au *auditLayer) restoreIdentity(_ *World, id graph.NodeID, rec IdentityRecord) {
+	if rec.BSeqNext > 0 {
+		au.observer(id).bseqNext = rec.BSeqNext
+	}
+}
+
+// retire wipes an entity's audit ledger — its receipt store, gossip
+// queue, pins, advertisement and pull bookkeeping, and the convictions IT
+// holds against others. A session-keyed departure calls it (the departing
+// session's memory dies with it), as does the eviction of a departed
+// durable identity's record.
+func (au *auditLayer) retire(id graph.NodeID) { delete(au.observers, id) }
 
 // purgeAbout wipes every observer's audit state ABOUT one identity, in
 // one pass over the ledgers: the stored and pending receipts naming it as
 // sender, its pins, and the standing convictions against it. This is the
 // session-keyed rejoin's forgetting — a fresh principal arrives with no
-// record — and the returned count of erased convictions is the
-// laundering measurement. everProven survives as accounting, and the
-// world-held ground truth (truthFP/provenB) is untouched: the old
-// session's equivocations really happened.
-func (au *auditLayer) purgeAbout(id graph.NodeID) int {
+// record — and the count of erased convictions is the laundering
+// measurement: it is added to ConvictionsLaundered and returned.
+// everProven survives as accounting, and the world-held ground truth
+// (truthFP/provenB) is untouched: the old session's equivocations really
+// happened.
+func (au *auditLayer) purgeAbout(w *World, id graph.NodeID) int {
 	wiped := 0
 	for _, o := range au.observers {
 		if _, ok := o.proven[id]; ok {
@@ -1080,6 +1099,7 @@ func (au *auditLayer) purgeAbout(id graph.NodeID) int {
 		}
 		o.forget(id)
 	}
+	w.identStats.ConvictionsLaundered += wiped
 	return wiped
 }
 

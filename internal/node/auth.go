@@ -394,18 +394,16 @@ func (al *authLayer) tag(w *World, p *Proc, m *Message) {
 	m.mac = al.macFor(w.stack(m.epoch).KeyEpoch, m.From, m.To, m.aseq, m.Tag, m.bseq, m.sig, m.epoch, m.Payload)
 }
 
-// identitySnapshot extracts the identity-keyed auth state of one entity —
-// its per-pair send counters (the volatile sender side a crash would lose
-// unless persisted) plus its own receiver-side security ledger: the
-// anti-replay windows it keeps about peers, the strikes and halved
-// budgets it charges them, and the quarantines it imposed with their
-// absolute parole deadlines. The returned record is detached from the
-// layer.
-func (al *authLayer) identitySnapshot(id graph.NodeID) IdentityRecord {
-	var rec IdentityRecord
+// snapshotIdentity copies the identity-keyed auth state of one entity
+// into rec — its per-pair send counters (the volatile sender side a crash
+// would lose unless persisted) plus its own receiver-side security
+// ledger: the anti-replay windows it keeps about peers, the strikes and
+// halved budgets it charges them, and the quarantines it imposed with
+// their absolute parole deadlines. The copy is detached from the layer.
+func (al *authLayer) snapshotIdentity(id graph.NodeID, rec *IdentityRecord) {
 	ap := al.peers[id]
 	if ap == nil {
-		return rec
+		return
 	}
 	for to, seq := range ap.sendSeq {
 		lazySet(&rec.SendSeq, to, seq)
@@ -424,7 +422,6 @@ func (al *authLayer) identitySnapshot(id graph.NodeID) IdentityRecord {
 			lazySet(&rec.Quarantined, peer, l.paroleAt)
 		}
 	}
-	return rec
 }
 
 // dropIdentity forgets an entity's in-memory auth state, sender and
@@ -433,6 +430,9 @@ func (al *authLayer) identitySnapshot(id graph.NodeID) IdentityRecord {
 // with it: they look the link up on firing and find it gone (or replaced
 // by a restore, which re-arms its own).
 func (al *authLayer) dropIdentity(id graph.NodeID) { delete(al.peers, id) }
+
+// retire does nothing: dropIdentity already took the whole auth ledger.
+func (al *authLayer) retire(graph.NodeID) {}
 
 // restoreIdentity reinstates a persisted identity record on recovery or
 // durable-identity rejoin. Quarantines come back with their parole timers
@@ -478,9 +478,9 @@ func (al *authLayer) restoreIdentity(w *World, id graph.NodeID, rec IdentityReco
 // one identity — windows, strikes, budgets, quarantines — in one pass
 // over the ledgers. This is what a session-keyed rejoin does (the new
 // session is a fresh principal, so peers re-establish everything from
-// scratch), and the returned count of standing quarantines it erased is
-// the laundering measurement.
-func (al *authLayer) purgeAbout(id graph.NodeID) int {
+// scratch), and the count of standing quarantines it erased is the
+// laundering measurement: it is added to QuarantinesLaundered and returned.
+func (al *authLayer) purgeAbout(w *World, id graph.NodeID) int {
 	wiped := 0
 	for _, ap := range al.peers {
 		if ap.quarantined(id) {
@@ -488,12 +488,12 @@ func (al *authLayer) purgeAbout(id graph.NodeID) int {
 		}
 		delete(ap.links, id)
 	}
+	w.identStats.QuarantinesLaundered += wiped
 	return wiped
 }
 
-// admit is the receiver's first gate: quarantine filter, then
-// authenticator verification. It records drops and marks itself; a false
-// return means the copy must not proceed.
+// admit is the auth.mac stage: quarantine filter, then authenticator
+// verification.
 func (al *authLayer) admit(w *World, q *Proc, m Message) bool {
 	now := int64(w.Engine.Now())
 	if q.auth.quarantined(m.From) {
@@ -511,10 +511,9 @@ func (al *authLayer) admit(w *World, q *Proc, m Message) bool {
 	return true
 }
 
-// admitSeq is the receiver's second gate: the anti-replay window. It runs
-// after the reliable sublayer's duplicate suppression, so benign
-// retransmissions never reach it — whatever it rejects was replayed by the
-// channel, not retried by a well-behaved sender.
+// admitSeq is the auth.replay stage: the anti-replay window. Whatever it
+// rejects was replayed by the channel, not retried by a well-behaved
+// sender (see rankReplay).
 func (al *authLayer) admitSeq(w *World, q *Proc, m Message) bool {
 	if !q.auth.link(m.From).window.accept(m.aseq, al.cfg.ReplayWindow) {
 		now := int64(w.Engine.Now())

@@ -117,7 +117,7 @@ func FuzzReliableWindow(f *testing.F) {
 					seq = lastAcked
 				}
 				what = fmt.Sprintf("ack %d", seq)
-				rl.onAck(w, Message{Tag: AckTag, Payload: ackMsg{}, seq: seq})
+				rl.onAck(w, nil, Message{Tag: AckTag, Payload: ackMsg{}, seq: seq})
 				if pm := ref.pending[seq]; pm != nil {
 					delete(ref.pending, seq)
 					ref.counters[pm.from].Acked++

@@ -39,6 +39,7 @@ package node
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -359,51 +360,89 @@ func DecodeIdentity(b []byte) (IdentityRecord, error) {
 	return rec, nil
 }
 
-// identityRecord gathers an entity's current identity state from the
-// sublayers (zero value when neither is enabled).
-func (w *World) identityRecord(id graph.NodeID) IdentityRecord {
-	var rec IdentityRecord
-	if w.auth != nil {
-		rec = w.auth.identitySnapshot(id)
-	}
-	if w.audit != nil {
-		if o := w.audit.observers[id]; o != nil {
-			rec.BSeqNext = o.bseqNext
+// identityKeeper is a layer that keys security state to identities: auth
+// and, on top of it, audit. Identity continuity walks them in
+// registration order.
+type identityKeeper interface {
+	// snapshotIdentity adds the entity's identity-keyed state to rec.
+	snapshotIdentity(id graph.NodeID, rec *IdentityRecord)
+	// dropIdentity forgets the in-memory copy of that state.
+	dropIdentity(id graph.NodeID)
+	restoreIdentity(w *World, id graph.NodeID, rec IdentityRecord)
+	// purgeAbout wipes every other entity's state about id, adds the
+	// verdicts it wiped to the world's laundering counters and returns
+	// their number.
+	purgeAbout(w *World, id graph.NodeID) int
+	// retire drops what the layer keeps for an identity past its session.
+	retire(id graph.NodeID)
+}
+
+// identArrive is identity continuity's arrival hook (see World.Join and
+// World.Recover). Identity keying is an epoch-governed knob: a joiner
+// operates under the latest committed stack, so ITS durability — not the
+// frozen genesis config — decides whether a join restores or resets. The
+// verdicts a reset wipes are counted and trace-marked as laundering.
+func (w *World) identArrive(p *Proc, a arrival) {
+	id, now := p.ID, int64(w.Engine.Now())
+	wire := a.snap.ident
+	switch {
+	case a.recovering:
+	case w.stack(p.epoch).Durable:
+		w.forgetDeparted(id)
+		raw, _ := w.store.Load(id)
+		snap, _ := raw.(durableSnapshot)
+		if wire = snap.ident; wire != nil {
+			w.identStats.Restores++
+			w.Trace.Mark(now, id, MarkIdentRestore)
+		}
+	case a.rejoin:
+		laundered := 0
+		for _, k := range w.hooks.keepers {
+			laundered += k.purgeAbout(w, id)
+		}
+		w.identStats.SessionResets++
+		if laundered > 0 {
+			w.Trace.Mark(now, id, MarkIdentReset)
 		}
 	}
-	return rec
-}
-
-// dropIdentityState forgets an entity's in-memory identity state in both
-// sublayers — what a departure (or crash) does to state that was not
-// written durably.
-func (w *World) dropIdentityState(id graph.NodeID) {
-	if w.auth != nil {
-		w.auth.dropIdentity(id)
+	if wire == nil {
+		return
 	}
-	if w.audit != nil {
-		w.audit.dropSenderBSeq(id)
+	rec, err := DecodeIdentity(wire)
+	if err != nil {
+		// The store only ever holds records this process encoded; a decode
+		// failure is a bug, not an input condition.
+		panic(err.Error())
 	}
-}
-
-// restoreIdentityState reinstates a persisted identity record: sender
-// counters, receiver windows and ledger, quarantines with their parole
-// timers re-armed for the remaining time, and the broadcast counter.
-func (w *World) restoreIdentityState(id graph.NodeID, rec IdentityRecord) {
-	if w.auth != nil {
-		w.auth.restoreIdentity(w, id, rec)
-	}
-	if w.audit != nil && rec.BSeqNext > 0 {
-		w.audit.observer(id).bseqNext = rec.BSeqNext
+	for _, k := range w.hooks.keepers {
+		k.restoreIdentity(w, id, rec)
 	}
 }
 
-// identSaveOnLeave persists a durable identity at departure and drops the
-// in-memory copies; rejoin restores them via identRestoreOnJoin.
-func (w *World) identSaveOnLeave(id graph.NodeID) {
+// identDepart is identity continuity's departure hook; the departing
+// entity's durability is that of ITS current epoch. A session-keyed leave
+// drops the session's own state for good (peers' state about it is wiped
+// at rejoin time: an identity that never returns harms nobody). A crash
+// or durable leave persists the identity record, into the crash snapshot
+// or the stable store, and drops the in-memory copies.
+func (w *World) identDepart(p *Proc, crash *durableSnapshot) {
+	id := p.ID
+	if crash == nil && !w.stack(p.epoch).Durable {
+		for _, k := range w.hooks.keepers {
+			k.dropIdentity(id)
+			k.retire(id)
+		}
+		return
+	}
 	rec := w.identityRecord(id)
-	w.dropIdentityState(id)
+	for _, k := range w.hooks.keepers {
+		k.dropIdentity(id)
+	}
 	if rec.Empty() {
+		return
+	}
+	if crash != nil {
+		crash.ident = EncodeIdentity(rec)
 		return
 	}
 	w.store.Save(id, durableSnapshot{ident: EncodeIdentity(rec)})
@@ -411,49 +450,14 @@ func (w *World) identSaveOnLeave(id graph.NodeID) {
 	w.retainDeparted(id, len(rec.Quarantined) > 0)
 }
 
-// identRestoreOnJoin loads a departed identity's persisted record, if one
-// survives, and reinstates it on the joining entity.
-func (w *World) identRestoreOnJoin(id graph.NodeID) {
-	w.forgetDeparted(id)
-	raw, ok := w.store.Load(id)
-	if !ok {
-		return
+// identityRecord gathers an entity's current identity state from the
+// sublayers (zero value when auth is off).
+func (w *World) identityRecord(id graph.NodeID) IdentityRecord {
+	var rec IdentityRecord
+	for _, k := range w.hooks.keepers {
+		k.snapshotIdentity(id, &rec)
 	}
-	snap, wrapped := raw.(durableSnapshot)
-	if !wrapped || snap.ident == nil {
-		return
-	}
-	rec, err := DecodeIdentity(snap.ident)
-	if err != nil {
-		// The store only ever holds records this process encoded; a decode
-		// failure is a bug, not an input condition.
-		panic(err.Error())
-	}
-	w.restoreIdentityState(id, rec)
-	w.identStats.Restores++
-	w.Trace.Mark(int64(w.Engine.Now()), id, MarkIdentRestore)
-}
-
-// identResetOnRejoin is the session-keyed rejoin: the new session is a
-// fresh principal, so peers' state about the old one — windows, strikes,
-// budgets, quarantines, convictions, stored receipts — is wiped. The
-// wiped verdicts are the laundering the durable mode exists to prevent;
-// they are counted and trace-marked so runs can measure them.
-func (w *World) identResetOnRejoin(id graph.NodeID) {
-	laundered := 0
-	if w.auth != nil {
-		laundered += w.auth.purgeAbout(id)
-	}
-	convictions := 0
-	if w.audit != nil {
-		convictions = w.audit.purgeAbout(id)
-	}
-	w.identStats.SessionResets++
-	w.identStats.QuarantinesLaundered += laundered
-	w.identStats.ConvictionsLaundered += convictions
-	if laundered+convictions > 0 {
-		w.Trace.Mark(int64(w.Engine.Now()), id, MarkIdentReset)
-	}
+	return rec
 }
 
 // DropIdentityRecord deletes the identity record persisted for a departed
@@ -488,46 +492,31 @@ func (w *World) DropIdentityRecord(id graph.NodeID) {
 // rejoin. Only when every retained record is pinned does the cap fall
 // back to the oldest outright (the cap is exact, never exceeded).
 func (w *World) retainDeparted(id graph.NodeID, convicting bool) {
-	if w.departedSet == nil {
-		w.departedSet = make(map[graph.NodeID]bool)
-	}
 	pinning := w.cfg.Identity.RetainPolicy != RetentionFIFO
 	if pinning && convicting && !w.departedPinned[id] {
-		if w.departedPinned == nil {
-			w.departedPinned = make(map[graph.NodeID]bool)
-		}
-		w.departedPinned[id] = true
+		lazySet(&w.departedPinned, id, true)
 		w.identStats.RecordsPinned++
 	}
 	if w.departedSet[id] {
 		return
 	}
-	w.departedSet[id] = true
+	lazySet(&w.departedSet, id, true)
 	w.departed = append(w.departed, id)
 	for len(w.departed) > w.cfg.Identity.RetainDeparted {
 		idx := 0
 		if pinning {
-			idx = -1
-			for i, d := range w.departed {
-				if !w.departedPinned[d] {
-					idx = i
-					break
-				}
-			}
-			if idx < 0 {
-				idx = 0
-			}
+			idx = max(0, slices.IndexFunc(w.departed, func(d graph.NodeID) bool { return !w.departedPinned[d] }))
 		}
 		old := w.departed[idx]
 		w.departed = append(w.departed[:idx], w.departed[idx+1:]...)
 		delete(w.departedSet, old)
 		delete(w.departedPinned, old)
 		w.store.Delete(old)
-		if w.audit != nil {
-			// The identity starts fresh if it ever returns, so the receipt
-			// store a durable Leave kept for it goes with the record: the
-			// ledgers of the departed stay within the same cap.
-			w.audit.purgeObserver(old)
+		// The identity starts fresh if it ever returns, so the receipt
+		// store a durable Leave kept for it goes with the record: the
+		// ledgers of the departed stay within the same cap.
+		for _, k := range w.hooks.keepers {
+			k.retire(old)
 		}
 		w.identStats.RecordsEvicted++
 	}

@@ -13,6 +13,7 @@ package node
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/churn"
 	"repro/internal/core"
@@ -170,23 +171,13 @@ func (cfg Config) Validate() error {
 	if cfg.LossRate < 0 || cfg.LossRate > 1 {
 		return fmt.Errorf("node: LossRate %v outside [0, 1]", cfg.LossRate)
 	}
-	if err := cfg.Reliable.Validate(); err != nil {
-		return err
-	}
-	if err := cfg.Auth.Validate(); err != nil {
-		return err
-	}
-	if err := cfg.Audit.Validate(); err != nil {
-		return err
-	}
-	if err := cfg.Identity.Validate(); err != nil {
-		return err
-	}
-	if err := cfg.Reconfig.Validate(); err != nil {
-		return err
-	}
-	if err := cfg.Pex.Validate(); err != nil {
-		return err
+	for _, validate := range []func() error{
+		cfg.Reliable.Validate, cfg.Auth.Validate, cfg.Audit.Validate,
+		cfg.Identity.Validate, cfg.Reconfig.Validate, cfg.Pex.Validate,
+	} {
+		if err := validate(); err != nil {
+			return err
+		}
 	}
 	if cfg.Audit.Enabled && !cfg.Auth.Enabled {
 		return fmt.Errorf("node: the audit sublayer requires the auth sublayer (its receipts travel authenticated and its proofs quarantine through it)")
@@ -298,6 +289,10 @@ type World struct {
 	stacks   []StackConfig
 	hook     ChannelHook
 	sendHook SenderHook
+	// stages and hooks are the stack NewWorld declares (see stack.go); the
+	// typed layer pointers below are nil for the layers that are off.
+	stages   []stage
+	hooks    layerHooks
 	rel      *reliableLayer
 	auth     *authLayer
 	audit    *auditLayer
@@ -358,14 +353,35 @@ func NewWorld(engine *sim.Engine, overlay topology.Overlay, factory BehaviorFact
 		store:   cfg.Store,
 		seen:    make(map[graph.NodeID]bool),
 	}
+	var stages [len(stageNames)]func(w *World, q *Proc, m Message) bool
 	if cfg.Reliable.Enabled {
 		w.rel = newReliableLayer(cfg.Reliable.withDefaults(), cfg.Reconfig.Enabled)
+		stages[rankAck], stages[rankDedup] = w.rel.terminateAck, w.rel.dedup
+		w.hooks.arrive = append(w.hooks.arrive, func(p *Proc, _ arrival) { p.rel = w.rel.sender(p.ID) })
 	}
 	if cfg.Auth.Enabled {
 		w.auth = newAuthLayer(cfg.Auth.withDefaults())
+		stages[rankMAC], stages[rankReplay] = w.auth.admit, w.auth.admitSeq
+		w.hooks.arrive = append(w.hooks.arrive, func(p *Proc, _ arrival) { p.auth = w.auth.peer(p.ID) })
+		w.hooks.keepers = append(w.hooks.keepers, w.auth)
 	}
 	if cfg.Audit.Enabled {
 		w.audit = newAuditLayer(cfg.Audit.withDefaults())
+		stages[rankAudit], stages[rankHold] = w.audit.terminate, w.audit.hold
+		w.hooks.arrive = append(w.hooks.arrive, func(p *Proc, _ arrival) { p.audit = w.audit.observer(p.ID) })
+		w.hooks.start = append(w.hooks.start, w.audit.start)
+		w.hooks.keepers = append(w.hooks.keepers, w.audit)
+	}
+	w.stacks = []StackConfig{w.genesisStack()}
+	if cfg.Reconfig.Enabled {
+		w.reconfig = newReconfigLayer()
+		stages[rankFence], stages[rankCatchup] = w.reconfig.admitEpoch, w.reconfig.catchUp
+		w.hooks.arrive = append(w.hooks.arrive, func(p *Proc, _ arrival) { p.epoch, p.reconf = w.reconfig.latest, &reconfigNode{} })
+	}
+	if cfg.Auth.Enabled {
+		// Identity continuity reads the arriving entity's epoch.
+		w.hooks.arrive = append(w.hooks.arrive, w.identArrive)
+		w.hooks.depart = append(w.hooks.depart, w.identDepart)
 	}
 	if cfg.Pex.Enabled {
 		if _, ok := overlay.(topology.LinkController); !ok {
@@ -373,10 +389,15 @@ func NewWorld(engine *sim.Engine, overlay topology.Overlay, factory BehaviorFact
 		}
 		w.pex = newPexLayer(cfg.Pex.WithDefaults(), cfg.Seed)
 		engine.Every(w.pex.cfg.SampleEvery, func() { w.pex.sample(w) })
+		stages[rankPex] = w.pex.terminate
+		w.hooks.start = append(w.hooks.start, w.pex.onJoin)
+		w.hooks.depart = append(w.hooks.depart, w.pex.onLeave)
+		w.hooks.relink = append(w.hooks.relink, w.pex.relinked)
 	}
-	w.stacks = []StackConfig{w.genesisStack()}
-	if cfg.Reconfig.Enabled {
-		w.reconfig = newReconfigLayer()
+	for r, run := range stages {
+		if run != nil {
+			w.stages = append(w.stages, stage{name: stageNames[r], run: run})
+		}
 	}
 	return w
 }
@@ -396,7 +417,15 @@ func (w *World) Proc(id graph.NodeID) *Proc {
 }
 
 // Present returns the IDs of currently present entities, ascending.
-func (w *World) Present() []graph.NodeID { return w.Overlay.Graph().Nodes() }
+func (w *World) Present() []graph.NodeID {
+	nodes := w.Overlay.Graph().Nodes()
+	// Every running entity is in the overlay, so equal counts mean equal
+	// sets; only a crash (which leaves its edges behind) adds strangers.
+	if len(nodes) == w.procs.Len() {
+		return nodes
+	}
+	return slices.DeleteFunc(nodes, func(id graph.NodeID) bool { return w.Proc(id) == nil })
+}
 
 // Turnover returns the cumulative membership turnover since the world
 // was built: joins counts arrivals (Join + Recover), leaves counts
@@ -428,28 +457,15 @@ func (w *World) Join(id graph.NodeID) *Proc {
 	}
 	w.Trace.Join(now, id)
 	w.recordChanges(now, w.Overlay.AddNode(id))
-	return w.bringUp(id, func(p *Proc) {
-		// Identity keying is an epoch-governed knob: a joiner operates under
-		// the latest committed stack, so ITS durability — not the frozen
-		// genesis config — decides whether this join restores or resets.
-		if w.auth != nil {
-			if w.stack(p.epoch).Durable {
-				w.identRestoreOnJoin(id)
-			} else if rejoin {
-				w.identResetOnRejoin(id)
-			}
-		}
-		p.behavior.Init(p)
-	})
+	return w.bringUp(id, arrival{rejoin: rejoin})
 }
 
 // bringUp is the half of an arrival that Join and Recover share, run once
 // the arrival is on the trace and in the overlay: the entity becomes a
-// running Proc at the latest committed stack epoch (a recoverer missed any
-// commits while down, like a joiner), start initializes or restores its
-// behaviour and identity, and only then do the audit and pex sublayers
-// begin working for it.
-func (w *World) bringUp(id graph.NodeID, start func(p *Proc)) *Proc {
+// running Proc, the arrive hooks run, its behaviour starts — restored from
+// a crash snapshot when it has one and can take it — and then the start
+// hooks run.
+func (w *World) bringUp(id graph.NodeID, a arrival) *Proc {
 	w.turnJoins++
 	p := &Proc{
 		ID:       id,
@@ -459,35 +475,24 @@ func (w *World) bringUp(id graph.NodeID, start func(p *Proc)) *Proc {
 		alive:    true,
 	}
 	w.procs.Set(id, p)
-	if w.rel != nil {
-		p.rel = w.rel.sender(id)
+	for _, h := range w.hooks.arrive {
+		h(p, a)
 	}
-	if w.auth != nil {
-		p.auth = w.auth.peer(id)
+	if rec, ok := p.behavior.(Recoverable); ok && a.snap.hasBehavior {
+		rec.Restore(p, a.snap.behavior)
+	} else {
+		p.behavior.Init(p)
 	}
-	if w.audit != nil {
-		p.audit = w.audit.observer(id)
-	}
-	if w.reconfig != nil {
-		p.epoch = w.reconfig.latest
-		p.reconf = &reconfigNode{}
-	}
-	start(p)
-	if w.audit != nil {
-		w.audit.start(p)
-	}
-	if w.pex != nil {
-		w.pex.onJoin(w, p)
+	for _, h := range w.hooks.start {
+		h(p)
 	}
 	return p
 }
 
 // tearDown is the half of a departure that Leave and Crash share: the
-// trace records it, the entity's timers die with it and it stops being a
-// Proc. Its pex view is soft state and dies with the session either way
-// (a recovery re-bootstraps), as does its reconfiguration handshake state
-// (Proc.reconf).
-func (w *World) tearDown(p *Proc, now core.Time) {
+// trace records it, the entity's timers die with it, it stops being a
+// Proc, and the depart hooks run.
+func (w *World) tearDown(p *Proc, now core.Time, crash *durableSnapshot) {
 	w.turnLeaves++
 	w.Trace.Leave(now, p.ID)
 	for _, t := range p.timers {
@@ -496,8 +501,8 @@ func (w *World) tearDown(p *Proc, now core.Time) {
 	p.timers = nil
 	p.alive = false
 	w.procs.Delete(p.ID)
-	if w.pex != nil {
-		w.pex.onLeave(w, p.ID)
+	for _, h := range w.hooks.depart {
+		h(p, crash)
 	}
 }
 
@@ -510,33 +515,8 @@ func (w *World) Leave(id graph.NodeID) {
 		return
 	}
 	now := int64(w.Engine.Now())
-	chs := w.Overlay.RemoveNode(id)
-	w.recordChanges(now, chs)
-	if w.pex != nil {
-		for _, c := range chs {
-			if !c.Up {
-				w.pex.unlinked(c.U, c.V)
-			}
-		}
-	}
-	w.tearDown(p, now)
-	if w.auth != nil {
-		// The departing entity's durability is that of ITS current epoch.
-		if w.stack(p.epoch).Durable {
-			// The identity persists: write its sublayer state to the stable
-			// store so a rejoin resumes the same principal.
-			w.identSaveOnLeave(id)
-		} else {
-			// Session-keyed: the departing session's own state — sender
-			// counters, its receiver-side ledger, its receipt store — dies
-			// with it. (Peers' state about it is wiped at rejoin time, not
-			// here: an identity that never returns harms nobody.)
-			w.dropIdentityState(id)
-			if w.audit != nil {
-				w.audit.purgeObserver(id)
-			}
-		}
-	}
+	w.recordChanges(now, w.Overlay.RemoveNode(id))
+	w.tearDown(p, now, nil)
 }
 
 // Crash removes a present entity WITHOUT telling the overlay: the entity
@@ -567,13 +547,9 @@ func (w *World) Crash(id graph.NodeID) {
 	if rec, ok := p.behavior.(Recoverable); ok {
 		snap.behavior, snap.hasBehavior = rec.Snapshot(), true
 	}
-	if w.auth != nil {
-		rec := w.identityRecord(id)
-		w.dropIdentityState(id)
-		if !rec.Empty() {
-			snap.ident = EncodeIdentity(rec)
-		}
-	}
+	now := int64(w.Engine.Now())
+	w.Trace.Mark(now, id, core.MarkCrash)
+	w.tearDown(p, now, &snap)
 	if snap.ident != nil {
 		w.store.Save(id, snap)
 	} else if snap.hasBehavior {
@@ -581,9 +557,6 @@ func (w *World) Crash(id graph.NodeID) {
 		// bare, as pre-wrapper stores (and tests reading them) expect.
 		w.store.Save(id, snap.behavior)
 	}
-	now := int64(w.Engine.Now())
-	w.Trace.Mark(now, id, core.MarkCrash)
-	w.tearDown(p, now)
 }
 
 // Recover brings a crashed entity back: it resumes executing under its
@@ -615,34 +588,18 @@ func (w *World) Recover(id graph.NodeID) *Proc {
 			}
 		}
 	}
-	return w.bringUp(id, func(p *Proc) {
-		if raw, ok := w.store.Load(id); ok {
-			// Stores written before the durable wrapper existed (or by tests
-			// seeding snapshots directly) hold the bare behavior snapshot.
-			snap, wrapped := raw.(durableSnapshot)
-			if !wrapped {
-				snap = durableSnapshot{behavior: raw, hasBehavior: true}
-			}
-			if snap.ident != nil && w.auth != nil {
-				rec, err := DecodeIdentity(snap.ident)
-				if err != nil {
-					// The store only ever holds records this process encoded; a
-					// decode failure is a bug, not an input condition.
-					panic(err.Error())
-				}
-				w.restoreIdentityState(id, rec)
-			}
-			if snap.hasBehavior {
-				if rec, ok := p.behavior.(Recoverable); ok {
-					rec.Restore(p, snap.behavior)
-					return
-				}
-			}
-		}
-		p.behavior.Init(p)
-	})
+	raw, stored := w.store.Load(id)
+	snap, wrapped := raw.(durableSnapshot)
+	if stored && !wrapped {
+		// Stores written before the durable wrapper existed (or by tests
+		// seeding snapshots directly) hold the bare behavior snapshot.
+		snap = durableSnapshot{behavior: raw, hasBehavior: true}
+	}
+	return w.bringUp(id, arrival{recovering: true, snap: snap})
 }
 
+// recordChanges records overlay edge changes on the trace and reports
+// each to the relink hooks.
 func (w *World) recordChanges(now core.Time, chs []topology.Change) {
 	for _, c := range chs {
 		if c.Up {
@@ -650,6 +607,13 @@ func (w *World) recordChanges(now core.Time, chs []topology.Change) {
 		} else {
 			w.Trace.EdgeDown(now, c.U, c.V)
 		}
+		w.relinked(c.U, c.V, c.Up)
+	}
+}
+
+func (w *World) relinked(u, v graph.NodeID, up bool) {
+	for _, h := range w.hooks.relink {
+		h(u, v, up)
 	}
 }
 
@@ -657,15 +621,8 @@ func (w *World) recordChanges(now core.Time, chs []topology.Change) {
 // control (topology.LinkController) — the hook experiment scripts use to
 // stage partitions. It panics if the overlay does not support it.
 func (w *World) SetLink(u, v graph.NodeID, up bool) {
-	if !w.flipLink(u, v, up) || w.pex == nil {
-		return
-	}
-	if up {
-		// An edge placed from outside the views may be one no view wants.
-		w.pex.touch(u, v)
-	} else {
-		// One cut from outside may be one a view still wants.
-		w.pex.unlinked(u, v)
+	if w.flipLink(u, v, up) {
+		w.relinked(u, v, up)
 	}
 }
 
@@ -845,7 +802,7 @@ func (w *World) transmit(m Message) {
 		if span := w.cfg.MaxLatency - w.cfg.MinLatency; span > 0 {
 			delay += sim.Time(w.r.Intn(int(span) + 1))
 		}
-		w.scheduleDelivery(delay+fl.ReplayAfter, replayed)
+		w.schedule(delay+fl.ReplayAfter, replayed, &w.stages)
 	}
 	if fl.Corrupt != nil {
 		rep, ok := fl.Corrupt(m.Payload)
@@ -864,144 +821,72 @@ func (w *World) transmit(m Message) {
 		if span := w.cfg.MaxLatency - w.cfg.MinLatency; span > 0 {
 			delay += sim.Time(w.r.Intn(int(span) + 1))
 		}
-		w.scheduleDelivery(delay+fl.ExtraDelay, m)
+		w.schedule(delay+fl.ExtraDelay, m, &w.stages)
 	}
 }
 
-// deliveryEnv carries one scheduled message copy from transmit to
-// deliver without a per-delivery closure; envelopes recycle through
-// World.envFree.
+// deliveryEnv carries one scheduled message copy, and the stages it is to
+// walk, to deliver without a per-delivery closure; envelopes recycle
+// through World.envFree.
 type deliveryEnv struct {
-	w *World
-	m Message
+	w      *World
+	m      Message
+	stages *[]stage // a pointer keeps the envelope in the 112-byte size class
 }
 
-func (w *World) acquireEnv() *deliveryEnv {
+// schedule has m delivered through stages after delay.
+func (w *World) schedule(delay sim.Time, m Message, stages *[]stage) {
+	var env *deliveryEnv
 	if n := len(w.envFree); n > 0 {
-		env := w.envFree[n-1]
+		env = w.envFree[n-1]
 		w.envFree[n-1] = nil
 		w.envFree = w.envFree[:n-1]
-		return env
+	} else {
+		env = &deliveryEnv{w: w}
 	}
-	return &deliveryEnv{w: w}
-}
-
-func (w *World) scheduleDelivery(delay sim.Time, m Message) {
-	env := w.acquireEnv()
-	env.m = m
+	env.m, env.stages = m, stages
 	w.Engine.AfterCall(delay, fireDelivery, env)
 }
 
 func fireDelivery(arg any) {
 	env := arg.(*deliveryEnv)
-	w, m := env.w, env.m
+	w, m, stages := env.w, env.m, env.stages
 	// Release before delivering: the behavior may send, and the nested
 	// transmit can then reuse the envelope.
 	env.m = Message{}
 	w.envFree = append(w.envFree, env)
-	w.deliver(m)
+	w.deliver(m, *stages)
 }
 
-// deliver hands an arriving copy to the recipient: drop if it departed,
-// admit it through the authentication sublayer, ack and dedup under the
-// reliable sublayer, then run the behavior.
-//
-// The two sublayers interleave deliberately. Authenticator verification
-// runs BEFORE the reliable ack, so a corrupted or forged copy is never
-// acknowledged and the honest sender retransmits a clean one — this is
-// what lets the composed stack restore validity under Byzantine channel
-// faults. The anti-replay window runs AFTER reliable dedup, so benign
-// retransmission duplicates (already suppressed by seq) never charge the
-// sender's misbehavior budget; with the reliable sublayer off, the window
-// is the only duplicate/replay filter. Acks themselves travel
-// unauthenticated — forging an ack can at worst suppress a retransmission,
-// which the model counts as channel loss.
-func (w *World) deliver(m Message) {
-	now := int64(w.Engine.Now())
+// deliver hands an arriving copy to its recipient: it is dropped if the
+// recipient departed, walks the stages — any of them may end it (see
+// stack.go for their order and why) — and reaches the behavior if none
+// did.
+func (w *World) deliver(m Message, stages []stage) {
 	q, ok := w.procs.Get(m.To)
 	if !ok {
-		w.Trace.Drop(now, m.From, m.To, m.Tag)
+		w.Trace.Drop(int64(w.Engine.Now()), m.From, m.To, m.Tag)
 		return
 	}
-	if w.rel != nil && m.Tag == AckTag {
-		w.Trace.Deliver(now, m.To, m.From, m.Tag)
-		w.rel.onAck(w, m)
-		return
-	}
-	// The epoch fence runs before authentication: a copy too many epochs
-	// behind the receiver is dropped without a strike (it needs no key to
-	// judge, and fencing first means a straggler — or a forged stamp —
-	// can never charge an honest sender's budget).
-	if w.reconfig != nil && !w.reconfig.admitEpoch(w, q, m) {
-		return
-	}
-	if w.auth != nil && !w.auth.admit(w, q, m) {
-		return
-	}
-	if m.seq != 0 && w.rel != nil {
-		// Ack every arriving copy (the previous ack may have been lost),
-		// but deliver the payload to the behavior only once.
-		w.rel.ackBack(w, m)
-		if !w.rel.firstDelivery(m.seq) {
-			w.Trace.Mark(now, m.To, MarkDupSuppressed)
+	for _, s := range stages {
+		if !s.run(w, q, m) {
 			return
 		}
 	}
-	if w.auth != nil && !w.auth.admitSeq(w, q, m) {
-		return
-	}
-	if w.reconfig != nil {
-		// The copy is fully verified; a newer committed epoch stamped on
-		// it pulls the receiver forward (catch-up), and handshake traffic
-		// terminates here like acks and audit gossip.
-		w.reconfig.observeEpoch(w, q, m)
-		if isReconfigTag(m.Tag) {
-			w.Trace.Deliver(now, m.To, m.From, m.Tag)
-			w.reconfig.onReconfig(w, q, m)
-			return
-		}
-	}
-	if w.pex != nil && isPexTag(m.Tag) {
-		// Pex exchange traffic terminates here, after authentication but
-		// outside the audit hold (its records carry their own signatures
-		// and freshness, judged by the view-audit defense).
-		w.Trace.Deliver(now, m.To, m.From, m.Tag)
-		w.pex.onMessage(w, q, m)
-		return
-	}
-	if w.audit != nil {
-		// Audit sublayer traffic (receipts, proof pairs, pull digests and
-		// their responses) terminates here, like acks: behaviors never see
-		// it.
-		if m.Tag == AuditReceiptTag || m.Tag == AuditProofTag ||
-			m.Tag == AuditPullTag || m.Tag == AuditPullRespTag {
-			w.Trace.Deliver(now, m.To, m.From, m.Tag)
-			w.audit.onAudit(w, q, m)
-			return
-		}
-		// Record the receipt at arrival, then HOLD the delivery for the
-		// audit window: receipts gossip while the payload waits, so a
-		// proof of equivocation established in the meantime kills the lie
-		// before the behavior ever folds it in. Honest traffic pays the
-		// hold as uniform extra latency.
-		if m.bseq != 0 {
-			w.audit.observe(w, q, m)
-		}
-		if w.audit.cfg.HoldFor > 0 {
-			w.audit.hold(w, m)
-			return
-		}
-	}
-	w.Trace.Deliver(now, m.To, m.From, m.Tag)
+	w.Trace.Deliver(int64(w.Engine.Now()), m.To, m.From, m.Tag)
 	q.behavior.Receive(q, m)
 }
 
-// Broadcast sends the message to every current neighbor.
-func (p *Proc) Broadcast(tag string, payload any) {
-	for _, u := range p.Neighbors() {
-		p.Send(u, tag, payload)
-	}
+// terminate ends a copy of layer traffic: it is recorded as delivered and
+// handed to the layer, never to the behavior. Stages return its false.
+func (w *World) terminate(q *Proc, m Message, handle func(w *World, q *Proc, m Message)) bool {
+	w.Trace.Deliver(int64(w.Engine.Now()), m.To, m.From, m.Tag)
+	handle(w, q, m)
+	return false
 }
+
+// Broadcast sends the message to every current neighbor.
+func (p *Proc) Broadcast(tag string, payload any) { p.sendAllBut(p.ID, tag, payload) }
 
 // After schedules f to run on this entity d ticks from now; the timer is
 // silently canceled if the entity leaves first. The registry entry is

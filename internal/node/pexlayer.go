@@ -293,6 +293,20 @@ func (px *pexLayer) unlinked(a, b graph.NodeID) {
 	}
 }
 
+// relinked is the relink hook: an edge flipped from outside the views
+// may be one no view wants (placed) or one a view still wants (cut).
+func (px *pexLayer) relinked(u, v graph.NodeID, up bool) {
+	if up {
+		px.touch(u, v)
+	} else {
+		px.unlinked(u, v)
+	}
+}
+
+func (px *pexLayer) terminate(w *World, q *Proc, m Message) bool {
+	return !isPexTag(m.Tag) || w.terminate(q, m, px.onMessage)
+}
+
 // touchAll touches the edge between id and the subject of every record.
 func (px *pexLayer) touchAll(id graph.NodeID, recs []pex.Record) {
 	for _, r := range recs {
@@ -389,7 +403,8 @@ func (cs pexCandidates) at(j int) graph.NodeID {
 // Bootstrapping happens at the first round the view is still empty (see
 // round), so a population that is joined first and seeded afterwards —
 // the experiment setup — never burns bootstrap introductions.
-func (px *pexLayer) onJoin(w *World, p *Proc) {
+func (px *pexLayer) onJoin(p *Proc) {
+	w := p.world
 	px.idx.Add(p.ID)
 	p.pex = px.peer(p.ID)
 	if p.pex.view == nil {
@@ -409,7 +424,14 @@ func (px *pexLayer) onJoin(w *World, p *Proc) {
 	// A recovering entity finds the edges its crash left in the overlay,
 	// and an empty view that wants none of them.
 	p.pex.dirty = w.Overlay.Graph().AppendNeighbors(p.pex.dirty, p.ID)
-	px.start(w, p)
+	// Rounds are staggered by ID so a synchronous population does not fire
+	// every exchange on one tick; the timers die with the entity.
+	var tick func()
+	tick = func() {
+		px.round(w, p)
+		p.After(px.cfg.Cadence, tick)
+	}
+	p.After(sim.Time(1+int64(p.ID)%int64(px.cfg.Cadence)), tick)
 }
 
 // bootstrap introduces an entity with an EMPTY view to up to
@@ -504,19 +526,6 @@ func (px *pexLayer) refresh(w *World, p *Proc) {
 		w.SetLink(p.ID, c, true)
 		px.totals.Links++
 	}
-}
-
-// start schedules the entity's exchange rounds, staggered by ID so a
-// synchronous population does not fire every exchange on one tick. The
-// timers ride Proc.After and die with the entity.
-func (px *pexLayer) start(w *World, p *Proc) {
-	delay := sim.Time(1 + int64(p.ID)%int64(px.cfg.Cadence))
-	var tick func()
-	tick = func() {
-		px.round(w, p)
-		p.After(px.cfg.Cadence, tick)
-	}
-	p.After(delay, tick)
 }
 
 // round is one cadence step: age the view, reconcile links, pick a
@@ -781,7 +790,8 @@ func (px *pexLayer) pardon(by, offender graph.NodeID) {
 // identity memory, which survives — still holds entries, the record. A
 // crash leaves the entity's edges in the overlay, and the ones only its
 // view wanted stop being wanted.
-func (px *pexLayer) onLeave(w *World, id graph.NodeID) {
+func (px *pexLayer) onLeave(p *Proc, _ *durableSnapshot) {
+	w, id := p.world, p.ID
 	px.idx.Remove(id)
 	if pp := px.find(id); pp != nil {
 		v := pp.view

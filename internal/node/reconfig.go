@@ -396,8 +396,9 @@ func firstSight[K comparable](set *map[K]bool, k K) bool {
 
 // epochRound is the handshake's record of one registered epoch, whose
 // stack is World.stacks at the same index: whether it committed, which
-// entity initiated it, how many entities were present at prepare time,
-// and the distinct ackers tallied at the initiator.
+// entity initiated it, how many entities the overlay held at prepare time
+// (crashed ones, whose edges linger, included), and the distinct ackers
+// tallied at the initiator.
 type epochRound struct {
 	committed  bool
 	initiator  graph.NodeID
@@ -435,12 +436,10 @@ func (w *World) stack(e uint64) StackConfig {
 	return w.stacks[e]
 }
 
-// admitEpoch is the receiver-side epoch fence: a copy stamped more than
+// admitEpoch is the reconfig.fence stage: a copy stamped more than
 // FenceDepth epochs behind the receiver's current epoch is dropped
-// WITHOUT a strike. It runs before MAC verification — the fence needs no
-// key, and fencing first means a straggler can never charge anyone's
-// budget, which is the property that keeps reconfig storms from framing
-// honest senders.
+// WITHOUT a strike — the property that keeps reconfig storms from framing
+// honest senders (see rankFence).
 func (rc *reconfigLayer) admitEpoch(w *World, q *Proc, m Message) bool {
 	cur := q.epoch
 	depth := uint64(w.stack(cur).FenceDepth)
@@ -454,13 +453,14 @@ func (rc *reconfigLayer) admitEpoch(w *World, q *Proc, m Message) bool {
 	return true
 }
 
-// observeEpoch is the catch-up path: a VERIFIED message stamped with a
-// newer committed epoch advances the receiver. It runs after the MAC
-// and anti-replay gates, so a forged stamp cannot drag anyone forward.
-func (rc *reconfigLayer) observeEpoch(w *World, q *Proc, m Message) {
+// catchUp is the reconfig.catchup stage: a verified copy stamped with a
+// newer committed epoch advances the receiver, and handshake traffic
+// terminates.
+func (rc *reconfigLayer) catchUp(w *World, q *Proc, m Message) bool {
 	if m.epoch > q.epoch && m.epoch < uint64(len(rc.rounds)) && rc.rounds[m.epoch].committed {
 		rc.switchTo(w, q, m.epoch, true)
 	}
+	return !isReconfigTag(m.Tag) || w.terminate(q, m, rc.onReconfig)
 }
 
 // switchTo moves a node to epoch e (monotone; backward moves are
@@ -498,8 +498,8 @@ func (rc *reconfigLayer) recordCommit(e uint64) {
 }
 
 // quorumNeeded is the ack count epoch e's commit requires: the target
-// epoch's PrepareQuorum fraction of the entities present at prepare
-// time, rounded up, at least 1.
+// epoch's PrepareQuorum fraction of the quorum base, rounded up, at
+// least 1.
 func (rc *reconfigLayer) quorumNeeded(w *World, e uint64) int {
 	n := int(math.Ceil(w.stack(e).PrepareQuorum * float64(rc.rounds[e].quorumBase)))
 	if n < 1 {
@@ -529,28 +529,29 @@ func (rc *reconfigLayer) recordAck(w *World, e uint64, acker graph.NodeID) {
 // drain runs a node's quiescence wait for epoch e: poll once per tick
 // until no own old-epoch messages remain in flight (ack then), or the
 // deadline passes (ack anyway, counted and marked — the fence and the
-// per-epoch MAC keep the stragglers correct, so liveness wins).
+// per-epoch MAC keep the stragglers correct, so liveness wins). One
+// closure serves every tick of the wait.
 func (rc *reconfigLayer) drain(w *World, p *Proc, e uint64) {
 	deadline := w.Engine.Now() + w.stack(e).DrainTimeout
-	rc.drainStep(w, p, e, deadline)
-}
-
-func (rc *reconfigLayer) drainStep(w *World, p *Proc, e uint64, deadline sim.Time) {
-	if !p.alive {
-		return
+	var step func()
+	step = func() {
+		if !p.alive {
+			return
+		}
+		if p.rel == nil || !p.rel.hasOldPending(e) {
+			rc.counters.Drains++
+			rc.sendAck(w, p, e)
+			return
+		}
+		if w.Engine.Now() >= deadline {
+			rc.counters.DrainTimeouts++
+			w.Trace.Mark(int64(w.Engine.Now()), p.ID, MarkDrainTimeout)
+			rc.sendAck(w, p, e)
+			return
+		}
+		p.After(1, step)
 	}
-	if p.rel == nil || !p.rel.hasOldPending(e) {
-		rc.counters.Drains++
-		rc.sendAck(w, p, e)
-		return
-	}
-	if w.Engine.Now() >= deadline {
-		rc.counters.DrainTimeouts++
-		w.Trace.Mark(int64(w.Engine.Now()), p.ID, MarkDrainTimeout)
-		rc.sendAck(w, p, e)
-		return
-	}
-	p.After(1, func() { rc.drainStep(w, p, e, deadline) })
+	step()
 }
 
 // sendAck floods a node's drain-complete ack and tallies it locally if
@@ -645,7 +646,7 @@ func (w *World) Reconfigure(initiator graph.NodeID, target StackConfig) uint64 {
 	rc := w.reconfig
 	e := uint64(len(w.stacks))
 	w.stacks = append(w.stacks, target)
-	rc.rounds = append(rc.rounds, epochRound{initiator: initiator, quorumBase: len(w.Present())})
+	rc.rounds = append(rc.rounds, epochRound{initiator: initiator, quorumBase: w.Overlay.Graph().NumNodes()})
 	rc.counters.Initiated++
 	firstSight(&p.reconf.prepSeen, e)
 	pr := reconfigPrepare{Epoch: e, Wire: EncodeStackConfig(target)}
@@ -666,22 +667,17 @@ func (w *World) GenesisStack() StackConfig { return w.stacks[0] }
 // genesisStack derives epoch 0 from the resolved sublayer configs plus
 // the reconfig config's handshake knobs.
 func (w *World) genesisStack() StackConfig {
-	sc := w.cfg.Reconfig.Stack
-	g := StackConfig{
-		KeyEpoch:      0,
+	sc, audit := w.cfg.Reconfig.Stack, w.cfg.Audit.withDefaults()
+	return StackConfig{
+		Adaptive:      w.cfg.Reliable.Enabled && w.cfg.Reliable.Adaptive,
 		Durable:       w.cfg.Identity.Durable,
+		Retain:        audit.Retain,
+		PullFanout:    audit.PullFanout,
+		Retention:     audit.Retention,
 		FenceDepth:    sc.FenceDepth,
 		DrainTimeout:  sc.DrainTimeout,
 		PrepareQuorum: sc.PrepareQuorum,
-	}
-	if w.rel != nil {
-		g.Adaptive = w.rel.cfg.Adaptive
-	}
-	audit := w.cfg.Audit.withDefaults()
-	g.Retain = audit.Retain
-	g.PullFanout = audit.PullFanout
-	g.Retention = audit.Retention
-	return g.withDefaults()
+	}.withDefaults()
 }
 
 // StackOf returns the stack an entity currently operates under (the

@@ -152,3 +152,31 @@ func TestMemStore(t *testing.T) {
 		t.Fatal("deleted snapshot still loadable")
 	}
 }
+
+// TestPresentSkipsCrashed: a crash leaves the entity's edges in the
+// overlay, but Present lists only running entities — through the crash,
+// the recovery, and a leave while another entity is down.
+func TestPresentSkipsCrashed(t *testing.T) {
+	w := NewWorld(sim.New(), topology.NewMesh(), nil, Config{Seed: 1})
+	for id := graph.NodeID(1); id <= 4; id++ {
+		w.Join(id)
+	}
+	want := func(ids ...graph.NodeID) {
+		t.Helper()
+		got := w.Present()
+		if len(got) != len(ids) {
+			t.Fatalf("Present() = %v, want %v", got, ids)
+		}
+		for i := range ids {
+			if got[i] != ids[i] {
+				t.Fatalf("Present() = %v, want %v", got, ids)
+			}
+		}
+	}
+	w.Crash(2)
+	want(1, 3, 4)
+	w.Leave(4)
+	want(1, 3)
+	w.Recover(2)
+	want(1, 2, 3)
+}

@@ -406,15 +406,28 @@ func fireRetry(arg any) {
 	rl.scheduleRetry(w, pm)
 }
 
-// ackBack sends an acknowledgment for the arriving copy toward its
-// sender, over the same impaired channel. The acknowledged sequence
+func (rl *reliableLayer) terminateAck(w *World, q *Proc, m Message) bool {
+	return m.Tag != AckTag || w.terminate(q, m, rl.onAck)
+}
+
+// dedup is the reliable.dedup stage: every tracked copy is acked toward
+// its sender, over the same impaired channel (the previous ack may have
+// been lost), and only its first goes on. The acknowledged sequence
 // number rides the ack's header.
-func (rl *reliableLayer) ackBack(w *World, m Message) {
+func (rl *reliableLayer) dedup(w *World, _ *Proc, m Message) bool {
+	if m.seq == 0 {
+		return true
+	}
 	w.transmit(Message{From: m.To, To: m.From, Tag: AckTag, Payload: ackMsg{}, seq: m.seq})
+	if rl.firstDelivery(m.seq) {
+		return true
+	}
+	w.Trace.Mark(int64(w.Engine.Now()), m.To, MarkDupSuppressed)
+	return false
 }
 
 // onAck settles the acked message: cancel its retry timer, count it.
-func (rl *reliableLayer) onAck(w *World, m Message) {
+func (rl *reliableLayer) onAck(w *World, _ *Proc, m Message) {
 	pm := rl.tracked(m.seq)
 	if pm == nil {
 		return // duplicate ack, or the sender already gave up

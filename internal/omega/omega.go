@@ -136,9 +136,7 @@ func (m *Member) tick(p *node.Proc) {
 	for id, at := range m.lastSeen {
 		digest[id] = at
 	}
-	for _, u := range p.Neighbors() {
-		p.Send(u, TagDigest, digestMsg{LastSeen: digest})
-	}
+	p.Broadcast(TagDigest, digestMsg{LastSeen: digest})
 	m.trackLeader()
 	p.After(m.cfg.beat(), func() { m.tick(p) })
 }
@@ -180,11 +178,7 @@ func Agreement(w *node.World) (graph.NodeID, float64) {
 	votes := map[graph.NodeID]int{}
 	total := 0
 	for _, id := range w.Present() {
-		p := w.Proc(id)
-		if p == nil {
-			continue // a crashed entity: still in the overlay, not running
-		}
-		m, ok := node.FindBehavior[*Member](p.Behavior())
+		m, ok := node.FindBehavior[*Member](w.Proc(id).Behavior())
 		if !ok {
 			continue
 		}
