@@ -287,7 +287,10 @@ func fnv1a(s string) uint64 {
 // Fingerprinter digests its own fields, node's unnamed wire types and the
 // pex exchange it carries are folded here, and any other payload falls
 // back to the fmt digest, under which a pointer-carrying payload digests
-// by identity (a tampered copy is a different object). DESIGN.md, payload fingerprints, has the rules.
+// by identity (a tampered copy is a different object). The one deliberate
+// exception is an arena-carved *Frame, which digests as its bytes, so a
+// protocol moving from []byte to frames moves no MAC. DESIGN.md, payload
+// fingerprints, has the rules.
 func fingerprint(payload any) uint64 {
 	switch p := payload.(type) {
 	case Fingerprinter:
@@ -298,7 +301,9 @@ func fingerprint(payload any) uint64 {
 		return foldReceipts(fpReceiptPair, p[:])
 	case []byte:
 		return foldBytes(fpBytes, p)
-	case pex.Exchange:
+	case *Frame:
+		return foldBytes(fpBytes, p.B)
+	case *pex.Exchange:
 		h := uint64(fpExchange)
 		if p.Pull {
 			h = ^h

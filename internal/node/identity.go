@@ -396,6 +396,9 @@ func (w *World) identArrive(p *Proc, a arrival) {
 			w.Trace.Mark(now, id, MarkIdentRestore)
 		}
 	case a.rejoin:
+		// The identity is present again, so the RetainDeparted cap must
+		// not evict (retire) the ledger its new session now uses.
+		w.forgetDeparted(id)
 		laundered := 0
 		for _, k := range w.hooks.keepers {
 			laundered += k.purgeAbout(w, id)

@@ -337,3 +337,39 @@ func TestRetainDepartedPinnedSurvivesFlood(t *testing.T) {
 		t.Fatal("witness record never restored")
 	}
 }
+
+// TestSessionRejoinLeavesRetainedLedger: an identity that left durably
+// and came back session-keyed is present again, so the RetainDeparted cap
+// must not evict it. Here 2 broadcasts and leaves durably, the stack
+// turns session-keyed, 2 rejoins and broadcasts twice, the stack turns
+// durable again, and 3 broadcasts and leaves, filling the one-record cap:
+// 2's live broadcast counter survives.
+func TestSessionRejoinLeavesRetainedLedger(t *testing.T) {
+	w, e, _ := reconfigWorld(3, Config{
+		Seed: 29, MinLatency: 1, MaxLatency: 2,
+		Auth:     AuthConfig{Enabled: true},
+		Audit:    AuditConfig{Enabled: true},
+		Identity: IdentityConfig{Durable: true, RetainDeparted: 1},
+	})
+	e.At(5, func() { w.Proc(2).Broadcast("data", tamperInt{V: 0}) })
+	e.At(10, func() { w.Leave(2) })
+	e.At(20, func() { w.Reconfigure(1, StackConfig{}) })
+	e.At(60, func() { w.Join(2) })
+	e.At(65, func() { w.Proc(2).Broadcast("data", tamperInt{V: 1}) })
+	e.At(67, func() { w.Proc(2).Broadcast("data", tamperInt{V: 2}) })
+	e.At(80, func() { w.Reconfigure(1, StackConfig{Durable: true}) })
+	e.At(120, func() { w.Proc(3).Broadcast("data", tamperInt{V: 3}) })
+	e.At(130, func() { w.Leave(3) })
+	e.RunUntil(150)
+	w.Close()
+
+	if w.LatestEpoch() != 2 {
+		t.Fatalf("latest epoch %d, want both reconfigurations committed", w.LatestEpoch())
+	}
+	if tot := w.IdentityTotals(); tot.SessionResets != 1 || tot.Saves != 2 {
+		t.Fatalf("identity totals %+v, want one session reset and two saves", tot)
+	}
+	if got := w.identityRecord(2).BSeqNext; got != 2 {
+		t.Fatalf("present identity 2 reads BSeqNext %d, want 2: the cap retired its live ledger", got)
+	}
+}

@@ -322,6 +322,8 @@ type World struct {
 	// nbrBuf is the neighbor buffer the sublayers' fan-outs reuse (see
 	// borrowNeighbors).
 	nbrBuf []graph.NodeID
+	// frames is the arena wire payloads are carved from (see frame.go).
+	frames frameArena
 }
 
 // NewWorld assembles a runtime over the given engine and overlay. The
@@ -426,6 +428,10 @@ func (w *World) Present() []graph.NodeID {
 	}
 	return slices.DeleteFunc(nodes, func(id graph.NodeID) bool { return w.Proc(id) == nil })
 }
+
+// PresentCount returns the number of currently present entities,
+// len(Present()) without building the list.
+func (w *World) PresentCount() int { return w.procs.Len() }
 
 // Turnover returns the cumulative membership turnover since the world
 // was built: joins counts arrivals (Join + Recover), leaves counts

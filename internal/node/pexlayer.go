@@ -38,7 +38,7 @@ import (
 // Pex sublayer message tags. Exchange traffic terminates in the runtime
 // like acks and audit gossip: behaviors never see it.
 const (
-	// PexExchangeTag carries a pex.Exchange push (optionally soliciting a
+	// PexExchangeTag carries a *pex.Exchange push (optionally soliciting a
 	// pull reply) from an entity to its chosen partner.
 	PexExchangeTag = "node.pex-exchange"
 	// PexReplyTag carries the pull half of a pushpull exchange.
@@ -560,14 +560,17 @@ func (px *pexLayer) round(w *World, p *Proc) {
 
 // ship sends one exchange batch: the sender's own freshly-minted record
 // plus up to Fanout-1 view records young enough to survive the transfer
-// increment.
+// increment, encoded into an exchange carved from the world's frame
+// arena.
 func (px *pexLayer) ship(w *World, p *Proc, to graph.NodeID, tag string, pull bool) {
 	now := int64(w.Engine.Now())
 	buf := append(px.shipBuf[:0], pex.SignRecord(px.cfg.Audit.KeySeed, p.ID, now))
 	buf = p.pex.view.AppendRecords(buf, px.r, px.cfg.Policy, px.cfg.Fanout-1, px.cfg.MaxHop, to)
 	px.shipBuf = buf
 	px.totals.RecordsShipped += len(buf)
-	p.Send(to, tag, pex.Exchange{Pull: pull, Wire: pex.EncodeRecords(buf)})
+	ex := w.frames.exchange(pull, pex.WireSize(len(buf)))
+	pex.EncodeRecordsTo(ex.Wire, buf)
+	p.Send(to, tag, ex)
 }
 
 // reconcile aligns one entity's overlay edges with the views: every
@@ -639,7 +642,7 @@ func (px *pexLayer) onMessage(w *World, q *Proc, m Message) {
 		px.totals.RejectedBlacklisted++
 		return
 	}
-	ex, ok := m.Payload.(pex.Exchange)
+	ex, ok := m.Payload.(*pex.Exchange)
 	if !ok {
 		px.reject(w, m.To, m.From, &px.totals.RejectedBad)
 		return

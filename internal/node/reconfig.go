@@ -396,8 +396,8 @@ func firstSight[K comparable](set *map[K]bool, k K) bool {
 
 // epochRound is the handshake's record of one registered epoch, whose
 // stack is World.stacks at the same index: whether it committed, which
-// entity initiated it, how many entities the overlay held at prepare time
-// (crashed ones, whose edges linger, included), and the distinct ackers
+// entity initiated it, how many entities were present at prepare time
+// (crashed ones, which can never ack, excluded), and the distinct ackers
 // tallied at the initiator.
 type epochRound struct {
 	committed  bool
@@ -646,7 +646,7 @@ func (w *World) Reconfigure(initiator graph.NodeID, target StackConfig) uint64 {
 	rc := w.reconfig
 	e := uint64(len(w.stacks))
 	w.stacks = append(w.stacks, target)
-	rc.rounds = append(rc.rounds, epochRound{initiator: initiator, quorumBase: w.Overlay.Graph().NumNodes()})
+	rc.rounds = append(rc.rounds, epochRound{initiator: initiator, quorumBase: w.PresentCount()})
 	rc.counters.Initiated++
 	firstSight(&p.reconf.prepSeen, e)
 	pr := reconfigPrepare{Epoch: e, Wire: EncodeStackConfig(target)}

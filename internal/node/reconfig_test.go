@@ -413,3 +413,26 @@ func TestIdleReconfigLayerIsInvisible(t *testing.T) {
 		t.Fatalf("storm too tame to reach every knob: %+v %+v %+v %+v", off.rel, off.auth, off.audit, off.ident)
 	}
 }
+
+// TestReconfigQuorumBaseSkipsCrashed: crashed entities keep their overlay
+// edges but can never ack, so a round started while 2 of 8 are crashed
+// takes its quorum base from the 6 present ones.
+func TestReconfigQuorumBaseSkipsCrashed(t *testing.T) {
+	w, e, _ := reconfigWorld(8, Config{Seed: 3, Auth: AuthConfig{Enabled: true}})
+	e.At(5, func() { w.Crash(7) })
+	e.At(6, func() { w.Crash(8) })
+	var ep uint64
+	e.At(10, func() { ep = w.Reconfigure(1, StackConfig{KeyEpoch: 1}) })
+	e.RunUntil(100)
+	w.Close()
+
+	if n := w.Overlay.Graph().NumNodes(); n != 8 {
+		t.Fatalf("overlay holds %d nodes, want the crashed ones still in it (8)", n)
+	}
+	if got := w.reconfig.rounds[ep].quorumBase; got != 6 {
+		t.Fatalf("quorum base %d, want the 6 present entities", got)
+	}
+	if w.LatestEpoch() != ep {
+		t.Fatalf("latest epoch %d, want the round committed", w.LatestEpoch())
+	}
+}

@@ -66,10 +66,24 @@ const (
 // It panics on batches over MaxWireRecords — honest exchange buffers are
 // fanout-bounded far below it.
 func EncodeRecords(recs []Record) []byte {
+	b := make([]byte, WireSize(len(recs)))
+	EncodeRecordsTo(b, recs)
+	return b
+}
+
+// WireSize is the length of the wire batch of n records.
+func WireSize(n int) int { return 3 + n*recordWireSize }
+
+// EncodeRecordsTo is EncodeRecords writing into b, which must be exactly
+// WireSize(len(recs)) bytes long, so a caller can encode into memory it
+// already holds.
+func EncodeRecordsTo(b []byte, recs []Record) {
 	if len(recs) > MaxWireRecords {
 		panic(fmt.Sprintf("pex: encoding %d records exceeds the wire cap %d", len(recs), MaxWireRecords))
 	}
-	b := make([]byte, 3+len(recs)*recordWireSize)
+	if len(b) != WireSize(len(recs)) {
+		panic(fmt.Sprintf("pex: encoding %d records into %d bytes, want %d", len(recs), len(b), WireSize(len(recs))))
+	}
 	b[0] = recordWireVersion
 	binary.LittleEndian.PutUint16(b[1:], uint16(len(recs)))
 	off := 3
@@ -87,7 +101,6 @@ func EncodeRecords(recs []Record) []byte {
 		binary.LittleEndian.PutUint64(b[off+18:], r.Sig)
 		off += recordWireSize
 	}
-	return b
 }
 
 // DecodeRecords parses a wire batch, rejecting version/length/count
@@ -110,8 +123,8 @@ func AppendDecodedRecords(dst []Record, b []byte) ([]Record, error) {
 	if n > MaxWireRecords {
 		return dst, fmt.Errorf("pex: record count %d exceeds the wire cap %d", n, MaxWireRecords)
 	}
-	if len(b) != 3+n*recordWireSize {
-		return dst, fmt.Errorf("pex: record batch of %d is %d bytes, want %d", n, len(b), 3+n*recordWireSize)
+	if len(b) != WireSize(n) {
+		return dst, fmt.Errorf("pex: record batch of %d is %d bytes, want %d", n, len(b), WireSize(n))
 	}
 	dst = slices.Grow(dst, n)
 	for off := 3; off < len(b); off += recordWireSize {
@@ -125,8 +138,8 @@ func AppendDecodedRecords(dst []Record, b []byte) ([]Record, error) {
 	return dst, nil
 }
 
-// Exchange is the payload of one pex message: a push of wire-encoded
-// records, optionally soliciting a pull reply. The records travel in
+// Exchange is the payload of one pex message, sent as a *Exchange: a
+// push of wire-encoded records, optionally soliciting a pull reply. The records travel in
 // canonical wire bytes (not as structs) so the codec is load-bearing on
 // the runtime path — and so the poison clause must mutate them the way a
 // real adversary would, by rewriting bytes.

@@ -227,9 +227,13 @@ type Client struct {
 
 	// nbrs and perm are launch's and pickNext's scratch, shared by the
 	// world's replicas (one of them runs at a time): the neighbours, then
-	// launch's shuffled order of them or pickNext's eligible ones.
+	// launch's shuffled order of them or pickNext's eligible ones. path is
+	// the walk path being encoded or decoded (launch's first hop, or the
+	// path of the message being handled), sized so that neither a decode
+	// nor onProbe's forward hop ever grows it.
 	nbrs []graph.NodeID
 	perm []int
+	path []graph.NodeID
 }
 
 // NewClient validates and defaults the configuration, panicking on
@@ -239,7 +243,7 @@ func NewClient(cfg Config) *Client {
 	if err := d.Validate(); err != nil {
 		panic(err.Error())
 	}
-	return &Client{cfg: d}
+	return &Client{cfg: d, path: make([]graph.NodeID, 0, MaxWirePath+1)}
 }
 
 // Config returns the effective (defaulted) configuration.
@@ -328,7 +332,7 @@ func (c *Client) Attach(w *node.World) *sim.Ticker {
 	c.lastJoins, c.lastLeaves = j, l
 	return w.Engine.Every(c.cfg.SampleEvery, func() {
 		j, l := w.Turnover()
-		n := len(w.Present())
+		n := w.PresentCount()
 		if n < 1 {
 			n = 1
 		}
@@ -362,7 +366,7 @@ func (c *Client) Write(w *node.World, writer graph.NodeID, val float64) uint64 {
 		val:      val,
 		deadline: p.Now() + lease,
 		attempt:  1,
-		q:        c.quorumSize(len(w.Present())),
+		q:        c.quorumSize(w.PresentCount()),
 	}
 	b.ops[op.op] = op
 	c.counters.Writes++
@@ -385,7 +389,7 @@ func (c *Client) Read(w *node.World, reader graph.NodeID) uint64 {
 		op:      c.nextOp,
 		kind:    KindRead,
 		attempt: 1,
-		q:       c.quorumSize(len(w.Present())),
+		q:       c.quorumSize(w.PresentCount()),
 	}
 	b.ops[op.op] = op
 	c.counters.Reads++
@@ -474,27 +478,42 @@ func (b *replica) adopt(v Value) {
 }
 
 func (b *replica) Receive(p *node.Proc, m node.Message) {
-	raw, ok := m.Payload.([]byte)
+	c := b.client
+	f, ok := m.Payload.(*node.Frame)
 	if !ok {
-		b.client.counters.BadWire++
+		c.counters.BadWire++
 		return
 	}
 	switch m.Tag {
 	case TagProbe:
-		pr, err := DecodeProbe(raw)
+		pr, err := decodeProbe(f.B, c.path)
 		if err != nil {
-			b.client.counters.BadWire++
+			c.counters.BadWire++
 			return
 		}
 		b.onProbe(p, pr)
 	case TagResp:
-		rp, err := DecodeResp(raw)
+		rp, err := decodeResp(f.B, c.path)
 		if err != nil {
-			b.client.counters.BadWire++
+			c.counters.BadWire++
 			return
 		}
 		b.onResp(p, rp)
 	}
+}
+
+// sendProbe encodes pr into a frame carved from p's world and sends it.
+func sendProbe(p *node.Proc, to graph.NodeID, pr *Probe) {
+	f := p.Frame(pr.wireSize())
+	pr.encodeTo(f.B)
+	p.Send(to, TagProbe, f)
+}
+
+// sendResp encodes rp into a frame carved from p's world and sends it.
+func sendResp(p *node.Proc, to graph.NodeID, rp *Resp) {
+	f := p.Frame(rp.wireSize())
+	rp.encodeTo(f.B)
+	p.Send(to, TagResp, f)
 }
 
 // onProbe serves one walk contact: adopt the pushed value (writes),
@@ -521,7 +540,7 @@ func (b *replica) onProbe(p *node.Proc, pr Probe) {
 		Deadline: int64(b.cur.Deadline),
 		Path:     pr.Path,
 	}
-	p.Send(pr.Path[len(pr.Path)-1], TagResp, EncodeResp(rp))
+	sendResp(p, pr.Path[len(pr.Path)-1], &rp)
 	if pr.TTL <= 1 || len(pr.Path) >= MaxWirePath {
 		return
 	}
@@ -529,10 +548,12 @@ func (b *replica) onProbe(p *node.Proc, pr Probe) {
 	if !ok {
 		return
 	}
+	// The path is the client's scratch (see Client.path), so the hop is
+	// appended in place: the response above is already encoded.
 	fwd := pr
 	fwd.TTL--
-	fwd.Path = append(append(make([]graph.NodeID, 0, len(pr.Path)+1), pr.Path...), p.ID)
-	p.Send(next, TagProbe, EncodeProbe(fwd))
+	fwd.Path = append(pr.Path, p.ID)
+	sendProbe(p, next, &fwd)
 	c.counters.Forwards++
 }
 
@@ -565,7 +586,7 @@ func (b *replica) onResp(p *node.Proc, rp Resp) {
 	if n > 1 {
 		fwd := rp
 		fwd.Path = rp.Path[:n-1]
-		p.Send(rp.Path[n-2], TagResp, EncodeResp(fwd))
+		sendResp(p, rp.Path[n-2], &fwd)
 		c.counters.RespForwards++
 		return
 	}
@@ -629,18 +650,18 @@ func (b *replica) launch(p *node.Proc, op *opState) {
 		k := c.walkers(op.q)
 		c.perm = slices.Grow(c.perm[:0], n)[:n]
 		b.r.PermInto(c.perm)
+		pr := Probe{
+			Op:      op.op,
+			Kind:    op.kind,
+			Attempt: op.attempt,
+			TTL:     c.cfg.WalkTTL,
+			Path:    append(c.path[:0], p.ID),
+		}
+		if op.kind == KindWrite {
+			pr.Tag, pr.Val, pr.Deadline = op.tag, op.val, int64(op.deadline)
+		}
 		for i := 0; i < k; i++ {
-			pr := Probe{
-				Op:      op.op,
-				Kind:    op.kind,
-				Attempt: op.attempt,
-				TTL:     c.cfg.WalkTTL,
-				Path:    []graph.NodeID{p.ID},
-			}
-			if op.kind == KindWrite {
-				pr.Tag, pr.Val, pr.Deadline = op.tag, op.val, int64(op.deadline)
-			}
-			p.Send(c.nbrs[c.perm[i%n]], TagProbe, EncodeProbe(pr))
+			sendProbe(p, c.nbrs[c.perm[i%n]], &pr)
 			c.counters.Walks++
 		}
 	}

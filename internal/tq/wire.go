@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -80,10 +81,18 @@ func clampByte(v int) byte {
 // little-endian fields, then the path as uint64 entries. It panics on
 // paths over MaxWirePath — honest walks are TTL-bounded far below it.
 func EncodeProbe(p Probe) []byte {
-	if len(p.Path) > MaxWirePath {
-		panic(fmt.Sprintf("tq: encoding a %d-hop path exceeds the wire cap %d", len(p.Path), MaxWirePath))
-	}
-	b := make([]byte, probeWireHeader+8*len(p.Path))
+	b := make([]byte, p.wireSize())
+	p.encodeTo(b)
+	return b
+}
+
+// wireSize is the length of the probe's wire form.
+func (p *Probe) wireSize() int { return probeWireHeader + 8*len(p.Path) }
+
+// encodeTo is EncodeProbe writing into b, which must be p.wireSize()
+// bytes long.
+func (p *Probe) encodeTo(b []byte) {
+	checkPath(len(p.Path))
 	b[0] = probeWireVersion
 	b[1] = p.Kind
 	b[2] = clampByte(p.Attempt)
@@ -93,18 +102,17 @@ func EncodeProbe(p Probe) []byte {
 	binary.LittleEndian.PutUint64(b[20:], math.Float64bits(p.Val))
 	binary.LittleEndian.PutUint64(b[28:], uint64(p.Deadline))
 	b[36] = byte(len(p.Path))
-	off := probeWireHeader
-	for _, id := range p.Path {
-		binary.LittleEndian.PutUint64(b[off:], uint64(id))
-		off += 8
-	}
-	return b
+	writePath(b[probeWireHeader:], p.Path)
 }
 
 // DecodeProbe parses a wire probe, rejecting version/kind/length
 // mismatches. It never panics on adversarial input (FuzzTQWire holds it
 // to that), and EncodeProbe(DecodeProbe(b)) == b for every accepted b.
-func DecodeProbe(b []byte) (Probe, error) {
+func DecodeProbe(b []byte) (Probe, error) { return decodeProbe(b, nil) }
+
+// decodeProbe is DecodeProbe decoding the path into scratch's array,
+// grown if it is too short, so a hot caller can reuse one buffer.
+func decodeProbe(b []byte, scratch []graph.NodeID) (Probe, error) {
 	if len(b) < probeWireHeader {
 		return Probe{}, fmt.Errorf("tq: probe truncated at %d bytes", len(b))
 	}
@@ -121,7 +129,7 @@ func DecodeProbe(b []byte) (Probe, error) {
 	if len(b) != probeWireHeader+8*n {
 		return Probe{}, fmt.Errorf("tq: probe with %d path entries is %d bytes, want %d", n, len(b), probeWireHeader+8*n)
 	}
-	p := Probe{
+	return Probe{
 		Op:       binary.LittleEndian.Uint64(b[4:]),
 		Kind:     b[1],
 		Attempt:  int(b[2]),
@@ -129,28 +137,29 @@ func DecodeProbe(b []byte) (Probe, error) {
 		Tag:      binary.LittleEndian.Uint64(b[12:]),
 		Val:      math.Float64frombits(binary.LittleEndian.Uint64(b[20:])),
 		Deadline: int64(binary.LittleEndian.Uint64(b[28:])),
-	}
-	if n > 0 {
-		p.Path = make([]graph.NodeID, n)
-		off := probeWireHeader
-		for i := range p.Path {
-			p.Path[i] = graph.NodeID(binary.LittleEndian.Uint64(b[off:]))
-			off += 8
-		}
-	}
-	return p, nil
+		Path:     readPath(scratch, b[probeWireHeader:], n),
+	}, nil
 }
 
 // EncodeResp renders a response in its canonical wire form. It panics on
 // paths over MaxWirePath, like EncodeProbe.
 func EncodeResp(r Resp) []byte {
-	if len(r.Path) > MaxWirePath {
-		panic(fmt.Sprintf("tq: encoding a %d-hop path exceeds the wire cap %d", len(r.Path), MaxWirePath))
-	}
-	b := make([]byte, respWireHeader+8*len(r.Path))
+	b := make([]byte, r.wireSize())
+	r.encodeTo(b)
+	return b
+}
+
+// wireSize is the length of the response's wire form.
+func (r *Resp) wireSize() int { return respWireHeader + 8*len(r.Path) }
+
+// encodeTo is EncodeResp writing into b, which must be r.wireSize()
+// bytes long.
+func (r *Resp) encodeTo(b []byte) {
+	checkPath(len(r.Path))
 	b[0] = respWireVersion
 	b[1] = r.Kind
 	b[2] = clampByte(r.Attempt)
+	b[3] = 0
 	if r.Has {
 		b[3] = 1
 	}
@@ -160,18 +169,17 @@ func EncodeResp(r Resp) []byte {
 	binary.LittleEndian.PutUint64(b[28:], math.Float64bits(r.Val))
 	binary.LittleEndian.PutUint64(b[36:], uint64(r.Deadline))
 	b[44] = byte(len(r.Path))
-	off := respWireHeader
-	for _, id := range r.Path {
-		binary.LittleEndian.PutUint64(b[off:], uint64(id))
-		off += 8
-	}
-	return b
+	writePath(b[respWireHeader:], r.Path)
 }
 
 // DecodeResp parses a wire response with the same guarantees as
 // DecodeProbe: no panics on adversarial input, canonical round-trip for
 // every accepted input.
-func DecodeResp(b []byte) (Resp, error) {
+func DecodeResp(b []byte) (Resp, error) { return decodeResp(b, nil) }
+
+// decodeResp is DecodeResp decoding the path into scratch's array, like
+// decodeProbe.
+func decodeResp(b []byte, scratch []graph.NodeID) (Resp, error) {
 	if len(b) < respWireHeader {
 		return Resp{}, fmt.Errorf("tq: resp truncated at %d bytes", len(b))
 	}
@@ -191,7 +199,7 @@ func DecodeResp(b []byte) (Resp, error) {
 	if len(b) != respWireHeader+8*n {
 		return Resp{}, fmt.Errorf("tq: resp with %d path entries is %d bytes, want %d", n, len(b), respWireHeader+8*n)
 	}
-	r := Resp{
+	return Resp{
 		Op:       binary.LittleEndian.Uint64(b[4:]),
 		Kind:     b[1],
 		Attempt:  int(b[2]),
@@ -200,14 +208,33 @@ func DecodeResp(b []byte) (Resp, error) {
 		Tag:      binary.LittleEndian.Uint64(b[20:]),
 		Val:      math.Float64frombits(binary.LittleEndian.Uint64(b[28:])),
 		Deadline: int64(binary.LittleEndian.Uint64(b[36:])),
+		Path:     readPath(scratch, b[respWireHeader:], n),
+	}, nil
+}
+
+// checkPath panics on a path too long to encode.
+func checkPath(n int) {
+	if n > MaxWirePath {
+		panic(fmt.Sprintf("tq: encoding a %d-hop path exceeds the wire cap %d", n, MaxWirePath))
 	}
-	if n > 0 {
-		r.Path = make([]graph.NodeID, n)
-		off := respWireHeader
-		for i := range r.Path {
-			r.Path[i] = graph.NodeID(binary.LittleEndian.Uint64(b[off:]))
-			off += 8
-		}
+}
+
+// writePath renders path as little-endian uint64 entries at the head of b.
+func writePath(b []byte, path []graph.NodeID) {
+	for i, id := range path {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(id))
 	}
-	return r, nil
+}
+
+// readPath decodes n wire path entries from b into dst's array (grown if
+// too short); an empty path decodes as nil.
+func readPath(dst []graph.NodeID, b []byte, n int) []graph.NodeID {
+	if n == 0 {
+		return nil
+	}
+	dst = slices.Grow(dst[:0], n)[:n]
+	for i := range dst {
+		dst[i] = graph.NodeID(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return dst
 }

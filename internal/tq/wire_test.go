@@ -104,21 +104,47 @@ func TestEncodePanicsOnOversizedPath(t *testing.T) {
 
 // FuzzTQWire holds both decoders to the codec contract: never panic on
 // adversarial bytes, and re-encode every accepted input byte-identically.
+// The replicas' scratch decode, run over a dirty scratch path, must agree
+// with the exported decoders on every input, accepted or not.
 func FuzzTQWire(f *testing.F) {
 	f.Add(EncodeProbe(Probe{Op: 3, Kind: KindWrite, Attempt: 1, TTL: 8, Tag: 5, Val: 1.5, Deadline: 100, Path: []graph.NodeID{1, 2}}))
 	f.Add(EncodeResp(Resp{Op: 3, Kind: KindRead, Attempt: 2, Has: true, Replica: 7, Tag: 5, Val: 2.5, Deadline: 100, Path: []graph.NodeID{4}}))
+	f.Add(EncodeProbe(Probe{Op: 4, Kind: KindRead, TTL: 2, Val: math.NaN()}))
+	f.Add(EncodeResp(Resp{Op: 5, Kind: KindWrite, Path: make([]graph.NodeID, 12)}))
 	f.Add([]byte{probeWireVersion})
 	f.Add([]byte{})
+	dirty := func() []graph.NodeID {
+		s := make([]graph.NodeID, 3, 8)
+		for i := range s {
+			s[i] = graph.NodeID(1000 + i)
+		}
+		return s
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if p, err := DecodeProbe(b); err == nil {
+		p, err := DecodeProbe(b)
+		if err == nil {
 			if again := EncodeProbe(p); !bytes.Equal(again, b) {
 				t.Fatalf("probe round trip not canonical: %x -> %x", b, again)
 			}
 		}
-		if r, err := DecodeResp(b); err == nil {
+		// Val is compared by its bits (a NaN equals itself), the rest deeply.
+		sp, serr := decodeProbe(b, dirty())
+		sameVal := math.Float64bits(sp.Val) == math.Float64bits(p.Val)
+		sp.Val, p.Val = 0, 0
+		if (serr == nil) != (err == nil) || !sameVal || !reflect.DeepEqual(sp, p) {
+			t.Fatalf("scratch probe decode of %x: %+v, %v; exported: %+v, %v", b, sp, serr, p, err)
+		}
+		r, err := DecodeResp(b)
+		if err == nil {
 			if again := EncodeResp(r); !bytes.Equal(again, b) {
 				t.Fatalf("resp round trip not canonical: %x -> %x", b, again)
 			}
+		}
+		sr, serr := decodeResp(b, dirty())
+		sameVal = math.Float64bits(sr.Val) == math.Float64bits(r.Val)
+		sr.Val, r.Val = 0, 0
+		if (serr == nil) != (err == nil) || !sameVal || !reflect.DeepEqual(sr, r) {
+			t.Fatalf("scratch resp decode of %x: %+v, %v; exported: %+v, %v", b, sr, serr, r, err)
 		}
 	})
 }
