@@ -7,7 +7,7 @@ GO ?= go
 
 # The checked-in micro-benchmark baseline that bench-record writes and
 # bench-check / verify-bench compare against.
-BENCH_BASELINE ?= BENCH_PR34.json
+BENCH_BASELINE ?= BENCH_PR35.json
 # The baseline's names carry no -N GOMAXPROCS suffix (benchrecord keeps the
 # suffix as part of the name), so the benchmarks it is compared with run at
 # -cpu 1 whatever the host has; otherwise every one reads as missing.
@@ -74,6 +74,9 @@ verify-bench:
 # the two session machines became one (22 189 after).
 # 22 281 before the sublayer stack became one table of inbound stages and
 # lifecycle hooks (22 267 after; internal/node 5 828 before, 5 826 after).
+# 22 424 before the class judges became replays through one stream judge
+# (22 433 after, the pex sampler's living-only filter included;
+# internal/core plus internal/otq 3 591 before, 3 590 after).
 # PKG narrows the count to one directory tree: `make loc PKG=internal/node`
 # (5 572 before PR 14, 5 619 before PR 24), `make loc PKG=internal/otq`
 # (2 399 before PR 16).

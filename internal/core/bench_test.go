@@ -73,3 +73,19 @@ func BenchmarkInferClass(b *testing.B) {
 		InferClass(tr)
 	}
 }
+
+// BenchmarkCheckClass checks the same churned 64-ring against a declared
+// known diameter below the ring's, so the check half of the judge — the
+// floored diameter queries and the violation texts — is gated too.
+func BenchmarkCheckClass(b *testing.B) {
+	tr := churnedRing(64, 500, 1)
+	c := Class{Size: SizeBoundedUnknown, Geo: GeoDiameterKnown, D: 24}
+	if rep := CheckClass(tr, c); rep.OK() || !rep.DiameterDefined {
+		b.Fatalf("churned ring checked against %s: %d violations, diameter defined %v; want violations on a connected run",
+			c, len(rep.Violations), rep.DiameterDefined)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		CheckClass(tr, c)
+	}
+}

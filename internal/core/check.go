@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/graph"
 )
@@ -45,109 +44,101 @@ const stabilityDenominator = 4
 // CheckClass verifies that a recorded run is admissible in class c and
 // returns the evidence. Constraints that a finite trace cannot refute
 // (e.g. the finiteness of concurrency in M^n) produce no violations.
-func CheckClass(tr *Trace, c Class) CheckReport {
-	rep := CheckReport{
-		Class:               c,
-		ObservedConcurrency: tr.MaxConcurrency(),
-		DiameterDefined:     true,
-		QuiescentFrom:       tr.LastTopologyChange(),
+func CheckClass(tr *Trace, c Class) CheckReport { return NewClassJudge(&c).replay(tr).Report(tr.End()) }
+
+// InferClass returns the tightest class (along the paper's refinement
+// order) that the recorded run witnesses. Since any finite trace has
+// finite concurrency and finitely many snapshots, the inferred size model
+// is SizeStatic or SizeBoundedKnown (with the observed bound) and the
+// inferred geography carries observed bounds; whether the *generator*
+// was M^n or M^infinity is not decidable from one finite run — that is
+// precisely the paper's point about unknown-bound models.
+func InferClass(tr *Trace) Class { return NewClassJudge(nil).replay(tr).Class(tr.End()) }
+
+// ClassJudge is the one class judge: a trace sink that keeps the run's
+// graph live (TickGraph) and judges each stable period's snapshot when
+// the clock leaves a tick that changed topology, and once more at the
+// end, so its memory is the live graph, not the log. InferClass and
+// CheckClass replay a retained trace through it; registered with
+// Trace.Stream before the first Record, it judges a run whose events are
+// never retained (SetCountOnly).
+type ClassJudge struct {
+	declared *Class // nil: infer only
+	tick     TickGraph
+	rep      CheckReport // the running facts and the snapshot violations
+	size     []Violation // the size violations, which Report lists first
+
+	began      bool
+	start      Time // the first event's tick, of any kind
+	joins, cur int
+	unstatic   bool // a join after start, or a leave: no static run
+	incomplete bool // some snapshot was not complete
+}
+
+// NewClassJudge returns a judge that infers the run's class (Class) or,
+// given a declared class, checks the run against it (Report).
+func NewClassJudge(declared *Class) *ClassJudge {
+	return &ClassJudge{declared: declared, rep: CheckReport{DiameterDefined: true}}
+}
+
+func (j *ClassJudge) replay(tr *Trace) *ClassJudge {
+	tr.Each(func(ev *TraceEvent) { j.Observe(*ev) })
+	return j
+}
+
+// Observe consumes one trace event, in record order.
+func (j *ClassJudge) Observe(ev TraceEvent) {
+	if !j.began {
+		j.began, j.start = true, ev.At
 	}
-
-	rep.checkSize(tr, c)
-	tr.eachSnapshot(func(t Time, g *graph.Graph) { rep.checkSnapshot(g, t, c) })
-
-	if end := tr.End(); c.EventuallyStable && !witnessesStability(end, rep.QuiescentFrom) {
-		rep.add(rep.QuiescentFrom, fmt.Sprintf(
-			"eventual stability not witnessed: last topology change at %d, run ends at %d (quiescent suffix %d < %d)",
-			rep.QuiescentFrom, end, end-rep.QuiescentFrom, end/stabilityDenominator))
+	if at, batch, _ := j.tick.Advance(ev.At); len(batch) > 0 {
+		j.snapshot(at)
 	}
-	return rep
-}
-
-// witnessesStability applies the stabilityDenominator convention to a run
-// ending at end whose topology last changed at quiescentFrom.
-func witnessesStability(end, quiescentFrom Time) bool {
-	return end == 0 || end-quiescentFrom >= end/stabilityDenominator
-}
-
-func (r *CheckReport) add(at Time, msg string) {
-	r.Violations = append(r.Violations, Violation{At: at, Msg: msg})
-}
-
-// unstaticEvents calls visit for every membership event a static system
-// cannot contain — a join after the run's first tick, or any leave — and
-// returns that first tick and the number of joins.
-func (tr *Trace) unstaticEvents(visit func(ev *TraceEvent)) (start Time, joins int) {
-	if tr.log.n > 0 {
-		start = tr.log.chunks[0][0].At
+	switch ev.Kind {
+	case TJoin:
+		j.joins++
+		j.cur++
+		j.rep.ObservedConcurrency = max(j.rep.ObservedConcurrency, j.cur)
+		if ev.At != j.start {
+			j.notStatic(ev.At, "entity %d joined mid-run in a static class", ev.P)
+		}
+	case TLeave:
+		j.cur--
+		j.notStatic(ev.At, "entity %d left in a static class", ev.P)
+	case TEdgeUp, TEdgeDown:
+	default:
+		return // messages and marks carry no class fact
 	}
-	tr.log.each(func(ev *TraceEvent) {
-		if ev.Kind == TJoin {
-			joins++
-		}
-		if ev.Kind == TLeave || (ev.Kind == TJoin && ev.At != start) {
-			visit(ev)
-		}
-	})
-	return start, joins
+	j.rep.QuiescentFrom = max(j.rep.QuiescentFrom, ev.At)
+	j.tick.Buffer(ev)
 }
 
-// eachSnapshot calls visit on the graph of every stable period of the run
-// that holds at least two entities (empty and singleton snapshots satisfy
-// every geography), in time order. g is the replay's working graph: read
-// it, do not keep it.
-func (tr *Trace) eachSnapshot(visit func(t Time, g *graph.Graph)) {
-	tr.Temporal().Replay(math.MinInt64, math.MaxInt64, func(t Time, g *graph.Graph) {
-		if g.NumNodes() > 1 {
-			visit(t, g)
-		}
-	})
-}
-
-func (r *CheckReport) checkSize(tr *Trace, c Class) {
-	switch c.Size {
-	case SizeStatic:
-		start, joins := tr.unstaticEvents(func(ev *TraceEvent) {
-			if ev.Kind == TJoin {
-				r.add(ev.At, fmt.Sprintf("entity %d joined mid-run in a static class", ev.P))
-			} else {
-				r.add(ev.At, fmt.Sprintf("entity %d left in a static class", ev.P))
-			}
-		})
-		if c.B > 0 && joins != c.B {
-			r.add(start, fmt.Sprintf("static class declares n=%d but %d entities joined", c.B, joins))
-		}
-	case SizeBoundedKnown:
-		if c.B > 0 && r.ObservedConcurrency > c.B {
-			r.add(0, fmt.Sprintf("concurrency %d exceeds declared bound b=%d (M^b)",
-				r.ObservedConcurrency, c.B))
-		}
-	case SizeBoundedUnknown, SizeUnbounded:
-		// A finite trace always has finite concurrency: nothing refutable.
+// notStatic notes a membership event a static system cannot contain.
+func (j *ClassJudge) notStatic(at Time, format string, p graph.NodeID) {
+	j.unstatic = true
+	if j.declared != nil && j.declared.Size == SizeStatic {
+		j.size = append(j.size, Violation{At: at, Msg: fmt.Sprintf(format, p)})
 	}
 }
 
-// observeDiameter folds one snapshot's diameter into the report; ok is
-// false on a partitioned snapshot, whose diameter is undefined. d is
-// max(floor, diameter): a floor no larger than ObservedDiameter keeps the
-// running maximum exact while sparing the BFS runs that cannot raise it.
-func (r *CheckReport) observeDiameter(g *graph.Graph, floor int) (d int, ok bool) {
-	d, ok = g.DiameterAbove(floor)
-	if !ok {
-		r.DiameterDefined = false
-	} else if d > r.ObservedDiameter {
-		r.ObservedDiameter = d
+// snapshot judges the stable period that begins at tick t. Empty and
+// singleton snapshots satisfy every geography.
+func (j *ClassJudge) snapshot(t Time) {
+	g, r := j.tick.Graph(), &j.rep
+	if g.NumNodes() <= 1 {
+		return
 	}
-	return d, ok
-}
-
-func complete(g *graph.Graph) bool {
-	n := g.NumNodes()
-	return g.NumEdges() == n*(n-1)/2
-}
-
-func (r *CheckReport) checkSnapshot(g *graph.Graph, t Time, c Class) {
-	switch c.Geo {
+	if j.declared == nil {
+		j.incomplete = j.incomplete || !complete(g)
+		// Once a snapshot is partitioned the geography is decided (a
+		// partitioned snapshot is not complete either), so the remaining
+		// snapshots' diameters are not needed.
+		if r.DiameterDefined {
+			r.observeDiameter(g, r.ObservedDiameter)
+		}
+		return
+	}
+	switch c := j.declared; c.Geo {
 	case GeoComplete:
 		if !complete(g) {
 			r.add(t, fmt.Sprintf("snapshot not complete: %d nodes, %d edges", g.NumNodes(), g.NumEdges()))
@@ -171,47 +162,87 @@ func (r *CheckReport) checkSnapshot(g *graph.Graph, t Time, c Class) {
 	}
 }
 
-// InferClass returns the tightest class (along the paper's refinement
-// order) that the recorded run witnesses. Since any finite trace has
-// finite concurrency and finitely many snapshots, the inferred size model
-// is SizeStatic or SizeBoundedKnown (with the observed bound) and the
-// inferred geography carries observed bounds; whether the *generator*
-// was M^n or M^infinity is not decidable from one finite run — that is
-// precisely the paper's point about unknown-bound models.
-func InferClass(tr *Trace) Class {
-	c := Class{}
-
-	static := true
-	tr.unstaticEvents(func(*TraceEvent) { static = false })
-	if static {
-		c.Size = SizeStatic
-		c.B = len(tr.Entities())
-	} else {
-		c.Size = SizeBoundedKnown
-		c.B = tr.MaxConcurrency()
+// settle judges the last tick's snapshot once the stream has ended.
+func (j *ClassJudge) settle() {
+	if at, batch := j.tick.Flush(); len(batch) > 0 {
+		j.snapshot(at)
 	}
+}
 
-	allComplete := true
-	seen := CheckReport{DiameterDefined: true}
-	tr.eachSnapshot(func(_ Time, g *graph.Graph) {
-		allComplete = allComplete && complete(g)
-		// Once a snapshot is partitioned the geography is decided (a
-		// partitioned snapshot is not complete either), so the remaining
-		// snapshots' diameters are not needed.
-		if seen.DiameterDefined {
-			seen.observeDiameter(g, seen.ObservedDiameter)
-		}
-	})
-	switch {
-	case allComplete:
+// Class returns the class an undeclared judge infers (see InferClass).
+// Call it after the last event, with the trace's end time (Trace.End()
+// after Close).
+func (j *ClassJudge) Class(end Time) Class {
+	j.settle()
+	c := Class{Size: SizeBoundedKnown, B: j.rep.ObservedConcurrency}
+	if !j.unstatic {
+		// A run joins only absent entities, so with no leave every join
+		// is a distinct entity.
+		c.Size, c.B = SizeStatic, j.joins
+	}
+	if c.Geo = GeoUnconstrained; !j.incomplete {
 		c.Geo = GeoComplete
-	case seen.DiameterDefined:
-		c.Geo = GeoDiameterKnown
-		c.D = seen.ObservedDiameter
-	default:
-		c.Geo = GeoUnconstrained
+	} else if j.rep.DiameterDefined {
+		c.Geo, c.D = GeoDiameterKnown, j.rep.ObservedDiameter
 	}
-
-	c.EventuallyStable = witnessesStability(tr.End(), tr.LastTopologyChange())
+	c.EventuallyStable = witnessesStability(end, j.rep.QuiescentFrom)
 	return c
+}
+
+// Report returns the check against the declared class, called like
+// Class: the size violations, then the snapshots' in time order, then
+// stability's.
+func (j *ClassJudge) Report(end Time) CheckReport {
+	j.settle()
+	rep, c := j.rep, *j.declared
+	rep.Class, rep.Violations = c, nil
+	switch c.Size {
+	case SizeStatic:
+		rep.Violations = j.size
+		if c.B > 0 && j.joins != c.B {
+			rep.add(j.start, fmt.Sprintf("static class declares n=%d but %d entities joined", c.B, j.joins))
+		}
+	case SizeBoundedKnown:
+		if c.B > 0 && rep.ObservedConcurrency > c.B {
+			rep.add(0, fmt.Sprintf("concurrency %d exceeds declared bound b=%d (M^b)", rep.ObservedConcurrency, c.B))
+		}
+	case SizeBoundedUnknown, SizeUnbounded:
+		// A finite trace always has finite concurrency: nothing refutable.
+	}
+	rep.Violations = append(rep.Violations, j.rep.Violations...)
+	if c.EventuallyStable && !witnessesStability(end, rep.QuiescentFrom) {
+		rep.add(rep.QuiescentFrom, fmt.Sprintf(
+			"eventual stability not witnessed: last topology change at %d, run ends at %d (quiescent suffix %d < %d)",
+			rep.QuiescentFrom, end, end-rep.QuiescentFrom, end/stabilityDenominator))
+	}
+	return rep
+}
+
+// witnessesStability applies the stabilityDenominator convention to a run
+// ending at end whose topology last changed at quiescentFrom.
+func witnessesStability(end, quiescentFrom Time) bool {
+	return end == 0 || end-quiescentFrom >= end/stabilityDenominator
+}
+
+func (r *CheckReport) add(at Time, msg string) {
+	r.Violations = append(r.Violations, Violation{At: at, Msg: msg})
+}
+
+// observeDiameter folds one snapshot's diameter into the report; ok is
+// false on a partitioned snapshot, whose diameter is undefined. d is
+// max(floor, diameter): a floor no larger than ObservedDiameter keeps the
+// running maximum exact while sparing the BFS runs that cannot raise it.
+func (r *CheckReport) observeDiameter(g *graph.Graph, floor int) (d int, ok bool) {
+	d, ok = g.DiameterAbove(floor)
+	if !ok {
+		r.DiameterDefined = false
+	} else if d > r.ObservedDiameter {
+		r.ObservedDiameter = d
+	}
+	return d, ok
+}
+
+func complete(g *graph.Graph) bool {
+	n := g.NumNodes()
+	return g.NumEdges() == n*(n-1)/2
 }

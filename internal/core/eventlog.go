@@ -31,15 +31,6 @@ func (l *eventLog) append(ev TraceEvent) {
 	l.n++
 }
 
-// last returns the most recently recorded event, nil when there is none.
-func (l *eventLog) last() *TraceEvent {
-	if l.n == 0 {
-		return nil
-	}
-	c := l.chunks[len(l.chunks)-1]
-	return &c[len(c)-1]
-}
-
 // each calls visit on every event in record order.
 func (l *eventLog) each(visit func(ev *TraceEvent)) {
 	for _, c := range l.chunks {

@@ -2,13 +2,15 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // FuzzDecodeTrace hardens the trace decoder against malformed input: it
 // must either return an error or produce a trace whose analysis functions
-// do not panic.
+// do not panic, and on which the class judge agrees with the reference
+// judges and with itself fed live.
 func FuzzDecodeTrace(f *testing.F) {
 	// Seed corpus: a valid trace, truncations, corruptions, and the traces
 	// no run can record.
@@ -45,7 +47,33 @@ func FuzzDecodeTrace(f *testing.F) {
 		got.Sessions()
 		got.StableBetween(0, got.End())
 		got.LastTopologyChange()
-		InferClass(got)
-		CheckClass(got, Class{Size: SizeBoundedUnknown, Geo: GeoUnconstrained})
+		classes := []Class{
+			{Size: SizeBoundedUnknown, Geo: GeoUnconstrained},
+			{Size: SizeBoundedKnown, B: 2, Geo: GeoDiameterKnown, D: 1},
+		}
+		infer := NewClassJudge(nil)
+		sinks := []func(TraceEvent){infer.Observe}
+		var checks []*ClassJudge
+		for i := range classes {
+			checks = append(checks, NewClassJudge(&classes[i]))
+			sinks = append(sinks, checks[i].Observe)
+		}
+		rerecord(got, false, sinks...)
+		want := refInferClass(got)
+		if c := InferClass(got); c != want {
+			t.Fatalf("InferClass = %+v, reference %+v", c, want)
+		}
+		if c := infer.Class(got.End()); c != want {
+			t.Fatalf("live class = %+v, reference %+v", c, want)
+		}
+		for i, c := range classes {
+			want := refCheckClass(got, c)
+			if rep := CheckClass(got, c); !reflect.DeepEqual(rep, want) {
+				t.Fatalf("CheckClass(%s) =\n%+v\nreference\n%+v", c, rep, want)
+			}
+			if rep := checks[i].Report(got.End()); !reflect.DeepEqual(rep, want) {
+				t.Fatalf("live CheckClass(%s) =\n%+v\nreference\n%+v", c, rep, want)
+			}
+		}
 	})
 }

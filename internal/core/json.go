@@ -40,9 +40,9 @@ func DecodeTrace(r io.Reader) (*Trace, error) {
 		if ev.At < 0 {
 			return nil, fmt.Errorf("core: trace event %d at negative time %d", i, ev.At)
 		}
-		if last := tr.log.last(); last != nil && ev.At < last.At {
+		if tr.count > 0 && ev.At < tr.lastAt {
 			return nil, fmt.Errorf("core: trace event %d out of order (t=%d after t=%d)",
-				i, ev.At, last.At)
+				i, ev.At, tr.lastAt)
 		}
 		if ev.Kind > TMark {
 			return nil, fmt.Errorf("core: trace event %d has unknown kind %d", i, ev.Kind)

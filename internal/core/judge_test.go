@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,9 +12,11 @@ import (
 	"repro/internal/topology"
 )
 
-// The geography judges as they were before the bounded diameter kernel,
-// kept verbatim up to the diameter they ask for, as the reference the
-// floored queries must agree with.
+// The class judges as they were before the bounded diameter kernel and
+// before the stream judge, kept verbatim up to the diameter they ask for,
+// as the reference the floored queries and the one stream judge must
+// agree with: batch walks of the retained log, with their own
+// membership, snapshot and size logic.
 
 // allPairsDiameter is every node's eccentricity, one BFS each.
 func allPairsDiameter(g *graph.Graph) (int, bool) {
@@ -36,6 +39,59 @@ func (r *CheckReport) refObserveDiameter(g *graph.Graph) (int, bool) {
 		r.ObservedDiameter = d
 	}
 	return d, ok
+}
+
+// unstaticEvents calls visit for every membership event a static system
+// cannot contain — a join after the run's first tick, or any leave — and
+// returns that first tick and the number of joins.
+func (tr *Trace) unstaticEvents(visit func(ev *TraceEvent)) (start Time, joins int) {
+	if tr.log.n > 0 {
+		start = tr.log.chunks[0][0].At
+	}
+	tr.log.each(func(ev *TraceEvent) {
+		if ev.Kind == TJoin {
+			joins++
+		}
+		if ev.Kind == TLeave || (ev.Kind == TJoin && ev.At != start) {
+			visit(ev)
+		}
+	})
+	return start, joins
+}
+
+// eachSnapshot calls visit on the graph of every stable period of the run
+// that holds at least two entities (empty and singleton snapshots satisfy
+// every geography), in time order. g is the replay's working graph: read
+// it, do not keep it.
+func (tr *Trace) eachSnapshot(visit func(t Time, g *graph.Graph)) {
+	tr.Temporal().Replay(math.MinInt64, math.MaxInt64, func(t Time, g *graph.Graph) {
+		if g.NumNodes() > 1 {
+			visit(t, g)
+		}
+	})
+}
+
+func (r *CheckReport) checkSize(tr *Trace, c Class) {
+	switch c.Size {
+	case SizeStatic:
+		start, joins := tr.unstaticEvents(func(ev *TraceEvent) {
+			if ev.Kind == TJoin {
+				r.add(ev.At, fmt.Sprintf("entity %d joined mid-run in a static class", ev.P))
+			} else {
+				r.add(ev.At, fmt.Sprintf("entity %d left in a static class", ev.P))
+			}
+		})
+		if c.B > 0 && joins != c.B {
+			r.add(start, fmt.Sprintf("static class declares n=%d but %d entities joined", c.B, joins))
+		}
+	case SizeBoundedKnown:
+		if c.B > 0 && r.ObservedConcurrency > c.B {
+			r.add(0, fmt.Sprintf("concurrency %d exceeds declared bound b=%d (M^b)",
+				r.ObservedConcurrency, c.B))
+		}
+	case SizeBoundedUnknown, SizeUnbounded:
+		// A finite trace always has finite concurrency: nothing refutable.
+	}
 }
 
 func refCheckClass(tr *Trace, c Class) CheckReport {
@@ -199,5 +255,69 @@ func TestJudgesMatchAllPairs(t *testing.T) {
 	}
 	if exceeded == 0 {
 		t.Error("no run broke a declared diameter bound: the violation texts went untested")
+	}
+}
+
+// rerecord records tr's events into a fresh trace with the given
+// retention, after registering sinks on it, so they see the run as a
+// world's live sinks do: from before the first Record.
+func rerecord(tr *Trace, countOnly bool, sinks ...func(TraceEvent)) *Trace {
+	out := &Trace{}
+	out.SetCountOnly(countOnly)
+	for _, fn := range sinks {
+		out.Stream(fn)
+	}
+	tr.Each(func(ev *TraceEvent) { out.Record(*ev) })
+	out.Close(tr.End())
+	return out
+}
+
+// TestClassJudgeLiveMatchesReplay feeds the trace families
+// TestJudgesMatchAllPairs covers to judges registered with Trace.Stream
+// before the first Record, under full and count-only retention, and
+// holds their classes and reports to the post-hoc replays. Count-only
+// traces keep no events, so there the live judge is the only judge.
+func TestClassJudgeLiveMatchesReplay(t *testing.T) {
+	classes := []Class{
+		{Geo: GeoUnconstrained},
+		{Size: SizeStatic, B: 24, Geo: GeoComplete, EventuallyStable: true},
+		{Size: SizeBoundedKnown, B: 24, Geo: GeoDiameterBounded},
+		{Size: SizeBoundedUnknown, Geo: GeoDiameterKnown, D: 2},
+	}
+	overlays := map[string]func(seed uint64) topology.Overlay{
+		"ring":        func(s uint64) topology.Overlay { return topology.NewRing(s) },
+		"star":        func(uint64) topology.Overlay { return topology.NewStar() },
+		"random-k(3)": func(s uint64) topology.Overlay { return topology.NewRandomK(s, 3) },
+		"fragile":     func(s uint64) topology.Overlay { return topology.NewFragile(s) },
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		runs := map[string]*Trace{"churned 32-ring": churnedRing(32, 300, seed)}
+		for name, mk := range overlays {
+			runs[name] = overlayTrace(mk(seed), seed, 400)
+		}
+		for name, tr := range runs {
+			for _, countOnly := range []bool{false, true} {
+				infer := NewClassJudge(nil)
+				checks := make([]*ClassJudge, len(classes))
+				sinks := []func(TraceEvent){infer.Observe}
+				for i := range classes {
+					checks[i] = NewClassJudge(&classes[i])
+					sinks = append(sinks, checks[i].Observe)
+				}
+				live := rerecord(tr, countOnly, sinks...)
+				if countOnly && len(live.Events()) != 0 {
+					t.Fatalf("%s seed %d: count-only trace retained %d events", name, seed, len(live.Events()))
+				}
+				if got, want := infer.Class(live.End()), InferClass(tr); got != want {
+					t.Errorf("%s seed %d (count-only %v): live class %s, replay %s", name, seed, countOnly, got, want)
+				}
+				for i, c := range classes {
+					if got, want := checks[i].Report(live.End()), CheckClass(tr, c); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s seed %d (count-only %v): live report on %s =\n%+v\nreplay\n%+v",
+							name, seed, countOnly, c, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -90,16 +90,18 @@ type Trace struct {
 	end    Time
 	closed bool
 
+	// Counters every Record keeps, whatever the retention (churn counts
+	// joins and leaves).
+	count, churn, cur, peak int
+	lastAt, lastTopo        Time
+
 	// Count-only retention (SetCountOnly): events update the aggregate
 	// counters below and are then discarded, keeping memory O(tags)
 	// instead of O(events). Scale runs at n >= 10k entities use it; the
 	// specification checkers need full event retention and must not.
 	countOnly bool
-	count     int
-	lastAt    Time
 	msgAll    MessageStats
 	msgByTag  map[string]*MessageStats
-	cur, peak int
 	firstMark map[string]Time
 
 	sinks []func(TraceEvent)
@@ -117,13 +119,13 @@ func (tr *Trace) Stream(fn func(TraceEvent)) {
 }
 
 // SetCountOnly switches the trace to count-only retention: Len,
-// Messages, MaxConcurrency, FirstMark and End stay exact, every other
-// accessor sees an empty event list. It exists for scale experiments
-// whose worlds record tens of millions of events that no checker will
-// ever read; judged runs must keep the default full retention. Must be
-// called before the first Record.
+// Messages, MaxConcurrency, LastTopologyChange, FirstMark and End stay
+// exact, every other accessor sees an empty event list. It exists for
+// scale experiments whose worlds record tens of millions of events that
+// no checker will ever read; judged runs must keep the default full
+// retention. Must be called before the first Record.
 func (tr *Trace) SetCountOnly(on bool) {
-	if tr.log.n > 0 || tr.count > 0 {
+	if tr.count > 0 {
 		panic("core: SetCountOnly on a trace that already holds events")
 	}
 	tr.countOnly = on
@@ -139,50 +141,43 @@ func (tr *Trace) Record(ev TraceEvent) {
 	if tr.closed {
 		panic("core: Record on closed trace")
 	}
-	if tr.countOnly {
-		if tr.count > 0 && ev.At < tr.lastAt {
-			panic(fmt.Sprintf("core: trace event at %d after event at %d", ev.At, tr.lastAt))
-		}
-		for _, fn := range tr.sinks {
-			fn(ev)
-		}
-		tr.count++
-		tr.lastAt = ev.At
-		if ev.At > tr.end {
-			tr.end = ev.At
-		}
-		switch ev.Kind {
-		case TJoin:
-			tr.cur++
-			if tr.cur > tr.peak {
-				tr.peak = tr.cur
-			}
-		case TLeave:
-			tr.cur--
-		case TSend, TDeliver, TDrop:
-			tr.countMessage(&tr.msgAll, ev.Kind)
-			s := tr.msgByTag[ev.Tag]
-			if s == nil {
-				s = &MessageStats{}
-				tr.msgByTag[ev.Tag] = s
-			}
-			tr.countMessage(s, ev.Kind)
-		case TMark:
-			if _, seen := tr.firstMark[ev.Tag]; !seen {
-				tr.firstMark[ev.Tag] = ev.At
-			}
-		}
-		return
-	}
-	if last := tr.log.last(); last != nil && ev.At < last.At {
-		panic(fmt.Sprintf("core: trace event at %d after event at %d", ev.At, last.At))
+	if tr.count > 0 && ev.At < tr.lastAt {
+		panic(fmt.Sprintf("core: trace event at %d after event at %d", ev.At, tr.lastAt))
 	}
 	for _, fn := range tr.sinks {
 		fn(ev)
 	}
-	tr.log.append(ev)
-	if ev.At > tr.end {
-		tr.end = ev.At
+	tr.count++
+	tr.lastAt, tr.end = ev.At, max(tr.end, ev.At)
+	switch ev.Kind {
+	case TJoin:
+		tr.churn++
+		tr.cur++
+		tr.peak = max(tr.peak, tr.cur)
+	case TLeave:
+		tr.churn++
+		tr.cur--
+	}
+	if int(ev.Kind) < len(temporalKind) {
+		tr.lastTopo = max(tr.lastTopo, ev.At)
+	}
+	if !tr.countOnly {
+		tr.log.append(ev)
+		return
+	}
+	switch ev.Kind {
+	case TSend, TDeliver, TDrop:
+		tr.countMessage(&tr.msgAll, ev.Kind)
+		s := tr.msgByTag[ev.Tag]
+		if s == nil {
+			s = &MessageStats{}
+			tr.msgByTag[ev.Tag] = s
+		}
+		tr.countMessage(s, ev.Kind)
+	case TMark:
+		if _, seen := tr.firstMark[ev.Tag]; !seen {
+			tr.firstMark[ev.Tag] = ev.At
+		}
 	}
 }
 
@@ -251,12 +246,7 @@ func (tr *Trace) End() Time { return tr.end }
 
 // Len returns the number of recorded events (including discarded ones
 // under count-only retention).
-func (tr *Trace) Len() int {
-	if tr.countOnly {
-		return tr.count
-	}
-	return tr.log.n
-}
+func (tr *Trace) Len() int { return tr.count }
 
 // Events returns a copy of the recorded events. Readers that only walk
 // the log use Each, which copies nothing.
@@ -389,22 +379,7 @@ func (tr *Trace) PresentAt(t Time) []graph.NodeID { return tr.members(t, t, true
 // MaxConcurrency returns the maximum number of simultaneously present
 // entities over the run — the observed concurrency level that places the
 // run within an infinite arrival model.
-func (tr *Trace) MaxConcurrency() int {
-	if tr.countOnly {
-		return tr.peak
-	}
-	cur, peak := 0, 0
-	tr.log.each(func(ev *TraceEvent) {
-		switch ev.Kind {
-		case TJoin:
-			cur++
-			peak = max(peak, cur)
-		case TLeave:
-			cur--
-		}
-	})
-	return peak
-}
+func (tr *Trace) MaxConcurrency() int { return tr.peak }
 
 // StableBetween returns the entities present during the whole closed
 // interval [t1, t2]: exactly the processes whose values a valid One-Time
@@ -437,17 +412,63 @@ func (tr *Trace) Temporal() *graph.Temporal {
 	return tg
 }
 
+// TickGraph is the live graph G(t) of a trace stream, a tick behind the
+// clock: a tick's topology events are buffered and applied together when
+// the clock leaves it (or at Flush), so between ticks the graph is the
+// stable period Temporal.Replay visits, and mid-tick it is still the
+// graph before the tick. The zero value is an empty graph.
+type TickGraph struct {
+	g       *graph.Graph
+	pending []TraceEvent
+	at      Time
+	begun   bool
+}
+
+// Graph returns the graph as of the last applied batch, for reading.
+func (tg *TickGraph) Graph() *graph.Graph {
+	if tg.g == nil {
+		tg.g = graph.New()
+	}
+	return tg.g
+}
+
+// Advance moves the clock to t. When t leaves the current tick (the
+// first call always does), moved is true and that tick's batch is
+// applied and returned with its tick.
+func (tg *TickGraph) Advance(t Time) (at Time, batch []TraceEvent, moved bool) {
+	if moved = !tg.begun || t != tg.at; moved {
+		at, batch = tg.Flush()
+		tg.at, tg.begun = t, true
+	}
+	return at, batch, moved
+}
+
+// Buffer adds a topology event of the current tick to its batch.
+func (tg *TickGraph) Buffer(ev TraceEvent) { tg.pending = append(tg.pending, ev) }
+
+// Flush applies the buffered batch now and returns it with its tick. The
+// batch aliases the buffer: read it before the next Buffer.
+func (tg *TickGraph) Flush() (Time, []TraceEvent) {
+	g, batch := tg.Graph(), tg.pending
+	for _, ev := range batch {
+		switch ev.Kind {
+		case TJoin:
+			g.AddNode(ev.P)
+		case TLeave:
+			g.RemoveNode(ev.P)
+		case TEdgeUp:
+			g.AddEdge(ev.P, ev.Q)
+		case TEdgeDown:
+			g.RemoveEdge(ev.P, ev.Q)
+		}
+	}
+	tg.pending = batch[:0]
+	return tg.at, batch
+}
+
 // LastTopologyChange returns the time of the last join/leave/edge event,
 // or 0 if there is none.
-func (tr *Trace) LastTopologyChange() Time {
-	last := Time(0)
-	tr.log.each(func(ev *TraceEvent) {
-		if int(ev.Kind) < len(temporalKind) && ev.At > last {
-			last = ev.At
-		}
-	})
-	return last
-}
+func (tr *Trace) LastTopologyChange() Time { return tr.lastTopo }
 
 // SessionStats summarizes membership dynamics: how many sessions the run
 // saw, how long they lasted, and the implied churn intensity.
@@ -467,12 +488,6 @@ type SessionStats struct {
 // SessionStatistics computes SessionStats from the trace.
 func (tr *Trace) SessionStatistics() SessionStats {
 	var st SessionStats
-	events := 0
-	tr.log.each(func(ev *TraceEvent) {
-		if ev.Kind == TJoin || ev.Kind == TLeave {
-			events++
-		}
-	})
 	var sum Time
 	for _, ivs := range tr.Sessions() {
 		for _, iv := range ivs {
@@ -491,7 +506,7 @@ func (tr *Trace) SessionStatistics() SessionStats {
 		st.MeanLength = float64(sum) / float64(st.Completed)
 	}
 	if tr.end > 0 {
-		st.EventsPerTick = float64(events) / float64(tr.end)
+		st.EventsPerTick = float64(tr.churn) / float64(tr.end)
 	}
 	return st
 }

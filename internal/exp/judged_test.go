@@ -1,10 +1,14 @@
 package exp
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/churn"
+	"repro/internal/core"
+	"repro/internal/node"
 	"repro/internal/otq"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -50,5 +54,54 @@ func benchJudged(b *testing.B, proto func() otq.Protocol) {
 		if res := Execute(sc); res.Trace.Len() == 0 {
 			b.Fatal("the judged world recorded nothing")
 		}
+	}
+}
+
+// TestClassJudgeLiveOnFaultedWorld runs a chordal 16-ring under a fault
+// plan with a crash–recovery and announced rejoins, once fully retained
+// and once count-only, with class judges registered on Trace.Stream
+// before the first Record. On the retained run the live judges agree with
+// the post-hoc replays; on the count-only run, which keeps no event to
+// replay, they reach the same class and report.
+func TestClassJudgeLiveOnFaultedWorld(t *testing.T) {
+	declared := core.Class{Size: core.SizeBoundedKnown, B: 15, Geo: core.GeoDiameterKnown, D: 3, EventuallyStable: true}
+	run := func(countOnly bool) (*core.Trace, core.Class, core.CheckReport) {
+		engine := sim.New()
+		proto := digestEcho()
+		w := node.NewWorld(engine, manualOverlay(1), proto.Factory(), node.Config{MinLatency: 1, MaxLatency: 2, Seed: 1})
+		w.Trace.SetCountOnly(countOnly)
+		infer, check := core.NewClassJudge(nil), core.NewClassJudge(&declared)
+		w.Trace.Stream(infer.Observe)
+		w.Trace.Stream(check.Observe)
+		stop := mustPlan("crash:nodes=4,recover=50@60;rejoin:nodes=3+9,down=20@80;seed=5").Attach(w)
+		chordScript(16)(w, engine)
+		engine.RunUntil(25)
+		proto.Launch(w, 1)
+		engine.RunUntil(600)
+		stop()
+		w.Close()
+		return w.Trace, infer.Class(w.Trace.End()), check.Report(w.Trace.End())
+	}
+	full, class, rep := run(false)
+	for _, tag := range []string{core.MarkCrash, core.MarkRecover, core.MarkRejoin} {
+		if _, ok := full.FirstMark(tag); !ok {
+			t.Fatalf("the run recorded no %q mark: the fault plan went untested", tag)
+		}
+	}
+	if want := core.InferClass(full); class != want {
+		t.Errorf("live class %s, replay %s", class, want)
+	}
+	if want := core.CheckClass(full, declared); !reflect.DeepEqual(rep, want) {
+		t.Errorf("live report\n%+v\nreplay\n%+v", rep, want)
+	}
+	if rep.OK() {
+		t.Errorf("the declared class %s held: the violation path went untested", declared)
+	}
+	lite, liteClass, liteRep := run(true)
+	if n := len(lite.Events()); n != 0 || lite.Len() != full.Len() {
+		t.Fatalf("count-only trace retained %d events and counted %d, want 0 and %d", n, lite.Len(), full.Len())
+	}
+	if liteClass != class || !reflect.DeepEqual(liteRep, rep) {
+		t.Errorf("count-only judges read %s and\n%+v\nthe retained run %s and\n%+v", liteClass, liteRep, class, rep)
 	}
 }

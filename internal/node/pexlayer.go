@@ -813,6 +813,16 @@ func (px *pexLayer) onLeave(p *Proc, _ *durableSnapshot) {
 func (px *pexLayer) sample(w *World) {
 	now := int64(w.Engine.Now())
 	g := w.Overlay.Graph()
+	if g.NumNodes() != w.PresentCount() {
+		// A crash leaves the entity and its edges in the overlay; the
+		// sample judges the living.
+		g = g.Clone()
+		for _, id := range g.Nodes() {
+			if w.Proc(id) == nil {
+				g.RemoveNode(id)
+			}
+		}
+	}
 	present := g.Nodes()
 	s := PexSample{At: now, Present: len(present)}
 	comps := g.Components()

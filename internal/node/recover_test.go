@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/pex"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -179,4 +180,43 @@ func TestPresentSkipsCrashed(t *testing.T) {
 	want(1, 3)
 	w.Recover(2)
 	want(1, 2, 3)
+}
+
+// TestPexSampleSkipsCrashed: a crash leaves the entity and its edges in
+// the overlay, and the pex sampler judges the living only — its Present
+// is the world's, and OutsideMain names no crashed entity.
+func TestPexSampleSkipsCrashed(t *testing.T) {
+	const n, crashAt = 8, 20
+	e := sim.New()
+	w := NewWorld(e, topology.NewManual(), nil, Config{
+		Seed: 1, MinLatency: 1, MaxLatency: 2,
+		Pex: pex.Config{Enabled: true, SampleEvery: 3},
+	})
+	for i := 1; i <= n; i++ {
+		w.Join(graph.NodeID(i))
+	}
+	w.PexSeedViews(topology.BuildRing(n))
+	e.At(crashAt, func() {
+		w.Crash(2)
+		w.Crash(6)
+	})
+	e.RunUntil(100)
+	after := 0
+	for _, s := range w.PexSamples() {
+		if s.At <= crashAt {
+			continue
+		}
+		after++
+		if s.Present != w.PresentCount() {
+			t.Errorf("t=%d: sample Present %d, world %d", s.At, s.Present, w.PresentCount())
+		}
+		for _, id := range s.OutsideMain {
+			if w.Proc(id) == nil {
+				t.Errorf("t=%d: OutsideMain names crashed entity %d", s.At, id)
+			}
+		}
+	}
+	if after == 0 {
+		t.Fatal("no sample after the crash")
+	}
 }

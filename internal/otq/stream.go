@@ -34,15 +34,11 @@ type StreamChecker struct {
 	stableTr *core.SessionMachine
 	plainTr  *core.SessionMachine
 
-	// Live overlay graph plus the still-unapplied batch of topology
-	// events sharing the current timestamp. Temporal reachability applies
-	// all events of one tick before spreading; buffering one
-	// tick reproduces that, and lets Arm (which fires mid-tick) see the
+	// Live overlay graph, a tick behind the clock. Temporal reachability
+	// applies all events of one tick before spreading; the tick graph
+	// reproduces that, and lets Arm (which fires mid-tick) see the
 	// pre-tick graph for its initial spread.
-	g       *graph.Graph
-	pending []core.TraceEvent
-	curT    core.Time
-	haveCur bool
+	tick core.TickGraph
 
 	// Query window.
 	armed    bool
@@ -93,7 +89,6 @@ func NewStreamChecker(opts CheckOptions) *StreamChecker {
 	return &StreamChecker{
 		stableTr:    core.NewSessionMachine(mode),
 		plainTr:     core.NewSessionMachine(core.BridgeNone),
-		g:           graph.New(),
 		cand:        map[graph.NodeID]bool{},
 		candDown:    map[graph.NodeID]core.Time{},
 		confirmed:   map[graph.NodeID]bool{},
@@ -126,10 +121,10 @@ func (c *StreamChecker) poll() {
 // closed (every present reached node's neighbors are reached), so only
 // nodes whose neighborhood grew since the last spread need seeding.
 func (c *StreamChecker) spread(frontier []graph.NodeID) {
-	next := c.next[:0]
+	g, next := c.tick.Graph(), c.next[:0]
 	for len(frontier) > 0 {
 		for _, v := range frontier {
-			for _, u := range c.g.Neighbors(v) {
+			for _, u := range g.Neighbors(v) {
 				if !c.reached[u] {
 					c.reached[u] = true
 					next = append(next, u)
@@ -141,66 +136,33 @@ func (c *StreamChecker) spread(frontier []graph.NodeID) {
 	c.seeds, c.next = frontier[:0], next[:0]
 }
 
-func applyTopo(g *graph.Graph, ev core.TraceEvent) {
-	switch ev.Kind {
-	case core.TJoin:
-		g.AddNode(ev.P)
-	case core.TLeave:
-		g.RemoveNode(ev.P)
-	case core.TEdgeUp:
-		g.AddEdge(ev.P, ev.Q)
-	case core.TEdgeDown:
-		g.RemoveEdge(ev.P, ev.Q)
-	}
-}
-
-// flush applies the buffered topology batch (all events at curT) and, if
-// the batch falls inside the query window, lets information spread.
-// Joins add isolated nodes and leaves and edge-downs only remove edges,
-// so the batch can break the reached set's closure only through its
-// edge-ups: the spread starts from their reached, present endpoints. A
-// querier absent until now is marked reached first; every edge it has
-// came in this batch's edge-ups, which then seed it.
-func (c *StreamChecker) flush() {
-	if len(c.pending) == 0 {
+// spreadBatch lets information spread after the topology batch of tick
+// at was applied, if the tick falls inside the query window. Joins add
+// isolated nodes and leaves and edge-downs only remove edges, so the
+// batch can break the reached set's closure only through its edge-ups:
+// the spread starts from their reached, present endpoints. A querier
+// absent until now is marked reached first; every edge it has came in
+// this batch's edge-ups, which then seed it.
+func (c *StreamChecker) spreadBatch(at core.Time, batch []core.TraceEvent) {
+	if len(batch) == 0 || !c.armed || c.frozen || at < c.started {
 		return
 	}
-	for _, ev := range c.pending {
-		applyTopo(c.g, ev)
+	g := c.tick.Graph()
+	if g.HasNode(c.querier) {
+		c.reached[c.querier] = true
 	}
-	if c.armed && !c.frozen && c.curT >= c.started {
-		if c.g.HasNode(c.querier) {
-			c.reached[c.querier] = true
+	seeds := c.seeds[:0]
+	for _, ev := range batch {
+		if ev.Kind != core.TEdgeUp {
+			continue
 		}
-		seeds := c.seeds[:0]
-		for _, ev := range c.pending {
-			if ev.Kind != core.TEdgeUp {
-				continue
-			}
-			for _, v := range [2]graph.NodeID{ev.P, ev.Q} {
-				if c.reached[v] && c.g.HasNode(v) {
-					seeds = append(seeds, v)
-				}
+		for _, v := range [2]graph.NodeID{ev.P, ev.Q} {
+			if c.reached[v] && g.HasNode(v) {
+				seeds = append(seeds, v)
 			}
 		}
-		c.spread(seeds)
 	}
-	c.pending = c.pending[:0]
-}
-
-// advance moves the clock to t: the old tick's topology batch is applied
-// and spread, arm-tick ever-presence is settled, and the reachability
-// window freezes once t passes the answer.
-func (c *StreamChecker) advance(t core.Time) {
-	if c.armed && !c.everTickDone && t > c.started {
-		c.settleArmTick()
-	}
-	c.flush()
-	if c.armed && c.answered && !c.frozen && t > c.ansAt {
-		c.frozen = true
-		c.pending = nil
-	}
-	c.curT, c.haveCur = t, true
+	c.spread(seeds)
 }
 
 // settleArmTick decides the ever-presence of the entities whose session
@@ -279,13 +241,21 @@ func (c *StreamChecker) onPlain(p graph.NodeID, se core.SessionStep) {
 // before the world's first Record.
 func (c *StreamChecker) Observe(ev core.TraceEvent) {
 	c.poll()
-	if !c.haveCur || ev.At != c.curT {
-		c.advance(ev.At)
+	// On a new tick the old tick's batch spreads, arm-tick ever-presence
+	// settles, and the window freezes once the clock passes the answer.
+	if at, batch, moved := c.tick.Advance(ev.At); moved {
+		if c.armed && !c.everTickDone && ev.At > c.started {
+			c.settleArmTick()
+		}
+		c.spreadBatch(at, batch)
+		if c.armed && c.answered && !c.frozen && ev.At > c.ansAt {
+			c.frozen = true
+		}
 	}
 	switch ev.Kind {
 	case core.TJoin, core.TLeave, core.TEdgeUp, core.TEdgeDown:
 		if !c.frozen {
-			c.pending = append(c.pending, ev)
+			c.tick.Buffer(ev)
 		}
 	case core.TMark:
 		switch ev.Tag {
@@ -309,11 +279,9 @@ func (c *StreamChecker) Observe(ev core.TraceEvent) {
 // Protocol.Launch, at simulation time r.Started.
 func (c *StreamChecker) Arm(r *Run) {
 	c.run, c.querier, c.started = r, r.Querier, r.Started
-	if c.haveCur && c.curT < c.started {
-		// Pre-window topology still buffered: apply it without spreading,
-		// like ReachableFrom's replay before the window opens.
-		c.flush()
-	}
+	// The clock moves to the window's opening: pre-window topology still
+	// buffered applies unspread, as in ReachableFrom's replay.
+	c.tick.Advance(c.started)
 	c.armed = true
 	c.stableTr.Each(func(p graph.NodeID, s core.Session) {
 		c.cand[p] = true
@@ -324,18 +292,12 @@ func (c *StreamChecker) Arm(r *Run) {
 	c.plainTr.Each(func(p graph.NodeID, _ core.Session) { c.everPending[p] = true })
 	// Initial spread over the graph as of the window's opening (the
 	// arm tick's own events are still pending and spread when it ends):
-	// seeded from every present reached node, it leaves the reached set
-	// closed, which each later flush preserves.
-	if c.g.HasNode(c.querier) {
+	// seeded from the querier if present, it leaves the reached set
+	// closed, which each later batch's spread preserves.
+	if c.tick.Graph().HasNode(c.querier) {
 		c.reached[c.querier] = true
+		c.spread(append(c.seeds[:0], c.querier))
 	}
-	seeds := c.seeds[:0]
-	for v := range c.reached {
-		if c.g.HasNode(v) {
-			seeds = append(seeds, v)
-		}
-	}
-	c.spread(seeds)
 }
 
 // sortedIDs renders a set as Outcome's lists read: ascending, and nil —
@@ -362,7 +324,7 @@ func (c *StreamChecker) Finish(end core.Time, valueOf func(graph.NodeID) float64
 	if c.armed && !c.everTickDone {
 		c.settleArmTick()
 	}
-	c.flush()
+	c.spreadBatch(c.tick.Flush())
 
 	E := end
 	var ans *Answer
