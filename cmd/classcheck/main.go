@@ -73,6 +73,10 @@ func main() {
 		fatal(fmt.Errorf("-session %v: sessions need a positive mean length", *session))
 	case *maxConc < 0:
 		fatal(fmt.Errorf("-max-concurrent %d: the concurrency cap cannot be negative (0 = uncapped)", *maxConc))
+	case *doubleEvery < 0:
+		fatal(fmt.Errorf("-double-every %d: the doubling period cannot be negative (0 = a constant rate)", *doubleEvery))
+	case *quiesceAt < 0:
+		fatal(fmt.Errorf("-quiesce-at %d: the quiescence tick cannot be negative (0 = churn never stops)", *quiesceAt))
 	case overlays[*overlayName] == nil:
 		fatal(fmt.Errorf("unknown overlay %q (want mesh, star, ring, random-k, growing-path, or fragile)", *overlayName))
 	}

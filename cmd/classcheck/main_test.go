@@ -61,6 +61,8 @@ func TestRejectedFlags(t *testing.T) {
 		{"-arrival -0.5", "-arrival -0.5: the arrival rate cannot be negative (0 = no arrivals)"},
 		{"-session 0", "-session 0: sessions need a positive mean length"},
 		{"-max-concurrent -1", "-max-concurrent -1: the concurrency cap cannot be negative (0 = uncapped)"},
+		{"-double-every -5", "-double-every -5: the doubling period cannot be negative (0 = a constant rate)"},
+		{"-quiesce-at -5", "-quiesce-at -5: the quiescence tick cannot be negative (0 = churn never stops)"},
 		{"-overlay nope", `unknown overlay "nope" (want mesh, star, ring, random-k, growing-path, or fragile)`},
 		{"-in /nonexistent/trace.json -declare-size bogus", `unknown size model "bogus"`},
 	}

@@ -18,10 +18,14 @@ import (
 
 func main() {
 	quick := flag.Bool("quick", false, "shrink populations and horizons (CI-sized runs)")
-	seeds := flag.Int("seeds", 5, "independent repetitions per experiment cell")
+	seeds := flag.Int("seeds", 5, "independent repetitions per experiment cell (at least 1)")
 	only := flag.String("only", "", "comma-separated experiment IDs to run (default: all)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.Parse()
+	if *seeds < 1 {
+		fmt.Fprintf(os.Stderr, "otqbench: -seeds %d: every cell needs at least one seed\n", *seeds)
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, ex := range exp.All() {

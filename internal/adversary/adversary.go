@@ -12,23 +12,11 @@
 package adversary
 
 import (
-	"sort"
-
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/node"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
-
-// Adversary manipulates a world while a protocol runs.
-type Adversary interface {
-	// Attach starts the adversary's activity on the world, until the
-	// returned stop function is called or the horizon passes.
-	Attach(w *node.World) (stop func())
-	// Name identifies the strategy in experiment output.
-	Name() string
-}
 
 // FrontierGrower realizes the C3 argument against knowledge-free waves:
 // it keeps the system growing so that quiescence never comes. Fresh
@@ -38,99 +26,26 @@ type Adversary interface {
 type FrontierGrower struct {
 	// Every is the join period. Default 10.
 	Every sim.Time
-	// FirstID seeds fresh identities; joins use FirstID, FirstID+1, ...
-	// Must not collide with existing entities. Default 1 << 20.
-	FirstID graph.NodeID
 }
 
-// Name implements Adversary.
+// firstGrownID is the first identity FrontierGrower joins; later joins
+// count up from it, clear of any entity an experiment seeds.
+const firstGrownID graph.NodeID = 1 << 20
+
+// Name identifies the strategy in experiment output.
 func (*FrontierGrower) Name() string { return "frontier-grower" }
 
-// Attach implements Adversary.
+// Attach starts the adversary's activity on the world; the returned
+// function stops it.
 func (fg *FrontierGrower) Attach(w *node.World) func() {
 	every := fg.Every
 	if every <= 0 {
 		every = 10
 	}
-	next := fg.FirstID
-	if next == 0 {
-		next = 1 << 20
-	}
+	next := firstGrownID
 	tk := w.Engine.Every(every, func() {
 		w.Join(next)
 		next++
-	})
-	return tk.Stop
-}
-
-// RelayKiller realizes the argument against unguarded waves: it watches
-// who relays traffic and removes the busiest relay, mid-protocol. Without
-// duplicate paths or retransmission the victim's undelivered subtree is
-// silently lost. Class powers used: departures (targeted churn is still
-// churn — the class does not promise WHO stays).
-type RelayKiller struct {
-	// Every is the kill period. Default 15.
-	Every sim.Time
-	// Protect lists entities the adversary may not remove (typically the
-	// querier: the problem obliges nothing when the querier dies).
-	Protect []graph.NodeID
-	// MaxKills bounds the damage. Default 4.
-	MaxKills int
-
-	cursor int
-	kills  int
-}
-
-// Name implements Adversary.
-func (*RelayKiller) Name() string { return "relay-killer" }
-
-// Attach implements Adversary.
-func (rk *RelayKiller) Attach(w *node.World) func() {
-	every := rk.Every
-	if every <= 0 {
-		every = 15
-	}
-	maxKills := rk.MaxKills
-	if maxKills == 0 {
-		maxKills = 4
-	}
-	protected := make(map[graph.NodeID]bool, len(rk.Protect))
-	for _, id := range rk.Protect {
-		protected[id] = true
-	}
-	tk := w.Engine.Every(every, func() {
-		if rk.kills >= maxKills {
-			return
-		}
-		// Count sends per entity since the last inspection.
-		recent := w.Trace.EventsSince(rk.cursor)
-		rk.cursor += len(recent)
-		activity := map[graph.NodeID]int{}
-		for _, ev := range recent {
-			if ev.Kind == core.TSend {
-				activity[ev.P]++
-			}
-		}
-		var victim graph.NodeID
-		best := 0
-		ids := make([]graph.NodeID, 0, len(activity))
-		for id := range activity {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			if protected[id] || w.Proc(id) == nil {
-				continue
-			}
-			if activity[id] > best {
-				victim = id
-				best = activity[id]
-			}
-		}
-		if best > 0 {
-			w.Leave(victim)
-			rk.kills++
-		}
 	})
 	return tk.Stop
 }
@@ -151,10 +66,11 @@ type EdgeFlipper struct {
 	Seed uint64
 }
 
-// Name implements Adversary.
+// Name identifies the strategy in experiment output.
 func (*EdgeFlipper) Name() string { return "edge-flipper" }
 
-// Attach implements Adversary.
+// Attach starts the adversary's activity on the world; the returned
+// function stops it.
 func (ef *EdgeFlipper) Attach(w *node.World) func() {
 	every := ef.Every
 	if every <= 0 {
@@ -210,10 +126,11 @@ type Partitioner struct {
 	saved []graph.NodeID
 }
 
-// Name implements Adversary.
+// Name identifies the strategy in experiment output.
 func (*Partitioner) Name() string { return "partitioner" }
 
-// Attach implements Adversary.
+// Attach starts the adversary's activity on the world; the returned
+// function stops it.
 func (pa *Partitioner) Attach(w *node.World) func() {
 	cutEv := w.Engine.At(pa.CutAt, func() {
 		pa.saved = w.Overlay.Graph().Neighbors(pa.Victim)

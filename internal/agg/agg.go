@@ -65,15 +65,6 @@ func (s State) Merge(t State) State {
 	}
 }
 
-// OfAll folds a set of contributions into a State.
-func OfAll(vs ...float64) State {
-	s := Empty
-	for _, v := range vs {
-		s = s.Merge(Of(v))
-	}
-	return s
-}
-
 // Result reads the aggregate k out of the summary. Reading Min/Max/Mean
 // of an empty summary returns NaN (there is no such value).
 func (s State) Result(k Kind) float64 {
@@ -106,6 +97,3 @@ func (s State) Result(k Kind) float64 {
 		return math.NaN()
 	}
 }
-
-// IsEmpty reports whether the summary has no contributions.
-func (s State) IsEmpty() bool { return s.Count == 0 }

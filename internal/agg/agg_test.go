@@ -68,6 +68,15 @@ func TestMergeOrderIrrelevance(t *testing.T) {
 	}
 }
 
+// OfAll folds a set of contributions into a State.
+func OfAll(vs ...float64) State {
+	s := Empty
+	for _, v := range vs {
+		s = s.Merge(Of(v))
+	}
+	return s
+}
+
 func TestResults(t *testing.T) {
 	s := OfAll(3, -1, 4, 1, 5)
 	cases := map[Kind]float64{
@@ -96,8 +105,8 @@ func TestOrAllZeros(t *testing.T) {
 }
 
 func TestEmptyResults(t *testing.T) {
-	if !Empty.IsEmpty() {
-		t.Fatal("Empty.IsEmpty() = false")
+	if Empty.Count != 0 {
+		t.Fatal("Empty has contributions")
 	}
 	if Empty.Result(Count) != 0 || Empty.Result(Sum) != 0 {
 		t.Fatal("empty count/sum not 0")
@@ -119,7 +128,7 @@ func TestSingleton(t *testing.T) {
 			t.Errorf("singleton %v = %v", k, got)
 		}
 	}
-	if s.IsEmpty() {
+	if s.Count == 0 {
 		t.Fatal("singleton reported empty")
 	}
 }

@@ -51,8 +51,6 @@ type Broadcast struct {
 	AntiEntropy bool
 	// SpreadInterval is the anti-entropy period. Default 4.
 	SpreadInterval sim.Time
-	// MaxTicks bounds each member's anti-entropy activity. Default 2000.
-	MaxTicks int
 
 	launched bool
 }
@@ -64,12 +62,8 @@ func (bc *Broadcast) spreadInterval() sim.Time {
 	return 4
 }
 
-func (bc *Broadcast) maxTicks() int {
-	if bc.MaxTicks > 0 {
-		return bc.MaxTicks
-	}
-	return 2000
-}
+// maxTicks bounds each member's anti-entropy activity.
+const maxTicks = 2000
 
 type bcastBehavior struct {
 	proto   *Broadcast
@@ -127,7 +121,7 @@ func (b *bcastBehavior) deliver(p *node.Proc, payload float64, exclude graph.Nod
 
 func (b *bcastBehavior) tick(p *node.Proc) {
 	b.ticks++
-	if b.ticks > b.proto.maxTicks() {
+	if b.ticks > maxTicks {
 		return
 	}
 	for _, u := range p.Neighbors() {

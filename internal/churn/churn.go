@@ -6,8 +6,7 @@
 //
 // A Generator is an infinite (or quiescing) stream; callers bound it with
 // a horizon. Arrival processes are Poisson; session lengths are
-// exponential or Pareto (the standard fits to measured peer-to-peer
-// session traces). Acceleration makes concurrency grow without bound,
+// exponential or fixed. Acceleration makes concurrency grow without bound,
 // producing M^infinity runs on any finite horizon prefix.
 package churn
 
@@ -49,12 +48,6 @@ func ExpSessions(mean float64) SessionDist {
 		panic("churn: ExpSessions with non-positive mean")
 	}
 	return func(r *rng.Rand) Time { return ceilTime(r.Exp(1 / mean)) }
-}
-
-// ParetoSessions returns Pareto(xm, alpha) session lengths: most sessions
-// short, a heavy tail of long-lived members.
-func ParetoSessions(xm, alpha float64) SessionDist {
-	return func(r *rng.Rand) Time { return ceilTime(r.Pareto(xm, alpha)) }
 }
 
 // FixedSessions returns constant session lengths.

@@ -62,7 +62,7 @@ func TestEventsTimeOrdered(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	cfg := Config{InitialPopulation: 5, ArrivalRate: 0.3, Session: ParetoSessions(5, 1.5)}
+	cfg := Config{InitialPopulation: 5, ArrivalRate: 0.3, Session: ExpSessions(5)}
 	a := drain(New(7, cfg), 300)
 	b := drain(New(7, cfg), 300)
 	if len(a) != len(b) {

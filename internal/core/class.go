@@ -124,32 +124,3 @@ func (c Class) String() string {
 	}
 	return fmt.Sprintf("(%s, %s)", size, geo)
 }
-
-// StaticSystem returns the class of a classical static system of n
-// processes: fixed membership, complete knowledge.
-func StaticSystem(n int) Class {
-	return Class{Size: SizeStatic, B: n, Geo: GeoComplete, EventuallyStable: true}
-}
-
-// Refines reports whether class c is at least as constrained as d in every
-// attribute, i.e. every run admissible in c is admissible in d. It is the
-// partial order underlying the paper's "type of dynamic systems in which
-// the problem can be solved": solvability is upward-closed along it.
-func (c Class) Refines(d Class) bool {
-	if c.Size > d.Size {
-		return false
-	}
-	if c.Size == SizeBoundedKnown && d.Size == SizeBoundedKnown && c.B > d.B {
-		return false
-	}
-	if c.Geo > d.Geo {
-		return false
-	}
-	if c.Geo == GeoDiameterKnown && d.Geo == GeoDiameterKnown && c.D > d.D {
-		return false
-	}
-	if d.EventuallyStable && !c.EventuallyStable {
-		return false
-	}
-	return true
-}

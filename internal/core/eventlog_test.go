@@ -27,18 +27,6 @@ func (tr *sliceTrace) Events() []TraceEvent {
 	return out
 }
 
-func (tr *sliceTrace) EventsSince(start int) []TraceEvent {
-	if start < 0 {
-		start = 0
-	}
-	if start >= len(tr.events) {
-		return nil
-	}
-	out := make([]TraceEvent, len(tr.events)-start)
-	copy(out, tr.events[start:])
-	return out
-}
-
 func (tr *sliceTrace) sessions(b Bridging) map[graph.NodeID][]Interval {
 	type state struct {
 		open, suspended     bool
@@ -241,8 +229,7 @@ func replayDigest(tg *graph.Temporal) [][3]int64 {
 // TestEventLogMatchesSliceReference records random traces whose lengths
 // straddle the first chunk and several later chunk boundaries, and after
 // every append compares the chunked trace with the slice-backed
-// reference: Len, End and the EventsSince cursors at the tip after every
-// append, and every reader, EventsSince from -1 to past the end and an
+// reference: Len and End after every append, and every reader and an
 // encode/decode round trip at 0, 1 and each boundary -1, +0, +1.
 func TestEventLogMatchesSliceReference(t *testing.T) {
 	bounds := chunkBoundaries(3 * maxChunk)
@@ -267,22 +254,15 @@ func TestEventLogMatchesSliceReference(t *testing.T) {
 			if tr.Len() != ref.Len() || tr.End() != ref.end {
 				t.Fatalf("seed %d n=%d: Len/End = %d/%d, reference %d/%d", seed, n, tr.Len(), tr.End(), ref.Len(), ref.end)
 			}
-			for _, i := range []int{n - 1, n, n + 1} {
-				if got, want := tr.EventsSince(i), ref.EventsSince(i); !sameEvents(got, want) {
-					t.Fatalf("seed %d n=%d: EventsSince(%d) = %v, reference %v", seed, n, i, got, want)
-				}
-			}
 			if full[n] {
-				compareWithReference(t, tr, ref, n <= maxChunk/4+1)
+				compareWithReference(t, tr, ref)
 			}
 		}
 	}
 }
 
-// compareWithReference checks every reader of tr against ref. every
-// selects EventsSince at every cursor; otherwise the cursors sample each
-// chunk's first, last and a stride in between.
-func compareWithReference(t *testing.T, tr *Trace, ref *sliceTrace, every bool) {
+// compareWithReference checks every reader of tr against ref.
+func compareWithReference(t *testing.T, tr *Trace, ref *sliceTrace) {
 	t.Helper()
 	n := ref.Len()
 	check := func(what string, got, want any) {
@@ -293,17 +273,6 @@ func compareWithReference(t *testing.T, tr *Trace, ref *sliceTrace, every bool) 
 	}
 	if !sameEvents(tr.Events(), ref.Events()) {
 		t.Fatalf("n=%d: Events differ from the reference", n)
-	}
-	edges := map[int]bool{}
-	for _, b := range chunkBoundaries(n) {
-		edges[b-1], edges[b], edges[b+1] = true, true, true
-	}
-	for i := -1; i <= n+1; i++ {
-		if every || edges[i] || i%97 == 0 || i >= n-1 {
-			if !sameEvents(tr.EventsSince(i), ref.EventsSince(i)) {
-				t.Fatalf("n=%d: EventsSince(%d) differs from the reference", n, i)
-			}
-		}
 	}
 	var walked []TraceEvent
 	tr.Each(func(ev *TraceEvent) { walked = append(walked, *ev) })

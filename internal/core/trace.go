@@ -259,17 +259,6 @@ func (tr *Trace) Events() []TraceEvent {
 // the trace. Under count-only retention it visits nothing.
 func (tr *Trace) Each(visit func(ev *TraceEvent)) { tr.log.each(visit) }
 
-// EventsSince returns a copy of the events recorded from index start on
-// (incremental consumers keep a cursor instead of re-copying the whole
-// trace). A start beyond the log returns nil.
-func (tr *Trace) EventsSince(start int) []TraceEvent {
-	start = max(start, 0)
-	if start >= tr.log.n {
-		return nil
-	}
-	return tr.log.appendFrom(make([]TraceEvent, 0, tr.log.n-start), start)
-}
-
 // Interval is a half-open presence interval [From, To). To is the trace
 // end for sessions still open at the end of the run.
 type Interval struct {
@@ -419,9 +408,17 @@ func (tr *Trace) Temporal() *graph.Temporal {
 // graph before the tick. The zero value is an empty graph.
 type TickGraph struct {
 	g       *graph.Graph
-	pending []TraceEvent
+	pending []TopoChange
 	at      Time
 	begun   bool
+}
+
+// TopoChange is one buffered topology event: a join, leave, edge up or
+// edge down. It holds no pointer, so a tick's batch is a flat array the
+// collector need not scan.
+type TopoChange struct {
+	Kind TraceEventKind
+	P, Q graph.NodeID
 }
 
 // Graph returns the graph as of the last applied batch, for reading.
@@ -435,7 +432,7 @@ func (tg *TickGraph) Graph() *graph.Graph {
 // Advance moves the clock to t. When t leaves the current tick (the
 // first call always does), moved is true and that tick's batch is
 // applied and returned with its tick.
-func (tg *TickGraph) Advance(t Time) (at Time, batch []TraceEvent, moved bool) {
+func (tg *TickGraph) Advance(t Time) (at Time, batch []TopoChange, moved bool) {
 	if moved = !tg.begun || t != tg.at; moved {
 		at, batch = tg.Flush()
 		tg.at, tg.begun = t, true
@@ -444,11 +441,13 @@ func (tg *TickGraph) Advance(t Time) (at Time, batch []TraceEvent, moved bool) {
 }
 
 // Buffer adds a topology event of the current tick to its batch.
-func (tg *TickGraph) Buffer(ev TraceEvent) { tg.pending = append(tg.pending, ev) }
+func (tg *TickGraph) Buffer(ev TraceEvent) {
+	tg.pending = append(tg.pending, TopoChange{Kind: ev.Kind, P: ev.P, Q: ev.Q})
+}
 
 // Flush applies the buffered batch now and returns it with its tick. The
 // batch aliases the buffer: read it before the next Buffer.
-func (tg *TickGraph) Flush() (Time, []TraceEvent) {
+func (tg *TickGraph) Flush() (Time, []TopoChange) {
 	g, batch := tg.Graph(), tg.pending
 	for _, ev := range batch {
 		switch ev.Kind {

@@ -65,8 +65,6 @@ type Register struct {
 	// it complete — the protocol's stand-in for a known dissemination
 	// bound. Default 40.
 	WriteWindow sim.Time
-	// MaxTicks bounds each member's anti-entropy activity. Default 100000.
-	MaxTicks int
 
 	writerSeq uint64
 }
@@ -85,12 +83,8 @@ func (r *Register) writeWindow() sim.Time {
 	return 40
 }
 
-func (r *Register) maxTicks() int {
-	if r.MaxTicks > 0 {
-		return r.MaxTicks
-	}
-	return 100000
-}
+// maxTicks bounds each member's anti-entropy activity.
+const maxTicks = 100000
 
 // Validate reports the first configuration error, or nil. Zero fields
 // are valid (they mean the defaults, which the error messages quote);
@@ -107,9 +101,6 @@ func (r *Register) Validate() error {
 	}
 	if r.WriteWindow > 0 && r.WriteWindow < r.spreadInterval() {
 		return fmt.Errorf("dynreg: WriteWindow %d below the spread interval %d — no dissemination round fits the write", r.WriteWindow, r.spreadInterval())
-	}
-	if r.MaxTicks < 0 {
-		return fmt.Errorf("dynreg: MaxTicks %d must be non-negative (0 = default %d)", r.MaxTicks, (&Register{}).maxTicks())
 	}
 	return nil
 }
@@ -149,7 +140,7 @@ func (b *regBehavior) startTicking(p *node.Proc) {
 
 func (b *regBehavior) tick(p *node.Proc) {
 	b.ticks++
-	if b.ticks > b.proto.maxTicks() {
+	if b.ticks > maxTicks {
 		return
 	}
 	if b.active {

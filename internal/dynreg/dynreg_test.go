@@ -219,8 +219,6 @@ func TestConfigBoundaries(t *testing.T) {
 		{"window at explicit spread", Register{SpreadInterval: 10, WriteWindow: 10}, ""},
 		{"window below explicit spread", Register{SpreadInterval: 10, WriteWindow: 9}, "WriteWindow"},
 		{"window negative", Register{WriteWindow: -1}, "WriteWindow"},
-		{"max ticks at floor", Register{MaxTicks: 1}, ""},
-		{"max ticks negative", Register{MaxTicks: -1}, "MaxTicks"},
 	}
 	for _, tc := range cases {
 		err := tc.reg.Validate()

@@ -33,10 +33,6 @@ const e25Byz = graph.NodeID(3)
 // e25Sybil is the fresh identity the sybil control arm returns under.
 const e25Sybil = graph.NodeID(1003)
 
-// e25Honest are the honest churners: they ride the same rejoin schedule
-// as the attacker, and the durable arm must charge them nothing for it.
-var e25Honest = []graph.NodeID{6, 12}
-
 // e25LeaveAt and e25Down time the churn: the equivocator lies from the
 // wave's start until its departure at 200 (by which point the victims'
 // receipts have gossiped and the conviction has landed), stays down 40

@@ -8,6 +8,10 @@ import (
 	"repro/internal/graph"
 )
 
+// e25Honest are the honest churners: they ride the same rejoin schedule
+// as the attacker, and the durable arm must charge them nothing for it.
+var e25Honest = []graph.NodeID{6, 12}
+
 // TestE25PlansParse: every arm's storm spec parses and validates, the
 // attack clause carries the arm's variant, and the honest churners ride
 // a separate clause with neither reset nor sybil.

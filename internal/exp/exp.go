@@ -271,10 +271,6 @@ type Config struct {
 	Quick bool
 }
 
-// DefaultConfig is the configuration the recorded EXPERIMENTS.md numbers
-// were produced with.
-var DefaultConfig = Config{Seeds: 5}
-
 func (c Config) seeds() int {
 	if c.Seeds <= 0 {
 		return 5

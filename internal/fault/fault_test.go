@@ -3,6 +3,7 @@ package fault
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -306,6 +307,19 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q) accepted", bad)
 		}
 	}
+}
+
+// DecodeJSON reads a plan in the JSON form its field tags give it and
+// validates it.
+func DecodeJSON(data []byte) (*Plan, error) {
+	var pl Plan
+	if err := json.Unmarshal(data, &pl); err != nil {
+		return nil, fmt.Errorf("fault: %v", err)
+	}
+	if err := pl.Validate(); err != nil {
+		return nil, err
+	}
+	return &pl, nil
 }
 
 func TestJSONRoundTrip(t *testing.T) {

@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -400,20 +399,6 @@ func (pl *Plan) String() string {
 		segs = append(segs, "seed="+strconv.FormatUint(pl.Seed, 10))
 	}
 	return strings.Join(segs, ";")
-}
-
-// MarshalJSON / round-tripping: Plan marshals through its field tags; no
-// custom encoding is needed. DecodeJSON is a convenience wrapper that
-// also validates.
-func DecodeJSON(data []byte) (*Plan, error) {
-	var pl Plan
-	if err := json.Unmarshal(data, &pl); err != nil {
-		return nil, fmt.Errorf("fault: %v", err)
-	}
-	if err := pl.Validate(); err != nil {
-		return nil, err
-	}
-	return &pl, nil
 }
 
 // Summary counts the plan's clauses per kind, e.g. "2 burst + 1 crash".

@@ -62,18 +62,11 @@ func (r *Run) Result() *Result { return r.result }
 // Lookup configures and drives lookups. One Lookup value serves a single
 // world but any number of sequential lookups.
 type Lookup struct {
-	// MaxHops bounds routing (loop/starvation backstop). Default 128.
-	MaxHops int
-
 	runs map[uint64]*Run // by key; single outstanding lookup per key
 }
 
-func (l *Lookup) maxHops() int {
-	if l.MaxHops > 0 {
-		return l.MaxHops
-	}
-	return 128
-}
+// maxHops bounds routing (loop/starvation backstop).
+const maxHops = 128
 
 // clockwiseDist returns the distance from a to b going clockwise.
 func clockwiseDist(from, to uint64) uint64 { return to - from } // wraps mod 2^64
@@ -148,7 +141,7 @@ func (l *Lookup) Launch(w *node.World, origin graph.NodeID, key uint64) *Run {
 	}
 	run := &Run{}
 	l.runs[key] = run
-	b.route(p, lookupMsg{Key: key, Hops: 0, Budget: l.maxHops(), Querier: origin})
+	b.route(p, lookupMsg{Key: key, Hops: 0, Budget: maxHops, Querier: origin})
 	return run
 }
 

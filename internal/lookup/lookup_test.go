@@ -172,13 +172,20 @@ func TestLaunchValidation(t *testing.T) {
 	}
 }
 
+// TestHopBudgetExhaustion starts lookups the way Launch does, but with a
+// 1-hop budget in place of maxHops.
 func TestHopBudgetExhaustion(t *testing.T) {
-	l := &Lookup{MaxHops: 1}
+	l := &Lookup{runs: map[uint64]*Run{}}
 	w, e := fingerWorld(l, 64)
 	r := rng.New(2)
 	unresolved := 0
 	for trial := 0; trial < 10; trial++ {
-		run := l.Launch(w, w.Present()[r.Intn(64)], r.Uint64())
+		origin, key := w.Present()[r.Intn(64)], r.Uint64()
+		p := w.Proc(origin)
+		b, _ := node.FindBehavior[*lookupBehavior](p.Behavior())
+		run := &Run{}
+		l.runs[key] = run
+		b.route(p, lookupMsg{Key: key, Budget: 1, Querier: origin})
 		e.RunUntil(e.Now() + 200)
 		if run.Result() == nil {
 			unresolved++

@@ -38,12 +38,13 @@ package node
 // hold as uniform, bounded extra latency.
 //
 // The signing key stands in for a public-key signature: derivation from
-// SigSeed is the model's "key generation", verification recomputes what
-// only the sender could have produced. Like the pair keys, it models the
-// cryptography's guarantees, not its bits. Sender-side audit state (the
-// signing key and broadcast counters) is modeled as living on the same
-// stable storage as the key itself, so it survives crash–recovery; the
-// volatile per-pair MAC counters are what Crash persists explicitly.
+// the sender's identity is the model's "key generation", verification
+// recomputes what only the sender could have produced. Like the pair
+// keys, it models the cryptography's guarantees, not its bits.
+// Sender-side audit state (the signing key and broadcast counters) is
+// modeled as living on the same stable storage as the key itself, so it
+// survives crash–recovery; the volatile per-pair MAC counters are what
+// Crash persists explicitly.
 
 import (
 	"encoding/binary"
@@ -89,9 +90,6 @@ const (
 type AuditConfig struct {
 	// Enabled turns the sublayer on.
 	Enabled bool
-	// SigSeed derives the per-sender signing keys (the model's key
-	// generation ceremony). Zero is a valid seed.
-	SigSeed uint64
 	// GossipInterval is the receipt-gossip cadence in ticks. Default 8.
 	GossipInterval sim.Time
 	// GossipBudget caps the receipts carried per gossip message. Pending
@@ -309,86 +307,29 @@ func (m PullResponse) Fingerprint() uint64 {
 	return foldReceipts(foldIDs(fpPullResp, m.Path), m.Receipts)
 }
 
-// Pull digest wire form: a 12-byte header (origin, ttl, entry count)
-// followed by 24 bytes per entry.
-const (
-	digestHeaderWire = 12
-	digestEntryWire  = 24
-)
-
-// EncodePullDigest renders a digest in its canonical wire form. The TTL
-// must lie in [0, maxPullTTL] and the entry count must fit 16 bits.
-func EncodePullDigest(origin graph.NodeID, ttl int, entries []DigestEntry) []byte {
-	if ttl < 0 || ttl > maxPullTTL {
-		panic(fmt.Sprintf("node: pull digest TTL %d outside [0, %d]", ttl, maxPullTTL))
-	}
-	if len(entries) > 0xffff {
-		panic(fmt.Sprintf("node: pull digest with %d entries", len(entries)))
-	}
-	out := make([]byte, digestHeaderWire+digestEntryWire*len(entries))
-	binary.LittleEndian.PutUint64(out[0:], uint64(origin))
-	binary.LittleEndian.PutUint16(out[8:], uint16(ttl))
-	binary.LittleEndian.PutUint16(out[10:], uint16(len(entries)))
-	for i, e := range entries {
-		off := digestHeaderWire + digestEntryWire*i
-		binary.LittleEndian.PutUint64(out[off:], uint64(e.Sender))
-		binary.LittleEndian.PutUint64(out[off+8:], e.BSeq)
-		binary.LittleEndian.PutUint64(out[off+16:], e.FP)
-	}
-	return out
-}
-
-// DecodePullDigest parses the canonical wire form, rejecting truncated
-// headers, entry counts that disagree with the length, and out-of-range
-// TTLs.
-func DecodePullDigest(b []byte) (graph.NodeID, int, []DigestEntry, error) {
-	if len(b) < digestHeaderWire {
-		return 0, 0, nil, fmt.Errorf("node: pull digest header is %d bytes, got %d", digestHeaderWire, len(b))
-	}
-	origin := graph.NodeID(binary.LittleEndian.Uint64(b[0:]))
-	ttl := int(binary.LittleEndian.Uint16(b[8:]))
-	if ttl > maxPullTTL {
-		return 0, 0, nil, fmt.Errorf("node: pull digest TTL %d outside [0, %d]", ttl, maxPullTTL)
-	}
-	n := int(binary.LittleEndian.Uint16(b[10:]))
-	if len(b) != digestHeaderWire+digestEntryWire*n {
-		return 0, 0, nil, fmt.Errorf("node: pull digest claims %d entries in %d bytes", n, len(b))
-	}
-	entries := make([]DigestEntry, n)
-	for i := range entries {
-		off := digestHeaderWire + digestEntryWire*i
-		entries[i] = DigestEntry{
-			Sender: graph.NodeID(binary.LittleEndian.Uint64(b[off:])),
-			BSeq:   binary.LittleEndian.Uint64(b[off+8:]),
-			FP:     binary.LittleEndian.Uint64(b[off+16:]),
-		}
-	}
-	return origin, ttl, entries, nil
-}
-
-// sigKey derives a sender's signing key from the audit seed — the
-// model's key-generation ceremony.
-func sigKey(sigSeed uint64, sender graph.NodeID) uint64 {
-	return rng.New(sigSeed ^ uint64(sender)*0xa24baed4963ee407).Uint64()
+// sigKey derives a sender's signing key from its identity — the model's
+// key-generation ceremony.
+func sigKey(sender graph.NodeID) uint64 {
+	return rng.New(uint64(sender) * 0xa24baed4963ee407).Uint64()
 }
 
 // sigOver computes the transferable signature of (sender, bseq, fp).
-func sigOver(sigSeed uint64, sender graph.NodeID, bseq, fp uint64) uint64 {
-	return rng.Mix64(sigKey(sigSeed, sender) ^ bseq*0x9fb21c651e98df25 ^ fp*0xd1b54a32d192ed03)
+func sigOver(sender graph.NodeID, bseq, fp uint64) uint64 {
+	return rng.Mix64(sigKey(sender) ^ bseq*0x9fb21c651e98df25 ^ fp*0xd1b54a32d192ed03)
 }
 
 // VerifyReceipt checks a receipt's signature against the sender's derived
 // key. In the model, passing verification means "only Sender could have
 // produced Sig over (BSeq, FP)".
-func VerifyReceipt(sigSeed uint64, r Receipt) bool {
-	return r.Sig == sigOver(sigSeed, r.Sender, r.BSeq, r.FP)
+func VerifyReceipt(r Receipt) bool {
+	return r.Sig == sigOver(r.Sender, r.BSeq, r.FP)
 }
 
 // SignReceipt produces the honestly signed receipt for one statement —
 // what a sender's channel sublayer stamps on every outgoing copy. It is
 // exported for tests and fuzzers that need valid evidence to perturb.
-func SignReceipt(sigSeed uint64, sender graph.NodeID, bseq, fp uint64) Receipt {
-	return Receipt{Sender: sender, BSeq: bseq, FP: fp, Sig: sigOver(sigSeed, sender, bseq, fp)}
+func SignReceipt(sender graph.NodeID, bseq, fp uint64) Receipt {
+	return Receipt{Sender: sender, BSeq: bseq, FP: fp, Sig: sigOver(sender, bseq, fp)}
 }
 
 // AuditCounters are the audit sublayer's statistics, summed over every
@@ -604,7 +545,7 @@ func (au *auditLayer) bseqFor(p *Proc, tag string, payload any) uint64 {
 // verifies individually, and precisely that makes the divergent pair
 // self-convicting.
 func (au *auditLayer) sign(from graph.NodeID, bseq uint64, payload any) uint64 {
-	return sigOver(au.cfg.SigSeed, from, bseq, fingerprint(payload))
+	return sigOver(from, bseq, fingerprint(payload))
 }
 
 // observe distills an accepted protocol delivery into a receipt at the
@@ -613,7 +554,7 @@ func (au *auditLayer) sign(from graph.NodeID, bseq uint64, payload any) uint64 {
 func (au *auditLayer) observe(w *World, q *Proc, m Message) {
 	fp := fingerprint(m.Payload)
 	r := Receipt{Sender: m.From, BSeq: m.bseq, FP: fp, Sig: m.sig}
-	if !VerifyReceipt(au.cfg.SigSeed, r) {
+	if !VerifyReceipt(r) {
 		au.totals.BadSig++
 		return
 	}
@@ -933,7 +874,7 @@ func (au *auditLayer) onPullResp(w *World, p *Proc, resp PullResponse) {
 // counting) any whose signature does not verify.
 func (au *auditLayer) recordAll(w *World, p *Proc, rs []Receipt) {
 	for _, r := range rs {
-		if !VerifyReceipt(au.cfg.SigSeed, r) {
+		if !VerifyReceipt(r) {
 			au.totals.BadSig++
 			continue
 		}
@@ -966,7 +907,7 @@ func (au *auditLayer) onAudit(w *World, p *Proc, m Message) {
 	case [2]Receipt:
 		a, b := pl[0], pl[1]
 		if a.Sender != b.Sender || a.BSeq != b.BSeq || a.FP == b.FP ||
-			!VerifyReceipt(au.cfg.SigSeed, a) || !VerifyReceipt(au.cfg.SigSeed, b) {
+			!VerifyReceipt(a) || !VerifyReceipt(b) {
 			au.totals.BadSig++
 			return
 		}

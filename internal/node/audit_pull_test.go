@@ -170,7 +170,7 @@ func seedWorld(t *testing.T, retention string, retain int) (*World, *auditLayer)
 		Seed: 17,
 		Auth: AuthConfig{Enabled: true},
 		Audit: AuditConfig{
-			Enabled: true, SigSeed: 0xfeed,
+			Enabled:   true,
 			Retention: retention, Retain: retain,
 		},
 	})
@@ -190,13 +190,13 @@ func TestAuditRetentionEvictionAttack(t *testing.T) {
 	const retain = 8
 	run := func(retention string) *World {
 		w, au := seedWorld(t, retention, retain)
-		rA := SignReceipt(0xfeed, 1, 42, 1111)
+		rA := SignReceipt(1, 42, 1111)
 		au.record(w, w.Proc(2), rA, false)
 		for i := 0; i < retain+3; i++ {
-			chaff := SignReceipt(0xfeed, 1, uint64(1000+i), uint64(5000+i))
+			chaff := SignReceipt(1, uint64(1000+i), uint64(5000+i))
 			au.record(w, w.Proc(2), chaff, false)
 		}
-		rB := SignReceipt(0xfeed, 1, 42, 2222)
+		rB := SignReceipt(1, 42, 2222)
 		au.record(w, w.Proc(2), rB, false)
 		w.Close()
 		return w
@@ -216,7 +216,7 @@ func TestAuditRetainExactCap(t *testing.T) {
 	for _, retention := range []string{RetentionFIFO, RetentionPinned} {
 		w, au := seedWorld(t, retention, retain)
 		for i := 0; i <= retain; i++ {
-			au.record(w, w.Proc(2), SignReceipt(0xfeed, 1, uint64(i), uint64(100+i)), false)
+			au.record(w, w.Proc(2), SignReceipt(1, uint64(i), uint64(100+i)), false)
 			want := i + 1
 			if want > retain {
 				want = retain

@@ -65,9 +65,6 @@ const (
 type AuthConfig struct {
 	// Enabled turns the sublayer on.
 	Enabled bool
-	// KeySeed derives the per-pair keys. Two worlds sharing a KeySeed
-	// derive identical keys; zero is a valid seed.
-	KeySeed uint64
 	// ReplayWindow is how far behind the highest accepted sequence number
 	// an out-of-order copy may arrive and still be accepted (reordered
 	// channels deliver legitimately late copies). At most 64. Default 64.
@@ -267,7 +264,7 @@ func (al *authLayer) linkOf(by, about graph.NodeID) *authLink {
 // derived on every call rather than cached: the derivation (four Mix64
 // and one generator step, on the stack) costs less than a map probe.
 func (al *authLayer) pairKey(from, to graph.NodeID, ke uint64) uint64 {
-	return rng.New(al.cfg.KeySeed ^ uint64(from)*0x9e3779b97f4a7c15 ^ uint64(to)*0xc2b2ae3d27d4eb4f ^ ke*0x9e6c63d0876a9a47).Uint64()
+	return rng.New(uint64(from)*0x9e3779b97f4a7c15 ^ uint64(to)*0xc2b2ae3d27d4eb4f ^ ke*0x9e6c63d0876a9a47).Uint64()
 }
 
 // fnv1a is the 64-bit FNV-1a hash.

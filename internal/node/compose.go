@@ -35,13 +35,6 @@ func (c *Composite) Receive(p *Proc, m Message) {
 	}
 }
 
-// Parts returns the composed behaviors.
-func (c *Composite) Parts() []Behavior {
-	out := make([]Behavior, len(c.parts))
-	copy(out, c.parts)
-	return out
-}
-
 // FindBehavior locates a part of type T inside a (possibly composite)
 // behavior. Protocol launchers use it so queries can be launched on
 // entities that run the protocol alongside other modules.

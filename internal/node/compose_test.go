@@ -69,16 +69,6 @@ func TestFindBehavior(t *testing.T) {
 	}
 }
 
-func TestPartsCopied(t *testing.T) {
-	a := &countingBehavior{}
-	c := Compose(a)
-	parts := c.Parts()
-	parts[0] = Nop{}
-	if _, ok := FindBehavior[*countingBehavior](c); !ok {
-		t.Fatal("mutating Parts() affected the composite")
-	}
-}
-
 func TestCrashAbsentEntityNoop(t *testing.T) {
 	e := sim.New()
 	w := NewWorld(e, topology.NewMesh(), nil, Config{})

@@ -83,12 +83,6 @@ func TestSublayerConfigBoundaries(t *testing.T) {
 		{"stack quorum above range", StackConfig{PrepareQuorum: 1.01}.Validate, "outside (0, 1]"},
 		{"stack quorum negative", StackConfig{PrepareQuorum: -0.5}.Validate, "outside (0, 1]"},
 		{"stack quorum NaN", StackConfig{PrepareQuorum: nan()}.Validate, "PrepareQuorum"},
-
-		// ReconfigConfig: disabled ignores the stack; enabled validates it.
-		{"reconfig zero", ReconfigConfig{}.Validate, ""},
-		{"reconfig disabled bad stack", ReconfigConfig{Stack: StackConfig{FenceDepth: 99}}.Validate, ""},
-		{"reconfig enabled zero stack", ReconfigConfig{Enabled: true}.Validate, ""},
-		{"reconfig enabled bad stack", ReconfigConfig{Enabled: true, Stack: StackConfig{FenceDepth: 99}}.Validate, "FenceDepth"},
 	}
 	for _, p := range probes {
 		err := p.validate()

@@ -173,7 +173,7 @@ func (cfg Config) Validate() error {
 	}
 	for _, validate := range []func() error{
 		cfg.Reliable.Validate, cfg.Auth.Validate, cfg.Audit.Validate,
-		cfg.Identity.Validate, cfg.Reconfig.Validate, cfg.Pex.Validate,
+		cfg.Identity.Validate, cfg.Pex.Validate,
 	} {
 		if err := validate(); err != nil {
 			return err

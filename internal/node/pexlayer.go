@@ -965,19 +965,6 @@ func (w *World) PexConvergedAt() int64 {
 	return w.pex.convergedAt
 }
 
-// PexQuarantineEvents returns the view-layer quarantines in order.
-func (w *World) PexQuarantineEvents() []QuarantineEvent {
-	if w.pex == nil {
-		return nil
-	}
-	return append([]QuarantineEvent(nil), w.pex.events...)
-}
-
-// PexBlacklisted reports whether by has blacklisted offender's records.
-func (w *World) PexBlacklisted(by, offender graph.NodeID) bool {
-	return w.pex != nil && w.pex.blacklisted(by, offender)
-}
-
 // DepartedEntities returns every identity that has joined at some point
 // and is absent now, ascending — the pool a poison clause resurrects
 // dead records from.

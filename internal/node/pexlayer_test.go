@@ -11,6 +11,19 @@ import (
 	"repro/internal/topology"
 )
 
+// PexQuarantineEvents returns the view-layer quarantines in order.
+func (w *World) PexQuarantineEvents() []QuarantineEvent {
+	if w.pex == nil {
+		return nil
+	}
+	return append([]QuarantineEvent(nil), w.pex.events...)
+}
+
+// PexBlacklisted reports whether by has blacklisted offender's records.
+func (w *World) PexBlacklisted(by, offender graph.NodeID) bool {
+	return w.pex != nil && w.pex.blacklisted(by, offender)
+}
+
 func pexWorld(t *testing.T, n int, cfg Config) (*sim.Engine, *World) {
 	t.Helper()
 	e := sim.New()

@@ -109,7 +109,7 @@ type StackConfig struct {
 	// fixed RetransmitAfter schedule when false.
 	Adaptive bool
 	// KeyEpoch selects the auth key generation: pair keys are derived
-	// from (KeySeed, KeyEpoch, pair), so bumping it rotates every pair
+	// from (KeyEpoch, pair), so bumping it rotates every pair
 	// key at once. Messages verify under the key epoch of the stack
 	// epoch they were stamped with, so in-flight traffic survives the
 	// rotation. 0 is the genesis generation.
@@ -301,20 +301,6 @@ type ReconfigConfig struct {
 	// the genesis epoch 0, so the wire format, MAC inputs and rng draw
 	// sequence are bit-identical to a build without this file.
 	Enabled bool
-	// Stack overrides the genesis epoch's HANDSHAKE knobs (FenceDepth,
-	// DrainTimeout, PrepareQuorum). The genesis values of the sublayer
-	// knobs (Adaptive, Retain, PullFanout, Retention, Durable) always
-	// come from the sublayer configs themselves — one source of truth
-	// for what the world starts as; KeyEpoch starts at 0.
-	Stack StackConfig
-}
-
-// Validate reports the first configuration error, or nil.
-func (rc ReconfigConfig) Validate() error {
-	if !rc.Enabled {
-		return nil
-	}
-	return rc.Stack.Validate()
 }
 
 // ReconfigCounters are the world-level reconfiguration totals.
@@ -664,19 +650,18 @@ func (w *World) ReconfigEnabled() bool { return w.reconfig != nil }
 // special-case.
 func (w *World) GenesisStack() StackConfig { return w.stacks[0] }
 
-// genesisStack derives epoch 0 from the resolved sublayer configs plus
-// the reconfig config's handshake knobs.
+// genesisStack derives epoch 0 from the resolved sublayer configs: they
+// are the one source of truth for what the world starts as. The
+// handshake knobs (FenceDepth, DrainTimeout, PrepareQuorum) start at
+// their defaults and KeyEpoch at 0.
 func (w *World) genesisStack() StackConfig {
-	sc, audit := w.cfg.Reconfig.Stack, w.cfg.Audit.withDefaults()
+	audit := w.cfg.Audit.withDefaults()
 	return StackConfig{
-		Adaptive:      w.cfg.Reliable.Enabled && w.cfg.Reliable.Adaptive,
-		Durable:       w.cfg.Identity.Durable,
-		Retain:        audit.Retain,
-		PullFanout:    audit.PullFanout,
-		Retention:     audit.Retention,
-		FenceDepth:    sc.FenceDepth,
-		DrainTimeout:  sc.DrainTimeout,
-		PrepareQuorum: sc.PrepareQuorum,
+		Adaptive:   w.cfg.Reliable.Enabled && w.cfg.Reliable.Adaptive,
+		Durable:    w.cfg.Identity.Durable,
+		Retain:     audit.Retain,
+		PullFanout: audit.PullFanout,
+		Retention:  audit.Retention,
 	}.withDefaults()
 }
 

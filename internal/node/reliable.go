@@ -448,22 +448,6 @@ func (rl *reliableLayer) onAck(w *World, _ *Proc, m Message) {
 	rl.recycle(pm)
 }
 
-// ReliableStats returns a copy of the per-entity sender-side counters of
-// the reliable sublayer, for the entities that have any. It returns nil
-// when the sublayer is disabled.
-func (w *World) ReliableStats() map[graph.NodeID]ReliableCounters {
-	if w.rel == nil {
-		return nil
-	}
-	out := make(map[graph.NodeID]ReliableCounters)
-	for id, s := range w.rel.senders {
-		if s.ReliableCounters != (ReliableCounters{}) {
-			out[id] = s.ReliableCounters
-		}
-	}
-	return out
-}
-
 // ReliableTotals sums the reliable sublayer's counters over every entity
 // (the zero value when the sublayer is disabled).
 func (w *World) ReliableTotals() ReliableCounters {

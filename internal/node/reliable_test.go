@@ -9,6 +9,22 @@ import (
 	"repro/internal/topology"
 )
 
+// ReliableStats returns a copy of the per-entity sender-side counters of
+// the reliable sublayer, for the entities that have any. It returns nil
+// when the sublayer is disabled.
+func (w *World) ReliableStats() map[graph.NodeID]ReliableCounters {
+	if w.rel == nil {
+		return nil
+	}
+	out := make(map[graph.NodeID]ReliableCounters)
+	for id, s := range w.rel.senders {
+		if s.ReliableCounters != (ReliableCounters{}) {
+			out[id] = s.ReliableCounters
+		}
+	}
+	return out
+}
+
 // collector records the integer payloads it receives, in arrival order.
 type collector struct{ got []int }
 

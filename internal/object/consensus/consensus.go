@@ -64,15 +64,6 @@ func (b *Base) Propose(v int64) (int64, error) {
 	return *b.decided.Load(), nil
 }
 
-// Decided returns the decided value, if any (test inspection).
-func (b *Base) Decided() (int64, bool) {
-	p := b.decided.Load()
-	if p == nil {
-		return 0, false
-	}
-	return *p, true
-}
-
 var _ Object = (*Base)(nil)
 
 // Responsive is the t-tolerant wait-free consensus self-implementation
@@ -96,21 +87,6 @@ func NewResponsive(t int) (*Responsive, []*Base) {
 	}
 	return &Responsive{bases: objs}, bases
 }
-
-// NewResponsiveFrom builds the construction over caller-supplied base
-// objects (at least one). All processes must use the same object order —
-// use a single Responsive value shared by all proposers.
-func NewResponsiveFrom(bases []Object) *Responsive {
-	if len(bases) == 0 {
-		panic("consensus: no base objects")
-	}
-	cp := make([]Object, len(bases))
-	copy(cp, bases)
-	return &Responsive{bases: cp}
-}
-
-// Tolerance returns t, the number of base crashes tolerated.
-func (c *Responsive) Tolerance() int { return len(c.bases) - 1 }
 
 // Propose runs the traversal. With at most t responsive crashes it
 // returns the agreed decision; if every base object crashed it returns

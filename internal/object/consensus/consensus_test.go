@@ -11,7 +11,7 @@ import (
 
 func TestBaseFirstProposalWins(t *testing.T) {
 	b := NewBase()
-	if _, ok := b.Decided(); ok {
+	if b.decided.Load() != nil {
 		t.Fatal("fresh base already decided")
 	}
 	d, err := b.Propose(5)
@@ -22,8 +22,8 @@ func TestBaseFirstProposalWins(t *testing.T) {
 	if err != nil || d != 5 {
 		t.Fatalf("second propose = %v, %v, want 5", d, err)
 	}
-	if d, ok := b.Decided(); !ok || d != 5 {
-		t.Fatalf("Decided = %v, %v", d, ok)
+	if p := b.decided.Load(); p == nil || *p != 5 {
+		t.Fatalf("decided = %v", p)
 	}
 }
 
@@ -77,8 +77,8 @@ func TestBaseCrashStyles(t *testing.T) {
 
 func TestResponsiveNoFailures(t *testing.T) {
 	c, _ := NewResponsive(2)
-	if c.Tolerance() != 2 {
-		t.Fatalf("Tolerance = %d", c.Tolerance())
+	if len(c.bases) != 3 {
+		t.Fatalf("%d base objects, want t+1 = 3", len(c.bases))
 	}
 	d, err := c.Propose(7)
 	if err != nil || d != 7 {
@@ -208,7 +208,6 @@ func TestResponsiveBlocksOnNonResponsiveCrash(t *testing.T) {
 func TestConstructorValidation(t *testing.T) {
 	for name, f := range map[string]func(){
 		"negative t": func() { NewResponsive(-1) },
-		"from empty": func() { NewResponsiveFrom(nil) },
 	} {
 		func() {
 			defer func() {
@@ -224,9 +223,8 @@ func TestConstructorValidation(t *testing.T) {
 func TestResponsiveFromSharedOrder(t *testing.T) {
 	// Two Responsive values over the SAME base objects in the same order
 	// must agree with each other (it is the object order that matters).
-	b := []Object{NewBase(), NewBase(), NewBase()}
-	c1 := NewResponsiveFrom(b)
-	c2 := NewResponsiveFrom(b)
+	c1, _ := NewResponsive(2)
+	c2 := &Responsive{bases: c1.bases}
 	d1, err1 := c1.Propose(1)
 	d2, err2 := c2.Propose(2)
 	if err1 != nil || err2 != nil || d1 != d2 {

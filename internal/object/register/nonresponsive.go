@@ -37,9 +37,6 @@ func NewNonResponsive(t int) (*NonResponsive, []*Base) {
 	return &NonResponsive{bases: regs, t: t}, bases
 }
 
-// Tolerance returns t, the number of base crashes tolerated.
-func (r *NonResponsive) Tolerance() int { return r.t }
-
 type readResult struct {
 	tv  TimestampedValue
 	err error

@@ -67,8 +67,8 @@ func TestBaseCrashAfter(t *testing.T) {
 
 func TestResponsiveBasic(t *testing.T) {
 	r, _ := NewResponsive(2)
-	if r.Tolerance() != 2 {
-		t.Fatalf("Tolerance = %d", r.Tolerance())
+	if len(r.bases) != 3 {
+		t.Fatalf("%d base registers, want t+1 = 3", len(r.bases))
 	}
 	rd := r.NewReader()
 	if v, err := rd.Read(); err != nil || v != 0 {
@@ -120,8 +120,8 @@ func TestResponsiveFailsBeyondTolerance(t *testing.T) {
 // The new/old inversion scenario: base 0 holds the new value and crashes;
 // a per-handle cache must keep the reader from going back in time.
 func TestResponsiveReaderMonotoneUnderPartialWrite(t *testing.T) {
-	b0, b1 := NewBase(), NewBase()
-	r := NewResponsiveFrom([]Register{b0, b1})
+	r, bases := NewResponsive(1)
+	b0 := bases[0]
 	if err := r.Write(1); err != nil { // seq 1 everywhere
 		t.Fatal(err)
 	}
@@ -192,8 +192,8 @@ func TestResponsiveConcurrentReadersMonotone(t *testing.T) {
 
 func TestNonResponsiveBasic(t *testing.T) {
 	r, _ := NewNonResponsive(2)
-	if r.Tolerance() != 2 {
-		t.Fatalf("Tolerance = %d", r.Tolerance())
+	if r.t != 2 || len(r.bases) != 5 {
+		t.Fatalf("t = %d over %d base registers, want 2 over 2t+1 = 5", r.t, len(r.bases))
 	}
 	rd := r.NewReader()
 	for i := int64(1); i <= 5; i++ {
@@ -240,8 +240,8 @@ func TestNonResponsiveSurvivesTSilentCrashes(t *testing.T) {
 // margin), a single non-responsive crash blocks the sequential
 // construction forever.
 func TestSequentialBlocksOnNonResponsiveCrash(t *testing.T) {
-	b0, b1 := NewBase(), NewBase()
-	r := NewResponsiveFrom([]Register{b0, b1}) // t = 1 would need majority machinery
+	r, bases := NewResponsive(1) // t = 1 would need majority machinery
+	b0 := bases[0]
 	b0.CrashNonResponsive()
 	defer b0.Release()
 	done := make(chan struct{})
@@ -311,7 +311,6 @@ func TestConstructorValidation(t *testing.T) {
 	for name, f := range map[string]func(){
 		"responsive negative t":     func() { NewResponsive(-1) },
 		"non-responsive negative t": func() { NewNonResponsive(-1) },
-		"from empty":                func() { NewResponsiveFrom(nil) },
 	} {
 		func() {
 			defer func() {

@@ -29,20 +29,6 @@ func NewResponsive(t int) (*Responsive, []*Base) {
 	return &Responsive{bases: regs}, bases
 }
 
-// NewResponsiveFrom builds the construction over caller-supplied base
-// registers (at least one).
-func NewResponsiveFrom(bases []Register) *Responsive {
-	if len(bases) == 0 {
-		panic("register: no base registers")
-	}
-	cp := make([]Register, len(bases))
-	copy(cp, bases)
-	return &Responsive{bases: cp}
-}
-
-// Tolerance returns t, the number of base crashes tolerated.
-func (r *Responsive) Tolerance() int { return len(r.bases) - 1 }
-
 // Write stores data in every non-crashed base register under a fresh
 // sequence number. It fails with ErrCrashed only when every base register
 // has crashed (more failures than tolerated). Single writer: concurrent

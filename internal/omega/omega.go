@@ -51,10 +51,10 @@ type Elector struct {
 	// trust each other. Default 6x Beat — enough only for low-diameter
 	// overlays.
 	Timeout sim.Time
-	// MaxTicks bounds each member's activity (safety valve). Default
-	// 100000.
-	MaxTicks int
 }
+
+// maxTicks bounds each member's activity (safety valve).
+const maxTicks = 100000
 
 func (e *Elector) beat() sim.Time {
 	if e.Beat > 0 {
@@ -68,13 +68,6 @@ func (e *Elector) timeout() sim.Time {
 		return e.Timeout
 	}
 	return 6 * e.beat()
-}
-
-func (e *Elector) maxTicks() int {
-	if e.MaxTicks > 0 {
-		return e.MaxTicks
-	}
-	return 100000
 }
 
 // Member is one entity's elector module.
@@ -120,7 +113,7 @@ func (m *Member) Receive(p *node.Proc, msg node.Message) {
 
 func (m *Member) tick(p *node.Proc) {
 	m.ticks++
-	if m.ticks > m.cfg.maxTicks() {
+	if m.ticks > maxTicks {
 		return
 	}
 	now := p.Now()

@@ -27,10 +27,8 @@ type ContinuousFlood struct {
 	// MaxLatency is the known per-hop latency bound.
 	MaxLatency sim.Time
 	// Epoch is the re-evaluation period; it must exceed each flood's
-	// deadline (2*TTL*MaxLatency + Slack). Default: deadline + 10.
+	// deadline (2*TTL*MaxLatency + 2). Default: deadline + 10.
 	Epoch sim.Time
-	// Slack pads each epoch's deadline. Default 2.
-	Slack sim.Time
 	// MaxEpochs bounds the standing query. Default 50.
 	MaxEpochs int
 
@@ -52,16 +50,6 @@ type ContinuousRun struct {
 	stopped bool
 }
 
-// Answers returns the epochs answered so far.
-func (r *ContinuousRun) Answers() []EpochAnswer {
-	out := make([]EpochAnswer, len(r.answers))
-	copy(out, r.answers)
-	return out
-}
-
-// Stop ends the standing query after the current epoch.
-func (r *ContinuousRun) Stop() { r.stopped = true }
-
 // Name identifies the protocol.
 func (*ContinuousFlood) Name() string { return "continuous-flood" }
 
@@ -71,7 +59,7 @@ func (*ContinuousFlood) Factory() node.BehaviorFactory { return floodFactory }
 
 // epoch is the re-evaluation period: by default the flood deadline + 10.
 func (cf *ContinuousFlood) epoch() sim.Time {
-	return orDefault(cf.Epoch, roundTrip(cf.TTL, cf.MaxLatency, cf.Slack)+10)
+	return orDefault(cf.Epoch, roundTrip(cf.TTL, cf.MaxLatency)+10)
 }
 
 // Launch starts the standing query at the given present entity.
@@ -79,7 +67,7 @@ func (cf *ContinuousFlood) Launch(w *node.World, querier graph.NodeID) *Continuo
 	if cf.TTL <= 0 || cf.MaxLatency <= 0 {
 		panic("otq: ContinuousFlood needs positive TTL and MaxLatency")
 	}
-	if cf.epoch() < roundTrip(cf.TTL, cf.MaxLatency, cf.Slack) {
+	if cf.epoch() < roundTrip(cf.TTL, cf.MaxLatency) {
 		panic("otq: ContinuousFlood epoch shorter than its flood deadline")
 	}
 	p, b, _ := launchAt[*floodBehavior]("ContinuousFlood", cf.run != nil, w, querier)
@@ -96,7 +84,7 @@ func (cf *ContinuousFlood) epochRound(p *node.Proc, b *floodBehavior, epoch int)
 		return
 	}
 	started := int64(p.Now())
-	p.After(b.flood(p, epoch, cf.TTL, cf.MaxLatency, cf.Slack), func() {
+	p.After(b.flood(p, epoch, cf.TTL, cf.MaxLatency), func() {
 		p.Mark(fmt.Sprintf("otq.epoch-answer:%d", epoch))
 		cf.run.answers = append(cf.run.answers, EpochAnswer{
 			Epoch:        epoch,

@@ -32,7 +32,7 @@ func TestContinuousStaticAllEpochsValid(t *testing.T) {
 		t.Fatalf("static count lag = %v, want 0", out.MeanAbsCountLag)
 	}
 	// Epochs are evenly spaced at the configured period.
-	answers := run.Answers()
+	answers := run.answers
 	epochLen := int64(proto.epoch())
 	for i := 1; i < len(answers); i++ {
 		if answers[i].StartedAt-answers[i-1].StartedAt != epochLen {
@@ -56,7 +56,7 @@ func TestContinuousTracksGrowingSystem(t *testing.T) {
 	e.At(110, func() { w.Join(51) })
 	e.RunUntil(1000)
 	w.Close()
-	answers := run.Answers()
+	answers := run.answers
 	if len(answers) != 4 {
 		t.Fatalf("%d answers, want 4", len(answers))
 	}
@@ -72,6 +72,9 @@ func TestContinuousTracksGrowingSystem(t *testing.T) {
 	}
 }
 
+// Stop ends the standing query after the current epoch.
+func (r *ContinuousRun) Stop() { r.stopped = true }
+
 func TestContinuousStop(t *testing.T) {
 	e := sim.New()
 	proto := &ContinuousFlood{TTL: 1, MaxLatency: 2, Epoch: 40, MaxEpochs: 50}
@@ -82,7 +85,7 @@ func TestContinuousStop(t *testing.T) {
 	e.At(100, func() { run.Stop() })
 	e.RunUntil(5000)
 	w.Close()
-	if got := len(run.Answers()); got != 3 {
+	if got := len(run.answers); got != 3 {
 		t.Fatalf("answers after Stop at t=100 with epoch 40: %d, want 3", got)
 	}
 }
@@ -99,7 +102,7 @@ func TestContinuousDiesWithQuerier(t *testing.T) {
 	w.Close()
 	// Epochs at t=0 and t=40 answered (deadline 6); the epoch at t=80
 	// answers at t=86 (before the leave)... and no epoch after t=90.
-	if got := len(run.Answers()); got > 3 {
+	if got := len(run.answers); got > 3 {
 		t.Fatalf("standing query outlived its querier: %d answers", got)
 	}
 }

@@ -162,22 +162,24 @@ func (b *floodBehavior) asQuerier() {
 	b.parent = make(map[int]graph.NodeID)
 }
 
+// roundSlack pads every round trip: a scheduling margin.
+const roundSlack sim.Time = 2
+
 // roundTrip is how long a wave of radius ttl needs to come home: out in
-// <= ttl hops, back in <= ttl hops, each at most perHop, plus slack (a
-// scheduling margin; default 2).
-func roundTrip(ttl int, perHop, slack sim.Time) sim.Time {
-	return 2*sim.Time(ttl)*perHop + orDefault(slack, 2)
+// <= ttl hops, back in <= ttl hops, each at most perHop, plus roundSlack.
+func roundTrip(ttl int, perHop sim.Time) sim.Time {
+	return 2*sim.Time(ttl)*perHop + roundSlack
 }
 
 // flood is the querier's side of one round, whatever rule decides when
 // rounds stop: own wave qid, contribute my value, broadcast the query at
 // radius ttl. It returns the round trip after which everything within
 // ttl hops that could answer has.
-func (b *floodBehavior) flood(p *node.Proc, qid, ttl int, perHop, slack sim.Time) sim.Time {
+func (b *floodBehavior) flood(p *node.Proc, qid, ttl int, perHop sim.Time) sim.Time {
 	b.parent[qid] = p.ID
 	b.acc.absorb(qid, b.ownContrib(p))
 	p.Broadcast(tagQuery, queryMsg{QID: qid, TTL: ttl - 1})
-	return roundTrip(ttl, perHop, slack)
+	return roundTrip(ttl, perHop)
 }
 
 // FloodTTL is the protocol that solves OTQ when a diameter bound is known
@@ -194,8 +196,6 @@ type FloodTTL struct {
 	// MaxLatency is the known per-hop latency bound used to size the
 	// answer deadline.
 	MaxLatency sim.Time
-	// Slack pads the deadline (scheduling margin). Default 2.
-	Slack sim.Time
 
 	run *Run
 }
@@ -217,7 +217,7 @@ func (f *FloodTTL) Launch(w *node.World, querier graph.NodeID) *Run {
 	f.run = run
 	b.asQuerier()
 	const qid = 1
-	p.After(b.flood(p, qid, f.TTL, f.MaxLatency, f.Slack), func() {
+	p.After(b.flood(p, qid, f.TTL, f.MaxLatency), func() {
 		p.Mark("otq.answer")
 		run.resolve(int64(p.Now()), b.acc[qid])
 	})

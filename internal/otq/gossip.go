@@ -33,9 +33,6 @@ type GossipPushSum struct {
 	// Rounds is how many of its own rounds the querier waits before
 	// reading its estimate. Default 50.
 	Rounds int
-	// MaxTicks bounds each member's gossip activity (safety valve).
-	// Default 5000.
-	MaxTicks int
 	// Seed drives each member's random neighbor choice.
 	Seed uint64
 
@@ -44,6 +41,9 @@ type GossipPushSum struct {
 
 // Name implements Protocol.
 func (*GossipPushSum) Name() string { return "gossip-push-sum" }
+
+// gossipMaxTicks bounds each member's gossip activity (safety valve).
+const gossipMaxTicks = 5000
 
 type gossipBehavior struct {
 	proto *GossipPushSum
@@ -76,7 +76,7 @@ func (b *gossipBehavior) Init(p *node.Proc) {
 
 func (b *gossipBehavior) schedule(p *node.Proc) {
 	b.ticks++
-	if b.ticks > orDefault(b.proto.MaxTicks, 5000) {
+	if b.ticks > gossipMaxTicks {
 		return
 	}
 	if b.nextP != p {
@@ -104,9 +104,6 @@ func (b *gossipBehavior) Receive(p *node.Proc, m node.Message) {
 	b.s += g.S
 	b.w += g.W
 }
-
-// Estimate returns the member's current estimate of the system mean.
-func (b *gossipBehavior) Estimate() float64 { return b.s / b.w }
 
 // Launch implements Protocol.
 func (g *GossipPushSum) Launch(w *node.World, querier graph.NodeID) *Run {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/node"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -53,18 +52,5 @@ func TestLaunchPreconditions(t *testing.T) {
 				c.do()
 			}()
 		}
-	}
-}
-
-// TestFloodNonPositiveSlackIsTheDefault: Slack < 0 reads as the
-// documented default 2, as every sibling tunable does (FloodTTL alone
-// used to test == 0, so a negative Slack shortened the deadline).
-func TestFloodNonPositiveSlackIsTheDefault(t *testing.T) {
-	proto := &FloodTTL{TTL: 4, MaxLatency: 2, Slack: -1}
-	w, e := staticWorld(t, topology.NewMesh(), proto, 5)
-	run := proto.Launch(w, 1)
-	e.RunUntil(1000)
-	if got, want := run.Answer().At-run.Started, core.Time(2*4*2+2); got != want {
-		t.Fatalf("answered after %d ticks, want the default-slack deadline %d", got, want)
 	}
 }

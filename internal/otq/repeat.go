@@ -22,8 +22,6 @@ type RepeatedFlood struct {
 	// MaxLatency is the known per-hop latency bound sizing each round's
 	// deadline.
 	MaxLatency sim.Time
-	// Slack pads each round deadline. Default 2.
-	Slack sim.Time
 	// MaxRounds caps repetition. Default 8.
 	MaxRounds int
 	// QuietRounds is how many consecutive rounds must add no new
@@ -60,7 +58,7 @@ func (rf *RepeatedFlood) round(p *node.Proc, b *floodBehavior, qid, quiet int, u
 	if !p.Alive() {
 		return // querier left; the query dies unanswered
 	}
-	p.After(b.flood(p, qid, rf.TTL, rf.MaxLatency, rf.Slack), func() {
+	p.After(b.flood(p, qid, rf.TTL, rf.MaxLatency), func() {
 		grew := false
 		for id, v := range b.acc[qid] {
 			if _, ok := union[id]; !ok {

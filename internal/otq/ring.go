@@ -25,8 +25,6 @@ type ExpandingRing struct {
 	// MaxTTL caps ring growth (safety and termination backstop): when the
 	// radius reaches MaxTTL the querier answers with what it has.
 	MaxTTL int
-	// Slack pads each round deadline. Default 2.
-	Slack sim.Time
 
 	run *Run
 }
@@ -56,7 +54,7 @@ func (e *ExpandingRing) round(p *node.Proc, b *floodBehavior, ttl, qid int, prev
 	if !p.Alive() {
 		return // querier left; the query dies unanswered
 	}
-	p.After(b.flood(p, qid, ttl, e.MaxLatency, e.Slack), func() {
+	p.After(b.flood(p, qid, ttl, e.MaxLatency), func() {
 		cur := b.acc[qid]
 		if (prev != nil && sameContributors(prev, cur)) || ttl >= e.MaxTTL {
 			p.Mark("otq.answer")

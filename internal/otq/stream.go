@@ -143,7 +143,7 @@ func (c *StreamChecker) spread(frontier []graph.NodeID) {
 // the spread starts from their reached, present endpoints. A querier
 // absent until now is marked reached first; every edge it has came in
 // this batch's edge-ups, which then seed it.
-func (c *StreamChecker) spreadBatch(at core.Time, batch []core.TraceEvent) {
+func (c *StreamChecker) spreadBatch(at core.Time, batch []core.TopoChange) {
 	if len(batch) == 0 || !c.armed || c.frozen || at < c.started {
 		return
 	}

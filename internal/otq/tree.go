@@ -40,14 +40,15 @@ type TreeEcho struct {
 	// CheckInterval is how often pending children are re-examined when
 	// DetectDepartures is on. Default 5.
 	CheckInterval sim.Time
-	// MaxChecks bounds the re-examination ticks per node. Default 1000.
-	MaxChecks int
 
 	run *Run
 }
 
 // Name implements Protocol.
 func (*TreeEcho) Name() string { return "tree-echo" }
+
+// treeMaxChecks bounds the re-examination ticks per node.
+const treeMaxChecks = 1000
 
 type treeEchoBehavior struct {
 	proto     *TreeEcho
@@ -137,7 +138,7 @@ func (b *treeEchoBehavior) maybeComplete(p *node.Proc) {
 
 func (b *treeEchoBehavior) scheduleCheck(p *node.Proc) {
 	b.checks++
-	if b.checks > orDefault(b.proto.MaxChecks, 1000) || b.echoed {
+	if b.checks > treeMaxChecks || b.echoed {
 		return
 	}
 	p.After(orDefault(b.proto.CheckInterval, 5), func() {

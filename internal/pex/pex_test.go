@@ -259,21 +259,21 @@ func TestSelectionPolicies(t *testing.T) {
 	if id, ok := v.SelectPartner(rng.New(1), PolicyHead, func(id graph.NodeID) bool { return id != 10 }); !ok || id != 11 {
 		t.Fatalf("filtered head partner = %d", id)
 	}
-	if got := v.SelectRecords(rng.New(1), PolicyHead, 2, 16, 0); len(got) != 2 || got[0].ID != 10 || got[1].ID != 11 {
+	if got := v.AppendRecords(nil, rng.New(1), PolicyHead, 2, 16, 0); len(got) != 2 || got[0].ID != 10 || got[1].ID != 11 {
 		t.Fatalf("head records = %+v", got)
 	}
-	if got := v.SelectRecords(rng.New(1), PolicyTail, 2, 16, 0); len(got) != 2 || got[0].ID != 12 || got[1].ID != 13 {
+	if got := v.AppendRecords(nil, rng.New(1), PolicyTail, 2, 16, 0); len(got) != 2 || got[0].ID != 12 || got[1].ID != 13 {
 		t.Fatalf("tail records = %+v", got)
 	}
 	// Only records with hop strictly below maxHop survive the transfer
 	// increment; skip drops the partner's own record. Of {10, 11, 12, 13}
 	// that leaves just 11 (10 is skipped, 12 and 13 are at/past hop 5).
-	if got := v.SelectRecords(rng.New(1), PolicyRand, 8, 5, 10); len(got) != 1 || got[0].ID != 11 {
+	if got := v.AppendRecords(nil, rng.New(1), PolicyRand, 8, 5, 10); len(got) != 1 || got[0].ID != 11 {
 		t.Fatalf("filtered records = %+v", got)
 	}
 	// Random selection is deterministic under a fixed seed.
-	a := v.SelectRecords(rng.New(7), PolicyRand, 2, 16, 0)
-	b := v.SelectRecords(rng.New(7), PolicyRand, 2, 16, 0)
+	a := v.AppendRecords(nil, rng.New(7), PolicyRand, 2, 16, 0)
+	b := v.AppendRecords(nil, rng.New(7), PolicyRand, 2, 16, 0)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("rand selection not deterministic: %v vs %v", a, b)
 	}

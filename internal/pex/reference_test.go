@@ -171,11 +171,11 @@ func TestViewMatchesReference(t *testing.T) {
 
 				fanout, maxHop, skip := r.Intn(capacity+2), 1+r.Intn(13), graph.NodeID(r.Intn(ids+1))
 				ra, rb, rc := rng.New(draw), rng.New(draw), rng.New(draw)
-				got := v.SelectRecords(ra, policy, fanout, maxHop, skip)
+				got := v.AppendRecords(nil, ra, policy, fanout, maxHop, skip)
 				want := ref.SelectRecords(rb, policy, fanout, maxHop, skip)
 				next := rb.Uint64()
 				if !slices.Equal(got, want) || ra.Uint64() != next {
-					t.Fatalf("seed %d step %d %s: SelectRecords(%d, %d, %d) = %+v, want %+v (or the rngs diverged)",
+					t.Fatalf("seed %d step %d %s: AppendRecords(%d, %d, %d) = %+v, want %+v (or the rngs diverged)",
 						seed, step, policy, fanout, maxHop, skip, got, want)
 				}
 				prefix := []Record{{ID: -1}, {ID: -2}}

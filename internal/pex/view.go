@@ -177,20 +177,14 @@ func (v *View) SelectPartner(r *rng.Rand, policy Policy, eligible func(graph.Nod
 	}
 }
 
-// SelectRecords picks up to fanout records to ship: records must have
-// hop < maxHop (so the transfer increment keeps them within the decay
-// horizon) and a subject other than skip (shipping the partner its own
-// record is dead weight). Rand/pushpull draw a uniform subset; head takes
-// the freshest, tail the oldest. Picks keep the view's (hop, ID) order.
-func (v *View) SelectRecords(r *rng.Rand, policy Policy, fanout, maxHop int, skip graph.NodeID) []Record {
-	return v.AppendRecords(nil, r, policy, fanout, maxHop, skip)
-}
-
-// AppendRecords appends SelectRecords' picks to dst, making the same rng
-// draws, and returns the extended slice — so a hot caller can reuse one
-// buffer across calls. The eligible records are gathered after dst's
-// existing elements, then the picks are compacted to the start of that
-// run.
+// AppendRecords appends up to fanout records to ship to dst and returns
+// the extended slice, so a hot caller can reuse one buffer across calls.
+// Records must have hop < maxHop (so the transfer increment keeps them
+// within the decay horizon) and a subject other than skip (shipping the
+// partner its own record is dead weight). Rand/pushpull draw a uniform
+// subset; head takes the freshest, tail the oldest. Picks keep the view's
+// (hop, ID) order. The eligible records are gathered after dst's existing
+// elements, then the picks are compacted to the start of that run.
 func (v *View) AppendRecords(dst []Record, r *rng.Rand, policy Policy, fanout, maxHop int, skip graph.NodeID) []Record {
 	base := len(dst)
 	for _, e := range v.entries {

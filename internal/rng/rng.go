@@ -113,16 +113,6 @@ func (r *Rand) Exp(rate float64) float64 {
 	return -math.Log(1-u) / rate
 }
 
-// Pareto returns a Pareto(xm, alpha) sample: heavy-tailed session lengths
-// observed in peer-to-peer systems. It panics if xm <= 0 or alpha <= 0.
-func (r *Rand) Pareto(xm, alpha float64) float64 {
-	if xm <= 0 || alpha <= 0 {
-		panic("rng: Pareto with non-positive parameter")
-	}
-	u := r.Float64()
-	return xm / math.Pow(1-u, 1/alpha)
-}
-
 // Norm returns a normally distributed sample with the given mean and
 // standard deviation, via the Box-Muller transform.
 func (r *Rand) Norm(mean, stddev float64) float64 {

@@ -111,6 +111,16 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
+// Pareto returns a Pareto(xm, alpha) sample: heavy-tailed session lengths
+// observed in peer-to-peer systems. It panics if xm <= 0 or alpha <= 0.
+func (r *Rand) Pareto(xm, alpha float64) float64 {
+	if xm <= 0 || alpha <= 0 {
+		panic("rng: Pareto with non-positive parameter")
+	}
+	u := r.Float64()
+	return xm / math.Pow(1-u, 1/alpha)
+}
+
 func TestParetoTail(t *testing.T) {
 	r := New(17)
 	const xm, alpha = 1.0, 2.0

@@ -2,6 +2,11 @@ package sim
 
 import "testing"
 
+// SetEventLimit bounds the total number of events a Run may fire; it
+// guards experiments against protocols that never quiesce. 0 disables the
+// limit.
+func (e *Engine) SetEventLimit(n uint64) { e.limit = n }
+
 // --- satellite regressions -------------------------------------------------
 
 // When the event limit trips inside RunUntil, events at or before the

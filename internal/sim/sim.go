@@ -63,9 +63,6 @@ type Event struct {
 	eng      *Engine
 }
 
-// At returns the virtual time the event is scheduled for.
-func (ev *Event) At() Time { return ev.at }
-
 // Cancel removes a pending event from the queue immediately: the slot is
 // freed, the callback (and anything it captures) is released to the
 // garbage collector, and Pending drops by one. Canceling an event that
@@ -89,9 +86,6 @@ func (ev *Event) Cancel() {
 	ev.index = -1
 	ev.do, ev.call, ev.arg = nil, nil, nil
 }
-
-// Canceled reports whether Cancel was called on the event.
-func (ev *Event) Canceled() bool { return ev.canceled }
 
 // bucket holds the events of one tick inside the wheel window. Buckets
 // are reset lazily: tick records which tick the slice currently belongs
@@ -169,11 +163,6 @@ func (e *Engine) newEvent() *Event {
 	e.slabUsed++
 	return ev
 }
-
-// SetEventLimit bounds the total number of events a Run may fire; it
-// guards experiments against protocols that never quiesce. 0 disables the
-// limit.
-func (e *Engine) SetEventLimit(n uint64) { e.limit = n }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }

@@ -78,8 +78,8 @@ func TestCancel(t *testing.T) {
 	fired := false
 	ev := e.At(10, func() { fired = true })
 	ev.Cancel()
-	if !ev.Canceled() {
-		t.Fatal("Canceled() false after Cancel")
+	if !ev.canceled {
+		t.Fatal("event not marked canceled after Cancel")
 	}
 	e.Run()
 	if fired {

@@ -36,9 +36,6 @@ func New(rows int) *FM {
 	return &FM{rows: make([]uint64, rows)}
 }
 
-// Rows returns the number of rows.
-func (s *FM) Rows() int { return len(s.rows) }
-
 // hash mixes an item identity with a row index (splitmix64 finalizer).
 func hash(item uint64, row int) uint64 {
 	return rng.Mix64(item ^ (uint64(row)+1)*0x9e3779b97f4a7c15)

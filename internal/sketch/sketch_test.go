@@ -14,8 +14,8 @@ func TestEmpty(t *testing.T) {
 	if got := s.Estimate(); got != 0 {
 		t.Fatalf("empty estimate = %v", got)
 	}
-	if s.Rows() != 32 || s.Words() != 32 {
-		t.Fatalf("Rows/Words = %d/%d", s.Rows(), s.Words())
+	if len(s.rows) != 32 || s.Words() != 32 {
+		t.Fatalf("rows/Words = %d/%d", len(s.rows), s.Words())
 	}
 }
 

@@ -41,36 +41,6 @@ func (s *Sample) Mean() float64 {
 	return sum / float64(len(s.xs))
 }
 
-// Var returns the unbiased sample variance (NaN when n < 2).
-func (s *Sample) Var() float64 {
-	n := len(s.xs)
-	if n < 2 {
-		return math.NaN()
-	}
-	m := s.Mean()
-	sum := 0.0
-	for _, x := range s.xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(n-1)
-}
-
-// Stddev returns the sample standard deviation (NaN when n < 2).
-func (s *Sample) Stddev() float64 { return math.Sqrt(s.Var()) }
-
-// Min returns the smallest observation (NaN when empty).
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	m := s.xs[0]
-	for _, x := range s.xs[1:] {
-		m = math.Min(m, x)
-	}
-	return m
-}
-
 // Max returns the largest observation (NaN when empty).
 func (s *Sample) Max() float64 {
 	if len(s.xs) == 0 {
@@ -106,16 +76,6 @@ func (s *Sample) Percentile(p float64) float64 {
 		return sorted[n-1]
 	}
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// CI95 returns the half-width of the normal-approximation 95% confidence
-// interval of the mean (NaN when n < 2).
-func (s *Sample) CI95() float64 {
-	n := len(s.xs)
-	if n < 2 {
-		return math.NaN()
-	}
-	return 1.96 * s.Stddev() / math.Sqrt(float64(n))
 }
 
 // Table renders aligned plain-text tables, one row of cells at a time —

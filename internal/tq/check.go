@@ -48,16 +48,6 @@ func (rep Report) ViolationRate() float64 {
 	return float64(rep.Stale+rep.Fabricated) / float64(rep.Reads)
 }
 
-// SoftRate returns the fraction of completed reads (including no-value
-// soft fails) that exhausted their retry budget.
-func (rep Report) SoftRate() float64 {
-	n := rep.Reads + rep.NoValue
-	if n == 0 {
-		return 0
-	}
-	return float64(rep.Soft+rep.NoValue) / float64(n)
-}
-
 // MeanReadLatency returns the mean ticks from read start to its result
 // mark (value-returning reads only).
 func (rep Report) MeanReadLatency() float64 {
@@ -202,15 +192,6 @@ func (sc *StreamChecker) Finish() Report {
 	rep.Unfinished = len(sc.openReads)
 	rep.UnfinishedWrites = len(sc.openWrites)
 	return rep
-}
-
-// Check judges a fully-retained trace: it replays every event through a
-// fresh StreamChecker, so batch and streaming verdicts are identical by
-// construction (and differentially tested live-sink vs post-hoc).
-func Check(tr *core.Trace) Report {
-	sc := NewStreamChecker()
-	tr.Each(func(ev *core.TraceEvent) { sc.Observe(*ev) })
-	return sc.Finish()
 }
 
 func fieldUint(parts []string, i int) (uint64, bool) {

@@ -246,9 +246,6 @@ func NewClient(cfg Config) *Client {
 	return &Client{cfg: d, path: make([]graph.NodeID, 0, MaxWirePath+1)}
 }
 
-// Config returns the effective (defaulted) configuration.
-func (c *Client) Config() Config { return c.cfg }
-
 // Counters returns the activity counters accumulated so far.
 func (c *Client) Counters() Counters { return c.counters }
 
@@ -396,20 +393,6 @@ func (c *Client) Read(w *node.World, reader graph.NodeID) uint64 {
 	p.Mark(fmt.Sprintf("%s:%d", MarkReadStart, op.op))
 	b.launch(p, op)
 	return op.op
-}
-
-// Stored returns the replica's current copy at the given member, for
-// tests and the CLI (not part of the protocol).
-func (c *Client) Stored(w *node.World, id graph.NodeID) (Value, bool) {
-	p := w.Proc(id)
-	if p == nil {
-		return Value{}, false
-	}
-	b, ok := node.FindBehavior[*replica](p.Behavior())
-	if !ok || !b.active {
-		return Value{}, false
-	}
-	return b.cur, true
 }
 
 func behaviorOf(w *node.World, id graph.NodeID) *replica {

@@ -12,6 +12,19 @@ import (
 	"repro/internal/topology"
 )
 
+// stored returns the replica's current copy at the given member.
+func stored(w *node.World, id graph.NodeID) (Value, bool) {
+	p := w.Proc(id)
+	if p == nil {
+		return Value{}, false
+	}
+	b, ok := node.FindBehavior[*replica](p.Behavior())
+	if !ok || !b.active {
+		return Value{}, false
+	}
+	return b.cur, true
+}
+
 // meshWorld builds a fully-connected static world with n bootstrapped
 // members.
 func meshWorld(c *Client, n int, ncfg node.Config) (*node.World, *sim.Engine) {
@@ -81,7 +94,7 @@ func TestInactiveJoinerReadIsServed(t *testing.T) {
 	c.Write(w, 1, 7)
 	e.RunUntil(100)
 	w.Join(99)
-	if _, has := c.Stored(w, 99); has {
+	if _, has := stored(w, 99); has {
 		t.Fatal("fresh joiner unexpectedly holds a value")
 	}
 	c.Read(w, 99)
@@ -183,7 +196,7 @@ func TestCrashMidWriteRecoveryBridging(t *testing.T) {
 	w.Crash(1)
 	e.RunUntil(50)
 	w.Recover(1)
-	if v, ok := c.Stored(w, 1); !ok || v.Tag != 1 || v.Val != 11 {
+	if v, ok := stored(w, 1); !ok || v.Tag != 1 || v.Val != 11 {
 		t.Fatalf("recovered replica lost its copy: %+v ok=%v", v, ok)
 	}
 	// The interrupted write is not certified...
@@ -219,7 +232,7 @@ func TestChurnSizedLease(t *testing.T) {
 	c.Bootstrap(w, 0)
 	tick := c.Attach(w)
 	defer tick.Stop()
-	if c.EffectiveLease() != c.Config().MaxLease {
+	if c.EffectiveLease() != c.cfg.MaxLease {
 		t.Fatalf("pre-churn lease %d, want MaxLease", c.EffectiveLease())
 	}
 	// One join + one leave every 5 ticks: per-member turnover
@@ -238,7 +251,7 @@ func TestChurnSizedLease(t *testing.T) {
 		t.Fatal("estimator measured no churn")
 	}
 	lease := c.EffectiveLease()
-	if lease < c.Config().MinLease || lease >= c.Config().MaxLease {
+	if lease < c.cfg.MinLease || lease >= c.cfg.MaxLease {
 		t.Fatalf("churn-sized lease %d outside (MinLease, MaxLease)", lease)
 	}
 	if lease < 20 || lease > 32 {

@@ -77,20 +77,13 @@ func clampByte(v int) byte {
 	return byte(v)
 }
 
-// EncodeProbe renders a probe in its canonical wire form: fixed-width
-// little-endian fields, then the path as uint64 entries. It panics on
-// paths over MaxWirePath — honest walks are TTL-bounded far below it.
-func EncodeProbe(p Probe) []byte {
-	b := make([]byte, p.wireSize())
-	p.encodeTo(b)
-	return b
-}
-
 // wireSize is the length of the probe's wire form.
 func (p *Probe) wireSize() int { return probeWireHeader + 8*len(p.Path) }
 
-// encodeTo is EncodeProbe writing into b, which must be p.wireSize()
-// bytes long.
+// encodeTo writes the probe's canonical wire form into b, which must be
+// p.wireSize() bytes long: fixed-width little-endian fields, then the
+// path as uint64 entries. It panics on paths over MaxWirePath — honest
+// walks are TTL-bounded far below it.
 func (p *Probe) encodeTo(b []byte) {
 	checkPath(len(p.Path))
 	b[0] = probeWireVersion
@@ -105,13 +98,11 @@ func (p *Probe) encodeTo(b []byte) {
 	writePath(b[probeWireHeader:], p.Path)
 }
 
-// DecodeProbe parses a wire probe, rejecting version/kind/length
-// mismatches. It never panics on adversarial input (FuzzTQWire holds it
-// to that), and EncodeProbe(DecodeProbe(b)) == b for every accepted b.
-func DecodeProbe(b []byte) (Probe, error) { return decodeProbe(b, nil) }
-
-// decodeProbe is DecodeProbe decoding the path into scratch's array,
-// grown if it is too short, so a hot caller can reuse one buffer.
+// decodeProbe parses a wire probe, rejecting version/kind/length
+// mismatches, and decodes the path into scratch's array, grown if it is
+// too short, so a hot caller can reuse one buffer. It never panics on
+// adversarial input (FuzzTQWire holds it to that), and encoding what it
+// accepts gives back b.
 func decodeProbe(b []byte, scratch []graph.NodeID) (Probe, error) {
 	if len(b) < probeWireHeader {
 		return Probe{}, fmt.Errorf("tq: probe truncated at %d bytes", len(b))
@@ -141,19 +132,12 @@ func decodeProbe(b []byte, scratch []graph.NodeID) (Probe, error) {
 	}, nil
 }
 
-// EncodeResp renders a response in its canonical wire form. It panics on
-// paths over MaxWirePath, like EncodeProbe.
-func EncodeResp(r Resp) []byte {
-	b := make([]byte, r.wireSize())
-	r.encodeTo(b)
-	return b
-}
-
 // wireSize is the length of the response's wire form.
 func (r *Resp) wireSize() int { return respWireHeader + 8*len(r.Path) }
 
-// encodeTo is EncodeResp writing into b, which must be r.wireSize()
-// bytes long.
+// encodeTo writes the response's canonical wire form into b, which must
+// be r.wireSize() bytes long. It panics on paths over MaxWirePath, like
+// the probe's.
 func (r *Resp) encodeTo(b []byte) {
 	checkPath(len(r.Path))
 	b[0] = respWireVersion
@@ -172,13 +156,8 @@ func (r *Resp) encodeTo(b []byte) {
 	writePath(b[respWireHeader:], r.Path)
 }
 
-// DecodeResp parses a wire response with the same guarantees as
-// DecodeProbe: no panics on adversarial input, canonical round-trip for
-// every accepted input.
-func DecodeResp(b []byte) (Resp, error) { return decodeResp(b, nil) }
-
-// decodeResp is DecodeResp decoding the path into scratch's array, like
-// decodeProbe.
+// decodeResp parses a wire response into scratch's array with the same
+// guarantees as decodeProbe.
 func decodeResp(b []byte, scratch []graph.NodeID) (Resp, error) {
 	if len(b) < respWireHeader {
 		return Resp{}, fmt.Errorf("tq: resp truncated at %d bytes", len(b))

@@ -9,6 +9,33 @@ import (
 	"repro/internal/graph"
 )
 
+// EncodeProbe renders a probe in its canonical wire form: fixed-width
+// little-endian fields, then the path as uint64 entries. It panics on
+// paths over MaxWirePath — honest walks are TTL-bounded far below it.
+func EncodeProbe(p Probe) []byte {
+	b := make([]byte, p.wireSize())
+	p.encodeTo(b)
+	return b
+}
+
+// DecodeProbe parses a wire probe, rejecting version/kind/length
+// mismatches. It never panics on adversarial input (FuzzTQWire holds it
+// to that), and EncodeProbe(DecodeProbe(b)) == b for every accepted b.
+func DecodeProbe(b []byte) (Probe, error) { return decodeProbe(b, nil) }
+
+// EncodeResp renders a response in its canonical wire form. It panics on
+// paths over MaxWirePath, like EncodeProbe.
+func EncodeResp(r Resp) []byte {
+	b := make([]byte, r.wireSize())
+	r.encodeTo(b)
+	return b
+}
+
+// DecodeResp parses a wire response with the same guarantees as
+// DecodeProbe: no panics on adversarial input, canonical round-trip for
+// every accepted input.
+func DecodeResp(b []byte) (Resp, error) { return decodeResp(b, nil) }
+
 func TestProbeRoundTrip(t *testing.T) {
 	probes := []Probe{
 		{Op: 1, Kind: KindRead, Attempt: 1, TTL: 8, Path: []graph.NodeID{3}},
