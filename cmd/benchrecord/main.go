@@ -153,8 +153,15 @@ func check(results []Result, baselineFile string, tolerance, allocTol float64, a
 				ok = false
 			}
 			// The same gate on bytes, with an absolute slack of 256 B/op
-			// for the runtime's own bookkeeping in place of the 1 alloc.
-			if grew := r.BytesPerOp - b.BytesPerOp; grew > 256 &&
+			// for the runtime's own bookkeeping in place of the 1 alloc. A
+			// path that allocated nothing has no bookkeeping to move: its
+			// slack is 16 B/op, room for one-off growth amortized over
+			// the run but not for a heap object per op.
+			slack := int64(256)
+			if b.BytesPerOp == 0 {
+				slack = 16
+			}
+			if grew := r.BytesPerOp - b.BytesPerOp; grew > slack &&
 				float64(r.BytesPerOp) > float64(b.BytesPerOp)*(1+allocTol) {
 				fmt.Printf("  BYTES    %-60s %12d -> %12d B/op\n",
 					r.Name, b.BytesPerOp, r.BytesPerOp)

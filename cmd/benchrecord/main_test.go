@@ -104,3 +104,15 @@ func TestCheckToleratesBytesWithinSlack(t *testing.T) {
 		t.Fatal("growth of 256 B/op, within the absolute slack, failed the check")
 	}
 }
+
+// A zero-byte baseline is held to a 16 B/op slack, not 256: a kernel that
+// went back to one 72-byte event slot per firing must fail the gate.
+func TestCheckFailsOnBytesFromZeroBaseline(t *testing.T) {
+	base := writeBaseline(t, []Result{{Name: "p.BenchmarkA-8", NsPerOp: 100}})
+	if !check([]Result{{Name: "p.BenchmarkA-8", NsPerOp: 100, BytesPerOp: 16}}, base, 0.20, 0.25, false) {
+		t.Fatal("16 B/op of amortized growth over a zero baseline failed the check")
+	}
+	if check([]Result{{Name: "p.BenchmarkA-8", NsPerOp: 100, BytesPerOp: 72}}, base, 0.20, 0.25, false) {
+		t.Fatal("a zero-byte baseline growing to 72 B/op passed")
+	}
+}

@@ -556,7 +556,7 @@ func (pl *Plan) Attach(w *node.World) (stop func()) {
 			break
 		}
 	}
-	var events []*sim.Event
+	var events []sim.Handle
 	for i := range pl.Clauses {
 		c := &pl.Clauses[i]
 		switch c.Kind {

@@ -214,12 +214,13 @@ type Proc struct {
 // procTimer is one slot in an entity's timer registry. Fired and
 // canceled timers are swap-removed immediately (see Proc.After), so the
 // registry length tracks the number of armed timers instead of every
-// timer the entity ever set. Fired timers are recycled through the
-// world's free list.
+// timer the entity ever set. Fired and canceled timers are recycled
+// through the world's free list: ev is a seq-checked handle, so a stale
+// copy of it cannot cancel whatever the recycled object arms next.
 type procTimer struct {
 	p    *Proc
 	f    func()
-	ev   *sim.Event
+	ev   sim.Handle
 	slot int // index in p.timers, -1 once unregistered
 }
 
@@ -315,9 +316,8 @@ type World struct {
 	departedSet    map[graph.NodeID]bool
 	departedPinned map[graph.NodeID]bool
 
-	// timerFree is the fired-timer pool (see fireProcTimer). Only fired
-	// timers return to it: a canceled one may still be named by its
-	// canceled *sim.Event, so it is left to the garbage collector.
+	// timerFree is the timer pool: fired timers (see fireProcTimer) and
+	// the timers a departure cancels (see tearDown) return to it.
 	timerFree []*procTimer
 	// nbrBuf is the neighbor buffer the sublayers' fan-outs reuse (see
 	// borrowNeighbors).
@@ -503,6 +503,8 @@ func (w *World) tearDown(p *Proc, now core.Time, crash *durableSnapshot) {
 	w.Trace.Leave(now, p.ID)
 	for _, t := range p.timers {
 		t.ev.Cancel()
+		*t = procTimer{slot: -1}
+		w.timerFree = append(w.timerFree, t)
 	}
 	p.timers = nil
 	p.alive = false

@@ -143,7 +143,7 @@ type pendingMsg struct {
 	prev, next *pendingMsg
 	attempts   int
 	timeout    sim.Time
-	timer      *sim.Event
+	timer      sim.Handle
 	// sentAt and retransmitted implement Karn's rule for the adaptive
 	// estimator: only messages acked without any retransmission produce an
 	// RTT sample (a retransmitted message's ack is ambiguous).
@@ -372,10 +372,10 @@ func (rl *reliableLayer) scheduleRetry(w *World, pm *pendingMsg) {
 }
 
 // fireRetry is the retransmission timeout of one tracked message. It is
-// a shared function (the pendingMsg rides sim.Event.arg) so arming a
-// retry allocates no closure; acked messages cancel the timer eagerly
-// and the event never fires. A record is recycled only after its timer
-// fired or was canceled, so the live test is a guard, not a path.
+// a shared function (the pendingMsg rides as the event's argument) so
+// arming a retry allocates no closure; acked messages cancel the timer
+// eagerly and the event never fires. A record is recycled only after its
+// timer fired or was canceled, so the live test is a guard, not a path.
 func fireRetry(arg any) {
 	pm := arg.(*pendingMsg)
 	if !pm.live {
@@ -433,9 +433,7 @@ func (rl *reliableLayer) onAck(w *World, _ *Proc, m Message) {
 		return // duplicate ack, or the sender already gave up
 	}
 	rl.settle(pm)
-	if pm.timer != nil {
-		pm.timer.Cancel()
-	}
+	pm.timer.Cancel()
 	pm.from.Acked++
 	if rl.sampleRTT && !pm.retransmitted {
 		e := pm.from.rtt[pm.m.To]

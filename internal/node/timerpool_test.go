@@ -77,6 +77,50 @@ func TestCanceledTimersStayDeadThroughRecycling(t *testing.T) {
 	}
 }
 
+// The timers a departure cancels go back to the free list, and a stale
+// copy of a canceled timer's handle cannot cancel the timer a later
+// entity arms in the same object (and, by then, the same engine slot).
+func TestDepartedTimersAreRecycled(t *testing.T) {
+	engine := sim.New()
+	w := NewWorld(engine, topology.NewManual(), nil, Config{Seed: 1})
+	gone := w.Join(1)
+	for i := 0; i < 3; i++ {
+		gone.After(sim.Time(10+i), func() { t.Error("a timer canceled at departure fired") })
+	}
+	departed := map[*procTimer]bool{}
+	var stale []sim.Handle
+	for _, pt := range gone.timers {
+		departed[pt] = true
+		stale = append(stale, pt.ev)
+	}
+	free := len(w.timerFree)
+	w.Leave(1)
+	if got := len(w.timerFree) - free; got != len(departed) {
+		t.Fatalf("departure returned %d timers to the free list, want %d", got, len(departed))
+	}
+
+	p := w.Join(2)
+	fired := 0
+	for i := 0; i < 3; i++ {
+		p.After(sim.Time(5+i), func() { fired++ })
+	}
+	for _, pt := range p.timers {
+		if !departed[pt] {
+			t.Fatal("the next entity's timers were not drawn from the departed entity's")
+		}
+	}
+	for _, h := range stale {
+		h.Cancel()
+	}
+	if engine.Pending() != 3 {
+		t.Fatalf("stale handles canceled live timers: Pending() = %d, want 3", engine.Pending())
+	}
+	engine.RunUntil(100)
+	if fired != 3 {
+		t.Fatalf("%d of the 3 recycled timers fired", fired)
+	}
+}
+
 // A timer armed from inside a firing callback fires at its own tick, even
 // though it is the very object that just fired.
 func TestTimerArmedInCallbackFiresOnTime(t *testing.T) {

@@ -30,7 +30,7 @@ func (b echoAndGossip) Receive(p *node.Proc, m node.Message) {
 // wave spreads. A tick may allocate once per message (push-sum boxes its
 // payload) and twice per entity whose contributor set grew (the snapshot
 // its pushes share, and the set's own growth), plus slack for the
-// engine's event slab and the trace's next chunk. Re-arming a tick,
+// engine's event pool and the trace's next chunk. Re-arming a tick,
 // reading neighbours, pushing an unchanged set and recording allocate
 // nothing.
 func TestWaveTickAllocations(t *testing.T) {
@@ -47,8 +47,8 @@ func TestWaveTickAllocations(t *testing.T) {
 	for i := 1; i <= n; i++ {
 		w.Join(graph.NodeID(i))
 	}
-	// Warm up: push-sum alone, long enough to size every engine bucket
-	// and every scratch buffer; then start the wave at entity 1.
+	// Warm up: push-sum alone, long enough to grow the engine's event
+	// pool and every scratch buffer; then start the wave at entity 1.
 	e.RunUntil(300)
 	echoOf := func(i int) *echoWaveBehavior { return w.Proc(graph.NodeID(i)).Behavior().(echoAndGossip).echo }
 	echoOf(1).activate(w.Proc(1))
@@ -84,7 +84,7 @@ func TestWaveTickAllocations(t *testing.T) {
 // reports as they arrived, boxing nothing. No entity allocates for its
 // own contribution, which it builds once and reuses for every wave. The engine runs between waves, so delivered
 // envelopes return to their pool as they would in a running world, and
-// laps of the engine's wheel first size its buckets for the load. The
+// laps of the engine's wheel first grow its event pool to the load. The
 // relay is no neighbour of the querier, whose accumulator allocates per
 // wave.
 func TestFloodRelayAllocations(t *testing.T) {

@@ -2,46 +2,7 @@ package sim
 
 import "testing"
 
-// SetEventLimit bounds the total number of events a Run may fire; it
-// guards experiments against protocols that never quiesce. 0 disables the
-// limit.
-func (e *Engine) SetEventLimit(n uint64) { e.limit = n }
-
 // --- satellite regressions -------------------------------------------------
-
-// When the event limit trips inside RunUntil, events at or before the
-// deadline are still pending, so the clock must stay where the last
-// fired event put it — advancing to the deadline would let a later Step
-// fire a pending event in the clock's past.
-func TestRunUntilLimitKeepsClock(t *testing.T) {
-	e := New()
-	e.SetEventLimit(2)
-	var fired []Time
-	for _, at := range []Time{3, 5, 9} {
-		at := at
-		e.At(at, func() { fired = append(fired, at) })
-	}
-	if n := e.RunUntil(12); n != 2 {
-		t.Fatalf("RunUntil fired %d events under limit 2", n)
-	}
-	if e.Now() != 5 {
-		t.Fatalf("clock = %d after limit tripped with event pending at 9, want 5", e.Now())
-	}
-	// Lifting the limit and stepping must move time forward, not back.
-	e.SetEventLimit(0)
-	e.Step()
-	if got := fired[len(fired)-1]; got != 9 {
-		t.Fatalf("resumed event at %d, want 9", got)
-	}
-	if e.Now() != 9 {
-		t.Fatalf("clock = %d after resume, want 9", e.Now())
-	}
-	// Once drained, RunUntil may advance the idle clock.
-	e.RunUntil(12)
-	if e.Now() != 12 {
-		t.Fatalf("clock = %d after drain, want 12", e.Now())
-	}
-}
 
 // Pending is exact: canceled events leave the count immediately, in both
 // the wheel and the overflow heap.
@@ -163,7 +124,7 @@ func TestDifferentialFiringOrder(t *testing.T) {
 	runLive := func() []int {
 		e := New()
 		var log []int
-		var handles []*Event
+		var handles []Handle
 		for _, op := range ops {
 			switch op.kind {
 			case 0:
@@ -232,15 +193,13 @@ const benchEntities = 10_000
 func BenchmarkEngineN10k(b *testing.B) {
 	e := New()
 	r := scriptRNG(99)
-	rtos := make([]*Event, benchEntities)
+	rtos := make([]Handle, benchEntities)
 	nop := func(any) {}
 	var fire func(any)
 	fire = func(arg any) {
 		k := arg.(int)
 		if k%4 == 0 {
-			if rtos[k] != nil {
-				rtos[k].Cancel()
-			}
+			rtos[k].Cancel()
 			rtos[k] = e.AfterCall(Time(300+r.next()%64), nop, nil)
 		}
 		e.AfterCall(Time(1+r.next()%8), fire, arg)
