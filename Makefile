@@ -7,7 +7,7 @@ GO ?= go
 
 # The checked-in micro-benchmark baseline that bench-record writes and
 # bench-check / verify-bench compare against.
-BENCH_BASELINE ?= BENCH_PR37.json
+BENCH_BASELINE ?= BENCH_PR38.json
 # The baseline's names carry no -N GOMAXPROCS suffix (benchrecord keeps the
 # suffix as part of the name), so the benchmarks it is compared with run at
 # -cpu 1 whatever the host has; otherwise every one reads as missing.
@@ -82,6 +82,8 @@ verify-bench:
 # internal/node 5 932 before, 5 819 after).
 # 21 958 before kernel events became pooled values behind seq-checked
 # handles (21 974 after; internal/sim 404 before, 413 after).
+# 21 974 before the retained trace went pointer-free (22 066 after;
+# internal/core 1 361 before, 1 439 after).
 # PKG narrows the count to one directory tree: `make loc PKG=internal/node`
 # (5 572 before PR 14, 5 619 before PR 24), `make loc PKG=internal/otq`
 # (2 399 before PR 16).

@@ -81,7 +81,7 @@ func main() {
 
 	if *events {
 		fmt.Println("\nevent log:")
-		for _, ev := range tr.Events() {
+		tr.Replay(func(ev core.TraceEvent) {
 			switch ev.Kind {
 			case core.TJoin, core.TLeave:
 				fmt.Printf("  t=%-6d %-9s %d\n", ev.At, ev.Kind, ev.P)
@@ -92,7 +92,7 @@ func main() {
 			default:
 				fmt.Printf("  t=%-6d %-9s %d->%d %q\n", ev.At, ev.Kind, ev.P, ev.Q, ev.Tag)
 			}
-		}
+		})
 	}
 }
 

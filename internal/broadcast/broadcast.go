@@ -196,7 +196,7 @@ func (r Report) LatencyP(p float64) core.Time {
 func Check(tr *core.Trace) Report {
 	rep := Report{SentAt: -1}
 	deliveredAt := make(map[graph.NodeID]core.Time)
-	tr.Each(func(ev *core.TraceEvent) {
+	tr.Replay(func(ev core.TraceEvent) {
 		if ev.Kind != core.TMark {
 			return
 		}

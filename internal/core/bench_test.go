@@ -89,3 +89,29 @@ func BenchmarkCheckClass(b *testing.B) {
 		CheckClass(tr, c)
 	}
 }
+
+// BenchmarkRecordFull records under full retention: the 24-byte record,
+// the tick column and the tag table, a fresh trace every 65 536 events so
+// the chunks' allocation is in every op's bill.
+func BenchmarkRecordFull(b *testing.B) {
+	benchmarkRecord(b, false)
+}
+
+// BenchmarkRecordCountOnly records under count-only retention: the
+// per-tag aggregates alone, which allocate nothing once the tags are known.
+func BenchmarkRecordCountOnly(b *testing.B) {
+	benchmarkRecord(b, true)
+}
+
+func benchmarkRecord(b *testing.B, countOnly bool) {
+	const perTrace = 1 << 16
+	var tr *Trace
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%perTrace == 0 {
+			tr = &Trace{}
+			tr.SetCountOnly(countOnly)
+		}
+		recordMix(tr, i%perTrace, i%perTrace+1, 64)
+	}
+}

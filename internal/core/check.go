@@ -82,7 +82,7 @@ func NewClassJudge(declared *Class) *ClassJudge {
 }
 
 func (j *ClassJudge) replay(tr *Trace) *ClassJudge {
-	tr.Each(func(ev *TraceEvent) { j.Observe(*ev) })
+	tr.Replay(j.Observe)
 	return j
 }
 

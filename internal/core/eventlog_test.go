@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -274,9 +275,9 @@ func compareWithReference(t *testing.T, tr *Trace, ref *sliceTrace) {
 	if !sameEvents(tr.Events(), ref.Events()) {
 		t.Fatalf("n=%d: Events differ from the reference", n)
 	}
-	var walked []TraceEvent
-	tr.Each(func(ev *TraceEvent) { walked = append(walked, *ev) })
-	check("Each", walked, ref.events)
+	var replayed []TraceEvent
+	tr.Replay(func(ev TraceEvent) { replayed = append(replayed, ev) })
+	check("Replay", replayed, ref.events)
 	check("MaxConcurrency", tr.MaxConcurrency(), ref.MaxConcurrency())
 	for _, tag := range []string{"", "a", "b", "absent"} {
 		check("Messages("+tag+")", tr.Messages(tag), ref.Messages(tag))
@@ -308,26 +309,112 @@ func compareWithReference(t *testing.T, tr *Trace, ref *sliceTrace) {
 }
 
 // TestEventLogNeverMovesEvents: recording past several chunk boundaries
-// leaves every earlier event where it was — a pointer Each handed out
-// stays valid and unchanged, which a doubling slice could not promise.
+// leaves every stored chunk's backing array where it was and its records
+// unchanged — a record is written once, which a doubling slice could not
+// promise.
 func TestEventLogNeverMovesEvents(t *testing.T) {
 	tr := &Trace{}
 	tr.Join(0, 1)
-	var first *TraceEvent
-	tr.Each(func(ev *TraceEvent) { first = ev })
+	type chunkAt struct {
+		base  *logRecord
+		first logRecord
+	}
+	var seen []chunkAt
 	for i := 0; i < 3*maxChunk; i++ {
 		tr.Send(Time(i), 1, 2, "m")
-	}
-	var again *TraceEvent
-	tr.Each(func(ev *TraceEvent) {
-		if again == nil {
-			again = ev
+		for k, c := range tr.log.chunks {
+			if k == len(seen) {
+				seen = append(seen, chunkAt{base: &c[:1][0], first: c[0]})
+			}
+			if now := &c[:1][0]; now != seen[k].base || c[0] != seen[k].first {
+				t.Fatalf("after %d events chunk %d moved or changed: %p %+v, was %p %+v",
+					tr.Len(), k, now, c[0], seen[k].base, seen[k].first)
+			}
 		}
-	})
-	if first != again || first.Kind != TJoin || first.P != 1 {
-		t.Fatalf("the first event moved or changed: %p %+v, now %p", first, *first, again)
 	}
 	if got := len(tr.log.chunks); got < 3 {
 		t.Fatalf("%d events fill only %d chunks", tr.Len(), got)
+	}
+	if first := tr.log.chunks[0][0]; first.kind != TJoin || first.P != 1 {
+		t.Fatalf("the first record is %+v, want the join of 1", first)
+	}
+}
+
+// TestEventLogRecordLayout guards the retained log's layout: a stored
+// record holds no pointer the collector would scan and fits 24 bytes.
+func TestEventLogRecordLayout(t *testing.T) {
+	typ := reflect.TypeOf(logRecord{})
+	if typ.Size() > 24 {
+		t.Errorf("logRecord is %d bytes, want at most 24", typ.Size())
+	}
+	var walk func(reflect.Type, string)
+	walk = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.String, reflect.Slice, reflect.Map, reflect.Chan,
+			reflect.Func, reflect.Interface, reflect.UnsafePointer:
+			t.Errorf("%s is a %s, which holds a pointer", path, typ.Kind())
+		case reflect.Array:
+			walk(typ.Elem(), path+"[]")
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(f.Type, path+"."+f.Name)
+			}
+		}
+	}
+	walk(typ, "logRecord")
+	walk(reflect.TypeOf(tickRun{}), "tickRun")
+}
+
+// recordMix records events from up to to over a handful of tags, event i
+// at tick i/perTick, cycling through sends, deliveries, marks and edges.
+func recordMix(tr *Trace, from, to, perTick int) {
+	tags := [...]string{"flood", "echo", "ack", MarkRejoin, ""}
+	for i := from; i < to; i++ {
+		at, p, q := Time(i/perTick), graph.NodeID(i%64), graph.NodeID((i+1)%64)
+		switch tag := tags[i%len(tags)]; i % 4 {
+		case 0:
+			tr.Send(at, p, q, tag)
+		case 1:
+			tr.Deliver(at, q, p, tag)
+		case 2:
+			tr.Mark(at, p, tag)
+		default:
+			tr.EdgeUp(at, p, q)
+		}
+	}
+}
+
+// TestRecordFullBytesPerEvent: full retention stores an event in its
+// 24-byte record plus its share of the tick column and of the last
+// chunk's slack — at most 26 bytes of heap per event at 64 events a tick.
+func TestRecordFullBytesPerEvent(t *testing.T) {
+	const n = 100_000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tr := &Trace{}
+	recordMix(tr, 0, n, 64)
+	runtime.ReadMemStats(&after)
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / n; per > 26 {
+		t.Errorf("recording %d full-retention events allocated %.2f B/event, want at most 26", n, per)
+	}
+	if tr.Len() != n {
+		t.Fatalf("Len = %d, want %d", tr.Len(), n)
+	}
+}
+
+// TestRecordCountOnlyAllocatesNothing: once its tags are known, a
+// count-only Record allocates nothing, whatever the kind.
+func TestRecordCountOnlyAllocatesNothing(t *testing.T) {
+	tr := &Trace{}
+	tr.SetCountOnly(true)
+	recordMix(tr, 0, 64, 8)
+	i := 64
+	if allocs := testing.AllocsPerRun(1000, func() {
+		recordMix(tr, i, i+4, 8)
+		i += 4
+	}); allocs != 0 {
+		t.Errorf("count-only Record allocated %.1f times per 4 events, want 0", allocs)
 	}
 }

@@ -45,15 +45,15 @@ func (r *CheckReport) refObserveDiameter(g *graph.Graph) (int, bool) {
 // cannot contain — a join after the run's first tick, or any leave — and
 // returns that first tick and the number of joins.
 func (tr *Trace) unstaticEvents(visit func(ev *TraceEvent)) (start Time, joins int) {
-	if tr.log.n > 0 {
-		start = tr.log.chunks[0][0].At
+	if len(tr.log.ticks) > 0 {
+		start = tr.log.ticks[0].at
 	}
-	tr.log.each(func(ev *TraceEvent) {
+	tr.Replay(func(ev TraceEvent) {
 		if ev.Kind == TJoin {
 			joins++
 		}
 		if ev.Kind == TLeave || (ev.Kind == TJoin && ev.At != start) {
-			visit(ev)
+			visit(&ev)
 		}
 	})
 	return start, joins
@@ -267,7 +267,7 @@ func rerecord(tr *Trace, countOnly bool, sinks ...func(TraceEvent)) *Trace {
 	for _, fn := range sinks {
 		out.Stream(fn)
 	}
-	tr.Each(func(ev *TraceEvent) { out.Record(*ev) })
+	tr.Replay(out.Record)
 	out.Close(tr.End())
 	return out
 }

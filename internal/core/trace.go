@@ -95,14 +95,16 @@ type Trace struct {
 	count, churn, cur, peak int
 	lastAt, lastTopo        Time
 
-	// Count-only retention (SetCountOnly): events update the aggregate
-	// counters below and are then discarded, keeping memory O(tags)
-	// instead of O(events). Scale runs at n >= 10k entities use it; the
-	// specification checkers need full event retention and must not.
+	// Per-tag aggregates every Record keeps, indexed by tag id. Under
+	// count-only retention (SetCountOnly) events update them and are then
+	// discarded, keeping memory O(tags) instead of O(events). Scale runs
+	// at n >= 10k entities use it; the specification checkers need full
+	// event retention and must not.
 	countOnly bool
+	tags      tagTable
 	msgAll    MessageStats
-	msgByTag  map[string]*MessageStats
-	firstMark map[string]Time
+	msgByTag  []MessageStats
+	firstMark []markTime
 
 	sinks []func(TraceEvent)
 }
@@ -129,10 +131,12 @@ func (tr *Trace) SetCountOnly(on bool) {
 		panic("core: SetCountOnly on a trace that already holds events")
 	}
 	tr.countOnly = on
-	if on {
-		tr.msgByTag = make(map[string]*MessageStats)
-		tr.firstMark = make(map[string]Time)
-	}
+}
+
+// markTime is the first time a mark tag was recorded, if it was.
+type markTime struct {
+	at   Time
+	seen bool
 }
 
 // Record appends an event. Events must be recorded in non-decreasing time
@@ -161,23 +165,24 @@ func (tr *Trace) Record(ev TraceEvent) {
 	if int(ev.Kind) < len(temporalKind) {
 		tr.lastTopo = max(tr.lastTopo, ev.At)
 	}
-	if !tr.countOnly {
-		tr.log.append(ev)
-		return
-	}
+	tag := tr.tags.id(ev.Tag)
 	switch ev.Kind {
 	case TSend, TDeliver, TDrop:
+		if int(tag) >= len(tr.msgByTag) {
+			tr.msgByTag = append(tr.msgByTag, make([]MessageStats, int(tag)+1-len(tr.msgByTag))...)
+		}
 		tr.countMessage(&tr.msgAll, ev.Kind)
-		s := tr.msgByTag[ev.Tag]
-		if s == nil {
-			s = &MessageStats{}
-			tr.msgByTag[ev.Tag] = s
-		}
-		tr.countMessage(s, ev.Kind)
+		tr.countMessage(&tr.msgByTag[tag], ev.Kind)
 	case TMark:
-		if _, seen := tr.firstMark[ev.Tag]; !seen {
-			tr.firstMark[ev.Tag] = ev.At
+		if int(tag) >= len(tr.firstMark) {
+			tr.firstMark = append(tr.firstMark, make([]markTime, int(tag)+1-len(tr.firstMark))...)
 		}
+		if m := &tr.firstMark[tag]; !m.seen {
+			*m = markTime{at: ev.At, seen: true}
+		}
+	}
+	if !tr.countOnly {
+		tr.log.append(&ev, tag)
 	}
 }
 
@@ -249,15 +254,29 @@ func (tr *Trace) End() Time { return tr.end }
 func (tr *Trace) Len() int { return tr.count }
 
 // Events returns a copy of the recorded events. Readers that only walk
-// the log use Each, which copies nothing.
+// the log use Replay, which builds no list.
 func (tr *Trace) Events() []TraceEvent {
-	return tr.log.appendFrom(make([]TraceEvent, 0, tr.log.n), 0)
+	out := make([]TraceEvent, 0, tr.log.n)
+	tr.Replay(func(ev TraceEvent) { out = append(out, ev) })
+	return out
 }
 
-// Each calls visit on every recorded event, in record order, without
-// copying the log. visit must not modify *ev, and must not Record into
-// the trace. Under count-only retention it visits nothing.
-func (tr *Trace) Each(visit func(ev *TraceEvent)) { tr.log.each(visit) }
+// Replay feeds every recorded event, in record order, to sink — a sink
+// of the kind Stream registers, so a stream judge replays a retained
+// trace exactly as it would have judged the run live. Each event is
+// decoded and passed by value, so the walk stores nothing per event and
+// a sink's copy of it is a copy of registers. sink must not Record into
+// the trace. Under count-only retention it feeds nothing.
+func (tr *Trace) Replay(sink func(TraceEvent)) {
+	names := tr.tags.list()
+	var cur logCursor
+	for at, span := tr.log.next(&cur); len(span) > 0; at, span = tr.log.next(&cur) {
+		for i := range span {
+			r := &span[i]
+			sink(TraceEvent{At: at, Kind: r.kind, P: r.P, Q: r.Q, Tag: names[r.tag]})
+		}
+	}
+}
 
 // Interval is a half-open presence interval [From, To). To is the trace
 // end for sessions still open at the end of the run.
@@ -275,8 +294,8 @@ func (iv Interval) Covers(t1, t2 Time) bool { return iv.From <= t1 && t2 < iv.To
 func (tr *Trace) sessions(b Bridging) map[graph.NodeID][]Interval {
 	m := NewSessionMachine(b)
 	out := make(map[graph.NodeID][]Interval)
-	tr.log.each(func(ev *TraceEvent) {
-		if st := m.Observe(ev); st.Change == SessionClosed {
+	tr.Replay(func(ev TraceEvent) {
+		if st := m.Observe(&ev); st.Change == SessionClosed {
 			out[ev.P] = append(out[ev.P], Interval{From: st.From, To: st.To})
 		}
 	})
@@ -347,8 +366,8 @@ func (tr *Trace) SessionsBridgingRejoin() map[graph.NodeID][]Interval {
 func (tr *Trace) subjects(match func(ev *TraceEvent) bool) []graph.NodeID {
 	seen := make(map[graph.NodeID]bool)
 	var out []graph.NodeID
-	tr.log.each(func(ev *TraceEvent) {
-		if match(ev) && !seen[ev.P] {
+	tr.Replay(func(ev TraceEvent) {
+		if match(&ev) && !seen[ev.P] {
 			seen[ev.P] = true
 			out = append(out, ev.P)
 		}
@@ -393,7 +412,7 @@ var temporalKind = [...]graph.EventKind{
 // Temporal converts the trace's topology events into an evolving graph.
 func (tr *Trace) Temporal() *graph.Temporal {
 	tg := graph.NewTemporal()
-	tr.log.each(func(ev *TraceEvent) {
+	tr.Replay(func(ev TraceEvent) {
 		if int(ev.Kind) < len(temporalKind) {
 			tg.Record(graph.TemporalEvent{At: ev.At, Kind: temporalKind[ev.Kind], U: ev.P, V: ev.Q})
 		}
@@ -517,22 +536,13 @@ type MessageStats struct {
 
 // Messages counts message events, optionally filtered by tag ("" = all).
 func (tr *Trace) Messages(tag string) MessageStats {
-	if tr.countOnly {
-		if tag == "" {
-			return tr.msgAll
-		}
-		if s := tr.msgByTag[tag]; s != nil {
-			return *s
-		}
-		return MessageStats{}
+	if tag == "" {
+		return tr.msgAll
 	}
-	var ms MessageStats
-	tr.log.each(func(ev *TraceEvent) {
-		if tag == "" || ev.Tag == tag {
-			tr.countMessage(&ms, ev.Kind)
-		}
-	})
-	return ms
+	if id, ok := tr.tags.lookup(tag); ok && int(id) < len(tr.msgByTag) {
+		return tr.msgByTag[id]
+	}
+	return MessageStats{}
 }
 
 // MarkedEntities returns the distinct entities carrying a mark with the
@@ -556,16 +566,9 @@ func (tr *Trace) ProvenEquivocators() []graph.NodeID {
 // whether one exists — e.g. the detection latency of an injected fault,
 // measured from the injection window's start.
 func (tr *Trace) FirstMark(tag string) (Time, bool) {
-	if tr.countOnly {
-		at, ok := tr.firstMark[tag]
-		return at, ok
-	}
-	for _, c := range tr.log.chunks {
-		for i := range c {
-			if ev := &c[i]; ev.Kind == TMark && ev.Tag == tag {
-				return ev.At, true
-			}
-		}
+	if id, ok := tr.tags.lookup(tag); ok && int(id) < len(tr.firstMark) {
+		m := tr.firstMark[id]
+		return m.at, m.seen
 	}
 	return 0, false
 }

@@ -282,7 +282,7 @@ func Check(tr *core.Trace) Report {
 	var rep Report
 	lastCompleted := uint64(0)
 	maxStarted := uint64(0)
-	tr.Each(func(ev *core.TraceEvent) {
+	tr.Replay(func(ev core.TraceEvent) {
 		if ev.Kind != core.TMark {
 			return
 		}

@@ -246,7 +246,7 @@ func TestRandomKDigestCellsRescue(t *testing.T) {
 	for _, k := range []int{1, 4} {
 		rescues := 0
 		var prev core.TraceEventKind
-		randomKDigestCell(k).Each(func(ev *core.TraceEvent) {
+		randomKDigestCell(k).Replay(func(ev core.TraceEvent) {
 			if ev.Kind == core.TEdgeUp && prev == core.TEdgeDown {
 				rescues++
 			}

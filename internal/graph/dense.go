@@ -6,12 +6,12 @@ import (
 )
 
 // dense is the index-and-offset view the geography queries (Connected,
-// Eccentricity, Diameter, DiameterAbove) traverse: node i stands for
-// ids[i], and its neighbours are nbr[off[i]:off[i+1]]. A diameter is a
-// handful of BFS runs per snapshot (n on a vertex-transitive graph such
-// as a ring), so each run must touch flat int32 arrays rather than build
-// a map; the buffers are kept on the Graph and only ever resliced, so a
-// warm query allocates nothing.
+// Components, Eccentricity, Diameter, DiameterAbove) traverse: node i
+// stands for ids[i], and its neighbours are nbr[off[i]:off[i+1]]. A
+// diameter is a handful of BFS runs per snapshot (n on a vertex-transitive
+// graph such as a ring), so each run must touch flat int32 arrays rather
+// than build a map; the buffers are kept on the Graph and only ever
+// resliced, so a warm query allocates nothing.
 type dense struct {
 	ids   []NodeID // ascending, so an id's index is a binary search away
 	off   []int32  // len n+1

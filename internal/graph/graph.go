@@ -10,10 +10,7 @@
 // deterministic (sorted by node ID) so that simulations replay exactly.
 package graph
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
 // NodeID identifies a process/entity. IDs are assigned by the arrival
 // model and never reused within a run.
@@ -283,20 +280,23 @@ func (g *Graph) Connected() bool {
 }
 
 // Components returns the connected components, each sorted ascending,
-// ordered by their smallest node ID.
+// ordered by their smallest node ID. It runs one BFS of the dense view
+// per component, from its lowest index: a node a BFS reached keeps its
+// distance, which marks it seen for the rest of the scan.
 func (g *Graph) Components() [][]NodeID {
-	seen := make(map[NodeID]bool)
+	d := g.view()
 	var comps [][]NodeID
-	for _, v := range g.Nodes() {
-		if seen[v] {
+	for i := range d.ids {
+		if d.dist[i] >= 0 {
 			continue
 		}
-		var comp []NodeID
-		for u := range g.BFS(v) {
-			seen[u] = true
-			comp = append(comp, u)
+		_, reached := d.bfs(int32(i))
+		members := d.queue[:reached]
+		slices.Sort(members)
+		comp := make([]NodeID, reached)
+		for k, j := range members {
+			comp[k] = d.ids[j]
 		}
-		sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
 		comps = append(comps, comp)
 	}
 	return comps

@@ -10,7 +10,7 @@ package graph
 // neighbor pairs that are themselves adjacent. Nodes with fewer than two
 // neighbors have no pairs and score 0.
 func (g *Graph) LocalClustering(v NodeID) float64 {
-	nbrs := g.Neighbors(v)
+	nbrs := g.nbrs(v)
 	if len(nbrs) < 2 {
 		return 0
 	}
@@ -29,7 +29,7 @@ func (g *Graph) LocalClustering(v NodeID) float64 {
 // AvgClustering returns the mean local clustering coefficient over all
 // nodes (the Watts–Strogatz network average; 0 for an empty graph).
 func (g *Graph) AvgClustering() float64 {
-	nodes := g.Nodes()
+	nodes := g.nodeCache()
 	if len(nodes) == 0 {
 		return 0
 	}
@@ -42,11 +42,7 @@ func (g *Graph) AvgClustering() float64 {
 
 // MaxDegree returns the largest degree in the graph (0 for an empty one).
 func (g *Graph) MaxDegree() int {
-	max := 0
-	for _, v := range g.Nodes() {
-		if d := g.Degree(v); d > max {
-			max = d
-		}
-	}
-	return max
+	most := 0
+	g.adj.Each(func(_ NodeID, nbrs []NodeID) { most = max(most, len(nbrs)) })
+	return most
 }

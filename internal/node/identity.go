@@ -382,12 +382,20 @@ type identityKeeper interface {
 // operates under the latest committed stack, so ITS durability — not the
 // frozen genesis config — decides whether a join restores or resets. The
 // verdicts a reset wipes are counted and trace-marked as laundering.
+//
+// An identity whose last departure was a session-keyed leave has no
+// record to restore, and its peers still hold what that session showed
+// them (receipts, replay windows). So it arrives as a fresh principal
+// even under a durable stack: restarted counters inside that memory
+// would reuse the session's broadcast numbers.
 func (w *World) identArrive(p *Proc, a arrival) {
 	id, now := p.ID, int64(w.Engine.Now())
 	wire := a.snap.ident
+	sessionLeft := w.sessionLeft[id]
+	delete(w.sessionLeft, id)
 	switch {
 	case a.recovering:
-	case w.stack(p.epoch).Durable:
+	case w.stack(p.epoch).Durable && !sessionLeft:
 		w.forgetDeparted(id)
 		raw, _ := w.store.Load(id)
 		snap, _ := raw.(durableSnapshot)
@@ -397,8 +405,11 @@ func (w *World) identArrive(p *Proc, a arrival) {
 		}
 	case a.rejoin:
 		// The identity is present again, so the RetainDeparted cap must
-		// not evict (retire) the ledger its new session now uses.
-		w.forgetDeparted(id)
+		// not evict (retire) the ledger its new session now uses. A record
+		// an earlier durable leave stored is stale from now on: the new
+		// session keeps counters of its own, so a later durable rejoin
+		// must not restore the older ones and reuse their numbers.
+		w.DropIdentityRecord(id)
 		laundered := 0
 		for _, k := range w.hooks.keepers {
 			laundered += k.purgeAbout(w, id)
@@ -434,6 +445,9 @@ func (w *World) identDepart(p *Proc, crash *durableSnapshot) {
 		for _, k := range w.hooks.keepers {
 			k.dropIdentity(id)
 			k.retire(id)
+		}
+		if w.reconfig != nil { // only a reconfiguration can make a later arrival durable
+			lazySet(&w.sessionLeft, id, true)
 		}
 		return
 	}

@@ -373,3 +373,80 @@ func TestSessionRejoinLeavesRetainedLedger(t *testing.T) {
 		t.Fatalf("present identity 2 reads BSeqNext %d, want 2: the cap retired its live ledger", got)
 	}
 }
+
+// TestSessionRejoinDropsStaleDurableRecord extends the sequence above:
+// 2 broadcasts and leaves durably, the stack turns session-keyed, 2
+// rejoins, broadcasts five times and leaves, the stack turns durable
+// again, and 2 rejoins and broadcasts twice. The session rejoin dropped
+// the record the durable leave stored, so the durable rejoin restores no
+// pre-session BSeqNext; and because 2's last departure was session-keyed,
+// it arrives as a fresh principal: the peers forget the receipts and
+// replay windows of the session, so its new numbering from 1 neither
+// collides with a held receipt nor trips a replay window, and nobody is
+// convicted.
+func TestSessionRejoinDropsStaleDurableRecord(t *testing.T) {
+	w, e, _ := reconfigWorld(3, Config{
+		Seed: 29, MinLatency: 1, MaxLatency: 2,
+		Auth:     AuthConfig{Enabled: true},
+		Audit:    AuditConfig{Enabled: true},
+		Identity: IdentityConfig{Durable: true, RetainDeparted: 4},
+	})
+	// heldAbout2 counts the receipts the other entities hold from 2.
+	heldAbout2 := func() int {
+		n := 0
+		for id, o := range w.audit.observers {
+			for k := range o.receipts {
+				if id != 2 && k.sender == 2 {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	e.At(5, func() { w.Proc(2).Broadcast("data", tamperInt{V: 0}) })
+	e.At(10, func() { w.Leave(2) })
+	e.At(20, func() { w.Reconfigure(1, StackConfig{}) })
+	e.At(60, func() { w.Join(2) })
+	for i := 0; i < 5; i++ {
+		e.At(sim.Time(65+2*i), func() { w.Proc(2).Broadcast("data", tamperInt{V: 1 + i}) })
+	}
+	e.At(90, func() { w.Leave(2) })
+	e.At(100, func() { w.Reconfigure(1, StackConfig{Durable: true}) })
+	e.At(140, func() { w.Join(2) })
+	e.At(145, func() { w.Proc(2).Broadcast("data", tamperInt{V: 10}) })
+	e.At(147, func() { w.Proc(2).Broadcast("data", tamperInt{V: 11}) })
+	var stored bool
+	var heldBefore, heldAfter int
+	e.At(61, func() {
+		raw, _ := w.store.Load(2)
+		snap, _ := raw.(durableSnapshot)
+		stored = snap.ident != nil
+	})
+	e.At(139, func() { heldBefore = heldAbout2() })
+	e.At(141, func() { heldAfter = heldAbout2() })
+	e.RunUntil(200)
+	w.Close()
+
+	if w.LatestEpoch() != 2 {
+		t.Fatalf("latest epoch %d, want both reconfigurations committed", w.LatestEpoch())
+	}
+	if stored {
+		t.Fatal("the session-keyed rejoin left the durable leave's identity record in the store")
+	}
+	if tot := w.IdentityTotals(); tot.Restores != 0 || tot.SessionResets != 2 || tot.Saves != 1 {
+		t.Fatalf("identity totals %+v, want no restore, two session resets and one save", tot)
+	}
+	if heldBefore == 0 || heldAfter != 0 {
+		t.Fatalf("peers hold %d receipts from 2's session before the durable rejoin and %d after, want some and none",
+			heldBefore, heldAfter)
+	}
+	if got := w.identityRecord(2).BSeqNext; got != 2 {
+		t.Fatalf("2 reads BSeqNext %d after two broadcasts as a fresh principal, want 2", got)
+	}
+	if n := w.AuthTotals().RejectedReplay; n != 0 {
+		t.Fatalf("%d copies rejected as replays: a peer kept a window of 2's session", n)
+	}
+	if s := w.AuditSummary(); len(s.ProvenOffenders) != 0 {
+		t.Fatalf("convicted %v: 2's new numbering collided with receipts of its session", s.ProvenOffenders)
+	}
+}

@@ -301,9 +301,9 @@ type World struct {
 	pex      *pexLayer
 	store    StableStore
 	// seen marks every identity that has ever joined, so Join can tell a
-	// rejoin from a first arrival; identStats, departed, departedSet and
-	// departedPinned are the identity-continuity bookkeeping (see
-	// identity.go).
+	// rejoin from a first arrival; identStats, departed, departedSet,
+	// departedPinned and sessionLeft are the identity-continuity
+	// bookkeeping (see identity.go).
 	seen       map[graph.NodeID]bool
 	identStats IdentityCounters
 	// turnJoins / turnLeaves count every membership arrival (Join,
@@ -315,6 +315,7 @@ type World struct {
 	departed       []graph.NodeID
 	departedSet    map[graph.NodeID]bool
 	departedPinned map[graph.NodeID]bool
+	sessionLeft    map[graph.NodeID]bool
 
 	// timerFree is the timer pool: fired timers (see fireProcTimer) and
 	// the timers a departure cancels (see tearDown) return to it.

@@ -192,10 +192,11 @@ type pexLayer struct {
 	// little beyond its wire bytes. Deliveries always go through the
 	// engine, so none of these users is ever re-entered while its buffer
 	// is live.
-	excl    []graph.NodeID // candidates: the exclusion list
-	shipBuf []pex.Record   // ship: the outgoing batch, before encoding
-	recvBuf []pex.Record   // onMessage: the decoded incoming batch
-	dropBuf []pex.Record   // round, onQuarantine: records a view let go
+	excl    []graph.NodeID       // candidates: the exclusion list
+	shipBuf []pex.Record         // ship: the outgoing batch, before encoding
+	recvBuf []pex.Record         // onMessage: the decoded incoming batch
+	dropBuf []pex.Record         // round, onQuarantine: records a view let go
+	inView  map[graph.NodeID]int // sample: how many views hold each ID
 	// spare holds the emptied work lists of released records, for the
 	// next joiners' records to reuse.
 	spare []pexLists
@@ -207,6 +208,7 @@ func newPexLayer(cfg pex.Config, seed uint64) *pexLayer {
 		r:           rng.New(seed ^ 0x9e97c3a5f0e1d2b4),
 		idx:         newPresentIndex(),
 		convergedAt: -1,
+		inView:      make(map[graph.NodeID]int),
 	}
 }
 
@@ -842,7 +844,8 @@ func (px *pexLayer) sample(w *World) {
 		}
 		sort.Slice(s.OutsideMain, func(i, j int) bool { return s.OutsideMain[i] < s.OutsideMain[j] })
 	}
-	inView := make(map[graph.NodeID]int)
+	inView := px.inView
+	clear(inView)
 	hops := 0
 	// Integer tallies only, so the walk order over the records is free.
 	px.peers.Each(func(_ graph.NodeID, pp *pexPeer) {

@@ -266,12 +266,12 @@ func Check(tr *core.Trace, r *Run, valueOf func(graph.NodeID) float64) Outcome {
 func CheckWith(tr *core.Trace, r *Run, valueOf func(graph.NodeID) float64, opts CheckOptions) Outcome {
 	c := NewStreamChecker(opts)
 	armed := false
-	tr.Each(func(ev *core.TraceEvent) {
+	tr.Replay(func(ev core.TraceEvent) {
 		if !armed && ev.At >= r.Started {
 			c.Arm(r)
 			armed = true
 		}
-		c.Observe(*ev)
+		c.Observe(ev)
 	})
 	if !armed {
 		c.Arm(r)

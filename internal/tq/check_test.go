@@ -15,7 +15,7 @@ import (
 // fresh StreamChecker, the way a live sink sees them.
 func Check(tr *core.Trace) Report {
 	sc := NewStreamChecker()
-	tr.Each(func(ev *core.TraceEvent) { sc.Observe(*ev) })
+	tr.Replay(sc.Observe)
 	return sc.Finish()
 }
 
