@@ -30,6 +30,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"slices"
+	"strings"
 
 	"repro/internal/agg"
 	"repro/internal/churn"
@@ -108,6 +109,32 @@ func main() {
 		reject(fmt.Sprintf("-double-every %d: the doubling period cannot be negative (0 = a constant rate)", *doubleEvery))
 	case *quiesceAt < 0:
 		reject(fmt.Sprintf("-quiesce-at %d: the quiescence tick cannot be negative (0 = churn never stops)", *quiesceAt))
+	}
+	// A flag that only another one gives meaning would be read and then
+	// ignored: refuse it when it is set explicitly without that one.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, dep := range []struct {
+		flags string
+		on    bool
+		needs string
+	}{
+		{"pex-view pex-policy", *pexOn, "-pex"},
+		{"parole", *auth || *audit || *pull, "-auth, -audit or -pull"},
+		{"pull-ttl", *pull, "-pull"},
+		{"tq-coeff tq-ttl tq-lease", *tqOn, "-tq"},
+		{"spread write-window", *dynOn, "-dynreg"},
+		{"write-every read-every ops-at", *tqOn || *dynOn, "a register workload (-tq or -dynreg)"},
+		{"session double-every quiesce-at", *arrival > 0, "-arrival > 0"},
+		{"k", *overlayName == "random-k", "-overlay random-k"},
+		{"ttl", *protoName == "flood-ttl" || *protoName == "flood-repeat", "-protocol flood-ttl or flood-repeat"},
+		{"bridge-recoveries bridge-rejoins", *protoName != "none", "a query -protocol"},
+	} {
+		for _, name := range strings.Fields(dep.flags) {
+			if set[name] && !dep.on {
+				reject(fmt.Sprintf("-%s has no effect without %s", name, dep.needs))
+			}
+		}
 	}
 	overlay, err := overlayBuilder(*overlayName, *k)
 	if err != nil {

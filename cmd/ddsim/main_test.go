@@ -63,6 +63,26 @@ func TestRejectedFlags(t *testing.T) {
 		{"-auth -parole -5", "node: negative auth Parole -5"},
 		{"-cpuprofile /nonexistent/cpu.prof", "-cpuprofile: open /nonexistent/cpu.prof: no such file or directory"},
 		{"-memprofile /nonexistent/mem.prof", "-memprofile: open /nonexistent/mem.prof: no such file or directory"},
+		{"-pex-view 4", "-pex-view has no effect without -pex"},
+		{"-pex-policy bogus", "-pex-policy has no effect without -pex"},
+		{"-parole 50", "-parole has no effect without -auth, -audit or -pull"},
+		{"-audit -pull-ttl 3", "-pull-ttl has no effect without -pull"},
+		{"-protocol none -tq-coeff 1.6", "-tq-coeff has no effect without -tq"},
+		{"-protocol none -dynreg -tq-ttl 4", "-tq-ttl has no effect without -tq"},
+		{"-protocol none -tq-lease 20", "-tq-lease has no effect without -tq"},
+		{"-protocol none -tq -spread 2", "-spread has no effect without -dynreg"},
+		{"-protocol none -write-window 50", "-write-window has no effect without -dynreg"},
+		{"-write-every 8", "-write-every has no effect without a register workload (-tq or -dynreg)"},
+		{"-read-every 3", "-read-every has no effect without a register workload (-tq or -dynreg)"},
+		{"-ops-at 50", "-ops-at has no effect without a register workload (-tq or -dynreg)"},
+		{"-session 40", "-session has no effect without -arrival > 0"},
+		{"-arrival 0 -double-every 100", "-double-every has no effect without -arrival > 0"},
+		{"-quiesce-at 300", "-quiesce-at has no effect without -arrival > 0"},
+		{"-k 4", "-k has no effect without -overlay random-k"},
+		{"-pex -k 4", "-k has no effect without -overlay random-k"},
+		{"-ttl 3", "-ttl has no effect without -protocol flood-ttl or flood-repeat"},
+		{"-protocol none -bridge-recoveries", "-bridge-recoveries has no effect without a query -protocol"},
+		{"-protocol none -tq -bridge-rejoins", "-bridge-rejoins has no effect without a query -protocol"},
 	}
 	for _, tc := range cases {
 		cmd := exec.Command(os.Args[0], strings.Fields(tc.args)...)

@@ -11,7 +11,7 @@ func TestE28TenKWorldCompletes(t *testing.T) {
 	if raceDetectorOn {
 		t.Skip("a 10k-entity world takes minutes under the race detector; raced E28 coverage comes from TestAllExperimentsRun/E28")
 	}
-	cell := e28Cell{n: 10000, horizon: 40, lite: true, refresh: true}
+	cell := e28Cell{n: 10000, horizon: 40, lite: true}
 	res := e28Run(1, cell)
 	if res.peak < 10000 {
 		t.Fatalf("peak concurrency %d, want >= 10000", res.peak)
@@ -31,7 +31,7 @@ func TestE28TenKWorldCompletes(t *testing.T) {
 // The deterministic columns replay bit-identically: same seed, same
 // events, same messages, same membership peak.
 func TestE28Deterministic(t *testing.T) {
-	cell := e28Cell{n: 1000, horizon: 60, refresh: true}
+	cell := e28Cell{n: 1000, horizon: 60}
 	a, b := e28Run(3, cell), e28Run(3, cell)
 	if a.events != b.events || a.msgs != b.msgs || a.delivered != b.delivered ||
 		a.peak != b.peak || a.converged != b.converged || a.outside != b.outside {
@@ -42,7 +42,7 @@ func TestE28Deterministic(t *testing.T) {
 // Count-only retention changes what the trace keeps, never what the
 // world does: the lite twin of a run reports identical counters.
 func TestE28LiteTraceCountersMatch(t *testing.T) {
-	cell := e28Cell{n: 500, horizon: 60, refresh: true}
+	cell := e28Cell{n: 500, horizon: 60}
 	full := e28Run(5, cell)
 	cell.lite = true
 	lite := e28Run(5, cell)
@@ -64,7 +64,7 @@ func TestE28QuickReport(t *testing.T) {
 }
 
 func BenchmarkE28ScaleWorld(b *testing.B) {
-	cell := e28Cell{n: 1000, horizon: 48, lite: true, refresh: true}
+	cell := e28Cell{n: 1000, horizon: 48, lite: true}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e28Run(uint64(i+1), cell)

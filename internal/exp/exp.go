@@ -255,8 +255,11 @@ type Report struct {
 }
 
 // String renders the report as the plain text recorded in EXPERIMENTS.md.
-func (r *Report) String() string {
-	out := fmt.Sprintf("== %s: %s ==\nClaim: %s\n\n%s", r.ID, r.Title, r.Claim, r.Table)
+func (r *Report) String() string { return r.render(r.Table.String()) }
+
+// render lays the report out around its rendered table.
+func (r *Report) render(table string) string {
+	out := fmt.Sprintf("== %s: %s ==\nClaim: %s\n\n%s", r.ID, r.Title, r.Claim, table)
 	for _, n := range r.Notes {
 		out += fmt.Sprintf("note: %s\n", n)
 	}

@@ -38,13 +38,13 @@ func e29Cells(cfg Config) []e29Cell {
 	seeds := cfg.seeds()
 	if cfg.Quick {
 		return []e29Cell{
-			{n: 300, horizon: 96, queryAt: 48, seeds: min2(seeds, 2)},
+			{n: 300, horizon: 96, queryAt: 48, seeds: min(seeds, 2)},
 			{n: 1000, horizon: 88, queryAt: 44, seeds: 1, lite: true},
 		}
 	}
 	return []e29Cell{
-		{n: 300, horizon: 120, queryAt: 60, seeds: min2(seeds, 3)},
-		{n: 1000, horizon: 120, queryAt: 60, seeds: min2(seeds, 2)},
+		{n: 300, horizon: 120, queryAt: 60, seeds: min(seeds, 3)},
+		{n: 1000, horizon: 120, queryAt: 60, seeds: min(seeds, 2)},
 		{n: 10000, horizon: 96, queryAt: 48, seeds: 1, lite: true},
 	}
 }

@@ -75,7 +75,7 @@ func e30Cells(cfg Config) []e30Cell {
 		for _, rate := range []float64{0, e30SweepRate} {
 			for _, arm := range arms {
 				cells = append(cells, e30Cell{n: 48, rate: rate, arm: arm,
-					pol: pp, seeds: min2(seeds, 2), horizon: 300})
+					pol: pp, seeds: min(seeds, 2), horizon: 300})
 			}
 		}
 		for _, pol := range []pex.Policy{pex.PolicyRand, pex.PolicyHead, pex.PolicyTail} {
@@ -90,14 +90,14 @@ func e30Cells(cfg Config) []e30Cell {
 		for _, rate := range e30Rates {
 			for _, arm := range arms {
 				cells = append(cells, e30Cell{n: n, rate: rate, arm: arm,
-					pol: pp, seeds: min2(seeds, 3), horizon: 600})
+					pol: pp, seeds: min(seeds, 3), horizon: 600})
 			}
 		}
 	}
 	// Policy sweep rows (pushpull is already the headline arm above).
 	for _, pol := range []pex.Policy{pex.PolicyRand, pex.PolicyHead, pex.PolicyTail} {
 		cells = append(cells, e30Cell{n: 64, rate: e30SweepRate, arm: e30TQ,
-			pol: pol, seeds: min2(seeds, 3), horizon: 600})
+			pol: pol, seeds: min(seeds, 3), horizon: 600})
 	}
 	// N-scaling rows at the fixed rate: where dynreg's flood cost explodes
 	// and its first silent violations appear, tq stays sqrt(N)-cheap. The

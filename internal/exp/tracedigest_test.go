@@ -131,7 +131,7 @@ var traceDigestCells = []struct {
 		return pexDigestCell(pex.Config{Policy: pex.PolicyTail}, pl, nil)
 	}},
 	{"pex view=1 contacts=2 head", func(Config) *core.Trace {
-		return pexDigestCell(pex.Config{Policy: pex.PolicyHead, ViewSize: 1, BootstrapContacts: 2}, nil, nil)
+		return pexDigestCell(pex.Config{Policy: pex.PolicyHead, ViewSize: 1}, nil, nil)
 	}},
 	{"random-k(1) churn n=1000", func(Config) *core.Trace { return randomKDigestCell(1) }},
 	{"random-k(4) churn n=1000", func(Config) *core.Trace { return randomKDigestCell(4) }},

@@ -136,7 +136,7 @@ func TestCorruptRejectedByAuth(t *testing.T) {
 	pl := mustParse(t, "corrupt:nodes=1,p=1;seed=3")
 	w, sinks := runByzPlan(t, pl, node.Config{
 		Seed: 7,
-		Auth: node.AuthConfig{Enabled: true, Budget: 10000},
+		Auth: node.AuthConfig{Enabled: true},
 	}, 100)
 	if n := countTraceMarks(w.Trace, MarkCorrupt); n == 0 {
 		t.Fatal("no corruption was injected")
@@ -175,7 +175,7 @@ func TestForgeBlamesTheScapegoat(t *testing.T) {
 	pl := mustParse(t, "forge:nodes=1,as=3,p=1;seed=5")
 	w, _ := runByzPlan(t, pl, node.Config{
 		Seed: 7,
-		Auth: node.AuthConfig{Enabled: true, Budget: 2},
+		Auth: node.AuthConfig{Enabled: true},
 	}, 100)
 	if n := countTraceMarks(w.Trace, MarkForge); n == 0 {
 		t.Fatal("no forgery was injected")
@@ -197,7 +197,7 @@ func TestReplayRejectedByWindow(t *testing.T) {
 	pl := mustParse(t, "replay:nodes=1,p=1,window=6;seed=5")
 	w, sinks := runByzPlan(t, pl, node.Config{
 		Seed: 7,
-		Auth: node.AuthConfig{Enabled: true, Budget: 10000},
+		Auth: node.AuthConfig{Enabled: true},
 	}, 100)
 	if n := countTraceMarks(w.Trace, MarkReplay); n == 0 {
 		t.Fatal("no replay was injected")
@@ -245,7 +245,7 @@ func TestByzDeterminism(t *testing.T) {
 	encode := func() []byte {
 		w, _ := runByzPlan(t, pl, node.Config{
 			Seed: 7,
-			Auth: node.AuthConfig{Enabled: true, Budget: 5},
+			Auth: node.AuthConfig{Enabled: true},
 		}, 150)
 		var buf bytes.Buffer
 		if err := core.EncodeTrace(&buf, w.Trace); err != nil {

@@ -135,7 +135,6 @@ func TestReconfigClauseRequiresLayer(t *testing.T) {
 func TestReconfigComposesWithRejoin(t *testing.T) {
 	pl := mustParse(t, "forge:nodes=1,as=3,p=1@0-25;reconfig:nodes=2,rotate=1@40;rejoin:nodes=3,down=30@30;seed=5")
 	cfg := reconfigCfg()
-	cfg.Auth.Budget = 2
 	cfg.Identity = node.IdentityConfig{Durable: true}
 	w, _ := runByzPlan(t, pl, cfg, 300)
 

@@ -117,10 +117,6 @@ type AuditConfig struct {
 	// PullTTL bounds the walk length in hops: 1 reaches neighbors, 2
 	// reaches neighbors-of-neighbors, and so on. Default 2, max 16.
 	PullTTL int
-	// PullFanout is how many targets each hop forwards the digest to,
-	// rotating deterministically through the neighbor list round by
-	// round. Default 2.
-	PullFanout int
 	// PullBudget caps the digest entries per request; a larger store is
 	// advertised incrementally by a rotating cursor. Default 64.
 	PullBudget int
@@ -148,14 +144,17 @@ const (
 )
 
 // The audit defaults that are also epoch-governed knobs: AuditConfig and
-// StackConfig resolve their zero fields to the same values.
+// StackConfig resolve their zero fields to the same values. The pull
+// fanout — how many targets each hop forwards a digest to, rotating
+// deterministically through the neighbor list round by round — starts
+// at defaultPullFanout in every world; only a reconfiguration moves it.
 const (
 	defaultRetain     = 256
 	defaultPullFanout = 2
 	defaultRetention  = RetentionPinned
 )
 
-// maxPullTTL bounds the digest walk length representable on the wire.
+// maxPullTTL bounds the digest walk length.
 const maxPullTTL = 16
 
 func (ac AuditConfig) withDefaults() AuditConfig {
@@ -176,9 +175,6 @@ func (ac AuditConfig) withDefaults() AuditConfig {
 	}
 	if ac.PullTTL == 0 {
 		ac.PullTTL = 2
-	}
-	if ac.PullFanout == 0 {
-		ac.PullFanout = defaultPullFanout
 	}
 	if ac.PullBudget == 0 {
 		ac.PullBudget = 64
@@ -209,9 +205,6 @@ func (ac AuditConfig) Validate() error {
 	}
 	if ac.PullTTL < 0 || ac.PullTTL > maxPullTTL {
 		return fmt.Errorf("node: audit PullTTL %d outside [0, %d]", ac.PullTTL, maxPullTTL)
-	}
-	if ac.PullFanout < 0 {
-		return fmt.Errorf("node: negative audit PullFanout %d", ac.PullFanout)
 	}
 	if ac.PullBudget < 0 {
 		return fmt.Errorf("node: negative audit PullBudget %d", ac.PullBudget)

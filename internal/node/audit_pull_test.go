@@ -325,38 +325,3 @@ func TestAuditTruthBounded(t *testing.T) {
 		}
 	}
 }
-
-// TestPullDigestWireRoundTrip pins the digest wire form outside the
-// fuzzer: encode/decode is lossless at the boundaries, and each
-// malformed shape is rejected rather than misread.
-func TestPullDigestWireRoundTrip(t *testing.T) {
-	entries := []DigestEntry{
-		{Sender: 3, BSeq: 7, FP: 0xabcdef},
-		{Sender: 0, BSeq: 0, FP: 0},
-		{Sender: 65535, BSeq: 1 << 60, FP: ^uint64(0)},
-	}
-	b := EncodePullDigest(9, maxPullTTL, entries)
-	origin, ttl, got, err := DecodePullDigest(b)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if origin != 9 || ttl != maxPullTTL || len(got) != len(entries) {
-		t.Fatalf("round trip lost the header: origin=%d ttl=%d n=%d", origin, ttl, len(got))
-	}
-	for i := range entries {
-		if got[i] != entries[i] {
-			t.Fatalf("entry %d: %+v != %+v", i, got[i], entries[i])
-		}
-	}
-	if _, _, _, err := DecodePullDigest(b[:digestHeaderWire-1]); err == nil {
-		t.Fatal("short header accepted")
-	}
-	if _, _, _, err := DecodePullDigest(b[:len(b)-1]); err == nil {
-		t.Fatal("truncated entry accepted")
-	}
-	bad := append([]byte(nil), b...)
-	bad[8] = maxPullTTL + 1 // ttl byte
-	if _, _, _, err := DecodePullDigest(bad); err == nil {
-		t.Fatal("oversized TTL accepted")
-	}
-}

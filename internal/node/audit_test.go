@@ -168,7 +168,7 @@ func TestAuditReceiptRoundTrip(t *testing.T) {
 func TestParoleHalvesBudget(t *testing.T) {
 	w, e, _ := authPairWorld(Config{
 		Seed: 31,
-		Auth: AuthConfig{Enabled: true, Budget: 3, Parole: 50},
+		Auth: AuthConfig{Enabled: true, Parole: 50},
 	})
 	if got := w.auth.budget(w.auth.linkOf(2, 1)); got != 3 {
 		t.Fatalf("initial budget %d, want 3", got)
@@ -263,7 +263,7 @@ func TestParolePardonClearsProof(t *testing.T) {
 func TestCrashRecoveryKeepsAuthSeq(t *testing.T) {
 	w, e, sink := authPairWorld(Config{
 		Seed: 19,
-		Auth: AuthConfig{Enabled: true, Budget: 2},
+		Auth: AuthConfig{Enabled: true},
 	})
 	const before, after = 10, 5
 	for i := 0; i < before; i++ {
@@ -299,7 +299,7 @@ func TestCrashRecoveryKeepsAuthSeq(t *testing.T) {
 func TestCrashRecoveryLostStoreReplays(t *testing.T) {
 	w, e, sink := authPairWorld(Config{
 		Seed: 29,
-		Auth: AuthConfig{Enabled: true, Budget: 2},
+		Auth: AuthConfig{Enabled: true},
 	})
 	const before, after = 10, 6
 	for i := 0; i < before; i++ {

@@ -65,13 +65,6 @@ const (
 type AuthConfig struct {
 	// Enabled turns the sublayer on.
 	Enabled bool
-	// ReplayWindow is how far behind the highest accepted sequence number
-	// an out-of-order copy may arrive and still be accepted (reordered
-	// channels deliver legitimately late copies). At most 64. Default 64.
-	ReplayWindow int
-	// Budget is the number of rejected copies a receiver tolerates from
-	// one claimed sender before quarantining that link. Default 3.
-	Budget int
 	// Parole, when positive, reinstates a quarantined link that many ticks
 	// after the quarantine decision — with the link's misbehavior budget
 	// HALVED, so a framed scapegoat recovers once the forger moves on while
@@ -81,27 +74,19 @@ type AuthConfig struct {
 	Parole int64
 }
 
-func (ac AuthConfig) withDefaults() AuthConfig {
-	if ac.ReplayWindow == 0 {
-		ac.ReplayWindow = 64
-	}
-	if ac.Budget == 0 {
-		ac.Budget = 3
-	}
-	return ac
-}
+// The auth sublayer's fixed tolerances.
+const (
+	// replayWidth is how far behind the highest accepted sequence number
+	// an out-of-order copy may arrive and still be accepted (reordered
+	// channels deliver legitimately late copies): the whole 64-bit window.
+	replayWidth = 64
+	// authBudget is the number of rejected copies a receiver tolerates
+	// from one claimed sender before quarantining that link.
+	authBudget = 3
+)
 
-// Validate reports the first configuration error, or nil. Zero fields mean
-// their defaults, exactly as in Config.Validate: ReplayWindow 0 selects the
-// default width of 64, so the rejected range is exactly what the message
-// states.
+// Validate reports the first configuration error, or nil.
 func (ac AuthConfig) Validate() error {
-	if ac.ReplayWindow < 0 || ac.ReplayWindow > 64 {
-		return fmt.Errorf("node: auth ReplayWindow %d outside [0, 64] (0 means the default, 64)", ac.ReplayWindow)
-	}
-	if ac.Budget < 0 {
-		return fmt.Errorf("node: negative auth Budget %d", ac.Budget)
-	}
 	if ac.Parole < 0 {
 		return fmt.Errorf("node: negative auth Parole %d", ac.Parole)
 	}
@@ -133,17 +118,17 @@ type QuarantineEvent struct {
 }
 
 // replayWindow is an IPsec-style sliding anti-replay window: the highest
-// accepted sequence number plus a bitmap of the w numbers below it. The
-// fresh state is an explicit flag, not a value encoding: (hi=0, bits=0)
-// never doubles as "uninitialized", so the first accepted sequence number
-// can be anything without aliasing the empty window.
+// accepted sequence number plus a bitmap of the replayWidth numbers below
+// it. The fresh state is an explicit flag, not a value encoding: (hi=0,
+// bits=0) never doubles as "uninitialized", so the first accepted sequence
+// number can be anything without aliasing the empty window.
 type replayWindow struct {
 	inited bool
 	hi     uint64
 	bits   uint64 // bit i set = hi-i accepted
 }
 
-func (rw *replayWindow) accept(seq uint64, width int) bool {
+func (rw *replayWindow) accept(seq uint64) bool {
 	if !rw.inited {
 		rw.inited, rw.hi, rw.bits = true, seq, 1
 		return true
@@ -160,7 +145,7 @@ func (rw *replayWindow) accept(seq uint64, width int) bool {
 		return true
 	}
 	behind := rw.hi - seq
-	if behind >= uint64(width) {
+	if behind >= replayWidth {
 		return false // too old to judge: treat as replayed
 	}
 	if rw.bits&(1<<behind) != 0 {
@@ -180,7 +165,7 @@ type authLink struct {
 	// count of 0 after parole is still an entry).
 	strikes int
 	struck  bool
-	// budget overrides cfg.Budget once parole has halved it.
+	// budget overrides authBudget once parole has halved it.
 	budget      int
 	halved      bool
 	quarantined bool
@@ -517,7 +502,7 @@ func (al *authLayer) admit(w *World, q *Proc, m Message) bool {
 // rejects was replayed by the channel, not retried by a well-behaved
 // sender (see rankReplay).
 func (al *authLayer) admitSeq(w *World, q *Proc, m Message) bool {
-	if !q.auth.link(m.From).window.accept(m.aseq, al.cfg.ReplayWindow) {
+	if !q.auth.link(m.From).window.accept(m.aseq) {
 		now := int64(w.Engine.Now())
 		al.totals.RejectedReplay++
 		w.Trace.Mark(now, m.To, MarkAuthRejectReplay)
@@ -535,7 +520,7 @@ func (al *authLayer) budget(l *authLink) int {
 	if l != nil && l.halved {
 		return l.budget
 	}
-	return al.cfg.Budget
+	return authBudget
 }
 
 // strike charges one misbehavior to the (receiver, claimed sender) budget

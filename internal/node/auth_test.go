@@ -112,14 +112,14 @@ func TestAuthReordersWithinWindowAccepted(t *testing.T) {
 
 // TestAuthRejectsCorruption: a corrupting channel with auth but no
 // reliable layer — nothing tampered reaches the behavior, every
-// injection is rejected with a mark.
+// injection up to the one that trips the budget is rejected with a mark.
 func TestAuthRejectsCorruption(t *testing.T) {
 	w, e, sink := authPairWorld(Config{
 		Seed: 5,
-		Auth: AuthConfig{Enabled: true, Budget: 1000},
+		Auth: AuthConfig{Enabled: true},
 	})
 	w.SetChannelHook(corruptHook())
-	const n = 10
+	const n = authBudget + 1
 	for i := 0; i < n; i++ {
 		i := i
 		e.At(sim.Time(1+3*i), func() { w.Proc(1).Send(2, "data", tamperInt{V: i}) })
@@ -153,7 +153,7 @@ func TestAuthWithReliableRetransmitsClean(t *testing.T) {
 	}, Config{
 		Seed:     13,
 		Reliable: ReliableConfig{Enabled: true, RetransmitAfter: 4, MaxRetries: 8},
-		Auth:     AuthConfig{Enabled: true, Budget: 1000},
+		Auth:     AuthConfig{Enabled: true},
 	})
 	w.Join(1)
 	w.Join(2)
@@ -200,7 +200,7 @@ func TestAuthRejectsForgery(t *testing.T) {
 		return Nop{}
 	}, Config{
 		Seed: 21,
-		Auth: AuthConfig{Enabled: true, Budget: 3},
+		Auth: AuthConfig{Enabled: true},
 	})
 	w.Join(1)
 	w.Join(2)
@@ -241,11 +241,12 @@ func TestAuthRejectsForgery(t *testing.T) {
 
 // TestAuthRejectsReplay: a channel replaying each copy later — without
 // the reliable layer the anti-replay window is the only filter, and it
-// must reject every replayed sequence number exactly once.
+// must reject every replayed sequence number exactly once. Each rejection
+// is a strike, so the run stays within the budget.
 func TestAuthRejectsReplay(t *testing.T) {
 	w, e, sink := authPairWorld(Config{
 		Seed: 17,
-		Auth: AuthConfig{Enabled: true, Budget: 1000},
+		Auth: AuthConfig{Enabled: true},
 	})
 	w.SetChannelHook(func(_ sim.Time, from, _ graph.NodeID, tag string) ChannelFault {
 		if from == 1 && tag == "data" {
@@ -253,7 +254,7 @@ func TestAuthRejectsReplay(t *testing.T) {
 		}
 		return ChannelFault{}
 	})
-	const n = 12
+	const n = authBudget
 	for i := 0; i < n; i++ {
 		i := i
 		e.At(sim.Time(1+4*i), func() { w.Proc(1).Send(2, "data", tamperInt{V: i}) })
@@ -278,7 +279,7 @@ func TestAuthRejectsReplay(t *testing.T) {
 func TestAuthQuarantineStopsDelivery(t *testing.T) {
 	w, e, sink := authPairWorld(Config{
 		Seed: 23,
-		Auth: AuthConfig{Enabled: true, Budget: 2},
+		Auth: AuthConfig{Enabled: true},
 	})
 	w.SetChannelHook(corruptHook())
 	const n = 10
@@ -296,13 +297,13 @@ func TestAuthQuarantineStopsDelivery(t *testing.T) {
 	if tot.Quarantines != 1 {
 		t.Fatalf("want one quarantine, got %+v", tot)
 	}
-	// Budget 2 tolerates 2 strikes; the 3rd trips. Everything after is
-	// dropped pre-verification.
-	if tot.RejectedCorrupt != 3 {
-		t.Fatalf("rejected %d before quarantine, want 3 (budget 2 + tripping strike)", tot.RejectedCorrupt)
+	// The budget tolerates authBudget strikes; the next trips. Everything
+	// after is dropped pre-verification.
+	if tot.RejectedCorrupt != authBudget+1 {
+		t.Fatalf("rejected %d before quarantine, want %d (budget + tripping strike)", tot.RejectedCorrupt, authBudget+1)
 	}
-	if tot.DroppedQuarantined != n-3 {
-		t.Fatalf("dropped %d post-quarantine, want %d", tot.DroppedQuarantined, n-3)
+	if tot.DroppedQuarantined != n-authBudget-1 {
+		t.Fatalf("dropped %d post-quarantine, want %d", tot.DroppedQuarantined, n-authBudget-1)
 	}
 }
 
@@ -320,11 +321,11 @@ func TestReplayWindowSemantics(t *testing.T) {
 		{4, false},  // replay of late copy
 		{70, true},  // big jump
 		{69, true},  // in window behind new hi
-		{6, false},  // fell out of window (behind >= width)
+		{6, false},  // fell out of window (behind >= replayWidth)
 		{70, false}, // replay of hi
 	}
 	for i, c := range cases {
-		if got := rw.accept(c.seq, 64); got != c.want {
+		if got := rw.accept(c.seq); got != c.want {
 			t.Fatalf("case %d: accept(%d) = %v, want %v", i, c.seq, got, c.want)
 		}
 	}
@@ -334,116 +335,101 @@ func TestReplayWindowSemantics(t *testing.T) {
 // window's arithmetic turns on: the explicit uninitialized state (so the
 // first sequence number — even 0 — never aliases an empty window), the
 // bitmap shift at 63/64/65 (shifting a uint64 by >= 64 is not a plain
-// shift in Go), and the behind == width-1 / width acceptance edge.
+// shift in Go), and the behind == replayWidth-1 / replayWidth acceptance
+// edge.
 func TestReplayWindowEdges(t *testing.T) {
 	t.Run("first seq zero", func(t *testing.T) {
 		var rw replayWindow
-		if !rw.accept(0, 64) {
+		if !rw.accept(0) {
 			t.Fatal("the first sequence number 0 must be accepted")
 		}
-		if rw.accept(0, 64) {
+		if rw.accept(0) {
 			t.Fatal("replay of the first sequence number 0 accepted")
 		}
-		if !rw.accept(1, 64) {
+		if !rw.accept(1) {
 			t.Fatal("advance past 0 rejected")
 		}
 	})
 	t.Run("first seq large", func(t *testing.T) {
 		var rw replayWindow
-		if !rw.accept(1<<40, 64) {
+		if !rw.accept(1 << 40) {
 			t.Fatal("a large first sequence number must be accepted")
 		}
-		if rw.accept(1<<40, 64) {
+		if rw.accept(1 << 40) {
 			t.Fatal("replay of the first sequence number accepted")
 		}
 	})
 	t.Run("shift 63", func(t *testing.T) {
 		var rw replayWindow
-		rw.accept(100, 64)
-		if !rw.accept(163, 64) { // shift 63: bit for 100 lands at position 63
+		rw.accept(100)
+		if !rw.accept(163) { // shift 63: bit for 100 lands at position 63
 			t.Fatal("jump by 63 rejected")
 		}
-		if rw.accept(100, 64) {
+		if rw.accept(100) {
 			t.Fatal("seq 100 at behind 63 is still in the window and marked accepted")
 		}
 	})
 	t.Run("shift 64", func(t *testing.T) {
 		var rw replayWindow
-		rw.accept(100, 64)
-		if !rw.accept(164, 64) { // shift 64: the whole bitmap falls off
+		rw.accept(100)
+		if !rw.accept(164) { // shift 64: the whole bitmap falls off
 			t.Fatal("jump by 64 rejected")
 		}
-		if rw.accept(100, 64) {
-			t.Fatal("seq 100 at behind 64 accepted despite behind >= width")
+		if rw.accept(100) {
+			t.Fatal("seq 100 at behind 64 accepted despite behind >= replayWidth")
 		}
-		if !rw.accept(101, 64) { // behind 63: bitmap cleared, genuinely new
+		if !rw.accept(101) { // behind 63: bitmap cleared, genuinely new
 			t.Fatal("seq 101 rejected — the shift-64 path must clear, not garble, the bitmap")
 		}
 	})
 	t.Run("shift 65", func(t *testing.T) {
 		var rw replayWindow
-		rw.accept(100, 64)
-		if !rw.accept(165, 64) {
+		rw.accept(100)
+		if !rw.accept(165) {
 			t.Fatal("jump by 65 rejected")
 		}
-		if !rw.accept(102, 64) { // behind 63, cleared bitmap
+		if !rw.accept(102) { // behind 63, cleared bitmap
 			t.Fatal("in-window seq after a 65 jump rejected")
 		}
 	})
 	t.Run("behind width edge", func(t *testing.T) {
 		var rw replayWindow
-		rw.accept(100, 4)
-		if !rw.accept(97, 4) { // behind 3 == width-1: judgeable, new
-			t.Fatal("behind width-1 rejected")
+		rw.accept(100)
+		if !rw.accept(100 - (replayWidth - 1)) { // behind width-1: judgeable, new
+			t.Fatal("behind replayWidth-1 rejected")
 		}
-		if rw.accept(96, 4) { // behind 4 == width: too old to judge
-			t.Fatal("behind width accepted")
-		}
-	})
-	t.Run("width 1", func(t *testing.T) {
-		var rw replayWindow
-		rw.accept(5, 1)
-		if rw.accept(5, 1) {
-			t.Fatal("replay of hi accepted at width 1")
-		}
-		if !rw.accept(7, 1) {
-			t.Fatal("advance rejected at width 1")
-		}
-		if rw.accept(6, 1) { // behind 1 >= width 1: everything but hi is too old
-			t.Fatal("width 1 accepted a late copy")
-		}
-		if !rw.accept(8, 1) {
-			t.Fatal("further advance rejected at width 1")
+		if rw.accept(100 - replayWidth) { // behind width: too old to judge
+			t.Fatal("behind replayWidth accepted")
 		}
 	})
 	t.Run("width 64 full span", func(t *testing.T) {
 		var rw replayWindow
-		rw.accept(200, 64)
+		rw.accept(200)
 		for behind := uint64(1); behind < 64; behind++ {
-			if !rw.accept(200-behind, 64) {
+			if !rw.accept(200 - behind) {
 				t.Fatalf("behind %d rejected on first sight", behind)
 			}
 		}
 		for behind := uint64(0); behind < 64; behind++ {
-			if rw.accept(200-behind, 64) {
+			if rw.accept(200 - behind) {
 				t.Fatalf("behind %d accepted twice", behind)
 			}
 		}
-		if rw.accept(136, 64) { // behind 64 == width
-			t.Fatal("behind width accepted at width 64")
+		if rw.accept(136) { // behind 64 == replayWidth: too old to judge
+			t.Fatal("behind replayWidth accepted")
 		}
 	})
 }
 
 // TestAuthConfigValidate pins the edge cases.
 func TestAuthConfigValidate(t *testing.T) {
-	ok := []AuthConfig{{}, {Enabled: true}, {ReplayWindow: 64, Budget: 1}}
+	ok := []AuthConfig{{}, {Enabled: true}, {Parole: 40}}
 	for _, c := range ok {
 		if err := c.Validate(); err != nil {
 			t.Fatalf("config %+v should validate: %v", c, err)
 		}
 	}
-	bad := []AuthConfig{{ReplayWindow: -1}, {ReplayWindow: 65}, {Budget: -2}}
+	bad := []AuthConfig{{Parole: -1}}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Fatalf("config %+v should be rejected", c)

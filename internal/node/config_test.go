@@ -21,24 +21,12 @@ func TestSublayerConfigBoundaries(t *testing.T) {
 	probes := []probe{
 		// ReliableConfig: zero-valued fields select the defaults.
 		{"reliable zero", ReliableConfig{}.Validate, ""},
-		{"reliable explicit defaults", ReliableConfig{RetransmitAfter: 6, Backoff: 2, MaxRetries: 8, Jitter: 2, MinRTO: 2, MaxRTO: 64}.Validate, ""},
-		{"reliable backoff exactly 1", ReliableConfig{Backoff: 1}.Validate, ""},
-		{"reliable equal RTO bounds", ReliableConfig{MinRTO: 8, MaxRTO: 8}.Validate, ""},
+		{"reliable explicit defaults", ReliableConfig{RetransmitAfter: 6, MaxRetries: 8}.Validate, ""},
 		{"reliable negative RetransmitAfter", ReliableConfig{RetransmitAfter: -1}.Validate, "RetransmitAfter"},
-		{"reliable negative Jitter", ReliableConfig{Jitter: -1}.Validate, "Jitter"},
 		{"reliable negative MaxRetries", ReliableConfig{MaxRetries: -1}.Validate, "MaxRetries"},
-		{"reliable shrinking Backoff", ReliableConfig{Backoff: 0.5}.Validate, "Backoff"},
-		{"reliable negative MinRTO", ReliableConfig{MinRTO: -1}.Validate, "RTO"},
-		{"reliable negative MaxRTO", ReliableConfig{MaxRTO: -1}.Validate, "RTO"},
-		{"reliable inverted RTO bounds", ReliableConfig{MinRTO: 9, MaxRTO: 8}.Validate, "MinRTO 9 exceeds MaxRTO 8"},
 
-		// AuthConfig: ReplayWindow lives in [0, 64], 0 meaning the default.
+		// AuthConfig: Parole is nonnegative, 0 meaning permanent quarantine.
 		{"auth zero", AuthConfig{}.Validate, ""},
-		{"auth window low edge", AuthConfig{ReplayWindow: 1}.Validate, ""},
-		{"auth window high edge", AuthConfig{ReplayWindow: 64}.Validate, ""},
-		{"auth window below range", AuthConfig{ReplayWindow: -1}.Validate, "outside [0, 64]"},
-		{"auth window above range", AuthConfig{ReplayWindow: 65}.Validate, "outside [0, 64]"},
-		{"auth negative Budget", AuthConfig{Budget: -1}.Validate, "Budget"},
 		{"auth negative Parole", AuthConfig{Parole: -1}.Validate, "Parole"},
 
 		// AuditConfig: every knob is nonnegative, 0 meaning the default.
@@ -48,7 +36,6 @@ func TestSublayerConfigBoundaries(t *testing.T) {
 		{"audit negative Retain", AuditConfig{Retain: -1}.Validate, "Retain"},
 		{"audit negative HoldFor", AuditConfig{HoldFor: -1}.Validate, "HoldFor"},
 		{"audit negative PullInterval", AuditConfig{PullInterval: -1}.Validate, "PullInterval"},
-		{"audit negative PullFanout", AuditConfig{PullFanout: -1}.Validate, "PullFanout"},
 		{"audit negative PullBudget", AuditConfig{PullBudget: -1}.Validate, "PullBudget"},
 		{"audit PullTTL high edge", AuditConfig{PullTTL: 16}.Validate, ""},
 		{"audit PullTTL above range", AuditConfig{PullTTL: 17}.Validate, "outside [0, 16]"},
@@ -56,15 +43,6 @@ func TestSublayerConfigBoundaries(t *testing.T) {
 		{"audit retention fifo", AuditConfig{Retention: RetentionFIFO}.Validate, ""},
 		{"audit retention pinned", AuditConfig{Retention: RetentionPinned}.Validate, ""},
 		{"audit unknown retention", AuditConfig{Retention: "lru"}.Validate, "Retention"},
-
-		// IdentityConfig: RetainDeparted nonnegative, 0 meaning the default.
-		{"identity zero", IdentityConfig{}.Validate, ""},
-		{"identity durable zero retain", IdentityConfig{Durable: true}.Validate, ""},
-		{"identity retain low edge", IdentityConfig{RetainDeparted: 1}.Validate, ""},
-		{"identity negative RetainDeparted", IdentityConfig{RetainDeparted: -1}.Validate, "RetainDeparted"},
-		{"identity retain policy fifo", IdentityConfig{RetainPolicy: RetentionFIFO}.Validate, ""},
-		{"identity retain policy pinned", IdentityConfig{RetainPolicy: RetentionPinned}.Validate, ""},
-		{"identity unknown retain policy", IdentityConfig{RetainPolicy: "lru"}.Validate, "RetainPolicy"},
 
 		// StackConfig: FenceDepth in [0, 16], PrepareQuorum in (0, 1],
 		// everything else nonnegative; zero means the default throughout.
@@ -106,30 +84,20 @@ func TestSublayerConfigBoundaries(t *testing.T) {
 // boundary Validate's "0 means the default" promise depends on.
 func TestSublayerConfigDefaults(t *testing.T) {
 	rc := ReliableConfig{}.withDefaults()
-	if rc.RetransmitAfter != 6 || rc.Backoff != 2 || rc.MaxRetries != 8 ||
-		rc.Jitter != 2 || rc.MinRTO != 2 || rc.MaxRTO != 64 {
+	if rc.RetransmitAfter != 6 || rc.MaxRetries != 8 {
 		t.Errorf("reliable defaults: %+v", rc)
 	}
 	// Explicit values pass through untouched.
-	rc = ReliableConfig{RetransmitAfter: 3, Backoff: 1.5, MaxRetries: 2, Jitter: 1, MinRTO: 4, MaxRTO: 16}.withDefaults()
-	if rc.RetransmitAfter != 3 || rc.Backoff != 1.5 || rc.MaxRetries != 2 ||
-		rc.Jitter != 1 || rc.MinRTO != 4 || rc.MaxRTO != 16 {
+	rc = ReliableConfig{RetransmitAfter: 3, MaxRetries: 2}.withDefaults()
+	if rc.RetransmitAfter != 3 || rc.MaxRetries != 2 {
 		t.Errorf("reliable explicit values rewritten: %+v", rc)
-	}
-
-	ac := AuthConfig{}.withDefaults()
-	if ac.ReplayWindow != 64 || ac.Budget != 3 {
-		t.Errorf("auth defaults: %+v", ac)
-	}
-	if got := (AuthConfig{ReplayWindow: 8, Budget: 1}).withDefaults(); got.ReplayWindow != 8 || got.Budget != 1 {
-		t.Errorf("auth explicit values rewritten: %+v", got)
 	}
 
 	dc := AuditConfig{}.withDefaults()
 	if dc.GossipInterval != 8 || dc.GossipBudget != 8 || dc.Retain != 256 || dc.HoldFor != 16 {
 		t.Errorf("audit defaults: %+v", dc)
 	}
-	if dc.PullInterval != 16 || dc.PullTTL != 2 || dc.PullFanout != 2 ||
+	if dc.PullInterval != 16 || dc.PullTTL != 2 ||
 		dc.PullBudget != 64 || dc.Retention != RetentionPinned {
 		t.Errorf("audit pull defaults: %+v", dc)
 	}
@@ -146,14 +114,6 @@ func TestSublayerConfigDefaults(t *testing.T) {
 	}
 	if got := (AuditConfig{GossipInterval: 5, HoldFor: 3}).withDefaults(); got.HoldFor != 3 {
 		t.Errorf("audit explicit HoldFor rewritten: %+v", got)
-	}
-
-	ic := IdentityConfig{}.withDefaults()
-	if ic.Durable || ic.RetainDeparted != 1024 || ic.RetainPolicy != RetentionPinned {
-		t.Errorf("identity defaults: %+v", ic)
-	}
-	if got := (IdentityConfig{Durable: true, RetainDeparted: 2, RetainPolicy: RetentionFIFO}).withDefaults(); !got.Durable || got.RetainDeparted != 2 || got.RetainPolicy != RetentionFIFO {
-		t.Errorf("identity explicit values rewritten: %+v", got)
 	}
 
 	sc := StackConfig{}.withDefaults()

@@ -66,47 +66,18 @@ type IdentityConfig struct {
 	// session, and a rejoin is a fresh principal (peers' state about the
 	// old session is wiped, which is the laundering surface E25 measures).
 	Durable bool
-	// RetainDeparted caps how many departed entities' identity records
-	// the world keeps pending rejoin in durable mode; past the cap a
-	// record is deleted from the stable store (which one is
-	// RetainPolicy's call) and that identity, should it return, starts
-	// fresh. Bounds the identity ledger under infinite-arrival churn
-	// (the M^infty regime). Default 1024.
-	RetainDeparted int
-	// RetainPolicy selects which departed record the cap evicts:
-	// RetentionPinned (default) never evicts a CONVICTING record — one
-	// whose holder had quarantined someone at departure — while any
-	// unpinned record remains, so a sybil join/leave flood cannot cycle
-	// a witness's verdicts out of the store before it rejoins (the
-	// departed-record mirror of the audit sublayer's eviction fix);
-	// RetentionFIFO is the plain oldest-first behavior, kept so the
-	// eviction attack stays measurable.
-	RetainPolicy string
 }
 
-func (ic IdentityConfig) withDefaults() IdentityConfig {
-	if ic.RetainDeparted == 0 {
-		ic.RetainDeparted = 1024
-	}
-	if ic.RetainPolicy == "" {
-		ic.RetainPolicy = RetentionPinned
-	}
-	return ic
-}
-
-// Validate reports the first configuration error, or nil. Zero fields
-// mean their defaults, exactly as in Config.Validate.
-func (ic IdentityConfig) Validate() error {
-	if ic.RetainDeparted < 0 {
-		return fmt.Errorf("node: negative identity RetainDeparted %d", ic.RetainDeparted)
-	}
-	switch ic.RetainPolicy {
-	case "", RetentionPinned, RetentionFIFO:
-	default:
-		return fmt.Errorf("node: unknown identity RetainPolicy %q", ic.RetainPolicy)
-	}
-	return nil
-}
+// departedCap caps how many departed entities' identity records the
+// world keeps pending rejoin in durable mode; past the cap a record is
+// deleted from the stable store and that identity, should it return,
+// starts fresh. It bounds the identity ledger under infinite-arrival
+// churn (the M^infty regime). The cap never evicts a CONVICTING record —
+// one whose holder had quarantined someone at departure — while any
+// unpinned record remains, so a sybil join/leave flood cannot cycle a
+// witness's verdicts out of the store before it rejoins (the
+// departed-record mirror of the audit sublayer's eviction fix).
+const departedCap = 1024
 
 // IdentityCounters are the world-level identity bookkeeping totals.
 type IdentityCounters struct {
@@ -128,11 +99,10 @@ type IdentityCounters struct {
 	// old session shed the same way.
 	ConvictionsLaundered int
 	// RecordsEvicted counts departed-identity records dropped past
-	// RetainDeparted.
+	// departedCap.
 	RecordsEvicted int
 	// RecordsPinned counts departed-identity records pinned as
-	// convicting (their holder had quarantined someone at departure)
-	// under the RetentionPinned retain policy.
+	// convicting (their holder had quarantined someone at departure).
 	RecordsPinned int
 }
 
@@ -404,7 +374,7 @@ func (w *World) identArrive(p *Proc, a arrival) {
 			w.Trace.Mark(now, id, MarkIdentRestore)
 		}
 	case a.rejoin:
-		// The identity is present again, so the RetainDeparted cap must
+		// The identity is present again, so the departed-record cap must
 		// not evict (retire) the ledger its new session now uses. A record
 		// an earlier durable leave stored is stale from now on: the new
 		// session keeps counters of its own, so a later durable rejoin
@@ -500,17 +470,15 @@ func (w *World) DropIdentityRecord(id graph.NodeID) {
 	}
 }
 
-// retainDeparted tracks a persisted departed identity under the
-// RetainDeparted cap. convicting marks a record whose departing holder
-// had quarantined someone: under the RetentionPinned retain policy such
-// witness records are pinned and the cap evicts the oldest UNPINNED
-// record instead — a sybil join/leave flood then only cycles its own
-// empty-handed records out, and the witness's verdicts survive to its
+// retainDeparted tracks a persisted departed identity under departedCap.
+// convicting marks a record whose departing holder had quarantined
+// someone: such witness records are pinned and the cap evicts the oldest
+// UNPINNED record instead — a sybil join/leave flood then only cycles its
+// own empty-handed records out, and the witness's verdicts survive to its
 // rejoin. Only when every retained record is pinned does the cap fall
 // back to the oldest outright (the cap is exact, never exceeded).
 func (w *World) retainDeparted(id graph.NodeID, convicting bool) {
-	pinning := w.cfg.Identity.RetainPolicy != RetentionFIFO
-	if pinning && convicting && !w.departedPinned[id] {
+	if convicting && !w.departedPinned[id] {
 		lazySet(&w.departedPinned, id, true)
 		w.identStats.RecordsPinned++
 	}
@@ -519,11 +487,8 @@ func (w *World) retainDeparted(id graph.NodeID, convicting bool) {
 	}
 	lazySet(&w.departedSet, id, true)
 	w.departed = append(w.departed, id)
-	for len(w.departed) > w.cfg.Identity.RetainDeparted {
-		idx := 0
-		if pinning {
-			idx = max(0, slices.IndexFunc(w.departed, func(d graph.NodeID) bool { return !w.departedPinned[d] }))
-		}
+	for len(w.departed) > departedCap {
+		idx := max(0, slices.IndexFunc(w.departed, func(d graph.NodeID) bool { return !w.departedPinned[d] }))
 		old := w.departed[idx]
 		w.departed = append(w.departed[:idx], w.departed[idx+1:]...)
 		delete(w.departedSet, old)

@@ -207,7 +207,7 @@ func TestDurableResetRejoinSelfDefeats(t *testing.T) {
 func TestCrashMidParoleKeepsDeadline(t *testing.T) {
 	w, e, _ := authPairWorld(Config{
 		Seed: 13,
-		Auth: AuthConfig{Enabled: true, Budget: 3, Parole: 150},
+		Auth: AuthConfig{Enabled: true, Parole: 150},
 	})
 	e.At(10, func() { w.auth.quarantine(w, 2, 1) }) // parole deadline: 160
 	e.At(60, func() { w.Crash(2) })
@@ -233,14 +233,26 @@ func TestCrashMidParoleKeepsDeadline(t *testing.T) {
 	}
 }
 
+// fillDeparted tracks n pinned departed identities that hold no record,
+// numbered from 1000 up. Pinned, they keep their slots while any unpinned
+// record remains, so the departed-record cap binds on the next
+// departedCap-n records the test makes.
+func fillDeparted(w *World, n int) {
+	for i := 0; i < n; i++ {
+		w.retainDeparted(graph.NodeID(1000+i), true)
+	}
+}
+
 // TestRetainDepartedEviction bounds the durable ledger: past the cap the
-// oldest departed record is deleted, and that identity returns fresh.
+// oldest unpinned departed record is deleted, and that identity returns
+// fresh.
 func TestRetainDepartedEviction(t *testing.T) {
 	w, e, _ := authPairWorld(Config{
 		Seed:     23,
 		Auth:     AuthConfig{Enabled: true},
-		Identity: IdentityConfig{Durable: true, RetainDeparted: 1},
+		Identity: IdentityConfig{Durable: true},
 	})
+	fillDeparted(w, departedCap-1) // room for one record
 	e.At(1, func() { w.Join(3) })
 	e.At(5, func() { w.Proc(1).Send(2, "data", tamperInt{V: 1}) })
 	e.At(6, func() { w.Proc(3).Send(2, "data", tamperInt{V: 3}) })
@@ -262,11 +274,12 @@ func TestRetainDepartedEviction(t *testing.T) {
 
 // departedFloodWorld drives the departed-record eviction attack: witness
 // 2 quarantines 1 and departs; a sybil flood (10, 11, 12) then joins,
-// sends once and leaves, cycling records through the RetainDeparted=2
-// cap; the witness rejoins last.
+// sends once and leaves, cycling records through a cap with room for two;
+// the witness rejoins last.
 func departedFloodWorld(t *testing.T, cfg Config) *World {
 	t.Helper()
 	w, e, _ := authPairWorld(cfg)
+	fillDeparted(w, departedCap-2)
 	e.At(1, func() { w.Join(3) })
 	e.At(5, func() { w.Proc(1).Send(2, "data", tamperInt{V: 1}) })
 	e.At(6, func() { w.Proc(2).Send(3, "data", tamperInt{V: 2}) })
@@ -285,50 +298,22 @@ func departedFloodWorld(t *testing.T, cfg Config) *World {
 	return w
 }
 
-// TestRetainDepartedFIFOEvictionAttack measures the attack the pinned
-// retain policy closes: under plain FIFO, the sybil flood cycles the
-// departed witness's CONVICTING record out of the store before it
-// rejoins, and the quarantine it held dies with it — churn plus cheap
-// identities launder a verdict without ever touching the offender.
-func TestRetainDepartedFIFOEvictionAttack(t *testing.T) {
-	w := departedFloodWorld(t, Config{
-		Seed: 37,
-		Auth: AuthConfig{Enabled: true},
-		Identity: IdentityConfig{
-			Durable: true, RetainDeparted: 2, RetainPolicy: RetentionFIFO,
-		},
-	})
-	if w.Quarantined(2, 1) {
-		t.Fatal("FIFO arm kept the quarantine; the attack should succeed here")
-	}
-	tot := w.IdentityTotals()
-	if tot.RecordsPinned != 0 {
-		t.Fatalf("FIFO policy pinned %d records", tot.RecordsPinned)
-	}
-	if tot.RecordsEvicted != 2 {
-		t.Fatalf("%d evictions, want 2 (witness at cap overflow, then sybil 10)", tot.RecordsEvicted)
-	}
-}
-
-// TestRetainDepartedPinnedSurvivesFlood is the regression for the fix:
-// under the default pinned policy the witness's convicting record is
-// never the eviction victim while unpinned records remain, so the same
-// flood only cycles its own empty-handed sybil records and the restored
-// witness still holds the quarantine.
+// TestRetainDepartedPinnedSurvivesFlood: the witness's convicting
+// record is never the eviction victim while unpinned records remain, so
+// a sybil flood only cycles its own empty-handed records, and the
+// restored witness still holds the quarantine.
 func TestRetainDepartedPinnedSurvivesFlood(t *testing.T) {
 	w := departedFloodWorld(t, Config{
-		Seed: 37,
-		Auth: AuthConfig{Enabled: true},
-		Identity: IdentityConfig{
-			Durable: true, RetainDeparted: 2,
-		},
+		Seed:     37,
+		Auth:     AuthConfig{Enabled: true},
+		Identity: IdentityConfig{Durable: true},
 	})
 	if !w.Quarantined(2, 1) {
 		t.Fatal("sybil flood evicted the pinned convicting record")
 	}
 	tot := w.IdentityTotals()
-	if tot.RecordsPinned != 1 {
-		t.Fatalf("%d records pinned, want 1 (the witness)", tot.RecordsPinned)
+	if tot.RecordsPinned != departedCap-2+1 {
+		t.Fatalf("%d records pinned, want the %d fillers and the witness", tot.RecordsPinned, departedCap-2)
 	}
 	if tot.RecordsEvicted != 2 {
 		t.Fatalf("%d evictions, want 2 (the cap stays exact: sybils evict sybils)", tot.RecordsEvicted)
@@ -339,18 +324,19 @@ func TestRetainDepartedPinnedSurvivesFlood(t *testing.T) {
 }
 
 // TestSessionRejoinLeavesRetainedLedger: an identity that left durably
-// and came back session-keyed is present again, so the RetainDeparted cap
-// must not evict it. Here 2 broadcasts and leaves durably, the stack
+// and came back session-keyed is present again, so the departed-record
+// cap must not evict it. Here 2 broadcasts and leaves durably, the stack
 // turns session-keyed, 2 rejoins and broadcasts twice, the stack turns
-// durable again, and 3 broadcasts and leaves, filling the one-record cap:
-// 2's live broadcast counter survives.
+// durable again, the cap fills to one free slot, and 3 broadcasts and
+// leaves into it: 2's live broadcast counter survives.
 func TestSessionRejoinLeavesRetainedLedger(t *testing.T) {
 	w, e, _ := reconfigWorld(3, Config{
 		Seed: 29, MinLatency: 1, MaxLatency: 2,
 		Auth:     AuthConfig{Enabled: true},
 		Audit:    AuditConfig{Enabled: true},
-		Identity: IdentityConfig{Durable: true, RetainDeparted: 1},
+		Identity: IdentityConfig{Durable: true},
 	})
+	e.At(100, func() { fillDeparted(w, departedCap-1) })
 	e.At(5, func() { w.Proc(2).Broadcast("data", tamperInt{V: 0}) })
 	e.At(10, func() { w.Leave(2) })
 	e.At(20, func() { w.Reconfigure(1, StackConfig{}) })
@@ -389,7 +375,7 @@ func TestSessionRejoinDropsStaleDurableRecord(t *testing.T) {
 		Seed: 29, MinLatency: 1, MaxLatency: 2,
 		Auth:     AuthConfig{Enabled: true},
 		Audit:    AuditConfig{Enabled: true},
-		Identity: IdentityConfig{Durable: true, RetainDeparted: 4},
+		Identity: IdentityConfig{Durable: true},
 	})
 	// heldAbout2 counts the receipts the other entities hold from 2.
 	heldAbout2 := func() int {

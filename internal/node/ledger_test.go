@@ -109,8 +109,9 @@ func (c *chatter) Receive(*Proc, Message) {}
 // rejoining churn and an epoch switch, has every non-founder leave, and
 // checks the bound the per-entity records give by construction: each
 // sublayer's record map holds at most one record per PRESENT entity —
-// under durable identity, plus at most RetainDeparted audit ledgers kept
-// for the departed — and a departed sender's bseq memo is gone with its
+// under durable identity, plus at most retain audit ledgers kept for the
+// departed (pinned fillers take the cap's other slots) — and a departed
+// sender's bseq memo is gone with its
 // ledger. Then the founders leave too and the world quiesces: the
 // reliable window and every sender's list of live messages must be
 // empty, and the free list of recycled records no longer than the peak
@@ -132,9 +133,12 @@ func TestSublayerRecordsBoundedByTheLiving(t *testing.T) {
 			Reliable: ReliableConfig{Enabled: true},
 			Auth:     AuthConfig{Enabled: true},
 			Audit:    AuditConfig{Enabled: true, Pull: true},
-			Identity: IdentityConfig{Durable: durable, RetainDeparted: retain},
+			Identity: IdentityConfig{Durable: durable},
 			Reconfig: ReconfigConfig{Enabled: true},
 		})
+		if durable {
+			fillDeparted(w, departedCap-retain)
+		}
 		// Every message's first copy is transmitted right after it enters
 		// the window, so sampling there sees the peak in flight.
 		peak := 0
@@ -189,8 +193,8 @@ func TestSublayerRecordsBoundedByTheLiving(t *testing.T) {
 		if held != present {
 			t.Errorf("durable=%v: %d reconfig records for %d present entities", durable, held, present)
 		}
-		if got := len(w.departed); got > kept {
-			t.Errorf("durable=%v: %d departed identities tracked, cap %d", durable, got, kept)
+		if got := len(w.departed); durable && got > departedCap || !durable && got > 0 {
+			t.Errorf("durable=%v: %d departed identities tracked, cap %d", durable, got, departedCap)
 		}
 		for _, id := range w.DepartedEntities() {
 			if o := w.audit.observers[id]; o != nil && (o.bseqNext != 0 || len(o.bseqOf) != 0) {

@@ -172,8 +172,7 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("node: LossRate %v outside [0, 1]", cfg.LossRate)
 	}
 	for _, validate := range []func() error{
-		cfg.Reliable.Validate, cfg.Auth.Validate, cfg.Audit.Validate,
-		cfg.Identity.Validate, cfg.Pex.Validate,
+		cfg.Reliable.Validate, cfg.Auth.Validate, cfg.Audit.Validate, cfg.Pex.Validate,
 	} {
 		if err := validate(); err != nil {
 			return err
@@ -345,7 +344,6 @@ func NewWorld(engine *sim.Engine, overlay topology.Overlay, factory BehaviorFact
 	if cfg.Store == nil {
 		cfg.Store = NewMemStore()
 	}
-	cfg.Identity = cfg.Identity.withDefaults()
 	w := &World{
 		Engine:  engine,
 		Overlay: overlay,
@@ -363,7 +361,7 @@ func NewWorld(engine *sim.Engine, overlay topology.Overlay, factory BehaviorFact
 		w.hooks.arrive = append(w.hooks.arrive, func(p *Proc, _ arrival) { p.rel = w.rel.sender(p.ID) })
 	}
 	if cfg.Auth.Enabled {
-		w.auth = newAuthLayer(cfg.Auth.withDefaults())
+		w.auth = newAuthLayer(cfg.Auth)
 		stages[rankMAC], stages[rankReplay] = w.auth.admit, w.auth.admitSeq
 		w.hooks.arrive = append(w.hooks.arrive, func(p *Proc, _ arrival) { p.auth = w.auth.peer(p.ID) })
 		w.hooks.keepers = append(w.hooks.keepers, w.auth)

@@ -15,7 +15,7 @@ func paroleGapWorld(t *testing.T, leaveAt, joinAt sim.Time) *World {
 	t.Helper()
 	w, e, _ := authPairWorld(Config{
 		Seed:     31,
-		Auth:     AuthConfig{Enabled: true, Budget: 3, Parole: 150},
+		Auth:     AuthConfig{Enabled: true, Parole: 150},
 		Identity: IdentityConfig{Durable: true},
 	})
 	e.At(5, func() { w.Proc(1).Send(2, "data", tamperInt{V: 1}) })

@@ -52,7 +52,7 @@ func TestPexExchangeAllocations(t *testing.T) {
 		allocs = testing.AllocsPerRun(50, func() {
 			runs++
 			step()
-			e.RunUntil(e.Now() + w.pex.cfg.Cadence)
+			e.RunUntil(e.Now() + pex.Cadence)
 		})
 		tot := w.PexTotals()
 		if tot.Links == before.Links {
@@ -85,7 +85,7 @@ func TestPexExchangeAllocations(t *testing.T) {
 	}
 	for i := 0; i < 64*4; i++ { // every entity has left and rejoined
 		churn()
-		e.RunUntil(e.Now() + w.pex.cfg.Cadence)
+		e.RunUntil(e.Now() + pex.Cadence)
 	}
 	perCadence, msgsPer, _, unlinksPer := measure(churn)
 	if unlinksPer < 10 {
@@ -126,7 +126,7 @@ func BenchmarkPexChurn(b *testing.B) {
 				w.Join(back)
 			}
 		}
-		e.RunUntil(e.Now() + w.pex.cfg.Cadence)
+		e.RunUntil(e.Now() + pex.Cadence)
 	}
 	for i := 0; i < 2*n/batch; i++ { // every entity has left and rejoined twice
 		cadence()

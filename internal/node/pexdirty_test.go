@@ -197,7 +197,7 @@ func (d *dirtyDriver) apply(op, a, b byte) {
 			pexAttack(w, x, to, 1+int(a)%4, forged)
 		}
 	default: // let one to two cadence rounds pass
-		d.run(1 + int(a)%(2*int(w.pex.cfg.Cadence)))
+		d.run(1 + int(a)%(2*int(pex.Cadence)))
 		return
 	}
 	d.check(fmt.Sprintf("after op %d(%d, %d)", op%dirtyOps, a, b))
@@ -205,21 +205,20 @@ func (d *dirtyDriver) apply(op, a, b byte) {
 
 var dirtyPolicies = []pex.Policy{pex.PolicyRand, pex.PolicyHead, pex.PolicyTail, pex.PolicyPushPull}
 
-// dirtyConfig builds a pex world's config from a few knobs: small views,
-// several bootstrap contacts and a short refresh period make every
-// eviction path fire; defended adds the view audit over auth with parole,
-// so poison ends in quarantines and paroles end them.
-func dirtyConfig(seed uint64, policy pex.Policy, view, contacts, maxHop int, defended bool) Config {
+// dirtyConfig builds a pex world's config from a few knobs: small views
+// (down to one record, below the bootstrap contacts) make every eviction
+// path fire; defended adds the view audit over auth with parole, so
+// poison ends in quarantines and paroles end them.
+func dirtyConfig(seed uint64, policy pex.Policy, view int, defended bool) Config {
 	cfg := Config{
 		Seed: seed, MinLatency: 1, MaxLatency: 2,
 		Pex: pex.Config{
-			Enabled: true, Policy: policy, ViewSize: view, Fanout: min(view, 3),
-			BootstrapContacts: contacts, MaxHop: maxHop, RefreshEvery: 3, SampleEvery: 1 << 20,
+			Enabled: true, Policy: policy, ViewSize: view, SampleEvery: 1 << 20,
 		},
 	}
 	if defended {
 		cfg.Auth = AuthConfig{Enabled: true, Parole: 30}
-		cfg.Pex.Audit = pex.ViewAuditConfig{Enabled: true, KeySeed: 3, Budget: 1}
+		cfg.Pex.Audit = pex.ViewAuditConfig{Enabled: true, KeySeed: 3}
 	}
 	return cfg
 }
@@ -239,7 +238,7 @@ func TestReconcileDirtyCoversUnwanted(t *testing.T) {
 			for _, defended := range []bool{false, true} {
 				r := rng.New(seed*131 + uint64(len(policy)))
 				view := []int{1, 2, 3, 8}[r.Intn(4)]
-				cfg := dirtyConfig(seed, policy, view, 1+r.Intn(3), 3+r.Intn(6), defended)
+				cfg := dirtyConfig(seed, policy, view, defended)
 				d := newDirtyDriver(t, cfg, 16+r.Intn(16))
 				d.where = fmt.Sprintf("seed %d %s view %d defended %v", seed, policy, view, defended)
 				for step := 0; step < 150; step++ {
@@ -256,27 +255,26 @@ func TestReconcileDirtyCoversUnwanted(t *testing.T) {
 }
 
 // FuzzPexReconcile drives a pex world through a byte-coded script — the
-// first bytes pick policy, view size, bootstrap contacts, hop horizon and
-// defense; every three bytes after that are one operation and its two
-// operands (see dirtyDriver.apply) — and checks the dirty-list and
-// pending-list invariants after every operation and tick.
+// first bytes pick policy, view size and defense; every three bytes after
+// that are one operation and its two operands (see dirtyDriver.apply) —
+// and checks the dirty-list and pending-list invariants after every
+// operation and tick.
 func FuzzPexReconcile(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 4, 0, 11, 3, 0, 7, 1, 2, 11, 9, 0})
-	f.Add([]byte{1, 0, 1, 5, 1, 10, 2, 3, 11, 7, 0, 5, 1, 4, 11, 5, 0})
-	f.Add([]byte{2, 2, 0, 3, 0, 2, 4, 0, 11, 8, 0, 3, 0, 0, 11, 6, 0, 4, 2, 0, 11, 9, 0})
-	f.Add([]byte{3, 7, 2, 8, 1, 9, 1, 0, 11, 3, 0, 6, 0, 0, 11, 7, 0, 8, 3, 1, 11, 2, 0})
+	f.Add([]byte{0, 1, 0, 11, 3, 0, 7, 1, 2, 11, 9, 0})
+	f.Add([]byte{1, 0, 1, 10, 2, 3, 11, 7, 0, 5, 1, 4, 11, 5, 0})
+	f.Add([]byte{2, 2, 0, 2, 4, 0, 11, 8, 0, 3, 0, 0, 11, 6, 0, 4, 2, 0, 11, 9, 0})
+	f.Add([]byte{3, 7, 1, 9, 1, 0, 11, 3, 0, 6, 0, 0, 11, 7, 0, 8, 3, 1, 11, 2, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
-		if len(script) < 5 {
+		if len(script) < 3 {
 			return
 		}
-		cfg := dirtyConfig(uint64(script[0])+1, dirtyPolicies[script[0]%4], 1+int(script[1]%8),
-			1+int(script[2]%3), 2+int(script[3]%8), script[4]%2 == 1)
+		cfg := dirtyConfig(uint64(script[0])+1, dirtyPolicies[script[0]%4], 1+int(script[1]%8), script[2]%2 == 1)
 		d := newDirtyDriver(t, cfg, 6+int(script[1]/8)%10)
 		d.where = fmt.Sprintf("script %v", script)
-		ops := script[5:]
+		ops := script[3:]
 		for i := 0; i+2 < len(ops) && i < 3*64; i += 3 {
 			d.apply(ops[i], ops[i+1], ops[i+2])
 		}
-		d.run(2 * int(d.w.pex.cfg.Cadence))
+		d.run(2 * int(pex.Cadence))
 	})
 }

@@ -431,9 +431,9 @@ func (px *pexLayer) onJoin(p *Proc) {
 	var tick func()
 	tick = func() {
 		px.round(w, p)
-		p.After(px.cfg.Cadence, tick)
+		p.After(pex.Cadence, tick)
 	}
-	p.After(sim.Time(1+int64(p.ID)%int64(px.cfg.Cadence)), tick)
+	p.After(sim.Time(1+int64(p.ID)%int64(pex.Cadence)), tick)
 }
 
 // bootstrap introduces an entity with an EMPTY view to up to
@@ -451,7 +451,7 @@ func (px *pexLayer) bootstrap(w *World, p *Proc) {
 	if m == 0 {
 		return
 	}
-	k := px.cfg.BootstrapContacts
+	k := pex.BootstrapContacts
 	var picks []graph.NodeID
 	if k >= m {
 		picks = make([]graph.NodeID, m)
@@ -542,10 +542,10 @@ func (px *pexLayer) round(w *World, p *Proc) {
 		px.bootstrap(w, p)
 	}
 	pp.rounds++
-	if pp.rounds%px.cfg.RefreshEvery == 0 {
+	if pp.rounds%pex.RefreshEvery == 0 {
 		px.refresh(w, p)
 	}
-	px.dropBuf = v.Age(px.dropBuf[:0], px.cfg.MaxHop)
+	px.dropBuf = v.Age(px.dropBuf[:0], pex.MaxHop)
 	px.totals.Decayed += len(px.dropBuf)
 	px.touchAll(p.ID, px.dropBuf)
 	px.reconcile(w, p.ID, pp)
@@ -561,13 +561,13 @@ func (px *pexLayer) round(w *World, p *Proc) {
 }
 
 // ship sends one exchange batch: the sender's own freshly-minted record
-// plus up to Fanout-1 view records young enough to survive the transfer
-// increment, encoded into an exchange carved from the world's frame
-// arena.
+// plus up to min(MaxFanout, ViewSize)-1 view records young enough to
+// survive the transfer increment, encoded into an exchange carved from the
+// world's frame arena.
 func (px *pexLayer) ship(w *World, p *Proc, to graph.NodeID, tag string, pull bool) {
 	now := int64(w.Engine.Now())
 	buf := append(px.shipBuf[:0], pex.SignRecord(px.cfg.Audit.KeySeed, p.ID, now))
-	buf = p.pex.view.AppendRecords(buf, px.r, px.cfg.Policy, px.cfg.Fanout-1, px.cfg.MaxHop, to)
+	buf = p.pex.view.AppendRecords(buf, px.r, px.cfg.Policy, min(pex.MaxFanout, px.cfg.ViewSize)-1, pex.MaxHop, to)
 	px.shipBuf = buf
 	px.totals.RecordsShipped += len(buf)
 	ex := w.frames.exchange(pull, pex.WireSize(len(buf)))
@@ -676,7 +676,7 @@ func (px *pexLayer) onMessage(w *World, q *Proc, m Message) {
 			continue
 		}
 		if audit.Enabled {
-			if rec.Hop > px.cfg.MaxHop {
+			if rec.Hop > pex.MaxHop {
 				// Honest senders only ship records with hop < MaxHop, so
 				// an over-horizon arrival is a fabricated age.
 				px.reject(w, m.To, m.From, &px.totals.RejectedHop)
@@ -688,7 +688,7 @@ func (px *pexLayer) onMessage(w *World, q *Proc, m Message) {
 				px.reject(w, m.To, m.From, &px.totals.RejectedSig)
 				continue
 			}
-			if now-rec.Epoch > int64(audit.FreshFor) {
+			if now-rec.Epoch > int64(pex.FreshFor) {
 				// A genuinely-signed but stale claim: a replayed record of
 				// a departed member, or just slow gossip. Reject without a
 				// strike — honest peers legitimately hold old records.
@@ -716,7 +716,7 @@ func (px *pexLayer) onMessage(w *World, q *Proc, m Message) {
 }
 
 // repeats reports whether a record of id is among recs. A batch holds at
-// most Fanout records, so a scan beats building a set per exchange.
+// most pex.MaxFanout records, so a scan beats building a set per exchange.
 func repeats(recs []pex.Record, id graph.NodeID) bool {
 	for _, r := range recs {
 		if r.ID == id {
@@ -740,7 +740,7 @@ func (px *pexLayer) reject(w *World, by, offender graph.NodeID, counter *int) {
 	px.totals.Strikes++
 	pp := px.peer(by)
 	lazySet(&pp.strikes, offender, pp.strikes[offender]+1)
-	if pp.strikes[offender] <= px.cfg.Audit.Budget || pp.blocked[offender]&blockedOut != 0 {
+	if pp.strikes[offender] <= pex.AuditBudget || pp.blocked[offender]&blockedOut != 0 {
 		return
 	}
 	w.Trace.Mark(now, offender, MarkPexQuarantine)

@@ -114,7 +114,7 @@ func TestPexBootstrapsLateJoiner(t *testing.T) {
 // every view within the decay horizon — the self-healing half of the
 // membership protocol.
 func TestPexForgetsTheDeparted(t *testing.T) {
-	e, w := pexWorld(t, 8, Config{Seed: 3, Pex: pex.Config{Enabled: true, MaxHop: 8}})
+	e, w := pexWorld(t, 8, Config{Seed: 3, Pex: pex.Config{Enabled: true}})
 	w.PexSeedViews(topology.BuildRing(8))
 	e.RunUntil(100)
 	w.Leave(4)
@@ -152,7 +152,7 @@ func defendedConfig(seed uint64) Config {
 		Auth: AuthConfig{Enabled: true},
 		Pex: pex.Config{
 			Enabled: true,
-			Audit:   pex.ViewAuditConfig{Enabled: true, KeySeed: 9, Budget: 3},
+			Audit:   pex.ViewAuditConfig{Enabled: true, KeySeed: 9},
 		},
 	}
 }
@@ -196,13 +196,11 @@ func TestPexDefenseQuarantinesInjector(t *testing.T) {
 // record is refused yet never charges the forwarder — honest peers hold
 // old records, and striking them would manufacture false quarantines.
 func TestPexStaleRecordRejectedWithoutStrike(t *testing.T) {
-	cfg := defendedConfig(5)
-	cfg.Pex.Audit.FreshFor = 16
-	e, w := pexWorld(t, 6, cfg)
+	e, w := pexWorld(t, 6, defendedConfig(5))
 	w.PexSeedViews(topology.BuildRing(6))
 	e.RunUntil(100)
 	before := w.PexTotals()
-	stale := pex.SignRecord(9, 3, 10) // validly signed at tick 10, long past FreshFor
+	stale := pex.SignRecord(9, 3, 10) // validly signed at tick 10, long past pex.FreshFor
 	e.At(101, func() { pexAttack(w, 1, 2, 6, stale) })
 	e.RunUntil(140)
 	after := w.PexTotals()

@@ -190,7 +190,7 @@ func TestPexSamplerMatchesScan(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		e := sim.New()
 		w := NewWorld(e, topology.NewManual(), nil,
-			Config{Seed: seed, Pex: pex.Config{Enabled: true, MaxHop: 8}})
+			Config{Seed: seed, Pex: pex.Config{Enabled: true}})
 		n := 24
 		for i := 1; i <= n; i++ {
 			w.Join(graph.NodeID(i))

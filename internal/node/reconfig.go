@@ -118,7 +118,7 @@ type StackConfig struct {
 	// this epoch. Default 256 (the audit default).
 	Retain int
 	// PullFanout is the audit pull anti-entropy fanout under this epoch.
-	// Default 2 (the audit default).
+	// Default 2, the genesis fanout.
 	PullFanout int
 	// Retention selects the audit receipt eviction policy under this
 	// epoch: RetentionPinned (default) or RetentionFIFO.
@@ -651,17 +651,16 @@ func (w *World) ReconfigEnabled() bool { return w.reconfig != nil }
 func (w *World) GenesisStack() StackConfig { return w.stacks[0] }
 
 // genesisStack derives epoch 0 from the resolved sublayer configs: they
-// are the one source of truth for what the world starts as. The
-// handshake knobs (FenceDepth, DrainTimeout, PrepareQuorum) start at
-// their defaults and KeyEpoch at 0.
+// are the one source of truth for what the world starts as. The pull
+// fanout and the handshake knobs (FenceDepth, DrainTimeout,
+// PrepareQuorum) start at their defaults and KeyEpoch at 0.
 func (w *World) genesisStack() StackConfig {
 	audit := w.cfg.Audit.withDefaults()
 	return StackConfig{
-		Adaptive:   w.cfg.Reliable.Enabled && w.cfg.Reliable.Adaptive,
-		Durable:    w.cfg.Identity.Durable,
-		Retain:     audit.Retain,
-		PullFanout: audit.PullFanout,
-		Retention:  audit.Retention,
+		Adaptive:  w.cfg.Reliable.Enabled && w.cfg.Reliable.Adaptive,
+		Durable:   w.cfg.Identity.Durable,
+		Retain:    audit.Retain,
+		Retention: audit.Retention,
 	}.withDefaults()
 }
 

@@ -350,8 +350,8 @@ func TestReconfigDisabledIsInvisible(t *testing.T) {
 // TestIdleReconfigLayerIsInvisible: a world with the reconfiguration
 // layer on but never reconfigured runs exactly like one without it — the
 // same event sequence and the same sublayer totals — under non-default
-// genesis knobs (adaptive RTO, a small FIFO receipt store, pull fanout 3,
-// durable identity) and a corrupt/replay/crash/rejoin storm, so every
+// genesis knobs (adaptive RTO, a small FIFO receipt store, durable
+// identity) and a corrupt/replay/crash/rejoin storm, so every
 // per-epoch read takes its genesis value either way.
 func TestIdleReconfigLayerIsInvisible(t *testing.T) {
 	type run struct {
@@ -367,7 +367,7 @@ func TestIdleReconfigLayerIsInvisible(t *testing.T) {
 			MinLatency: 1, MaxLatency: 3, LossRate: 0.05, Seed: 21,
 			Reliable: ReliableConfig{Enabled: true, Adaptive: true},
 			Auth:     AuthConfig{Enabled: true, Parole: 60},
-			Audit:    AuditConfig{Enabled: true, Retain: 8, Retention: RetentionFIFO, Pull: true, PullFanout: 3},
+			Audit:    AuditConfig{Enabled: true, Retain: 8, Retention: RetentionFIFO, Pull: true},
 			Identity: IdentityConfig{Durable: true},
 			Reconfig: ReconfigConfig{Enabled: enabled},
 		})

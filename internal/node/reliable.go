@@ -48,43 +48,36 @@ type ReliableConfig struct {
 	Enabled bool
 	// RetransmitAfter is the first retransmission timeout. Default 6.
 	RetransmitAfter sim.Time
-	// Backoff multiplies the timeout after each retransmission. Default 2.
-	Backoff float64
 	// MaxRetries is the retry budget per message. Default 8.
 	MaxRetries int
-	// Jitter is the maximum deterministic jitter added to each timeout
-	// (drawn from the world's seeded stream, desynchronizing retry storms).
-	// Default 2.
-	Jitter sim.Time
 	// Adaptive replaces the fixed RetransmitAfter schedule with a
 	// Jacobson/Karels RTT estimator: per destination, SRTT and RTTVAR are
 	// tracked from acked un-retransmitted messages (Karn's rule), and the
 	// first timeout of each message is SRTT + 4·RTTVAR clamped to
-	// [MinRTO, MaxRTO]. Backoff still doubles the timeout across retries
-	// of one message. Until the first sample, RetransmitAfter applies.
+	// [minRTO, maxRTO]. The backoff still doubles the timeout across
+	// retries of one message. Until the first sample, RetransmitAfter
+	// applies.
 	Adaptive bool
-	// MinRTO and MaxRTO clamp the adaptive timeout. Defaults 2 and 64.
-	MinRTO, MaxRTO sim.Time
 }
+
+// The reliable sublayer's fixed retransmission timing.
+const (
+	// retryBackoff multiplies the timeout after each retransmission.
+	retryBackoff = 2
+	// retryJitter is the most deterministic jitter added to each timeout
+	// (drawn from the world's seeded stream, desynchronizing retry
+	// storms).
+	retryJitter = 2
+	// minRTO and maxRTO clamp the adaptive timeout.
+	minRTO, maxRTO sim.Time = 2, 64
+)
 
 func (rc ReliableConfig) withDefaults() ReliableConfig {
 	if rc.RetransmitAfter == 0 {
 		rc.RetransmitAfter = 6
 	}
-	if rc.Backoff == 0 {
-		rc.Backoff = 2
-	}
 	if rc.MaxRetries == 0 {
 		rc.MaxRetries = 8
-	}
-	if rc.Jitter == 0 {
-		rc.Jitter = 2
-	}
-	if rc.MinRTO == 0 {
-		rc.MinRTO = 2
-	}
-	if rc.MaxRTO == 0 {
-		rc.MaxRTO = 64
 	}
 	return rc
 }
@@ -96,20 +89,8 @@ func (rc ReliableConfig) Validate() error {
 	if rc.RetransmitAfter < 0 {
 		return fmt.Errorf("node: negative RetransmitAfter %d", rc.RetransmitAfter)
 	}
-	if rc.Jitter < 0 {
-		return fmt.Errorf("node: negative Jitter %d", rc.Jitter)
-	}
 	if rc.MaxRetries < 0 {
 		return fmt.Errorf("node: negative retry budget MaxRetries %d", rc.MaxRetries)
-	}
-	if rc.Backoff != 0 && rc.Backoff < 1 {
-		return fmt.Errorf("node: Backoff %v below 1 would shrink timeouts", rc.Backoff)
-	}
-	if rc.MinRTO < 0 || rc.MaxRTO < 0 {
-		return fmt.Errorf("node: negative RTO bound [%d, %d]", rc.MinRTO, rc.MaxRTO)
-	}
-	if rc.MinRTO != 0 && rc.MaxRTO != 0 && rc.MinRTO > rc.MaxRTO {
-		return fmt.Errorf("node: inverted RTO bounds: MinRTO %d exceeds MaxRTO %d", rc.MinRTO, rc.MaxRTO)
 	}
 	return nil
 }
@@ -276,14 +257,7 @@ func (rl *reliableLayer) firstDelivery(seq uint64) bool {
 func (rl *reliableLayer) rtoFor(adaptive bool, s *relSender, to graph.NodeID) sim.Time {
 	if adaptive {
 		if e := s.rtt[to]; e != nil && e.inited {
-			rto := sim.Time(e.rto() + 0.5)
-			if rto < rl.cfg.MinRTO {
-				rto = rl.cfg.MinRTO
-			}
-			if rto > rl.cfg.MaxRTO {
-				rto = rl.cfg.MaxRTO
-			}
-			return rto
+			return min(max(sim.Time(e.rto()+0.5), minRTO), maxRTO)
 		}
 	}
 	return rl.cfg.RetransmitAfter
@@ -363,10 +337,7 @@ func (rl *reliableLayer) recycle(pm *pendingMsg) {
 }
 
 func (rl *reliableLayer) scheduleRetry(w *World, pm *pendingMsg) {
-	delay := pm.timeout
-	if rl.cfg.Jitter > 0 {
-		delay += sim.Time(w.r.Intn(int(rl.cfg.Jitter) + 1))
-	}
+	delay := pm.timeout + sim.Time(w.r.Intn(retryJitter+1))
 	pm.w = w
 	pm.timer = w.Engine.AfterCall(delay, fireRetry, pm)
 }
@@ -402,7 +373,7 @@ func fireRetry(arg any) {
 	pm.from.Retries++
 	w.Trace.Mark(now, pm.m.From, MarkRetry)
 	w.transmit(pm.m)
-	pm.timeout = sim.Time(float64(pm.timeout) * rl.cfg.Backoff)
+	pm.timeout *= retryBackoff
 	rl.scheduleRetry(w, pm)
 }
 

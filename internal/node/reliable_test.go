@@ -228,16 +228,10 @@ func TestReliableConfigValidate(t *testing.T) {
 	}{
 		{"zero value", ReliableConfig{}, true},
 		{"enabled defaults", ReliableConfig{Enabled: true}, true},
-		{"explicit sane", ReliableConfig{Enabled: true, RetransmitAfter: 3, Backoff: 1.5, MaxRetries: 4}, true},
-		{"backoff exactly one", ReliableConfig{Backoff: 1}, true},
+		{"explicit sane", ReliableConfig{Enabled: true, RetransmitAfter: 3, MaxRetries: 4}, true},
 		{"adaptive defaults", ReliableConfig{Enabled: true, Adaptive: true}, true},
-		{"equal RTO bounds", ReliableConfig{Adaptive: true, MinRTO: 8, MaxRTO: 8}, true},
 		{"negative timeout", ReliableConfig{RetransmitAfter: -1}, false},
 		{"negative retry budget", ReliableConfig{MaxRetries: -2}, false},
-		{"shrinking backoff", ReliableConfig{Backoff: 0.5}, false},
-		{"negative min RTO", ReliableConfig{MinRTO: -1}, false},
-		{"negative max RTO", ReliableConfig{MaxRTO: -3}, false},
-		{"inverted RTO bounds", ReliableConfig{MinRTO: 10, MaxRTO: 4}, false},
 	} {
 		err := tc.cfg.Validate()
 		if tc.ok && err != nil {
@@ -254,11 +248,11 @@ func TestReliableConfigValidate(t *testing.T) {
 func TestNewWorldPanicsOnInvalidReliableConfig(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewWorld accepted a shrinking Backoff")
+			t.Fatal("NewWorld accepted a negative RetransmitAfter")
 		}
 	}()
 	NewWorld(sim.New(), topology.NewMesh(), nil, Config{
-		Reliable: ReliableConfig{Enabled: true, Backoff: 0.5},
+		Reliable: ReliableConfig{Enabled: true, RetransmitAfter: -1},
 	})
 }
 
@@ -342,7 +336,7 @@ func TestAdaptiveDeliversUnderLoss(t *testing.T) {
 		MaxLatency: 4,
 		Reliable: ReliableConfig{
 			Enabled: true, Adaptive: true,
-			MaxRetries: 12, MinRTO: 3,
+			MaxRetries: 12,
 		},
 	})
 	const n = 20
@@ -370,8 +364,8 @@ func TestAdaptiveDeliversUnderLoss(t *testing.T) {
 		t.Fatal("no clean ack ever fed the estimator")
 	}
 	// Karn's rule: the timeout derived from clean samples can never sink
-	// below the configured floor.
-	if rto := w.rel.rtoFor(true, w.rel.senders[1], 2); rto < 3 {
-		t.Fatalf("rtoFor = %d violates MinRTO 3", rto)
+	// below the floor.
+	if rto := w.rel.rtoFor(true, w.rel.senders[1], 2); rto < minRTO {
+		t.Fatalf("rtoFor = %d violates minRTO %d", rto, minRTO)
 	}
 }

@@ -47,7 +47,6 @@ type EpochAnswer struct {
 type ContinuousRun struct {
 	Querier graph.NodeID
 	answers []EpochAnswer
-	stopped bool
 }
 
 // Name identifies the protocol.
@@ -80,7 +79,7 @@ func (cf *ContinuousFlood) Launch(w *node.World, querier graph.NodeID) *Continuo
 // epochRound floods epoch's wave (its query ID), answers at the wave's
 // deadline whatever came home, and re-arms one Epoch later.
 func (cf *ContinuousFlood) epochRound(p *node.Proc, b *floodBehavior, epoch int) {
-	if !p.Alive() || cf.run.stopped || epoch > orDefault(cf.MaxEpochs, 50) {
+	if !p.Alive() || epoch > orDefault(cf.MaxEpochs, 50) {
 		return
 	}
 	started := int64(p.Now())

@@ -72,24 +72,6 @@ func TestContinuousTracksGrowingSystem(t *testing.T) {
 	}
 }
 
-// Stop ends the standing query after the current epoch.
-func (r *ContinuousRun) Stop() { r.stopped = true }
-
-func TestContinuousStop(t *testing.T) {
-	e := sim.New()
-	proto := &ContinuousFlood{TTL: 1, MaxLatency: 2, Epoch: 40, MaxEpochs: 50}
-	w := node.NewWorld(e, topology.NewMesh(), proto.Factory(), node.Config{Seed: 1})
-	w.Join(1)
-	w.Join(2)
-	run := proto.Launch(w, 1)
-	e.At(100, func() { run.Stop() })
-	e.RunUntil(5000)
-	w.Close()
-	if got := len(run.answers); got != 3 {
-		t.Fatalf("answers after Stop at t=100 with epoch 40: %d, want 3", got)
-	}
-}
-
 func TestContinuousDiesWithQuerier(t *testing.T) {
 	e := sim.New()
 	proto := &ContinuousFlood{TTL: 1, MaxLatency: 2, Epoch: 40, MaxEpochs: 50}

@@ -63,16 +63,21 @@ type ViewAuditConfig struct {
 	// KeySeed is the signing ceremony's seed (the pex analogue of
 	// AuditConfig.SigSeed). Zero is a valid seed.
 	KeySeed uint64
+}
+
+// The view audit's fixed thresholds.
+const (
 	// FreshFor is the freshness window in ticks: a record whose Epoch is
 	// older than this on arrival is rejected (without a strike — honest
 	// peers may hold records up to the decay horizon). Catches dead-record
-	// replays that keep their genuine old signature. Default 64.
-	FreshFor sim.Time
-	// Budget is the number of provably-bad records (invalid signature,
-	// impossible hop, duplicate within one exchange, undecodable wire
-	// bytes) a peer may send before the link is quarantined. Default 3.
-	Budget int
-}
+	// replays that keep their genuine old signature.
+	FreshFor sim.Time = 64
+	// AuditBudget is the number of provably-bad records (invalid
+	// signature, impossible hop, duplicate within one exchange,
+	// undecodable wire bytes) a peer may send before the link is
+	// quarantined.
+	AuditBudget = 3
+)
 
 // Config parameterizes a PEX overlay (node.Config.Pex).
 type Config struct {
@@ -81,23 +86,30 @@ type Config struct {
 	// the sublayer owns the edges.
 	Enabled bool
 	// ViewSize bounds each entity's partial view. Default 8, minimum 1.
+	// An exchange ships min(MaxFanout, ViewSize) records.
 	ViewSize int
-	// Cadence is the tick interval between an entity's exchange rounds.
-	// Default 4, must be positive.
-	Cadence sim.Time
-	// Fanout is the number of records shipped per exchange (the entity's
-	// own fresh record included). Default min(4, ViewSize); must stay
-	// within [1, ViewSize].
-	Fanout int
 	// Policy selects partners and records. Default pushpull.
 	Policy Policy
+	// SampleEvery is the tick interval of the overlay metrics sampler
+	// (connectivity, sybil fraction, clustering, in-degree). Default 8.
+	SampleEvery sim.Time
+	// Audit is the view-audit defense (off by default).
+	Audit ViewAuditConfig
+}
+
+// The exchange protocol's fixed constants.
+const (
+	// Cadence is the tick interval between an entity's exchange rounds.
+	Cadence sim.Time = 4
+	// MaxFanout caps the records shipped per exchange (the entity's own
+	// fresh record included); a view smaller than it ships ViewSize.
+	MaxFanout = 4
 	// MaxHop is the decay horizon: aging past it drops a record, and an
-	// arriving record older than it is rejected. Default 16, minimum 1.
-	MaxHop int
+	// arriving record older than it is rejected.
+	MaxHop = 16
 	// BootstrapContacts is how many present entities a joiner without a
 	// seeded view is introduced to (records minted fresh, links placed).
-	// Default 2, minimum 1.
-	BootstrapContacts int
+	BootstrapContacts = 2
 	// RefreshEvery re-contacts the bootstrap service for ONE fresh
 	// introduction every this many cadence rounds. Hop-ordered eviction
 	// keeps the nearest records, so views slowly specialize toward their
@@ -106,14 +118,9 @@ type Config struct {
 	// absorbing partition no exchange can repair, because exchanges only
 	// reach view members. The refresh bounds a partition's lifetime the
 	// same way real overlays do: by never fully letting go of the
-	// introduction service. Default 16 rounds, minimum 1.
-	RefreshEvery int
-	// SampleEvery is the tick interval of the overlay metrics sampler
-	// (connectivity, sybil fraction, clustering, in-degree). Default 8.
-	SampleEvery sim.Time
-	// Audit is the view-audit defense (off by default).
-	Audit ViewAuditConfig
-}
+	// introduction service.
+	RefreshEvery = 16
+)
 
 // WithDefaults fills the zero knobs of an enabled config.
 func (c Config) WithDefaults() Config {
@@ -123,37 +130,11 @@ func (c Config) WithDefaults() Config {
 	if c.ViewSize == 0 {
 		c.ViewSize = 8
 	}
-	if c.Cadence == 0 {
-		c.Cadence = 4
-	}
-	if c.Fanout == 0 {
-		c.Fanout = 4
-		if c.Fanout > c.ViewSize {
-			c.Fanout = c.ViewSize
-		}
-	}
 	if c.Policy == "" {
 		c.Policy = PolicyPushPull
 	}
-	if c.MaxHop == 0 {
-		c.MaxHop = 16
-	}
-	if c.BootstrapContacts == 0 {
-		c.BootstrapContacts = 2
-	}
-	if c.RefreshEvery == 0 {
-		c.RefreshEvery = 16
-	}
 	if c.SampleEvery == 0 {
 		c.SampleEvery = 8
-	}
-	if c.Audit.Enabled {
-		if c.Audit.FreshFor == 0 {
-			c.Audit.FreshFor = 64
-		}
-		if c.Audit.Budget == 0 {
-			c.Audit.Budget = 3
-		}
 	}
 	return c
 }
@@ -172,40 +153,11 @@ func (c Config) Validate() error {
 	if d.ViewSize < 1 {
 		return fmt.Errorf("pex: ViewSize %d below the 1-record minimum", d.ViewSize)
 	}
-	if d.Cadence <= 0 {
-		return fmt.Errorf("pex: Cadence %d must be positive", d.Cadence)
-	}
-	if d.Fanout < 1 {
-		return fmt.Errorf("pex: Fanout %d below the 1-record minimum", d.Fanout)
-	}
-	if d.Fanout > d.ViewSize {
-		return fmt.Errorf("pex: Fanout %d exceeds ViewSize %d", d.Fanout, d.ViewSize)
-	}
 	if _, err := ParsePolicy(string(d.Policy)); err != nil {
 		return err
 	}
-	if d.MaxHop < 1 {
-		return fmt.Errorf("pex: MaxHop %d below the 1-hop minimum", d.MaxHop)
-	}
-	if d.MaxHop > MaxWireHop {
-		return fmt.Errorf("pex: MaxHop %d exceeds the wire ceiling %d", d.MaxHop, MaxWireHop)
-	}
-	if d.BootstrapContacts < 1 {
-		return fmt.Errorf("pex: BootstrapContacts %d below the 1-contact minimum", d.BootstrapContacts)
-	}
-	if d.RefreshEvery < 1 {
-		return fmt.Errorf("pex: RefreshEvery %d below the 1-round minimum", d.RefreshEvery)
-	}
 	if d.SampleEvery <= 0 {
 		return fmt.Errorf("pex: SampleEvery %d must be positive", d.SampleEvery)
-	}
-	if d.Audit.Enabled {
-		if d.Audit.FreshFor <= 0 {
-			return fmt.Errorf("pex: view-audit FreshFor %d must be positive", d.Audit.FreshFor)
-		}
-		if d.Audit.Budget < 1 {
-			return fmt.Errorf("pex: view-audit Budget %d below the 1-strike minimum", d.Audit.Budget)
-		}
 	}
 	return nil
 }

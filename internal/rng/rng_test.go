@@ -111,37 +111,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-// Pareto returns a Pareto(xm, alpha) sample: heavy-tailed session lengths
-// observed in peer-to-peer systems. It panics if xm <= 0 or alpha <= 0.
-func (r *Rand) Pareto(xm, alpha float64) float64 {
-	if xm <= 0 || alpha <= 0 {
-		panic("rng: Pareto with non-positive parameter")
-	}
-	u := r.Float64()
-	return xm / math.Pow(1-u, 1/alpha)
-}
-
-func TestParetoTail(t *testing.T) {
-	r := New(17)
-	const xm, alpha = 1.0, 2.0
-	over := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		v := r.Pareto(xm, alpha)
-		if v < xm {
-			t.Fatalf("Pareto sample %v below scale %v", v, xm)
-		}
-		if v > 10 {
-			over++
-		}
-	}
-	// P(X > 10) = (xm/10)^alpha = 0.01.
-	frac := float64(over) / n
-	if frac < 0.005 || frac > 0.02 {
-		t.Errorf("Pareto tail fraction = %v, want ~0.01", frac)
-	}
-}
-
 func TestNormMoments(t *testing.T) {
 	r := New(19)
 	const mean, sd, n = 5.0, 2.0, 200000
@@ -202,15 +171,6 @@ func TestExpPanics(t *testing.T) {
 		}
 	}()
 	New(1).Exp(0)
-}
-
-func TestParetoPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Pareto(0,1) did not panic")
-		}
-	}()
-	New(1).Pareto(0, 1)
 }
 
 func BenchmarkUint64(b *testing.B) {

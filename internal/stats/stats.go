@@ -5,6 +5,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -81,13 +82,28 @@ func (s *Sample) Percentile(p float64) float64 {
 // Table renders aligned plain-text tables, one row of cells at a time —
 // the format every experiment prints its results in.
 type Table struct {
-	header []string
-	rows   [][]string
+	header  []string
+	rows    [][]string
+	context []bool // per column: machine-dependent context, not a result
 }
 
 // NewTable creates a table with the given column headers.
 func NewTable(header ...string) *Table {
-	return &Table{header: header}
+	return &Table{header: header, context: make([]bool, len(header))}
+}
+
+// Context marks the named columns as machine-dependent context — wall
+// rates, allocation counts, heap sizes — that two runs of one seed need
+// not share. Masked shows their cells as "~". It panics on a name the
+// header lacks.
+func (t *Table) Context(names ...string) {
+	for _, name := range names {
+		i := slices.Index(t.header, name)
+		if i < 0 {
+			panic(fmt.Sprintf("stats: no column %q", name))
+		}
+		t.context[i] = true
+	}
 }
 
 // AddRow appends a row; cells are stringified with %v. Rows shorter than
@@ -120,12 +136,29 @@ func formatFloat(v float64) string {
 }
 
 // String renders the table with aligned columns.
-func (t *Table) String() string {
+func (t *Table) String() string { return t.render(t.rows) }
+
+// Masked renders the table as String does, with every context cell shown
+// as "~": the text two runs of one seed share on any machine.
+func (t *Table) Masked() string {
+	rows := make([][]string, len(t.rows))
+	for r, row := range t.rows {
+		rows[r] = slices.Clone(row)
+		for i, ctx := range t.context {
+			if ctx {
+				rows[r][i] = "~"
+			}
+		}
+	}
+	return t.render(rows)
+}
+
+func (t *Table) render(rows [][]string) string {
 	widths := make([]int, len(t.header))
 	for i, h := range t.header {
 		widths[i] = len(h)
 	}
-	for _, row := range t.rows {
+	for _, row := range rows {
 		for i, c := range row {
 			if len(c) > widths[i] {
 				widths[i] = len(c)
@@ -150,7 +183,7 @@ func (t *Table) String() string {
 		rule[i] = strings.Repeat("-", widths[i])
 	}
 	out.WriteString(renderRow(rule))
-	for _, row := range t.rows {
+	for _, row := range rows {
 		out.WriteString(renderRow(row))
 	}
 	return out.String()

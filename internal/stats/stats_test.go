@@ -138,3 +138,26 @@ func TestTableOverlongRowPanics(t *testing.T) {
 	}()
 	tb.AddRow(1, 2)
 }
+
+func TestTableMasked(t *testing.T) {
+	tb := NewTable("n", "rate", "ok")
+	tb.AddRow(16, 1234.5, true)
+	tb.AddRow(64, 99.0, false)
+	tb.Context("rate")
+	want := "n   rate  ok\n--  ----  -----\n16  ~     true\n64  ~     false\n"
+	if got := tb.Masked(); got != want {
+		t.Fatalf("masked:\n%s\nwant:\n%s", got, want)
+	}
+	if !strings.Contains(tb.String(), "1234.500") {
+		t.Fatalf("Masked changed what String renders:\n%s", tb.String())
+	}
+}
+
+func TestTableContextUnknownColumnPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Context on a missing column did not panic")
+		}
+	}()
+	NewTable("a").Context("b")
+}

@@ -95,7 +95,7 @@ func TestCheckerIgnoresForeignAndMalformedMarks(t *testing.T) {
 // retained trace or by the live streaming sink over a count-only trace.
 func churnyRegisterRun(seed uint64, countOnly bool) Report {
 	const n, horizon = 16, 500
-	c := NewClient(Config{Seed: seed, SampleEvery: 10})
+	c := NewClient(Config{Seed: seed})
 	e := sim.New()
 	w := node.NewWorld(e, topology.NewRing(seed), c.Factory(), node.Config{MinLatency: 1, MaxLatency: 3, Seed: seed})
 	var sc *StreamChecker

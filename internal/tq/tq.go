@@ -91,27 +91,34 @@ type Config struct {
 	Walkers int
 	// Lease fixes the attempt window and value lease outright. 0 (the
 	// default) sizes the lease from the measured churn rate instead:
-	// LeaseScale/rate, clamped to [MinLease, MaxLease], where rate is the
-	// EWMA per-member turnover per tick sampled every SampleEvery ticks
+	// leaseScale/rate, clamped to [minLease, MaxLease], where rate is the
+	// EWMA per-member turnover per tick sampled every sampleEvery ticks
 	// (see Client.Attach).
 	Lease sim.Time
-	// MinLease / MaxLease bound the auto-sized lease. Defaults 16 / 192.
-	MinLease sim.Time
+	// MaxLease bounds the auto-sized lease from above. Default 192.
 	MaxLease sim.Time
-	// LeaseScale is the turnover fraction the lease tolerates: the
-	// auto-sized lease expires once rate*lease reaches it. Default 0.5.
-	LeaseScale float64
-	// SampleEvery is the churn estimator's sampling period. Default 16.
-	SampleEvery sim.Time
-	// RetryBudget is how many times an operation relaunches after its
-	// first attempt's lease expires. Default 3.
-	RetryBudget int
-	// Backoff is the delay before the first retry; each further retry
-	// doubles it. Default 8.
-	Backoff sim.Time
 	// Seed feeds the per-replica walk randomness.
 	Seed uint64
 }
+
+// The register's fixed lease sizing and retry schedule. The lease follows
+// the churn the client measures; the rule that sizes it is the same in
+// every run.
+const (
+	// minLease bounds the auto-sized lease from below.
+	minLease sim.Time = 16
+	// leaseScale is the turnover fraction the lease tolerates: the
+	// auto-sized lease expires once rate*lease reaches it.
+	leaseScale = 0.5
+	// sampleEvery is the churn estimator's sampling period.
+	sampleEvery sim.Time = 16
+	// retryBudget is how many times an operation relaunches after its
+	// first attempt's lease expires.
+	retryBudget = 3
+	// retryBackoff is the delay before the first retry; each further
+	// retry doubles it.
+	retryBackoff sim.Time = 8
+)
 
 // WithDefaults returns a copy with every zero field replaced by its
 // default.
@@ -122,23 +129,8 @@ func (c Config) WithDefaults() Config {
 	if c.WalkTTL == 0 {
 		c.WalkTTL = 8
 	}
-	if c.MinLease == 0 {
-		c.MinLease = 16
-	}
 	if c.MaxLease == 0 {
 		c.MaxLease = 192
-	}
-	if c.LeaseScale == 0 {
-		c.LeaseScale = 0.5
-	}
-	if c.SampleEvery == 0 {
-		c.SampleEvery = 16
-	}
-	if c.RetryBudget == 0 {
-		c.RetryBudget = 3
-	}
-	if c.Backoff == 0 {
-		c.Backoff = 8
 	}
 	return c
 }
@@ -160,23 +152,8 @@ func (c Config) Validate() error {
 	if d.Lease < 0 {
 		return fmt.Errorf("tq: Lease %d must be non-negative (0 = auto-size from churn)", d.Lease)
 	}
-	if d.MinLease < 1 {
-		return fmt.Errorf("tq: MinLease %d must be at least 1", d.MinLease)
-	}
-	if d.MaxLease < d.MinLease {
-		return fmt.Errorf("tq: MaxLease %d must be at least MinLease %d", d.MaxLease, d.MinLease)
-	}
-	if d.LeaseScale <= 0 || math.IsNaN(d.LeaseScale) || math.IsInf(d.LeaseScale, 0) {
-		return fmt.Errorf("tq: LeaseScale %v must be a positive finite number", d.LeaseScale)
-	}
-	if d.SampleEvery < 1 {
-		return fmt.Errorf("tq: SampleEvery %d must be at least 1", d.SampleEvery)
-	}
-	if d.RetryBudget < 0 || d.RetryBudget > 32 {
-		return fmt.Errorf("tq: RetryBudget %d must be in [0, 32]", d.RetryBudget)
-	}
-	if d.Backoff < 1 {
-		return fmt.Errorf("tq: Backoff %d must be at least 1", d.Backoff)
+	if d.MaxLease < minLease {
+		return fmt.Errorf("tq: MaxLease %d must be at least the minimum lease %d", d.MaxLease, minLease)
 	}
 	return nil
 }
@@ -261,14 +238,7 @@ func (c *Client) EffectiveLease() sim.Time {
 	if c.rate <= 0 {
 		return c.cfg.MaxLease
 	}
-	l := sim.Time(c.cfg.LeaseScale / c.rate)
-	if l < c.cfg.MinLease {
-		return c.cfg.MinLease
-	}
-	if l > c.cfg.MaxLease {
-		return c.cfg.MaxLease
-	}
-	return l
+	return min(max(sim.Time(leaseScale/c.rate), minLease), c.cfg.MaxLease)
 }
 
 // quorumSize is ceil(QuorumCoeff*sqrt(n)) clamped to [1, n].
@@ -320,20 +290,20 @@ func (c *Client) Bootstrap(w *node.World, initial float64) {
 	}
 }
 
-// Attach installs the churn estimator: every SampleEvery ticks it reads
+// Attach installs the churn estimator: every sampleEvery ticks it reads
 // the world's membership turnover counters and folds the per-member rate
 // into an EWMA. Stop the returned ticker at horizon. Without Attach an
 // auto-sized lease stays at MaxLease (rate 0) — fine for static worlds.
 func (c *Client) Attach(w *node.World) *sim.Ticker {
 	j, l := w.Turnover()
 	c.lastJoins, c.lastLeaves = j, l
-	return w.Engine.Every(c.cfg.SampleEvery, func() {
+	return w.Engine.Every(sampleEvery, func() {
 		j, l := w.Turnover()
 		n := w.PresentCount()
 		if n < 1 {
 			n = 1
 		}
-		obs := float64((j-c.lastJoins)+(l-c.lastLeaves)) / (float64(n) * float64(c.cfg.SampleEvery))
+		obs := float64((j-c.lastJoins)+(l-c.lastLeaves)) / (float64(n) * float64(sampleEvery))
 		c.lastJoins, c.lastLeaves = j, l
 		if !c.rateInit {
 			c.rate, c.rateInit = obs, true
@@ -659,14 +629,14 @@ func (b *replica) expire(p *node.Proc, op *opState, attempt int) {
 		return
 	}
 	c := b.client
-	if op.attempt > c.cfg.RetryBudget {
+	if op.attempt > retryBudget {
 		b.softFail(p, op)
 		return
 	}
 	op.expired = true
 	c.counters.Retries++
 	p.Mark(fmt.Sprintf("%s:%d:%d", MarkRetry, op.op, op.attempt))
-	backoff := c.cfg.Backoff << (op.attempt - 1)
+	backoff := retryBackoff << (op.attempt - 1)
 	p.After(backoff, func() {
 		if op.done {
 			return

@@ -113,7 +113,7 @@ func TestInactiveJoinerReadIsServed(t *testing.T) {
 // ran out — they must be discarded (not counted toward a later attempt's
 // quorum) and the operation must fail soft once the budget is spent.
 func TestLeaseExpiresMidAssembly(t *testing.T) {
-	c := NewClient(Config{Seed: 3, Lease: 16, RetryBudget: 2, Backoff: 4})
+	c := NewClient(Config{Seed: 3, Lease: 16})
 	w, e := meshWorld(c, 16, node.Config{MinLatency: 30, MaxLatency: 40, Seed: 3})
 	c.Write(w, 1, 5)
 	e.RunUntil(600)
@@ -122,17 +122,17 @@ func TestLeaseExpiresMidAssembly(t *testing.T) {
 	if cc.WriteSofts != 1 || cc.WriteQuorums != 0 {
 		t.Fatalf("write should have soft-failed: %+v", cc)
 	}
-	if cc.Retries != 2 {
-		t.Fatalf("want exactly RetryBudget=2 retries, got %d", cc.Retries)
+	if cc.Retries != retryBudget {
+		t.Fatalf("want exactly retryBudget=%d retries, got %d", retryBudget, cc.Retries)
 	}
 	if cc.LateResponses == 0 {
 		t.Fatal("expired attempts' responses were never seen arriving late")
 	}
 	rep := Check(w.Trace)
-	if rep.WriteSofts != 1 || rep.Retries != 2 || rep.WriteQuorums != 0 {
+	if rep.WriteSofts != 1 || rep.Retries != retryBudget || rep.WriteQuorums != 0 {
 		t.Fatalf("checker: %+v", rep)
 	}
-	if countMarks(w.Trace, MarkRetry) != 2 || countMarks(w.Trace, MarkWriteSoft) != 1 {
+	if countMarks(w.Trace, MarkRetry) != retryBudget || countMarks(w.Trace, MarkWriteSoft) != 1 {
 		t.Fatal("retry/soft marks missing from trace")
 	}
 }
@@ -142,7 +142,7 @@ func TestLeaseExpiresMidAssembly(t *testing.T) {
 // the deterministic backoff schedule and then fail soft with the
 // best-known (local) value instead of hanging.
 func TestRetryBudgetExhaustionSoftFail(t *testing.T) {
-	c := NewClient(Config{Seed: 4, Lease: 20, RetryBudget: 3, Backoff: 8})
+	c := NewClient(Config{Seed: 4, Lease: 20})
 	e := sim.New()
 	// A manual overlay with no links: members are present but isolated.
 	w := node.NewWorld(e, topology.NewManual(), c.Factory(), node.Config{Seed: 4})
@@ -223,7 +223,7 @@ func TestCrashMidWriteRecoveryBridging(t *testing.T) {
 // The churn estimator sizes the lease from measured turnover: a static
 // world keeps the lease at MaxLease, a churning one pulls it down.
 func TestChurnSizedLease(t *testing.T) {
-	c := NewClient(Config{Seed: 6, SampleEvery: 10})
+	c := NewClient(Config{Seed: 6})
 	e := sim.New()
 	w := node.NewWorld(e, topology.NewRing(6), c.Factory(), node.Config{Seed: 6})
 	for i := 1; i <= 20; i++ {
@@ -251,8 +251,8 @@ func TestChurnSizedLease(t *testing.T) {
 		t.Fatal("estimator measured no churn")
 	}
 	lease := c.EffectiveLease()
-	if lease < c.cfg.MinLease || lease >= c.cfg.MaxLease {
-		t.Fatalf("churn-sized lease %d outside (MinLease, MaxLease)", lease)
+	if lease < minLease || lease >= c.cfg.MaxLease {
+		t.Fatalf("churn-sized lease %d outside [minLease, MaxLease)", lease)
 	}
 	if lease < 20 || lease > 32 {
 		t.Fatalf("lease %d far from the 25 the turnover implies", lease)

@@ -92,11 +92,12 @@ func TestEveryInternalPackageIsReached(t *testing.T) {
 
 // TestEveryIdentifierIsReached type-checks the whole module and fails
 // naming each package-level function, method, type, constant or variable
-// under internal/ or cmd/ that no program reaches, and each exported
-// option field that non-test code reads but never sets. An identifier
-// that only its own package's tests use belongs in a _test.go file; one
-// nothing uses goes; a field no program sets is a constant. What must
-// stay anyway is listed in identAllowlist with its reason.
+// under internal/ or cmd/ that no program reaches, and each field that
+// non-test code reads but never sets, or sets only as a default in
+// withDefaults. An identifier that only its own package's tests use
+// belongs in a _test.go file; one nothing uses goes; a field no program
+// sets is a constant. What must stay anyway is listed in identAllowlist
+// with its reason.
 func TestEveryIdentifierIsReached(t *testing.T) {
 	flagged, err := scanIdentifiers(".")
 	if err != nil {
@@ -122,6 +123,8 @@ func TestIdentifierScanFixture(t *testing.T) {
 		"internal/lib.Gone: allowlisted but no longer flagged: drop the entry",
 		"internal/lib.Options.Unset: non-test code reads this field but never sets it: fold it into a constant",
 		"internal/lib.OwnTestOnly: only its own package's tests use it: move it into a _test.go file or delete it",
+		"internal/lib.Run.stopped: non-test code reads this field but never sets it: fold it into a constant",
+		"internal/lib.Tuned.Fixed: only withDefaults sets it: fold it into a constant",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -141,12 +144,17 @@ var identAllowlist = map[string]string{
 // the run, so no program sets them but the construction is live.
 const partitionerWhy = "the C2 partition construction, pinned by internal/exp's digest cell"
 
-// The three verdicts scanIdentifiers can return for an identifier.
+// The four verdicts scanIdentifiers can return for an identifier.
 const (
 	flagUnreached = "nothing reaches it: delete it"
 	flagOwnTests  = "only its own package's tests use it: move it into a _test.go file or delete it"
 	flagUnset     = "non-test code reads this field but never sets it: fold it into a constant"
+	flagDefaulted = "only withDefaults sets it: fold it into a constant"
 )
+
+// fieldUses records, per field key, whether non-test code reads the
+// field, writes it, or writes it as a default inside withDefaults.
+type fieldUses struct{ read, written, defaulted map[string]bool }
 
 // judgeIdentifiers turns the scan's findings into sorted failure messages:
 // one per flagged identifier the allowlist does not name, and one per
@@ -214,9 +222,9 @@ type identScan struct {
 // method of an interface the module declares or a std package it imports
 // declares. A use from another package's test reaches too, since that
 // code cannot move; a use from the package's own tests alone earns
-// flagOwnTests. An exported field is flagged when non-test code reads it
-// and never writes it (composite literal, assignment, ++/--, address
-// taken or encoding/json decoding).
+// flagOwnTests. A field is flagged when non-test code reads it and never
+// writes it (see fieldAccess), or writes it only through the receiver of
+// a withDefaults or WithDefaults method: a default no program overrides.
 func scanIdentifiers(dir string) (map[string]string, error) {
 	s := &identScan{
 		fset:   token.NewFileSet(),
@@ -489,7 +497,7 @@ func (s *identScan) judge() map[string]string {
 			}
 		}
 	}
-	written, read := map[string]bool{}, map[string]bool{}
+	use := fieldUses{read: map[string]bool{}, written: map[string]bool{}, defaulted: map[string]bool{}}
 	stdImports := map[string]bool{}
 
 	for _, u := range s.units {
@@ -511,7 +519,7 @@ func (s *identScan) judge() map[string]string {
 				}
 				continue
 			}
-			s.fieldAccess(u.info, f, written, read)
+			s.fieldAccess(u.info, f, use)
 			ast.Inspect(f, func(n ast.Node) bool {
 				if it, ok := n.(*ast.InterfaceType); ok {
 					addIface(u.info.Types[it].Type)
@@ -626,8 +634,12 @@ func (s *identScan) judge() map[string]string {
 			flagged[k] = flagUnreached
 		}
 	}
-	for v, k := range s.fields {
-		if v.Exported() && read[k] && !written[k] && (strings.HasPrefix(k, "internal/") || strings.HasPrefix(k, "cmd/")) {
+	for _, k := range s.fields {
+		switch {
+		case !use.read[k] || use.written[k] || !strings.HasPrefix(k, "internal/") && !strings.HasPrefix(k, "cmd/"):
+		case use.defaulted[k]:
+			flagged[k] = flagDefaulted
+		default:
 			flagged[k] = flagUnset
 		}
 	}
@@ -636,17 +648,62 @@ func (s *identScan) judge() map[string]string {
 
 // fieldAccess sorts every use of a field in f into a read or a write.
 // Writes are composite literal elements, assignments, ++/--, an address
-// taken (explicitly or by a pointer-receiver call) and encoding/json
-// decoding into a value that holds the field.
-func (s *identScan) fieldAccess(info *types.Info, f *ast.File, written, read map[string]bool) {
-	writes := map[*ast.Ident]bool{}
-	var markChain func(e ast.Expr)
-	markChain = func(e ast.Expr) {
+// taken (explicitly or by a pointer-receiver call), each of those made to
+// an element of the field (x.f[i] = …) and encoding/json decoding into a
+// value that holds the field. A write made through the receiver of a
+// withDefaults or WithDefaults method counts apart, as a default.
+func (s *identScan) fieldAccess(info *types.Info, f *ast.File, use fieldUses) {
+	for _, decl := range f.Decls {
+		var recv types.Object
+		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil && len(fd.Recv.List[0].Names) > 0 &&
+			(fd.Name.Name == "withDefaults" || fd.Name.Name == "WithDefaults") {
+			recv = info.Defs[fd.Recv.List[0].Names[0]]
+		}
+		s.declFieldAccess(info, decl, recv, use)
+	}
+}
+
+// declFieldAccess records the field uses of one declaration; recv, when
+// not nil, is the receiver of a withDefaults method whose writes count as
+// defaults.
+func (s *identScan) declFieldAccess(info *types.Info, decl ast.Decl, recv types.Object, use fieldUses) {
+	write := func(k string, byDefault bool) {
+		if byDefault {
+			use.defaulted[k] = true
+		} else {
+			use.written[k] = true
+		}
+	}
+	// fromRecv reports whether the chain e is rooted at recv.
+	fromRecv := func(e ast.Expr) bool {
+		for recv != nil {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.Ident:
+				return info.Uses[x] == recv
+			default:
+				return false
+			}
+		}
+		return false
+	}
+	writes := map[*ast.Ident]bool{} // selector -> whether the write is a default
+	var markChain func(e ast.Expr, byDefault bool)
+	markChain = func(e ast.Expr, byDefault bool) {
 		switch x := e.(type) {
 		case *ast.ParenExpr:
-			markChain(x.X)
+			markChain(x.X, byDefault)
+		case *ast.IndexExpr:
+			markChain(x.X, byDefault)
 		case *ast.SelectorExpr:
-			writes[x.Sel] = true
+			writes[x.Sel] = byDefault
 			// A promoted field is written through the embedded fields
 			// that lead to it.
 			if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
@@ -657,16 +714,17 @@ func (s *identScan) fieldAccess(info *types.Info, f *ast.File, written, read map
 					}
 					f := t.Underlying().(*types.Struct).Field(i)
 					if k := s.key(f); k != "" {
-						written[k] = true
+						write(k, byDefault)
 					}
 					t = f.Type()
 				}
 			}
-			markChain(x.X)
+			markChain(x.X, byDefault)
 		case *ast.StarExpr:
-			markChain(x.X)
+			markChain(x.X, byDefault)
 		}
 	}
+	mark := func(e ast.Expr) { markChain(e, fromRecv(e)) }
 	var markType func(t types.Type, seen map[types.Type]bool)
 	markType = func(t types.Type, seen map[types.Type]bool) {
 		if seen[t] {
@@ -687,28 +745,28 @@ func (s *identScan) fieldAccess(info *types.Info, f *ast.File, written, read map
 		case *types.Struct:
 			for i := 0; i < x.NumFields(); i++ {
 				if k := s.key(x.Field(i)); k != "" {
-					written[k] = true
+					write(k, false)
 				}
 				markType(x.Field(i).Type(), seen)
 			}
 		}
 	}
-	ast.Inspect(f, func(n ast.Node) bool {
+	ast.Inspect(decl, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.AssignStmt:
 			for _, l := range x.Lhs {
-				markChain(l)
+				mark(l)
 			}
 		case *ast.IncDecStmt:
-			markChain(x.X)
+			mark(x.X)
 		case *ast.UnaryExpr:
 			if x.Op == token.AND {
-				markChain(x.X)
+				mark(x.X)
 			}
 		case *ast.SelectorExpr:
 			if sel := info.Selections[x]; sel != nil && sel.Kind() == types.MethodVal && !sel.Indirect() {
 				if _, ptr := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); ptr {
-					markChain(x.X)
+					mark(x.X)
 				}
 			}
 		case *ast.CompositeLit:
@@ -726,10 +784,10 @@ func (s *identScan) fieldAccess(info *types.Info, f *ast.File, written, read map
 			for i, e := range x.Elts {
 				if kv, ok := e.(*ast.KeyValueExpr); ok {
 					if id, ok := kv.Key.(*ast.Ident); ok {
-						writes[id] = true
+						writes[id] = false
 					}
 				} else if k := s.key(st.Field(i)); k != "" {
-					written[k] = true
+					write(k, false)
 				}
 			}
 		case *ast.CallExpr:
@@ -755,16 +813,19 @@ func (s *identScan) fieldAccess(info *types.Info, f *ast.File, written, read map
 		}
 		return true
 	})
-	ast.Inspect(f, func(n ast.Node) bool {
+	ast.Inspect(decl, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		if !ok {
 			return true
 		}
-		if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
-			if k := s.key(v); k != "" {
-				written[k] = written[k] || writes[id]
-				read[k] = read[k] || !writes[id]
-			}
+		v, ok := info.Uses[id].(*types.Var)
+		if !ok || !v.IsField() || s.key(v) == "" {
+			return true
+		}
+		if byDefault, ok := writes[id]; ok {
+			write(s.key(v), byDefault)
+		} else {
+			use.read[s.key(v)] = true
 		}
 		return true
 	})

@@ -19,6 +19,13 @@ func main() {
 	opts := lib.Options{Set: 2}
 	fmt.Println(opts.Set, opts.Unset)
 
+	var run lib.Run
+	var bits lib.Bits
+	var wheel lib.Wheel
+	bits.Set(3)
+	wheel.Reset()
+	fmt.Println(lib.Tuned{Knob: 1}.Total(), run.Step(), bits.Has(3), wheel.Slot(0))
+
 	var cfg lib.Config
 	if err := json.NewDecoder(os.Stdin).Decode(&cfg); err == nil {
 		fmt.Println(cfg.Name)

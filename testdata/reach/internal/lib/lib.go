@@ -37,3 +37,62 @@ type Options struct {
 type Config struct {
 	Name string
 }
+
+// Tuned has one field the program sets and one that only its defaults set.
+type Tuned struct {
+	Knob  int
+	Fixed int
+}
+
+func (t Tuned) withDefaults() Tuned {
+	if t.Fixed == 0 {
+		t.Fixed = 4
+	}
+	return t
+}
+
+// Total sums the resolved fields.
+func (t Tuned) Total() int {
+	t = t.withDefaults()
+	return t.Knob + t.Fixed
+}
+
+// Run reads a flag nothing ever raises.
+type Run struct {
+	steps   int
+	stopped bool
+}
+
+// Step advances the run unless it was stopped.
+func (r *Run) Step() int {
+	if !r.stopped {
+		r.steps++
+	}
+	return r.steps
+}
+
+// Bits is written only through an element's address, as a bitmap page is.
+type Bits struct{ words [2]uint64 }
+
+// Set raises bit i.
+func (b *Bits) Set(i int) {
+	w := &b.words[i>>6]
+	*w |= 1 << (i & 63)
+}
+
+// Has reports bit i.
+func (b *Bits) Has(i int) bool { return b.words[i>>6]&(1<<(i&63)) != 0 }
+
+// Wheel is written only by assigning its elements, as a timing wheel's
+// buckets are.
+type Wheel struct{ slots [4]int }
+
+// Reset empties every slot.
+func (w *Wheel) Reset() {
+	for i := range w.slots {
+		w.slots[i] = -1
+	}
+}
+
+// Slot returns slot i.
+func (w *Wheel) Slot(i int) int { return w.slots[i] }
