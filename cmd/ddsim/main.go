@@ -73,7 +73,7 @@ func main() {
 		rejoinSpec  = flag.String("rejoin", "", "rejoin clause body appended to -faults, e.g. 'nodes=3,down=40@200' or 'nodes=3,down=40,reset=1@200' (see internal/fault)")
 		reconfSpec  = flag.String("reconfig", "", "reconfig clause body appended to -faults, e.g. 'nodes=1,rotate=1@200' or 'every=80,count=4,rotate=1,retain=64@120' (enables the reconfiguration layer; see internal/fault)")
 		bridgeRe    = flag.Bool("bridge-rejoins", false, "judge Validity over rejoin-bridged sessions (same-identity rejoiners and crash-recoverers count as stable; subsumes -bridge-recoveries)")
-		pexOn       = flag.Bool("pex", false, "maintain the overlay through the partial-view peer-exchange membership layer (replaces -overlay with the view-driven manual overlay; -auth adds the view-audit defense)")
+		pexOn       = flag.Bool("pex", false, "maintain the overlay through the partial-view peer-exchange membership layer (the view-driven manual overlay replaces -overlay, so -overlay and -k are refused with it; -auth adds the view-audit defense)")
 		pexPolicy   = flag.String("pex-policy", "pushpull", "pex exchange policy: rand, head, tail, pushpull")
 		pexView     = flag.Int("pex-view", 8, "pex partial-view size")
 		poisonSpec  = flag.String("poison", "", "poison clause body appended to -faults, e.g. 'nodes=4+9,rate=1,sybils=3,base=1000@24-' (requires -pex; see internal/fault)")
@@ -127,6 +127,8 @@ func main() {
 		{"write-every read-every ops-at", *tqOn || *dynOn, "a register workload (-tq or -dynreg)"},
 		{"session double-every quiesce-at", *arrival > 0, "-arrival > 0"},
 		{"k", *overlayName == "random-k", "-overlay random-k"},
+		{"overlay k", !*pexOn, "a configured overlay (-pex derives its own from the views)"},
+		{"query-at", *protoName != "none", "a query -protocol"},
 		{"ttl", *protoName == "flood-ttl" || *protoName == "flood-repeat", "-protocol flood-ttl or flood-repeat"},
 		{"bridge-recoveries bridge-rejoins", *protoName != "none", "a query -protocol"},
 	} {

@@ -80,6 +80,9 @@ func TestRejectedFlags(t *testing.T) {
 		{"-quiesce-at 300", "-quiesce-at has no effect without -arrival > 0"},
 		{"-k 4", "-k has no effect without -overlay random-k"},
 		{"-pex -k 4", "-k has no effect without -overlay random-k"},
+		{"-overlay random-k -k 4 -pex -n 16 -horizon 50 -protocol none", "-overlay has no effect without a configured overlay (-pex derives its own from the views)"},
+		{"-overlay ring -pex", "-overlay has no effect without a configured overlay (-pex derives its own from the views)"},
+		{"-protocol none -query-at 50", "-query-at has no effect without a query -protocol"},
 		{"-ttl 3", "-ttl has no effect without -protocol flood-ttl or flood-repeat"},
 		{"-protocol none -bridge-recoveries", "-bridge-recoveries has no effect without a query -protocol"},
 		{"-protocol none -tq -bridge-rejoins", "-bridge-rejoins has no effect without a query -protocol"},

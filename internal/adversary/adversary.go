@@ -44,6 +44,9 @@ func (fg *FrontierGrower) Attach(w *node.World) func() {
 	}
 	next := firstGrownID
 	tk := w.Engine.Every(every, func() {
+		if next < 0 { // next++ wrapped past graph.MaxNodeID
+			panic("adversary: the frontier grower ran out of identities")
+		}
 		w.Join(next)
 		next++
 	})

@@ -176,6 +176,9 @@ func New(seed uint64, cfg Config) *Generator {
 }
 
 func (g *Generator) allocID() graph.NodeID {
+	if g.nextID == graph.MaxNodeID {
+		panic(fmt.Sprintf("churn: identities exhausted: every ID up to %d is handed out", graph.MaxNodeID))
+	}
 	g.nextID++
 	return g.nextID
 }

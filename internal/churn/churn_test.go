@@ -1,6 +1,8 @@
 package churn
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -391,4 +393,21 @@ func BenchmarkGenerate(b *testing.B) {
 		g := New(uint64(i), Config{InitialPopulation: 50, ArrivalRate: 1, Session: ExpSessions(30)})
 		drain(g, 1000)
 	}
+}
+
+// TestAllocIDRefusesOverflow: the generator hands out graph.MaxNodeID
+// and then panics with a message, rather than wrapping to a negative ID
+// that would alias no identity or a reused one.
+func TestAllocIDRefusesOverflow(t *testing.T) {
+	g := New(1, Config{InitialPopulation: 1, Immortal: true})
+	g.nextID = graph.MaxNodeID - 1
+	if id := g.allocID(); id != graph.MaxNodeID {
+		t.Fatalf("allocID = %d, want %d", id, graph.MaxNodeID)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "identities exhausted") {
+			t.Fatalf("allocID past MaxNodeID recovered %v, want an identities-exhausted panic", r)
+		}
+	}()
+	g.allocID()
 }

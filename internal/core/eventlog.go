@@ -3,7 +3,7 @@ package core
 import "repro/internal/graph"
 
 // eventLog is a full trace's append-only event store, kept pointer-free
-// so the collector never scans it: a list of chunks of 24-byte records
+// so the collector never scans it: a list of chunks of 16-byte records
 // that are never reallocated once made, and a tick column. Recording
 // appends into the last chunk, or opens a new one when it is full, so a
 // record is written once and never copied again — a single doubling slice

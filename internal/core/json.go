@@ -24,7 +24,7 @@ func EncodeTrace(w io.Writer, tr *Trace) error {
 
 // DecodeTrace reads a JSON trace written by EncodeTrace. It accepts only
 // what a run can record: events at non-negative times in non-decreasing
-// order, a Join only of an absent entity, a Leave only of a present one,
+// order, naming identities in [0, graph.MaxNodeID], a Join only of an absent entity, a Leave only of a present one,
 // and an end no earlier than the last event. Edge events may name an
 // absent endpoint: a crashed entity's edges linger in the overlay, so
 // later edge-downs still name it.
@@ -46,6 +46,9 @@ func DecodeTrace(r io.Reader) (*Trace, error) {
 		}
 		if ev.Kind > TMark {
 			return nil, fmt.Errorf("core: trace event %d has unknown kind %d", i, ev.Kind)
+		}
+		if ev.P < 0 || ev.Q < 0 {
+			return nil, fmt.Errorf("core: trace event %d names identity %d, outside [0, %d]", i, min(ev.P, ev.Q), graph.MaxNodeID)
 		}
 		if (ev.Kind == TEdgeUp || ev.Kind == TEdgeDown) && ev.P == ev.Q {
 			return nil, fmt.Errorf("core: trace event %d is a self-loop edge on %d", i, ev.P)

@@ -63,6 +63,11 @@ var impossibleTraces = []struct{ name, in, want string }{
 	{"end before the last event", `{"end": 1, "events": [
 		{"At": 0, "Kind": 0, "P": 1}, {"At": 7, "Kind": 1, "P": 1}]}`,
 		"end 1 precedes event 1 at t=7"},
+	{"negative identity", `{"end": 5, "events": [{"At": 1, "Kind": 0, "P": -1}]}`,
+		"event 0 names identity -1, outside [0, 2147483647]"},
+	{"negative edge endpoint", `{"end": 5, "events": [
+		{"At": 0, "Kind": 0, "P": 1}, {"At": 2, "Kind": 2, "P": 1, "Q": -4}]}`,
+		"event 1 names identity -4, outside [0, 2147483647]"},
 }
 
 func TestDecodeRejectsImpossibleTraces(t *testing.T) {

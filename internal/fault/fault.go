@@ -339,8 +339,8 @@ func (c *Clause) Validate() error {
 		if c.Down <= 0 {
 			return fmt.Errorf("fault: rejoin clause needs down > 0")
 		}
-		if c.Sybil < 0 {
-			return fmt.Errorf("fault: negative rejoin sybil base %d", c.Sybil)
+		if c.Sybil < 0 || int64(c.Sybil)+int64(len(c.Nodes)) > int64(graph.MaxNodeID)+1 {
+			return fmt.Errorf("fault: rejoin sybil identities from %d run outside [0, %d]", c.Sybil, graph.MaxNodeID)
 		}
 		if c.Sybil != 0 && c.Reset {
 			return fmt.Errorf("fault: rejoin sybil arm has no record to reset")
@@ -451,8 +451,8 @@ func (c *Clause) Validate() error {
 		if c.Sybils > 0 && c.Sybil == 0 {
 			return fmt.Errorf("fault: poison sybils need a base identity (base=)")
 		}
-		if c.Sybil < 0 {
-			return fmt.Errorf("fault: negative poison sybil base %d", c.Sybil)
+		if c.Sybil < 0 || int64(c.Sybil)+int64(c.Sybils) > int64(graph.MaxNodeID)+1 {
+			return fmt.Errorf("fault: poison sybil identities from %d run outside [0, %d]", c.Sybil, graph.MaxNodeID)
 		}
 		if c.Target < 0 {
 			return fmt.Errorf("fault: negative poison target %d", c.Target)

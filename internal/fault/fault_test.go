@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -305,6 +306,39 @@ func TestParseErrors(t *testing.T) {
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
+		}
+	}
+}
+
+// TestParseRejectsOutOfRangeIDs pins that every identity key refuses a
+// value outside [0, graph.MaxNodeID] with a message naming the range,
+// rather than truncating it to a 32-bit ID, and that a sybil run may not
+// count past the largest identity.
+func TestParseRejectsOutOfRangeIDs(t *testing.T) {
+	for _, tc := range []struct{ plan, want string }{
+		{"crash:nodes=2147483648", "outside [0, 2147483647]"},
+		{"crash:nodes=1+-1", "outside [0, 2147483647]"},
+		{"poison:nodes=4,rate=1,sybils=3,base=-1", "outside [0, 2147483647]"},
+		{"poison:nodes=4,rate=1,target=4294967298", "outside [0, 2147483647]"},
+		{"blackout:pair=1>4294967296", "outside [0, 2147483647]"},
+		{"blackout:pair=-2>1", "outside [0, 2147483647]"},
+		{"equiv:nodes=3,peers=2+18446744073709551615,p=1", "value out of range"},
+		{"forge:as=2147483648,p=0.1", "outside [0, 2147483647]"},
+		{"rejoin:nodes=3,down=60,sybil=9223372036854775807", "outside [0, 2147483647]"},
+		{"rejoin:nodes=3+9,down=60,sybil=2147483647", "sybil identities from 2147483647 run outside [0, 2147483647]"},
+		{"poison:nodes=4,rate=1,sybils=3,base=2147483646", "sybil identities from 2147483646 run outside [0, 2147483647]"},
+	} {
+		if _, err := Parse(tc.plan); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Parse(%q) = %v, want an error containing %q", tc.plan, err, tc.want)
+		}
+	}
+	for _, ok := range []string{
+		"crash:nodes=2147483647",
+		"rejoin:nodes=3,down=60,sybil=2147483647",
+		"poison:nodes=4,rate=1,sybils=2,base=2147483646",
+	} {
+		if _, err := Parse(ok); err != nil {
+			t.Errorf("Parse(%q): %v", ok, err)
 		}
 	}
 }

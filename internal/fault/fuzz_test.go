@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"reflect"
 	"strconv"
@@ -260,7 +261,8 @@ func itoa(v int64) string {
 // FuzzReceipt hammers the audit receipt's wire form — the one piece of
 // evidence the equivocation adversary is most motivated to malform. Three
 // properties must hold for arbitrary bytes and field values: decode never
-// panics and accepts exactly 32-byte inputs, encode/decode round-trips
+// panics and accepts exactly 32-byte inputs whose sender is an identity
+// (in [0, graph.MaxNodeID]), encode/decode round-trips
 // every receipt bit-exactly (a lossy field would let two distinct
 // fingerprints collapse into one and erase a contradiction), and a
 // verifier is fooled by a signature only when it was honestly produced —
@@ -271,8 +273,20 @@ func FuzzReceipt(f *testing.F) {
 	f.Add(uint64(3), uint64(1), uint64(0xdeadbeef), uint64(7))
 	f.Add(^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0))
 	f.Add(uint64(5), uint64(1)<<63, uint64(0x9e3779b97f4a7c15), uint64(1))
+	f.Add(uint64(graph.MaxNodeID), uint64(2), uint64(3), uint64(4))
+	f.Add(uint64(1)<<31, uint64(2), uint64(3), uint64(4))
 	f.Fuzz(func(t *testing.T, sender, bseq, fp, junk uint64) {
-		r := node.Receipt{Sender: graph.NodeID(sender), BSeq: bseq, FP: fp, Sig: junk}
+		id, err := graph.WireID(sender)
+		if err != nil {
+			// A sender outside [0, MaxNodeID] is refused, never truncated.
+			wire := node.EncodeReceipt(node.Receipt{BSeq: bseq, FP: fp, Sig: junk})
+			binary.LittleEndian.PutUint64(wire, sender)
+			if back, err := node.DecodeReceipt(wire); err == nil {
+				t.Fatalf("sender %d decoded as %d", sender, back.Sender)
+			}
+			return
+		}
+		r := node.Receipt{Sender: id, BSeq: bseq, FP: fp, Sig: junk}
 		wire := node.EncodeReceipt(r)
 		if len(wire) != 32 {
 			t.Fatalf("wire form is %d bytes, want 32", len(wire))
@@ -293,7 +307,7 @@ func FuzzReceipt(f *testing.F) {
 		// A junk signature must only verify if it happens to be the honest
 		// one; re-signing honestly must always verify, including across the
 		// wire.
-		signed := node.SignReceipt(graph.NodeID(sender), bseq, fp)
+		signed := node.SignReceipt(id, bseq, fp)
 		if !node.VerifyReceipt(signed) {
 			t.Fatalf("honestly signed receipt failed verification: %+v", signed)
 		}

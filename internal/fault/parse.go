@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strconv"
@@ -159,19 +160,13 @@ func (c *Clause) setParam(key, val string) error {
 	case "reset":
 		c.Reset, err = strconv.ParseBool(val)
 	case "sybil", "base":
-		var n int64
-		if n, err = strconv.ParseInt(val, 10, 64); err == nil {
-			c.Sybil = graph.NodeID(n)
-		}
+		c.Sybil, err = parseID(val)
 	case "sybils":
 		c.Sybils, err = strconv.Atoi(val)
 	case "dead":
 		c.Dead, err = strconv.Atoi(val)
 	case "target":
-		var n int64
-		if n, err = strconv.ParseInt(val, 10, 64); err == nil {
-			c.Target = graph.NodeID(n)
-		}
+		c.Target, err = parseID(val)
 	case "droppull":
 		c.DropPull, err = strconv.ParseBool(val)
 	case "groups":
@@ -195,38 +190,37 @@ func (c *Clause) setParam(key, val string) error {
 		}
 	case "nodes":
 		for _, part := range strings.Split(val, "+") {
-			n, perr := strconv.ParseInt(part, 10, 64)
+			id, perr := parseID(part)
 			if perr != nil {
-				return fmt.Errorf("bad node id %q", part)
+				return fmt.Errorf("bad node id %q: %v", part, perr)
 			}
-			c.Nodes = append(c.Nodes, graph.NodeID(n))
+			c.Nodes = append(c.Nodes, id)
 		}
 	case "peers":
 		for _, part := range strings.Split(val, "+") {
-			n, perr := strconv.ParseInt(part, 10, 64)
+			id, perr := parseID(part)
 			if perr != nil {
-				return fmt.Errorf("bad peer id %q", part)
+				return fmt.Errorf("bad peer id %q: %v", part, perr)
 			}
-			c.Peers = append(c.Peers, graph.NodeID(n))
+			c.Peers = append(c.Peers, id)
 		}
 	case "as":
-		n, perr := strconv.ParseInt(val, 10, 64)
+		id, perr := parseID(val)
 		if perr != nil {
-			return fmt.Errorf("bad claimed sender %q", val)
+			return fmt.Errorf("bad claimed sender %q: %v", val, perr)
 		}
-		id := graph.NodeID(n)
 		c.As = &id
 	case "pair":
 		fromStr, toStr, ok := strings.Cut(val, ">")
 		if !ok {
 			return fmt.Errorf("pair %q is not from>to", val)
 		}
-		from, e1 := strconv.ParseInt(fromStr, 10, 64)
-		to, e2 := strconv.ParseInt(toStr, 10, 64)
+		from, e1 := parseID(fromStr)
+		to, e2 := parseID(toStr)
 		if e1 != nil || e2 != nil {
-			return fmt.Errorf("bad pair %q", val)
+			return fmt.Errorf("bad pair %q: %v", val, cmp.Or(e1, e2))
 		}
-		c.Pair = &[2]graph.NodeID{graph.NodeID(from), graph.NodeID(to)}
+		c.Pair = &[2]graph.NodeID{from, to}
 	default:
 		return fmt.Errorf("unknown parameter %q", key)
 	}
@@ -234,6 +228,16 @@ func (c *Clause) setParam(key, val string) error {
 		return fmt.Errorf("bad value for %s: %v", key, err)
 	}
 	return nil
+}
+
+// parseID parses a decimal identity, rejecting values outside
+// [0, graph.MaxNodeID] instead of truncating them.
+func parseID(s string) (graph.NodeID, error) {
+	n, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		return 0, err
+	}
+	return graph.WireID(uint64(n))
 }
 
 func fmtF(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"math"
 	"reflect"
 	"slices"
 	"sort"
@@ -199,8 +198,8 @@ func agree(t *testing.T, where string, g *Graph, ref *refGraph, ids []NodeID, bf
 // one id in turn. Every tenth step BFS must agree from every id, and a
 // Clone must agree too and stay independent: changing the clone leaves
 // the original as it was. Even seeds draw ids 0..n-1; odd seeds draw
-// them from spreadIDs, across the adjacency table's page boundaries and
-// its map fallback.
+// them from spreadIDs, across the adjacency table's page and book
+// boundaries.
 func TestAdjacencyMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 300; seed++ {
 		r := rng.New(seed)
@@ -261,13 +260,15 @@ func TestAdjacencyMatchesReference(t *testing.T) {
 }
 
 // spreadIDs holds 41 distinct ids on both sides of the adjacency table's
-// page boundaries and of its map fallback (negative ids, and 2^31 and
-// above), the extremes included.
+// page and book boundaries, up to MaxNodeID.
 var spreadIDs = []NodeID{
 	0, 1, pageSize - 1, pageSize, pageSize + 1, 2*pageSize - 1, 2 * pageSize, 5*pageSize + 7,
-	-1, -2, -pageSize, math.MinInt64, math.MinInt64 + 1,
-	denseIDs - 1, denseIDs - 2, denseIDs - pageSize, denseIDs, denseIDs + 1, denseIDs + pageSize,
-	math.MaxInt64, math.MaxInt64 - 1, math.MaxInt32 + 2, 1 << 40,
+	bookIDs - 1, bookIDs, bookIDs + 1, 2 * bookIDs, 3*bookIDs + 5,
+	MaxNodeID, MaxNodeID - 1, MaxNodeID - pageSize + 1, MaxNodeID - pageSize, MaxNodeID - bookIDs, MaxNodeID - bookIDs + 1,
+	1<<30 - 1, 1 << 30, 1<<30 + 1, 1 << 24,
 	2, 3, 511, 512, 1000, 1500, 2047, 3000, 3071, 3072, 4095, 4096, 9999,
-	-3, -1000, -1 << 31, -1 << 40, math.MaxInt64 - pageSize,
+	1<<25 + 3, 77777, 123456, 1<<29 + pageSize, MaxNodeID - 2,
 }
+
+// bookIDs is how many consecutive IDs one book of the table pages.
+const bookIDs = 1 << (pageBits + bookBits)

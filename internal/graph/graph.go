@@ -10,11 +10,29 @@
 // deterministic (sorted by node ID) so that simulations replay exactly.
 package graph
 
-import "slices"
+import (
+	"fmt"
+	"math"
+	"slices"
+)
 
 // NodeID identifies a process/entity. IDs are assigned by the arrival
-// model and never reused within a run.
-type NodeID int64
+// model and never reused within a run. The arrival models hand out small
+// non-negative IDs, so 32 bits carry every one.
+type NodeID int32
+
+// MaxNodeID is the largest identity: every ID source refuses to hand out
+// one beyond it, and every wire decoder to read one.
+const MaxNodeID NodeID = math.MaxInt32
+
+// WireID converts a 64-bit wire field (a signed ID's two's complement) to
+// an identity, refusing one outside [0, MaxNodeID] instead of truncating.
+func WireID(u uint64) (NodeID, error) {
+	if u > uint64(MaxNodeID) {
+		return 0, fmt.Errorf("identity %d is outside [0, %d]", int64(u), MaxNodeID)
+	}
+	return NodeID(u), nil
+}
 
 // Graph is an undirected simple graph. The zero value is not usable;
 // construct with New. Self-loops are rejected.

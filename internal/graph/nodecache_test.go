@@ -32,20 +32,24 @@ func TestNodeCacheMatchesSortedKeys(t *testing.T) {
 	for seed := uint64(1); seed <= 60; seed++ {
 		r := rng.New(seed)
 		g := New()
+		// Identities are non-negative, so the descending arm counts
+		// down from mid to 1 and the other draws lie in [mid, mid+80).
+		const mid = 400
+		small := func(k int) NodeID { return mid + NodeID(r.Intn(k)) }
 		next := NodeID(1000)
-		for step := 0; step < 400; step++ {
+		for step := 0; step < mid; step++ {
 			switch r.Intn(9) {
 			case 0: // ascending: a fresh ID above every one so far
 				next++
 				g.AddNode(next)
 			case 1: // descending: below every one so far
-				g.AddNode(NodeID(-step))
+				g.AddNode(NodeID(mid - step))
 			case 2: // anywhere, often a duplicate
-				g.AddNode(NodeID(r.Intn(64)))
+				g.AddNode(small(64))
 			case 3, 4: // present or absent
-				g.RemoveNode(NodeID(r.Intn(64)))
+				g.RemoveNode(small(64))
 			case 5:
-				if u, v := NodeID(r.Intn(64)), NodeID(r.Intn(80)); u != v {
+				if u, v := small(64), small(80); u != v {
 					g.AddEdge(u, v)
 				}
 			case 6:
@@ -56,12 +60,12 @@ func TestNodeCacheMatchesSortedKeys(t *testing.T) {
 			case 7:
 				g = g.Clone()
 			case 8:
-				g.RemoveEdge(NodeID(r.Intn(64)), NodeID(r.Intn(80)))
+				g.RemoveEdge(small(64), small(80))
 			}
 			want := sortedKeys(g)
 			// x: absent below every node, absent above, a random ID
 			// (present or absent), and the first and last nodes.
-			xs := []NodeID{-1 << 41, 1 << 41, NodeID(r.Intn(80))}
+			xs := []NodeID{0, MaxNodeID, small(80)}
 			if len(want) > 0 {
 				xs = append(xs, want[0], want[len(want)-1])
 			} else {
@@ -86,7 +90,7 @@ func TestNodeCacheMatchesSortedKeys(t *testing.T) {
 				t.Fatalf("seed %d step %d: Nodes = %v, want %v", seed, step, got, want)
 			}
 			if len(got) > 0 {
-				got[0] = -1 << 40 // the caller owns it: the cache must not see this
+				got[0] = MaxNodeID // the caller owns it: the cache must not see this
 			}
 			app := g.AppendNodes([]NodeID{7, 8})
 			if !slices.Equal(app[:2], []NodeID{7, 8}) || !slices.Equal(app[2:], want) {

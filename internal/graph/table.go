@@ -2,7 +2,7 @@ package graph
 
 import "math/bits"
 
-// A Table pages the IDs in [0, denseIDs): 2^pageBits consecutive IDs
+// A Table pages the IDs in [0, MaxNodeID]: 2^pageBits consecutive IDs
 // share a page, and up to 2^bookBits consecutive pages share a book.
 const (
 	pageBits  = 10
@@ -12,23 +12,21 @@ const (
 	minVals   = 64 // the fewest value slots a page holds
 	bookBits  = 10
 	bookMask  = 1<<bookBits - 1
-	denseIDs  = 1 << 31
 )
 
 // Table maps NodeIDs to values. Arrival models hand out small,
-// consecutive IDs, so a non-negative ID below 2^31 indexes a page of
-// 1 024 slots instead of being hashed: a lookup is a few dependent loads
-// and a bit test. A page is allocated when its first ID is set and freed
-// when its last one is deleted; its values run to the smallest power of
-// two, at least 64, that covers its highest slot set so far, so a small
-// table does not pay for 1 024 slots. Pages are found through books,
-// lists of up to 1 024 page pointers that run to their last allocated
-// page, so memory follows the pages with live IDs, not the largest ID
-// ever seen. Any other ID (negative, or 2^31 and above) goes to a map.
+// consecutive IDs, so an ID indexes a page of 1 024 slots instead of
+// being hashed: a lookup is a few dependent loads and a bit test. A page
+// is allocated when its first ID is set and freed when its last one is
+// deleted; its values run to the smallest power of two, at least 64,
+// that covers its highest slot set so far, so a small table does not pay
+// for 1 024 slots. Pages are found through books, lists of up to 1 024
+// page pointers that run to their last allocated page, so memory follows
+// the pages with live IDs, not the largest ID ever seen. A negative ID is
+// no identity: Set panics on it, and Ref, Get and Delete find no entry.
 // The zero value is an empty table ready to use.
 type Table[V any] struct {
 	books [][]*tablePage[V] // books[b][i] pages IDs from (b<<bookBits|i)<<pageBits
-	far   map[NodeID]*V
 	n     int
 }
 
@@ -41,10 +39,10 @@ type tablePage[V any] struct {
 // Len returns the number of entries.
 func (t *Table[V]) Len() int { return t.n }
 
-// page returns the page that holds id, which must be below denseIDs, or
-// nil if none is allocated.
+// page returns the page that holds id, or nil if none is allocated. A
+// negative id reads as 2^31 or above, past every book.
 func (t *Table[V]) page(id NodeID) *tablePage[V] {
-	if b := int(id >> (pageBits + bookBits)); b < len(t.books) {
+	if b := int(uint32(id) >> (pageBits + bookBits)); b < len(t.books) {
 		if bk, i := t.books[b], int(id>>pageBits&bookMask); i < len(bk) {
 			return bk[i]
 		}
@@ -56,9 +54,6 @@ func (t *Table[V]) page(id NodeID) *tablePage[V] {
 // pointer stays valid until the next Set of an ID without an entry (which
 // may grow the page) or the deletion of id.
 func (t *Table[V]) Ref(id NodeID) *V {
-	if uint64(id) >= denseIDs {
-		return t.far[id]
-	}
 	if pg := t.page(id); pg != nil {
 		if j := id & pageMask; pg.used[j>>6]&(1<<(j&63)) != 0 {
 			return &pg.vals[j]
@@ -78,21 +73,8 @@ func (t *Table[V]) Get(id NodeID) (V, bool) {
 
 // Set stores v as id's value.
 func (t *Table[V]) Set(id NodeID, v V) {
-	if uint64(id) >= denseIDs {
-		if r := t.far[id]; r != nil {
-			*r = v
-			return
-		}
-		if t.far == nil {
-			t.far = make(map[NodeID]*V)
-		}
-		// A fresh box, not &v: taking v's address would move every Set's
-		// argument to the heap.
-		r := new(V)
-		*r = v
-		t.far[id] = r
-		t.n++
-		return
+	if id < 0 {
+		panic("graph: Table.Set of a negative identity")
 	}
 	b, i := int(id>>(pageBits+bookBits)), int(id>>pageBits&bookMask)
 	if b >= len(t.books) {
@@ -124,13 +106,6 @@ func (t *Table[V]) Set(id NodeID, v V) {
 
 // Delete removes id's entry, if any.
 func (t *Table[V]) Delete(id NodeID) {
-	if uint64(id) >= denseIDs {
-		if _, ok := t.far[id]; ok {
-			delete(t.far, id)
-			t.n--
-		}
-		return
-	}
 	pg := t.page(id)
 	if pg == nil {
 		return
@@ -164,8 +139,8 @@ func (t *Table[V]) Delete(id NodeID) {
 	}
 }
 
-// Each calls f with every entry: the paged IDs in ascending order, then
-// the others in no set order. f must not set or delete entries.
+// Each calls f with every entry, in ascending ID order. f must not set or
+// delete entries.
 func (t *Table[V]) Each(f func(id NodeID, v V)) {
 	for b, bk := range t.books {
 		for i, pg := range bk {
@@ -180,8 +155,5 @@ func (t *Table[V]) Each(f func(id NodeID, v V)) {
 				}
 			}
 		}
-	}
-	for id, r := range t.far {
-		f(id, *r)
 	}
 }

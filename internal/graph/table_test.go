@@ -1,28 +1,30 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/rng"
 )
 
 // tableIDs are the IDs the differential draws from: both sides of page
-// and book boundaries and of the map fallback, the extremes, and slots
-// that grow a page's values from 64 to 128 and to 256.
+// and book boundaries, the extremes, and slots that grow a page's values
+// from 64 to 128 and to 256.
 var tableIDs = []NodeID{
-	-1, 0, 1, minVals - 1, minVals, 200, pageSize - 1, pageSize, pageSize + 1, 3*pageSize - 1, 3 * pageSize,
+	0, 1, minVals - 1, minVals, 200, pageSize - 1, pageSize, pageSize + 1, 3*pageSize - 1, 3 * pageSize,
 	1<<(pageBits+bookBits) - 1, 1 << (pageBits + bookBits),
-	denseIDs - 1, denseIDs, math.MaxInt64, math.MinInt64,
+	MaxNodeID - pageSize, MaxNodeID - 1, MaxNodeID,
 }
 
 // TestTableMatchesMap drives a Table and a map through the same seeded
 // random Set, Get, Ref, Delete and Each calls over tableIDs and requires
 // them to agree after every one: same values, same length, the same
-// entries visited once each, the paged IDs ascending and ahead of the
-// others. A page must be allocated exactly while it holds a live ID, and
+// entries visited once each, in ascending order. A page must be allocated exactly while it holds a live ID, and
 // each book, and the book list, must end on a live entry.
 func TestTableMatchesMap(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
@@ -59,31 +61,22 @@ func tableAgrees(t *testing.T, seed uint64, step int, tab *Table[int], ref map[N
 	if tab.Len() != len(ref) {
 		t.Fatalf("seed %d step %d: Len = %d, want %d", seed, step, tab.Len(), len(ref))
 	}
-	var paged, far []NodeID
+	var seen []NodeID
 	tab.Each(func(id NodeID, v int) {
 		if want, ok := ref[id]; !ok || v != want {
 			t.Fatalf("seed %d step %d: Each visited %d = %d, want %d, %v", seed, step, id, v, want, ok)
 		}
-		if id >= 0 && id < denseIDs {
-			if len(far) > 0 {
-				t.Fatalf("seed %d step %d: paged ID %d visited after the map's %v", seed, step, id, far)
-			}
-			paged = append(paged, id)
-		} else {
-			far = append(far, id)
-		}
+		seen = append(seen, id)
 	})
-	if !slices.IsSorted(paged) {
-		t.Fatalf("seed %d step %d: paged IDs visited as %v, want ascending", seed, step, paged)
+	if !slices.IsSorted(seen) {
+		t.Fatalf("seed %d step %d: IDs visited as %v, want ascending", seed, step, seen)
 	}
-	if seen := len(paged) + len(far); seen != len(ref) {
-		t.Fatalf("seed %d step %d: Each visited %d entries, want %d", seed, step, seen, len(ref))
+	if len(seen) != len(ref) {
+		t.Fatalf("seed %d step %d: Each visited %d entries, want %d", seed, step, len(seen), len(ref))
 	}
 	live := make(map[int]bool) // page index → holds a live ID
 	for id := range ref {
-		if id >= 0 && id < denseIDs {
-			live[int(id>>pageBits)] = true
-		}
+		live[int(id>>pageBits)] = true
 	}
 	pages := 0
 	for b, bk := range tab.books {
@@ -103,9 +96,6 @@ func tableAgrees(t *testing.T, seed uint64, step int, tab *Table[int], ref map[N
 		}
 	}
 	for id := range ref {
-		if id < 0 || id >= denseIDs {
-			continue
-		}
 		if pg := tab.page(id); int(id&pageMask) >= len(pg.vals) {
 			t.Fatalf("seed %d step %d: ID %d lies past its page's %d value slots", seed, step, id, len(pg.vals))
 		}
@@ -116,8 +106,31 @@ func tableAgrees(t *testing.T, seed uint64, step int, tab *Table[int], ref map[N
 	if k := len(tab.books); k > 0 && tab.books[k-1] == nil {
 		t.Fatalf("seed %d step %d: the book list ends on a freed book (%d books)", seed, step, k)
 	}
-	if len(tab.far) != len(far) {
-		t.Fatalf("seed %d step %d: the map holds %d IDs, want %d", seed, step, len(tab.far), len(far))
+}
+
+// TestTableRejectsNegativeIDs pins what a negative ID, which no ID source
+// hands out, meets: Set panics naming it, and Ref, Get and Delete find no
+// entry, even beside a full top book.
+func TestTableRejectsNegativeIDs(t *testing.T) {
+	var tab Table[int]
+	tab.Set(0, 1)
+	tab.Set(MaxNodeID, 2)
+	for _, id := range []NodeID{-1, -pageSize, math.MinInt32} {
+		if r, ok := tab.Get(id); ok || tab.Ref(id) != nil {
+			t.Errorf("Get(%d) = %d, %v; want absent", id, r, ok)
+		}
+		tab.Delete(id)
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "negative identity") {
+					t.Errorf("Set(%d) recovered %v, want a negative-identity panic", id, r)
+				}
+			}()
+			tab.Set(id, 3)
+		}()
+	}
+	if tab.Len() != 2 {
+		t.Errorf("Len = %d after the refused calls, want 2", tab.Len())
 	}
 }
 
@@ -133,5 +146,21 @@ func TestSmallGraphBytes(t *testing.T) {
 	}
 	if got := len(g.adj.page(0).vals); got != minVals {
 		t.Errorf("its page holds %d value slots, want %d", got, minVals)
+	}
+}
+
+// TestNodeIDWidth pins the identity at 32 bits, and WireID's range: a
+// wire value is an identity exactly when it lies in [0, MaxNodeID].
+func TestNodeIDWidth(t *testing.T) {
+	if got := unsafe.Sizeof(NodeID(0)); got != 4 {
+		t.Errorf("unsafe.Sizeof(NodeID) = %d, want 4", got)
+	}
+	for _, c := range []struct {
+		u  uint64
+		ok bool
+	}{{0, true}, {uint64(MaxNodeID), true}, {1 << 31, false}, {1<<32 + 5, false}, {1<<64 - 1, false}} {
+		if id, err := WireID(c.u); (err == nil) != c.ok || (c.ok && uint64(id) != c.u) {
+			t.Errorf("WireID(%d) = %d, %v; want ok = %v", c.u, id, err, c.ok)
+		}
 	}
 }

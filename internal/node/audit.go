@@ -242,15 +242,20 @@ func EncodeReceipt(r Receipt) []byte {
 	return out
 }
 
-// DecodeReceipt parses the canonical wire form. Every 32-byte input is a
-// structurally valid receipt (validity of the SIGNATURE is a separate,
-// keyed question — see VerifyReceipt).
+// DecodeReceipt parses the canonical wire form. A 32-byte input whose
+// sender lies in [0, graph.MaxNodeID] is a structurally valid receipt
+// (validity of the SIGNATURE is a separate, keyed question — see
+// VerifyReceipt).
 func DecodeReceipt(b []byte) (Receipt, error) {
 	if len(b) != receiptWire {
 		return Receipt{}, fmt.Errorf("node: receipt wire form is %d bytes, got %d", receiptWire, len(b))
 	}
+	sender, err := graph.WireID(binary.LittleEndian.Uint64(b[0:]))
+	if err != nil {
+		return Receipt{}, fmt.Errorf("node: receipt sender: %w", err)
+	}
 	return Receipt{
-		Sender: graph.NodeID(binary.LittleEndian.Uint64(b[0:])),
+		Sender: sender,
 		BSeq:   binary.LittleEndian.Uint64(b[8:]),
 		FP:     binary.LittleEndian.Uint64(b[16:]),
 		Sig:    binary.LittleEndian.Uint64(b[24:]),

@@ -149,6 +149,12 @@ func TestAuditReceiptRoundTrip(t *testing.T) {
 	if _, err := DecodeReceipt(EncodeReceipt(r)[:16]); err == nil {
 		t.Fatal("short input decoded")
 	}
+	// Senders outside [0, MaxNodeID] are refused, never truncated.
+	for _, sender := range []uint64{1 << 31, 1<<64 - 1} {
+		if got, err := DecodeReceipt(putU64(EncodeReceipt(r), 0, sender)); err == nil {
+			t.Errorf("sender %d decoded as %+v", sender, got)
+		}
+	}
 	for i, bad := range []Receipt{
 		{Sender: r.Sender + 1, BSeq: r.BSeq, FP: r.FP, Sig: r.Sig},
 		{Sender: r.Sender, BSeq: r.BSeq + 1, FP: r.FP, Sig: r.Sig},

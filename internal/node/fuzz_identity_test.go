@@ -19,9 +19,12 @@ func FuzzIdentityRecord(f *testing.F) {
 	f.Add(EncodeIdentity(fullIdentityRecord()))
 	f.Add(EncodeIdentity(IdentityRecord{
 		BSeqNext:    ^uint64(0),
-		SendSeq:     map[graph.NodeID]uint64{0: 0, graph.NodeID(^uint64(0) >> 1): ^uint64(0)},
+		SendSeq:     map[graph.NodeID]uint64{0: 0, graph.MaxNodeID: ^uint64(0)},
 		Quarantined: map[graph.NodeID]int64{9: 1<<63 - 1},
 	}))
+	one := EncodeIdentity(IdentityRecord{SendSeq: map[graph.NodeID]uint64{2: 9}})
+	f.Add(putU64(one, 12, 1<<31))
+	f.Add(putU64(one, 12, 1<<64-1))
 	f.Add([]byte{})
 	f.Add(make([]byte, 7))
 	f.Add(make([]byte, 8+5*4-1))

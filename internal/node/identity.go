@@ -274,7 +274,11 @@ func DecodeIdentity(b []byte) (IdentityRecord, error) {
 		n := r.count()
 		prev := graph.NodeID(0)
 		for i := 0; i < n && r.err == nil; i++ {
-			id := graph.NodeID(r.u64())
+			id, err := graph.WireID(r.u64())
+			if err != nil {
+				r.err = fmt.Errorf("node: identity record peer: %w", err)
+				return
+			}
 			if i > 0 && id <= prev {
 				r.err = fmt.Errorf("node: identity record peers out of order (%d after %d)", id, prev)
 				return

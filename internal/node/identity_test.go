@@ -1,6 +1,7 @@
 package node
 
 import (
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -45,10 +46,14 @@ func TestIdentityCodecRoundTrip(t *testing.T) {
 		t.Fatalf("empty record did not survive the wire: %+v", empty)
 	}
 
+	one := EncodeIdentity(IdentityRecord{SendSeq: map[graph.NodeID]uint64{2: 9}})
 	for name, bad := range map[string][]byte{
 		"nil":       nil,
 		"truncated": wire[:len(wire)-1],
 		"trailing":  append(append([]byte{}, wire...), 0),
+		// Peer IDs outside [0, MaxNodeID] are refused, never truncated.
+		"peer 2^31":   putU64(one, 12, 1<<31),
+		"peer 2^64-1": putU64(one, 12, 1<<64-1),
 	} {
 		if _, err := DecodeIdentity(bad); err == nil {
 			t.Errorf("%s input decoded without error", name)
@@ -63,6 +68,13 @@ func TestIdentityCodecRoundTrip(t *testing.T) {
 	if _, err := DecodeIdentity(dup); err == nil {
 		t.Error("out-of-order peers decoded without error")
 	}
+}
+
+// putU64 overwrites the little-endian uint64 at b[i:] in a copy of b.
+func putU64(b []byte, i int, v uint64) []byte {
+	c := append([]byte{}, b...)
+	binary.LittleEndian.PutUint64(c[i:], v)
+	return c
 }
 
 // sessionChurnWorld drives the laundering scenario shared by the keying

@@ -1,6 +1,7 @@
 package pex
 
 import (
+	"encoding/binary"
 	"reflect"
 	"slices"
 	"strings"
@@ -92,7 +93,7 @@ func TestSignVerify(t *testing.T) {
 func TestWireRoundTrip(t *testing.T) {
 	recs := []Record{
 		SignRecord(1, 5, 10),
-		{ID: -3, Hop: 7, Epoch: -1, Sig: 0xdeadbeef},
+		{ID: graph.MaxNodeID, Hop: 7, Epoch: -1, Sig: 0xdeadbeef},
 		{ID: 9, Hop: MaxWireHop, Epoch: 1 << 40, Sig: 1},
 	}
 	b := EncodeRecords(recs)
@@ -120,10 +121,18 @@ func TestWireRejects(t *testing.T) {
 		"truncated body": good[:len(good)-1],
 		"padded body":    append(append([]byte{}, good...), 0),
 		"count lies":     {recordWireVersion, 2, 0},
+		// IDs outside [0, MaxNodeID] are refused, never truncated.
+		"ID 2^31":   putID(good, 0, 1<<31),
+		"ID 2^64-1": putID(good, 0, 1<<64-1),
+		"second ID": putID(EncodeRecords([]Record{SignRecord(1, 2, 3), SignRecord(1, 4, 3)}), 1, 1<<31),
 	}
 	for name, b := range cases {
 		if _, err := DecodeRecords(b); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+		dst := []Record{{ID: 7}}
+		if got, err := AppendDecodedRecords(dst, b); err == nil || !slices.Equal(got, dst) {
+			t.Errorf("%s: AppendDecodedRecords = %v, %v; want dst unchanged and an error", name, got, err)
 		}
 	}
 	// Over-cap counts are rejected even when the length would match.
@@ -134,6 +143,13 @@ func TestWireRejects(t *testing.T) {
 	if _, err := DecodeRecords(big); err == nil {
 		t.Errorf("over-cap batch accepted")
 	}
+}
+
+// putID overwrites record i's wire ID in a copy of batch b.
+func putID(b []byte, i int, v uint64) []byte {
+	c := slices.Clone(b)
+	binary.LittleEndian.PutUint64(c[3+i*recordWireSize:], v)
+	return c
 }
 
 func TestEncodePanicsOverCap(t *testing.T) {
@@ -264,6 +280,9 @@ func FuzzViewRecord(f *testing.F) {
 		{ID: -9, Hop: MaxWireHop, Epoch: -5, Sig: 42},
 		SignRecord(0, 7, 1<<40),
 	}))
+	two := EncodeRecords([]Record{SignRecord(1, 2, 3), SignRecord(1, 4, 3)})
+	f.Add(putID(two, 0, 1<<31))
+	f.Add(putID(two, 1, 1<<64-1))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		recs, err := DecodeRecords(b)
 		if err != nil {

@@ -104,8 +104,9 @@ func EncodeRecordsTo(b []byte, recs []Record) {
 }
 
 // DecodeRecords parses a wire batch, rejecting version/length/count
-// mismatches. It never panics on adversarial input (FuzzViewRecord holds
-// it to that), and Encode(Decode(b)) == b for every accepted b.
+// mismatches and IDs outside [0, graph.MaxNodeID]. It never panics on
+// adversarial input (FuzzViewRecord holds it to that), and
+// Encode(Decode(b)) == b for every accepted b.
 func DecodeRecords(b []byte) ([]Record, error) {
 	return AppendDecodedRecords(nil, b)
 }
@@ -126,10 +127,15 @@ func AppendDecodedRecords(dst []Record, b []byte) ([]Record, error) {
 	if len(b) != WireSize(n) {
 		return dst, fmt.Errorf("pex: record batch of %d is %d bytes, want %d", n, len(b), WireSize(n))
 	}
+	k := len(dst)
 	dst = slices.Grow(dst, n)
 	for off := 3; off < len(b); off += recordWireSize {
+		id, err := graph.WireID(binary.LittleEndian.Uint64(b[off:]))
+		if err != nil {
+			return dst[:k], fmt.Errorf("pex: record: %w", err)
+		}
 		dst = append(dst, Record{
-			ID:    graph.NodeID(binary.LittleEndian.Uint64(b[off:])),
+			ID:    id,
 			Hop:   int(binary.LittleEndian.Uint16(b[off+8:])),
 			Epoch: int64(binary.LittleEndian.Uint64(b[off+10:])),
 			Sig:   binary.LittleEndian.Uint64(b[off+18:]),

@@ -27,8 +27,9 @@ type View struct {
 	evicted Record
 }
 
-// NewView returns an empty view bounded at cap entries.
-func NewView(cap int) *View { return &View{cap: cap} }
+// NewView returns an empty view bounded at cap entries, their storage
+// allocated once: Merge never grows it.
+func NewView(cap int) *View { return &View{cap: cap, entries: make([]Entry, 0, cap)} }
 
 // Len returns the number of held records.
 func (v *View) Len() int { return len(v.entries) }

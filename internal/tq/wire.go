@@ -99,10 +99,10 @@ func (p *Probe) encodeTo(b []byte) {
 }
 
 // decodeProbe parses a wire probe, rejecting version/kind/length
-// mismatches, and decodes the path into scratch's array, grown if it is
-// too short, so a hot caller can reuse one buffer. It never panics on
-// adversarial input (FuzzTQWire holds it to that), and encoding what it
-// accepts gives back b.
+// mismatches and IDs outside [0, graph.MaxNodeID], and decodes the path
+// into scratch's array, grown if it is too short, so a hot caller can
+// reuse one buffer. It never panics on adversarial input (FuzzTQWire
+// holds it to that), and encoding what it accepts gives back b.
 func decodeProbe(b []byte, scratch []graph.NodeID) (Probe, error) {
 	if len(b) < probeWireHeader {
 		return Probe{}, fmt.Errorf("tq: probe truncated at %d bytes", len(b))
@@ -120,6 +120,10 @@ func decodeProbe(b []byte, scratch []graph.NodeID) (Probe, error) {
 	if len(b) != probeWireHeader+8*n {
 		return Probe{}, fmt.Errorf("tq: probe with %d path entries is %d bytes, want %d", n, len(b), probeWireHeader+8*n)
 	}
+	path, err := readPath(scratch, b[probeWireHeader:], n)
+	if err != nil {
+		return Probe{}, err
+	}
 	return Probe{
 		Op:       binary.LittleEndian.Uint64(b[4:]),
 		Kind:     b[1],
@@ -128,7 +132,7 @@ func decodeProbe(b []byte, scratch []graph.NodeID) (Probe, error) {
 		Tag:      binary.LittleEndian.Uint64(b[12:]),
 		Val:      math.Float64frombits(binary.LittleEndian.Uint64(b[20:])),
 		Deadline: int64(binary.LittleEndian.Uint64(b[28:])),
-		Path:     readPath(scratch, b[probeWireHeader:], n),
+		Path:     path,
 	}, nil
 }
 
@@ -178,16 +182,24 @@ func decodeResp(b []byte, scratch []graph.NodeID) (Resp, error) {
 	if len(b) != respWireHeader+8*n {
 		return Resp{}, fmt.Errorf("tq: resp with %d path entries is %d bytes, want %d", n, len(b), respWireHeader+8*n)
 	}
+	replica, err := graph.WireID(binary.LittleEndian.Uint64(b[12:]))
+	if err != nil {
+		return Resp{}, fmt.Errorf("tq: resp replica: %w", err)
+	}
+	path, err := readPath(scratch, b[respWireHeader:], n)
+	if err != nil {
+		return Resp{}, err
+	}
 	return Resp{
 		Op:       binary.LittleEndian.Uint64(b[4:]),
 		Kind:     b[1],
 		Attempt:  int(b[2]),
 		Has:      b[3] == 1,
-		Replica:  graph.NodeID(binary.LittleEndian.Uint64(b[12:])),
+		Replica:  replica,
 		Tag:      binary.LittleEndian.Uint64(b[20:]),
 		Val:      math.Float64frombits(binary.LittleEndian.Uint64(b[28:])),
 		Deadline: int64(binary.LittleEndian.Uint64(b[36:])),
-		Path:     readPath(scratch, b[respWireHeader:], n),
+		Path:     path,
 	}, nil
 }
 
@@ -206,14 +218,19 @@ func writePath(b []byte, path []graph.NodeID) {
 }
 
 // readPath decodes n wire path entries from b into dst's array (grown if
-// too short); an empty path decodes as nil.
-func readPath(dst []graph.NodeID, b []byte, n int) []graph.NodeID {
+// too short), rejecting an entry outside [0, graph.MaxNodeID]; an empty
+// path decodes as nil.
+func readPath(dst []graph.NodeID, b []byte, n int) ([]graph.NodeID, error) {
 	if n == 0 {
-		return nil
+		return nil, nil
 	}
 	dst = slices.Grow(dst[:0], n)[:n]
 	for i := range dst {
-		dst[i] = graph.NodeID(binary.LittleEndian.Uint64(b[8*i:]))
+		id, err := graph.WireID(binary.LittleEndian.Uint64(b[8*i:]))
+		if err != nil {
+			return nil, fmt.Errorf("tq: path entry %d: %w", i, err)
+		}
+		dst[i] = id
 	}
-	return dst
+	return dst, nil
 }

@@ -2,6 +2,7 @@ package tq
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -41,6 +42,7 @@ func TestProbeRoundTrip(t *testing.T) {
 		{Op: 1, Kind: KindRead, Attempt: 1, TTL: 8, Path: []graph.NodeID{3}},
 		{Op: 7, Kind: KindWrite, Attempt: 3, TTL: 1, Tag: 42, Val: -1.5, Deadline: 999, Path: []graph.NodeID{1, 2, 3}},
 		{Op: 1 << 60, Kind: KindWrite, Attempt: 255, TTL: 255, Tag: 1<<64 - 1, Val: math.Inf(1), Deadline: -1, Path: nil},
+		{Op: 2, Kind: KindRead, TTL: 1, Path: []graph.NodeID{0, graph.MaxNodeID}},
 	}
 	for _, p := range probes {
 		b := EncodeProbe(p)
@@ -60,7 +62,7 @@ func TestProbeRoundTrip(t *testing.T) {
 func TestRespRoundTrip(t *testing.T) {
 	resps := []Resp{
 		{Op: 1, Kind: KindRead, Attempt: 1, Has: true, Replica: 9, Tag: 3, Val: 2.5, Deadline: 77, Path: []graph.NodeID{1}},
-		{Op: 2, Kind: KindWrite, Attempt: 2, Has: false, Replica: -4, Path: []graph.NodeID{5, 6, 7, 8}},
+		{Op: 2, Kind: KindWrite, Attempt: 2, Has: false, Replica: graph.MaxNodeID, Path: []graph.NodeID{5, 6, 7, 8}},
 	}
 	for _, r := range resps {
 		b := EncodeResp(r)
@@ -98,6 +100,13 @@ func TestDecodeRejects(t *testing.T) {
 		{"resp bad kind", mutate(okResp, 1, 9), true},
 		{"resp non-canonical has", mutate(okResp, 3, 2), true},
 		{"resp path over cap", mutate(okResp, 44, 200), true},
+		// IDs outside [0, MaxNodeID] are refused, never truncated.
+		{"probe path ID 2^31", put64(okProbe, probeWireHeader+8, 1<<31), false},
+		{"probe path ID 2^64-1", put64(okProbe, probeWireHeader, 1<<64-1), false},
+		{"resp replica 2^31", put64(okResp, 12, 1<<31), true},
+		{"resp replica 2^64-1", put64(okResp, 12, 1<<64-1), true},
+		{"resp path ID 2^31", put64(okResp, respWireHeader, 1<<31), true},
+		{"resp path ID 2^64-1", put64(okResp, respWireHeader, 1<<64-1), true},
 		{"resp length mismatch", okResp[:len(okResp)-1], true},
 	}
 	for _, tc := range cases {
@@ -116,6 +125,12 @@ func TestDecodeRejects(t *testing.T) {
 func mutate(b []byte, i int, v byte) []byte {
 	c := append([]byte{}, b...)
 	c[i] = v
+	return c
+}
+
+func put64(b []byte, i int, v uint64) []byte {
+	c := append([]byte{}, b...)
+	binary.LittleEndian.PutUint64(c[i:], v)
 	return c
 }
 
@@ -140,6 +155,11 @@ func FuzzTQWire(f *testing.F) {
 	f.Add(EncodeResp(Resp{Op: 5, Kind: KindWrite, Path: make([]graph.NodeID, 12)}))
 	f.Add([]byte{probeWireVersion})
 	f.Add([]byte{})
+	okProbe := EncodeProbe(Probe{Op: 6, Kind: KindRead, TTL: 3, Path: []graph.NodeID{1, 2}})
+	okResp := EncodeResp(Resp{Op: 6, Kind: KindWrite, Replica: 3, Path: []graph.NodeID{1}})
+	f.Add(put64(okProbe, probeWireHeader+8, 1<<31))
+	f.Add(put64(okResp, 12, 1<<64-1))
+	f.Add(put64(okResp, respWireHeader, 1<<31))
 	dirty := func() []graph.NodeID {
 		s := make([]graph.NodeID, 3, 8)
 		for i := range s {
