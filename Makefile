@@ -7,7 +7,7 @@ GO ?= go
 
 # The checked-in micro-benchmark baseline that bench-record writes and
 # bench-check / verify-bench compare against.
-BENCH_BASELINE ?= BENCH_PR38.json
+BENCH_BASELINE ?= BENCH_PR44.json
 # The baseline's names carry no -N GOMAXPROCS suffix (benchrecord keeps the
 # suffix as part of the name), so the benchmarks it is compared with run at
 # -cpu 1 whatever the host has; otherwise every one reads as missing.
@@ -88,6 +88,9 @@ verify-bench:
 # ddsim started refusing flags it would ignore (21 945 after).
 # 21 945 before graph.NodeID became int32 and the ID decoders and sources
 # started refusing what it cannot hold (21 983 after).
+# 21 983 before wire frames became pin-counted and recycled (a free list
+# per world in place of the carve-only arena) and pex.Record.Hop became
+# int32 (22 172 after; internal/node 5 757 before, 5 951 after).
 # PKG narrows the count to one directory tree: `make loc PKG=internal/node`
 # (5 572 before PR 14, 5 619 before PR 24), `make loc PKG=internal/otq`
 # (2 399 before PR 16).

@@ -890,7 +890,7 @@ func (e *engine) senderHook(w *node.World) node.SenderHook {
 			if c.Kind == KindPoison {
 				// The membership attack rides the pex exchange traffic only,
 				// rewriting the wire bytes the way a real injector would.
-				ex, ok := payload.(*pex.Exchange)
+				ex, ok := payload.(*node.PexExchange)
 				if tag != node.PexExchangeTag && tag != node.PexReplyTag || !ok {
 					continue
 				}
@@ -949,7 +949,7 @@ func (e *engine) senderHook(w *node.World) node.SenderHook {
 // record of the target with its hop reset to 0, which no record-level
 // check can fault: it marks the boundary of what signing (ID, Epoch) but
 // not Hop can defend.
-func (e *engine) poison(w *node.World, c *Clause, from graph.NodeID, ex *pex.Exchange) *pex.Exchange {
+func (e *engine) poison(w *node.World, c *Clause, from graph.NodeID, ex *node.PexExchange) *node.PexExchange {
 	recs, err := pex.DecodeRecords(ex.Wire)
 	if err != nil {
 		return ex // not an honest batch; nothing credible to blend into
@@ -993,7 +993,7 @@ func (e *engine) poison(w *node.World, c *Clause, from graph.NodeID, ex *pex.Exc
 			}
 		}
 	}
-	return &pex.Exchange{Pull: ex.Pull, Wire: pex.EncodeRecords(recs)}
+	return &node.PexExchange{Pull: ex.Pull, Wire: pex.EncodeRecords(recs)}
 }
 
 // lieRNG derives the per-copy lie stream of one stamped broadcast. Keying

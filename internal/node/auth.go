@@ -36,7 +36,6 @@ import (
 	"math"
 
 	"repro/internal/graph"
-	"repro/internal/pex"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
@@ -270,7 +269,7 @@ func fnv1a(s string) uint64 {
 // pex exchange it carries are folded here, and any other payload falls
 // back to the fmt digest, under which a pointer-carrying payload digests
 // by identity (a tampered copy is a different object). The one deliberate
-// exception is an arena-carved *Frame, which digests as its bytes, so a
+// exception is a pooled *Frame, which digests as its bytes, so a
 // protocol moving from []byte to frames moves no MAC. DESIGN.md, payload
 // fingerprints, has the rules.
 func fingerprint(payload any) uint64 {
@@ -285,7 +284,7 @@ func fingerprint(payload any) uint64 {
 		return foldBytes(fpBytes, p)
 	case *Frame:
 		return foldBytes(fpBytes, p.B)
-	case *pex.Exchange:
+	case *PexExchange:
 		h := uint64(fpExchange)
 		if p.Pull {
 			h = ^h

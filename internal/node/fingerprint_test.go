@@ -133,7 +133,7 @@ func randNodePayload(r *rng.Rand) any {
 	case 10:
 		return PullResponse{Path: randIDs(r), Receipts: randReceipts(r)}
 	default:
-		return &pex.Exchange{Pull: r.Intn(2) == 0, Wire: randBytes(r)}
+		return &PexExchange{Pull: r.Intn(2) == 0, Wire: randBytes(r)}
 	}
 }
 
@@ -155,16 +155,16 @@ func TestFingerprintMatchesFmtDigest(t *testing.T) {
 		[]Receipt{a, b}, [2]Receipt{a, b},
 		ackMsg{}, reconfigCommit{Epoch: 7},
 		reconfigPrepare{Epoch: 1}, reconfigPrepare{Epoch: 1, Wire: []byte{}},
-		&pex.Exchange{Wire: []byte{1}}, reconfigPrepare{Epoch: 0, Wire: []byte{1}},
+		&PexExchange{Wire: []byte{1}}, reconfigPrepare{Epoch: 0, Wire: []byte{1}},
 		PullRequest{Path: []graph.NodeID{}, Digest: []DigestEntry{}}, PullRequest{},
 		PullResponse{Receipts: []Receipt{}}, PullResponse{},
 	)
 	assertSameSplits(t, vals, fingerprint)
 }
 
-// TestFingerprintWireFrames pins the digests of the arena-carved wire
+// TestFingerprintWireFrames pins the digests of the pooled wire
 // payloads to those of the values they replaced: a *Frame digests as its
-// bytes, and a *pex.Exchange as the pex.Exchange value did (the constants
+// bytes, and a *PexExchange as the PexExchange value did (the constants
 // were read from the value form), so moving a protocol onto frames moves
 // no MAC, signature or receipt.
 func TestFingerprintWireFrames(t *testing.T) {
@@ -176,12 +176,12 @@ func TestFingerprintWireFrames(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct {
-		ex   *pex.Exchange
+		ex   *PexExchange
 		want uint64
 	}{
-		{&pex.Exchange{}, 0x3ae687df4c76f359},
-		{&pex.Exchange{Pull: true, Wire: []byte{1, 2, 3}}, 0xb009d5096449bb10},
-		{&pex.Exchange{Wire: pex.EncodeRecords([]pex.Record{pex.SignRecord(1, 2, 3)})}, 0xcdf157da1efd0ce},
+		{&PexExchange{}, 0x3ae687df4c76f359},
+		{&PexExchange{Pull: true, Wire: []byte{1, 2, 3}}, 0xb009d5096449bb10},
+		{&PexExchange{Wire: pex.EncodeRecords([]pex.Record{pex.SignRecord(1, 2, 3)})}, 0xcdf157da1efd0ce},
 	} {
 		if got := fingerprint(tc.ex); got != tc.want {
 			t.Errorf("fingerprint(%+v) = %#x, want the value form's %#x", *tc.ex, got, tc.want)

@@ -322,8 +322,8 @@ type World struct {
 	// nbrBuf is the neighbor buffer the sublayers' fan-outs reuse (see
 	// borrowNeighbors).
 	nbrBuf []graph.NodeID
-	// frames is the arena wire payloads are carved from (see frame.go).
-	frames frameArena
+	// frames is the pool wire payloads are drawn from (see frame.go).
+	frames framePool
 }
 
 // NewWorld assembles a runtime over the given engine and overlay. The
@@ -841,8 +841,10 @@ type deliveryEnv struct {
 	stages *[]stage // a pointer keeps the envelope in the 112-byte size class
 }
 
-// schedule has m delivered through stages after delay.
+// schedule has m delivered through stages after delay. The copy pins a
+// pooled payload until its delivery returns.
 func (w *World) schedule(delay sim.Time, m Message, stages *[]stage) {
+	pin(m.Payload)
 	var env *deliveryEnv
 	if n := len(w.envFree); n > 0 {
 		env = w.envFree[n-1]
@@ -863,6 +865,7 @@ func fireDelivery(arg any) {
 	env.m = Message{}
 	w.envFree = append(w.envFree, env)
 	w.deliver(m, *stages)
+	w.frames.unpin(m.Payload)
 }
 
 // deliver hands an arriving copy to its recipient: it is dropped if the

@@ -38,7 +38,7 @@ import (
 // Pex sublayer message tags. Exchange traffic terminates in the runtime
 // like acks and audit gossip: behaviors never see it.
 const (
-	// PexExchangeTag carries a *pex.Exchange push (optionally soliciting a
+	// PexExchangeTag carries a *PexExchange push (optionally soliciting a
 	// pull reply) from an entity to its chosen partner.
 	PexExchangeTag = "node.pex-exchange"
 	// PexReplyTag carries the pull half of a pushpull exchange.
@@ -562,8 +562,8 @@ func (px *pexLayer) round(w *World, p *Proc) {
 
 // ship sends one exchange batch: the sender's own freshly-minted record
 // plus up to min(MaxFanout, ViewSize)-1 view records young enough to
-// survive the transfer increment, encoded into an exchange carved from the
-// world's frame arena.
+// survive the transfer increment, encoded into an exchange drawn from the
+// world's frame pool and released once sent.
 func (px *pexLayer) ship(w *World, p *Proc, to graph.NodeID, tag string, pull bool) {
 	now := int64(w.Engine.Now())
 	buf := append(px.shipBuf[:0], pex.SignRecord(px.cfg.Audit.KeySeed, p.ID, now))
@@ -573,6 +573,7 @@ func (px *pexLayer) ship(w *World, p *Proc, to graph.NodeID, tag string, pull bo
 	ex := w.frames.exchange(pull, pex.WireSize(len(buf)))
 	pex.EncodeRecordsTo(ex.Wire, buf)
 	p.Send(to, tag, ex)
+	w.frames.releaseExchange(ex)
 }
 
 // reconcile aligns one entity's overlay edges with the views: every
@@ -644,7 +645,7 @@ func (px *pexLayer) onMessage(w *World, q *Proc, m Message) {
 		px.totals.RejectedBlacklisted++
 		return
 	}
-	ex, ok := m.Payload.(*pex.Exchange)
+	ex, ok := m.Payload.(*PexExchange)
 	if !ok {
 		px.reject(w, m.To, m.From, &px.totals.RejectedBad)
 		return
@@ -854,7 +855,7 @@ func (px *pexLayer) sample(w *World) {
 		}
 		for _, e := range pp.view.Entries() {
 			s.Entries++
-			hops += e.Rec.Hop
+			hops += int(e.Rec.Hop)
 			inView[e.Rec.ID]++
 			if !w.seen[e.Rec.ID] {
 				s.SybilEntries++

@@ -142,7 +142,7 @@ func TestPexForgetsTheDeparted(t *testing.T) {
 func pexAttack(w *World, from, to graph.NodeID, count int, rec pex.Record) {
 	p := w.Proc(from)
 	for i := 0; i < count; i++ {
-		p.Send(to, PexExchangeTag, &pex.Exchange{Wire: pex.EncodeRecords([]pex.Record{rec})})
+		p.Send(to, PexExchangeTag, &PexExchange{Wire: pex.EncodeRecords([]pex.Record{rec})})
 	}
 }
 
@@ -240,7 +240,7 @@ func TestPexUndecodableExchangeStrikes(t *testing.T) {
 	e.At(21, func() {
 		p := w.Proc(1)
 		for i := 0; i < 5; i++ {
-			p.Send(2, PexExchangeTag, &pex.Exchange{Wire: []byte{0xff, 0xff}})
+			p.Send(2, PexExchangeTag, &PexExchange{Wire: []byte{0xff, 0xff}})
 		}
 	})
 	e.RunUntil(60)

@@ -283,6 +283,7 @@ func (rl *reliableLayer) send(w *World, p *Proc, m Message) {
 		pm = new(pendingMsg)
 	}
 	s := p.rel
+	pin(m.Payload)
 	pm.m, pm.from, pm.live = m, s, true
 	pm.timeout, pm.sentAt = rl.rtoFor(adaptive, s, m.To), w.Engine.Now()
 	pm.next = s.unacked
@@ -330,8 +331,10 @@ func (rl *reliableLayer) settle(pm *pendingMsg) {
 	}
 }
 
-// recycle clears a settled record, payload included, onto the free list.
-func (rl *reliableLayer) recycle(pm *pendingMsg) {
+// recycle clears a settled record onto the free list, unpinning its
+// payload.
+func (rl *reliableLayer) recycle(w *World, pm *pendingMsg) {
+	w.frames.unpin(pm.m.Payload)
 	*pm = pendingMsg{}
 	rl.free = append(rl.free, pm)
 }
@@ -358,14 +361,14 @@ func fireRetry(arg any) {
 	if w.Proc(pm.m.From) == nil {
 		// The sender is gone; its channel-layer buffer died with it.
 		rl.settle(pm)
-		rl.recycle(pm)
+		rl.recycle(w, pm)
 		return
 	}
 	if pm.attempts >= rl.cfg.MaxRetries {
 		pm.from.GiveUps++
 		w.Trace.Mark(now, pm.m.From, MarkGiveUp)
 		rl.settle(pm)
-		rl.recycle(pm)
+		rl.recycle(w, pm)
 		return
 	}
 	pm.attempts++
@@ -414,7 +417,7 @@ func (rl *reliableLayer) onAck(w *World, _ *Proc, m Message) {
 		}
 		e.sample(float64(w.Engine.Now() - pm.sentAt))
 	}
-	rl.recycle(pm)
+	rl.recycle(w, pm)
 }
 
 // ReliableTotals sums the reliable sublayer's counters over every entity

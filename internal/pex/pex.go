@@ -14,10 +14,11 @@
 // Policy (rand / head / tail / pushpull).
 //
 // The package is pure data structures and policy — deterministic given an
-// rng, no clocks, no I/O. The runtime that schedules exchanges, reconciles
-// views into live overlay links, and defends merges against Byzantine
-// record injection (the view-audit sublayer) lives in internal/node; the
-// `poison` attack on the exchange traffic lives in internal/fault.
+// rng, no clocks, no I/O. The runtime that schedules exchanges, carries
+// their wire batches (node.PexExchange), reconciles views into live
+// overlay links, and defends merges against Byzantine record injection
+// (the view-audit sublayer) lives in internal/node; the `poison` attack on
+// the exchange traffic lives in internal/fault.
 package pex
 
 import (

@@ -18,10 +18,12 @@ import (
 // horizon). Sig is the subject's transferable signature over (ID, Epoch):
 // in the model only the subject can produce it, so a validly-signed
 // record with a fresh Epoch is proof the subject was recently alive — the
-// claim sybil and resurrected-dead records cannot fake.
+// claim sybil and resurrected-dead records cannot fake. Hop is an int32
+// beside the 32-bit ID, so a Record is 24 bytes; the wire clamps it to a
+// uint16.
 type Record struct {
 	ID    graph.NodeID
-	Hop   int
+	Hop   int32
 	Epoch int64
 	Sig   uint64
 }
@@ -136,22 +138,10 @@ func AppendDecodedRecords(dst []Record, b []byte) ([]Record, error) {
 		}
 		dst = append(dst, Record{
 			ID:    id,
-			Hop:   int(binary.LittleEndian.Uint16(b[off+8:])),
+			Hop:   int32(binary.LittleEndian.Uint16(b[off+8:])),
 			Epoch: int64(binary.LittleEndian.Uint64(b[off+10:])),
 			Sig:   binary.LittleEndian.Uint64(b[off+18:]),
 		})
 	}
 	return dst, nil
-}
-
-// Exchange is the payload of one pex message, sent as a *Exchange: a
-// push of wire-encoded records, optionally soliciting a pull reply. The records travel in
-// canonical wire bytes (not as structs) so the codec is load-bearing on
-// the runtime path — and so the poison clause must mutate them the way a
-// real adversary would, by rewriting bytes.
-type Exchange struct {
-	// Pull solicits a reply batch (the pushpull policy's second half).
-	Pull bool
-	// Wire is an EncodeRecords batch.
-	Wire []byte
 }

@@ -78,7 +78,7 @@ func (v *refView) SelectPartner(r *rng.Rand, policy Policy, eligible func(graph.
 func (v *refView) SelectRecords(r *rng.Rand, policy Policy, fanout, maxHop int, skip graph.NodeID) []Record {
 	var pool []Record
 	for _, e := range v.entries {
-		if e.Rec.Hop < maxHop && e.Rec.ID != skip {
+		if int(e.Rec.Hop) < maxHop && e.Rec.ID != skip {
 			pool = append(pool, e.Rec)
 		}
 	}
@@ -142,7 +142,7 @@ func TestViewMatchesReference(t *testing.T) {
 				}
 			} else {
 				e := Entry{
-					Rec: Record{ID: graph.NodeID(1 + r.Intn(ids)), Hop: r.Intn(12), Epoch: int64(r.Intn(4))},
+					Rec: Record{ID: graph.NodeID(1 + r.Intn(ids)), Hop: int32(r.Intn(12)), Epoch: int64(r.Intn(4))},
 					Via: graph.NodeID(r.Intn(5)),
 				}
 				got, gotEv := v.Merge(e)

@@ -87,7 +87,7 @@ func (v *View) Age(dst []Record, maxHop int) []Record {
 	kept := v.entries[:0]
 	for i := range v.entries {
 		v.entries[i].Rec.Hop++
-		if v.entries[i].Rec.Hop > maxHop {
+		if int(v.entries[i].Rec.Hop) > maxHop {
 			dst = append(dst, v.entries[i].Rec)
 		} else {
 			kept = append(kept, v.entries[i])
@@ -189,7 +189,7 @@ func (v *View) SelectPartner(r *rng.Rand, policy Policy, eligible func(graph.Nod
 func (v *View) AppendRecords(dst []Record, r *rng.Rand, policy Policy, fanout, maxHop int, skip graph.NodeID) []Record {
 	base := len(dst)
 	for _, e := range v.entries {
-		if e.Rec.Hop < maxHop && e.Rec.ID != skip {
+		if int(e.Rec.Hop) < maxHop && e.Rec.ID != skip {
 			dst = append(dst, e.Rec)
 		}
 	}

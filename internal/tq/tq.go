@@ -455,18 +455,22 @@ func (b *replica) Receive(p *node.Proc, m node.Message) {
 	}
 }
 
-// sendProbe encodes pr into a frame carved from p's world and sends it.
+// sendProbe encodes pr into a frame from p's world, sends it and releases
+// it.
 func sendProbe(p *node.Proc, to graph.NodeID, pr *Probe) {
 	f := p.Frame(pr.wireSize())
 	pr.encodeTo(f.B)
 	p.Send(to, TagProbe, f)
+	p.ReleaseFrame(f)
 }
 
-// sendResp encodes rp into a frame carved from p's world and sends it.
+// sendResp encodes rp into a frame from p's world, sends it and releases
+// it.
 func sendResp(p *node.Proc, to graph.NodeID, rp *Resp) {
 	f := p.Frame(rp.wireSize())
 	rp.encodeTo(f.B)
 	p.Send(to, TagResp, f)
+	p.ReleaseFrame(f)
 }
 
 // onProbe serves one walk contact: adopt the pushed value (writes),

@@ -2,6 +2,7 @@ package tq
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -13,8 +14,8 @@ import (
 
 // readCost runs reads on a warmed 64-member mesh under a count-only trace,
 // each read to completion and its walks to their end, and returns one
-// read's allocations and the tq messages it sent.
-func readCost(ttl int) (allocs, msgs float64) {
+// read's allocations, allocated bytes and the tq messages it sent.
+func readCost(ttl int) (allocs, bytes, msgs float64) {
 	c := NewClient(Config{Seed: 4, WalkTTL: ttl, Walkers: 2, Lease: 64})
 	e := sim.New()
 	w := node.NewWorld(e, topology.NewMesh(), c.Factory(), node.Config{MinLatency: 1, MaxLatency: 2, Seed: 4})
@@ -34,30 +35,43 @@ func readCost(ttl int) (allocs, msgs float64) {
 	}
 	sent := func() int { return w.Trace.Messages(TagProbe).Sent + w.Trace.Messages(TagResp).Sent }
 	before, runs := sent(), 0
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	total := ms.TotalAlloc
 	allocs = testing.AllocsPerRun(100, func() { runs++; read() })
-	return allocs, float64(sent()-before) / float64(runs)
+	runtime.ReadMemStats(&ms)
+	return allocs, float64(ms.TotalAlloc-total) / float64(runs), float64(sent()-before) / float64(runs)
 }
 
+// maxWalkBytesPerMsg bounds what one walk message allocates: a frame that
+// is not recycled costs its 45 to 200 wire bytes and its header.
+const maxWalkBytesPerMsg = 8
+
 // TestTQWalkAllocations pins what a walk hop allocates: nothing of its
-// own. Probes and responses are encoded into frames carved from the
-// world's arena and decoded into the client's scratch path, so the only
-// allocations a message causes are its share of an arena chunk refill
-// (a byte chunk holds some 70 frames, a header chunk 128). Reads with
-// short and long walks pay the same per-read costs (the operation, its
-// contact set, its marks and its expiry timer), so their difference is
-// what the extra messages cost; it must stay under 1 allocation per 16
-// messages, where the per-message encoding and boxing it replaced cost
-// over 3.
+// own. Probes and responses are encoded into frames drawn from the
+// world's pool, recycled once their last copy has landed, and decoded
+// into the client's scratch path, so once the pool has grown to the
+// frames in flight a message allocates nothing. Reads with short and long
+// walks pay the same per-read costs (the operation, its contact set, its
+// marks and its expiry timer), so their difference is what the extra
+// messages cost; it must stay under 1 allocation per 16 messages, where
+// the per-message encoding and boxing of the first wire path cost over 3,
+// and under maxWalkBytesPerMsg bytes per message.
 func TestTQWalkAllocations(t *testing.T) {
-	shortA, shortM := readCost(4)
-	longA, longM := readCost(16)
+	shortA, shortB, shortM := readCost(4)
+	longA, longB, longM := readCost(16)
 	if longM < shortM+200 {
 		t.Fatalf("long walks sent %.0f messages a read, short ones %.0f: too few extra messages to measure", longM, shortM)
 	}
 	perMsg := (longA - shortA) / (longM - shortM)
 	if perMsg > 1.0/16 {
-		t.Errorf("%.3f allocs per walk message (%.0f allocs for %.0f messages a read, %.0f for %.0f), want <= 1/16: only chunk refills",
+		t.Errorf("%.3f allocs per walk message (%.0f allocs for %.0f messages a read, %.0f for %.0f), want <= 1/16: only pool growth",
 			perMsg, longA, longM, shortA, shortM)
+	}
+	bytesPerMsg := (longB - shortB) / (longM - shortM)
+	if bytesPerMsg > maxWalkBytesPerMsg {
+		t.Errorf("%.1f bytes per walk message (%.0f bytes for %.0f messages a read, %.0f for %.0f), want <= %d",
+			bytesPerMsg, longB, longM, shortB, shortM, maxWalkBytesPerMsg)
 	}
 }
 
